@@ -11,6 +11,7 @@ compression estimates behind the finite-rank reduction of the problem.
 from .errors import (
     BadWindow,
     DimensionMismatch,
+    EmptyMatrix,
     NoConvergence,
     NotHermitian,
     NotUnitary,

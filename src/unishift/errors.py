@@ -17,6 +17,10 @@ class NoConvergence(UnishiftError):
     """The dense eigensolver exceeded its iteration budget."""
 
 
+class EmptyMatrix(UnishiftError):
+    """A 0x0 matrix was given where a spectrum is needed."""
+
+
 class DimensionMismatch(UnishiftError):
     """Operands of an operation do not share a common dimension."""
 

@@ -6,7 +6,8 @@ The rest of the package works with three kinds of objects built here:
     the backend for unitary spectra,
   * spectral decompositions of unitaries (``unitary_eig``) with eigenangles
     in (0, 2pi]; an eigenvalue 1 is parked at angle 2pi, so the cumulative
-    spectral projection vanishes at t = 0,
+    spectral projection vanishes at t = 0.  A stack (..., d, d) goes through
+    the same gufunc calls as one matrix and gives the same bits per slice,
   * principal logarithms of unitaries (``log_unitary``) with spectrum in
     (-pi, pi]; the boundary eigenvalue -1 maps to +pi.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotUnitary
+from .errors import EmptyMatrix, NoConvergence, NotHermitian, NotUnitary
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,14 +35,27 @@ TWO_PI = 2.0 * np.pi
 _ONE_SNAP = 1e-12
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def _as_stack(m) -> np.ndarray:
+    """Coerce to a complex128 stack (..., d, d) of square matrices with finite entries."""
     a = np.array(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix has NaN or Inf entries")
     return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries."""
+    a = _as_stack(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _adjoint(m) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each slice of a stack."""
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def op_norm(m) -> float:
@@ -146,12 +160,16 @@ def herm_eig(h, check: bool = True) -> HermitianDecomposition:
     ``NoConvergence`` if the LAPACK iteration fails.
     """
     h = require_hermitian(h, what="eigensolver input") if check else as_matrix(h)
-    sym = 0.5 * (h + h.conj().T)
+    w, v = _eigh(0.5 * (h + h.conj().T))
+    return HermitianDecomposition(eigenvalues=w, vectors=v)
+
+
+def _eigh(h: np.ndarray):
+    """LAPACK eigh of an exactly Hermitian matrix or stack, failures typed."""
     try:
-        w, v = np.linalg.eigh(sym)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise NoConvergence(str(exc)) from exc
-    return HermitianDecomposition(eigenvalues=w, vectors=v)
 
 
 @dataclass(frozen=True)
@@ -160,6 +178,7 @@ class SpectralDecomposition:
 
     The cumulative projection E(t) sums the eigenprojections with angle <= t,
     so E(0) = 0 and E(2pi) = I.  Eigenvalue 1 always carries the angle 2pi.
+    For a stack, ``angles`` is (..., d) and ``vectors`` is (..., d, d).
     """
 
     angles: np.ndarray
@@ -167,64 +186,80 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.angles.shape[0]
+        return self.angles.shape[-1]
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return np.exp(1j * self.angles)
 
     def matrix(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
+        return self.apply_function(self.eigenvalues)
 
     def apply_function(self, values) -> np.ndarray:
-        return (self.vectors * np.asarray(values)) @ self.vectors.conj().T
+        return (self.vectors * np.asarray(values)[..., None, :]) @ _adjoint(self.vectors)
 
 
-def choose_phase(u0, check: bool = True) -> float:
+def _check_unitary_stack(u, check: bool, what: str) -> np.ndarray:
+    u = _as_stack(u)
+    if u.shape[-1] == 0:
+        raise EmptyMatrix(f"{what} is 0x0 and has no spectrum")
+    if check:
+        for m in u.reshape(-1, *u.shape[-2:]):
+            require_unitary(m, what=what)
+    return u
+
+
+def choose_phase(u0, check: bool = True):
     """Rotation phase phi in (-pi, pi] placing -e^{i phi} farthest from the spectrum.
 
     The avoided point is the midpoint of the largest gap between consecutive
     eigenangles; on ties the first largest gap in the ascending scan wins,
-    which keeps the choice reproducible.
+    which keeps the choice reproducible.  A matrix gives a float, a stack
+    (..., d, d) an array of shape (...).
     """
-    u0 = require_unitary(u0, what="choose_phase input") if check else as_matrix(u0)
-    ang = np.sort(np.mod(np.angle(np.linalg.eigvals(u0)), TWO_PI))
+    u0 = _check_unitary_stack(u0, check, "choose_phase input")
+    return _phases(u0) if u0.ndim > 2 else float(_phases(u0))
+
+
+def _phases(u: np.ndarray) -> np.ndarray:
+    ang = np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=-1)
     gaps = np.empty_like(ang)
-    gaps[:-1] = ang[1:] - ang[:-1]
-    gaps[-1] = ang[0] + TWO_PI - ang[-1]
-    k = int(np.argmax(gaps))
-    midpoint = ang[k] + 0.5 * gaps[k]
-    phi = np.mod(midpoint - np.pi, TWO_PI)
-    if phi > np.pi:
-        phi -= TWO_PI
-    return float(phi)
+    gaps[..., :-1] = ang[..., 1:] - ang[..., :-1]
+    gaps[..., -1] = ang[..., 0] + TWO_PI - ang[..., -1]
+    k = np.argmax(gaps, axis=-1)[..., None]
+    midpoint = np.take_along_axis(ang, k, -1) + 0.5 * np.take_along_axis(gaps, k, -1)
+    phi = np.mod(midpoint[..., 0] - np.pi, TWO_PI)
+    return np.where(phi > np.pi, phi - TWO_PI, phi)
 
 
 def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
     """Spectral decomposition of a unitary via the phase-rotated Cayley transform.
 
-    Reduces to ``herm_eig`` of i (I - e^{-i phi} U)(I + e^{-i phi} U)^{-1}
-    and maps each Hermitian eigenvalue h back to the angle of
-    e^{i phi} (i - h)/(i + h), normalised into (0, 2pi].
+    Reduces to the Hermitian eigenproblem of
+    i (I - e^{-i phi} U)(I + e^{-i phi} U)^{-1} and maps each eigenvalue h
+    back to the angle of e^{i phi} (i - h)/(i + h), normalised into (0, 2pi].
+    ``u`` may be a stack (..., d, d): the phase choice, the solve and eigh are
+    numpy gufuncs, so every slice equals the one-matrix call bit for bit.
     """
-    u = require_unitary(u, what="unitary_eig input") if check else as_matrix(u)
-    n = u.shape[0]
-    phi = choose_phase(u, check=False)
-    rotated = np.exp(-1j * phi) * u
-    eye = np.eye(n)
+    u = _check_unitary_stack(u, check, "unitary_eig input")
+    phi = _phases(u)
+    rotated = np.exp(-1j * phi)[..., None, None] * u
+    eye = np.eye(u.shape[-1])
     h0 = 1j * np.linalg.solve(eye + rotated, eye - rotated)
-    h0 = 0.5 * (h0 + h0.conj().T)
-    dec = herm_eig(h0, check=False)
+    w, v = _eigh(0.5 * (h0 + _adjoint(h0)))
     # angle of e^{i phi} (i - h)/(i + h); the arctan form avoids complex division
-    theta = np.mod(phi + np.pi - 2.0 * np.arctan2(1.0, dec.eigenvalues), TWO_PI)
+    theta = np.mod(phi[..., None] + np.pi - 2.0 * np.arctan2(1.0, w), TWO_PI)
     theta = np.where((theta <= _ONE_SNAP) | (theta >= TWO_PI - _ONE_SNAP), TWO_PI, theta)
-    order = np.argsort(theta, kind="stable")
-    return SpectralDecomposition(angles=theta[order], vectors=dec.vectors[:, order])
+    order = np.argsort(theta, axis=-1, kind="stable")
+    return SpectralDecomposition(
+        angles=np.take_along_axis(theta, order, -1),
+        vectors=np.take_along_axis(v, order[..., None, :], -1),
+    )
 
 
 def log_unitary(v, check: bool = True) -> np.ndarray:
     """Principal logarithm A of a unitary: A Hermitian, spectrum in (-pi, pi], e^{iA} = V."""
-    dec = unitary_eig(v, check=check)
+    dec = unitary_eig(as_matrix(v), check=check)
     x = np.where(dec.angles > np.pi, dec.angles - TWO_PI, dec.angles)
     a = dec.apply_function(x)
     return 0.5 * (a + a.conj().T)

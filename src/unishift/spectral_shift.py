@@ -1,16 +1,26 @@
-"""The spectral shift profile eta and exact integration against step data.
+"""The spectral shift profile eta and exact integration against its jumps.
 
 For a pair U0, U = e^{iA} U0 the profile is
 
     eta(t) = integral over s in [0, 1] of  Tr{ A [E_0(t) - E_s(t)] },
 
 where E_s is the cumulative spectral projection of U_s = e^{isA} U0.  For a
-fixed s the integrand is a right-continuous step function of t that jumps
-exactly at the eigenangles of U0 and U_s, so every t-integral here is done in
-closed form on the breakpoint intervals.  Only the s-integral is approximated,
-with Gauss-Legendre nodes; the reduced s-integrand behind the trace identity
-is analytic in s, so those integrals converge geometrically even though the
-pointwise profile on a t-grid converges only first order in the node count.
+fixed s the integrand is a right-continuous step function of t that starts
+at 0 and jumps exactly at the eigenangles of U0 and U_s.  Only the s-integral
+is approximated, with Gauss-Legendre nodes, so eta itself is a step function
+described by one flat list of (angle, weight) jumps; ``EtaIntegrator`` builds
+that list from one stacked spectral pass over all nodes.  Every t-integral
+is then a closed-form sum over the jumps (summation by parts), e.g.
+
+    integral of (d/dt)^2 e^{irt} eta(t) dt = -ir sum_k w_k (e^{ir theta_k} - 1).
+
+The reduced s-integrand behind the trace identity is analytic in s, so those
+integrals converge geometrically even though the pointwise profile on a
+t-grid converges only first order in the node count.
+
+``StepFunction``, ``weighted_measure_step``, ``eta_step_at_s`` and
+``integrate_against`` evaluate one node at a time; they are the per-node
+reference the jump list is tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +42,13 @@ from .linalg import (
 from .quadrature import QuadratureRule, as_rule
 
 MERGE_TOL = 1e-10
+IMAG_TOL = 1e-10
+
+# Cap, in complex entries, on one block of the integrator's temporaries: the
+# (nodes, d, d) stacks of U_s and the (modes, jumps) phase matrices.  Without
+# it the peak memory grows with d^2 times the node count and with the number
+# of modes times the number of jumps.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -117,14 +134,6 @@ class StepFunction:
         base = self.values[0] - other.values[0]
         return StepFunction.from_jumps(pos, w, base=base)
 
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        pos = np.concatenate([self.breakpoints, other.breakpoints])
-        w = np.concatenate([self.jumps(), other.jumps()])
-        return StepFunction.from_jumps(pos, w, base=self.values[0] + other.values[0])
-
-    def scaled(self, c) -> "StepFunction":
-        return StepFunction(breakpoints=self.breakpoints.copy(), values=c * self.values)
-
 
 def integrate_against(step: StepFunction, r: int) -> complex:
     """Exact integral of (d/dt)^2 e^{irt} against a step function.
@@ -137,19 +146,7 @@ def integrate_against(step: StepFunction, r: int) -> complex:
     return (1j * r) ** 2 * step.fourier_integral(r)
 
 
-def integrate_against_many(step: StepFunction, rs) -> np.ndarray:
-    """Vectorised ``integrate_against`` over a set of integer modes."""
-    rs = np.asarray(rs, dtype=int)
-    edges = step._edges()
-    phase_diffs = np.diff(np.exp(1j * np.outer(rs, edges)), axis=1)
-    out = phase_diffs @ step.values
-    nonzero = rs != 0
-    out[nonzero] *= 1j * rs[nonzero]
-    out[~nonzero] = 0.0
-    return out
-
-
-def weighted_measure_step(dec: SpectralDecomposition, w, imag_tol: float = 1e-10) -> StepFunction:
+def weighted_measure_step(dec: SpectralDecomposition, w, imag_tol: float = IMAG_TOL) -> StepFunction:
     """t -> Tr{ W E(t) }: cumulative sums of v_k* W v_k over angles <= t.
 
     W must be Hermitian, which forces real jump weights; an imaginary residue
@@ -209,12 +206,20 @@ def piecewise_linear_abs_integral(grid, y) -> float:
 
 
 class EtaIntegrator:
-    """Per-node step functions for one pair (U0, A), shared across queries.
+    """The jumps of eta for one pair (U0, A), shared across queries.
 
-    Building the object diagonalises U_s at every quadrature node once; the
-    profile, its Fourier coefficients and the curvature pairings all reuse
-    those step functions.  The weighted sums accumulate in ascending node
-    order so repeated runs are bit-identical.
+    At node s the integrand t -> Tr{A [E_0(t) - E_s(t)]} jumps by +v*Av at
+    each eigenangle of U0 and by -v*Av at each eigenangle of U_s (v the unit
+    eigenvector).  eta mixes these steps with the quadrature weights, so it
+    is the step function of one flat jump list: ``jump_angles`` and
+    ``jump_weights``, the U0 jumps first and once, scaled by the weight sum,
+    then every node's jumps times minus its weight.  ``node_angles`` and
+    ``node_weights`` keep the unweighted (nodes, d) jump data of the U_s.
+
+    Building the object validates U0 and A once and diagonalises the U_s in
+    stacked blocks of nodes; the profile, its Fourier data, its mean and the
+    curvature pairings are sums over the jump list, exact in t.  Every step
+    is deterministic, so repeated runs are bit-identical.
     """
 
     def __init__(self, u0, a, rule=None):
@@ -225,55 +230,77 @@ class EtaIntegrator:
             raise DimensionMismatch("base and direction dimensions differ")
         self.path = UnitaryPath(self.u0, self.a, check=False)
         self.u0dec = unitary_eig(self.u0, check=False)
-        self.steps = [
-            eta_step_at_s(self.u0dec, unitary_eig(self.path.at(s), check=False), self.a)
-            for s in self.rule.nodes
-        ]
-        self._curvature_cache: dict[int, complex] = {}
+        self.u0_weights = self._weights_of(self.u0dec.vectors)
+        # U_s = V e^{isL} V* U0 with A = V L V*, formed a block of nodes at a time
+        spectrum = self.path.direction_spectrum
+        vstar_u0 = spectrum.vectors.conj().T @ self.u0
+        per_block = max(1, _BLOCK // self.u0.size)
+        angles, weights = [], []
+        for start in range(0, self.rule.count, per_block):
+            s = self.rule.nodes[start:start + per_block]
+            rotations = np.exp(1j * np.multiply.outer(s, spectrum.eigenvalues))
+            dec = unitary_eig((spectrum.vectors * rotations[:, None, :]) @ vstar_u0, check=False)
+            angles.append(dec.angles)
+            weights.append(self._weights_of(dec.vectors))
+        self.node_angles = np.concatenate(angles)
+        self.node_weights = np.concatenate(weights)
+        w = self.rule.weights
+        self.jump_angles = np.concatenate([self.u0dec.angles, self.node_angles.ravel()])
+        self.jump_weights = np.concatenate(
+            [np.sum(w) * self.u0_weights, -(w[:, None] * self.node_weights).ravel()]
+        )
+
+    def _weights_of(self, vectors: np.ndarray) -> np.ndarray:
+        """Jump weights v_k* A v_k for the eigencolumns of one matrix or a stack.
+
+        A is Hermitian, which forces real weights; an imaginary residue above
+        ``IMAG_TOL`` (scaled by ||A||) aborts rather than being dropped.
+        """
+        raw = np.sum(vectors.conj() * (self.a @ vectors), axis=-2)
+        residue = float(np.max(np.abs(raw.imag), initial=0.0))
+        if residue > IMAG_TOL * max(1.0, hs_norm(self.a)):
+            raise ValueError(f"jump weights carry imaginary residue {residue:.3e}")
+        return raw.real
 
     @property
     def dim(self) -> int:
         return self.u0.shape[0]
 
-    def eta(self, t) -> np.ndarray:
-        """Profile values at t: quadrature mixture of the per-node steps."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=float)
-        for w, step in zip(self.rule.weights, self.steps):
-            out = out + w * step.evaluate(t)
+    def _mode_sums(self, rs) -> np.ndarray:
+        """sum_k w_k (e^{ir theta_k} - 1) over the jump list, per mode r.
+
+        The -1 comes from the upper edge 2pi; keeping it makes each sum exact
+        without relying on the jump weights cancelling to zero.
+        """
+        rs = np.asarray(rs)
+        out = np.empty(rs.shape, dtype=np.complex128)
+        per_block = max(1, _BLOCK // self.jump_angles.size)
+        for start in range(0, rs.size, per_block):
+            phases = np.exp(1j * np.multiply.outer(rs[start:start + per_block], self.jump_angles))
+            out[start:start + per_block] = (phases - 1.0) @ self.jump_weights
         return out
 
+    def eta(self, t) -> np.ndarray:
+        """Profile values at t: cumulative jump weights over angles <= t."""
+        order = np.argsort(self.jump_angles, kind="stable")
+        levels = np.concatenate([[0.0], np.cumsum(self.jump_weights[order])])
+        return levels[np.searchsorted(self.jump_angles[order], np.asarray(t, dtype=float), side="right")]
+
     def mean(self) -> float:
-        total = sum(w * step.integral().real for w, step in zip(self.rule.weights, self.steps))
-        return float(total) / TWO_PI
+        """Mean of eta over [0, 2pi]: each jump holds from its angle to 2pi."""
+        return float(np.sum(self.jump_weights * (TWO_PI - self.jump_angles))) / TWO_PI
 
     def fourier(self, n: int) -> complex:
         """Exact-in-t Fourier coefficient of eta: integral of e^{int} eta(t) dt."""
         if n == 0:
             raise ZeroHarmonic("the n = 0 coefficient is the additive-constant ambiguity")
-        return complex(
-            sum(w * step.fourier_integral(n) for w, step in zip(self.rule.weights, self.steps))
-        )
-
-    def curvature_pairing(self, r: int) -> complex:
-        """Integral of (d/dt)^2 e^{irt} against eta, exact in t."""
-        if r not in self._curvature_cache:
-            val = sum(
-                w * integrate_against(step, r) for w, step in zip(self.rule.weights, self.steps)
-            )
-            self._curvature_cache[r] = complex(val)
-        return self._curvature_cache[r]
+        return complex(1j / n * self._mode_sums([n])[0])
 
     def curvature_pairings(self, rs) -> dict[int, complex]:
-        """Batch ``curvature_pairing`` over the distinct modes in ``rs``."""
-        wanted = sorted({int(r) for r in rs} - self._curvature_cache.keys())
-        if wanted:
-            acc = np.zeros(len(wanted), dtype=np.complex128)
-            for w, step in zip(self.rule.weights, self.steps):
-                acc += w * integrate_against_many(step, wanted)
-            for r, v in zip(wanted, acc):
-                self._curvature_cache[r] = complex(v)
-        return {int(r): self._curvature_cache[int(r)] for r in rs}
+        """Integral of (d/dt)^2 e^{irt} against eta, exact in t, per distinct mode in ``rs``."""
+        modes = np.array(sorted({int(r) for r in rs}), dtype=int)
+        pairings = -1j * modes * self._mode_sums(modes)
+        return {int(r): complex(v) for r, v in zip(modes, pairings)}
 
     def profile(self, grid_size: int) -> EtaProfile:
         if grid_size < 2:

@@ -6,9 +6,9 @@ For U = e^{iA} U0 and a trigonometric polynomial p, the identity reads
         = integral over [0, 2pi] of (d/dt)^2 p(e^{it}) * eta(t) dt .
 
 The left side is evaluated by cached repeated matrix multiplication, the
-right side by exact per-node step integration plus Gauss-Legendre in s, so
-the two sides share no spectral code path and agreeing results actually mean
-something.  The directional derivative of a monomial follows the product rule
+right side by exact sums over the jump list of eta (eigenangles of U_s at
+Gauss-Legendre nodes in s, see ``spectral_shift``), so the two sides share
+no spectral code path and agreeing results actually mean something.  The directional derivative of a monomial follows the product rule
 along the path:
 
     d/ds U_s^r = sum_{k=0}^{r-1} U_s^{r-k-1} (iA) U_s^{k+1}      (r >= 1)

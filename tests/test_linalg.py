@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unishift import (
+    EmptyMatrix,
     NotHermitian,
     NotUnitary,
     choose_phase,
@@ -105,6 +106,45 @@ def test_unitary_eig_reconstruction(seed, dim):
     assert op_norm(dec.vectors.conj().T @ dec.vectors - np.eye(dim)) <= 1e-12
     assert np.all(dec.angles > 0.0) and np.all(dec.angles <= TWO_PI)
     assert np.all(np.diff(dec.angles) >= 0.0)
+
+
+def assert_stack_matches_slices(stack):
+    dec = unitary_eig(stack)
+    phases = choose_phase(stack)
+    assert dec.angles.shape == stack.shape[:-1] and dec.vectors.shape == stack.shape
+    for k, u in enumerate(stack):
+        one = unitary_eig(u)
+        assert np.array_equal(dec.angles[k], one.angles)
+        assert np.array_equal(dec.vectors[k], one.vectors)
+        assert phases[k] == choose_phase(u)
+    return dec
+
+
+@given(seeds, st.integers(1, 64))
+def test_unitary_eig_stack_matches_slices(seed, dim):
+    rng = np.random.default_rng(seed)
+    assert_stack_matches_slices(np.stack([haar_unitary(rng, dim) for _ in range(3)]))
+
+
+def test_unitary_eig_stack_edge_spectra():
+    dec = assert_stack_matches_slices(
+        np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([1j, -1.0, 1.0])]).astype(complex)
+    )
+    # eigenvalue 1 is parked at 2pi, -1 sits at pi, repeats stay repeated
+    np.testing.assert_array_equal(dec.angles[0], np.full(3, TWO_PI))
+    assert dec.angles[1][0] == pytest.approx(np.pi, abs=1e-12)
+    assert dec.angles[1][1:].tolist() == [TWO_PI, TWO_PI]
+    np.testing.assert_allclose(dec.angles[2], [np.pi / 2, np.pi, TWO_PI], atol=1e-12)
+    assert op_norm(dec.matrix()[2] - np.diag([1j, -1.0, 1.0])) <= 1e-12
+
+    scalars = np.array([[[1.0]], [[-1.0]], [[np.exp(0.3j)]]], dtype=complex)
+    dec = assert_stack_matches_slices(scalars)
+    np.testing.assert_allclose(dec.angles[:, 0], [TWO_PI, np.pi, 0.3], atol=1e-12)
+
+
+def test_unitary_eig_empty_matrix():
+    with pytest.raises(EmptyMatrix):
+        unitary_eig(np.zeros((0, 0), dtype=complex))
 
 
 def test_log_unitary_identity():

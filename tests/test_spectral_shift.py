@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unishift import (
     DimensionMismatch,
+    EmptyMatrix,
     EtaIntegrator,
+    QuadratureRule,
     StepFunction,
     ZeroHarmonic,
     eta_fourier,
@@ -21,7 +23,7 @@ from unishift import (
     weighted_measure_step,
 )
 from unishift.linalg import TWO_PI, UnitaryPath
-from unishift.spectral_shift import integrate_against_many, piecewise_linear_abs_integral
+from unishift.spectral_shift import piecewise_linear_abs_integral
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -36,6 +38,20 @@ def tent(grid, alpha, beta):
     out = np.maximum(0.0, alpha - (grid - beta))
     out[grid < beta] = 0.0
     return out
+
+
+def per_node_steps(pair, rule):
+    """Reference: the step of every node built one at a time, as a loop."""
+    u0dec = unitary_eig(pair.u0)
+    path = UnitaryPath(pair.u0, pair.a)
+    return [eta_step_at_s(u0dec, unitary_eig(path.at(float(s))), pair.a) for s in rule.nodes]
+
+
+def node_step(integrator, j):
+    """The step of node j rebuilt from the integrator's per-node jump data."""
+    angles = np.concatenate([integrator.u0dec.angles, integrator.node_angles[j]])
+    weights = np.concatenate([integrator.u0_weights, -integrator.node_weights[j]])
+    return StepFunction.from_jumps(angles, weights)
 
 
 class TestStepFunction:
@@ -79,11 +95,16 @@ class TestIntegrateAgainst:
         assert integrate_against(f, 1) == pytest.approx(-2j, abs=1e-14)
 
     def test_vectorised_matches_scalar(self):
-        f = StepFunction.from_jumps([0.3, 2.0, 4.4], [1.0, -0.5, 2.0])
-        rs = np.array([-3, -1, 0, 2, 7])
-        batch = integrate_against_many(f, rs)
-        for r, v in zip(rs, batch):
-            assert v == pytest.approx(integrate_against(f, int(r)), abs=1e-13)
+        pair = random_pair(5, 3, 1.3)
+        rule = gauss_legendre(8)
+        steps = per_node_steps(pair, rule)
+        rs = [-3, -1, 0, 2, 7]
+        batch = EtaIntegrator(pair.u0, pair.a, rule).curvature_pairings(rs)
+        assert sorted(batch) == sorted(rs)
+        for r in rs:
+            ref = sum(w * integrate_against(f, r) for w, f in zip(rule.weights, steps))
+            assert batch[r] == pytest.approx(ref, abs=1e-13)
+        assert batch[0] == 0
 
 
 class TestWeightedMeasureStep:
@@ -173,14 +194,79 @@ class TestPerNodeIdentity:
     @given(seeds, st.integers(1, 8))
     def test_node_oracle(self, seed, r):
         pair = random_pair(seed, 5, 1.2)
-        session = EtaIntegrator(pair.u0, pair.a, 16)
+        integrator = EtaIntegrator(pair.u0, pair.a, 16)
         u0_r = np.linalg.matrix_power(pair.u0, r)
-        for s, step in zip(session.rule.nodes[:4], session.steps[:4]):
-            us = session.path.at(float(s))
+        for j, s in enumerate(integrator.rule.nodes[:4]):
+            us = integrator.path.at(float(s))
             expected = r * trace(1j * pair.a @ np.linalg.matrix_power(us, r)) - r * trace(
                 1j * pair.a @ u0_r
             )
-            assert integrate_against(step, r) == pytest.approx(expected, abs=1e-11)
+            assert integrate_against(node_step(integrator, j), r) == pytest.approx(expected, abs=1e-11)
+
+
+class TestJumpListReference:
+    """The stacked jump list against the per-node loop it replaces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, st.integers(1, 16), st.floats(0.1, 2.9))
+    def test_matches_per_node_reference(self, seed, dim, scale):
+        pair = random_pair(seed, dim, scale)
+        rule = gauss_legendre(16)
+        steps = per_node_steps(pair, rule)
+        integrator = EtaIntegrator(pair.u0, pair.a, rule)
+
+        def close(got, ref):
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+        rs = list(range(-8, 9)) + [-20, 25]
+        pairings = integrator.curvature_pairings(rs)
+        for r in rs:
+            close(pairings[r], sum(w * integrate_against(f, r) for w, f in zip(rule.weights, steps)))
+        for n in (1, -2, 5):
+            close(integrator.fourier(n), sum(w * f.fourier_integral(n) for w, f in zip(rule.weights, steps)))
+        close(integrator.mean(), sum(w * f.integral().real for w, f in zip(rule.weights, steps)) / TWO_PI)
+        grid = np.linspace(0.0, TWO_PI, 997)
+        close(integrator.eta(grid), sum(w * f.evaluate(grid) for w, f in zip(rule.weights, steps)))
+
+    def test_jump_list_layout(self):
+        pair = random_pair(9, 4, 1.0)
+        gl = gauss_legendre(8)
+        # weights summing to 3, so the scaling of the U0 jumps shows
+        rule = QuadratureRule(gl.nodes, 3.0 * gl.weights)
+        integrator = EtaIntegrator(pair.u0, pair.a, rule)
+        assert integrator.node_angles.shape == integrator.node_weights.shape == (8, 4)
+        assert integrator.jump_angles.shape == integrator.jump_weights.shape == (4 + 8 * 4,)
+        np.testing.assert_allclose(integrator.jump_weights[:4], 3.0 * integrator.u0_weights, rtol=1e-14)
+        steps = per_node_steps(pair, rule)
+        grid = np.linspace(0.0, TWO_PI, 101)
+        ref = sum(w * f.evaluate(grid) for w, f in zip(rule.weights, steps))
+        np.testing.assert_allclose(integrator.eta(grid), ref, atol=1e-12)
+        # every node step, and so eta, ends where it starts: Tr A - Tr A
+        assert np.sum(integrator.jump_weights) == pytest.approx(0.0, abs=1e-12)
+        assert integrator.eta(TWO_PI) == pytest.approx(0.0, abs=1e-12)
+        # right-continuous: a jump already holds at its own angle
+        first = np.argmin(integrator.jump_angles)
+        t = integrator.jump_angles[first]
+        assert integrator.eta(t) == integrator.jump_weights[first]
+        assert integrator.eta(np.nextafter(t, 0.0)) == 0.0
+
+
+class TestEmptyMatrices:
+    """0x0 inputs raise the typed error, not an IndexError."""
+
+    empty = np.zeros((0, 0), dtype=complex)
+
+    def test_eta_integrator(self):
+        with pytest.raises(EmptyMatrix):
+            EtaIntegrator(self.empty, self.empty)
+
+    def test_eta_profile(self):
+        with pytest.raises(EmptyMatrix):
+            eta_profile(self.empty, self.empty, 16)
+
+    def test_eta_fourier(self):
+        with pytest.raises(EmptyMatrix):
+            eta_fourier(self.empty, self.empty, 1)
 
 
 class TestEtaFourier:

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unishift import (
+    EmptyMatrix,
     OnUnitCircle,
     PathMismatch,
     TrigPolynomial,
@@ -225,6 +226,11 @@ class TestVerify:
             assert rep.lhs == pytest.approx(single.lhs, abs=1e-12)
             assert rep.rhs == pytest.approx(single.rhs, abs=1e-12)
             assert rep.passed
+
+    def test_empty_matrices_raise_typed_error(self):
+        empty = np.zeros((0, 0), dtype=complex)
+        with pytest.raises(EmptyMatrix):
+            batch_verify(empty, empty, empty, [TrigPolynomial.monomial(1)])
 
 
 class TestRemainderBound:

@@ -366,12 +366,15 @@ def audit_compressed_model(
         checks.append(_check(f"pert_power_error[{m}]", value, bound))
     # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} in rank coordinates:
     # B*(e^{iA} - e^{iAp}) = B* e^{iA} - e^{iAc} B*.
+    # The rank-coordinate factor depends on k only, so it is formed once per k.
     exp_ac = acdec.exp_i()
     mixed_bound = 4.0 * eps * eps * np.exp(a_op)
+    inners = []
+    for k in k_list:
+        base_k = base_powers.power(int(k))
+        inners.append(b.conj().T @ exp_a @ base_k @ b - exp_ac @ (b.conj().T @ base_k @ b))
     for m in m_list:
-        for k in k_list:
-            base_k = base_powers.power(int(k))
-            inner = b.conj().T @ exp_a @ base_k @ b - exp_ac @ (b.conj().T @ base_k @ b)
+        for k, inner in zip(k_list, inners):
             value = abs(trace(pert_c_powers.power(int(m)) @ inner))
             checks.append(_check(f"mixed_trace[m={int(m)},k={int(k)}]", value, mixed_bound))
     return AuditReport(label="compressed-model", eps=eps, checks=tuple(checks))

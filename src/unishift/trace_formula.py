@@ -5,15 +5,28 @@ For U = e^{iA} U0 and a trigonometric polynomial p, the identity reads
     Tr{ p(U) - p(U0) - d/ds p(U_s)|_{s=0} }
         = integral over [0, 2pi] of (d/dt)^2 p(e^{it}) * eta(t) dt .
 
-The left side is evaluated by cached repeated matrix multiplication, the
-right side by exact sums over the jump list of eta (eigenangles of U_s at
-Gauss-Legendre nodes in s, see ``spectral_shift``), so the two sides share
-no spectral code path and agreeing results actually mean something.  The directional derivative of a monomial follows the product rule
-along the path:
+Both sides are linear in the coefficients of p, so each is assembled from
+one number per Fourier mode n.  The left side streams the powers U^k and
+U0^k, one matrix product each per step (adjoints for negative modes), and
+takes the derivative term from the cyclic trace identity below; the right
+side is an exact sum over the jump list of eta (eigenangles of U_s at
+Gauss-Legendre nodes in s, see ``spectral_shift``).  The left side touches
+no eigendecomposition, so the two sides share no spectral code path and
+agreeing results actually mean something.
+
+The directional derivative of a monomial follows the product rule along the
+path:
 
     d/ds U_s^r = sum_{k=0}^{r-1} U_s^{r-k-1} (iA) U_s^{k+1}      (r >= 1)
                = 0                                               (r = 0)
                = -sum_{k=0}^{|r|-1} (U_s*)^{|r|-k} (iA) (U_s*)^k (r <= -1).
+
+By cyclicity every term has trace Tr(iA U_s^r), so for every integer r
+
+    Tr d/ds U_s^r = i r Tr(A U_s^r).
+
+``gateaux_monomial`` and ``gateaux_series`` keep the full matrices; the
+tests use them as the oracle for the per-mode traces.
 """
 
 from __future__ import annotations
@@ -140,14 +153,35 @@ def require_path(u0, u, a, tol: float | None = None) -> None:
         raise PathMismatch(f"U deviates from e^(iA) U0 by {dev:.3e} (tol {tol:.3e})")
 
 
+def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> dict[int, complex]:
+    """Tr{ U^n - U0^n - d/ds U_s^n|_0 } for each mode n, from streamed powers.
+
+    The derivative trace is i n Tr(A U0^n), taken as the sum of the
+    elementwise product A^T * U0^n.  Positive and negative modes each stream
+    one power of U and of U0 (stepping by U*, U0* for negative modes) up to
+    the largest wanted |n|; nothing is kept between steps.
+    """
+    modes = set(modes)
+    out = {0: 0j} if 0 in modes else {}
+    a_t = a.T
+    for sign, step, step0 in ((1, u, u0), (-1, u.conj().T, u0.conj().T)):
+        power = power0 = np.eye(u.shape[0], dtype=np.complex128)
+        for k in range(1, max((sign * n for n in modes), default=0) + 1):
+            power, power0 = power @ step, power0 @ step0
+            n = sign * k
+            if n in modes:
+                out[n] = trace(power) - trace(power0) - 1j * n * complex(np.sum(a_t * power0))
+    return out
+
+
 def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
-    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via cached matrix powers."""
+    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via streamed powers, mode by mode."""
     u0 = require_unitary(u0, what="lhs base")
     u = require_unitary(u, what="lhs endpoint")
     a = require_hermitian(a, what="lhs direction")
     require_path(u0, u, a)
-    derivative = gateaux_series(u0, a, p)
-    return trace(PowerCache(u).polynomial(p) - PowerCache(u0).polynomial(p) - derivative)
+    lhs_mode = _lhs_mode_traces(u0, u, a, p.support)
+    return complex(sum(c * lhs_mode[n] for n, c in p.items()))
 
 
 def rhs_integral(u0, a, p: TrigPolynomial, s_rule=None) -> complex:
@@ -184,18 +218,15 @@ class VerificationReport:
 
 def verify(u0, u, a, p: TrigPolynomial, tol: float = 1e-8, s_rule=None) -> VerificationReport:
     """Evaluate both sides of the identity for one polynomial and compare."""
-    rule = as_rule(s_rule)
-    lhs = lhs_trace(u0, u, a, p)
-    rhs = rhs_integral(u0, a, p, rule)
-    return VerificationReport.from_sides(lhs, rhs, tol, rule.count)
+    return batch_verify(u0, u, a, [p], tol=tol, s_rule=s_rule)[0]
 
 
 def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[VerificationReport]:
-    """Verify many polynomials for one pair, sharing spectra and power caches.
+    """Verify many polynomials for one pair, validating it once.
 
     Both sides are linear in the coefficients, so each side is assembled from
-    per-mode values: traces of U^n - U0^n - D_n on the left, curvature
-    pairings on the right.
+    per-mode values: streamed traces of U^n - U0^n - D_n on the left,
+    curvature pairings on the right.
     """
     rule = as_rule(s_rule)
     u0 = require_unitary(u0, what="batch base")
@@ -203,12 +234,7 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
     a = require_hermitian(a, what="batch direction")
     require_path(u0, u, a)
     modes = sorted({n for p in polys for n in p.coeffs})
-    u_pow, u0_pow = PowerCache(u), PowerCache(u0)
-    ia = 1j * a
-    lhs_mode = {
-        n: trace(u_pow.power(n) - u0_pow.power(n) - _monomial_derivative(u0_pow, ia, n))
-        for n in modes
-    }
+    lhs_mode = _lhs_mode_traces(u0, u, a, modes)
     session = EtaIntegrator(u0, a, rule)
     rhs_mode = session.curvature_pairings(modes)
     reports = []
@@ -282,16 +308,13 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None, order:
     z = complex(z)
     if abs(abs(z) - 1.0) < 1e-6:
         raise OnUnitCircle(f"|z| = {abs(z):.8f} is within 1e-6 of the unit circle")
-    u0 = require_unitary(u0, what="resolvent base")
-    u = require_unitary(u, what="resolvent endpoint")
-    a = require_hermitian(a, what="resolvent direction")
-    require_path(u0, u, a)
+    u0, u, a = as_matrix(u0), as_matrix(u), as_matrix(a)
     if order is None:
         order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
     else:
         tail = 0.0
     p = resolvent_coefficients(z, order)
-    report = verify(u0, u, a, p, tol=tol, s_rule=s_rule)
+    report = batch_verify(u0, u, a, [p], tol=tol, s_rule=s_rule)[0]
 
     eye = np.eye(u0.shape[0])
     r_u = np.linalg.inv(u - z * eye)

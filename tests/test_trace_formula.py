@@ -22,8 +22,9 @@ from unishift import (
     trace_norm,
     verify,
 )
+from unishift import trace_formula
 from unishift.linalg import UnitaryPath
-from unishift.trace_formula import PowerCache, resolvent_coefficients
+from unishift.trace_formula import PowerCache, _lhs_mode_traces, resolvent_coefficients
 from unishift.trigpoly import random_trig_polynomial
 
 seeds = st.integers(0, 2**31 - 1)
@@ -122,6 +123,35 @@ class TestGateauxSeries:
             op_norm(central_difference(pair.u0, pair.a, p, 0.0, h) - d) for h in (1e-3, 5e-4)
         ]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+
+class TestModeTraces:
+    """The streamed per-mode left side against the full-matrix oracle."""
+
+    @given(seeds, st.integers(1, 8), st.integers(-12, 12), st.floats(0.1, 3.0))
+    def test_derivative_trace_closed_form(self, seed, dim, r, scale):
+        pair = random_pair(seed, dim, scale)
+        ref = 1j * r * np.trace(pair.a @ np.linalg.matrix_power(pair.u0, r))
+        got = np.trace(gateaux_monomial(pair.u0, pair.a, r))
+        assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
+
+    @given(seeds, st.integers(1, 8), st.floats(0.1, 3.0))
+    def test_matches_full_matrix_oracle(self, seed, dim, scale):
+        pair = random_pair(seed, dim, scale)
+        modes = range(-12, 13)
+        got = _lhs_mode_traces(pair.u0, pair.u, pair.a, modes)
+        assert sorted(got) == list(modes)
+        u_pow, u0_pow = PowerCache(pair.u), PowerCache(pair.u0)
+        for n in modes:
+            ref = np.trace(u_pow.power(n) - u0_pow.power(n) - gateaux_monomial(pair.u0, pair.a, n))
+            assert abs(got[n] - ref) <= 1e-12 * (1 + abs(ref)), n
+
+    def test_sparse_modes(self):
+        pair = random_pair(19, 4, 1.0)
+        got = _lhs_mode_traces(pair.u0, pair.u, pair.a, [-5, 3])
+        assert sorted(got) == [-5, 3]
+        full = _lhs_mode_traces(pair.u0, pair.u, pair.a, range(-5, 6))
+        assert got[-5] == full[-5] and got[3] == full[3]
 
 
 class TestLhsTrace:
@@ -275,6 +305,34 @@ class TestResolvent:
         assert p_in.coeffs == {-1: 1.0, -2: 0.5, -3: 0.25}
         p_out = resolvent_coefficients(2.0, 1)
         assert p_out.coeffs == {0: -0.5, 1: -0.25}
+
+    @pytest.mark.parametrize("z", [0.99, 1 / 0.99])
+    def test_near_circle_orders(self, z):
+        # Orders near 4000: a left side quadratic in the order takes about a
+        # minute per point.  Modes that high need more s-nodes than the
+        # 64-node default, which misses the tolerance for this pair on the
+        # right side (relative error 0.1 at 64 nodes, 1.7e-4 at 128, 2.5e-10
+        # at 256).
+        pair = random_pair(20, 6, 1.0)
+        rep = resolvent_check(pair.u0, pair.u, pair.a, z, tol=1e-7, s_rule=gauss_legendre(256))
+        assert rep.truncation_order > 3000
+        assert rep.passed
+        assert rep.series_vs_direct <= 1e-7 * (1 + abs(rep.direct_lhs))
+
+    def test_pair_validated_once(self, monkeypatch):
+        pair = random_pair(21, 4, 1.0)
+        calls = []
+        original = trace_formula.require_path
+        monkeypatch.setattr(
+            trace_formula, "require_path", lambda *args: calls.append(1) or original(*args)
+        )
+        assert resolvent_check(pair.u0, pair.u, pair.a, 0.5).passed
+        assert len(calls) == 1
+
+    def test_path_mismatch(self):
+        pair = random_pair(22, 4, 1.0)
+        with pytest.raises(PathMismatch):
+            resolvent_check(pair.u0, pair.u0, pair.a, 0.5)
 
     def test_unit_circle_rejected(self):
         pair = random_pair(18, 3, 1.0)

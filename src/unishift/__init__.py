@@ -12,13 +12,18 @@ from .errors import (
     BadWindow,
     DimensionMismatch,
     EmptyMatrix,
+    MissingConstruction,
     NoConvergence,
     NotHermitian,
     NotUnitary,
     OnUnitCircle,
+    PartitionTooFine,
     PathMismatch,
     PhaseTooClose,
+    SampleOutOfRange,
     UnishiftError,
+    UnnormalisedSeed,
+    ZeroDirection,
     ZeroHarmonic,
 )
 from .linalg import (

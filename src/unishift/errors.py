@@ -30,7 +30,27 @@ class PhaseTooClose(UnishiftError):
 
 
 class BadWindow(UnishiftError):
-    """The spectral window (-a, a] does not capture a seed vector."""
+    """The spectral window (-a, a] is empty, has no cells, or does not capture a seed vector."""
+
+
+class PartitionTooFine(UnishiftError):
+    """The ambient space is under 4x the finest partition, so cells hold too few eigenvalues."""
+
+
+class UnnormalisedSeed(UnishiftError):
+    """A seed vector of a window projection does not have unit length."""
+
+
+class ZeroDirection(UnishiftError):
+    """The direction operator is zero, so it gives no seed vectors."""
+
+
+class MissingConstruction(UnishiftError):
+    """An audited projection carries no construction record (seed count, window, cells)."""
+
+
+class SampleOutOfRange(UnishiftError):
+    """A propagator sample time lies outside [-T, T]."""
 
 
 class ZeroHarmonic(UnishiftError):

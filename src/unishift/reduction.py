@@ -14,6 +14,20 @@ approaches the ambient one as the partition refines.  The audit functions
 evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
+
+The direction is low rank, so no d x d exponential is ever formed.  Each
+audit call diagonalises A once and keeps the eigenpairs (F, tau) with
+|tau| > 1e-12 max(||A||, 1) (||A|| is read from the same eigenvalues); then
+
+    e^{isA} = I + F diag(e^{is tau} - 1) F*,
+
+and likewise for the compressed direction Ap = B* A B of rank at most L,
+whose one decomposition also builds the compressed model.  The propagator
+samples, the exponential off-block norms, the Taylor-remainder trace norm
+and the mixed-trace factors all work on d x L factors, and each mixed trace
+is an elementwise sum, not the trace of a product.  ``convergence_study``
+decomposes H0 and A once for its whole ladder.  Nothing is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -22,15 +36,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWindow, PhaseTooClose
+from .errors import (
+    BadWindow,
+    MissingConstruction,
+    PartitionTooFine,
+    PhaseTooClose,
+    SampleOutOfRange,
+    UnnormalisedSeed,
+    ZeroDirection,
+)
 from .linalg import (
+    HermitianDecomposition,
     as_matrix,
     herm_eig,
     hs_norm,
-    op_norm,
     require_hermitian,
     require_unitary,
-    trace,
     trace_norm,
 )
 from .trace_formula import PowerCache, _exp_remainder_factor, lhs_trace
@@ -133,14 +154,20 @@ def build_projection(h0, vectors, half_width: float, cells: int, drop_tol: float
     """
     h0 = require_hermitian(h0, what="window operator")
     f = np.column_stack([np.asarray(v, dtype=np.complex128) for v in vectors])
+    return _window_basis(herm_eig(h0, check=False), f, half_width, cells, drop_tol)
+
+
+def _window_basis(
+    dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int, drop_tol: float = GS_DROP_TOL
+) -> ProjectionBasis:
+    """``build_projection`` from the eigendecomposition of H0 and the seeds as columns."""
     dim, count = f.shape
     lengths = np.linalg.norm(f, axis=0)
     if np.any(np.abs(lengths - 1.0) > 1e-10):
-        raise ValueError("seed vectors must be normalised")
+        raise UnnormalisedSeed("seed vectors must be normalised")
     if cells < 1 or half_width <= 0.0:
-        raise ValueError("need a positive window and at least one cell")
+        raise BadWindow("need a positive window and at least one cell")
     eps = count * half_width / np.sqrt(cells)
-    dec = herm_eig(h0, check=False)
     coords = dec.vectors.conj().T @ f  # eigenbasis coordinates of the seeds
     inside = (dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width)
     leak = np.linalg.norm(np.where(inside[:, None], 0.0, coords), axis=0)
@@ -170,20 +197,37 @@ def build_projection(h0, vectors, half_width: float, cells: int, drop_tol: float
     )
 
 
+def _kept_pairs(dec: HermitianDecomposition, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs (F, tau) with |tau| > rel_tol max(||H||, 1), and ||H|| = max |eigenvalue|.
+
+    Up to the dropped eigenvalues, e^{isH} = I + F diag(e^{is tau} - 1) F*.
+    """
+    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
+    keep = np.abs(dec.eigenvalues) > rel_tol * max(top, 1.0)
+    return dec.vectors[:, keep], dec.eigenvalues[keep], top
+
+
+def _exp_step(f: np.ndarray, tau: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """F diag(e^{is tau} - 1), so that e^{isH} X = X + _exp_step(F, tau, s) @ (F* X)."""
+    return f * np.expm1(1j * s * tau)
+
+
 def perturbation_directions(a, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of A with non-negligible eigenvalues, and those eigenvalues."""
     a = require_hermitian(a, what="direction operator")
-    dec = herm_eig(a, check=False)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    keep = np.abs(dec.eigenvalues) > rel_tol * max(top, 1.0)
-    return dec.vectors[:, keep], dec.eigenvalues[keep]
+    f, tau, _ = _kept_pairs(herm_eig(a, check=False), rel_tol)
+    return f, tau
+
+
+def _require_seeds(f: np.ndarray) -> None:
+    if f.shape[1] == 0:
+        raise ZeroDirection("direction operator is zero; no seeds to project")
 
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
     """Window projection seeded by the eigenvectors of the low-rank direction A."""
     f, _ = perturbation_directions(a)
-    if f.shape[1] == 0:
-        raise ValueError("direction operator is zero; no seeds to project")
+    _require_seeds(f)
     return build_projection(h0, [f[:, l] for l in range(f.shape[1])], half_width, cells)
 
 
@@ -221,7 +265,7 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.
     """
     if p.params is None:
-        raise ValueError("projection carries no construction record to audit")
+        raise MissingConstruction("projection carries no construction record to audit")
     eps = p.params.eps
     h0 = as_matrix(h0)
     u0 = as_matrix(u0)
@@ -249,41 +293,31 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps.
     """
     if p.params is None:
-        raise ValueError("projection carries no construction record to audit")
+        raise MissingConstruction("projection carries no construction record to audit")
     eps = p.params.eps
-    a = as_matrix(a)
     u0 = as_matrix(u0)
     u = as_matrix(u)
-    a_op = op_norm(a)
-    adec = herm_eig(a, check=False)
+    f, tau, a_op = _kept_pairs(herm_eig(as_matrix(a), check=False))
     b = p.columns
-    checks = [_check("direction_offblock", _perp_full_hs(a, b), 2 * eps)]
+    # P_perp A = P_perp F tau F* and P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F* P;
+    # F* is a co-isometry, so it drops out of the Hilbert-Schmidt norm.
+    f_perp = f - b @ (b.conj().T @ f)
+    fb = f.conj().T @ b
+    checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
     for t in t_samples:
         if abs(t) > t_max + 1e-12:
-            raise ValueError("propagator samples must stay within [-T, T]")
-        value = _perp_hs(adec.exp_i(float(t)), b)
+            raise SampleOutOfRange("propagator samples must stay within [-T, T]")
+        value = hs_norm(_exp_step(f_perp, tau, float(t)) @ fb)
         checks.append(_check(f"propagator[t={float(t):+.3f}]", value, propagator_bound))
     base_powers = PowerCache(u0)
     pert_powers = PowerCache(u)
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
     for m in m_list:
         m = int(m)
-        checks.append(_check(f"base_power[{m}]", _perp_hs(base_powers.power(m), b), 2 * abs(m) * eps))
-        checks.append(_check(f"pert_power[{m}]", _perp_hs(pert_powers.power(m), b), abs(m) * pert_factor))
+        checks.append(_check(f"base_power[{m}]", p.offblock_hs(base_powers.power(m)), 2 * abs(m) * eps))
+        checks.append(_check(f"pert_power[{m}]", p.offblock_hs(pert_powers.power(m)), abs(m) * pert_factor))
     return AuditReport(label="perturbation-coupling", eps=eps, checks=tuple(checks))
-
-
-def _perp_hs(x, b) -> float:
-    """|| (I - B B*) X B ||_2 = || P_perp X P ||_2."""
-    y = np.asarray(x) @ b
-    return hs_norm(y - b @ (b.conj().T @ y))
-
-
-def _perp_full_hs(x, b) -> float:
-    """|| (I - B B*) X ||_2 = || P_perp X ||_2."""
-    x = np.asarray(x)
-    return hs_norm(x - b @ (b.conj().T @ x))
 
 
 @dataclass(frozen=True)
@@ -308,13 +342,19 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     e^{i Ap} U0p.  P commutes with both rebuilt unitaries by construction,
     which is what makes rank-coordinates legitimate.
     """
+    return _compress(p, h0, a, phase)[0]
+
+
+def _compress(p: ProjectionBasis, h0, a, phase: float) -> tuple[CompressedModel, np.ndarray, np.ndarray]:
+    """``compressed_model`` and the kept eigenpairs (Fc, tau_c) of Ap = B* A B."""
     hc = p.compress(as_matrix(h0))
     hc = 0.5 * (hc + hc.conj().T)
     ac = p.compress(as_matrix(a))
     ac = 0.5 * (ac + ac.conj().T)
     u0p = cayley_inverse(hc, phase)
-    up = herm_eig(ac, check=False).exp_i() @ u0p
-    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase)
+    fc, tau_c, _ = _kept_pairs(herm_eig(ac, check=False))
+    up = u0p + _exp_step(fc, tau_c) @ (fc.conj().T @ u0p)
+    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase), fc, tau_c
 
 
 def audit_compressed_model(
@@ -329,28 +369,30 @@ def audit_compressed_model(
     |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.
     """
     if p.params is None:
-        raise ValueError("projection carries no construction record to audit")
+        raise MissingConstruction("projection carries no construction record to audit")
     eps = p.params.eps
     a = as_matrix(a)
     u0 = as_matrix(u0)
     u = as_matrix(u)
-    a_op = op_norm(a)
+    f, tau, a_op = _kept_pairs(herm_eig(a, check=False))
     a_hs = hs_norm(a)
     b = p.columns
-    model = compressed_model(p, h0, a, phase)
-    adec = herm_eig(a, check=False)
-    acdec = herm_eig(model.ap, check=False)
+    model, fc, tau_c = _compress(p, h0, a, phase)
     if s_samples is None:
         s_samples = np.linspace(-t_max, t_max, 21)
-    checks = []
-    exp_a = adec.exp_i()
-    checks.append(_check("exp_step_offblock", _perp_full_hs(exp_a - np.eye(p.ambient_dim), b), 2 * eps))
+    # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
+    # works on d x L factors; F* is a co-isometry and drops out of the norms.
+    f_perp = f - b @ (b.conj().T @ f)
+    fb = f.conj().T @ b
+    bfc = b @ fc
+    checks = [_check("exp_step_offblock", hs_norm(_exp_step(f_perp, tau)), 2 * eps)]
     worst = 0.0
     for s in s_samples:
-        worst = max(worst, hs_norm(adec.exp_i(float(s)) @ b - b @ acdec.exp_i(float(s))))
+        # e^{isA} B - B e^{isAp} = F (e^{is tau} - 1) F*B - B Fc (e^{is tau_c} - 1) Fc*
+        diff = _exp_step(f, tau, float(s)) @ fb - _exp_step(bfc, tau_c, float(s)) @ fc.conj().T
+        worst = max(worst, hs_norm(diff))
     checks.append(_check("propagator_vs_compressed", worst, 2 * t_max * eps))
-    remainder = exp_a - 1j * a - np.eye(p.ambient_dim)
-    perp_remainder = remainder - b @ (b.conj().T @ remainder)
+    perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
     tr_bound = 2.0 * a_hs * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     base_powers = PowerCache(u0)
@@ -364,18 +406,22 @@ def audit_compressed_model(
         value = hs_norm(b.conj().T @ pert_powers.power(m) @ b - pert_c_powers.power(m))
         bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
         checks.append(_check(f"pert_power_error[{m}]", value, bound))
-    # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} in rank coordinates:
-    # B*(e^{iA} - e^{iAp}) = B* e^{iA} - e^{iAc} B*.
-    # The rank-coordinate factor depends on k only, so it is formed once per k.
-    exp_ac = acdec.exp_i()
+    # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} in rank coordinates, where
+    # B* e^{iA} U0^k B - e^{iAp} B* U0^k B = (F*B)* (e^{i tau} - 1) F* U0^k B
+    #                                         - Fc (e^{i tau_c} - 1) (B Fc)* U0^k B.
+    # The factor depends on k only, so it is formed once per k; the trace is
+    # the elementwise sum of Up^m and the factor's transpose.
     mixed_bound = 4.0 * eps * eps * np.exp(a_op)
     inners = []
     for k in k_list:
         base_k = base_powers.power(int(k))
-        inners.append(b.conj().T @ exp_a @ base_k @ b - exp_ac @ (b.conj().T @ base_k @ b))
+        inners.append(
+            _exp_step(fb.conj().T, tau) @ (f.conj().T @ base_k @ b)
+            - _exp_step(fc, tau_c) @ (bfc.conj().T @ base_k @ b)
+        )
     for m in m_list:
         for k, inner in zip(k_list, inners):
-            value = abs(trace(pert_c_powers.power(int(m)) @ inner))
+            value = abs(complex(np.sum(pert_c_powers.power(int(m)) * inner.T)))
             checks.append(_check(f"mixed_trace[m={int(m)},k={int(k)}]", value, mixed_bound))
     return AuditReport(label="compressed-model", eps=eps, checks=tuple(checks))
 
@@ -407,18 +453,21 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts, half_
     a = require_hermitian(a, what="ambient direction")
     cell_counts = [int(n) for n in cell_counts]
     if min(cell_counts) < 1:
-        raise ValueError("cell counts must be positive")
+        raise BadWindow("cell counts must be positive")
     if h0.shape[0] < 4 * max(cell_counts):
-        raise ValueError("ambient dimension must be at least 4x the finest partition")
+        raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
+    h0_dec = herm_eig(h0, check=False)
+    f, tau, _ = _kept_pairs(herm_eig(a, check=False))
+    _require_seeds(f)
     if half_width is None:
-        extent = float(np.max(np.abs(np.linalg.eigvalsh(h0))))
+        extent = float(np.max(np.abs(h0_dec.eigenvalues)))
         half_width = extent * (1.0 + 1e-12) + 1e-15
     u0 = cayley_inverse(h0, phase)
-    u = herm_eig(a, check=False).exp_i() @ u0
+    u = u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
     full = lhs_trace(u0, u, a, p)
     rows = []
     for n in sorted(cell_counts):
-        proj = build_direction_projection(h0, a, half_width, n)
+        proj = _window_basis(h0_dec, f, half_width, n)
         model = compressed_model(proj, h0, a, phase)
         compressed = lhs_trace(model.u0p, model.up, model.ap, p)
         rows.append(

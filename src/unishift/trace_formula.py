@@ -62,7 +62,12 @@ class PowerCache:
     def __init__(self, u: np.ndarray):
         self._u = u
         self._ustar = u.conj().T
-        self._cache: dict[int, np.ndarray] = {0: np.eye(u.shape[0], dtype=np.complex128)}
+        # powers +-1 are copies, so no returned power aliases the caller's matrix
+        self._cache: dict[int, np.ndarray] = {
+            0: np.eye(u.shape[0], dtype=np.complex128),
+            1: u.astype(np.complex128, order="C"),
+            -1: self._ustar.astype(np.complex128, order="C"),
+        }
 
     def power(self, n: int) -> np.ndarray:
         if n not in self._cache:

@@ -171,6 +171,24 @@ class TestConvergeCommand:
         diffs = [float(line.split(",")[3]) for line in lines[1:]]
         assert diffs[-1] <= diffs[0]
 
+    def test_byte_identical_reruns(self, tmp_path):
+        args = ["converge", "--ambient", "64", "--ranks", "4,8,16", "--seed", "6", "--scale", "0.4"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_partition_too_fine_exits_2(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "unishift", "converge", "--ambient", "64", "--ranks", "8,32",
+             "--out", str(tmp_path / "c.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: ambient dimension must be at least 4x the finest partition\n"
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestResolventCommand:
     def test_report(self, tmp_path):
@@ -193,6 +211,13 @@ class TestBoundsCommand:
         assert payload["pass"] is True
         assert [p["cells"] for p in payload["partitions"]] == [8, 16]
         assert len(payload["partitions"][0]["audits"]) == 3
+
+    def test_byte_identical_reruns(self, tmp_path):
+        args = ["bounds", "--ambient", "64", "--ranks", "4,16", "--seed", "8", "--scale", "0.5"]
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestExitCodes:

@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 
 from unishift import (
     BadWindow,
+    MissingConstruction,
+    PartitionTooFine,
     PhaseTooClose,
     ProjectionBasis,
+    SampleOutOfRange,
     TrigPolynomial,
+    UnishiftError,
+    UnnormalisedSeed,
+    ZeroDirection,
     audit_compressed_model,
     audit_perturbation_estimates,
     audit_projection_estimates,
@@ -19,13 +25,17 @@ from unishift import (
     compressed_model,
     convergence_study,
     herm_eig,
+    hs_norm,
     lhs_trace,
     op_norm,
     reduction_instance,
     spread_diagonal,
+    trace,
+    trace_norm,
 )
 from unishift.linalg import haar_unitary
 from unishift.reduction import random_low_rank_hermitian
+from unishift.trace_formula import PowerCache, _exp_remainder_factor
 
 seeds = st.integers(0, 2**31 - 1)
 M_LIST = [1, -1, 2, -2, 4, -4]
@@ -267,3 +277,190 @@ class TestGenerators:
         inst = reduction_instance(15, 64, 2, 0.5)
         assert op_norm(inst.u0.conj().T @ inst.u0 - np.eye(64)) <= 64 * 1e-12
         assert op_norm(cayley_forward(inst.u0, inst.phase) - inst.h0) <= 64 * 1e-10
+
+
+def dense_reference(p, h0, a, u0, u, phase, t_max, m_list, k_list, samples):
+    """Perturbation and compressed-model audits from dense d x d exponentials.
+
+    These are the audit formulas before the thin factors: every e^{isA} and
+    e^{isAp} is assembled in full, ||A|| comes from an SVD, and each mixed
+    trace is the trace of a matrix product.  Returns the two check lists as
+    (name, value, bound) triples and the dense compressed model.
+    """
+    b = p.columns
+    eps = p.params.eps
+    eye = np.eye(p.ambient_dim)
+    a_op, a_hs = op_norm(a), hs_norm(a)
+    adec = herm_eig(a, check=False)
+
+    def perp_hs(x):
+        y = x @ b
+        return hs_norm(y - b @ (b.conj().T @ y))
+
+    def perp_full(x):
+        return x - b @ (b.conj().T @ x)
+
+    pert = [("direction_offblock", hs_norm(perp_full(a)), 2 * eps)]
+    for t in samples:
+        bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
+        pert.append((f"propagator[t={float(t):+.3f}]", perp_hs(adec.exp_i(float(t))), bound))
+    base, powers = PowerCache(u0), PowerCache(u)
+    for m in m_list:
+        pert.append((f"base_power[{m}]", perp_hs(base.power(m)), 2 * abs(m) * eps))
+        pert.append((f"pert_power[{m}]", perp_hs(powers.power(m)), abs(m) * 2.0 * (np.exp(a_op) + 1.0) * eps))
+
+    hc = b.conj().T @ h0 @ b
+    ac = b.conj().T @ a @ b
+    ac = 0.5 * (ac + ac.conj().T)
+    u0p = cayley_inverse(0.5 * (hc + hc.conj().T), phase)
+    acdec = herm_eig(ac, check=False)
+    up = acdec.exp_i() @ u0p
+    exp_a = adec.exp_i()
+    comp = [("exp_step_offblock", hs_norm(perp_full(exp_a - eye)), 2 * eps)]
+    worst = max(hs_norm(adec.exp_i(float(s)) @ b - b @ acdec.exp_i(float(s))) for s in samples)
+    comp.append(("propagator_vs_compressed", worst, 2 * t_max * eps))
+    remainder = trace_norm(perp_full(exp_a - 1j * a - eye))
+    comp.append(("taylor_remainder_tracenorm", remainder, 2.0 * a_hs * _exp_remainder_factor(a_op) * eps))
+    base_c, up_powers = PowerCache(u0p), PowerCache(up)
+    for m in m_list:
+        value = hs_norm(base.power(m) @ b - b @ base_c.power(m))
+        comp.append((f"base_power_error[{m}]", value, 2 * abs(m) * eps))
+        value = hs_norm(b.conj().T @ powers.power(m) @ b - up_powers.power(m))
+        bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
+        comp.append((f"pert_power_error[{m}]", value, bound))
+    exp_ac = acdec.exp_i()
+    for m in m_list:
+        for k in k_list:
+            base_k = base.power(k)
+            inner = b.conj().T @ exp_a @ base_k @ b - exp_ac @ (b.conj().T @ base_k @ b)
+            value = abs(trace(up_powers.power(m) @ inner))
+            comp.append((f"mixed_trace[m={m},k={k}]", value, 4.0 * eps * eps * np.exp(a_op)))
+    return pert, comp, (u0p, ac, up)
+
+
+def assert_matches_reference(report, reference):
+    assert [c.name for c in report.checks] == [name for name, _, _ in reference]
+    for check, (name, value, bound) in zip(report.checks, reference):
+        assert abs(check.value - value) <= 1e-12 * (1 + abs(value)), (name, check.value, value)
+        assert abs(check.bound - bound) <= 1e-12 * (1 + abs(bound)), (name, check.bound, bound)
+
+
+class TestThinFactorsOracle:
+    M = [0, 1, -1, 2, -2, 4, -4]
+    K = [0, 1, -1, 2, -4]
+
+    def audit_against_reference(self, p, inst, a, u, samples):
+        pert = audit_perturbation_estimates(p, inst.u0, u, a, 2.0, self.M, samples)
+        comp = audit_compressed_model(
+            p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, s_samples=samples
+        )
+        ref_pert, ref_comp, (u0p, ap, up) = dense_reference(
+            p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, samples
+        )
+        assert_matches_reference(pert, ref_pert)
+        assert_matches_reference(comp, ref_comp)
+        model = compressed_model(p, inst.h0, a, inst.phase)
+        for got, want in ((model.u0p, u0p), (model.ap, ap), (model.up, up)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @given(
+        seeds,
+        st.integers(8, 64),
+        st.sampled_from([1, 2, 3, None]),
+        st.integers(1, 16),
+        st.floats(0.05, 2.5),
+    )
+    @settings(max_examples=30)
+    def test_matches_dense_formulas(self, seed, ambient, rank, cells, scale):
+        # rank None is a full-rank direction
+        inst = reduction_instance(seed, ambient, rank or ambient, scale)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, cells)
+        self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
+
+    @given(seeds, st.integers(8, 64), st.sampled_from([1, 2, 3, None]), st.data())
+    @settings(max_examples=20)
+    def test_matches_dense_formulas_on_any_isometry(self, seed, ambient, rank, data):
+        # window projections capture the seeds, so P_perp F is roundoff there;
+        # a random isometry B makes every P_perp F quantity non-trivial
+        inst = reduction_instance(seed, ambient, rank or ambient, data.draw(st.floats(0.05, 2.5)))
+        cols = data.draw(st.integers(1, ambient))
+        b = haar_unitary(np.random.default_rng(seed + 1), ambient)[:, :cols]
+        window = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        p = ProjectionBasis(ambient, b, window.directions, params=window.params)
+        self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
+
+    def test_projection_of_full_rank(self):
+        # one eigenvalue per cell: every cell piece is a unit vector, so ran P is everything
+        inst = reduction_instance(3, 8, 1, 0.7)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
+        assert p.rank == 8
+        self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
+
+    def test_zero_direction_and_zero_time(self):
+        inst = reduction_instance(4, 32, 2, 0.5)
+        zero = np.zeros((32, 32), dtype=complex)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
+        self.audit_against_reference(p, inst, zero, inst.u0, [0.0])
+        self.audit_against_reference(p, inst, inst.a, inst.u, [0.0])
+
+
+class TestOneDecompositionPerCall:
+    def test_convergence_study_diagonalises_h0_once(self, monkeypatch):
+        from unishift import reduction
+
+        inst = reduction_instance(21, 128, 2, 0.4)
+        ladder = [4, 8, 16, 32]
+        calls = []
+        original = reduction.herm_eig
+
+        def counting(h, check=True):
+            calls.append(np.array_equal(h, inst.h0))
+            return original(h, check)
+
+        monkeypatch.setattr(reduction, "herm_eig", counting)
+        poly = TrigPolynomial.monomial(2)
+        study = convergence_study(inst.h0, inst.a, inst.phase, poly, ladder)
+        assert sum(calls) == 1
+        monkeypatch.undo()
+
+        half_width = float(np.max(np.abs(np.linalg.eigvalsh(inst.h0)))) * (1.0 + 1e-12) + 1e-15
+        full = lhs_trace(inst.u0, inst.u, inst.a, poly)
+        assert abs(study.full_trace - full) <= 1e-12
+        for row, n in zip(study.rows, ladder):
+            p = build_direction_projection(inst.h0, inst.a, half_width, n)
+            model = compressed_model(p, inst.h0, inst.a, inst.phase)
+            compressed = lhs_trace(model.u0p, model.up, model.ap, poly)
+            assert (row.cells, row.rank) == (n, p.rank)
+            assert abs(row.compressed_trace - compressed) <= 1e-12
+            assert abs(row.abs_diff - abs(full - compressed)) <= 1e-12
+
+
+class TestTypedErrors:
+    def test_each_guard_raises_its_type(self):
+        inst = reduction_instance(16, 32, 2, 0.5)
+        zero = np.zeros((32, 32), dtype=complex)
+        poly = TrigPolynomial.monomial(2)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        bare = ProjectionBasis(32, p.columns, p.directions, params=None)
+        seed = np.zeros(32, dtype=complex)
+        seed[0] = 2.0
+        cases = [
+            (PartitionTooFine, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [16])),
+            (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [0, 4])),
+            (ZeroDirection, lambda: build_direction_projection(inst.h0, zero, 1.0, 4)),
+            (ZeroDirection, lambda: convergence_study(inst.h0, zero, inst.phase, poly, [4])),
+            (UnnormalisedSeed, lambda: build_projection(inst.h0, [seed], 1.0, 4)),
+            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 0.0, 4)),
+            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 1.0, 0)),
+            (MissingConstruction, lambda: audit_projection_estimates(bare, inst.h0, inst.u0, [1])),
+            (MissingConstruction, lambda: audit_perturbation_estimates(
+                bare, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
+            (MissingConstruction, lambda: audit_compressed_model(
+                bare, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
+            (SampleOutOfRange, lambda: audit_perturbation_estimates(
+                p, inst.u0, inst.u, inst.a, 1.0, [1], [-1.5])),
+        ]
+        for error, call in cases:
+            with pytest.raises(error):
+                call()
+            assert issubclass(error, UnishiftError)

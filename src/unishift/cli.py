@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -140,12 +141,12 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _write_rows(path: str, header: str, rows: list[str]) -> None:
+def _write_rows(path: str, header: str, rows: Iterable[str]) -> None:
+    """Write a header line, then ``rows``, each already ending in a newline."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.writelines(rows)
 
 
 def _trial_polynomials(config: RunConfig, trial: int) -> tuple[list[TrigPolynomial], list[str]]:
@@ -185,11 +186,8 @@ def cmd_eta(config: RunConfig) -> int:
     ok = profile.l1_eta0 <= bound + 1e-8
     path = config.out_path()
     if config.format == "csv":
-        rows = [
-            f"{_fmt(t)},{_fmt(e)},{_fmt(e0)}"
-            for t, e, e0 in zip(profile.grid, profile.eta, profile.eta0)
-        ]
-        _write_rows(path, "t,eta,eta0", rows)
+        columns = (profile.grid.tolist(), profile.eta.tolist(), profile.eta0.tolist())
+        _write_rows(path, "t,eta,eta0", map("{:.17g},{:.17g},{:.17g}\n".format, *columns))
     else:
         _write_json(
             path,
@@ -221,7 +219,7 @@ def cmd_converge(config: RunConfig) -> int:
         inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), list(config.ranks)
     )
     rows = [
-        f"{row.rank},{_fmt(row.compressed_trace.real)},{_fmt(row.compressed_trace.imag)},{_fmt(row.abs_diff)}"
+        f"{row.rank},{_fmt(row.compressed_trace.real)},{_fmt(row.compressed_trace.imag)},{_fmt(row.abs_diff)}\n"
         for row in study.rows
     ]
     path = config.out_path()

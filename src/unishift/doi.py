@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, hs_norm, require_unitary, unitary_eig
+from .errors import DimensionMismatch
+from .linalg import SpectralDecomposition, _require_finite, hs_norm, require_unitary, unitary_eig
 from .trigpoly import TrigPolynomial
 
 # Eigenvalue pairs closer than this switch to the derivative limit of the
@@ -73,11 +74,15 @@ def doi_apply(g: TrigPolynomial, us, u0, x) -> np.ndarray:
 
     With X = Us - U0 the result equals g(Us) - g(U0); that identity is what
     makes the kernel the right finite-dimensional stand-in for the abstract
-    two-variable spectral integral.
+    two-variable spectral integral.  ``X`` must be (dim Us) x (dim U0) with
+    finite entries; otherwise ``DimensionMismatch`` or ``ValueError`` is raised.
     """
     us = require_unitary(us, what="doi left unitary")
     u0 = require_unitary(u0, what="doi right unitary")
     x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (us.shape[0], u0.shape[0]):
+        raise DimensionMismatch(f"X has shape {x.shape}, expected {(us.shape[0], u0.shape[0])}")
+    _require_finite(x)
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     k = kernel(g, ldec, rdec)
     rotated = ldec.vectors.conj().T @ x @ rdec.vectors

@@ -13,9 +13,15 @@ The rest of the package works with three kinds of objects built here:
 
 Unitary spectra are computed by rotating the matrix away from -1, taking the
 Cayley transform ``i (I - U') (I + U')^{-1}`` (a Hermitian matrix), and
-mapping Hermitian eigenvalues back to the circle.  ``choose_phase`` picks the
-rotation so that the avoided point sits in the middle of the largest spectral
-gap, which keeps the transform well conditioned for any input.
+mapping Hermitian eigenvalues back to the circle.  ``unitary_eig`` picks the
+rotation from the Hermitian part (U + U*)/2 alone: its eigenvalues cos(theta)
+fix the spectrum up to reflection in the real axis, so the eigenangles lie in
+the reflected set {+-arccos cos(theta)} of at most 2d points, and the avoided
+point goes to the midpoint of that set's largest gap.  It is then at least
+pi/(2d) from every eigenangle, so the transform has norm at most
+cot(pi/(4d)) for any input.  ``choose_phase`` is the exact reference: it puts
+the avoided point in the largest gap of the spectrum itself (at least pi/d
+away), at the price of a general eigenvalue solve.
 
 Everything here is a pure function of its arguments; returned arrays are
 freshly allocated and never aliased to the inputs.
@@ -35,14 +41,18 @@ TWO_PI = 2.0 * np.pi
 _ONE_SNAP = 1e-12
 
 
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    if a.size and not np.isfinite(a).all():
+        raise ValueError("matrix has NaN or Inf entries")
+    return a
+
+
 def _as_stack(m) -> np.ndarray:
     """Coerce to a complex128 stack (..., d, d) of square matrices with finite entries."""
     a = np.array(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
-        raise ValueError("matrix has NaN or Inf entries")
-    return a
+    return _require_finite(a)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -213,9 +223,12 @@ def choose_phase(u0, check: bool = True):
     """Rotation phase phi in (-pi, pi] placing -e^{i phi} farthest from the spectrum.
 
     The avoided point is the midpoint of the largest gap between consecutive
-    eigenangles; on ties the first largest gap in the ascending scan wins,
-    which keeps the choice reproducible.  A matrix gives a float, a stack
-    (..., d, d) an array of shape (...).
+    eigenangles, so it lies at least pi/d from the spectrum; on ties the first
+    largest gap in the ascending scan wins, which keeps the choice
+    reproducible.  A matrix gives a float, a stack (..., d, d) an array of
+    shape (...).  This is the exact reference for the rotation: it needs a
+    general eigenvalue solve, so ``unitary_eig`` uses the cheaper
+    reflected-spectrum pick instead.
     """
     u0 = _check_unitary_stack(u0, check, "choose_phase input")
     return _phases(u0) if u0.ndim > 2 else float(_phases(u0))
@@ -232,17 +245,45 @@ def _phases(u: np.ndarray) -> np.ndarray:
     return np.where(phi > np.pi, phi - TWO_PI, phi)
 
 
+def _reflected_phases(u: np.ndarray) -> np.ndarray:
+    """Phase phi in (-pi, pi] putting -e^{i phi} at least pi/(2d) from the spectrum.
+
+    The eigenvalues cos(theta) of (U + U*)/2 give alpha = arccos(cos(theta))
+    in [0, pi], and every eigenangle is +alpha or -alpha.  The gaps of the
+    reflected set {+-alpha} are 2 alpha_min across 0, the differences of
+    consecutive alpha (taken in the upper half), and 2 (pi - alpha_max)
+    across pi; they sum to 2pi over at most 2d points, so the largest is at
+    least pi/d.  The avoided point is its midpoint; on ties the first gap in
+    that order wins.
+    """
+    try:
+        c = np.linalg.eigvalsh(0.5 * (u + _adjoint(u)))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
+        raise NoConvergence(str(exc)) from exc
+    alpha = np.arccos(np.minimum(np.maximum(c[..., ::-1], -1.0), 1.0))
+    # -alpha_min, the ascending alpha, 2pi - alpha_max: consecutive differences are the gaps
+    ext = np.concatenate([-alpha[..., :1], alpha, TWO_PI - alpha[..., -1:]], axis=-1)
+    gaps = ext[..., 1:] - ext[..., :-1]
+    k = np.argmax(gaps, axis=-1)[..., None]
+    mid = np.take_along_axis(ext[..., :-1] + 0.5 * gaps, k, -1)[..., 0]
+    # mid is exactly 0 only for the gap across 0, whose avoided point 1 needs phi = pi
+    return np.where(mid > 0.0, mid - np.pi, np.pi)
+
+
 def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
     """Spectral decomposition of a unitary via the phase-rotated Cayley transform.
 
     Reduces to the Hermitian eigenproblem of
     i (I - e^{-i phi} U)(I + e^{-i phi} U)^{-1} and maps each eigenvalue h
     back to the angle of e^{i phi} (i - h)/(i + h), normalised into (0, 2pi].
-    ``u`` may be a stack (..., d, d): the phase choice, the solve and eigh are
-    numpy gufuncs, so every slice equals the one-matrix call bit for bit.
+    The phase comes from one eigvalsh of the Hermitian part (U + U*)/2 (see
+    ``_reflected_phases``): -e^{i phi} is at least pi/(2d) from the spectrum,
+    so the transform has norm at most cot(pi/(4d)).  ``u`` may be a stack
+    (..., d, d): eigvalsh, the solve and eigh are numpy gufuncs, so every
+    slice equals the one-matrix call bit for bit.
     """
     u = _check_unitary_stack(u, check, "unitary_eig input")
-    phi = _phases(u)
+    phi = _reflected_phases(u)
     rotated = np.exp(-1j * phi)[..., None, None] * u
     eye = np.eye(u.shape[-1])
     h0 = 1j * np.linalg.solve(eye + rotated, eye - rotated)

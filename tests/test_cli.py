@@ -150,6 +150,29 @@ class TestEtaCommand:
         tent[grid < beta] = 0.0
         assert np.max(np.abs(eta - tent)) <= 2 * alpha / 1024
 
+    def test_byte_identical_reruns(self, tmp_path):
+        args = ["eta", "--dim", "8", "--seed", "3", "--grid", "2000"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_csv_rows_are_profile_values(self, tmp_path):
+        from unishift import random_pair
+        from unishift.quadrature import gauss_legendre
+        from unishift.spectral_shift import eta_profile
+
+        cfg = RunConfig(command="eta", dim=8, seed=4, grid=2000)
+        out = tmp_path / "eta.csv"
+        assert main(["eta", "--dim", "8", "--seed", "4", "--grid", "2000", "--out", str(out)]) == 0
+        pair = random_pair(cfg.seed, cfg.dim, cfg.scale)
+        profile = eta_profile(pair.u0, pair.a, cfg.grid, gauss_legendre(cfg.s_nodes))
+        expected = [
+            f"{t:.17g},{e:.17g},{e0:.17g}" for t, e, e0 in zip(profile.grid, profile.eta, profile.eta0)
+        ]
+        assert out.read_bytes().decode("utf-8").split("\n") == ["t,eta,eta0", *expected, ""]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "eta.json"
         code = main(["eta", "--dim", "3", "--seed", "2", "--grid", "16",

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unishift import (
+    DimensionMismatch,
     TrigPolynomial,
     doi_apply,
     hs_norm,
@@ -112,6 +113,22 @@ class TestDoiApply:
             g, unitary_eig(pair.u0)
         )
         assert hs_norm(got - exact) <= 1e-10 * (1 + hs_norm(circle_function_of(g, unitary_eig(pair.u))))
+
+    def test_wrong_shape_raises_dimension_mismatch(self):
+        pair = random_pair(3, 4, 1.0)
+        g = TrigPolynomial.monomial(2)
+        for x in (np.zeros((4, 3)), np.zeros((3, 3)), np.zeros(16), np.zeros((1, 4, 4))):
+            with pytest.raises(DimensionMismatch):
+                doi_apply(g, pair.u, pair.u0, x)
+
+    def test_non_finite_rejected(self):
+        pair = random_pair(4, 3, 1.0)
+        g = TrigPolynomial.monomial(2)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            x = pair.u - pair.u0
+            x[1, 2] = bad
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                doi_apply(g, pair.u, pair.u0, x)
 
 
 class TestSchurBound:

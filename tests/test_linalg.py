@@ -18,7 +18,7 @@ from unishift import (
     unitary_eig,
     unitary_path,
 )
-from unishift.linalg import TWO_PI, UnitaryPath, haar_unitary
+from unishift.linalg import TWO_PI, UnitaryPath, _reflected_phases, haar_unitary
 
 seeds = st.integers(0, 2**31 - 1)
 dims = st.integers(1, 12)
@@ -67,6 +67,53 @@ def test_choose_phase_largest_gap_midpoint():
     midpoint = (0.2 + 0.1 + TWO_PI) / 2.0
     avoided = np.mod(np.angle(-np.exp(1j * phi)), TWO_PI)
     assert avoided == pytest.approx(np.mod(midpoint, TWO_PI), abs=1e-12)
+
+
+# Angles at, or within 1e-13 of, the eigenvalues 1 and -1 (angles 0 and pi).
+BOUNDARY_ANGLES = (0.0, np.pi, 1e-13, -1e-13, np.pi - 1e-13, np.pi + 1e-13)
+
+
+def circle_points(angles):
+    """e^{i angles}, with angles exactly 0 and pi giving exactly 1 and -1."""
+    z = np.exp(1j * angles)
+    return np.where(angles == 0.0, 1.0, np.where(angles == np.pi, -1.0, z))
+
+
+def edge_angles(rng, kind, dim):
+    """Random, clustered, reflected, equispaced-reflected or boundary eigenangles."""
+    if kind == "random":
+        return rng.uniform(0.0, TWO_PI, dim)
+    if kind == "clustered":
+        centres = rng.uniform(0.0, TWO_PI, rng.integers(1, 4))
+        spread = rng.choice([0.0, 1e-13, 1e-8, 1e-3])
+        return rng.choice(centres, dim) + spread * rng.standard_normal(dim)
+    if kind == "reflected":
+        half = rng.uniform(0.0, np.pi, (dim + 1) // 2)
+        return np.concatenate([half, -half])[:dim]
+    if kind == "equispaced":
+        # the reflected set has 2d equal gaps, so the pi/(2d) bound is tight
+        return (np.arange(dim) + 0.5) * np.pi / dim * rng.choice([-1.0, 1.0], dim)
+    boundary = rng.choice(BOUNDARY_ANGLES, dim)
+    return np.where(rng.random(dim) < 0.7, boundary, rng.uniform(0.0, TWO_PI, dim))
+
+
+EDGE_KINDS = ("random", "clustered", "reflected", "equispaced", "boundary")
+
+
+@given(seeds, st.integers(1, 64), st.sampled_from(EDGE_KINDS), st.booleans())
+def test_reflected_phase_keeps_half_gap_distance(seed, dim, kind, rotate):
+    # the pick sees only (U + U*)/2, yet -e^{i phi} stays pi/(2d) from the true spectrum
+    rng = np.random.default_rng(seed)
+    z = circle_points(edge_angles(rng, kind, dim))
+    u = np.diag(z)
+    if rotate:
+        q = haar_unitary(rng, dim)
+        u = q @ u @ q.conj().T
+    phi = _reflected_phases(u)
+    assert -np.pi < phi <= np.pi
+    avoided = np.angle(-np.exp(1j * phi))
+    dist = np.min(np.abs(np.mod(np.angle(z) - avoided + np.pi, TWO_PI) - np.pi))
+    assert dist >= np.pi / (2 * dim) - 1e-9
 
 
 @given(seeds, st.integers(2, 10))
@@ -140,6 +187,18 @@ def test_unitary_eig_stack_edge_spectra():
     scalars = np.array([[[1.0]], [[-1.0]], [[np.exp(0.3j)]]], dtype=complex)
     dec = assert_stack_matches_slices(scalars)
     np.testing.assert_allclose(dec.angles[:, 0], [TWO_PI, np.pi, 0.3], atol=1e-12)
+
+    # clustered, reflected and boundary spectra, diagonal and in a Haar basis
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 5, 16, 64):
+        for kind in EDGE_KINDS[1:]:
+            diagonal = np.stack([np.diag(circle_points(edge_angles(rng, kind, dim))) for _ in range(2)])
+            q = haar_unitary(rng, dim)
+            for stack in (diagonal, q @ diagonal @ q.conj().T):
+                dec = assert_stack_matches_slices(stack)
+                for u, rebuilt, v in zip(stack, dec.matrix(), dec.vectors):
+                    assert op_norm(rebuilt - u) <= dim * 1e-12
+                    assert op_norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
 
 
 def test_unitary_eig_empty_matrix():

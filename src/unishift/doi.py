@@ -119,6 +119,8 @@ def schur_bound_check(f: TrigPolynomial, us, u0, samples: int = SUP_SAMPLES) -> 
     """
     us = require_unitary(us, what="bound left unitary")
     u0 = require_unitary(u0, what="bound right unitary")
+    if us.shape != u0.shape:
+        raise DimensionMismatch(f"unitaries have shapes {us.shape} and {u0.shape}")
     g = primitive_of(f)
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     lhs = hs_norm(circle_function_of(g, ldec) - circle_function_of(g, rdec))

@@ -10,9 +10,13 @@ at 0 and jumps exactly at the eigenangles of U0 and U_s.  Only the s-integral
 is approximated, with Gauss-Legendre nodes, so eta itself is a step function
 described by one flat list of (angle, weight) jumps; ``EtaIntegrator`` builds
 that list from one stacked spectral pass over all nodes.  Every t-integral
-is then a closed-form sum over the jumps (summation by parts), e.g.
+is then a closed-form sum over the jumps (summation by parts): for any f
+whose derivative f' is known on the circle,
 
-    integral of (d/dt)^2 e^{irt} eta(t) dt = -ir sum_k w_k (e^{ir theta_k} - 1).
+    integral of f''(t) eta(t) dt = -sum_k w_k (f'(theta_k) - f'(2pi)),
+
+one O(jumps) sum with no truncation; f = e^{irt} gives the mode pairings
+-ir sum_k w_k (e^{ir theta_k} - 1).
 
 The reduced s-integrand behind the trace identity is analytic in s, so those
 integrals converge geometrically even though the pointwise profile on a
@@ -218,7 +222,7 @@ class EtaIntegrator:
 
     Building the object validates U0 and A once and diagonalises the U_s in
     stacked blocks of nodes; the profile, its Fourier data, its mean and the
-    curvature pairings are sums over the jump list, exact in t.  Every step
+    pairings against f'' are sums over the jump list, exact in t.  Every step
     is deterministic, so repeated runs are bit-identical.
     """
 
@@ -296,8 +300,20 @@ class EtaIntegrator:
             raise ZeroHarmonic("the n = 0 coefficient is the additive-constant ambiguity")
         return complex(1j / n * self._mode_sums([n])[0])
 
+    def pairing(self, fprime) -> complex:
+        """Integral of f'' against eta, exact in t, from f' on the circle.
+
+        Each jump w_k holds from theta_k to 2pi, so summation by parts gives
+        -sum_k w_k (f'(theta_k) - f'(2pi)); ``fprime`` maps an array of
+        angles to the values of f' there.
+        """
+        return complex(-((fprime(self.jump_angles) - fprime(TWO_PI)) @ self.jump_weights))
+
     def curvature_pairings(self, rs) -> dict[int, complex]:
-        """Integral of (d/dt)^2 e^{irt} against eta, exact in t, per distinct mode in ``rs``."""
+        """Integral of (d/dt)^2 e^{irt} against eta, exact in t, per distinct mode in ``rs``.
+
+        This is ``pairing`` for f' = ir e^{irt}, batched over the modes.
+        """
         modes = np.array(sorted({int(r) for r in rs}), dtype=int)
         pairings = -1j * modes * self._mode_sums(modes)
         return {int(r): complex(v) for r, v in zip(modes, pairings)}

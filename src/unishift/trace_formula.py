@@ -14,6 +14,12 @@ Gauss-Legendre nodes in s, see ``spectral_shift``).  The left side touches
 no eigendecomposition, so the two sides share no spectral code path and
 agreeing results actually mean something.
 
+The resolvent w -> (w - z)^{-1} is not a trigonometric polynomial.  Its
+right side is one closed-form sum over the jumps from f'(t) =
+-i e^{it} / (e^{it} - z)^2, with no truncation; only the left side uses a
+truncated Fourier series, with an explicit tail bound, and that series is
+checked against the left side computed directly from matrix inverses.
+
 The directional derivative of a monomial follows the product rule along the
 path:
 
@@ -158,33 +164,38 @@ def require_path(u0, u, a, tol: float | None = None) -> None:
         raise PathMismatch(f"U deviates from e^(iA) U0 by {dev:.3e} (tol {tol:.3e})")
 
 
+def _validated_pair(u0, u, a, role: str):
+    """(U0, U, A) checked once: unitary ends, Hermitian direction, U = e^{iA} U0."""
+    u0 = require_unitary(u0, what=f"{role} base")
+    u = require_unitary(u, what=f"{role} endpoint")
+    a = require_hermitian(a, what=f"{role} direction")
+    require_path(u0, u, a)
+    return u0, u, a
+
+
 def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> dict[int, complex]:
     """Tr{ U^n - U0^n - d/ds U_s^n|_0 } for each mode n, from streamed powers.
 
-    The derivative trace is i n Tr(A U0^n), taken as the sum of the
-    elementwise product A^T * U0^n.  Positive and negative modes each stream
-    one power of U and of U0 (stepping by U*, U0* for negative modes) up to
-    the largest wanted |n|; nothing is kept between steps.
+    The derivative trace is i n Tr(A U0^n) = i n sum conj(A) * U0^n, since A
+    is Hermitian.  Positive and negative modes each stream one power of U and
+    of U0 (stepping by U*, U0* for negative modes) up to the largest wanted
+    |n|; nothing is kept between steps.
     """
     modes = set(modes)
     out = {0: 0j} if 0 in modes else {}
-    a_t = a.T
     for sign, step, step0 in ((1, u, u0), (-1, u.conj().T, u0.conj().T)):
         power = power0 = np.eye(u.shape[0], dtype=np.complex128)
         for k in range(1, max((sign * n for n in modes), default=0) + 1):
             power, power0 = power @ step, power0 @ step0
             n = sign * k
             if n in modes:
-                out[n] = trace(power) - trace(power0) - 1j * n * complex(np.sum(a_t * power0))
+                out[n] = complex(power.trace() - power0.trace()) - 1j * n * complex(np.vdot(a, power0))
     return out
 
 
 def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
     """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via streamed powers, mode by mode."""
-    u0 = require_unitary(u0, what="lhs base")
-    u = require_unitary(u, what="lhs endpoint")
-    a = require_hermitian(a, what="lhs direction")
-    require_path(u0, u, a)
+    u0, u, a = _validated_pair(u0, u, a, "lhs")
     lhs_mode = _lhs_mode_traces(u0, u, a, p.support)
     return complex(sum(c * lhs_mode[n] for n, c in p.items()))
 
@@ -234,10 +245,7 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
     curvature pairings on the right.
     """
     rule = as_rule(s_rule)
-    u0 = require_unitary(u0, what="batch base")
-    u = require_unitary(u, what="batch endpoint")
-    a = require_hermitian(a, what="batch direction")
-    require_path(u0, u, a)
+    u0, u, a = _validated_pair(u0, u, a, "batch")
     modes = sorted({n for p in polys for n in p.coeffs})
     lhs_mode = _lhs_mode_traces(u0, u, a, modes)
     session = EtaIntegrator(u0, a, rule)
@@ -303,34 +311,42 @@ def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float, cap: 
     return len(terms) - 1, 0.0  # pragma: no cover - loop above always returns
 
 
-def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None, order: int | None = None) -> ResolventReport:
+def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> ResolventReport:
     """Verify the trace identity for w -> (w - z)^{-1}, |z| != 1.
 
-    The function enters as a truncated coefficient expansion chosen from an
-    explicit tail bound, and the series left side must also agree with the
-    left side computed directly from matrix inverses.
+    The right side is the closed-form pairing of eta with the resolvent's
+    derivative on the circle.  The left side streams a truncated coefficient
+    expansion whose order comes from an explicit tail bound, and must also
+    agree with the left side computed directly from matrix inverses.
     """
     z = complex(z)
     if abs(abs(z) - 1.0) < 1e-6:
         raise OnUnitCircle(f"|z| = {abs(z):.8f} is within 1e-6 of the unit circle")
-    u0, u, a = as_matrix(u0), as_matrix(u), as_matrix(a)
-    if order is None:
-        order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
-    else:
-        tail = 0.0
+    rule = as_rule(s_rule)
+    u0, u, a = _validated_pair(u0, u, a, "resolvent")
+    order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
     p = resolvent_coefficients(z, order)
-    report = batch_verify(u0, u, a, [p], tol=tol, s_rule=s_rule)[0]
+    lhs_mode = _lhs_mode_traces(u0, u, a, p.support)
+    lhs = complex(sum(c * lhs_mode[n] for n, c in p.items()))
+
+    def fprime(t):
+        """d/dt (e^{it} - z)^{-1} on the circle."""
+        w = np.exp(1j * t)
+        return -1j * w / (w - z) ** 2
+
+    rhs = EtaIntegrator(u0, a, rule).pairing(fprime)
+    report = VerificationReport.from_sides(lhs, rhs, tol, rule.count)
 
     eye = np.eye(u0.shape[0])
     r_u = np.linalg.inv(u - z * eye)
     r_u0 = np.linalg.inv(u0 - z * eye)
     # d/ds (U_s - z)^{-1}|_0 = -R0 (iA U0) R0
     direct = trace(r_u - r_u0 + r_u0 @ (1j * a @ u0) @ r_u0)
-    gap = abs(report.lhs - direct)
+    gap = abs(lhs - direct)
     agreement = gap <= tol * (1.0 + abs(direct))
     return ResolventReport(
-        lhs=report.lhs,
-        rhs=report.rhs,
+        lhs=lhs,
+        rhs=rhs,
         abs_err=report.abs_err,
         rel_err=report.rel_err,
         s_nodes_used=report.s_nodes_used,

@@ -152,6 +152,11 @@ class TestSchurBound:
         rep = schur_bound_check(f, pair.u, pair.u0)
         assert rep.passed, (rep.lhs, rep.rhs, rep.kernel_sup, rep.kernel_bound)
 
+    def test_dimension_mismatch(self):
+        f = TrigPolynomial.monomial(1)
+        with pytest.raises(DimensionMismatch):
+            schur_bound_check(f, random_pair(0, 3, 1.0).u, random_pair(1, 4, 1.0).u0)
+
     def test_sampled_sup_norm(self):
         p = TrigPolynomial({1: 1.0, -1: 1.0})  # 2 cos t
         assert sampled_sup_norm(p) == pytest.approx(2.0, abs=1e-6)

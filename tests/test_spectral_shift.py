@@ -251,6 +251,28 @@ class TestJumpListReference:
         assert integrator.eta(np.nextafter(t, 0.0)) == 0.0
 
 
+class TestPairing:
+    """The f'-pairing against the batched mode sums it generalises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.integers(1, 16), st.integers(-12, 12), st.floats(0.1, 2.9))
+    def test_matches_curvature_pairings(self, seed, dim, r, scale):
+        pair = random_pair(seed, dim, scale)
+        integrator = EtaIntegrator(pair.u0, pair.a, 32)
+        ref = integrator.curvature_pairings([r])[r]
+        got = integrator.pairing(lambda t: 1j * r * np.exp(1j * r * t))
+        assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_scalar_tent_closed_form(self):
+        # eta is the tent alpha - (t - beta) on [beta, beta + alpha), so for
+        # f' = cos t the pairing is the integral of -sin t over the tent
+        alpha, beta = 0.7, 1.1
+        u0, a = scalar_pair(alpha, beta)
+        got = EtaIntegrator(u0, a, 32).pairing(np.cos)
+        expected = np.sin(beta + alpha) - np.sin(beta) - alpha * np.cos(beta)
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
 class TestEmptyMatrices:
     """0x0 inputs raise the typed error, not an IndexError."""
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from unishift import (
     EmptyMatrix,
+    EtaIntegrator,
     OnUnitCircle,
     PathMismatch,
     TrigPolynomial,
@@ -318,6 +319,43 @@ class TestResolvent:
         assert rep.truncation_order > 3000
         assert rep.passed
         assert rep.series_vs_direct <= 1e-7 * (1 + abs(rep.direct_lhs))
+
+    @pytest.mark.parametrize("z", [0.0, 0.5, 2.0, 0.95, 1 / 0.95, 0.3 + 0.4j, -0.6 + 0.9j])
+    def test_closed_form_matches_series(self, z):
+        pair = random_pair(23, 5, 1.0)
+        rule = gauss_legendre(64)
+        rep = resolvent_check(pair.u0, pair.u, pair.a, z, s_rule=rule)
+        p = resolvent_coefficients(z, rep.truncation_order)
+        pairings = EtaIntegrator(pair.u0, pair.a, rule).curvature_pairings(p.support)
+        series = sum(c * pairings[n] for n, c in p.items())
+        assert rep.passed
+        assert abs(rep.rhs - series) <= rep.tail_bound + 1e-12 * (1.0 + abs(series))
+
+    def test_right_side_uses_no_mode_sums(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the resolvent right side must not sum over modes")
+
+        monkeypatch.setattr(EtaIntegrator, "_mode_sums", refuse)
+        pair = random_pair(24, 4, 1.0)
+        assert resolvent_check(pair.u0, pair.u, pair.a, 0.9).passed
+
+    @pytest.mark.parametrize("check", ["batch", "resolvent"])
+    def test_validation_counts(self, monkeypatch, check):
+        pair = random_pair(25, 3, 1.0)
+        calls = []
+        for name in ("require_unitary", "require_hermitian", "require_path"):
+            original = getattr(trace_formula, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(trace_formula, name, counted)
+        if check == "batch":
+            batch_verify(pair.u0, pair.u, pair.a, [TrigPolynomial.monomial(2)])
+        else:
+            resolvent_check(pair.u0, pair.u, pair.a, 0.5)
+        assert sorted(calls) == ["require_hermitian", "require_path", "require_unitary", "require_unitary"]
 
     def test_pair_validated_once(self, monkeypatch):
         pair = random_pair(21, 4, 1.0)

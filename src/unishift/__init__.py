@@ -28,52 +28,36 @@ from .errors import (
 )
 from .linalg import (
     HermitianDecomposition,
-    MatrixNorms,
     SpectralDecomposition,
     UnitaryPair,
     UnitaryPath,
-    choose_phase,
     haar_unitary,
     herm_eig,
     hs_norm,
-    is_hermitian,
-    is_unitary,
     log_unitary,
-    norms,
     op_norm,
     random_hermitian,
     random_pair,
     trace,
     trace_norm,
     unitary_eig,
-    unitary_path,
 )
 from .quadrature import QuadratureRule, gauss_legendre
 from .trigpoly import TrigPolynomial, random_trig_polynomial
 from .spectral_shift import (
     EtaIntegrator,
     EtaProfile,
-    StepFunction,
-    eta_fourier,
     eta_profile,
-    eta_step_at_s,
-    integrate_against,
-    weighted_measure_step,
 )
 from .trace_formula import (
     ResolventReport,
     VerificationReport,
     batch_verify,
-    gateaux_monomial,
-    gateaux_series,
     lhs_trace,
     remainder_trace_norm_bound,
     resolvent_check,
-    rhs_integral,
-    verify,
 )
 from .doi import (
-    DOIKernel,
     SchurBoundReport,
     doi_apply,
     kernel,
@@ -93,7 +77,6 @@ from .reduction import (
     audit_projection_estimates,
     build_direction_projection,
     build_projection,
-    cayley_forward,
     cayley_inverse,
     compressed_model,
     convergence_study,

@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,13 +80,12 @@ class RunConfig:
     z: complex = 0.5 + 0j
     out: str | None = None
     format: str = "csv"
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.command not in DEFAULT_OUTPUTS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.dim < 1 or self.trials < 1 or self.s_nodes < 1 or self.jobs < 1:
-            raise ConfigError("dim, trials, s_nodes and jobs must be positive")
+        if self.dim < 1 or self.trials < 1 or self.s_nodes < 1:
+            raise ConfigError("dim, trials and s_nodes must be positive")
         if self.grid < 2:
             raise ConfigError("grid needs at least the two endpoints")
         if not 0.0 < self.tol < 1.0:
@@ -169,12 +167,7 @@ def _run_verify_trial(config: RunConfig, trial: int) -> list[dict]:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(lambda t: _run_verify_trial(config, t), range(config.trials)))
-    else:
-        chunks = [_run_verify_trial(config, t) for t in range(config.trials)]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for t in range(config.trials) for rec in _run_verify_trial(config, t)]
     _write_json(config.out_path(), records)
     return 0 if all(rec["pass"] for rec in records) else 1
 
@@ -347,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--rmax", type=int, default=None)
     sp.add_argument("--s-nodes", type=int, default=None, dest="s_nodes")
-    sp.add_argument("--jobs", type=int, default=None)
 
     sp = sub.add_parser("eta", help="export the shift profile on a uniform grid")
     add_common(sp)
@@ -375,6 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMAND_DEFAULT_TOL = {"converge": 1e-3, "resolvent": 1e-7}
 
+# Accepted value types per configuration key (never bool); every other key takes an int.
+_VALUE_TYPES = {
+    "scale": (int, float),
+    "tol": (int, float),
+    "z": (int, float, complex),
+    "ranks": (tuple,),
+    "out": (str, type(None)),
+    "format": (str,),
+}
+
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     settings: dict = {}
@@ -393,15 +395,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name)
         if value is not None:
             settings[name] = value
-    if "ranks" in settings and not isinstance(settings["ranks"], tuple):
-        settings["ranks"] = tuple(int(n) for n in settings["ranks"])
-    if "z" in settings and isinstance(settings["z"], str):
-        settings["z"] = parse_complex(settings["z"])
+    try:
+        if "ranks" in settings and not isinstance(settings["ranks"], tuple):
+            settings["ranks"] = tuple(int(n) for n in settings["ranks"])
+        if "z" in settings and isinstance(settings["z"], str):
+            settings["z"] = parse_complex(settings["z"])
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"bad configuration value: {exc}") from exc
     settings.setdefault("tol", _COMMAND_DEFAULT_TOL.get(args.command, 1e-8))
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig)} - {"command"}
     unknown = set(settings) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    for name, value in settings.items():
+        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES.get(name, (int,))):
+            raise ConfigError(f"configuration value {name}={value!r} has the wrong type")
     config = RunConfig(command=args.command, **settings)
     config.validate()
     return config

@@ -19,9 +19,7 @@ fix the spectrum up to reflection in the real axis, so the eigenangles lie in
 the reflected set {+-arccos cos(theta)} of at most 2d points, and the avoided
 point goes to the midpoint of that set's largest gap.  It is then at least
 pi/(2d) from every eigenangle, so the transform has norm at most
-cot(pi/(4d)) for any input.  ``choose_phase`` is the exact reference: it puts
-the avoided point in the largest gap of the spectrum itself (at least pi/d
-away), at the price of a general eigenvalue solve.
+cot(pi/(4d)) for any input.
 
 Everything here is a pure function of its arguments; returned arrays are
 freshly allocated and never aliased to the inputs.
@@ -89,36 +87,6 @@ def trace(m) -> complex:
     return complex(np.trace(np.asarray(m)))
 
 
-@dataclass(frozen=True)
-class MatrixNorms:
-    op: float
-    hs: float
-    tr: float
-
-
-def norms(m) -> MatrixNorms:
-    """Operator, Hilbert-Schmidt and trace norms from one singular spectrum."""
-    s = np.linalg.svd(as_matrix(m), compute_uv=False)
-    if s.size == 0:
-        return MatrixNorms(0.0, 0.0, 0.0)
-    return MatrixNorms(op=float(s[0]), hs=float(np.sqrt(np.sum(s * s))), tr=float(np.sum(s)))
-
-
-def is_hermitian(m, tol: float | None = None) -> bool:
-    m = as_matrix(m)
-    if tol is None:
-        tol = 1e-10 * max(op_norm(m), 1.0)
-    return op_norm(m - m.conj().T) <= tol
-
-
-def is_unitary(m, tol: float | None = None) -> bool:
-    m = as_matrix(m)
-    if tol is None:
-        tol = m.shape[0] * 1e-10
-    eye = np.eye(m.shape[0])
-    return op_norm(m.conj().T @ m - eye) <= tol
-
-
 def require_hermitian(m, tol: float | None = None, what: str = "matrix") -> np.ndarray:
     m = as_matrix(m)
     if tol is None:
@@ -146,20 +114,14 @@ class HermitianDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def apply_function(self, values) -> np.ndarray:
-        """Assemble V diag(values) V* for per-eigenvalue scalars ``values``."""
-        return (self.vectors * np.asarray(values)) @ self.vectors.conj().T
-
-    def matrix(self) -> np.ndarray:
-        return self.apply_function(self.eigenvalues)
-
     def exp_i(self, s: float = 1.0) -> np.ndarray:
         """e^{i s H} from the cached spectrum."""
-        return self.apply_function(np.exp(1j * s * self.eigenvalues))
+        return _from_spectrum(self.vectors, np.exp(1j * s * self.eigenvalues))
+
+
+def _from_spectrum(vectors: np.ndarray, values) -> np.ndarray:
+    """V diag(values) V* for eigencolumns V and per-eigenvalue scalars; stacks too."""
+    return (vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors)
 
 
 def herm_eig(h, check: bool = True) -> HermitianDecomposition:
@@ -194,20 +156,6 @@ class SpectralDecomposition:
     angles: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.angles.shape[-1]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(1j * self.angles)
-
-    def matrix(self) -> np.ndarray:
-        return self.apply_function(self.eigenvalues)
-
-    def apply_function(self, values) -> np.ndarray:
-        return (self.vectors * np.asarray(values)[..., None, :]) @ _adjoint(self.vectors)
-
 
 def _check_unitary_stack(u, check: bool, what: str) -> np.ndarray:
     u = _as_stack(u)
@@ -217,32 +165,6 @@ def _check_unitary_stack(u, check: bool, what: str) -> np.ndarray:
         for m in u.reshape(-1, *u.shape[-2:]):
             require_unitary(m, what=what)
     return u
-
-
-def choose_phase(u0, check: bool = True):
-    """Rotation phase phi in (-pi, pi] placing -e^{i phi} farthest from the spectrum.
-
-    The avoided point is the midpoint of the largest gap between consecutive
-    eigenangles, so it lies at least pi/d from the spectrum; on ties the first
-    largest gap in the ascending scan wins, which keeps the choice
-    reproducible.  A matrix gives a float, a stack (..., d, d) an array of
-    shape (...).  This is the exact reference for the rotation: it needs a
-    general eigenvalue solve, so ``unitary_eig`` uses the cheaper
-    reflected-spectrum pick instead.
-    """
-    u0 = _check_unitary_stack(u0, check, "choose_phase input")
-    return _phases(u0) if u0.ndim > 2 else float(_phases(u0))
-
-
-def _phases(u: np.ndarray) -> np.ndarray:
-    ang = np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=-1)
-    gaps = np.empty_like(ang)
-    gaps[..., :-1] = ang[..., 1:] - ang[..., :-1]
-    gaps[..., -1] = ang[..., 0] + TWO_PI - ang[..., -1]
-    k = np.argmax(gaps, axis=-1)[..., None]
-    midpoint = np.take_along_axis(ang, k, -1) + 0.5 * np.take_along_axis(gaps, k, -1)
-    phi = np.mod(midpoint[..., 0] - np.pi, TWO_PI)
-    return np.where(phi > np.pi, phi - TWO_PI, phi)
 
 
 def _reflected_phases(u: np.ndarray) -> np.ndarray:
@@ -302,7 +224,7 @@ def log_unitary(v, check: bool = True) -> np.ndarray:
     """Principal logarithm A of a unitary: A Hermitian, spectrum in (-pi, pi], e^{iA} = V."""
     dec = unitary_eig(as_matrix(v), check=check)
     x = np.where(dec.angles > np.pi, dec.angles - TWO_PI, dec.angles)
-    a = dec.apply_function(x)
+    a = _from_spectrum(dec.vectors, x)
     return 0.5 * (a + a.conj().T)
 
 
@@ -320,17 +242,8 @@ class UnitaryPath:
             raise ValueError("base unitary and direction must share dimension")
         self.direction_spectrum = adec
 
-    @property
-    def dim(self) -> int:
-        return self.u0.shape[0]
-
     def at(self, s: float) -> np.ndarray:
         return self.direction_spectrum.exp_i(s) @ self.u0
-
-
-def unitary_path(u0, a, s: float) -> np.ndarray:
-    """e^{isA} U0 for one parameter value (see ``UnitaryPath`` for reuse across s)."""
-    return UnitaryPath(u0, a).at(s)
 
 
 @dataclass(frozen=True)

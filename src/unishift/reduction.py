@@ -26,8 +26,9 @@ whose one decomposition also builds the compressed model.  The propagator
 samples, the exponential off-block norms, the Taylor-remainder trace norm
 and the mixed-trace factors all work on d x L factors, and each mixed trace
 is an elementwise sum, not the trace of a product.  ``convergence_study``
-decomposes H0 and A once for its whole ladder.  Nothing is kept between
-calls.
+validates and decomposes H0 and A once for its whole ladder, and takes the
+trace of every pair it builds without validating that pair again.  Nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     BadWindow,
     MissingConstruction,
     PartitionTooFine,
-    PhaseTooClose,
     SampleOutOfRange,
     UnnormalisedSeed,
     ZeroDirection,
@@ -54,35 +54,20 @@ from .linalg import (
     require_unitary,
     trace_norm,
 )
-from .trace_formula import PowerCache, _exp_remainder_factor, lhs_trace
+from .trace_formula import _exp_remainder_factor, _lhs, _powers
 from .trigpoly import TrigPolynomial
 
 GS_DROP_TOL = 1e-12
 AUDIT_SLACK = 1e-10
 
 
-def cayley_forward(u0, phase: float, min_gap: float = 1e-6) -> np.ndarray:
-    """Hermitian H0 with e^{i phase} (i - H0)(i + H0)^{-1} = U0.
-
-    Requires -e^{i phase} to keep an angular distance of at least ``min_gap``
-    from the spectrum of U0; otherwise I + e^{-i phase} U0 is near singular.
-    """
-    u0 = require_unitary(u0, what="cayley input")
-    n = u0.shape[0]
-    rotated = np.exp(-1j * phase) * u0
-    eye = np.eye(n)
-    smallest = float(np.linalg.svd(eye + rotated, compute_uv=False)[-1])
-    if smallest < 2.0 * np.sin(min_gap / 2.0):
-        raise PhaseTooClose(
-            f"-e^(i phase) is within {min_gap:g} of the spectrum (sigma_min {smallest:.3e})"
-        )
-    h0 = 1j * np.linalg.solve(eye + rotated, eye - rotated)
-    return 0.5 * (h0 + h0.conj().T)
-
-
 def cayley_inverse(h0, phase: float) -> np.ndarray:
     """Unitary e^{i phase} (i - H0)(i + H0)^{-1} from a Hermitian H0."""
-    h0 = require_hermitian(h0, what="cayley preimage")
+    return _cayley(require_hermitian(h0, what="cayley preimage"), phase)
+
+
+def _cayley(h0: np.ndarray, phase: float) -> np.ndarray:
+    """``cayley_inverse`` of an H0 that is already a Hermitian complex matrix."""
     eye = 1j * np.eye(h0.shape[0])
     return np.exp(1j * phase) * np.linalg.solve(eye + h0, eye - h0)
 
@@ -109,9 +94,6 @@ class ProjectionBasis:
     @property
     def rank(self) -> int:
         return self.columns.shape[1]
-
-    def matrix(self) -> np.ndarray:
-        return self.columns @ self.columns.conj().T
 
     def offblock_hs(self, x) -> float:
         """|| P_perp X P ||_2; right-multiplying by the isometry preserves it."""
@@ -212,13 +194,6 @@ def _exp_step(f: np.ndarray, tau: np.ndarray, s: float = 1.0) -> np.ndarray:
     return f * np.expm1(1j * s * tau)
 
 
-def perturbation_directions(a, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of A with non-negligible eigenvalues, and those eigenvalues."""
-    a = require_hermitian(a, what="direction operator")
-    f, tau, _ = _kept_pairs(herm_eig(a, check=False), rel_tol)
-    return f, tau
-
-
 def _require_seeds(f: np.ndarray) -> None:
     if f.shape[1] == 0:
         raise ZeroDirection("direction operator is zero; no seeds to project")
@@ -226,7 +201,7 @@ def _require_seeds(f: np.ndarray) -> None:
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
     """Window projection seeded by the eigenvectors of the low-rank direction A."""
-    f, _ = perturbation_directions(a)
+    f, _, _ = _kept_pairs(herm_eig(require_hermitian(a, what="direction operator"), check=False))
     _require_seeds(f)
     return build_projection(h0, [f[:, l] for l in range(f.shape[1])], half_width, cells)
 
@@ -251,6 +226,15 @@ class AuditReport:
 
     def violations(self) -> list[BoundCheck]:
         return [c for c in self.checks if not c.ok]
+
+
+def _power_table(u: np.ndarray, ms) -> dict[int, np.ndarray]:
+    """U^m for each m in ``ms``, streamed by ``_powers``; U^0 is the identity."""
+    ms = [int(m) for m in ms]
+    table = dict(_powers(u, ms))
+    if 0 in ms:
+        table[0] = np.eye(u.shape[0], dtype=np.complex128)
+    return table
 
 
 def _check(name: str, value: float, bound: float, slack: float = AUDIT_SLACK) -> BoundCheck:
@@ -279,9 +263,9 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     eye = 1j * np.eye(p.ambient_dim)
     checks.append(_check("resolvent_plus", p.offblock_hs(np.linalg.inv(eye + h0)), eps))
     checks.append(_check("resolvent_minus", p.offblock_hs(np.linalg.inv(eye - h0)), eps))
-    powers = PowerCache(u0)
+    base = _power_table(u0, m_list)
     for m in m_list:
-        checks.append(_check(f"base_power[{m}]", p.offblock_hs(powers.power(int(m))), 2 * abs(m) * eps))
+        checks.append(_check(f"base_power[{m}]", p.offblock_hs(base[int(m)]), 2 * abs(m) * eps))
     return AuditReport(label="window-projection", eps=eps, checks=tuple(checks))
 
 
@@ -310,13 +294,12 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
             raise SampleOutOfRange("propagator samples must stay within [-T, T]")
         value = hs_norm(_exp_step(f_perp, tau, float(t)) @ fb)
         checks.append(_check(f"propagator[t={float(t):+.3f}]", value, propagator_bound))
-    base_powers = PowerCache(u0)
-    pert_powers = PowerCache(u)
+    base, pert = _power_table(u0, m_list), _power_table(u, m_list)
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
     for m in m_list:
         m = int(m)
-        checks.append(_check(f"base_power[{m}]", p.offblock_hs(base_powers.power(m)), 2 * abs(m) * eps))
-        checks.append(_check(f"pert_power[{m}]", p.offblock_hs(pert_powers.power(m)), abs(m) * pert_factor))
+        checks.append(_check(f"base_power[{m}]", p.offblock_hs(base[m]), 2 * abs(m) * eps))
+        checks.append(_check(f"pert_power[{m}]", p.offblock_hs(pert[m]), abs(m) * pert_factor))
     return AuditReport(label="perturbation-coupling", eps=eps, checks=tuple(checks))
 
 
@@ -351,7 +334,7 @@ def _compress(p: ProjectionBasis, h0, a, phase: float) -> tuple[CompressedModel,
     hc = 0.5 * (hc + hc.conj().T)
     ac = p.compress(as_matrix(a))
     ac = 0.5 * (ac + ac.conj().T)
-    u0p = cayley_inverse(hc, phase)
+    u0p = _cayley(hc, phase)
     fc, tau_c, _ = _kept_pairs(herm_eig(ac, check=False))
     up = u0p + _exp_step(fc, tau_c) @ (fc.conj().T @ u0p)
     return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase), fc, tau_c
@@ -395,15 +378,14 @@ def audit_compressed_model(
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
     tr_bound = 2.0 * a_hs * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
-    base_powers = PowerCache(u0)
-    base_c_powers = PowerCache(model.u0p)
-    pert_powers = PowerCache(u)
-    pert_c_powers = PowerCache(model.up)
+    base = _power_table(u0, [*m_list, *k_list])
+    base_c = _power_table(model.u0p, m_list)
+    pert, pert_c = _power_table(u, m_list), _power_table(model.up, m_list)
     for m in m_list:
         m = int(m)
-        value = hs_norm(base_powers.power(m) @ b - b @ base_c_powers.power(m))
+        value = hs_norm(base[m] @ b - b @ base_c[m])
         checks.append(_check(f"base_power_error[{m}]", value, 2 * abs(m) * eps))
-        value = hs_norm(b.conj().T @ pert_powers.power(m) @ b - pert_c_powers.power(m))
+        value = hs_norm(b.conj().T @ pert[m] @ b - pert_c[m])
         bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
         checks.append(_check(f"pert_power_error[{m}]", value, bound))
     # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} in rank coordinates, where
@@ -414,14 +396,14 @@ def audit_compressed_model(
     mixed_bound = 4.0 * eps * eps * np.exp(a_op)
     inners = []
     for k in k_list:
-        base_k = base_powers.power(int(k))
+        base_k = base[int(k)]
         inners.append(
             _exp_step(fb.conj().T, tau) @ (f.conj().T @ base_k @ b)
             - _exp_step(fc, tau_c) @ (bfc.conj().T @ base_k @ b)
         )
     for m in m_list:
         for k, inner in zip(k_list, inners):
-            value = abs(complex(np.sum(pert_c_powers.power(int(m)) * inner.T)))
+            value = abs(complex(np.sum(pert_c[int(m)] * inner.T)))
             checks.append(_check(f"mixed_trace[m={int(m)},k={int(k)}]", value, mixed_bound))
     return AuditReport(label="compressed-model", eps=eps, checks=tuple(checks))
 
@@ -462,14 +444,14 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts, half_
     if half_width is None:
         extent = float(np.max(np.abs(h0_dec.eigenvalues)))
         half_width = extent * (1.0 + 1e-12) + 1e-15
-    u0 = cayley_inverse(h0, phase)
+    u0 = _cayley(h0, phase)
     u = u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
-    full = lhs_trace(u0, u, a, p)
+    full = _lhs(u0, u, a, p)
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n)
         model = compressed_model(proj, h0, a, phase)
-        compressed = lhs_trace(model.u0p, model.up, model.ap, p)
+        compressed = _lhs(model.u0p, model.up, model.ap, p)
         rows.append(
             ConvergenceRow(
                 cells=n,

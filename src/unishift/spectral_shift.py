@@ -21,10 +21,6 @@ one O(jumps) sum with no truncation; f = e^{irt} gives the mode pairings
 The reduced s-integrand behind the trace identity is analytic in s, so those
 integrals converge geometrically even though the pointwise profile on a
 t-grid converges only first order in the node count.
-
-``StepFunction``, ``weighted_measure_step``, ``eta_step_at_s`` and
-``integrate_against`` evaluate one node at a time; they are the per-node
-reference the jump list is tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroHarmonic
 from .linalg import (
-    SpectralDecomposition,
     TWO_PI,
     UnitaryPath,
     hs_norm,
@@ -45,7 +40,6 @@ from .linalg import (
 )
 from .quadrature import QuadratureRule, as_rule
 
-MERGE_TOL = 1e-10
 IMAG_TOL = 1e-10
 
 # Cap, in complex entries, on one block of the integrator's temporaries: the
@@ -53,126 +47,6 @@ IMAG_TOL = 1e-10
 # it the peak memory grows with d^2 times the node count and with the number
 # of modes times the number of jumps.
 _BLOCK = 1 << 13
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous piecewise-constant function on [0, 2pi].
-
-    ``values[i]`` holds on [breakpoints[i-1], breakpoints[i]) with the outer
-    edges pinned at 0 and 2pi; ``values`` therefore has one more entry than
-    ``breakpoints``.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        v = np.asarray(self.values)
-        if v.shape[0] != b.shape[0] + 1:
-            raise ValueError("need exactly one value per interval")
-        if b.size and (b[0] < 0.0 or b[-1] > TWO_PI or np.any(np.diff(b) <= 0.0)):
-            raise ValueError("breakpoints must ascend strictly within [0, 2pi]")
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_jumps(cls, positions, weights, base=0.0, merge_tol: float = MERGE_TOL) -> "StepFunction":
-        """Build from jump locations and heights; near-coincident jumps merge.
-
-        Positions closer than ``merge_tol`` collapse onto the first of their
-        group and their weights add, so numerically coincident eigenangles
-        cannot create zero-length intervals.
-        """
-        positions = np.asarray(positions, dtype=float)
-        weights = np.asarray(weights)
-        order = np.argsort(positions, kind="stable")
-        positions, weights = positions[order], weights[order]
-        merged_pos: list[float] = []
-        merged_w: list = []
-        for p, w in zip(positions, weights):
-            if merged_pos and p - merged_pos[-1] < merge_tol:
-                merged_w[-1] = merged_w[-1] + w
-            else:
-                merged_pos.append(float(p))
-                merged_w.append(w)
-        values = base + np.concatenate([[0.0], np.cumsum(merged_w)]) if merged_w else np.atleast_1d(base + 0.0)
-        return cls(breakpoints=np.asarray(merged_pos), values=values)
-
-    def _edges(self) -> np.ndarray:
-        return np.concatenate([[0.0], self.breakpoints, [TWO_PI]])
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
-
-    def evaluate(self, t):
-        idx = np.searchsorted(self.breakpoints, np.asarray(t, dtype=float), side="right")
-        return self.values[idx]
-
-    def jumps(self) -> np.ndarray:
-        return np.diff(self.values)
-
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(self.jumps())))
-
-    def integral(self) -> complex:
-        """Exact integral over [0, 2pi]."""
-        edges = self._edges()
-        return complex(np.sum(self.values * np.diff(edges)))
-
-    def mean(self) -> complex:
-        return self.integral() / TWO_PI
-
-    def fourier_integral(self, r: int) -> complex:
-        """Exact integral of e^{irt} f(t) dt over [0, 2pi]."""
-        if r == 0:
-            return self.integral()
-        e = np.exp(1j * r * self._edges())
-        return complex(np.sum(self.values * np.diff(e)) / (1j * r))
-
-    def __sub__(self, other: "StepFunction") -> "StepFunction":
-        pos = np.concatenate([self.breakpoints, other.breakpoints])
-        w = np.concatenate([self.jumps(), -other.jumps()])
-        base = self.values[0] - other.values[0]
-        return StepFunction.from_jumps(pos, w, base=base)
-
-
-def integrate_against(step: StepFunction, r: int) -> complex:
-    """Exact integral of (d/dt)^2 e^{irt} against a step function.
-
-    Interval [t_a, t_b) with value v contributes v (ir)(e^{ir t_b} - e^{ir t_a});
-    the r = 0 mode has vanishing second derivative, so the result is 0.
-    """
-    if r == 0:
-        return 0j
-    return (1j * r) ** 2 * step.fourier_integral(r)
-
-
-def weighted_measure_step(dec: SpectralDecomposition, w, imag_tol: float = IMAG_TOL) -> StepFunction:
-    """t -> Tr{ W E(t) }: cumulative sums of v_k* W v_k over angles <= t.
-
-    W must be Hermitian, which forces real jump weights; an imaginary residue
-    above ``imag_tol`` (scaled by ||W||) aborts rather than being dropped.
-    """
-    w = require_hermitian(w, what="measure weight")
-    if w.shape[0] != dec.dim:
-        raise DimensionMismatch("weight and decomposition dimensions differ")
-    raw = np.einsum("ik,ij,jk->k", dec.vectors.conj(), w, dec.vectors)
-    residue = float(np.max(np.abs(raw.imag), initial=0.0))
-    if residue > imag_tol * max(1.0, hs_norm(w)):
-        raise ValueError(f"jump weights carry imaginary residue {residue:.3e}")
-    return StepFunction.from_jumps(dec.angles, raw.real, base=0.0)
-
-
-def eta_step_at_s(
-    u0dec: SpectralDecomposition, usdec: SpectralDecomposition, a
-) -> StepFunction:
-    """t -> Tr{ A [E_0(t) - E_s(t)] } on the merged breakpoint set."""
-    if u0dec.dim != usdec.dim:
-        raise DimensionMismatch("decompositions have different dimensions")
-    return weighted_measure_step(u0dec, a) - weighted_measure_step(usdec, a)
 
 
 @dataclass(frozen=True)
@@ -266,10 +140,6 @@ class EtaIntegrator:
             raise ValueError(f"jump weights carry imaginary residue {residue:.3e}")
         return raw.real
 
-    @property
-    def dim(self) -> int:
-        return self.u0.shape[0]
-
     def _mode_sums(self, rs) -> np.ndarray:
         """sum_k w_k (e^{ir theta_k} - 1) over the jump list, per mode r.
 
@@ -337,9 +207,3 @@ def eta_profile(u0, a, grid_size: int, s_rule=None) -> EtaProfile:
     """Gridded eta and centred eta0 for the pair (U0, A)."""
     return EtaIntegrator(u0, a, s_rule).profile(grid_size)
 
-
-def eta_fourier(u0, a, n: int, s_rule=None) -> complex:
-    """Fourier coefficient of eta at a nonzero integer mode."""
-    if n == 0:
-        raise ZeroHarmonic("the n = 0 coefficient is the additive-constant ambiguity")
-    return EtaIntegrator(u0, a, s_rule).fourier(n)

@@ -30,21 +30,18 @@ path:
 By cyclicity every term has trace Tr(iA U_s^r), so for every integer r
 
     Tr d/ds U_s^r = i r Tr(A U_s^r).
-
-``gateaux_monomial`` and ``gateaux_series`` keep the full matrices; the
-tests use them as the oracle for the per-mode traces.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnUnitCircle, PathMismatch
+from .errors import OnUnitCircle, PathMismatch, UnishiftError
 from .linalg import (
-    UnitaryPath,
     as_matrix,
     herm_eig,
     hs_norm,
@@ -58,81 +55,20 @@ from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial
 
 
-class PowerCache:
-    """Integer powers of a unitary by repeated multiplication.
+def _powers(u: np.ndarray, wanted):
+    """Yield (n, U^n) for each wanted nonzero n, one matrix product per step.
 
-    Negative powers use the adjoint, which for unitary input is the exact
-    inverse; nothing here touches an eigendecomposition.
+    Positive n step by U, negative n by U*, which for unitary input is the
+    exact inverse; |n| = 1 yields a copy of U or U*, so nothing yielded
+    aliases the caller's matrix.  Nothing touches an eigendecomposition.
     """
-
-    def __init__(self, u: np.ndarray):
-        self._u = u
-        self._ustar = u.conj().T
-        # powers +-1 are copies, so no returned power aliases the caller's matrix
-        self._cache: dict[int, np.ndarray] = {
-            0: np.eye(u.shape[0], dtype=np.complex128),
-            1: u.astype(np.complex128, order="C"),
-            -1: self._ustar.astype(np.complex128, order="C"),
-        }
-
-    def power(self, n: int) -> np.ndarray:
-        if n not in self._cache:
-            step = self._u if n > 0 else self._ustar
-            sign = 1 if n > 0 else -1
-            k = max((m for m in self._cache if m * sign > 0 and abs(m) < abs(n)), default=0, key=abs)
-            acc = self._cache[k]
-            while k != n:
-                acc = acc @ step
-                k += sign
-                self._cache[k] = acc
-        return self._cache[n]
-
-    def polynomial(self, p: TrigPolynomial) -> np.ndarray:
-        out = np.zeros_like(self._cache[0])
-        for n, a in p.items():
-            out = out + a * self.power(n)
-        return out
-
-
-def _monomial_derivative(powers: PowerCache, ia: np.ndarray, r: int) -> np.ndarray:
-    if r == 0:
-        return np.zeros_like(ia)
-    if r >= 1:
-        total = np.zeros_like(ia)
-        for k in range(r):
-            total += powers.power(r - k - 1) @ ia @ powers.power(k + 1)
-        return total
-    m = -r
-    total = np.zeros_like(ia)
-    for k in range(m):
-        total += powers.power(-(m - k)) @ ia @ powers.power(-k)
-    return -total
-
-
-def gateaux_monomial(u0, a, r: int, s: float = 0.0) -> np.ndarray:
-    """d/ds (U_s)^r along U_s = e^{isA} U0, evaluated at the given s."""
-    u0 = require_unitary(u0, what="gateaux base")
-    a = require_hermitian(a, what="gateaux direction")
-    us = UnitaryPath(u0, a, check=False).at(s) if s != 0.0 else u0
-    return _monomial_derivative(PowerCache(us), 1j * a, r)
-
-
-def gateaux_series(u0, a, p: TrigPolynomial, s: float = 0.0) -> np.ndarray:
-    """d/ds p(U_s): coefficient-weighted sum of the monomial derivatives."""
-    u0 = require_unitary(u0, what="gateaux base")
-    a = require_hermitian(a, what="gateaux direction")
-    us = UnitaryPath(u0, a, check=False).at(s) if s != 0.0 else u0
-    powers = PowerCache(us)
-    ia = 1j * a
-    out = np.zeros_like(ia)
-    for n, coeff in p.items():
-        out = out + coeff * _monomial_derivative(powers, ia, n)
-    return out
-
-
-def derivative_tail_bound(p: TrigPolynomial, cutoff: int, a_op: float) -> float:
-    """Operator-norm bound sum_{|n|>cutoff} |a_n| |n| ||A|| on dropped derivative terms."""
-    return a_op * sum(abs(n) * abs(c) for n, c in p.coeffs.items() if abs(n) > cutoff)
+    wanted = set(wanted)
+    for sign, step in ((1, u), (-1, u.conj().T)):
+        power = None
+        for k in range(1, max((sign * n for n in wanted), default=0) + 1):
+            power = step.copy() if k == 1 else power @ step
+            if sign * k in wanted:
+                yield sign * k, power
 
 
 def _exp_remainder_factor(x: float) -> float:
@@ -177,34 +113,25 @@ def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> dic
     """Tr{ U^n - U0^n - d/ds U_s^n|_0 } for each mode n, from streamed powers.
 
     The derivative trace is i n Tr(A U0^n) = i n sum conj(A) * U0^n, since A
-    is Hermitian.  Positive and negative modes each stream one power of U and
-    of U0 (stepping by U*, U0* for negative modes) up to the largest wanted
-    |n|; nothing is kept between steps.
+    is Hermitian.  The powers of U and U0 are streamed side by side up to the
+    largest wanted |n|; nothing is kept between steps.
     """
     modes = set(modes)
     out = {0: 0j} if 0 in modes else {}
-    for sign, step, step0 in ((1, u, u0), (-1, u.conj().T, u0.conj().T)):
-        power = power0 = np.eye(u.shape[0], dtype=np.complex128)
-        for k in range(1, max((sign * n for n in modes), default=0) + 1):
-            power, power0 = power @ step, power0 @ step0
-            n = sign * k
-            if n in modes:
-                out[n] = complex(power.trace() - power0.trace()) - 1j * n * complex(np.vdot(a, power0))
+    for (n, power), (_, power0) in zip(_powers(u, modes), _powers(u0, modes)):
+        out[n] = complex(power.trace() - power0.trace()) - 1j * n * complex(np.vdot(a, power0))
     return out
 
 
-def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
-    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via streamed powers, mode by mode."""
-    u0, u, a = _validated_pair(u0, u, a, "lhs")
+def _lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, p: TrigPolynomial) -> complex:
+    """``lhs_trace`` for a pair that is already validated."""
     lhs_mode = _lhs_mode_traces(u0, u, a, p.support)
     return complex(sum(c * lhs_mode[n] for n, c in p.items()))
 
 
-def rhs_integral(u0, a, p: TrigPolynomial, s_rule=None) -> complex:
-    """Curvature integral of p against eta: exact in t, quadrature in s."""
-    session = EtaIntegrator(u0, a, as_rule(s_rule))
-    pairings = session.curvature_pairings([n for n, _ in p.items()])
-    return complex(sum(coeff * pairings[n] for n, coeff in p.items()))
+def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
+    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via streamed powers, mode by mode."""
+    return _lhs(*_validated_pair(u0, u, a, "lhs"), p)
 
 
 @dataclass(frozen=True)
@@ -230,11 +157,6 @@ class VerificationReport:
             passed=abs_err <= tol * scale,
             tolerance=tol,
         )
-
-
-def verify(u0, u, a, p: TrigPolynomial, tol: float = 1e-8, s_rule=None) -> VerificationReport:
-    """Evaluate both sides of the identity for one polynomial and compare."""
-    return batch_verify(u0, u, a, [p], tol=tol, s_rule=s_rule)[0]
 
 
 def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[VerificationReport]:
@@ -320,14 +242,14 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
     agree with the left side computed directly from matrix inverses.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise UnishiftError(f"z = {z} is not a finite complex number")
     if abs(abs(z) - 1.0) < 1e-6:
         raise OnUnitCircle(f"|z| = {abs(z):.8f} is within 1e-6 of the unit circle")
     rule = as_rule(s_rule)
     u0, u, a = _validated_pair(u0, u, a, "resolvent")
     order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
-    p = resolvent_coefficients(z, order)
-    lhs_mode = _lhs_mode_traces(u0, u, a, p.support)
-    lhs = complex(sum(c * lhs_mode[n] for n, c in p.items()))
+    lhs = _lhs(u0, u, a, resolvent_coefficients(z, order))
 
     def fprime(t):
         """d/dt (e^{it} - z)^{-1} on the circle."""

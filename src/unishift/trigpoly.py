@@ -50,14 +50,6 @@ class TrigPolynomial:
     def at_angle(self, t):
         return self(np.exp(1j * np.asarray(t)))
 
-    def second_derivative_at_angle(self, t):
-        """(d/dt)^2 of t -> p(e^{it})."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=np.complex128)
-        for n, a in self.items():
-            out = out + a * (1j * n) ** 2 * np.exp(1j * n * t)
-        return out if out.ndim else complex(out)
-
     def z_derivative(self) -> "TrigPolynomial":
         """Coefficient map of dp/dz (still a Laurent polynomial)."""
         return TrigPolynomial({n - 1: n * a for n, a in self.coeffs.items() if n != 0})

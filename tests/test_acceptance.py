@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import gateaux_series, polynomial_of, power
 from unishift import (
     EtaIntegrator,
     ProjectionBasis,
@@ -22,7 +23,6 @@ from unishift import (
     convergence_study,
     doi_apply,
     eta_profile,
-    gateaux_series,
     gauss_legendre,
     hs_norm,
     lhs_trace,
@@ -36,7 +36,6 @@ from unishift import (
 )
 from unishift.doi import circle_function_of
 from unishift.linalg import UnitaryPath
-from unishift.trace_formula import PowerCache
 from unishift.trigpoly import random_trig_polynomial
 
 BASE_SEED = 20260810
@@ -128,10 +127,9 @@ def test_criterion_04_fourier_uniqueness():
         dim = IDENTITY_DIMS[k % len(IDENTITY_DIMS)]
         pair = random_pair(BASE_SEED + 77_000 + k, dim, 1.5)
         session = EtaIntegrator(pair.u0, pair.a, gauss_legendre(64))
-        u_pow, u0_pow = PowerCache(pair.u), PowerCache(pair.u0)
         for n in list(range(-8, 0)) + list(range(1, 9)):
             d_n = gateaux_series(pair.u0, pair.a, TrigPolynomial.monomial(n))
-            lhs = complex(np.trace(u_pow.power(n) - u0_pow.power(n) - d_n))
+            lhs = complex(np.trace(power(pair.u, n) - power(pair.u0, n) - d_n))
             gap = abs(session.fourier(n) + lhs / n**2)
             worst = max(worst, gap / (1 + abs(lhs)))
             ok = ok and gap <= 1e-8 * (1 + abs(lhs))
@@ -203,8 +201,8 @@ def test_criterion_07_derivative_ratio():
         path = UnitaryPath(pair.u0, pair.a)
 
         def central(h):
-            plus = PowerCache(path.at(h)).polynomial(p)
-            minus = PowerCache(path.at(-h)).polynomial(p)
+            plus = polynomial_of(path.at(h), p)
+            minus = polynomial_of(path.at(-h), p)
             return op_norm((plus - minus) / (2 * h) - exact)
 
         ratios.append(central(1e-3) / central(5e-4))

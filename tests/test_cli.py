@@ -61,6 +61,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_args(args)
 
+    @pytest.mark.parametrize("settings", [{"z": [1, 2]}, {"dim": "3"}, {"ranks": 8}, {"command": "eta"}])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, settings):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(settings))
+        out = tmp_path / "r.json"
+        assert main(["resolvent", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNISHIFT_OUTDIR", str(tmp_path))
         cfg = RunConfig(command="verify")
@@ -101,13 +111,6 @@ class TestVerifyCommand:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_jobs_flag_keeps_output_stable(self, tmp_path):
-        args = ["verify", "--dim", "3", "--trials", "4", "--rmax", "2", "--seed", "5"]
-        seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-        assert main(args + ["--out", str(seq)]) == 0
-        assert main(args + ["--out", str(par), "--jobs", "3"]) == 0
-        assert seq.read_bytes() == par.read_bytes()
 
 
 class TestEtaCommand:
@@ -222,6 +225,14 @@ class TestResolventCommand:
         payload = read_json(out)
         assert payload["pass"] is True
         assert payload["series_vs_direct"] <= 1e-7 * (1 + abs(payload["direct_lhs_re"]))
+
+    @pytest.mark.parametrize("z", ["--z=1e400", "--z=nan"])
+    def test_non_finite_z_exits_2(self, tmp_path, capsys, z):
+        out = tmp_path / "r.json"
+        assert main(["resolvent", "--dim", "4", z, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: z = ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestBoundsCommand:

@@ -3,22 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import choose_phase
 from unishift import (
     EmptyMatrix,
     NotHermitian,
     NotUnitary,
-    choose_phase,
     herm_eig,
     hs_norm,
     log_unitary,
-    norms,
     op_norm,
     random_pair,
-    trace,
     unitary_eig,
-    unitary_path,
 )
-from unishift.linalg import TWO_PI, UnitaryPath, _reflected_phases, haar_unitary
+from unishift.linalg import TWO_PI, UnitaryPath, _from_spectrum, _reflected_phases, haar_unitary
 
 seeds = st.integers(0, 2**31 - 1)
 dims = st.integers(1, 12)
@@ -40,7 +37,7 @@ def test_herm_eig_roundtrip_8x8():
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h = g + g.conj().T
     dec = herm_eig(h)
-    assert op_norm(dec.matrix() - h) <= 8 * 1e-12
+    assert op_norm(_from_spectrum(dec.vectors, dec.eigenvalues) - h) <= 8 * 1e-12
     # per-eigenpair residual stays at the machine level
     res = np.linalg.norm(h @ dec.vectors - dec.vectors * dec.eigenvalues, axis=0)
     assert np.all(res <= 50 * 8 * np.finfo(float).eps * op_norm(h))
@@ -145,11 +142,16 @@ def test_unitary_eig_rejects_non_unitary():
         unitary_eig(2.0 * np.eye(2, dtype=complex))
 
 
+def rebuild(dec):
+    """The unitary (or stack) with the eigenangles and eigencolumns of ``dec``."""
+    return _from_spectrum(dec.vectors, np.exp(1j * dec.angles))
+
+
 @given(seeds, dims)
 def test_unitary_eig_reconstruction(seed, dim):
     u = haar_unitary(np.random.default_rng(seed), dim)
     dec = unitary_eig(u)
-    assert op_norm(dec.matrix() - u) <= dim * 1e-12
+    assert op_norm(rebuild(dec) - u) <= dim * 1e-12
     assert op_norm(dec.vectors.conj().T @ dec.vectors - np.eye(dim)) <= 1e-12
     assert np.all(dec.angles > 0.0) and np.all(dec.angles <= TWO_PI)
     assert np.all(np.diff(dec.angles) >= 0.0)
@@ -182,7 +184,7 @@ def test_unitary_eig_stack_edge_spectra():
     assert dec.angles[1][0] == pytest.approx(np.pi, abs=1e-12)
     assert dec.angles[1][1:].tolist() == [TWO_PI, TWO_PI]
     np.testing.assert_allclose(dec.angles[2], [np.pi / 2, np.pi, TWO_PI], atol=1e-12)
-    assert op_norm(dec.matrix()[2] - np.diag([1j, -1.0, 1.0])) <= 1e-12
+    assert op_norm(rebuild(dec)[2] - np.diag([1j, -1.0, 1.0])) <= 1e-12
 
     scalars = np.array([[[1.0]], [[-1.0]], [[np.exp(0.3j)]]], dtype=complex)
     dec = assert_stack_matches_slices(scalars)
@@ -196,7 +198,7 @@ def test_unitary_eig_stack_edge_spectra():
             q = haar_unitary(rng, dim)
             for stack in (diagonal, q @ diagonal @ q.conj().T):
                 dec = assert_stack_matches_slices(stack)
-                for u, rebuilt, v in zip(stack, dec.matrix(), dec.vectors):
+                for u, rebuilt, v in zip(stack, rebuild(dec), dec.vectors):
                     assert op_norm(rebuilt - u) <= dim * 1e-12
                     assert op_norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
 
@@ -242,8 +244,9 @@ def test_hs_bound_on_log(seed, dim, scale):
 
 def test_unitary_path_endpoints():
     pair = random_pair(9, 5, 1.0)
-    np.testing.assert_allclose(unitary_path(pair.u0, pair.a, 0.0), pair.u0, atol=1e-14)
-    u1 = unitary_path(pair.u0, pair.a, 1.0)
+    path = UnitaryPath(pair.u0, pair.a)
+    np.testing.assert_allclose(path.at(0.0), pair.u0, atol=1e-14)
+    u1 = path.at(1.0)
     np.testing.assert_allclose(u1, pair.u, atol=1e-13)
     assert op_norm(log_unitary(u1 @ pair.u0.conj().T) - pair.a) <= 5 * 1e-10
 
@@ -252,7 +255,7 @@ def test_unitary_path_scalar():
     beta, alpha, s = 0.7, 0.4, 0.6
     u0 = np.array([[np.exp(1j * beta)]])
     a = np.array([[alpha]], dtype=complex)
-    np.testing.assert_allclose(unitary_path(u0, a, s), [[np.exp(1j * (s * alpha + beta))]])
+    np.testing.assert_allclose(UnitaryPath(u0, a).at(s), [[np.exp(1j * (s * alpha + beta))]])
 
 
 def test_unitary_path_stays_unitary():
@@ -261,28 +264,6 @@ def test_unitary_path_stays_unitary():
     for s in (0.25, 0.5, 1.75):
         us_mat = path.at(s)
         assert op_norm(us_mat.conj().T @ us_mat - np.eye(6)) <= 6 * 1e-12
-
-
-def test_norms_identity():
-    n = norms(np.eye(4, dtype=complex))
-    assert (n.op, n.tr) == (pytest.approx(1.0), pytest.approx(4.0))
-    assert n.hs == pytest.approx(2.0)
-    assert trace(np.eye(4)) == pytest.approx(4.0)
-
-
-def test_norms_diagonal():
-    n = norms(np.diag([3.0, -4.0]).astype(complex))
-    assert (n.op, n.hs, n.tr) == (pytest.approx(4.0), pytest.approx(5.0), pytest.approx(7.0))
-    assert trace(np.diag([3.0, -4.0])) == pytest.approx(-1.0)
-
-
-@given(seeds)
-def test_norm_ordering(seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    n = norms(m)
-    assert n.tr + 1e-12 >= n.hs >= n.op - 1e-12
-    assert abs(trace(m)) <= n.tr + 1e-10
 
 
 def test_random_pair_deterministic():
@@ -323,11 +304,3 @@ def test_matrix_coercion_rejects_bad_input():
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-
-def test_predicates():
-    from unishift import is_hermitian, is_unitary
-
-    assert is_unitary(np.eye(3, dtype=complex))
-    assert not is_unitary(1.5 * np.eye(3, dtype=complex))
-    assert is_hermitian(np.array([[1.0, 2j], [-2j, 0.0]]))
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))

@@ -3,24 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import StepFunction, eta_step_at_s, integrate_against, weighted_measure_step
 from unishift import (
     DimensionMismatch,
     EmptyMatrix,
     EtaIntegrator,
     QuadratureRule,
-    StepFunction,
     ZeroHarmonic,
-    eta_fourier,
     eta_profile,
-    eta_step_at_s,
     gauss_legendre,
     hs_norm,
-    integrate_against,
     random_pair,
     trace,
     trace_norm,
     unitary_eig,
-    weighted_measure_step,
 )
 from unishift.linalg import TWO_PI, UnitaryPath
 from unishift.spectral_shift import piecewise_linear_abs_integral
@@ -288,29 +284,31 @@ class TestEmptyMatrices:
 
     def test_eta_fourier(self):
         with pytest.raises(EmptyMatrix):
-            eta_fourier(self.empty, self.empty, 1)
+            EtaIntegrator(self.empty, self.empty).fourier(1)
 
 
 class TestEtaFourier:
     def test_zero_direction(self):
         pair = random_pair(0, 4, 1.0)
-        assert eta_fourier(pair.u0, np.zeros((4, 4), dtype=complex), 2, 8) == pytest.approx(0.0, abs=1e-14)
+        zero = np.zeros((4, 4), dtype=complex)
+        assert EtaIntegrator(pair.u0, zero, 8).fourier(2) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_mode_rejected(self):
         pair = random_pair(0, 3, 1.0)
         with pytest.raises(ZeroHarmonic):
-            eta_fourier(pair.u0, pair.a, 0)
+            EtaIntegrator(pair.u0, pair.a).fourier(0)
 
     def test_scalar_tent_antiderivative(self):
         # int_beta^{beta+alpha} e^{int} (alpha - t + beta) dt
         #   = e^{in beta} [ i alpha / n - (e^{in alpha} - 1) / n^2 ]
         alpha, beta = 1.1, 2.3
         u0, a = scalar_pair(alpha, beta)
+        integrator = EtaIntegrator(u0, a)
         for n in (1, -1, 3):
             expected = np.exp(1j * n * beta) * (
                 1j * alpha / n - (np.exp(1j * n * alpha) - 1.0) / n**2
             )
-            assert eta_fourier(u0, a, n) == pytest.approx(expected, abs=1e-12)
+            assert integrator.fourier(n) == pytest.approx(expected, abs=1e-12)
 
     def test_trace_side_oracle(self):
         from unishift import lhs_trace

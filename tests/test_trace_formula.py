@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import gateaux_monomial, gateaux_series, polynomial_of, power
 from unishift import (
     EmptyMatrix,
     EtaIntegrator,
@@ -10,8 +11,6 @@ from unishift import (
     PathMismatch,
     TrigPolynomial,
     batch_verify,
-    gateaux_monomial,
-    gateaux_series,
     gauss_legendre,
     hs_norm,
     lhs_trace,
@@ -19,13 +18,11 @@ from unishift import (
     random_pair,
     remainder_trace_norm_bound,
     resolvent_check,
-    rhs_integral,
     trace_norm,
-    verify,
 )
 from unishift import trace_formula
 from unishift.linalg import UnitaryPath
-from unishift.trace_formula import PowerCache, _lhs_mode_traces, resolvent_coefficients
+from unishift.trace_formula import _lhs_mode_traces, _powers, resolvent_coefficients
 from unishift.trigpoly import random_trig_polynomial
 
 seeds = st.integers(0, 2**31 - 1)
@@ -33,9 +30,13 @@ seeds = st.integers(0, 2**31 - 1)
 
 def central_difference(u0, a, p, s, h):
     path = UnitaryPath(u0, a)
-    plus = PowerCache(path.at(s + h)).polynomial(p)
-    minus = PowerCache(path.at(s - h)).polynomial(p)
-    return (plus - minus) / (2.0 * h)
+    return (polynomial_of(path.at(s + h), p) - polynomial_of(path.at(s - h), p)) / (2.0 * h)
+
+
+def curvature_integral(u0, a, p, s_rule=None):
+    """Curvature integral of p against eta from the integrator's mode pairings."""
+    pairings = EtaIntegrator(u0, a, s_rule).curvature_pairings(p.support)
+    return complex(sum(c * pairings[n] for n, c in p.items()))
 
 
 class TestTrigPolynomial:
@@ -55,14 +56,18 @@ class TestTrigPolynomial:
         assert TrigPolynomial({3: 0.0, 1: 2.0}).support == [1]
 
 
-class TestPowerCache:
+class TestPowers:
     def test_matches_matrix_power(self):
         pair = random_pair(0, 5, 1.0)
-        cache = PowerCache(pair.u)
-        for n in (0, 1, 3, -2, -5, 4):
-            np.testing.assert_allclose(
-                cache.power(n), np.linalg.matrix_power(pair.u, n), atol=1e-11
-            )
+        wanted = [0, 1, 3, -2, -5, 4, -1]
+        got = dict(_powers(pair.u, wanted))
+        assert sorted(got) == [-5, -2, -1, 1, 3, 4]
+        for n, p in got.items():
+            ref = np.linalg.matrix_power(pair.u if n > 0 else pair.u.conj().T, abs(n))
+            np.testing.assert_allclose(p, ref, atol=1e-11)
+        # the unit powers are copies, never views of the input
+        assert not np.shares_memory(got[1], pair.u) and not np.shares_memory(got[-1], pair.u)
+        assert list(_powers(pair.u, [])) == []
 
 
 class TestGateauxMonomial:
@@ -142,9 +147,8 @@ class TestModeTraces:
         modes = range(-12, 13)
         got = _lhs_mode_traces(pair.u0, pair.u, pair.a, modes)
         assert sorted(got) == list(modes)
-        u_pow, u0_pow = PowerCache(pair.u), PowerCache(pair.u0)
         for n in modes:
-            ref = np.trace(u_pow.power(n) - u0_pow.power(n) - gateaux_monomial(pair.u0, pair.a, n))
+            ref = np.trace(power(pair.u, n) - power(pair.u0, n) - gateaux_monomial(pair.u0, pair.a, n))
             assert abs(got[n] - ref) <= 1e-12 * (1 + abs(ref)), n
 
     def test_sparse_modes(self):
@@ -186,7 +190,7 @@ class TestRhsIntegral:
     def test_zero_direction(self):
         pair = random_pair(8, 4, 1.0)
         z = np.zeros((4, 4), dtype=complex)
-        assert rhs_integral(pair.u0, z, TrigPolynomial.monomial(2), 16) == pytest.approx(0.0, abs=1e-12)
+        assert curvature_integral(pair.u0, z, TrigPolynomial.monomial(2), 16) == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_tent_matches_lhs(self):
         alpha, beta = 0.6, 1.1
@@ -194,13 +198,13 @@ class TestRhsIntegral:
         a = np.array([[alpha]], dtype=complex)
         u = np.exp(1j * alpha) * u0
         p = TrigPolynomial.monomial(1)
-        assert rhs_integral(u0, a, p) == pytest.approx(lhs_trace(u0, u, a, p), abs=1e-12)
+        assert curvature_integral(u0, a, p) == pytest.approx(lhs_trace(u0, u, a, p), abs=1e-12)
 
     def test_two_paths_agree(self):
         pair = random_pair(9, 4, 1.3)
         p = TrigPolynomial({3: 1.0, -2: -2.0})
         lhs = lhs_trace(pair.u0, pair.u, pair.a, p)
-        rhs = rhs_integral(pair.u0, pair.a, p)
+        rhs = curvature_integral(pair.u0, pair.a, p)
         assert abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs))
 
     @given(seeds)
@@ -214,15 +218,15 @@ class TestRhsIntegral:
         lhs = lhs_trace(pair.u0, pair.u, pair.a, p)
         parts = lhs_trace(pair.u0, pair.u, pair.a, p1) + lhs_trace(pair.u0, pair.u, pair.a, p2)
         assert lhs == pytest.approx(parts, abs=1e-12)
-        rhs = rhs_integral(pair.u0, pair.a, p, 16)
-        rparts = rhs_integral(pair.u0, pair.a, p1, 16) + rhs_integral(pair.u0, pair.a, p2, 16)
+        rhs = curvature_integral(pair.u0, pair.a, p, 16)
+        rparts = curvature_integral(pair.u0, pair.a, p1, 16) + curvature_integral(pair.u0, pair.a, p2, 16)
         assert rhs == pytest.approx(rparts, abs=1e-12)
 
 
 class TestVerify:
     def test_trivial_pair(self):
         eye = np.eye(3, dtype=complex)
-        rep = verify(eye, eye, np.zeros((3, 3), dtype=complex), TrigPolynomial.monomial(2))
+        rep = batch_verify(eye, eye, np.zeros((3, 3), dtype=complex), [TrigPolynomial.monomial(2)])[0]
         assert rep.passed and rep.lhs == pytest.approx(0.0) and rep.rhs == pytest.approx(0.0)
 
     def test_scalar_tent_tight_tolerance(self):
@@ -230,20 +234,20 @@ class TestVerify:
         u0 = np.array([[np.exp(1j * beta)]])
         a = np.array([[alpha]], dtype=complex)
         u = np.exp(1j * alpha) * u0
-        rep = verify(u0, u, a, TrigPolynomial.monomial(1), tol=1e-10)
+        rep = batch_verify(u0, u, a, [TrigPolynomial.monomial(1)], tol=1e-10)[0]
         assert rep.passed
 
     @given(seeds, st.integers(1, 16), st.integers(-8, 8))
     def test_monomials_random(self, seed, dim, r):
         pair = random_pair(seed, dim, 1.5)
-        rep = verify(pair.u0, pair.u, pair.a, TrigPolynomial.monomial(r))
+        rep = batch_verify(pair.u0, pair.u, pair.a, [TrigPolynomial.monomial(r)])[0]
         assert rep.passed, (rep.abs_err, rep.lhs)
 
     def test_quadrature_doubling(self):
         pair = random_pair(13, 8, 2.0)
         p = TrigPolynomial({5: 1.0, -4: 2.0, 1: -1.0})
-        r64 = rhs_integral(pair.u0, pair.a, p, gauss_legendre(64))
-        r128 = rhs_integral(pair.u0, pair.a, p, gauss_legendre(128))
+        r64 = curvature_integral(pair.u0, pair.a, p, gauss_legendre(64))
+        r128 = curvature_integral(pair.u0, pair.a, p, gauss_legendre(128))
         assert abs(r64 - r128) <= 1e-9
 
     def test_batch_matches_single(self):
@@ -253,7 +257,7 @@ class TestVerify:
         ]
         batch = batch_verify(pair.u0, pair.u, pair.a, polys)
         for p, rep in zip(polys, batch):
-            single = verify(pair.u0, pair.u, pair.a, p)
+            single = batch_verify(pair.u0, pair.u, pair.a, [p])[0]
             assert rep.lhs == pytest.approx(single.lhs, abs=1e-12)
             assert rep.rhs == pytest.approx(single.rhs, abs=1e-12)
             assert rep.passed

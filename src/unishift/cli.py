@@ -26,7 +26,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--scale", type=float, default=None, help="operator norm of A")
-        sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
 
     sp = sub.add_parser("verify", help="batch-check the trace identity on random pairs")
@@ -340,23 +338,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--rmax", type=int, default=None)
     sp.add_argument("--s-nodes", type=int, default=None, dest="s_nodes")
+    sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("eta", help="export the shift profile on a uniform grid")
     add_common(sp)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--s-nodes", type=int, default=None, dest="s_nodes")
     sp.add_argument("--grid", type=int, default=None)
+    sp.add_argument("--format", choices=("csv", "json"), default=None)
 
     sp = sub.add_parser("converge", help="compressed-trace convergence table")
     add_common(sp)
     sp.add_argument("--ambient", type=int, default=None)
     sp.add_argument("--ranks", type=parse_ranks, default=None, help="comma-separated cell counts")
+    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--format", choices=("csv", "json"), default=None)
 
     sp = sub.add_parser("resolvent", help="verify the resolvent identity at a point z")
     add_common(sp)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--s-nodes", type=int, default=None, dest="s_nodes")
     sp.add_argument("--z", type=parse_complex, default=None)
+    sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("bounds", help="audit the reduction estimates")
     add_common(sp)
@@ -379,6 +382,7 @@ _VALUE_TYPES = {
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Flags over an optional JSON config file, which may set only this subcommand's flags."""
     settings: dict = {}
     if getattr(args, "config", None):
         try:
@@ -388,6 +392,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = set(loaded) - (set(vars(args)) - {"config", "command"})
+        if unknown:
+            raise ConfigError(f"unknown configuration keys for {args.command}: {sorted(unknown)}")
         settings.update(loaded)
     for name in vars(args):
         if name in ("config", "command"):
@@ -403,10 +410,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     settings.setdefault("tol", _COMMAND_DEFAULT_TOL.get(args.command, 1e-8))
-    known = {f.name for f in fields(RunConfig)} - {"command"}
-    unknown = set(settings) - known
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     for name, value in settings.items():
         if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES.get(name, (int,))):
             raise ConfigError(f"configuration value {name}={value!r} has the wrong type")

@@ -59,7 +59,7 @@ def doi_apply(g: TrigPolynomial, us, u0, x) -> np.ndarray:
     With X = Us - U0 the result equals g(Us) - g(U0); that identity is what
     makes the kernel the right finite-dimensional stand-in for the abstract
     two-variable spectral integral.  ``X`` must be (dim Us) x (dim U0) with
-    finite entries; otherwise ``DimensionMismatch`` or ``ValueError`` is raised.
+    finite entries; otherwise ``DimensionMismatch`` or ``UnishiftError`` is raised.
     """
     us = require_unitary(us, what="doi left unitary")
     u0 = require_unitary(u0, what="doi right unitary")

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMatrix, NoConvergence, NotHermitian, NotUnitary
+from .errors import (
+    DimensionMismatch, EmptyMatrix, NoConvergence, NotHermitian, NotUnitary, PathMismatch, UnishiftError,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,7 +43,7 @@ _ONE_SNAP = 1e-12
 
 def _require_finite(a: np.ndarray) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
-        raise ValueError("matrix has NaN or Inf entries")
+        raise UnishiftError("matrix has NaN or Inf entries")
     return a
 
 
@@ -49,7 +51,7 @@ def _as_stack(m) -> np.ndarray:
     """Coerce to a complex128 stack (..., d, d) of square matrices with finite entries."""
     a = np.array(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+        raise UnishiftError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return _require_finite(a)
 
 
@@ -57,7 +59,7 @@ def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
     a = _as_stack(m)
     if a.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise UnishiftError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -229,21 +231,37 @@ def log_unitary(v, check: bool = True) -> np.ndarray:
 
 
 class UnitaryPath:
-    """The path s -> e^{isA} U0 with the decomposition of A computed once."""
+    """The path s -> e^{isA} U0: the one validated pair context.
+
+    With ``check`` the base must be unitary and the direction Hermitian; the
+    two must share their size either way.  A's eigensystem is computed once
+    and serves every point of the path and the endpoint check.
+    """
 
     def __init__(self, u0, a, check: bool = True):
         if check:
             self.u0 = require_unitary(u0, what="path base")
-            adec = herm_eig(require_hermitian(a, what="path direction"), check=False)
+            self.a = require_hermitian(a, what="path direction")
         else:
-            self.u0 = as_matrix(u0)
-            adec = herm_eig(as_matrix(a), check=False)
-        if self.u0.shape != adec.vectors.shape:
-            raise ValueError("base unitary and direction must share dimension")
-        self.direction_spectrum = adec
+            self.u0, self.a = as_matrix(u0), as_matrix(a)
+        if self.u0.shape != self.a.shape:
+            raise DimensionMismatch(f"path base is {self.u0.shape} but direction is {self.a.shape}")
+        self.direction_spectrum = herm_eig(self.a, check=False)
 
     def at(self, s: float) -> np.ndarray:
         return self.direction_spectrum.exp_i(s) @ self.u0
+
+    def require_endpoint(self, u, tol: float | None = None) -> np.ndarray:
+        """U checked as the endpoint: unitary, same size, within tol (default dim * 1e-10) of e^{iA} U0."""
+        u = require_unitary(u, what="path endpoint")
+        if u.shape != self.u0.shape:
+            raise DimensionMismatch(f"path endpoint is {u.shape} but base is {self.u0.shape}")
+        if tol is None:
+            tol = u.shape[0] * 1e-10
+        dev = op_norm(u - self.at(1.0))
+        if dev > tol:
+            raise PathMismatch(f"U deviates from e^(iA) U0 by {dev:.3e} (tol {tol:.3e})")
+        return u
 
 
 @dataclass(frozen=True)

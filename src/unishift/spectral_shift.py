@@ -29,15 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroHarmonic
-from .linalg import (
-    TWO_PI,
-    UnitaryPath,
-    hs_norm,
-    require_hermitian,
-    require_unitary,
-    unitary_eig,
-)
+from .errors import ZeroHarmonic
+from .linalg import TWO_PI, UnitaryPath, hs_norm, unitary_eig
 from .quadrature import QuadratureRule, as_rule
 
 IMAG_TOL = 1e-10
@@ -94,7 +87,8 @@ class EtaIntegrator:
     then every node's jumps times minus its weight.  ``node_angles`` and
     ``node_weights`` keep the unweighted (nodes, d) jump data of the U_s.
 
-    Building the object validates U0 and A once and diagonalises the U_s in
+    Building the object validates U0 and A once, through its ``path`` (a
+    ``UnitaryPath``, which also checks endpoints), and diagonalises the U_s in
     stacked blocks of nodes; the profile, its Fourier data, its mean and the
     pairings against f'' are sums over the jump list, exact in t.  Every step
     is deterministic, so repeated runs are bit-identical.
@@ -102,11 +96,8 @@ class EtaIntegrator:
 
     def __init__(self, u0, a, rule=None):
         self.rule = as_rule(rule)
-        self.u0 = require_unitary(u0, what="pair base")
-        self.a = require_hermitian(a, what="pair direction")
-        if self.u0.shape != self.a.shape:
-            raise DimensionMismatch("base and direction dimensions differ")
-        self.path = UnitaryPath(self.u0, self.a, check=False)
+        self.path = UnitaryPath(u0, a)
+        self.u0, self.a = self.path.u0, self.path.a
         self.u0dec = unitary_eig(self.u0, check=False)
         self.u0_weights = self._weights_of(self.u0dec.vectors)
         # U_s = V e^{isL} V* U0 with A = V L V*, formed a block of nodes at a time

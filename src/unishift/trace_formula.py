@@ -40,17 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnUnitCircle, PathMismatch, UnishiftError
-from .linalg import (
-    as_matrix,
-    herm_eig,
-    hs_norm,
-    op_norm,
-    require_hermitian,
-    require_unitary,
-    trace,
-)
-from .quadrature import as_rule
+from .errors import OnUnitCircle, UnishiftError
+from .linalg import UnitaryPath, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial
 
@@ -69,6 +60,10 @@ def _powers(u: np.ndarray, wanted):
             power = step.copy() if k == 1 else power @ step
             if sign * k in wanted:
                 yield sign * k, power
+
+
+# Largest resolvent series order; a z that needs more counts as on the circle.
+_MAX_ORDER = 100_000
 
 
 def _exp_remainder_factor(x: float) -> float:
@@ -91,22 +86,8 @@ def remainder_trace_norm_bound(r: int, a_hs: float, a_op: float) -> float:
 
 
 def require_path(u0, u, a, tol: float | None = None) -> None:
-    """Check U = e^{iA} U0 within tolerance (default dim * 1e-10)."""
-    u0, u, a = as_matrix(u0), as_matrix(u), as_matrix(a)
-    if tol is None:
-        tol = u0.shape[0] * 1e-10
-    dev = op_norm(u - herm_eig(a, check=False).exp_i() @ u0)
-    if dev > tol:
-        raise PathMismatch(f"U deviates from e^(iA) U0 by {dev:.3e} (tol {tol:.3e})")
-
-
-def _validated_pair(u0, u, a, role: str):
-    """(U0, U, A) checked once: unitary ends, Hermitian direction, U = e^{iA} U0."""
-    u0 = require_unitary(u0, what=f"{role} base")
-    u = require_unitary(u, what=f"{role} endpoint")
-    a = require_hermitian(a, what=f"{role} direction")
-    require_path(u0, u, a)
-    return u0, u, a
+    """Check U0 unitary, A Hermitian and U = e^{iA} U0 within tolerance (default dim * 1e-10)."""
+    UnitaryPath(u0, a).require_endpoint(u, tol)
 
 
 def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> dict[int, complex]:
@@ -131,7 +112,8 @@ def _lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, p: TrigPolynomial) -> com
 
 def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
     """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via streamed powers, mode by mode."""
-    return _lhs(*_validated_pair(u0, u, a, "lhs"), p)
+    path = UnitaryPath(u0, a)
+    return _lhs(path.u0, path.require_endpoint(u), path.a, p)
 
 
 @dataclass(frozen=True)
@@ -162,21 +144,20 @@ class VerificationReport:
 def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[VerificationReport]:
     """Verify many polynomials for one pair, validating it once.
 
-    Both sides are linear in the coefficients, so each side is assembled from
-    per-mode values: streamed traces of U^n - U0^n - D_n on the left,
-    curvature pairings on the right.
+    The pair is validated by the integrator's path.  Both sides are linear in
+    the coefficients, so each side is assembled from per-mode values: streamed
+    traces of U^n - U0^n - D_n on the left, curvature pairings on the right.
     """
-    rule = as_rule(s_rule)
-    u0, u, a = _validated_pair(u0, u, a, "batch")
+    session = EtaIntegrator(u0, a, s_rule)
+    u = session.path.require_endpoint(u)
     modes = sorted({n for p in polys for n in p.coeffs})
-    lhs_mode = _lhs_mode_traces(u0, u, a, modes)
-    session = EtaIntegrator(u0, a, rule)
+    lhs_mode = _lhs_mode_traces(session.u0, u, session.a, modes)
     rhs_mode = session.curvature_pairings(modes)
     reports = []
     for p in polys:
         lhs = complex(sum(c * lhs_mode[n] for n, c in p.items()))
         rhs = complex(sum(c * rhs_mode[n] for n, c in p.items()))
-        reports.append(VerificationReport.from_sides(lhs, rhs, tol, rule.count))
+        reports.append(VerificationReport.from_sides(lhs, rhs, tol, session.rule.count))
     return reports
 
 
@@ -202,35 +183,35 @@ def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
     return TrigPolynomial({k: -(z ** -(k + 1)) for k in range(order + 1)})
 
 
-def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float, cap: int = 100_000):
+def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):
     """Smallest order whose dropped terms cannot move either side by tol/10.
 
     The k-th dropped coefficient has modulus rho^k with rho = min(|z|, 1/|z|),
-    and each dropped mode n contributes at most ``remainder_trace_norm_bound``;
-    the geometric tail is summed explicitly until it is negligible.
+    and its mode k + 1 contributes at most ``remainder_trace_norm_bound``,
+    a_hs^2 q(k) with q(k) = (k^2 + k)/2 + (k + 1) c, c = (e^x - x - 1)/x^2 at
+    x = ||A||.  Expanding q(K + j) in j, the tail from k = K on is
+
+        a_hs^2 rho^K [ q(K)/g + q'(K) rho/g^2 + rho (1 + rho)/(2 g^3) ],  g = 1 - rho,
+
+    which decreases in K, so a bisection finds the smallest K below tol/10;
+    the order is K - 1, and past ``_MAX_ORDER`` z counts as on the circle.
     """
     rho = min(abs(z), 1.0 / abs(z)) if z != 0 else 0.0
-    budget = tol / 10.0
     if rho == 0.0:
         return 0, 0.0
-    terms = []
-    k = 0
-    while True:
-        term = rho**k * remainder_trace_norm_bound(k + 1, a_hs, a_op)
-        terms.append(term)
-        if k > 4 and term < budget * 1e-6 * (1.0 - rho):
-            break
-        if k >= cap:
-            raise OnUnitCircle(
-                f"|z| = {abs(z):.6f} needs more than {cap} series terms for tolerance {tol:g}"
-            )
-        k += 1
-    suffix = np.cumsum(terms[::-1])[::-1]
-    for order in range(len(terms)):
-        tail = float(suffix[order + 1]) if order + 1 < len(terms) else 0.0
-        if tail < budget:
-            return order, tail
-    return len(terms) - 1, 0.0  # pragma: no cover - loop above always returns
+    c, g, budget = _exp_remainder_factor(a_op), 1.0 - rho, tol / 10.0
+
+    def tail(k: int) -> float:
+        q = 0.5 * (k * k + k) + (k + 1) * c
+        return a_hs**2 * rho**k * (q / g + (k + 0.5 + c) * rho / g**2 + rho * (1.0 + rho) / (2.0 * g**3))
+
+    lo, hi = 0, _MAX_ORDER + 1
+    if not tail(hi) < budget:
+        raise OnUnitCircle(f"|z| = {abs(z):.6f} needs a series order above {_MAX_ORDER} for tolerance {tol:g}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid) < budget else (mid, hi)
+    return hi - 1, tail(hi)
 
 
 def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> ResolventReport:
@@ -246,8 +227,8 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
         raise UnishiftError(f"z = {z} is not a finite complex number")
     if abs(abs(z) - 1.0) < 1e-6:
         raise OnUnitCircle(f"|z| = {abs(z):.8f} is within 1e-6 of the unit circle")
-    rule = as_rule(s_rule)
-    u0, u, a = _validated_pair(u0, u, a, "resolvent")
+    session = EtaIntegrator(u0, a, s_rule)
+    u0, a, u = session.u0, session.a, session.path.require_endpoint(u)
     order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
     lhs = _lhs(u0, u, a, resolvent_coefficients(z, order))
 
@@ -256,8 +237,8 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
         w = np.exp(1j * t)
         return -1j * w / (w - z) ** 2
 
-    rhs = EtaIntegrator(u0, a, rule).pairing(fprime)
-    report = VerificationReport.from_sides(lhs, rhs, tol, rule.count)
+    rhs = session.pairing(fprime)
+    report = VerificationReport.from_sides(lhs, rhs, tol, session.rule.count)
 
     eye = np.eye(u0.shape[0])
     r_u = np.linalg.inv(u - z * eye)

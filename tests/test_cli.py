@@ -71,6 +71,30 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["bounds", "--format", "csv"], ["bounds", "--tol", "0.5"],
+                                       ["eta", "--tol", "0.9"], ["verify", "--format", "csv"],
+                                       ["resolvent", "--format", "json"]])
+    def test_flags_only_where_they_act(self, tmp_path, capsys, flags):
+        out = tmp_path / "out.file"
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, settings", [
+        ("verify", {"grid": 7, "z": 0.3, "ranks": [2]}), ("verify", {"format": "csv"}),
+        ("eta", {"tol": 0.9}), ("bounds", {"tol": 0.5}), ("bounds", {"dim": 3}),
+    ])
+    def test_config_keys_are_the_subcommand_flags(self, tmp_path, capsys, command, settings):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(settings))
+        out = tmp_path / "out.file"
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown configuration keys") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNISHIFT_OUTDIR", str(tmp_path))
         cfg = RunConfig(command="verify")

@@ -8,6 +8,7 @@ from unishift import (
     EmptyMatrix,
     NotHermitian,
     NotUnitary,
+    UnishiftError,
     herm_eig,
     hs_norm,
     log_unitary,
@@ -304,3 +305,37 @@ def test_matrix_coercion_rejects_bad_input():
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+
+@pytest.mark.parametrize("bad", ["non-square", "nan", "inf"])
+def test_malformed_matrices_raise_unishift_error(bad):
+    """A malformed matrix is a typed input error at every public entry point."""
+    from unishift import (
+        EtaIntegrator,
+        TrigPolynomial,
+        audit_projection_estimates,
+        batch_verify,
+        build_direction_projection,
+        doi_apply,
+        reduction_instance,
+    )
+
+    def malformed(good):
+        if bad == "non-square":
+            return np.asarray(good)[:, :-1]
+        out = np.array(good, dtype=complex)
+        out[0, 1] = np.nan if bad == "nan" else np.inf
+        return out
+
+    pair = random_pair(5, 2, 1.0)
+    inst = reduction_instance(6, 32, 2, 0.5)
+    proj = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+    m, h0 = malformed(pair.u0), malformed(inst.h0)
+    calls = [
+        lambda: batch_verify(m, pair.u, pair.a, [TrigPolynomial.monomial(1)]),
+        lambda: EtaIntegrator(m, pair.a),
+        lambda: doi_apply(TrigPolynomial.monomial(1), m, pair.u0, pair.u - pair.u0),
+        lambda: audit_projection_estimates(proj, h0, inst.u0, [1]),
+    ]
+    for call in calls:
+        with pytest.raises(UnishiftError):
+            call()

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import gateaux_monomial, gateaux_series, polynomial_of, power
 from unishift import (
+    DimensionMismatch,
     EmptyMatrix,
     EtaIntegrator,
     OnUnitCircle,
@@ -20,9 +24,9 @@ from unishift import (
     resolvent_check,
     trace_norm,
 )
-from unishift import trace_formula
+from unishift import linalg
 from unishift.linalg import UnitaryPath
-from unishift.trace_formula import _lhs_mode_traces, _powers, resolvent_coefficients
+from unishift.trace_formula import _lhs_mode_traces, _powers, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
 
 seeds = st.integers(0, 2**31 - 1)
@@ -347,34 +351,81 @@ class TestResolvent:
     def test_validation_counts(self, monkeypatch, check):
         pair = random_pair(25, 3, 1.0)
         calls = []
-        for name in ("require_unitary", "require_hermitian", "require_path"):
-            original = getattr(trace_formula, name)
+        for owner, name in ((linalg, "require_unitary"), (linalg, "require_hermitian"),
+                            (UnitaryPath, "require_endpoint")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(trace_formula, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         if check == "batch":
             batch_verify(pair.u0, pair.u, pair.a, [TrigPolynomial.monomial(2)])
         else:
             resolvent_check(pair.u0, pair.u, pair.a, 0.5)
-        assert sorted(calls) == ["require_hermitian", "require_path", "require_unitary", "require_unitary"]
+        assert sorted(calls) == ["require_endpoint", "require_hermitian", "require_unitary", "require_unitary"]
 
     def test_pair_validated_once(self, monkeypatch):
         pair = random_pair(21, 4, 1.0)
         calls = []
-        original = trace_formula.require_path
+        original = UnitaryPath.require_endpoint
         monkeypatch.setattr(
-            trace_formula, "require_path", lambda *args: calls.append(1) or original(*args)
+            UnitaryPath, "require_endpoint", lambda *args: calls.append(1) or original(*args)
         )
         assert resolvent_check(pair.u0, pair.u, pair.a, 0.5).passed
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("check", ["batch", "resolvent", "lhs"])
+    def test_direction_diagonalised_once(self, monkeypatch, check):
+        pair = random_pair(26, 4, 1.0)
+        seen = []
+        original = linalg.herm_eig
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("unishift") and "herm_eig" in vars(module):
+                monkeypatch.setattr(module, "herm_eig", lambda h, **kw: seen.append(h) or original(h, **kw))
+        poly = TrigPolynomial.monomial(2)
+        if check == "batch":
+            batch_verify(pair.u0, pair.u, pair.a, [poly])
+        elif check == "resolvent":
+            resolvent_check(pair.u0, pair.u, pair.a, 0.5)
+        else:
+            lhs_trace(pair.u0, pair.u, pair.a, poly)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], pair.a)
+
+    @pytest.mark.parametrize("check", ["batch", "resolvent", "lhs"])
+    def test_mismatched_sizes(self, check):
+        small, big = random_pair(27, 3, 1.0), random_pair(28, 4, 1.0)
+        poly = TrigPolynomial.monomial(2)
+        calls = {
+            "batch": lambda: batch_verify(small.u0, big.u, small.a, [poly]),
+            "resolvent": lambda: resolvent_check(small.u0, big.u, small.a, 0.5),
+            "lhs": lambda: lhs_trace(small.u0, small.u, big.a, poly),
+        }
+        with pytest.raises(DimensionMismatch):
+            calls[check]()
 
     def test_path_mismatch(self):
         pair = random_pair(22, 4, 1.0)
         with pytest.raises(PathMismatch):
             resolvent_check(pair.u0, pair.u0, pair.a, 0.5)
+
+    @pytest.mark.parametrize("z, a_hs, a_op, tol", [
+        (0.5, 2.0, 1.0, 1e-7), (2.0, 2.0, 1.0, 1e-7), (0.9j, 5.0, 2.5, 1e-10),
+        (-0.99, 1.5, 1.0, 1e-7), (0.3, 0.0, 0.0, 1e-7), (1 / 0.95, 3.0, 3.0, 1e-3),
+    ])
+    def test_truncation_tail_is_the_summed_tail(self, z, a_hs, a_op, tol):
+        order, tail = resolvent_truncation(z, a_hs, a_op, tol)
+        rho = min(abs(z), 1 / abs(z))
+        terms = [rho**k * remainder_trace_norm_bound(k + 1, a_hs, a_op) for k in range(200_000)]
+        assert tail == pytest.approx(math.fsum(terms[order + 1:]), rel=1e-12, abs=1e-300)
+        assert tail < tol / 10
+        assert order == 0 or math.fsum(terms[order:]) >= tol / 10
+
+    def test_truncation_order_capped(self):
+        with pytest.raises(OnUnitCircle):
+            resolvent_truncation(1 - 2e-6, 1.0, 1.0, 1e-7)
 
     def test_unit_circle_rejected(self):
         pair = random_pair(18, 3, 1.0)

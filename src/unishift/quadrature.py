@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnishiftError
+
 DEFAULT_S_NODES = 64
 
 
@@ -28,7 +30,7 @@ def gauss_legendre(n: int = DEFAULT_S_NODES) -> QuadratureRule:
     rounding; several bounds downstream rely on that.
     """
     if n < 1:
-        raise ValueError("need at least one node")
+        raise UnishiftError("need at least one node")
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
@@ -39,8 +41,8 @@ def as_rule(rule) -> QuadratureRule:
         return gauss_legendre(DEFAULT_S_NODES)
     if isinstance(rule, QuadratureRule):
         if np.any(rule.nodes < 0.0) or np.any(rule.nodes > 1.0):
-            raise ValueError("quadrature nodes must lie in [0, 1]")
+            raise UnishiftError("quadrature nodes must lie in [0, 1]")
         return rule
     if isinstance(rule, (int, np.integer)):
         return gauss_legendre(int(rule))
-    raise TypeError(f"cannot interpret {rule!r} as a quadrature rule")
+    raise UnishiftError(f"cannot interpret {rule!r} as a quadrature rule")

@@ -25,10 +25,25 @@ and likewise for the compressed direction Ap = B* A B of rank at most L,
 whose one decomposition also builds the compressed model.  The propagator
 samples, the exponential off-block norms, the Taylor-remainder trace norm
 and the mixed-trace factors all work on d x L factors, and each mixed trace
-is an elementwise sum, not the trace of a product.  ``convergence_study``
-validates and decomposes H0 and A once for its whole ladder, and takes the
-trace of every pair it builds without validating that pair again.  Nothing
-is kept between calls.
+is an elementwise sum, not the trace of a product.
+
+Every other ambient step acts on the d x r orthonormal columns B of the
+projection (r = rank P).  No dense power of U0 or U is formed: the powers
+are streamed as U^m B, one product U Y (or U* Y) per step, and an off-block
+norm ||P_perp X P||_2 is ||Y - B(B* Y)||_2 for Y = X B.  The resolvent
+checks solve (i +- H0) Y = B instead of inverting, the compressed powers
+are streamed from the r x r identity, and the mixed-trace factors read
+F* (U0^k B).
+
+The basis itself comes from Gram-Schmidt cell by cell.  The pieces of the
+seeds in different cells lie on disjoint sets of eigenvectors of H0, so they
+are orthogonal; each cell's pieces are orthonormalised in that cell's
+eigen-coordinates and mapped back by its eigencolumns, with one drop
+tolerance on the piece norms and on the residuals.
+
+``convergence_study`` validates and decomposes H0 and A once for its whole
+ladder, and takes the trace of every pair it builds without validating that
+pair again.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -51,10 +66,9 @@ from .linalg import (
     herm_eig,
     hs_norm,
     require_hermitian,
-    require_unitary,
     trace_norm,
 )
-from .trace_formula import _exp_remainder_factor, _lhs, _powers
+from .trace_formula import _exp_remainder_factor, _lhs
 from .trigpoly import TrigPolynomial
 
 GS_DROP_TOL = 1e-12
@@ -97,8 +111,7 @@ class ProjectionBasis:
 
     def offblock_hs(self, x) -> float:
         """|| P_perp X P ||_2; right-multiplying by the isometry preserves it."""
-        y = np.asarray(x) @ self.columns
-        return hs_norm(y - self.columns @ (self.columns.conj().T @ y))
+        return _offblock(self.columns, np.asarray(x) @ self.columns)
 
     def compress(self, x) -> np.ndarray:
         return self.columns.conj().T @ np.asarray(x) @ self.columns
@@ -107,6 +120,11 @@ class ProjectionBasis:
     def full_space(cls, dim: int) -> "ProjectionBasis":
         eye = np.eye(dim, dtype=np.complex128)
         return cls(ambient_dim=dim, columns=eye, directions=eye[:, :0])
+
+
+def _offblock(b: np.ndarray, y: np.ndarray) -> float:
+    """||Y - B(B*Y)||_2: the part of Y outside ran B (for Y = X B, ||P_perp X P||_2)."""
+    return hs_norm(y - b @ (b.conj().T @ y))
 
 
 def _orthonormalize(candidates: list[np.ndarray], dim: int, drop_tol: float) -> np.ndarray:
@@ -158,22 +176,21 @@ def _window_basis(
         raise BadWindow(f"a seed vector leaks {worst:.3e} outside the window (eps {eps:.3e})")
     edges = np.linspace(-half_width, half_width, cells + 1)
     cell_index = np.clip(np.searchsorted(edges, dec.eigenvalues, side="left") - 1, 0, cells - 1)
-    candidates = []
+    # Pieces from different cells lie on disjoint sets of eigenvectors, so they
+    # are orthogonal: Gram-Schmidt runs per cell on the eigen-coordinates, and
+    # the cell's eigencolumns map the result back.
+    blocks = [np.zeros((dim, 0), dtype=np.complex128)]
     for k in range(cells):
         rows = (cell_index == k) & inside
         if not np.any(rows):
             continue
-        block = dec.vectors[:, rows]
-        pieces = block @ coords[rows, :]
-        for l in range(count):
-            piece = pieces[:, l]
-            norm = np.linalg.norm(piece)
-            if norm > drop_tol:
-                candidates.append(piece / norm)
-    basis = _orthonormalize(candidates, dim, drop_tol)
+        pieces = coords[rows, :]
+        norms = np.linalg.norm(pieces, axis=0)
+        candidates = [pieces[:, l] / norms[l] for l in range(count) if norms[l] > drop_tol]
+        blocks.append(dec.vectors[:, rows] @ _orthonormalize(candidates, pieces.shape[0], drop_tol))
     return ProjectionBasis(
         ambient_dim=dim,
-        columns=basis,
+        columns=np.concatenate(blocks, axis=1),
         directions=f,
         params=WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps)),
     )
@@ -228,13 +245,21 @@ class AuditReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _power_table(u: np.ndarray, ms) -> dict[int, np.ndarray]:
-    """U^m for each m in ``ms``, streamed by ``_powers``; U^0 is the identity."""
-    ms = [int(m) for m in ms]
-    table = dict(_powers(u, ms))
-    if 0 in ms:
-        table[0] = np.eye(u.shape[0], dtype=np.complex128)
-    return table
+def _power_columns(u: np.ndarray, b: np.ndarray, ms):
+    """Yield (m, U^m B) for each wanted m, one product ``step @ Y`` per power step.
+
+    Positive m step by U, negative m by U*, the inverse of a unitary U; the
+    dense powers of U are never formed.  U^0 B is B itself.
+    """
+    wanted = {int(m) for m in ms}
+    if 0 in wanted:
+        yield 0, b
+    for sign, step in ((1, u), (-1, u.conj().T)):
+        y = b
+        for k in range(1, max((sign * m for m in wanted), default=0) + 1):
+            y = step @ y
+            if sign * k in wanted:
+                yield sign * k, y
 
 
 def _check(name: str, value: float, bound: float, slack: float = AUDIT_SLACK) -> BoundCheck:
@@ -256,16 +281,14 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     b = p.columns
     checks = []
     for l in range(p.directions.shape[1]):
-        f = p.directions[:, l]
-        value = float(np.linalg.norm(f - b @ (b.conj().T @ f)))
-        checks.append(_check(f"seed_capture[{l}]", value, eps))
-    checks.append(_check("window_offblock", p.offblock_hs(h0), eps))
+        checks.append(_check(f"seed_capture[{l}]", _offblock(b, p.directions[:, l]), eps))
+    checks.append(_check("window_offblock", _offblock(b, h0 @ b), eps))
     eye = 1j * np.eye(p.ambient_dim)
-    checks.append(_check("resolvent_plus", p.offblock_hs(np.linalg.inv(eye + h0)), eps))
-    checks.append(_check("resolvent_minus", p.offblock_hs(np.linalg.inv(eye - h0)), eps))
-    base = _power_table(u0, m_list)
+    checks.append(_check("resolvent_plus", _offblock(b, np.linalg.solve(eye + h0, b)), eps))
+    checks.append(_check("resolvent_minus", _offblock(b, np.linalg.solve(eye - h0, b)), eps))
+    base = dict(_power_columns(u0, b, m_list))
     for m in m_list:
-        checks.append(_check(f"base_power[{m}]", p.offblock_hs(base[int(m)]), 2 * abs(m) * eps))
+        checks.append(_check(f"base_power[{m}]", _offblock(b, base[int(m)]), 2 * abs(m) * eps))
     return AuditReport(label="window-projection", eps=eps, checks=tuple(checks))
 
 
@@ -294,12 +317,12 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
             raise SampleOutOfRange("propagator samples must stay within [-T, T]")
         value = hs_norm(_exp_step(f_perp, tau, float(t)) @ fb)
         checks.append(_check(f"propagator[t={float(t):+.3f}]", value, propagator_bound))
-    base, pert = _power_table(u0, m_list), _power_table(u, m_list)
+    base, pert = dict(_power_columns(u0, b, m_list)), dict(_power_columns(u, b, m_list))
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
     for m in m_list:
         m = int(m)
-        checks.append(_check(f"base_power[{m}]", p.offblock_hs(base[m]), 2 * abs(m) * eps))
-        checks.append(_check(f"pert_power[{m}]", p.offblock_hs(pert[m]), abs(m) * pert_factor))
+        checks.append(_check(f"base_power[{m}]", _offblock(b, base[m]), 2 * abs(m) * eps))
+        checks.append(_check(f"pert_power[{m}]", _offblock(b, pert[m]), abs(m) * pert_factor))
     return AuditReport(label="perturbation-coupling", eps=eps, checks=tuple(checks))
 
 
@@ -378,14 +401,17 @@ def audit_compressed_model(
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
     tr_bound = 2.0 * a_hs * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
-    base = _power_table(u0, [*m_list, *k_list])
-    base_c = _power_table(model.u0p, m_list)
-    pert, pert_c = _power_table(u, m_list), _power_table(model.up, m_list)
+    # U0^m B and U^m B are streamed on the d x r columns; the compressed
+    # powers are r x r, streamed from the identity.
+    eye_r = np.eye(p.rank, dtype=np.complex128)
+    base = dict(_power_columns(u0, b, [*m_list, *k_list]))
+    base_c = dict(_power_columns(model.u0p, eye_r, m_list))
+    pert, pert_c = dict(_power_columns(u, b, m_list)), dict(_power_columns(model.up, eye_r, m_list))
     for m in m_list:
         m = int(m)
-        value = hs_norm(base[m] @ b - b @ base_c[m])
+        value = hs_norm(base[m] - b @ base_c[m])
         checks.append(_check(f"base_power_error[{m}]", value, 2 * abs(m) * eps))
-        value = hs_norm(b.conj().T @ pert[m] @ b - pert_c[m])
+        value = hs_norm(b.conj().T @ pert[m] - pert_c[m])
         bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
         checks.append(_check(f"pert_power_error[{m}]", value, bound))
     # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} in rank coordinates, where
@@ -398,8 +424,8 @@ def audit_compressed_model(
     for k in k_list:
         base_k = base[int(k)]
         inners.append(
-            _exp_step(fb.conj().T, tau) @ (f.conj().T @ base_k @ b)
-            - _exp_step(fc, tau_c) @ (bfc.conj().T @ base_k @ b)
+            _exp_step(fb.conj().T, tau) @ (f.conj().T @ base_k)
+            - _exp_step(fc, tau_c) @ (bfc.conj().T @ base_k)
         )
     for m in m_list:
         for k, inner in zip(k_list, inners):

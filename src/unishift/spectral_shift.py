@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroHarmonic
+from .errors import UnishiftError, ZeroHarmonic
 from .linalg import TWO_PI, UnitaryPath, hs_norm, unitary_eig
 from .quadrature import QuadratureRule, as_rule
 
@@ -181,7 +181,7 @@ class EtaIntegrator:
 
     def profile(self, grid_size: int) -> EtaProfile:
         if grid_size < 2:
-            raise ValueError("grid must contain at least the two endpoints")
+            raise UnishiftError("grid must contain at least the two endpoints")
         grid = np.linspace(0.0, TWO_PI, grid_size)
         eta = self.eta(grid)
         eta0 = eta - self.mean()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import choose_phase
+from oracles import choose_phase, require_hermitian_svd, require_unitary_svd
 from unishift import (
     EmptyMatrix,
     NotHermitian,
@@ -16,7 +16,17 @@ from unishift import (
     random_pair,
     unitary_eig,
 )
-from unishift.linalg import TWO_PI, UnitaryPath, _from_spectrum, _reflected_phases, haar_unitary
+from unishift import linalg
+from unishift.linalg import (
+    TWO_PI,
+    UnitaryPath,
+    _from_spectrum,
+    _reflected_phases,
+    haar_unitary,
+    random_hermitian,
+    require_hermitian,
+    require_unitary,
+)
 
 seeds = st.integers(0, 2**31 - 1)
 dims = st.integers(1, 12)
@@ -291,10 +301,9 @@ def test_random_pair_log_roundtrip(seed, dim, scale):
 
 
 def test_random_pair_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        random_pair(0, 3, np.pi)
-    with pytest.raises(ValueError):
-        random_pair(0, 3, 0.0)
+    for dim, scale in ((3, np.pi), (3, 0.0), (3, -1.0), (3, np.nan), (0, 1.0), (-2, 1.0)):
+        with pytest.raises(UnishiftError):
+            random_pair(0, dim, scale)
 
 
 def test_matrix_coercion_rejects_bad_input():
@@ -339,3 +348,55 @@ def test_malformed_matrices_raise_unishift_error(bad):
     for call in calls:
         with pytest.raises(UnishiftError):
             call()
+
+
+def _validation_outcome(check, m, tol):
+    try:
+        check(m, tol=tol, what="probe")
+    except UnishiftError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(
+    seeds,
+    dims,
+    st.sampled_from(["hermitian", "unitary"]),
+    st.sampled_from([1e-3, 0.5, 0.99, 1.01, 2.0]),
+    st.sampled_from([None, 1e-6]),
+)
+@settings(max_examples=80)
+def test_validation_certificate_matches_svd_definition(seed, dim, kind, factor, tol):
+    """Near either side of the tolerance, the decision and message are those of the SVD check."""
+    rng = np.random.default_rng(seed)
+    if kind == "hermitian":
+        h = random_hermitian(rng, dim, rng.uniform(0.1, 10.0))
+        limit = 1e-10 * op_norm(h) if tol is None else tol
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = h + (factor * limit / op_norm(x - x.conj().T)) * x
+        checks = require_hermitian, require_hermitian_svd
+    else:
+        limit = dim * 1e-10 if tol is None else tol
+        # M*M - I = V diag(delta) V* with max |delta| = factor * limit
+        delta = rng.uniform(-1.0, 1.0, dim)
+        delta *= factor * limit / np.max(np.abs(delta))
+        v = haar_unitary(rng, dim)
+        m = haar_unitary(rng, dim) @ ((v * np.sqrt(1.0 + delta)) @ v.conj().T)
+        checks = require_unitary, require_unitary_svd
+    got, want = (_validation_outcome(check, m, tol) for check in checks)
+    assert got == want
+    assert (want is not None) == (factor > 1.0)
+
+
+def test_valid_input_passes_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(256)
+    u = haar_unitary(rng, 256)
+    h = (u * rng.uniform(-2.0, 2.0, 256)) @ u.conj().T  # Hermitian up to roundoff
+
+    def no_svd(m):
+        raise AssertionError("op_norm was needed for a valid input")
+
+    monkeypatch.setattr(linalg, "op_norm", no_svd)
+    for tol in (None, 1e-8):
+        require_hermitian(h, tol)
+        require_unitary(u, tol)

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cayley_forward, choose_phase, power
+from oracles import (
+    cayley_forward,
+    choose_phase,
+    dense_compressed_audit,
+    dense_compressed_model,
+    dense_perturbation_audit,
+    dense_projection_audit,
+    window_basis_global_mgs,
+)
 from unishift import (
     BadWindow,
     MissingConstruction,
@@ -24,13 +32,10 @@ from unishift import (
     compressed_model,
     convergence_study,
     herm_eig,
-    hs_norm,
     lhs_trace,
     op_norm,
     reduction_instance,
     spread_diagonal,
-    trace,
-    trace_norm,
 )
 from unishift.linalg import haar_unitary
 from unishift.reduction import random_low_rank_hermitian
@@ -278,63 +283,6 @@ class TestGenerators:
         assert op_norm(cayley_forward(inst.u0, inst.phase) - inst.h0) <= 64 * 1e-10
 
 
-def dense_reference(p, h0, a, u0, u, phase, t_max, m_list, k_list, samples):
-    """Perturbation and compressed-model audits from dense d x d exponentials.
-
-    These are the audit formulas before the thin factors: every e^{isA} and
-    e^{isAp} is assembled in full, ||A|| comes from an SVD, and each mixed
-    trace is the trace of a matrix product.  Returns the two check lists as
-    (name, value, bound) triples and the dense compressed model.
-    """
-    b = p.columns
-    eps = p.params.eps
-    eye = np.eye(p.ambient_dim)
-    a_op, a_hs = op_norm(a), hs_norm(a)
-    adec = herm_eig(a, check=False)
-
-    def perp_hs(x):
-        y = x @ b
-        return hs_norm(y - b @ (b.conj().T @ y))
-
-    def perp_full(x):
-        return x - b @ (b.conj().T @ x)
-
-    pert = [("direction_offblock", hs_norm(perp_full(a)), 2 * eps)]
-    for t in samples:
-        bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
-        pert.append((f"propagator[t={float(t):+.3f}]", perp_hs(adec.exp_i(float(t))), bound))
-    for m in m_list:
-        pert.append((f"base_power[{m}]", perp_hs(power(u0, m)), 2 * abs(m) * eps))
-        pert.append((f"pert_power[{m}]", perp_hs(power(u, m)), abs(m) * 2.0 * (np.exp(a_op) + 1.0) * eps))
-
-    hc = b.conj().T @ h0 @ b
-    ac = b.conj().T @ a @ b
-    ac = 0.5 * (ac + ac.conj().T)
-    u0p = cayley_inverse(0.5 * (hc + hc.conj().T), phase)
-    acdec = herm_eig(ac, check=False)
-    up = acdec.exp_i() @ u0p
-    exp_a = adec.exp_i()
-    comp = [("exp_step_offblock", hs_norm(perp_full(exp_a - eye)), 2 * eps)]
-    worst = max(hs_norm(adec.exp_i(float(s)) @ b - b @ acdec.exp_i(float(s))) for s in samples)
-    comp.append(("propagator_vs_compressed", worst, 2 * t_max * eps))
-    remainder = trace_norm(perp_full(exp_a - 1j * a - eye))
-    comp.append(("taylor_remainder_tracenorm", remainder, 2.0 * a_hs * _exp_remainder_factor(a_op) * eps))
-    for m in m_list:
-        value = hs_norm(power(u0, m) @ b - b @ power(u0p, m))
-        comp.append((f"base_power_error[{m}]", value, 2 * abs(m) * eps))
-        value = hs_norm(b.conj().T @ power(u, m) @ b - power(up, m))
-        bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
-        comp.append((f"pert_power_error[{m}]", value, bound))
-    exp_ac = acdec.exp_i()
-    for m in m_list:
-        for k in k_list:
-            base_k = power(u0, k)
-            inner = b.conj().T @ exp_a @ base_k @ b - exp_ac @ (b.conj().T @ base_k @ b)
-            value = abs(trace(power(up, m) @ inner))
-            comp.append((f"mixed_trace[m={m},k={k}]", value, 4.0 * eps * eps * np.exp(a_op)))
-    return pert, comp, (u0p, ac, up)
-
-
 def assert_matches_reference(report, reference):
     assert [c.name for c in report.checks] == [name for name, _, _ in reference]
     for check, (name, value, bound) in zip(report.checks, reference):
@@ -351,13 +299,13 @@ class TestThinFactorsOracle:
         comp = audit_compressed_model(
             p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, s_samples=samples
         )
-        ref_pert, ref_comp, (u0p, ap, up) = dense_reference(
-            p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, samples
-        )
-        assert_matches_reference(pert, ref_pert)
-        assert_matches_reference(comp, ref_comp)
+        b, eps = p.columns, p.params.eps
+        assert_matches_reference(pert, dense_perturbation_audit(b, eps, inst.u0, u, a, 2.0, self.M, samples))
+        assert_matches_reference(comp, dense_compressed_audit(
+            b, eps, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, samples, _exp_remainder_factor
+        ))
         model = compressed_model(p, inst.h0, a, inst.phase)
-        for got, want in ((model.u0p, u0p), (model.ap, ap), (model.up, up)):
+        for got, want in zip((model.u0p, model.ap, model.up), dense_compressed_model(b, inst.h0, a, inst.phase)):
             assert np.max(np.abs(got - want)) <= 1e-12
 
     @given(
@@ -399,6 +347,115 @@ class TestThinFactorsOracle:
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
         self.audit_against_reference(p, inst, zero, inst.u0, [0.0])
         self.audit_against_reference(p, inst, inst.a, inst.u, [0.0])
+
+
+class TestStreamedAuditsOracle:
+    """Every audit value against its dense definition with P = BB*, full powers and inverses."""
+
+    M = [0, 1, -1, 2, -3, 4, -4]
+    K = [0, -1, 2, -4]
+    SAMPLES = np.linspace(-2.0, 2.0, 5)
+
+    @pytest.mark.parametrize(
+        "ambient, rank, cells, full",
+        [(64, 2, 8, False), (64, 1, 64, True), (96, 3, 12, False), (96, 2, 48, True)],
+    )
+    def test_matches_dense_definitions(self, ambient, rank, cells, full):
+        inst = reduction_instance(ambient + cells, ambient, rank, 0.6, phase=0.3)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, cells)
+        assert (p.rank == ambient) == full
+        b, eps = p.columns, p.params.eps
+        reports = [
+            audit_projection_estimates(p, inst.h0, inst.u0, self.M),
+            audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, self.M, self.SAMPLES),
+            audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K, s_samples=self.SAMPLES
+            ),
+        ]
+        references = [
+            dense_projection_audit(b, p.directions, eps, inst.h0, inst.u0, self.M),
+            dense_perturbation_audit(b, eps, inst.u0, inst.u, inst.a, 2.0, self.M, self.SAMPLES),
+            dense_compressed_audit(
+                b, eps, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K, self.SAMPLES,
+                _exp_remainder_factor,
+            ),
+        ]
+        for report, reference in zip(reports, references):
+            assert [c.name for c in report.checks] == [name for name, _, _ in reference]
+            for check, (name, value, bound) in zip(report.checks, reference):
+                assert abs(check.value - value) <= 1e-12, (name, check.value, value)
+                assert abs(check.bound - bound) <= 1e-12 * (1 + bound), (name, check.bound, bound)
+            assert report.passed
+
+
+class TestPerCellOrthonormalisation:
+    """Cell-by-cell Gram-Schmidt spans what one global Gram-Schmidt over all pieces spans."""
+
+    @staticmethod
+    def assert_matches_global(h0, seeds, half_width, cells):
+        p = build_projection(h0, [seeds[:, l] for l in range(seeds.shape[1])], half_width, cells)
+        ref = window_basis_global_mgs(h0, seeds, half_width, cells)
+        b = p.columns
+        assert p.rank == ref.shape[1]
+        assert np.max(np.abs(b @ b.conj().T - ref @ ref.conj().T)) <= 1e-12
+        assert np.max(np.abs(b.conj().T @ b - np.eye(p.rank))) <= 1e-12
+        return p
+
+    @staticmethod
+    def unit(v):
+        v = np.asarray(v, dtype=complex)
+        return v / np.linalg.norm(v)
+
+    @given(seeds, st.integers(1, 4), st.integers(1, 12))
+    @settings(max_examples=25)
+    def test_random_seeds_and_cells(self, seed, count, cells):
+        inst = reduction_instance(seed, 48, count, 0.5)
+        f = herm_eig(inst.a, check=False).vectors[:, -count:]
+        rng = np.random.default_rng(seed)
+        f = f @ haar_unitary(rng, count)
+        self.assert_matches_global(inst.h0, f, inst.half_width, cells)
+
+    def test_repeated_eigenvalues_in_one_cell(self):
+        levels = np.repeat([-0.7, -0.2, 0.1, 0.6], 6)
+        rng = np.random.default_rng(1)
+        q = haar_unitary(rng, levels.size)
+        h0 = (q * levels) @ q.conj().T
+        f = np.column_stack([self.unit(rng.standard_normal(24) + 1j * rng.standard_normal(24)) for _ in range(3)])
+        p = self.assert_matches_global(h0, f, 1.0, 4)
+        # three seeds in each of four six-fold eigenspaces
+        assert p.rank == 12
+
+    def test_eigenvalue_on_a_cell_edge(self):
+        cells, half_width = 4, 1.0
+        edges = np.linspace(-half_width, half_width, cells + 1)
+        levels = np.array([edges[1], edges[2], edges[3], half_width, -0.9, -0.3, 0.2, 0.8])
+        h0 = np.diag(levels).astype(complex)
+        f = np.column_stack([self.unit(np.arange(1.0, 9.0)), self.unit(np.cos(np.arange(8.0)))])
+        p = self.assert_matches_global(h0, f, half_width, cells)
+        # cells are closed on the right, so each holds two eigenvalues and both
+        # seeds give two directions per cell; closed on the left it would be 7
+        assert p.rank == 8
+
+    def test_seed_with_no_piece_in_some_cells(self):
+        h0 = spread_diagonal(16, 1.0)
+        # eigenvalues of the spread diagonal ascend, so entries 0-3 and 12-15 are cells 0 and 3
+        f = np.zeros((16, 2), dtype=complex)
+        f[[0, 2, 13], 0] = [1.0, 2.0, 1.0j]
+        f[:, 1] = np.linspace(1.0, 2.0, 16)
+        f /= np.linalg.norm(f, axis=0)
+        p = self.assert_matches_global(h0, f, 1.0, 4)
+        assert p.rank == 2 + 4
+
+    def test_parallel_pieces_drop_one(self):
+        h0 = spread_diagonal(16, 1.0)
+        x = np.zeros(16, dtype=complex)
+        x[4:8] = [1.0, -1.0j, 0.5, 2.0]  # cell 1 of 4
+        y, z = np.zeros(16, dtype=complex), np.zeros(16, dtype=complex)
+        y[0], z[12] = 1.0, 1.0  # cells 0 and 3
+        f = np.column_stack([self.unit(x + y), self.unit(3.0j * x + z)])
+        p = self.assert_matches_global(h0, f, 1.0, 4)
+        # cells 0, 1 and 3 each give one direction; the second piece in cell 1 is dropped
+        assert p.rank == 3
 
 
 class TestOneDecompositionPerCall:

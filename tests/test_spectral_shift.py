@@ -9,6 +9,7 @@ from unishift import (
     EmptyMatrix,
     EtaIntegrator,
     QuadratureRule,
+    UnishiftError,
     ZeroHarmonic,
     eta_profile,
     gauss_legendre,
@@ -19,6 +20,7 @@ from unishift import (
     unitary_eig,
 )
 from unishift.linalg import TWO_PI, UnitaryPath
+from unishift.quadrature import as_rule
 from unishift.spectral_shift import piecewise_linear_abs_integral
 
 seeds = st.integers(0, 2**31 - 1)
@@ -285,6 +287,27 @@ class TestEmptyMatrices:
     def test_eta_fourier(self):
         with pytest.raises(EmptyMatrix):
             EtaIntegrator(self.empty, self.empty).fourier(1)
+
+
+class TestTypedErrors:
+    """Bad rules and grids raise UnishiftError, never a bare ValueError or TypeError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gauss_legendre(0),
+            lambda: gauss_legendre(-3),
+            lambda: as_rule(2.0),
+            lambda: as_rule("64"),
+            lambda: as_rule(QuadratureRule(np.array([-0.5, 0.5]), np.array([0.5, 0.5]))),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), [2.0]),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).profile(1),
+            lambda: eta_profile(np.eye(2), np.zeros((2, 2)), 0, 4),
+        ],
+    )
+    def test_raises_unishift_error(self, call):
+        with pytest.raises(UnishiftError):
+            call()
 
 
 class TestEtaFourier:

@@ -139,6 +139,24 @@ class HermitianDecomposition:
         return _from_spectrum(self.vectors, np.exp(1j * s * self.eigenvalues))
 
 
+def _power_stream(u: np.ndarray, ms, b: np.ndarray | None = None):
+    """Yield (m, U^m B) for each wanted m, one product ``step @ Y`` per power step.
+
+    Positive m step by U, negative m by U*, the inverse of a unitary U; no
+    eigendecomposition is touched.  B = None stands for the identity, so
+    |m| = 1 yields a copy of U or U*; nothing yielded aliases U or B.
+    """
+    wanted = {int(m) for m in ms}
+    if 0 in wanted:
+        yield 0, np.eye(u.shape[0], dtype=u.dtype) if b is None else b.copy()
+    for sign, step in ((1, u), (-1, u.conj().T)):
+        y = b
+        for k in range(1, max((sign * m for m in wanted), default=0) + 1):
+            y = step.copy() if y is None else step @ y
+            if sign * k in wanted:
+                yield sign * k, y
+
+
 def _from_spectrum(vectors: np.ndarray, values) -> np.ndarray:
     """V diag(values) V* for eigencolumns V and per-eigenvalue scalars; stacks too."""
     return (vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors)

@@ -15,21 +15,26 @@ evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
-The direction is low rank, so no d x d exponential is ever formed.  Each
-audit call diagonalises A once and keeps the eigenpairs (F, tau) with
-|tau| > 1e-12 max(||A||, 1) (||A|| is read from the same eigenvalues); then
+Every audit and ``compressed_model`` first checks its operands against the
+projection: each must be an ambient-size square matrix
+(``DimensionMismatch``), and H0 and A Hermitian (``NotHermitian``).
+
+The direction is low rank, so no d x d exponential is ever formed.  The
+eigenpairs (F, tau) of A with |tau| > 1e-12 max(||A||, 1) (||A|| is read
+from the same eigenvalues) give
 
     e^{isA} = I + F diag(e^{is tau} - 1) F*,
 
 and likewise for the compressed direction Ap = B* A B of rank at most L,
-whose one decomposition also builds the compressed model.  The propagator
+whose kept eigenpairs the compressed model carries.  The propagator
 samples, the exponential off-block norms, the Taylor-remainder trace norm
 and the mixed-trace factors all work on d x L factors, and each mixed trace
 is an elementwise sum, not the trace of a product.
 
 Every other ambient step acts on the d x r orthonormal columns B of the
 projection (r = rank P).  No dense power of U0 or U is formed: the powers
-are streamed as U^m B, one product U Y (or U* Y) per step, and an off-block
+are streamed as U^m B by the same generator that serves the left side of
+the trace identity, one product U Y (or U* Y) per step, and an off-block
 norm ||P_perp X P||_2 is ||Y - B(B* Y)||_2 for Y = X B.  The resolvent
 checks solve (i +- H0) Y = B instead of inverting, the compressed powers
 are streamed from the r x r identity, and the mixed-trace factors read
@@ -41,9 +46,9 @@ are orthogonal; each cell's pieces are orthonormalised in that cell's
 eigen-coordinates and mapped back by its eigencolumns, with one drop
 tolerance on the piece norms and on the residuals.
 
-``convergence_study`` validates and decomposes H0 and A once for its whole
-ladder, and takes the trace of every pair it builds without validating that
-pair again.  Nothing is kept between calls.
+``convergence_study`` decomposes H0 and A once for its whole ladder, and
+takes the trace of every pair it builds without validating that pair
+again.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import numpy as np
 
 from .errors import (
     BadWindow,
+    DimensionMismatch,
     MissingConstruction,
     PartitionTooFine,
     SampleOutOfRange,
@@ -62,6 +68,7 @@ from .errors import (
 )
 from .linalg import (
     HermitianDecomposition,
+    _power_stream,
     as_matrix,
     herm_eig,
     hs_norm,
@@ -108,10 +115,6 @@ class ProjectionBasis:
     @property
     def rank(self) -> int:
         return self.columns.shape[1]
-
-    def offblock_hs(self, x) -> float:
-        """|| P_perp X P ||_2; right-multiplying by the isometry preserves it."""
-        return _offblock(self.columns, np.asarray(x) @ self.columns)
 
     def compress(self, x) -> np.ndarray:
         return self.columns.conj().T @ np.asarray(x) @ self.columns
@@ -245,21 +248,34 @@ class AuditReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _power_columns(u: np.ndarray, b: np.ndarray, ms):
-    """Yield (m, U^m B) for each wanted m, one product ``step @ Y`` per power step.
+def _ambient_operands(p: ProjectionBasis, **operands) -> list[np.ndarray]:
+    """Each operand as a complex p.ambient_dim square matrix; ``h0`` and ``a`` must be Hermitian.
 
-    Positive m step by U, negative m by U*, the inverse of a unitary U; the
-    dense powers of U are never formed.  U^0 B is B itself.
+    Any other shape raises ``DimensionMismatch``, a non-Hermitian H0 or A ``NotHermitian``.
     """
-    wanted = {int(m) for m in ms}
-    if 0 in wanted:
-        yield 0, b
-    for sign, step in ((1, u), (-1, u.conj().T)):
-        y = b
-        for k in range(1, max((sign * m for m in wanted), default=0) + 1):
-            y = step @ y
-            if sign * k in wanted:
-                yield sign * k, y
+    out = []
+    for name, x in operands.items():
+        if np.shape(x) != (p.ambient_dim, p.ambient_dim):
+            raise DimensionMismatch(f"{name} has shape {np.shape(x)}, not the projection's ambient {p.ambient_dim}")
+        out.append(require_hermitian(x, what=name) if name in ("h0", "a") else as_matrix(x))
+    return out
+
+
+def _audit_frame(p: ProjectionBasis, **operands) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """eps and the columns B of an audited projection, and its operands (see ``_ambient_operands``)."""
+    if p.params is None:
+        raise MissingConstruction("projection carries no construction record to audit")
+    return p.params.eps, p.columns, _ambient_operands(p, **operands)
+
+
+def _direction_factors(a, b: np.ndarray):
+    """A's kept pairs (F, tau), ||A||, P_perp F = F - B(B* F) and F* B.
+
+    F* is a co-isometry, so it drops out of the Hilbert-Schmidt norms of
+    P_perp A = P_perp F tau F* and P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F* P.
+    """
+    f, tau, a_op = _kept_pairs(herm_eig(a, check=False))
+    return f, tau, a_op, f - b @ (b.conj().T @ f), f.conj().T @ b
 
 
 def _check(name: str, value: float, bound: float, slack: float = AUDIT_SLACK) -> BoundCheck:
@@ -273,12 +289,7 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     ||P_perp H0 P||_2, both resolvents ||P_perp (i +- H0)^{-1} P||_2, and the
     unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.
     """
-    if p.params is None:
-        raise MissingConstruction("projection carries no construction record to audit")
-    eps = p.params.eps
-    h0 = as_matrix(h0)
-    u0 = as_matrix(u0)
-    b = p.columns
+    eps, b, (h0, u0) = _audit_frame(p, h0=h0, u0=u0)
     checks = []
     for l in range(p.directions.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", _offblock(b, p.directions[:, l]), eps))
@@ -286,7 +297,7 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     eye = 1j * np.eye(p.ambient_dim)
     checks.append(_check("resolvent_plus", _offblock(b, np.linalg.solve(eye + h0, b)), eps))
     checks.append(_check("resolvent_minus", _offblock(b, np.linalg.solve(eye - h0, b)), eps))
-    base = dict(_power_columns(u0, b, m_list))
+    base = dict(_power_stream(u0, m_list, b))
     for m in m_list:
         checks.append(_check(f"base_power[{m}]", _offblock(b, base[int(m)]), 2 * abs(m) * eps))
     return AuditReport(label="window-projection", eps=eps, checks=tuple(checks))
@@ -299,17 +310,8 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     < 2 T e^{T ||A||} eps over the sample grid, the base powers, and the
     perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps.
     """
-    if p.params is None:
-        raise MissingConstruction("projection carries no construction record to audit")
-    eps = p.params.eps
-    u0 = as_matrix(u0)
-    u = as_matrix(u)
-    f, tau, a_op = _kept_pairs(herm_eig(as_matrix(a), check=False))
-    b = p.columns
-    # P_perp A = P_perp F tau F* and P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F* P;
-    # F* is a co-isometry, so it drops out of the Hilbert-Schmidt norm.
-    f_perp = f - b @ (b.conj().T @ f)
-    fb = f.conj().T @ b
+    eps, b, (u0, u, a) = _audit_frame(p, u0=u0, u=u, a=a)
+    _, tau, a_op, f_perp, fb = _direction_factors(a, b)
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
     for t in t_samples:
@@ -317,7 +319,7 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
             raise SampleOutOfRange("propagator samples must stay within [-T, T]")
         value = hs_norm(_exp_step(f_perp, tau, float(t)) @ fb)
         checks.append(_check(f"propagator[t={float(t):+.3f}]", value, propagator_bound))
-    base, pert = dict(_power_columns(u0, b, m_list)), dict(_power_columns(u, b, m_list))
+    base, pert = dict(_power_stream(u0, m_list, b)), dict(_power_stream(u, m_list, b))
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
     for m in m_list:
         m = int(m)
@@ -328,12 +330,18 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
 
 @dataclass(frozen=True)
 class CompressedModel:
-    """The pair compressed to ran P: base unitary, direction, endpoint, phase."""
+    """The pair compressed to ran P: base unitary, direction, endpoint, phase.
+
+    ``ap_vectors`` and ``ap_values`` are the kept eigenpairs (Fc, tau_c) of
+    the direction, so e^{isAp} = I + Fc diag(e^{is tau_c} - 1) Fc*.
+    """
 
     u0p: np.ndarray
     ap: np.ndarray
     up: np.ndarray
     phase: float
+    ap_vectors: np.ndarray
+    ap_values: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -346,21 +354,16 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     The compressed base is the phase-rotated Cayley image of B* H0 B, which
     is Hermitian, so i + B* H0 B is always invertible; the endpoint is
     e^{i Ap} U0p.  P commutes with both rebuilt unitaries by construction,
-    which is what makes rank-coordinates legitimate.
+    which is what makes rank-coordinates legitimate.  H0 and A must be
+    Hermitian and of the projection's ambient size.
     """
-    return _compress(p, h0, a, phase)[0]
-
-
-def _compress(p: ProjectionBasis, h0, a, phase: float) -> tuple[CompressedModel, np.ndarray, np.ndarray]:
-    """``compressed_model`` and the kept eigenpairs (Fc, tau_c) of Ap = B* A B."""
-    hc = p.compress(as_matrix(h0))
+    hc, ac = (p.compress(x) for x in _ambient_operands(p, h0=h0, a=a))
     hc = 0.5 * (hc + hc.conj().T)
-    ac = p.compress(as_matrix(a))
     ac = 0.5 * (ac + ac.conj().T)
     u0p = _cayley(hc, phase)
     fc, tau_c, _ = _kept_pairs(herm_eig(ac, check=False))
     up = u0p + _exp_step(fc, tau_c) @ (fc.conj().T @ u0p)
-    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase), fc, tau_c
+    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c)
 
 
 def audit_compressed_model(
@@ -374,22 +377,15 @@ def audit_compressed_model(
     ||(U0^m - U0p^m) P||_2 and ||P (U^m - Up^m) P||_2, and the mixed traces
     |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.
     """
-    if p.params is None:
-        raise MissingConstruction("projection carries no construction record to audit")
-    eps = p.params.eps
-    a = as_matrix(a)
-    u0 = as_matrix(u0)
-    u = as_matrix(u)
-    f, tau, a_op = _kept_pairs(herm_eig(a, check=False))
-    a_hs = hs_norm(a)
-    b = p.columns
-    model, fc, tau_c = _compress(p, h0, a, phase)
+    eps, b, (u0, u) = _audit_frame(p, u0=u0, u=u)
+    model = compressed_model(p, h0, a, phase)  # checks H0 and A
+    f, tau, a_op, f_perp, fb = _direction_factors(a, b)
+    fc, tau_c = model.ap_vectors, model.ap_values
+    a_hs = hs_norm(as_matrix(a))
     if s_samples is None:
         s_samples = np.linspace(-t_max, t_max, 21)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
-    f_perp = f - b @ (b.conj().T @ f)
-    fb = f.conj().T @ b
     bfc = b @ fc
     checks = [_check("exp_step_offblock", hs_norm(_exp_step(f_perp, tau)), 2 * eps)]
     worst = 0.0
@@ -403,10 +399,9 @@ def audit_compressed_model(
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     # U0^m B and U^m B are streamed on the d x r columns; the compressed
     # powers are r x r, streamed from the identity.
-    eye_r = np.eye(p.rank, dtype=np.complex128)
-    base = dict(_power_columns(u0, b, [*m_list, *k_list]))
-    base_c = dict(_power_columns(model.u0p, eye_r, m_list))
-    pert, pert_c = dict(_power_columns(u, b, m_list)), dict(_power_columns(model.up, eye_r, m_list))
+    base = dict(_power_stream(u0, [*m_list, *k_list], b))
+    base_c = dict(_power_stream(model.u0p, m_list))
+    pert, pert_c = dict(_power_stream(u, m_list, b)), dict(_power_stream(model.up, m_list))
     for m in m_list:
         m = int(m)
         value = hs_norm(base[m] - b @ base_c[m])

@@ -7,8 +7,9 @@ For U = e^{iA} U0 and a trigonometric polynomial p, the identity reads
 
 Both sides are linear in the coefficients of p, so each is assembled from
 one number per Fourier mode n.  The left side streams the powers U^k and
-U0^k, one matrix product each per step (adjoints for negative modes), and
-takes the derivative term from the cyclic trace identity below; the right
+U0^k, one matrix product each per step (adjoints for negative modes), with
+the generator the reduction audits use for U^m B (``linalg._power_stream``),
+and takes the derivative term from the cyclic trace identity below; the right
 side is an exact sum over the jump list of eta (eigenangles of U_s at
 Gauss-Legendre nodes in s, see ``spectral_shift``).  The left side touches
 no eigendecomposition, so the two sides share no spectral code path and
@@ -41,25 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OnUnitCircle, UnishiftError
-from .linalg import UnitaryPath, hs_norm, op_norm, trace
+from .linalg import UnitaryPath, _power_stream, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial
-
-
-def _powers(u: np.ndarray, wanted):
-    """Yield (n, U^n) for each wanted nonzero n, one matrix product per step.
-
-    Positive n step by U, negative n by U*, which for unitary input is the
-    exact inverse; |n| = 1 yields a copy of U or U*, so nothing yielded
-    aliases the caller's matrix.  Nothing touches an eigendecomposition.
-    """
-    wanted = set(wanted)
-    for sign, step in ((1, u), (-1, u.conj().T)):
-        power = None
-        for k in range(1, max((sign * n for n in wanted), default=0) + 1):
-            power = step.copy() if k == 1 else power @ step
-            if sign * k in wanted:
-                yield sign * k, power
 
 
 # Largest resolvent series order; a z that needs more counts as on the circle.
@@ -98,8 +83,8 @@ def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> dic
     largest wanted |n|; nothing is kept between steps.
     """
     modes = set(modes)
-    out = {0: 0j} if 0 in modes else {}
-    for (n, power), (_, power0) in zip(_powers(u, modes), _powers(u0, modes)):
+    out = {}
+    for (n, power), (_, power0) in zip(_power_stream(u, modes), _power_stream(u0, modes)):
         out[n] = complex(power.trace() - power0.trace()) - 1j * n * complex(np.vdot(a, power0))
     return out
 

@@ -14,7 +14,9 @@ from oracles import (
 )
 from unishift import (
     BadWindow,
+    DimensionMismatch,
     MissingConstruction,
+    NotHermitian,
     PartitionTooFine,
     PhaseTooClose,
     ProjectionBasis,
@@ -38,7 +40,7 @@ from unishift import (
     spread_diagonal,
 )
 from unishift.linalg import haar_unitary
-from unishift.reduction import random_low_rank_hermitian
+from unishift.reduction import _offblock, random_low_rank_hermitian
 from unishift.trace_formula import _exp_remainder_factor
 
 seeds = st.integers(0, 2**31 - 1)
@@ -138,7 +140,7 @@ class TestProjectionAudit:
         vals = []
         for n in cells:
             p = build_direction_projection(inst.h0, inst.a, inst.half_width, n)
-            value = p.offblock_hs(res)
+            value = _offblock(p.columns, res @ p.columns)
             assert value <= p.params.eps + 1e-10
             vals.append(value)
         slope = np.polyfit(np.log(cells), np.log(vals), 1)[0]
@@ -498,6 +500,9 @@ class TestTypedErrors:
         bare = ProjectionBasis(32, p.columns, p.directions, params=None)
         seed = np.zeros(32, dtype=complex)
         seed[0] = 2.0
+        skew_a = inst.a + 1e-3 * np.triu(np.ones((32, 32)), 1)
+        skew_h0 = inst.h0 + 1e-3 * np.triu(np.ones((32, 32)), 1)
+        small = np.eye(31, dtype=complex)
         cases = [
             (PartitionTooFine, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [16])),
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [0, 4])),
@@ -513,6 +518,17 @@ class TestTypedErrors:
                 bare, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
             (SampleOutOfRange, lambda: audit_perturbation_estimates(
                 p, inst.u0, inst.u, inst.a, 1.0, [1], [-1.5])),
+            (NotHermitian, lambda: audit_projection_estimates(p, skew_h0, inst.u0, [1])),
+            (DimensionMismatch, lambda: audit_projection_estimates(p, inst.h0, small, [1])),
+            (NotHermitian, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, skew_a, 2.0, [1], [0.0])),
+            (DimensionMismatch, lambda: audit_perturbation_estimates(
+                p, inst.u0, inst.u[:, :31], inst.a, 2.0, [1], [0.0])),
+            (NotHermitian, lambda: audit_compressed_model(
+                p, inst.h0, skew_a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
+            (DimensionMismatch, lambda: audit_compressed_model(
+                p, inst.h0, inst.a, small, inst.u, inst.phase, 2.0, [1], [1])),
+            (NotHermitian, lambda: compressed_model(p, skew_h0, inst.a, inst.phase)),
+            (DimensionMismatch, lambda: compressed_model(ProjectionBasis.full_space(31), inst.h0, inst.a, 0.0)),
         ]
         for error, call in cases:
             with pytest.raises(error):

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gateaux_monomial, gateaux_series, polynomial_of, power
@@ -15,6 +15,7 @@ from unishift import (
     PathMismatch,
     TrigPolynomial,
     batch_verify,
+    eta_profile,
     gauss_legendre,
     hs_norm,
     lhs_trace,
@@ -25,8 +26,8 @@ from unishift import (
     trace_norm,
 )
 from unishift import linalg
-from unishift.linalg import UnitaryPath
-from unishift.trace_formula import _lhs_mode_traces, _powers, resolvent_coefficients, resolvent_truncation
+from unishift.linalg import UnitaryPath, _power_stream, haar_unitary, herm_eig, random_hermitian
+from unishift.trace_formula import _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
 
 seeds = st.integers(0, 2**31 - 1)
@@ -64,14 +65,25 @@ class TestPowers:
     def test_matches_matrix_power(self):
         pair = random_pair(0, 5, 1.0)
         wanted = [0, 1, 3, -2, -5, 4, -1]
-        got = dict(_powers(pair.u, wanted))
-        assert sorted(got) == [-5, -2, -1, 1, 3, 4]
+        got = dict(_power_stream(pair.u, wanted))
+        assert sorted(got) == [-5, -2, -1, 0, 1, 3, 4]
         for n, p in got.items():
             ref = np.linalg.matrix_power(pair.u if n > 0 else pair.u.conj().T, abs(n))
             np.testing.assert_allclose(p, ref, atol=1e-11)
         # the unit powers are copies, never views of the input
         assert not np.shares_memory(got[1], pair.u) and not np.shares_memory(got[-1], pair.u)
-        assert list(_powers(pair.u, [])) == []
+        assert list(_power_stream(pair.u, [])) == []
+
+    def test_columns_match_matrix_power(self):
+        pair = random_pair(1, 6, 1.0)
+        b = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)) + 0j)[0]
+        got = dict(_power_stream(pair.u, [0, 1, -1, 3, -3], b))
+        assert sorted(got) == [-3, -1, 0, 1, 3]
+        for m, y in got.items():
+            ref = np.linalg.matrix_power(pair.u if m >= 0 else pair.u.conj().T, abs(m)) @ b
+            assert y.shape == (6, 2)
+            np.testing.assert_allclose(y, ref, atol=1e-12)
+            assert not np.shares_memory(y, b) and not np.shares_memory(y, pair.u)
 
 
 class TestGateauxMonomial:
@@ -270,6 +282,36 @@ class TestVerify:
         empty = np.zeros((0, 0), dtype=complex)
         with pytest.raises(EmptyMatrix):
             batch_verify(empty, empty, empty, [TrigPolynomial.monomial(1)])
+
+
+class TestEdgeSpectra:
+    """The identity where U0 has eigenvalues at or next to 1 and -1, or repeated ones."""
+
+    @staticmethod
+    def base(rng, dim, kind, rotate):
+        if kind == "repeated":
+            z = np.exp(1j * rng.choice(rng.uniform(0.0, 2 * np.pi, 2), dim))
+        else:
+            z = rng.choice([1.0, -1.0], dim).astype(complex)
+            if kind == "near":
+                z *= np.exp(1j * rng.uniform(-1e-13, 1e-13, dim))
+        u0 = np.diag(z)
+        if rotate:
+            q = haar_unitary(rng, dim)
+            u0 = q @ u0 @ q.conj().T
+        return u0
+
+    @given(seeds, st.integers(1, 8), st.sampled_from(["exact", "near", "repeated"]), st.booleans(),
+           st.sampled_from([1e-9, 0.5, 3.1]))
+    @settings(max_examples=60)
+    def test_monomials_and_l1_bound(self, seed, dim, kind, rotate, scale):
+        rng = np.random.default_rng(seed)
+        u0 = self.base(rng, dim, kind, rotate)
+        a = random_hermitian(rng, dim, scale)
+        u = herm_eig(a).exp_i() @ u0
+        reports = batch_verify(u0, u, a, [TrigPolynomial.monomial(r) for r in range(-6, 7)], tol=1e-8)
+        assert all(rep.passed for rep in reports), max(rep.rel_err for rep in reports)
+        assert eta_profile(u0, a, 256).l1_eta0 <= np.pi / 2 * hs_norm(a) ** 2 + 1e-8
 
 
 class TestRemainderBound:

@@ -19,7 +19,6 @@ from .errors import (
     OnUnitCircle,
     PartitionTooFine,
     PathMismatch,
-    PhaseTooClose,
     SampleOutOfRange,
     UnishiftError,
     UnnormalisedSeed,
@@ -54,7 +53,6 @@ from .trace_formula import (
     VerificationReport,
     batch_verify,
     lhs_trace,
-    remainder_trace_norm_bound,
     resolvent_check,
 )
 from .doi import (

@@ -77,9 +77,9 @@ def circle_function_of(g: TrigPolynomial, dec: SpectralDecomposition) -> np.ndar
     return _from_spectrum(dec.vectors, g(np.exp(1j * dec.angles)))
 
 
-def sampled_sup_norm(p: TrigPolynomial, samples: int = SUP_SAMPLES) -> float:
-    """max |p(e^{it})| on a uniform mesh; exact enough for low-degree input."""
-    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+def sampled_sup_norm(p: TrigPolynomial) -> float:
+    """max |p(e^{it})| on a uniform mesh of ``SUP_SAMPLES`` points; exact enough for low-degree input."""
+    t = np.linspace(0.0, 2.0 * np.pi, SUP_SAMPLES, endpoint=False)
     return float(np.max(np.abs(p.at_angle(t)), initial=0.0))
 
 
@@ -94,7 +94,7 @@ class SchurBoundReport:
     passed: bool
 
 
-def schur_bound_check(f: TrigPolynomial, us, u0, samples: int = SUP_SAMPLES) -> SchurBoundReport:
+def schur_bound_check(f: TrigPolynomial, us, u0) -> SchurBoundReport:
     """Check ||g(Us) - g(U0)||_2 <= pi ||f||_inf ||Us - U0||_2 for g = primitive_of(f).
 
     Also audits the kernel itself against its sup bound (pi/2) ||f0||_inf.
@@ -107,9 +107,9 @@ def schur_bound_check(f: TrigPolynomial, us, u0, samples: int = SUP_SAMPLES) -> 
     g = primitive_of(f)
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     lhs = hs_norm(circle_function_of(g, ldec) - circle_function_of(g, rdec))
-    f_sup = sampled_sup_norm(f, samples)
+    f_sup = sampled_sup_norm(f)
     f0 = f - TrigPolynomial.constant(f.coeffs.get(0, 0.0))
-    f0_sup = sampled_sup_norm(f0, samples)
+    f0_sup = sampled_sup_norm(f0)
     rhs = np.pi * f_sup * hs_norm(us - u0)
     ker_sup = float(np.max(np.abs(kernel(g, ldec, rdec)), initial=0.0))
     ker_bound = 0.5 * np.pi * f0_sup
@@ -120,6 +120,6 @@ def schur_bound_check(f: TrigPolynomial, us, u0, samples: int = SUP_SAMPLES) -> 
         f_sup=f_sup,
         kernel_sup=ker_sup,
         kernel_bound=float(ker_bound),
-        samples=samples,
+        samples=SUP_SAMPLES,
         passed=passed,
     )

@@ -25,10 +25,6 @@ class DimensionMismatch(UnishiftError):
     """Operands of an operation do not share a common dimension."""
 
 
-class PhaseTooClose(UnishiftError):
-    """The rotation phase puts -e^{i*phase} too close to the spectrum."""
-
-
 class BadWindow(UnishiftError):
     """The spectral window (-a, a] is empty, has no cells, or does not capture a seed vector."""
 

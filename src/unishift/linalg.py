@@ -47,9 +47,17 @@ def _require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_array(m, copy: bool | None) -> np.ndarray:
+    """``np.array(m, complex128, copy=copy)``; ragged or non-numeric input raises ``UnishiftError``."""
+    try:
+        return np.array(m, dtype=np.complex128, copy=copy)
+    except (TypeError, ValueError) as exc:
+        raise UnishiftError(f"not a rectangular numeric array: {exc}") from exc
+
+
 def _as_stack(m) -> np.ndarray:
     """Coerce to a complex128 stack (..., d, d) of square matrices with finite entries."""
-    a = np.array(m, dtype=np.complex128)
+    a = _as_array(m, copy=True)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise UnishiftError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return _require_finite(a)
@@ -258,9 +266,9 @@ def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
     )
 
 
-def log_unitary(v, check: bool = True) -> np.ndarray:
+def log_unitary(v) -> np.ndarray:
     """Principal logarithm A of a unitary: A Hermitian, spectrum in (-pi, pi], e^{iA} = V."""
-    dec = unitary_eig(as_matrix(v), check=check)
+    dec = unitary_eig(as_matrix(v))
     x = np.where(dec.angles > np.pi, dec.angles - TWO_PI, dec.angles)
     a = _from_spectrum(dec.vectors, x)
     return 0.5 * (a + a.conj().T)
@@ -287,13 +295,12 @@ class UnitaryPath:
     def at(self, s: float) -> np.ndarray:
         return self.direction_spectrum.exp_i(s) @ self.u0
 
-    def require_endpoint(self, u, tol: float | None = None) -> np.ndarray:
-        """U checked as the endpoint: unitary, same size, within tol (default dim * 1e-10) of e^{iA} U0."""
+    def require_endpoint(self, u) -> np.ndarray:
+        """U checked as the endpoint: unitary, same size, within dim * 1e-10 of e^{iA} U0."""
         u = require_unitary(u, what="path endpoint")
         if u.shape != self.u0.shape:
             raise DimensionMismatch(f"path endpoint is {u.shape} but base is {self.u0.shape}")
-        if tol is None:
-            tol = u.shape[0] * 1e-10
+        tol = u.shape[0] * 1e-10
         dev = op_norm(u - self.at(1.0))
         if dev > tol:
             raise PathMismatch(f"U deviates from e^(iA) U0 by {dev:.3e} (tol {tol:.3e})")
@@ -325,8 +332,8 @@ def random_hermitian(rng: np.random.Generator, dim: int, op_scale: float) -> np.
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / 2.0
     h = g + g.conj().T
     top = op_norm(h)
-    if top == 0.0:  # pragma: no cover - probability zero
-        raise ValueError("degenerate random draw")
+    if top == 0.0:  # only a 0x0 draw; nonzero sizes have probability zero
+        raise UnishiftError(f"a {dim}x{dim} random Hermitian draw has zero norm")
     return h * (op_scale / top)
 
 

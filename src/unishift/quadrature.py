@@ -23,7 +23,7 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
 
-def gauss_legendre(n: int = DEFAULT_S_NODES) -> QuadratureRule:
+def gauss_legendre(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule mapped from [-1, 1] to [0, 1].
 
     The symmetric raw rule integrates s exactly, so sum(w * s) = 1/2 to

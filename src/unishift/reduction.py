@@ -15,9 +15,11 @@ evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
-Every audit and ``compressed_model`` first checks its operands against the
-projection: each must be an ambient-size square matrix
-(``DimensionMismatch``), and H0 and A Hermitian (``NotHermitian``).
+Each public entry point checks its operands once, in one private check,
+and everything behind it trusts them: each of H0, A, U0 and U must be a
+finite square matrix of the ambient size (the projection's, or else that of
+the first operand) and each seed a vector of that length
+(``DimensionMismatch``), and H0 and A must be Hermitian (``NotHermitian``).
 
 The direction is low rank, so no d x d exponential is ever formed.  The
 eigenpairs (F, tau) of A with |tau| > 1e-12 max(||A||, 1) (||A|| is read
@@ -46,9 +48,9 @@ are orthogonal; each cell's pieces are orthonormalised in that cell's
 eigen-coordinates and mapped back by its eigencolumns, with one drop
 tolerance on the piece norms and on the residuals.
 
-``convergence_study`` decomposes H0 and A once for its whole ladder, and
-takes the trace of every pair it builds without validating that pair
-again.  Nothing is kept between calls.
+``convergence_study`` checks and decomposes H0 and A once for its whole
+ladder, and builds and traces every rung's pair without checking it again.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ from .errors import (
 )
 from .linalg import (
     HermitianDecomposition,
+    _as_array,
     _power_stream,
-    as_matrix,
+    _require_finite,
     herm_eig,
     hs_norm,
     require_hermitian,
@@ -84,7 +87,8 @@ AUDIT_SLACK = 1e-10
 
 def cayley_inverse(h0, phase: float) -> np.ndarray:
     """Unitary e^{i phase} (i - H0)(i + H0)^{-1} from a Hermitian H0."""
-    return _cayley(require_hermitian(h0, what="cayley preimage"), phase)
+    (h0,) = _ambient_operands(None, h0=h0)
+    return _cayley(h0, phase)
 
 
 def _cayley(h0: np.ndarray, phase: float) -> np.ndarray:
@@ -116,21 +120,13 @@ class ProjectionBasis:
     def rank(self) -> int:
         return self.columns.shape[1]
 
-    def compress(self, x) -> np.ndarray:
-        return self.columns.conj().T @ np.asarray(x) @ self.columns
-
-    @classmethod
-    def full_space(cls, dim: int) -> "ProjectionBasis":
-        eye = np.eye(dim, dtype=np.complex128)
-        return cls(ambient_dim=dim, columns=eye, directions=eye[:, :0])
-
 
 def _offblock(b: np.ndarray, y: np.ndarray) -> float:
     """||Y - B(B*Y)||_2: the part of Y outside ran B (for Y = X B, ||P_perp X P||_2)."""
     return hs_norm(y - b @ (b.conj().T @ y))
 
 
-def _orthonormalize(candidates: list[np.ndarray], dim: int, drop_tol: float) -> np.ndarray:
+def _orthonormalize(candidates: list[np.ndarray], dim: int) -> np.ndarray:
     """Modified Gram-Schmidt with one re-orthogonalisation pass per vector."""
     basis = np.zeros((dim, len(candidates)), dtype=np.complex128)
     kept = 0
@@ -141,13 +137,13 @@ def _orthonormalize(candidates: list[np.ndarray], dim: int, drop_tol: float) -> 
                 q = basis[:, :kept]
                 v -= q @ (q.conj().T @ v)
         norm = np.linalg.norm(v)
-        if norm > drop_tol:
+        if norm > GS_DROP_TOL:
             basis[:, kept] = v / norm
             kept += 1
     return basis[:, :kept].copy()
 
 
-def build_projection(h0, vectors, half_width: float, cells: int, drop_tol: float = GS_DROP_TOL) -> ProjectionBasis:
+def build_projection(h0, vectors, half_width: float, cells: int) -> ProjectionBasis:
     """Span of the spectral-cell pieces of the seed vectors.
 
     The window (-a, a] splits into ``cells`` half-open intervals; each seed
@@ -155,19 +151,18 @@ def build_projection(h0, vectors, half_width: float, cells: int, drop_tol: float
     meets.  A seed leaking past the window by more than eps = L a / sqrt(n)
     is an error, since every off-block estimate downstream assumes capture.
     """
-    h0 = require_hermitian(h0, what="window operator")
-    f = np.column_stack([np.asarray(v, dtype=np.complex128) for v in vectors])
-    return _window_basis(herm_eig(h0, check=False), f, half_width, cells, drop_tol)
+    h0, f = _ambient_operands(None, h0=h0, seeds=vectors)
+    return _window_basis(herm_eig(h0, check=False), f, half_width, cells)
 
 
-def _window_basis(
-    dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int, drop_tol: float = GS_DROP_TOL
-) -> ProjectionBasis:
+def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int) -> ProjectionBasis:
     """``build_projection`` from the eigendecomposition of H0 and the seeds as columns."""
     dim, count = f.shape
+    if count == 0:
+        raise ZeroDirection("no seed vectors to project (a zero direction gives none)")
     lengths = np.linalg.norm(f, axis=0)
-    if np.any(np.abs(lengths - 1.0) > 1e-10):
-        raise UnnormalisedSeed("seed vectors must be normalised")
+    if not np.all(np.abs(lengths - 1.0) <= 1e-10):  # NaN lengths fail too
+        raise UnnormalisedSeed("seed vectors must be finite and normalised")
     if cells < 1 or half_width <= 0.0:
         raise BadWindow("need a positive window and at least one cell")
     eps = count * half_width / np.sqrt(cells)
@@ -189,8 +184,8 @@ def _window_basis(
             continue
         pieces = coords[rows, :]
         norms = np.linalg.norm(pieces, axis=0)
-        candidates = [pieces[:, l] / norms[l] for l in range(count) if norms[l] > drop_tol]
-        blocks.append(dec.vectors[:, rows] @ _orthonormalize(candidates, pieces.shape[0], drop_tol))
+        candidates = [pieces[:, l] / norms[l] for l in range(count) if norms[l] > GS_DROP_TOL]
+        blocks.append(dec.vectors[:, rows] @ _orthonormalize(candidates, pieces.shape[0]))
     return ProjectionBasis(
         ambient_dim=dim,
         columns=np.concatenate(blocks, axis=1),
@@ -199,13 +194,13 @@ def _window_basis(
     )
 
 
-def _kept_pairs(dec: HermitianDecomposition, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs (F, tau) with |tau| > rel_tol max(||H||, 1), and ||H|| = max |eigenvalue|.
+def _kept_pairs(dec: HermitianDecomposition) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs (F, tau) with |tau| > 1e-12 max(||H||, 1), and ||H|| = max |eigenvalue|.
 
     Up to the dropped eigenvalues, e^{isH} = I + F diag(e^{is tau} - 1) F*.
     """
     top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    keep = np.abs(dec.eigenvalues) > rel_tol * max(top, 1.0)
+    keep = np.abs(dec.eigenvalues) > 1e-12 * max(top, 1.0)
     return dec.vectors[:, keep], dec.eigenvalues[keep], top
 
 
@@ -214,16 +209,11 @@ def _exp_step(f: np.ndarray, tau: np.ndarray, s: float = 1.0) -> np.ndarray:
     return f * np.expm1(1j * s * tau)
 
 
-def _require_seeds(f: np.ndarray) -> None:
-    if f.shape[1] == 0:
-        raise ZeroDirection("direction operator is zero; no seeds to project")
-
-
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
     """Window projection seeded by the eigenvectors of the low-rank direction A."""
-    f, _, _ = _kept_pairs(herm_eig(require_hermitian(a, what="direction operator"), check=False))
-    _require_seeds(f)
-    return build_projection(h0, [f[:, l] for l in range(f.shape[1])], half_width, cells)
+    h0, a = _ambient_operands(None, h0=h0, a=a)
+    f, _, _ = _kept_pairs(herm_eig(a, check=False))
+    return _window_basis(herm_eig(h0, check=False), f, half_width, cells)
 
 
 @dataclass(frozen=True)
@@ -248,16 +238,29 @@ class AuditReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _ambient_operands(p: ProjectionBasis, **operands) -> list[np.ndarray]:
-    """Each operand as a complex p.ambient_dim square matrix; ``h0`` and ``a`` must be Hermitian.
+def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]:
+    """The one operand check: each operand as a complex array, in the order given.
 
-    Any other shape raises ``DimensionMismatch``, a non-Hermitian H0 or A ``NotHermitian``.
+    The ambient size is the projection's, or without one the first
+    operand's.  Every operand must be a finite square matrix of that size,
+    except ``seeds``, a list of vectors of that length returned as columns
+    (``DimensionMismatch``); ``h0`` and ``a`` must be Hermitian (``NotHermitian``).
     """
+    dim = None if p is None else p.ambient_dim
     out = []
     for name, x in operands.items():
-        if np.shape(x) != (p.ambient_dim, p.ambient_dim):
-            raise DimensionMismatch(f"{name} has shape {np.shape(x)}, not the projection's ambient {p.ambient_dim}")
-        out.append(require_hermitian(x, what=name) if name in ("h0", "a") else as_matrix(x))
+        if name == "seeds":
+            f = [_as_array(v, copy=None) for v in x]
+            if any(v.shape != (dim,) for v in f):
+                raise DimensionMismatch(f"seeds must be vectors of the ambient length {dim}")
+            out.append(np.column_stack(f) if f else np.zeros((dim, 0), dtype=np.complex128))
+            continue
+        x = _as_array(x, copy=None)  # require_hermitian copies; U0 and U are only read
+        if dim is None:
+            dim = x.shape[0] if x.ndim else 0
+        if x.shape != (dim, dim):
+            raise DimensionMismatch(f"{name} has shape {x.shape}, not the ambient {dim} x {dim}")
+        out.append(require_hermitian(x, what=name) if name in ("h0", "a") else _require_finite(x))
     return out
 
 
@@ -278,8 +281,8 @@ def _direction_factors(a, b: np.ndarray):
     return f, tau, a_op, f - b @ (b.conj().T @ f), f.conj().T @ b
 
 
-def _check(name: str, value: float, bound: float, slack: float = AUDIT_SLACK) -> BoundCheck:
-    return BoundCheck(name=name, value=float(value), bound=float(bound), ok=bool(value <= bound + slack))
+def _check(name: str, value: float, bound: float) -> BoundCheck:
+    return BoundCheck(name=name, value=float(value), bound=float(bound), ok=bool(value <= bound + AUDIT_SLACK))
 
 
 def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditReport:
@@ -357,7 +360,14 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     which is what makes rank-coordinates legitimate.  H0 and A must be
     Hermitian and of the projection's ambient size.
     """
-    hc, ac = (p.compress(x) for x in _ambient_operands(p, h0=h0, a=a))
+    h0, a = _ambient_operands(p, h0=h0, a=a)
+    return _compressed(p, h0, a, phase)
+
+
+def _compressed(p: ProjectionBasis, h0: np.ndarray, a: np.ndarray, phase: float) -> CompressedModel:
+    """``compressed_model`` of operands that passed the check."""
+    b = p.columns
+    hc, ac = b.conj().T @ h0 @ b, b.conj().T @ a @ b
     hc = 0.5 * (hc + hc.conj().T)
     ac = 0.5 * (ac + ac.conj().T)
     u0p = _cayley(hc, phase)
@@ -377,11 +387,11 @@ def audit_compressed_model(
     ||(U0^m - U0p^m) P||_2 and ||P (U^m - Up^m) P||_2, and the mixed traces
     |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.
     """
-    eps, b, (u0, u) = _audit_frame(p, u0=u0, u=u)
-    model = compressed_model(p, h0, a, phase)  # checks H0 and A
+    eps, b, (h0, a, u0, u) = _audit_frame(p, h0=h0, a=a, u0=u0, u=u)
+    model = _compressed(p, h0, a, phase)
     f, tau, a_op, f_perp, fb = _direction_factors(a, b)
     fc, tau_c = model.ap_vectors, model.ap_values
-    a_hs = hs_norm(as_matrix(a))
+    a_hs = hs_norm(a)
     if s_samples is None:
         s_samples = np.linspace(-t_max, t_max, 21)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
@@ -443,35 +453,31 @@ class ConvergenceStudy:
     rows: tuple[ConvergenceRow, ...]
 
 
-def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts, half_width: float | None = None) -> ConvergenceStudy:
+def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> ConvergenceStudy:
     """Compressed-trace error across a ladder of partition resolutions.
 
     For each cell count n the study builds the direction-seeded projection,
     forms the compressed model, evaluates the second-order trace on the
-    compressed operators, and records |full - compressed|.  The ambient
-    space must be at least 4x the finest partition so cells keep holding
-    several eigenvalues.
+    compressed operators, and records |full - compressed|.  The window is
+    the extent of H0's spectrum.  The ambient space must be at least 4x the
+    finest partition so cells keep holding several eigenvalues.
     """
-    h0 = require_hermitian(h0, what="ambient window operator")
-    a = require_hermitian(a, what="ambient direction")
+    h0, a = _ambient_operands(None, h0=h0, a=a)
     cell_counts = [int(n) for n in cell_counts]
-    if min(cell_counts) < 1:
-        raise BadWindow("cell counts must be positive")
+    if min(cell_counts, default=0) < 1:
+        raise BadWindow("need at least one cell count, all positive")
     if h0.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
     h0_dec = herm_eig(h0, check=False)
     f, tau, _ = _kept_pairs(herm_eig(a, check=False))
-    _require_seeds(f)
-    if half_width is None:
-        extent = float(np.max(np.abs(h0_dec.eigenvalues)))
-        half_width = extent * (1.0 + 1e-12) + 1e-15
+    half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
     u0 = _cayley(h0, phase)
     u = u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
     full = _lhs(u0, u, a, p)
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n)
-        model = compressed_model(proj, h0, a, phase)
+        model = _compressed(proj, h0, a, phase)
         compressed = _lhs(model.u0p, model.up, model.ap, p)
         rows.append(
             ConvergenceRow(
@@ -509,11 +515,11 @@ class ReductionInstance:
     half_width: float
 
 
-def reduction_instance(seed: int, ambient: int, rank: int, scale: float, half_width: float = 1.0, phase: float = 0.0) -> ReductionInstance:
-    """Seeded ambient model: equidistributed diagonal H0 and a low-rank direction."""
+def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: float = 0.0) -> ReductionInstance:
+    """Seeded ambient model: H0 equidistributed in (-1, 1) and a low-rank direction."""
     rng = np.random.default_rng(seed)
-    h0 = spread_diagonal(ambient, half_width)
+    h0 = spread_diagonal(ambient, 1.0)
     a = random_low_rank_hermitian(rng, ambient, rank, scale)
-    u0 = cayley_inverse(h0, phase)
+    u0 = _cayley(h0, phase)
     u = herm_eig(a, check=False).exp_i() @ u0
-    return ReductionInstance(h0=h0, a=a, phase=phase, u0=u0, u=u, half_width=half_width)
+    return ReductionInstance(h0=h0, a=a, phase=phase, u0=u0, u=u, half_width=1.0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnishiftError, ZeroHarmonic
+from .errors import NotHermitian, UnishiftError, ZeroHarmonic
 from .linalg import TWO_PI, UnitaryPath, hs_norm, unitary_eig
 from .quadrature import QuadratureRule, as_rule
 
@@ -123,12 +123,12 @@ class EtaIntegrator:
         """Jump weights v_k* A v_k for the eigencolumns of one matrix or a stack.
 
         A is Hermitian, which forces real weights; an imaginary residue above
-        ``IMAG_TOL`` (scaled by ||A||) aborts rather than being dropped.
+        ``IMAG_TOL`` (scaled by ||A||) raises ``NotHermitian`` rather than being dropped.
         """
         raw = np.sum(vectors.conj() * (self.a @ vectors), axis=-2)
         residue = float(np.max(np.abs(raw.imag), initial=0.0))
         if residue > IMAG_TOL * max(1.0, hs_norm(self.a)):
-            raise ValueError(f"jump weights carry imaginary residue {residue:.3e}")
+            raise NotHermitian(f"jump weights carry imaginary residue {residue:.3e}; A is not Hermitian")
         return raw.real
 
     def _mode_sums(self, rs) -> np.ndarray:

@@ -58,21 +58,9 @@ def _exp_remainder_factor(x: float) -> float:
     return (math.expm1(x) - x) / (x * x)
 
 
-def remainder_trace_norm_bound(r: int, a_hs: float, a_op: float) -> float:
-    """Trace-norm bound on U^r - U0^r - d/ds(U_s^r)|_0 in terms of A.
-
-    Splitting each term of the telescoped difference into the quadratic
-    exponential remainder plus a first-order mismatch gives
-
-        [ |r|(|r|-1)/2 + |r| (e^{||A||} - ||A|| - 1)/||A||^2 ] * ||A||_2^2 .
-    """
-    n = abs(r)
-    return (n * (n - 1) / 2.0 + n * _exp_remainder_factor(a_op)) * a_hs**2
-
-
-def require_path(u0, u, a, tol: float | None = None) -> None:
-    """Check U0 unitary, A Hermitian and U = e^{iA} U0 within tolerance (default dim * 1e-10)."""
-    UnitaryPath(u0, a).require_endpoint(u, tol)
+def require_path(u0, u, a) -> None:
+    """Check U0 unitary, A Hermitian and U = e^{iA} U0 within dim * 1e-10."""
+    UnitaryPath(u0, a).require_endpoint(u)
 
 
 def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> dict[int, complex]:
@@ -171,10 +159,12 @@ def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
 def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):
     """Smallest order whose dropped terms cannot move either side by tol/10.
 
-    The k-th dropped coefficient has modulus rho^k with rho = min(|z|, 1/|z|),
-    and its mode k + 1 contributes at most ``remainder_trace_norm_bound``,
-    a_hs^2 q(k) with q(k) = (k^2 + k)/2 + (k + 1) c, c = (e^x - x - 1)/x^2 at
-    x = ||A||.  Expanding q(K + j) in j, the tail from k = K on is
+    The k-th dropped coefficient has modulus rho^k with rho = min(|z|, 1/|z|).
+    Its mode r = k + 1 moves the left side by at most the trace norm of
+    U^r - U0^r - d/ds U_s^r|_0.  Split into quadratic exponential remainders
+    and first-order mismatches, that is at most [r(r - 1)/2 + r c] ||A||_2^2
+    = a_hs^2 q(k), with q(k) = (k^2 + k)/2 + (k + 1) c and
+    c = (e^x - x - 1)/x^2 at x = ||A||.  Expanding q(K + j) in j, the tail from k = K on is
 
         a_hs^2 rho^K [ q(K)/g + q'(K) rho/g^2 + rho (1 + rho)/(2 g^3) ],  g = 1 - rho,
 

@@ -21,8 +21,8 @@ class TrigPolynomial:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def monomial(cls, n: int, a: complex = 1.0) -> "TrigPolynomial":
-        return cls({n: a})
+    def monomial(cls, n: int) -> "TrigPolynomial":
+        return cls({n: 1.0})
 
     @classmethod
     def constant(cls, a: complex) -> "TrigPolynomial":
@@ -54,13 +54,6 @@ class TrigPolynomial:
         """Coefficient map of dp/dz (still a Laurent polynomial)."""
         return TrigPolynomial({n - 1: n * a for n, a in self.coeffs.items() if n != 0})
 
-    def abs_sum(self) -> float:
-        return float(sum(abs(a) for a in self.coeffs.values()))
-
-    def weighted_abs_sum(self, power: int) -> float:
-        """sum |n|^power |a_n|; power 2 is the series-class weight."""
-        return float(sum(abs(n) ** power * abs(a) for n, a in self.coeffs.items()))
-
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         out = dict(self.coeffs)
         for n, a in other.coeffs.items():
@@ -74,12 +67,10 @@ class TrigPolynomial:
         return TrigPolynomial({n: c * a for n, a in self.coeffs.items()})
 
 
-def random_trig_polynomial(
-    rng: np.random.Generator, max_degree: int, decay: float = 1.0
-) -> TrigPolynomial:
-    """Random polynomial with coefficients damped like (1 + |n|^2)^{-decay}."""
+def random_trig_polynomial(rng: np.random.Generator, max_degree: int) -> TrigPolynomial:
+    """Random polynomial with coefficients damped like 1 / (1 + |n|^2)."""
     coeffs = {}
     for n in range(-max_degree, max_degree + 1):
         re, im = rng.standard_normal(2)
-        coeffs[n] = (re + 1j * im) / (1.0 + abs(n) ** 2) ** decay
+        coeffs[n] = (re + 1j * im) / (1.0 + abs(n) ** 2)
     return TrigPolynomial(coeffs)

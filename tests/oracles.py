@@ -33,6 +33,11 @@ path to the package routine it checks:
     ``np.linalg.matrix_power`` (so U^{-m} comes from an inverse), ``inv``
     for the resolvents and exponentials from a full ``eigh``; the package
     streams U^m B on the d x r columns and works on low-rank factors.
+  * ``full_space``, ``abs_sum``, ``weighted_abs_sum``,
+    ``remainder_trace_norm_bound`` and ``PhaseTooClose`` are test-only
+    helpers: the whole-space projection, coefficient sums of a polynomial,
+    the per-mode trace-norm bound of the left side, and the error of
+    ``cayley_forward``.
 
 Except in the dense audits, integer powers come from
 ``np.linalg.matrix_power``, of U* for negative exponents.
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from unishift.errors import DimensionMismatch, NotHermitian, NotUnitary, PhaseTooClose
+from unishift.errors import DimensionMismatch, NotHermitian, NotUnitary, UnishiftError
 from unishift.linalg import (
     TWO_PI,
     SpectralDecomposition,
@@ -53,7 +58,9 @@ from unishift.linalg import (
     require_hermitian,
     require_unitary,
 )
+from unishift.reduction import ProjectionBasis
 from unishift.spectral_shift import IMAG_TOL
+from unishift.trace_formula import _exp_remainder_factor
 from unishift.trigpoly import TrigPolynomial
 
 MERGE_TOL = 1e-10
@@ -92,6 +99,10 @@ def choose_phase(u0):
     phi = np.mod(midpoint[..., 0] - np.pi, TWO_PI)
     phi = np.where(phi > np.pi, phi - TWO_PI, phi)
     return phi if u0.ndim > 2 else float(phi)
+
+
+class PhaseTooClose(UnishiftError):
+    """The rotation phase puts -e^{i*phase} too close to the spectrum."""
 
 
 def cayley_forward(u0, phase: float, min_gap: float = 1e-6) -> np.ndarray:
@@ -401,3 +412,31 @@ def dense_compressed_audit(
             prod = p @ embed(np.linalg.matrix_power(up, m)) @ (exp_a - exp_ap) @ np.linalg.matrix_power(u0, k)
             checks.append((f"mixed_trace[m={m},k={k}]", abs(np.trace(prod)), 4.0 * eps * eps * np.exp(a_op)))
     return checks
+
+
+def full_space(dim: int) -> ProjectionBasis:
+    """The projection onto the whole ambient space, with no seeds and no construction record."""
+    eye = np.eye(dim, dtype=np.complex128)
+    return ProjectionBasis(ambient_dim=dim, columns=eye, directions=eye[:, :0])
+
+
+def abs_sum(p: TrigPolynomial) -> float:
+    """sum |a_n|."""
+    return float(sum(abs(a) for a in p.coeffs.values()))
+
+
+def weighted_abs_sum(p: TrigPolynomial, power: int) -> float:
+    """sum |n|^power |a_n|; power 2 is the series-class weight."""
+    return float(sum(abs(n) ** power * abs(a) for n, a in p.coeffs.items()))
+
+
+def remainder_trace_norm_bound(r: int, a_hs: float, a_op: float) -> float:
+    """Trace-norm bound on U^r - U0^r - d/ds(U_s^r)|_0 in terms of A.
+
+    Splitting each term of the telescoped difference into the quadratic
+    exponential remainder plus a first-order mismatch gives
+
+        [ |r|(|r|-1)/2 + |r| (e^{||A||} - ||A|| - 1)/||A||^2 ] * ||A||_2^2 .
+    """
+    n = abs(r)
+    return (n * (n - 1) / 2.0 + n * _exp_remainder_factor(a_op)) * a_hs**2

@@ -315,6 +315,19 @@ def test_matrix_coercion_rejects_bad_input():
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("ragged", [[[1, 2], [3]], [[1, 2], [3, [4]]], [[1.0, "x"], [0.0, 1.0]]])
+def test_ragged_or_non_numeric_input_raises_unishift_error(ragged):
+    from unishift.linalg import as_matrix
+
+    with pytest.raises(UnishiftError):
+        as_matrix(ragged)
+
+
+def test_empty_random_hermitian_raises_unishift_error():
+    with pytest.raises(UnishiftError):
+        random_hermitian(np.random.default_rng(0), 0, 1.0)
+
+
 @pytest.mark.parametrize("bad", ["non-square", "nan", "inf"])
 def test_malformed_matrices_raise_unishift_error(bad):
     """A malformed matrix is a typed input error at every public entry point."""

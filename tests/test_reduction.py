@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    PhaseTooClose,
     cayley_forward,
     choose_phase,
     dense_compressed_audit,
     dense_compressed_model,
     dense_perturbation_audit,
     dense_projection_audit,
+    full_space,
     window_basis_global_mgs,
 )
 from unishift import (
@@ -18,7 +20,6 @@ from unishift import (
     MissingConstruction,
     NotHermitian,
     PartitionTooFine,
-    PhaseTooClose,
     ProjectionBasis,
     SampleOutOfRange,
     TrigPolynomial,
@@ -111,7 +112,7 @@ class TestBuildProjection:
 class TestProjectionAudit:
     def test_full_space_trivial(self):
         inst = reduction_instance(1, 32, 2, 0.5)
-        p = ProjectionBasis.full_space(32)
+        p = full_space(32)
         p = ProjectionBasis(32, p.columns, p.directions, params=None)
         with pytest.raises(ValueError):
             audit_projection_estimates(p, inst.h0, inst.u0, [1])
@@ -174,7 +175,7 @@ class TestPerturbationAudit:
 class TestCompressedModel:
     def test_full_space_reproduces_pair(self):
         inst = reduction_instance(6, 48, 2, 0.5)
-        model = compressed_model(ProjectionBasis.full_space(48), inst.h0, inst.a, inst.phase)
+        model = compressed_model(full_space(48), inst.h0, inst.a, inst.phase)
         assert op_norm(model.u0p - inst.u0) <= 48 * 1e-10
         assert op_norm(model.ap - inst.a) <= 1e-12
         assert op_norm(model.up - inst.u) <= 48 * 1e-10
@@ -256,7 +257,7 @@ class TestConvergenceStudy:
 
     def test_identity_projection_matches_full(self):
         inst = reduction_instance(14, 64, 2, 0.5)
-        p_full = ProjectionBasis.full_space(64)
+        p_full = full_space(64)
         model = compressed_model(p_full, inst.h0, inst.a, inst.phase)
         poly = TrigPolynomial.monomial(2)
         full = lhs_trace(inst.u0, inst.u, inst.a, poly)
@@ -491,6 +492,46 @@ class TestOneDecompositionPerCall:
             assert abs(row.abs_diff - abs(full - compressed)) <= 1e-12
 
 
+class TestOneOperandCheck:
+    """Each public entry point checks each Hermitian operand once; nothing behind it checks again."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        from unishift import reduction
+
+        calls = []
+        original = getattr(reduction, name)
+        monkeypatch.setattr(reduction, name, lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        return calls
+
+    @pytest.mark.parametrize("ladder", [[4], [4, 8], [2, 4, 8, 16], [2, 4, 8, 12, 16, 24]])
+    def test_convergence_study_checks_h0_and_a_once(self, monkeypatch, ladder):
+        inst = reduction_instance(21, 96, 2, 0.4)
+        checks = self.count(monkeypatch, "require_hermitian")
+        convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), ladder)
+        assert len(checks) == 2
+
+    def test_each_entry_point_checks_once_and_diagonalises_as_before(self, monkeypatch):
+        inst = reduction_instance(4, 64, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        seed = herm_eig(inst.a).vectors[:, -1]
+        checks, eigs = self.count(monkeypatch, "require_hermitian"), self.count(monkeypatch, "herm_eig")
+        cases = [
+            (1, 0, lambda: cayley_inverse(inst.h0, 0.0)),
+            (1, 1, lambda: build_projection(inst.h0, [seed], 1.0, 4)),
+            (2, 2, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
+            (2, 1, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
+            (1, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1])),
+            (1, 1, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
+            (2, 2, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])),
+        ]
+        for n_checks, n_eigs, call in cases:
+            checks.clear()
+            eigs.clear()
+            call()
+            assert (len(checks), len(eigs)) == (n_checks, n_eigs)
+
+
 class TestTypedErrors:
     def test_each_guard_raises_its_type(self):
         inst = reduction_instance(16, 32, 2, 0.5)
@@ -503,6 +544,7 @@ class TestTypedErrors:
         skew_a = inst.a + 1e-3 * np.triu(np.ones((32, 32)), 1)
         skew_h0 = inst.h0 + 1e-3 * np.triu(np.ones((32, 32)), 1)
         small = np.eye(31, dtype=complex)
+        wide = reduction_instance(16, 64, 2, 0.5)
         cases = [
             (PartitionTooFine, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [16])),
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [0, 4])),
@@ -528,7 +570,15 @@ class TestTypedErrors:
             (DimensionMismatch, lambda: audit_compressed_model(
                 p, inst.h0, inst.a, small, inst.u, inst.phase, 2.0, [1], [1])),
             (NotHermitian, lambda: compressed_model(p, skew_h0, inst.a, inst.phase)),
-            (DimensionMismatch, lambda: compressed_model(ProjectionBasis.full_space(31), inst.h0, inst.a, 0.0)),
+            (DimensionMismatch, lambda: compressed_model(full_space(31), inst.h0, inst.a, 0.0)),
+            (DimensionMismatch, lambda: build_direction_projection(wide.h0, inst.a, 1.0, 4)),
+            (DimensionMismatch, lambda: convergence_study(wide.h0, inst.a, inst.phase, poly, [4])),
+            (DimensionMismatch, lambda: build_projection(inst.h0, [np.eye(31)[0]], 1.0, 4)),
+            (DimensionMismatch, lambda: cayley_inverse(np.ones((3, 4)), 0.0)),
+            (ZeroDirection, lambda: build_projection(inst.h0, [], 1.0, 4)),
+            (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [])),
+            (UnishiftError, lambda: cayley_inverse([[1.0, 2.0], [3.0]], 0.0)),
+            (UnnormalisedSeed, lambda: build_projection(inst.h0, [np.full(32, np.nan)], 1.0, 4)),
         ]
         for error, call in cases:
             with pytest.raises(error):

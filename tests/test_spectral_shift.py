@@ -8,6 +8,7 @@ from unishift import (
     DimensionMismatch,
     EmptyMatrix,
     EtaIntegrator,
+    NotHermitian,
     QuadratureRule,
     UnishiftError,
     ZeroHarmonic,
@@ -308,6 +309,13 @@ class TestTypedErrors:
     def test_raises_unishift_error(self, call):
         with pytest.raises(UnishiftError):
             call()
+
+    def test_imaginary_jump_weights_raise_not_hermitian(self):
+        pair = random_pair(3, 4, 1.0)
+        integrator = EtaIntegrator(pair.u0, pair.a, 8)
+        integrator.a = 1j * pair.a  # skew-Hermitian: every weight v* A v is imaginary
+        with pytest.raises(NotHermitian):
+            integrator._weights_of(integrator.u0dec.vectors)
 
 
 class TestEtaFourier:

@@ -1,15 +1,12 @@
 """Command-line front end: seeded instances, batch verification, exports.
 
-Subcommands
------------
-verify     run seeded random pairs through the trace-identity checker for all
-           monomials |r| <= rmax plus three random polynomials; JSON report.
-eta        export the shift profile as CSV ``t,eta,eta0`` with a JSON sidecar
-           recording the centred L1 mass and its bound.
-converge   tabulate compressed-versus-full trace errors as CSV
-           ``rank,compressed_trace_re,compressed_trace_im,abs_diff``.
-resolvent  verify the resolvent identity at one point z; JSON report.
-bounds     run the three reduction audits over a ladder of partitions; JSON.
+Each subcommand is one row of ``COMMANDS``: its runner, its default output
+file, its flags beyond the shared ``--seed/--scale/--out/--config``, its
+default ``tol`` and its help line.  The parser, the keys a ``--config`` file
+may set, the tolerance a ``RunConfig`` falls back on and the output path all
+derive from that row, so ``run(RunConfig(command=...))`` and the command line
+agree at equal settings.  ``_FLAGS`` gives each non-int flag its parser type
+and the JSON types a config file may use for it.
 
 Identical configurations (including the seed) produce byte-identical files:
 floats are serialised with 17 significant digits, JSON keys are sorted, and
@@ -25,14 +22,15 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnishiftError
 from .linalg import hs_norm, random_pair
-from .quadrature import gauss_legendre
+from .quadrature import DEFAULT_S_NODES, gauss_legendre
 from .reduction import (
     audit_compressed_model,
     audit_perturbation_estimates,
@@ -46,14 +44,6 @@ from .trace_formula import batch_verify, resolvent_check
 from .trigpoly import TrigPolynomial, random_trig_polynomial
 
 ENV_OUTDIR = "UNISHIFT_OUTDIR"
-
-DEFAULT_OUTPUTS = {
-    "verify": "verify.json",
-    "eta": "eta.csv",
-    "converge": "converge.csv",
-    "resolvent": "resolvent.json",
-    "bounds": "bounds.json",
-}
 
 AUDIT_M_LIST = (1, -1, 2, -2, 4, -4)
 AUDIT_K_LIST = (1, 2, 4)
@@ -72,23 +62,27 @@ class RunConfig:
     trials: int = 10
     scale: float = 1.0
     rmax: int = 4
-    s_nodes: int = 64
+    s_nodes: int = DEFAULT_S_NODES
     grid: int = 512
-    tol: float = 1e-8
+    tol: float | None = None  # None: the command's default in COMMANDS
     ambient: int = 256
     ranks: tuple[int, ...] = (8, 16, 32, 64)
     z: complex = 0.5 + 0j
     out: str | None = None
     format: str = "csv"
 
+    def __post_init__(self):
+        if self.tol is None and self.command in COMMANDS:
+            self.tol = COMMANDS[self.command].tol
+
     def validate(self) -> None:
-        if self.command not in DEFAULT_OUTPUTS:
+        if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.dim < 1 or self.trials < 1 or self.s_nodes < 1:
             raise ConfigError("dim, trials and s_nodes must be positive")
         if self.grid < 2:
             raise ConfigError("grid needs at least the two endpoints")
-        if not 0.0 < self.tol < 1.0:
+        if self.tol is not None and not 0.0 < self.tol < 1.0:
             raise ConfigError("tol must lie in (0, 1)")
         if not 0.0 < self.scale < math.pi:
             raise ConfigError("scale must lie in (0, pi)")
@@ -98,14 +92,14 @@ class RunConfig:
             raise ConfigError("ambient dimension too small")
         if not self.ranks or any(n < 1 for n in self.ranks):
             raise ConfigError("ranks must be positive integers")
-        if self.format not in ("csv", "json"):
+        if self.format not in _FLAGS["format"].choices:
             raise ConfigError(f"unknown format {self.format!r}")
 
     def out_path(self) -> str:
         if self.out:
             return self.out
         base = os.environ.get(ENV_OUTDIR, ".")
-        return os.path.join(base, DEFAULT_OUTPUTS[self.command])
+        return os.path.join(base, COMMANDS[self.command].output)
 
 
 def _fmt(x: float) -> str:
@@ -207,7 +201,6 @@ def cmd_eta(config: RunConfig) -> int:
 
 def cmd_converge(config: RunConfig) -> int:
     inst = reduction_instance(config.seed, config.ambient, rank=2, scale=config.scale)
-    threshold = config.tol
     study = convergence_study(
         inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), list(config.ranks)
     )
@@ -232,7 +225,7 @@ def cmd_converge(config: RunConfig) -> int:
             ],
         )
     diffs = [row.abs_diff for row in study.rows]
-    return 0 if diffs[-1] <= threshold and diffs[-1] <= diffs[0] else 1
+    return 0 if diffs[-1] <= config.tol and diffs[-1] <= diffs[0] else 1
 
 
 def cmd_resolvent(config: RunConfig) -> int:
@@ -296,15 +289,6 @@ def cmd_bounds(config: RunConfig) -> int:
     return 0 if payload["pass"] else 1
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "eta": cmd_eta,
-    "converge": cmd_converge,
-    "resolvent": cmd_resolvent,
-    "bounds": cmd_bounds,
-}
-
-
 def parse_complex(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
@@ -319,72 +303,67 @@ def parse_ranks(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse rank list {text!r}") from exc
 
 
+class _Flag(NamedTuple):
+    type: Callable = int
+    json_types: tuple = (int,)  # what a config file may give (never bool)
+    help: str | None = None
+    choices: tuple | None = None
+
+
+# Flags not listed here take an int and have no help line.
+_FLAGS = {
+    "scale": _Flag(float, (int, float), "operator norm of A"),
+    "out": _Flag(str, (str, type(None))),
+    "config": _Flag(str, (), "JSON config file; flags win"),
+    "tol": _Flag(float, (int, float)),
+    "z": _Flag(parse_complex, (int, float, complex)),
+    "ranks": _Flag(parse_ranks, (tuple,), "comma-separated cell counts"),
+    "format": _Flag(str, (str,), choices=("csv", "json")),
+}
+
+_SHARED_FLAGS = ("seed", "scale", "out", "config")
+
+
+class _Command(NamedTuple):
+    run: Callable[[RunConfig], int]
+    output: str
+    flags: tuple[str, ...]  # beyond _SHARED_FLAGS, in help order
+    help: str
+    tol: float | None = None  # the default for commands with --tol
+
+
+COMMANDS = {
+    "verify": _Command(cmd_verify, "verify.json", ("dim", "trials", "rmax", "s_nodes", "tol"),
+                       "batch-check the trace identity on random pairs", tol=1e-8),
+    "eta": _Command(cmd_eta, "eta.csv", ("dim", "s_nodes", "grid", "format"),
+                    "export the shift profile on a uniform grid"),
+    "converge": _Command(cmd_converge, "converge.csv", ("ambient", "ranks", "tol", "format"),
+                         "compressed-trace convergence table", tol=1e-3),
+    "resolvent": _Command(cmd_resolvent, "resolvent.json", ("dim", "s_nodes", "z", "tol"),
+                          "verify the resolvent identity at a point z", tol=1e-7),
+    "bounds": _Command(cmd_bounds, "bounds.json", ("ambient", "ranks"), "audit the reduction estimates"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unishift",
         description="Spectral shift profiles and trace-identity checks for unitary pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--scale", type=float, default=None, help="operator norm of A")
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
-
-    sp = sub.add_parser("verify", help="batch-check the trace identity on random pairs")
-    add_common(sp)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--rmax", type=int, default=None)
-    sp.add_argument("--s-nodes", type=int, default=None, dest="s_nodes")
-    sp.add_argument("--tol", type=float, default=None)
-
-    sp = sub.add_parser("eta", help="export the shift profile on a uniform grid")
-    add_common(sp)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--s-nodes", type=int, default=None, dest="s_nodes")
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-
-    sp = sub.add_parser("converge", help="compressed-trace convergence table")
-    add_common(sp)
-    sp.add_argument("--ambient", type=int, default=None)
-    sp.add_argument("--ranks", type=parse_ranks, default=None, help="comma-separated cell counts")
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-
-    sp = sub.add_parser("resolvent", help="verify the resolvent identity at a point z")
-    add_common(sp)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--s-nodes", type=int, default=None, dest="s_nodes")
-    sp.add_argument("--z", type=parse_complex, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-
-    sp = sub.add_parser("bounds", help="audit the reduction estimates")
-    add_common(sp)
-    sp.add_argument("--ambient", type=int, default=None)
-    sp.add_argument("--ranks", type=parse_ranks, default=None, help="comma-separated cell counts")
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag in _SHARED_FLAGS + command.flags:
+            spec = _FLAGS.get(flag, _Flag())
+            sp.add_argument("--" + flag.replace("_", "-"), type=spec.type, choices=spec.choices, help=spec.help)
     return parser
-
-
-_COMMAND_DEFAULT_TOL = {"converge": 1e-3, "resolvent": 1e-7}
-
-# Accepted value types per configuration key (never bool); every other key takes an int.
-_VALUE_TYPES = {
-    "scale": (int, float),
-    "tol": (int, float),
-    "z": (int, float, complex),
-    "ranks": (tuple,),
-    "out": (str, type(None)),
-    "format": (str,),
-}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Flags over an optional JSON config file, which may set only this subcommand's flags."""
+    keys = [name for name in vars(args) if name not in ("config", "command")]
     settings: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -392,16 +371,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - (set(vars(args)) - {"config", "command"})
+        unknown = set(loaded).difference(keys)
         if unknown:
             raise ConfigError(f"unknown configuration keys for {args.command}: {sorted(unknown)}")
         settings.update(loaded)
-    for name in vars(args):
-        if name in ("config", "command"):
-            continue
-        value = getattr(args, name)
-        if value is not None:
-            settings[name] = value
+    settings.update((name, getattr(args, name)) for name in keys if getattr(args, name) is not None)
     try:
         if "ranks" in settings and not isinstance(settings["ranks"], tuple):
             settings["ranks"] = tuple(int(n) for n in settings["ranks"])
@@ -409,18 +383,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             settings["z"] = parse_complex(settings["z"])
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
-    settings.setdefault("tol", _COMMAND_DEFAULT_TOL.get(args.command, 1e-8))
     for name, value in settings.items():
-        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES.get(name, (int,))):
+        if isinstance(value, bool) or not isinstance(value, _FLAGS.get(name, _Flag()).json_types):
             raise ConfigError(f"configuration value {name}={value!r} has the wrong type")
-    config = RunConfig(command=args.command, **settings)
-    config.validate()
-    return config
+    return RunConfig(command=args.command, **settings)
 
 
 def run(config: RunConfig) -> int:
     config.validate()
-    return COMMANDS[config.command](config)
+    return COMMANDS[config.command].run(config)
 
 
 def main(argv=None) -> int:

@@ -108,7 +108,7 @@ def schur_bound_check(f: TrigPolynomial, us, u0) -> SchurBoundReport:
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     lhs = hs_norm(circle_function_of(g, ldec) - circle_function_of(g, rdec))
     f_sup = sampled_sup_norm(f)
-    f0 = f - TrigPolynomial.constant(f.coeffs.get(0, 0.0))
+    f0 = TrigPolynomial({n: c for n, c in f.coeffs.items() if n != 0})
     f0_sup = sampled_sup_norm(f0)
     rhs = np.pi * f_sup * hs_norm(us - u0)
     ker_sup = float(np.max(np.abs(kernel(g, ldec, rdec)), initial=0.0))

@@ -26,7 +26,7 @@ class DimensionMismatch(UnishiftError):
 
 
 class BadWindow(UnishiftError):
-    """The spectral window (-a, a] is empty, has no cells, or does not capture a seed vector."""
+    """The spectral window (-a, a] is empty, has no whole number of cells, or does not capture a seed vector."""
 
 
 class PartitionTooFine(UnishiftError):

@@ -102,30 +102,27 @@ def trace(m) -> complex:
 _CERTIFICATE_MARGIN = 1.0 - 1e-9
 
 
-def require_hermitian(m, tol: float | None = None, what: str = "matrix") -> np.ndarray:
-    """M with ||M - M*||_2 <= tol (default 1e-10 ||M||_2), else ``NotHermitian``.
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
+    """M with ||M - M*||_2 <= tol = 1e-10 ||M||_2, else ``NotHermitian``.
 
     ||X||_2 <= ||X||_HS and ||M||_HS / sqrt(d) <= ||M||_2, so Hilbert-Schmidt
     norms prove a pass without an SVD; only an undecided case takes them.
     """
     m = as_matrix(m)
     gap = m - m.conj().T
-    sure_tol = 1e-10 * hs_norm(m) / np.sqrt(max(m.shape[0], 1)) if tol is None else tol
-    if hs_norm(gap) <= _CERTIFICATE_MARGIN * sure_tol:
+    if hs_norm(gap) <= _CERTIFICATE_MARGIN * (1e-10 * hs_norm(m) / np.sqrt(max(m.shape[0], 1))):
         return m
-    if tol is None:
-        tol = 1e-10 * op_norm(m)
+    tol = 1e-10 * op_norm(m)
     dev = op_norm(gap)
     if dev > tol:
         raise NotHermitian(f"{what} deviates from Hermitian by {dev:.3e} (tol {tol:.3e})")
     return m
 
 
-def require_unitary(m, tol: float | None = None, what: str = "matrix") -> np.ndarray:
-    """M with ||M*M - I||_2 <= tol (default d 1e-10), else ``NotUnitary``; ||.||_HS proves a pass."""
+def require_unitary(m, what: str = "matrix") -> np.ndarray:
+    """M with ||M*M - I||_2 <= tol = d 1e-10, else ``NotUnitary``; ||.||_HS proves a pass."""
     m = as_matrix(m)
-    if tol is None:
-        tol = m.shape[0] * 1e-10
+    tol = m.shape[0] * 1e-10
     gap = m.conj().T @ m - np.eye(m.shape[0])
     if hs_norm(gap) <= _CERTIFICATE_MARGIN * tol:
         return m

@@ -65,6 +65,7 @@ from .errors import (
     MissingConstruction,
     PartitionTooFine,
     SampleOutOfRange,
+    UnishiftError,
     UnnormalisedSeed,
     ZeroDirection,
 )
@@ -163,8 +164,8 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     lengths = np.linalg.norm(f, axis=0)
     if not np.all(np.abs(lengths - 1.0) <= 1e-10):  # NaN lengths fail too
         raise UnnormalisedSeed("seed vectors must be finite and normalised")
-    if cells < 1 or half_width <= 0.0:
-        raise BadWindow("need a positive window and at least one cell")
+    if not isinstance(cells, (int, np.integer)) or cells < 1 or half_width <= 0.0:
+        raise BadWindow("need a positive window and a whole number of cells, at least one")
     eps = count * half_width / np.sqrt(cells)
     coords = dec.vectors.conj().T @ f  # eigenbasis coordinates of the seeds
     inside = (dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width)
@@ -264,10 +265,16 @@ def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]
     return out
 
 
-def _audit_frame(p: ProjectionBasis, **operands) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """eps and the columns B of an audited projection, and its operands (see ``_ambient_operands``)."""
+def _audit_frame(p: ProjectionBasis, powers, **operands) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """eps and the columns B of an audited projection, and its operands (see ``_ambient_operands``).
+
+    Every audited power must be a whole number (``UnishiftError``).
+    """
     if p.params is None:
         raise MissingConstruction("projection carries no construction record to audit")
+    for m in powers:
+        if not float(m).is_integer():
+            raise UnishiftError(f"audited powers must be whole numbers, not {m!r}")
     return p.params.eps, p.columns, _ambient_operands(p, **operands)
 
 
@@ -292,7 +299,7 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     ||P_perp H0 P||_2, both resolvents ||P_perp (i +- H0)^{-1} P||_2, and the
     unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.
     """
-    eps, b, (h0, u0) = _audit_frame(p, h0=h0, u0=u0)
+    eps, b, (h0, u0) = _audit_frame(p, m_list, h0=h0, u0=u0)
     checks = []
     for l in range(p.directions.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", _offblock(b, p.directions[:, l]), eps))
@@ -313,7 +320,7 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     < 2 T e^{T ||A||} eps over the sample grid, the base powers, and the
     perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps.
     """
-    eps, b, (u0, u, a) = _audit_frame(p, u0=u0, u=u, a=a)
+    eps, b, (u0, u, a) = _audit_frame(p, m_list, u0=u0, u=u, a=a)
     _, tau, a_op, f_perp, fb = _direction_factors(a, b)
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
@@ -387,7 +394,7 @@ def audit_compressed_model(
     ||(U0^m - U0p^m) P||_2 and ||P (U^m - Up^m) P||_2, and the mixed traces
     |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.
     """
-    eps, b, (h0, a, u0, u) = _audit_frame(p, h0=h0, a=a, u0=u0, u=u)
+    eps, b, (h0, a, u0, u) = _audit_frame(p, [*m_list, *k_list], h0=h0, a=a, u0=u0, u=u)
     model = _compressed(p, h0, a, phase)
     f, tau, a_op, f_perp, fb = _direction_factors(a, b)
     fc, tau_c = model.ap_vectors, model.ap_values
@@ -517,6 +524,8 @@ class ReductionInstance:
 
 def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: float = 0.0) -> ReductionInstance:
     """Seeded ambient model: H0 equidistributed in (-1, 1) and a low-rank direction."""
+    if not 1 <= rank <= ambient:
+        raise DimensionMismatch(f"need 1 <= rank <= ambient, got rank {rank} and ambient {ambient}")
     rng = np.random.default_rng(seed)
     h0 = spread_diagonal(ambient, 1.0)
     a = random_low_rank_hermitian(rng, ambient, rank, scale)

@@ -54,18 +54,6 @@ class TrigPolynomial:
         """Coefficient map of dp/dz (still a Laurent polynomial)."""
         return TrigPolynomial({n - 1: n * a for n, a in self.coeffs.items() if n != 0})
 
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        out = dict(self.coeffs)
-        for n, a in other.coeffs.items():
-            out[n] = out.get(n, 0.0) + a
-        return TrigPolynomial(out)
-
-    def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, c: complex) -> "TrigPolynomial":
-        return TrigPolynomial({n: c * a for n, a in self.coeffs.items()})
-
 
 def random_trig_polynomial(rng: np.random.Generator, max_degree: int) -> TrigPolynomial:
     """Random polynomial with coefficients damped like 1 / (1 + |n|^2)."""

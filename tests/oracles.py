@@ -267,21 +267,19 @@ def gateaux_series(u0, a, p: TrigPolynomial, s: float = 0.0) -> np.ndarray:
     return out
 
 
-def require_hermitian_svd(m, tol: float | None = None, what: str = "matrix") -> None:
-    """Raise NotHermitian unless ||M - M*||_2 <= tol (default 1e-10 ||M||_2), norms by SVD."""
+def require_hermitian_svd(m, what: str = "matrix") -> None:
+    """Raise NotHermitian unless ||M - M*||_2 <= tol = 1e-10 ||M||_2, norms by SVD."""
     m = np.asarray(m, dtype=np.complex128)
-    if tol is None:
-        tol = 1e-10 * float(np.linalg.norm(m, 2))
+    tol = 1e-10 * float(np.linalg.norm(m, 2))
     dev = float(np.linalg.norm(m - m.conj().T, 2))
     if dev > tol:
         raise NotHermitian(f"{what} deviates from Hermitian by {dev:.3e} (tol {tol:.3e})")
 
 
-def require_unitary_svd(m, tol: float | None = None, what: str = "matrix") -> None:
-    """Raise NotUnitary unless ||M*M - I||_2 <= tol (default d 1e-10), norms by SVD."""
+def require_unitary_svd(m, what: str = "matrix") -> None:
+    """Raise NotUnitary unless ||M*M - I||_2 <= tol = d 1e-10, norms by SVD."""
     m = np.asarray(m, dtype=np.complex128)
-    if tol is None:
-        tol = m.shape[0] * 1e-10
+    tol = m.shape[0] * 1e-10
     dev = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]), 2))
     if dev > tol:
         raise NotUnitary(f"{what} deviates from unitary by {dev:.3e} (tol {tol:.3e})")

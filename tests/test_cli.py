@@ -101,6 +101,52 @@ class TestConfig:
         assert cfg.out_path() == str(tmp_path / "verify.json")
 
 
+class TestCommandTable:
+    @pytest.mark.parametrize("command, settings", [
+        ("verify", {"dim": 2, "trials": 1, "rmax": 2, "s_nodes": 16}),
+        ("eta", {"dim": 3, "grid": 16, "format": "json"}),
+        ("converge", {"ambient": 64, "ranks": (4, 8, 16), "seed": 6, "scale": 0.4}),
+        ("resolvent", {"dim": 3, "seed": 2, "z": 0.5 + 0.25j}),
+        ("bounds", {"ambient": 64, "ranks": (4, 16), "seed": 8, "scale": 0.5}),
+    ])
+    def test_api_and_command_line_agree(self, tmp_path, command, settings):
+        """At equal settings and the default tol, run() and main() write the same bytes and exit alike."""
+        api, cli = tmp_path / "api" / "out.file", tmp_path / "cli" / "out.file"
+        argv = [command, "--out", str(cli)]
+        for name, value in settings.items():
+            text = ",".join(map(str, value)) if name == "ranks" else str(value)
+            argv.append(f"--{name.replace('_', '-')}={text}")
+        assert run(RunConfig(command=command, out=str(api), **settings)) == main(argv)
+        written = sorted(path.name for path in api.parent.iterdir())
+        assert written == sorted(path.name for path in cli.parent.iterdir())
+        for name in written:
+            assert (api.parent / name).read_bytes() == (cli.parent / name).read_bytes()
+
+    def test_flag_dests_per_command(self):
+        shared = {"command", "seed", "scale", "out", "config"}
+        parser = build_parser()
+        dests = {c: set(vars(parser.parse_args([c]))) - shared
+                 for c in ("verify", "eta", "converge", "resolvent", "bounds")}
+        assert dests == {
+            "verify": {"dim", "trials", "rmax", "s_nodes", "tol"},
+            "eta": {"dim", "s_nodes", "grid", "format"},
+            "converge": {"ambient", "ranks", "tol", "format"},
+            "resolvent": {"dim", "s_nodes", "z", "tol"},
+            "bounds": {"ambient", "ranks"},
+        }
+
+    def test_default_tol_per_command(self):
+        assert [RunConfig(command=c).tol for c in ("verify", "converge", "resolvent")] == [1e-8, 1e-3, 1e-7]
+        assert config_from_args(build_parser().parse_args(["converge"])).tol == 1e-3
+
+    def test_validate_runs_once_per_main(self, tmp_path, monkeypatch):
+        calls = []
+        original = RunConfig.validate
+        monkeypatch.setattr(RunConfig, "validate", lambda self: calls.append(1) or original(self))
+        assert main(["eta", "--dim", "2", "--grid", "8", "--out", str(tmp_path / "eta.csv")]) == 0
+        assert len(calls) == 1
+
+
 class TestVerifyCommand:
     def test_near_zero_perturbation_passes(self, tmp_path):
         out = tmp_path / "v.json"

@@ -15,6 +15,7 @@ from unishift import (
     unitary_eig,
 )
 from unishift.doi import circle_function_of, sampled_sup_norm
+from unishift.linalg import haar_unitary
 from unishift.quadrature import gauss_legendre
 from unishift.trigpoly import random_trig_polynomial
 
@@ -39,7 +40,7 @@ class TestPrimitive:
         rng = np.random.default_rng(seed)
         f = random_trig_polynomial(rng, 5)
         g = primitive_of(f)
-        f0 = f - TrigPolynomial.constant(f.coeffs.get(0, 0.0))
+        f0 = TrigPolynomial({n: c for n, c in f.coeffs.items() if n != 0})
         rule = gauss_legendre(200)
         for t in (0.7, 2.0, 5.5):
             nodes = rule.nodes * t
@@ -156,6 +157,27 @@ class TestSchurBound:
         f = TrigPolynomial.monomial(1)
         with pytest.raises(DimensionMismatch):
             schur_bound_check(f, random_pair(0, 3, 1.0).u, random_pair(1, 4, 1.0).u0)
+
+    @staticmethod
+    def edge_pairs():
+        """(Us, U0) with eigenvalues exactly at 1 and -1, each repeated."""
+        d4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+        q = haar_unitary(np.random.default_rng(7), 4)
+        return [
+            (np.diag([1.0, -1.0, 1.0]).astype(complex), np.diag([1.0, 1.0, -1.0]).astype(complex)),
+            (np.eye(3, dtype=complex), -np.eye(3, dtype=complex)),
+            (q @ d4 @ q.conj().T, d4),
+        ]
+
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_edge_spectra(self, degree):
+        g = random_trig_polynomial(np.random.default_rng(degree), degree)
+        for us, u0 in self.edge_pairs():
+            got = doi_apply(g, us, u0, us - u0)
+            exact = circle_function_of(g, unitary_eig(us)) - circle_function_of(g, unitary_eig(u0))
+            assert hs_norm(got - exact) <= 1e-13
+            rep = schur_bound_check(g, us, u0)
+            assert rep.passed, (rep.lhs, rep.rhs, rep.kernel_sup, rep.kernel_bound)
 
     def test_sampled_sup_norm(self):
         p = TrigPolynomial({1: 1.0, -1: 1.0})  # 2 cos t

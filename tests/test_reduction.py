@@ -133,6 +133,12 @@ class TestProjectionAudit:
         report = audit_projection_estimates(p, inst.h0, inst.u0, M_LIST)
         assert report.passed, report.violations()
 
+    def test_non_integer_power_rejected(self):
+        inst = reduction_instance(1, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        with pytest.raises(UnishiftError, match="whole numbers"):
+            audit_projection_estimates(p, inst.h0, inst.u0, [1.5])
+
     def test_resolvent_compression_scaling(self):
         # the off-block resolvent decays like 1/sqrt(cells); fit the log-log slope
         inst = reduction_instance(5, 256, 1, 0.5)
@@ -171,6 +177,12 @@ class TestPerturbationAudit:
         with pytest.raises(ValueError):
             audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 1.0, [1], [1.5])
 
+    def test_non_integer_power_rejected(self):
+        inst = reduction_instance(1, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        with pytest.raises(UnishiftError, match="whole numbers"):
+            audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [2.5], [0.0])
+
 
 class TestCompressedModel:
     def test_full_space_reproduces_pair(self):
@@ -205,6 +217,13 @@ class TestCompressedModel:
             p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, M_LIST, [1, 2, 3]
         )
         assert report.passed, report.violations()
+
+    @pytest.mark.parametrize("m_list, k_list", [([1], [0.5]), ([1.5], [1])])
+    def test_non_integer_power_rejected(self, m_list, k_list):
+        inst = reduction_instance(1, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        with pytest.raises(UnishiftError, match="whole numbers"):
+            audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, m_list, k_list)
 
     def test_model_audit_trivial_cases(self):
         inst = reduction_instance(10, 64, 2, 0.5)
@@ -579,6 +598,10 @@ class TestTypedErrors:
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [])),
             (UnishiftError, lambda: cayley_inverse([[1.0, 2.0], [3.0]], 0.0)),
             (UnnormalisedSeed, lambda: build_projection(inst.h0, [np.full(32, np.nan)], 1.0, 4)),
+            (DimensionMismatch, lambda: reduction_instance(1, 0, 2, 0.5)),
+            (DimensionMismatch, lambda: reduction_instance(1, 4, 8, 0.5)),
+            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 1.0, 2.5)),
+            (BadWindow, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 2.5)),
         ]
         for error, call in cases:
             with pytest.raises(error):

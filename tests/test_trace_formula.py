@@ -237,7 +237,7 @@ class TestRhsIntegral:
         p = random_trig_polynomial(rng, 4)
         split = {n: rng.uniform(0.2, 0.8) for n in p.coeffs}
         p1 = TrigPolynomial({n: split[n] * c for n, c in p.coeffs.items()})
-        p2 = p - p1
+        p2 = TrigPolynomial({n: c - p1.coeffs[n] for n, c in p.coeffs.items()})
         lhs = lhs_trace(pair.u0, pair.u, pair.a, p)
         parts = lhs_trace(pair.u0, pair.u, pair.a, p1) + lhs_trace(pair.u0, pair.u, pair.a, p2)
         assert lhs == pytest.approx(parts, abs=1e-12)
@@ -475,6 +475,14 @@ class TestResolvent:
     def test_truncation_order_capped(self):
         with pytest.raises(OnUnitCircle):
             resolvent_truncation(1 - 2e-6, 1.0, 1.0, 1e-7)
+
+    @pytest.mark.parametrize("z", [0.5, 2.0, 0.9j])
+    def test_base_eigenvalues_at_one_minus_one_and_i(self, z):
+        u0 = np.diag([1.0, -1.0, 1j])
+        a = random_hermitian(np.random.default_rng(3), 3, 1.0)
+        rep = resolvent_check(u0, herm_eig(a).exp_i() @ u0, a, z)
+        assert rep.passed
+        assert rep.series_vs_direct <= 1e-7 * (1 + abs(rep.direct_lhs))
 
     def test_unit_circle_rejected(self):
         pair = random_pair(18, 3, 1.0)

@@ -6,24 +6,30 @@ default ``tol`` and its help line.  The parser, the keys a ``--config`` file
 may set, the tolerance a ``RunConfig`` falls back on and the output path all
 derive from that row, so ``run(RunConfig(command=...))`` and the command line
 agree at equal settings.  ``_FLAGS`` gives each non-int flag its parser type
-and the JSON types a config file may use for it.
+and the types its ``RunConfig`` field may hold.  ``RunConfig.validate`` is
+the one type-and-range check, for flags, config files and the Python API
+alike; ``config_from_args`` only reads the file and converts JSON lists and
+strings to the tuple ``ranks`` and the complex ``z``.
 
-Identical configurations (including the seed) produce byte-identical files:
-floats are serialised with 17 significant digits, JSON keys are sorted, and
-nothing time- or host-dependent is written.  Exit status is 0 only if every
-assertion in the requested run passed, 1 on a failed assertion, and 2 for an
-invalid configuration.
+Every JSON record is a library report written by ``_record``: its dataclass
+fields, with a complex field ``x`` as ``x_re`` and ``x_im``, a tuple of
+reports as a list of records and ``passed`` as ``pass``.  Every CSV table
+goes through ``_write_csv``.  Identical configurations (including the seed)
+produce byte-identical files: floats are serialised with 17 significant
+digits, JSON keys are sorted, and nothing time- or host-dependent is written.
+Exit status is 0 only if every assertion in the requested run passed, 1 on a
+failed assertion, and 2 for an invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +60,7 @@ class ConfigError(UnishiftError):
     """An invalid run configuration."""
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     command: str
     dim: int = 6
@@ -72,12 +78,19 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.tol is None and self.command in COMMANDS:
+        if self.tol is None and isinstance(self.command, str) and self.command in COMMANDS:
             self.tol = COMMANDS[self.command].tol
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        """Each field's type (``_FLAGS``; never a bool), then its range (``ConfigError``)."""
+        if not isinstance(self.command, str) or self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        for field in dataclasses.fields(self)[1:]:
+            value = getattr(self, field.name)
+            if field.name == "tol" and value is None and COMMANDS[self.command].tol is None:
+                continue  # a command without --tol has no tolerance
+            if isinstance(value, bool) or not isinstance(value, _FLAGS.get(field.name, _Flag()).json_types):
+                raise ConfigError(f"configuration value {field.name}={value!r} has the wrong type")
         if self.dim < 1 or self.trials < 1 or self.s_nodes < 1:
             raise ConfigError("dim, trials and s_nodes must be positive")
         if self.grid < 2:
@@ -86,11 +99,11 @@ class RunConfig:
             raise ConfigError("tol must lie in (0, 1)")
         if not 0.0 < self.scale < math.pi:
             raise ConfigError("scale must lie in (0, pi)")
-        if self.rmax < 0:
-            raise ConfigError("rmax must be non-negative")
+        if self.seed < 0 or self.rmax < 0:
+            raise ConfigError("seed and rmax must be non-negative")
         if self.ambient < 4:
             raise ConfigError("ambient dimension too small")
-        if not self.ranks or any(n < 1 for n in self.ranks):
+        if not self.ranks or not all(type(n) is int and n >= 1 for n in self.ranks):
             raise ConfigError("ranks must be positive integers")
         if self.format not in _FLAGS["format"].choices:
             raise ConfigError(f"unknown format {self.format!r}")
@@ -102,27 +115,19 @@ class RunConfig:
         return os.path.join(base, COMMANDS[self.command].output)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _complex_fields(prefix: str, value: complex) -> dict:
-    return {f"{prefix}_re": value.real, f"{prefix}_im": value.imag}
-
-
-def _report_dict(report, label: str, trial: int | None = None) -> dict:
-    out = {
-        "label": label,
-        **_complex_fields("lhs", report.lhs),
-        **_complex_fields("rhs", report.rhs),
-        "abs_err": report.abs_err,
-        "rel_err": report.rel_err,
-        "s_nodes_used": report.s_nodes_used,
-        "tolerance": report.tolerance,
-        "pass": report.passed,
-    }
-    if trial is not None:
-        out["trial"] = trial
+def _record(report, **extra) -> dict:
+    """A report dataclass as a JSON record, with the CLI-only keys in ``extra``."""
+    out = dict(extra)
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, complex):
+            out[field.name + "_re"], out[field.name + "_im"] = value.real, value.imag
+        elif isinstance(value, tuple):
+            out[field.name] = [_record(item) for item in value]
+        elif field.name != "passed":
+            out[field.name] = value
+    if hasattr(report, "passed"):  # a field or a property
+        out["pass"] = report.passed
     return out
 
 
@@ -133,12 +138,13 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _write_rows(path: str, header: str, rows: Iterable[str]) -> None:
-    """Write a header line, then ``rows``, each already ending in a newline."""
+def _write_csv(path: str, columns: dict) -> None:
+    """A header of the column names, then one row per index of the equal-length columns."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(rows)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(map(row.format, *columns.values()))
 
 
 def _trial_polynomials(config: RunConfig, trial: int) -> tuple[list[TrigPolynomial], list[str]]:
@@ -157,7 +163,7 @@ def _run_verify_trial(config: RunConfig, trial: int) -> list[dict]:
     reports = batch_verify(
         pair.u0, pair.u, pair.a, polys, tol=config.tol, s_rule=gauss_legendre(config.s_nodes)
     )
-    return [_report_dict(rep, label, trial) for rep, label in zip(reports, labels)]
+    return [_record(rep, label=label, trial=trial) for rep, label in zip(reports, labels)]
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -172,18 +178,8 @@ def cmd_eta(config: RunConfig) -> int:
     bound = math.pi / 2.0 * hs_norm(pair.a) ** 2
     ok = profile.l1_eta0 <= bound + 1e-8
     path = config.out_path()
-    if config.format == "csv":
-        columns = (profile.grid.tolist(), profile.eta.tolist(), profile.eta0.tolist())
-        _write_rows(path, "t,eta,eta0", map("{:.17g},{:.17g},{:.17g}\n".format, *columns))
-    else:
-        _write_json(
-            path,
-            {
-                "t": [float(v) for v in profile.grid],
-                "eta": [float(v) for v in profile.eta],
-                "eta0": [float(v) for v in profile.eta0],
-            },
-        )
+    columns = {"t": profile.grid.tolist(), "eta": profile.eta.tolist(), "eta0": profile.eta0.tolist()}
+    (_write_csv if config.format == "csv" else _write_json)(path, columns)
     sidecar = {
         "dim": config.dim,
         "seed": config.seed,
@@ -204,26 +200,12 @@ def cmd_converge(config: RunConfig) -> int:
     study = convergence_study(
         inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), list(config.ranks)
     )
-    rows = [
-        f"{row.rank},{_fmt(row.compressed_trace.real)},{_fmt(row.compressed_trace.imag)},{_fmt(row.abs_diff)}\n"
-        for row in study.rows
-    ]
-    path = config.out_path()
+    records = [_record(row) for row in study.rows]
     if config.format == "csv":
-        _write_rows(path, "rank,compressed_trace_re,compressed_trace_im,abs_diff", rows)
+        names = ("rank", "compressed_trace_re", "compressed_trace_im", "abs_diff")
+        _write_csv(config.out_path(), {name: [rec[name] for rec in records] for name in names})
     else:
-        _write_json(
-            path,
-            [
-                {
-                    "rank": row.rank,
-                    "cells": row.cells,
-                    **_complex_fields("compressed_trace", row.compressed_trace),
-                    "abs_diff": row.abs_diff,
-                }
-                for row in study.rows
-            ],
-        )
+        _write_json(config.out_path(), records)
     diffs = [row.abs_diff for row in study.rows]
     return 0 if diffs[-1] <= config.tol and diffs[-1] <= diffs[0] else 1
 
@@ -233,38 +215,16 @@ def cmd_resolvent(config: RunConfig) -> int:
     report = resolvent_check(
         pair.u0, pair.u, pair.a, config.z, tol=config.tol, s_rule=gauss_legendre(config.s_nodes)
     )
-    payload = _report_dict(report, label=f"z={report.z}")
-    payload.update(
-        {
-            **_complex_fields("z", report.z),
-            **_complex_fields("direct_lhs", report.direct_lhs),
-            "series_vs_direct": report.series_vs_direct,
-            "truncation_order": report.truncation_order,
-            "tail_bound": report.tail_bound,
-        }
-    )
-    _write_json(config.out_path(), payload)
+    _write_json(config.out_path(), _record(report, label=f"z={report.z}"))
     return 0 if report.passed else 1
-
-
-def _audit_dict(report) -> dict:
-    return {
-        "label": report.label,
-        "eps": report.eps,
-        "pass": report.passed,
-        "checks": [
-            {"name": c.name, "value": c.value, "bound": c.bound, "ok": c.ok}
-            for c in report.checks
-        ],
-    }
 
 
 def cmd_bounds(config: RunConfig) -> int:
     inst = reduction_instance(config.seed, config.ambient, rank=2, scale=config.scale)
     t_grid = np.linspace(-AUDIT_T_MAX, AUDIT_T_MAX, 21)
-    audits = []
+    partitions = []
     for cells in config.ranks:
-        proj = build_direction_projection(inst.h0, inst.a, inst.half_width, int(cells))
+        proj = build_direction_projection(inst.h0, inst.a, inst.half_width, cells)
         reports = [
             audit_projection_estimates(proj, inst.h0, inst.u0, AUDIT_M_LIST),
             audit_perturbation_estimates(
@@ -275,16 +235,10 @@ def cmd_bounds(config: RunConfig) -> int:
                 AUDIT_T_MAX, AUDIT_M_LIST, AUDIT_K_LIST,
             ),
         ]
-        audits.append(
-            {
-                "cells": int(cells),
-                "rank": proj.rank,
-                "pass": all(r.passed for r in reports),
-                "audits": [_audit_dict(r) for r in reports],
-            }
-        )
+        partitions.append({"cells": cells, "rank": proj.rank, "pass": all(r.passed for r in reports),
+                           "audits": [_record(r) for r in reports]})
     payload = {"ambient": config.ambient, "seed": config.seed, "scale": config.scale,
-               "pass": all(a["pass"] for a in audits), "partitions": audits}
+               "pass": all(p["pass"] for p in partitions), "partitions": partitions}
     _write_json(config.out_path(), payload)
     return 0 if payload["pass"] else 1
 
@@ -305,7 +259,7 @@ def parse_ranks(text: str) -> tuple[int, ...]:
 
 class _Flag(NamedTuple):
     type: Callable = int
-    json_types: tuple = (int,)  # what a config file may give (never bool)
+    json_types: tuple = (int,)  # the types its RunConfig field may hold (never bool)
     help: str | None = None
     choices: tuple | None = None
 
@@ -376,16 +330,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown configuration keys for {args.command}: {sorted(unknown)}")
         settings.update(loaded)
     settings.update((name, getattr(args, name)) for name in keys if getattr(args, name) is not None)
-    try:
-        if "ranks" in settings and not isinstance(settings["ranks"], tuple):
-            settings["ranks"] = tuple(int(n) for n in settings["ranks"])
-        if "z" in settings and isinstance(settings["z"], str):
+    if isinstance(settings.get("ranks"), list):
+        settings["ranks"] = tuple(settings["ranks"])
+    if isinstance(settings.get("z"), str):
+        try:
             settings["z"] = parse_complex(settings["z"])
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
-    for name, value in settings.items():
-        if isinstance(value, bool) or not isinstance(value, _FLAGS.get(name, _Flag()).json_types):
-            raise ConfigError(f"configuration value {name}={value!r} has the wrong type")
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"bad configuration value: {exc}") from exc
     return RunConfig(command=args.command, **settings)
 
 

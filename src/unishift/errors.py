@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one whole-number check."""
+
+from numbers import Integral
+
+
+def _is_whole(value, minimum: int | None = None) -> bool:
+    """Whether ``value`` is an int or numpy integer, never a bool, and at least ``minimum``."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and (minimum is None or value >= minimum)
 
 
 class UnishiftError(ValueError):

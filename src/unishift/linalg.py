@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch, EmptyMatrix, NoConvergence, NotHermitian, NotUnitary, PathMismatch, UnishiftError,
+    _is_whole,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -339,8 +340,8 @@ def random_pair(seed: int, dim: int, scale: float) -> UnitaryPair:
 
     ``scale`` must stay in (0, pi) so the principal logarithm of U U0* is A.
     """
-    if dim < 1:
-        raise UnishiftError("dim must be at least 1")
+    if not _is_whole(dim, 1):
+        raise UnishiftError(f"dim must be a whole number, at least 1, not {dim!r}")
     if not 0.0 < scale < np.pi:
         raise UnishiftError("scale must lie in (0, pi)")
     rng = np.random.default_rng(seed)

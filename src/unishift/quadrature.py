@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnishiftError
+from .errors import UnishiftError, _is_whole
 
 DEFAULT_S_NODES = 64
 
@@ -29,8 +29,8 @@ def gauss_legendre(n: int) -> QuadratureRule:
     The symmetric raw rule integrates s exactly, so sum(w * s) = 1/2 to
     rounding; several bounds downstream rely on that.
     """
-    if n < 1:
-        raise UnishiftError("need at least one node")
+    if not _is_whole(n, 1):
+        raise UnishiftError(f"need a whole number of nodes, at least one, not {n!r}")
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
@@ -43,6 +43,6 @@ def as_rule(rule) -> QuadratureRule:
         if np.any(rule.nodes < 0.0) or np.any(rule.nodes > 1.0):
             raise UnishiftError("quadrature nodes must lie in [0, 1]")
         return rule
-    if isinstance(rule, (int, np.integer)):
+    if _is_whole(rule):
         return gauss_legendre(int(rule))
     raise UnishiftError(f"cannot interpret {rule!r} as a quadrature rule")

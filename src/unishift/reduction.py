@@ -68,6 +68,7 @@ from .errors import (
     UnishiftError,
     UnnormalisedSeed,
     ZeroDirection,
+    _is_whole,
 )
 from .linalg import (
     HermitianDecomposition,
@@ -164,7 +165,7 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     lengths = np.linalg.norm(f, axis=0)
     if not np.all(np.abs(lengths - 1.0) <= 1e-10):  # NaN lengths fail too
         raise UnnormalisedSeed("seed vectors must be finite and normalised")
-    if not isinstance(cells, (int, np.integer)) or cells < 1 or half_width <= 0.0:
+    if not _is_whole(cells, 1) or half_width <= 0.0:
         raise BadWindow("need a positive window and a whole number of cells, at least one")
     eps = count * half_width / np.sqrt(cells)
     coords = dec.vectors.conj().T @ f  # eigenbasis coordinates of the seeds
@@ -273,7 +274,7 @@ def _audit_frame(p: ProjectionBasis, powers, **operands) -> tuple[float, np.ndar
     if p.params is None:
         raise MissingConstruction("projection carries no construction record to audit")
     for m in powers:
-        if not float(m).is_integer():
+        if not _is_whole(m):
             raise UnishiftError(f"audited powers must be whole numbers, not {m!r}")
     return p.params.eps, p.columns, _ambient_operands(p, **operands)
 
@@ -384,13 +385,14 @@ def _compressed(p: ProjectionBasis, h0: np.ndarray, a: np.ndarray, phase: float)
 
 
 def audit_compressed_model(
-    p: ProjectionBasis, h0, a, u0, u, phase: float, t_max: float, m_list, k_list, s_samples=None
+    p: ProjectionBasis, h0, a, u0, u, phase: float, t_max: float, m_list, k_list
 ) -> AuditReport:
     """Error bounds for replacing the ambient pair by its compressed model.
 
     Covers the six displayed quantities: the rank-one-step exponentials
-    ||P_perp (e^{iA} - I)||_2 and ||(e^{isA} - e^{isAp}) P||_2, the
-    trace-norm remainder ||P_perp (e^{iA} - iA - I)||_1, the power errors
+    ||P_perp (e^{iA} - I)||_2 and ||(e^{isA} - e^{isAp}) P||_2 (at 21 equally
+    spaced s in [-T, T]), the trace-norm remainder
+    ||P_perp (e^{iA} - iA - I)||_1, the power errors
     ||(U0^m - U0p^m) P||_2 and ||P (U^m - Up^m) P||_2, and the mixed traces
     |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.
     """
@@ -399,14 +401,12 @@ def audit_compressed_model(
     f, tau, a_op, f_perp, fb = _direction_factors(a, b)
     fc, tau_c = model.ap_vectors, model.ap_values
     a_hs = hs_norm(a)
-    if s_samples is None:
-        s_samples = np.linspace(-t_max, t_max, 21)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
     bfc = b @ fc
     checks = [_check("exp_step_offblock", hs_norm(_exp_step(f_perp, tau)), 2 * eps)]
     worst = 0.0
-    for s in s_samples:
+    for s in np.linspace(-t_max, t_max, 21):
         # e^{isA} B - B e^{isAp} = F (e^{is tau} - 1) F*B - B Fc (e^{is tau_c} - 1) Fc*
         diff = _exp_step(f, tau, float(s)) @ fb - _exp_step(bfc, tau_c, float(s)) @ fc.conj().T
         worst = max(worst, hs_norm(diff))
@@ -470,9 +470,9 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     finest partition so cells keep holding several eigenvalues.
     """
     h0, a = _ambient_operands(None, h0=h0, a=a)
-    cell_counts = [int(n) for n in cell_counts]
-    if min(cell_counts, default=0) < 1:
-        raise BadWindow("need at least one cell count, all positive")
+    cell_counts = list(cell_counts)
+    if not cell_counts or not all(_is_whole(n, 1) for n in cell_counts):
+        raise BadWindow("need at least one cell count, each a positive whole number")
     if h0.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
     h0_dec = herm_eig(h0, check=False)
@@ -488,7 +488,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
         compressed = _lhs(model.u0p, model.up, model.ap, p)
         rows.append(
             ConvergenceRow(
-                cells=n,
+                cells=int(n),
                 rank=proj.rank,
                 compressed_trace=compressed,
                 abs_diff=abs(full - compressed),
@@ -524,8 +524,8 @@ class ReductionInstance:
 
 def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: float = 0.0) -> ReductionInstance:
     """Seeded ambient model: H0 equidistributed in (-1, 1) and a low-rank direction."""
-    if not 1 <= rank <= ambient:
-        raise DimensionMismatch(f"need 1 <= rank <= ambient, got rank {rank} and ambient {ambient}")
+    if not (_is_whole(rank, 1) and _is_whole(ambient, rank)):
+        raise DimensionMismatch(f"need whole sizes 1 <= rank <= ambient, got rank {rank!r} and ambient {ambient!r}")
     rng = np.random.default_rng(seed)
     h0 = spread_diagonal(ambient, 1.0)
     a = random_low_rank_hermitian(rng, ambient, rank, scale)

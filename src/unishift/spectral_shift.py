@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, UnishiftError, ZeroHarmonic
+from .errors import NotHermitian, UnishiftError, ZeroHarmonic, _is_whole
 from .linalg import TWO_PI, UnitaryPath, hs_norm, unitary_eig
 from .quadrature import QuadratureRule, as_rule
 
@@ -180,8 +180,8 @@ class EtaIntegrator:
         return {int(r): complex(v) for r, v in zip(modes, pairings)}
 
     def profile(self, grid_size: int) -> EtaProfile:
-        if grid_size < 2:
-            raise UnishiftError("grid must contain at least the two endpoints")
+        if not _is_whole(grid_size, 2):
+            raise UnishiftError(f"grid must be a whole number of points, at least 2, not {grid_size!r}")
         grid = np.linspace(0.0, TWO_PI, grid_size)
         eta = self.eta(grid)
         eta0 = eta - self.mean()

@@ -29,6 +29,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(command="nope").validate()
         with pytest.raises(ConfigError):
+            RunConfig(command=["verify"]).validate()
+        with pytest.raises(ConfigError):
             RunConfig(command="verify", scale=4.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(command="verify", tol=2.0).validate()
@@ -69,6 +71,14 @@ class TestConfig:
         assert main(["resolvent", "--config", str(cfg_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_integer_config_ranks_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"ranks": [16.7, 64.2]}))
+        out = tmp_path / "b.json"
+        assert main(["bounds", "--ambient", "64", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ranks must be positive integers\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["bounds", "--format", "csv"], ["bounds", "--tol", "0.5"],
@@ -159,7 +169,7 @@ class TestVerifyCommand:
         assert all(r["pass"] for r in records)
         assert max(abs(complex(r["lhs_re"], r["lhs_im"])) for r in records) <= 1e-9
 
-    def test_batch_report_schema(self, tmp_path):
+    def test_batch_report_schema(self, tmp_path):  # the VerificationReport fields
         out = tmp_path / "v.json"
         code = main(
             ["verify", "--dim", "4", "--trials", "2", "--rmax", "3", "--seed", "1",
@@ -256,6 +266,17 @@ class TestEtaCommand:
         assert len(payload["t"]) == 16
 
 
+CONVERGE_ROW_KEYS = {"cells", "rank", "compressed_trace_re", "compressed_trace_im", "abs_diff"}
+RESOLVENT_KEYS = {
+    "label", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_err", "rel_err", "s_nodes_used", "tolerance", "pass",
+    "z_re", "z_im", "truncation_order", "tail_bound", "direct_lhs_re", "direct_lhs_im", "series_vs_direct",
+}
+BOUNDS_KEYS = {"ambient", "seed", "scale", "pass", "partitions"}
+PARTITION_KEYS = {"cells", "rank", "pass", "audits"}
+AUDIT_KEYS = {"label", "eps", "pass", "checks"}
+CHECK_KEYS = {"name", "value", "bound", "ok"}
+
+
 class TestConvergeCommand:
     def test_csv_schema_and_trend(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -266,6 +287,14 @@ class TestConvergeCommand:
         assert lines[0] == "rank,compressed_trace_re,compressed_trace_im,abs_diff"
         diffs = [float(line.split(",")[3]) for line in lines[1:]]
         assert diffs[-1] <= diffs[0]
+
+    def test_json_schema(self, tmp_path):  # the ConvergenceRow fields
+        out = tmp_path / "c.json"
+        assert main(["converge", "--ambient", "64", "--ranks", "4,8,16", "--seed", "6", "--scale", "0.4",
+                     "--format", "json", "--out", str(out)]) == 0
+        rows = read_json(out)
+        assert [row["cells"] for row in rows] == [4, 8, 16]
+        assert all(set(row) == CONVERGE_ROW_KEYS for row in rows)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["converge", "--ambient", "64", "--ranks", "4,8,16", "--seed", "6", "--scale", "0.4"]
@@ -293,7 +322,10 @@ class TestResolventCommand:
                      "--out", str(out)])
         assert code == 0
         payload = read_json(out)
+        assert set(payload) == RESOLVENT_KEYS  # the ResolventReport fields
         assert payload["pass"] is True
+        assert payload["label"] == "z=(-0.3+0.4j)"
+        assert (payload["z_re"], payload["z_im"]) == (-0.3, 0.4)
         assert payload["series_vs_direct"] <= 1e-7 * (1 + abs(payload["direct_lhs_re"]))
 
     @pytest.mark.parametrize("z", ["--z=1e400", "--z=nan"])
@@ -316,6 +348,20 @@ class TestBoundsCommand:
         assert [p["cells"] for p in payload["partitions"]] == [8, 16]
         assert len(payload["partitions"][0]["audits"]) == 3
 
+    def test_json_schema(self, tmp_path):  # the AuditReport and BoundCheck fields
+        out = tmp_path / "b.json"
+        assert main(["bounds", "--ambient", "64", "--ranks", "4,16", "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert set(payload) == BOUNDS_KEYS
+        for partition in payload["partitions"]:
+            assert set(partition) == PARTITION_KEYS
+            assert [audit["label"] for audit in partition["audits"]] == [
+                "window-projection", "perturbation-coupling", "compressed-model"]
+            for audit in partition["audits"]:
+                assert set(audit) == AUDIT_KEYS
+                assert audit["pass"] is all(check["ok"] for check in audit["checks"])
+                assert all(set(check) == CHECK_KEYS for check in audit["checks"])
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["bounds", "--ambient", "64", "--ranks", "4,16", "--seed", "8", "--scale", "0.5"]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -328,6 +374,13 @@ class TestExitCodes:
     def test_invalid_config_exits_2(self, capsys):
         assert main(["verify", "--dim", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out.file"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed and rmax must be non-negative\n"
+        assert not out.exists()
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "v.json"
@@ -343,3 +396,20 @@ class TestExitCodes:
     def test_run_config_api(self, tmp_path):
         cfg = RunConfig(command="verify", dim=2, trials=1, rmax=2, out=str(tmp_path / "v.json"))
         assert run(cfg) == 0
+
+    @pytest.mark.parametrize("settings", [
+        {"command": "verify", "dim": "3"}, {"command": "eta", "s_nodes": 2.5},
+        {"command": "bounds", "ranks": (16.5,)}, {"command": "converge", "ranks": [8, 16]},
+        {"command": "verify", "trials": True}, {"command": "resolvent", "z": "0.5"},
+    ])
+    def test_run_config_api_checks_types(self, tmp_path, settings):
+        with pytest.raises(ConfigError, match="wrong type|positive integers"):
+            run(RunConfig(out=str(tmp_path / "out.file"), **settings))
+        assert not (tmp_path / "out.file").exists()
+
+    def test_tol_none_only_without_default(self):
+        RunConfig(command="eta").validate()  # eta has no --tol
+        cfg = RunConfig(command="verify")
+        cfg.tol = None  # construction fills the default; a later None is rejected
+        with pytest.raises(ConfigError, match="wrong type"):
+            cfg.validate()

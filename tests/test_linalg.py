@@ -306,6 +306,12 @@ def test_random_pair_rejects_bad_scale():
             random_pair(0, dim, scale)
 
 
+@pytest.mark.parametrize("dim", [2.5, 3.0, True])
+def test_random_pair_rejects_non_integer_dim(dim):
+    with pytest.raises(UnishiftError, match="whole number"):
+        random_pair(0, dim, 1.0)
+
+
 def test_matrix_coercion_rejects_bad_input():
     from unishift.linalg import as_matrix
 

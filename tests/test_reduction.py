@@ -318,13 +318,11 @@ class TestThinFactorsOracle:
 
     def audit_against_reference(self, p, inst, a, u, samples):
         pert = audit_perturbation_estimates(p, inst.u0, u, a, 2.0, self.M, samples)
-        comp = audit_compressed_model(
-            p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, s_samples=samples
-        )
+        comp = audit_compressed_model(p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K)
         b, eps = p.columns, p.params.eps
         assert_matches_reference(pert, dense_perturbation_audit(b, eps, inst.u0, u, a, 2.0, self.M, samples))
         assert_matches_reference(comp, dense_compressed_audit(
-            b, eps, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, samples, _exp_remainder_factor
+            b, eps, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, T_GRID, _exp_remainder_factor
         ))
         model = compressed_model(p, inst.h0, a, inst.phase)
         for got, want in zip((model.u0p, model.ap, model.up), dense_compressed_model(b, inst.h0, a, inst.phase)):
@@ -390,15 +388,13 @@ class TestStreamedAuditsOracle:
         reports = [
             audit_projection_estimates(p, inst.h0, inst.u0, self.M),
             audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, self.M, self.SAMPLES),
-            audit_compressed_model(
-                p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K, s_samples=self.SAMPLES
-            ),
+            audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K),
         ]
         references = [
             dense_projection_audit(b, p.directions, eps, inst.h0, inst.u0, self.M),
             dense_perturbation_audit(b, eps, inst.u0, inst.u, inst.a, 2.0, self.M, self.SAMPLES),
             dense_compressed_audit(
-                b, eps, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K, self.SAMPLES,
+                b, eps, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K, T_GRID,
                 _exp_remainder_factor,
             ),
         ]
@@ -607,3 +603,28 @@ class TestTypedErrors:
             with pytest.raises(error):
                 call()
             assert issubclass(error, UnishiftError)
+
+    @pytest.mark.parametrize(
+        "error, call",
+        [
+            (DimensionMismatch, lambda inst, poly: reduction_instance(1, 32.5, 2, 0.5)),
+            (DimensionMismatch, lambda inst, poly: reduction_instance(1, 32, 1.5, 0.5)),
+            (DimensionMismatch, lambda inst, poly: reduction_instance(1, 32, True, 0.5)),
+            (BadWindow, lambda inst, poly: convergence_study(inst.h0, inst.a, inst.phase, poly, [4, 8.5])),
+            (BadWindow, lambda inst, poly: convergence_study(inst.h0, inst.a, inst.phase, poly, [4, True])),
+            (BadWindow, lambda inst, poly: build_direction_projection(inst.h0, inst.a, 1.0, True)),
+            (UnishiftError, lambda inst, poly: audit_projection_estimates(
+                build_direction_projection(inst.h0, inst.a, 1.0, 4), inst.h0, inst.u0, [True])),
+        ],
+        ids=["ambient-float", "rank-float", "rank-bool", "ladder-float", "ladder-bool", "cells-bool", "power-bool"],
+    )
+    def test_whole_sizes(self, error, call):
+        """Sizes, cell counts and powers are ints or numpy integers, never floats or bools."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        with pytest.raises(error):
+            call(inst, TrigPolynomial.monomial(2))
+
+    def test_numpy_integer_sizes_accepted(self):
+        inst = reduction_instance(np.int64(16), np.int64(32), np.int32(2), 0.5)
+        study = convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), np.array([4, 8]))
+        assert [type(row.cells) for row in study.rows] == [int, int]

@@ -304,6 +304,10 @@ class TestTypedErrors:
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), [2.0]),
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).profile(1),
             lambda: eta_profile(np.eye(2), np.zeros((2, 2)), 0, 4),
+            lambda: gauss_legendre(2.5),
+            lambda: gauss_legendre(True),
+            lambda: as_rule(True),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).profile(2.5),
         ],
     )
     def test_raises_unishift_error(self, call):

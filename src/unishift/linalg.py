@@ -41,6 +41,12 @@ TWO_PI = 2.0 * np.pi
 # Angles within this distance of 0 (mod 2pi) are treated as eigenvalue 1.
 _ONE_SNAP = 1e-12
 
+# Cap, in complex entries, on one block of stacked temporaries: the power
+# blocks of ``_power_blocks`` here and the integrator's (nodes, d, d) stacks
+# and (modes, jumps) phase matrices in ``spectral_shift``.  Without it peak
+# memory would grow with the number of powers, nodes or modes.
+_BLOCK = 1 << 13
+
 
 def _require_finite(a: np.ndarray) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
@@ -145,22 +151,48 @@ class HermitianDecomposition:
         return _from_spectrum(self.vectors, np.exp(1j * s * self.eigenvalues))
 
 
-def _power_stream(u: np.ndarray, ms, b: np.ndarray | None = None):
-    """Yield (m, U^m B) for each wanted m, one product ``step @ Y`` per power step.
+def _power_blocks(u: np.ndarray, ms, b: np.ndarray | None = None):
+    """Yield (ks, Y) with Y[j] = U^{ks[j]} B, in runs of consecutive ks covering every wanted m.
 
     Positive m step by U, negative m by U*, the inverse of a unitary U; no
-    eigendecomposition is touched.  B = None stands for the identity, so
-    |m| = 1 yields a copy of U or U*; nothing yielded aliases U or B.
+    eigendecomposition is touched.  Each sign is streamed a block of
+    ``size = min(top, _BLOCK // d^2)`` consecutive powers at a time, as one
+    (size, d, c) stack: the first block's d x d powers come from doubling
+    products P[n:n+m] = P[:m] U^n, and each later block is one batched
+    product U^size @ Y, so a stream of size 1 makes the one-step products.
+    m = 0 yields B alone; B = None stands for the identity.  Nothing yielded
+    aliases U or B; callers only read the blocks, since the last power of
+    the first block is the step to the next.
     """
+    ms = np.asarray(ms, dtype=np.int64)
+    d = u.shape[0]
+    if (ms == 0).any():
+        yield np.zeros(1, dtype=np.int64), (np.eye(d, dtype=u.dtype) if b is None else b)[None].copy()
+    for sign in (1, -1):
+        top = int((sign * ms).max(initial=0))
+        if top < 1:
+            continue
+        step = u if sign == 1 else u.conj().T
+        size = min(top, max(1, _BLOCK // max(u.size, 1)))
+        # with B = None the first block is yielded as is, so it must not alias U
+        powers = step[None].copy() if b is None else step[None]
+        while len(powers) < size:
+            m = min(len(powers), size - len(powers))
+            powers = np.concatenate([powers, powers[:m] @ powers[-1]])
+        y = powers if b is None else powers @ b
+        for k0 in range(1, top + 1, size):
+            if k0 > 1:
+                y = powers[-1] @ y[:top - k0 + 1]
+            yield sign * np.arange(k0, k0 + len(y)), y
+
+
+def _power_stream(u: np.ndarray, ms, b: np.ndarray | None = None):
+    """Yield (m, U^m B) for each wanted m, slice by slice from ``_power_blocks``."""
     wanted = {int(m) for m in ms}
-    if 0 in wanted:
-        yield 0, np.eye(u.shape[0], dtype=u.dtype) if b is None else b.copy()
-    for sign, step in ((1, u), (-1, u.conj().T)):
-        y = b
-        for k in range(1, max((sign * m for m in wanted), default=0) + 1):
-            y = step.copy() if y is None else step @ y
-            if sign * k in wanted:
-                yield sign * k, y
+    for ks, ys in _power_blocks(u, list(wanted), b):
+        for k, y in zip(ks.tolist(), ys):
+            if k in wanted:
+                yield k, y
 
 
 def _from_spectrum(vectors: np.ndarray, values) -> np.ndarray:
@@ -340,6 +372,8 @@ def random_pair(seed: int, dim: int, scale: float) -> UnitaryPair:
 
     ``scale`` must stay in (0, pi) so the principal logarithm of U U0* is A.
     """
+    if not _is_whole(seed, 0):
+        raise UnishiftError(f"seed must be a whole number, at least 0, not {seed!r}")
     if not _is_whole(dim, 1):
         raise UnishiftError(f"dim must be a whole number, at least 1, not {dim!r}")
     if not 0.0 < scale < np.pi:

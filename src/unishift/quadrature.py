@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,12 +28,21 @@ def gauss_legendre(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule mapped from [-1, 1] to [0, 1].
 
     The symmetric raw rule integrates s exactly, so sum(w * s) = 1/2 to
-    rounding; several bounds downstream rely on that.
+    rounding; several bounds downstream rely on that.  Rules are cached by
+    node count, so the returned arrays are shared and read-only.
     """
     if not _is_whole(n, 1):
         raise UnishiftError(f"need a whole number of nodes, at least one, not {n!r}")
+    return _legendre_rule(int(n))
+
+
+@lru_cache(maxsize=32)
+def _legendre_rule(n: int) -> QuadratureRule:
+    """``gauss_legendre(n)``, built once per node count; its arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def as_rule(rule) -> QuadratureRule:

@@ -524,6 +524,8 @@ class ReductionInstance:
 
 def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: float = 0.0) -> ReductionInstance:
     """Seeded ambient model: H0 equidistributed in (-1, 1) and a low-rank direction."""
+    if not _is_whole(seed, 0):
+        raise UnishiftError(f"seed must be a whole number, at least 0, not {seed!r}")
     if not (_is_whole(rank, 1) and _is_whole(ambient, rank)):
         raise DimensionMismatch(f"need whole sizes 1 <= rank <= ambient, got rank {rank!r} and ambient {ambient!r}")
     rng = np.random.default_rng(seed)

@@ -30,16 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHermitian, UnishiftError, ZeroHarmonic, _is_whole
-from .linalg import TWO_PI, UnitaryPath, hs_norm, unitary_eig
+from .linalg import _BLOCK, TWO_PI, UnitaryPath, hs_norm, unitary_eig
 from .quadrature import QuadratureRule, as_rule
 
 IMAG_TOL = 1e-10
-
-# Cap, in complex entries, on one block of the integrator's temporaries: the
-# (nodes, d, d) stacks of U_s and the (modes, jumps) phase matrices.  Without
-# it the peak memory grows with d^2 times the node count and with the number
-# of modes times the number of jumps.
-_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)

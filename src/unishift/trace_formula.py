@@ -7,9 +7,12 @@ For U = e^{iA} U0 and a trigonometric polynomial p, the identity reads
 
 Both sides are linear in the coefficients of p, so each is assembled from
 one number per Fourier mode n.  The left side streams the powers U^k and
-U0^k, one matrix product each per step (adjoints for negative modes), with
-the generator the reduction audits use for U^m B (``linalg._power_stream``),
-and takes the derivative term from the cyclic trace identity below; the right
+U0^k in blocks of consecutive k, each block one (b, d, d) stack advanced by
+one batched product (adjoints for negative modes), with the generator the
+reduction audits use for U^m B (``linalg._power_blocks``).  Per block it takes
+the b traces at once and the b derivative terms from the cyclic trace
+identity below in one product with conj(A); the polynomial's left side is
+then one dot product of its coefficients with the per-mode values.  The right
 side is an exact sum over the jump list of eta (eigenangles of U_s at
 Gauss-Legendre nodes in s, see ``spectral_shift``).  The left side touches
 no eigendecomposition, so the two sides share no spectral code path and
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OnUnitCircle, UnishiftError
-from .linalg import UnitaryPath, _power_stream, hs_norm, op_norm, trace
+from .linalg import UnitaryPath, _power_blocks, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial
 
@@ -63,28 +66,42 @@ def require_path(u0, u, a) -> None:
     UnitaryPath(u0, a).require_endpoint(u)
 
 
-def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> dict[int, complex]:
-    """Tr{ U^n - U0^n - d/ds U_s^n|_0 } for each mode n, from streamed powers.
+def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> np.ndarray:
+    """Tr{ U^n - U0^n - d/ds U_s^n|_0 } for each mode n in ``modes``, in that order.
 
     The derivative trace is i n Tr(A U0^n) = i n sum conj(A) * U0^n, since A
-    is Hermitian.  The powers of U and U0 are streamed side by side up to the
-    largest wanted |n|; nothing is kept between steps.
+    is Hermitian.  Blocks of powers of U and U0 are streamed side by side up
+    to the largest wanted |n|; each block gives its traces and its products
+    with conj(A) at once, and nothing is kept between blocks.
     """
-    modes = set(modes)
-    out = {}
-    for (n, power), (_, power0) in zip(_power_stream(u, modes), _power_stream(u0, modes)):
-        out[n] = complex(power.trace() - power0.trace()) - 1j * n * complex(np.vdot(a, power0))
+    modes = np.asarray(modes, dtype=np.int64)
+    lo = modes.min(initial=0)
+    values = np.zeros(modes.max(initial=0) - lo + 1, dtype=np.complex128)
+    a_conj = a.conj().ravel()
+    for (ks, power), (_, power0) in zip(_power_blocks(u, modes), _power_blocks(u0, modes)):
+        traces = np.trace(power, axis1=1, axis2=2) - np.trace(power0, axis1=1, axis2=2)
+        values[ks - lo] = traces - 1j * ks * (power0.reshape(len(ks), -1) @ a_conj)
+    return values[modes - lo]
+
+
+def _coefficients(polys, modes) -> np.ndarray:
+    """Row j holds the coefficients of polys[j] on ``modes``, which cover every support."""
+    column = {n: i for i, n in enumerate(modes)}
+    out = np.zeros((len(polys), len(modes)), dtype=np.complex128)
+    for row, p in zip(out, polys):
+        row[[column[n] for n in p.coeffs]] = list(p.coeffs.values())
     return out
 
 
 def _lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, p: TrigPolynomial) -> complex:
-    """``lhs_trace`` for a pair that is already validated."""
-    lhs_mode = _lhs_mode_traces(u0, u, a, p.support)
-    return complex(sum(c * lhs_mode[n] for n, c in p.items()))
+    """``lhs_trace`` for a pair that is already validated: one dot product over p's modes."""
+    modes = np.fromiter(p.coeffs, dtype=np.int64, count=len(p.coeffs))
+    coeffs = np.fromiter(p.coeffs.values(), dtype=np.complex128, count=len(p.coeffs))
+    return complex(coeffs @ _lhs_mode_traces(u0, u, a, modes))
 
 
 def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
-    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via streamed powers, mode by mode."""
+    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via blocks of streamed powers."""
     path = UnitaryPath(u0, a)
     return _lhs(path.u0, path.require_endpoint(u), path.a, p)
 
@@ -119,18 +136,18 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
 
     The pair is validated by the integrator's path.  Both sides are linear in
     the coefficients, so each side is assembled from per-mode values: streamed
-    traces of U^n - U0^n - D_n on the left, curvature pairings on the right.
+    traces of U^n - U0^n - D_n on the left, one product of the coefficient
+    matrix with them for all polynomials, and curvature pairings on the right.
     """
     session = EtaIntegrator(u0, a, s_rule)
     u = session.path.require_endpoint(u)
     modes = sorted({n for p in polys for n in p.coeffs})
-    lhs_mode = _lhs_mode_traces(session.u0, u, session.a, modes)
+    lhs = _coefficients(polys, modes) @ _lhs_mode_traces(session.u0, u, session.a, modes)
     rhs_mode = session.curvature_pairings(modes)
     reports = []
-    for p in polys:
-        lhs = complex(sum(c * lhs_mode[n] for n, c in p.items()))
+    for p, lhs_p in zip(polys, lhs.tolist()):
         rhs = complex(sum(c * rhs_mode[n] for n, c in p.items()))
-        reports.append(VerificationReport.from_sides(lhs, rhs, tol, session.rule.count))
+        reports.append(VerificationReport.from_sides(lhs_p, rhs, tol, session.rule.count))
     return reports
 
 

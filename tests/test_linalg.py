@@ -312,6 +312,12 @@ def test_random_pair_rejects_non_integer_dim(dim):
         random_pair(0, dim, 1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_random_pair_rejects_bad_seed(seed):
+    with pytest.raises(UnishiftError, match="seed must be a whole number"):
+        random_pair(seed, 3, 1.0)
+
+
 def test_matrix_coercion_rejects_bad_input():
     from unishift.linalg import as_matrix
 

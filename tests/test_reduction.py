@@ -610,13 +610,16 @@ class TestTypedErrors:
             (DimensionMismatch, lambda inst, poly: reduction_instance(1, 32.5, 2, 0.5)),
             (DimensionMismatch, lambda inst, poly: reduction_instance(1, 32, 1.5, 0.5)),
             (DimensionMismatch, lambda inst, poly: reduction_instance(1, 32, True, 0.5)),
+            (UnishiftError, lambda inst, poly: reduction_instance(-1, 32, 2, 0.5)),
+            (UnishiftError, lambda inst, poly: reduction_instance(1.5, 32, 2, 0.5)),
+            (UnishiftError, lambda inst, poly: reduction_instance(True, 32, 2, 0.5)),
             (BadWindow, lambda inst, poly: convergence_study(inst.h0, inst.a, inst.phase, poly, [4, 8.5])),
             (BadWindow, lambda inst, poly: convergence_study(inst.h0, inst.a, inst.phase, poly, [4, True])),
             (BadWindow, lambda inst, poly: build_direction_projection(inst.h0, inst.a, 1.0, True)),
             (UnishiftError, lambda inst, poly: audit_projection_estimates(
                 build_direction_projection(inst.h0, inst.a, 1.0, 4), inst.h0, inst.u0, [True])),
         ],
-        ids=["ambient-float", "rank-float", "rank-bool", "ladder-float", "ladder-bool", "cells-bool", "power-bool"],
+        ids=["ambient-float", "rank-float", "rank-bool", "seed-negative", "seed-float", "seed-bool", "ladder-float", "ladder-bool", "cells-bool", "power-bool"],
     )
     def test_whole_sizes(self, error, call):
         """Sizes, cell counts and powers are ints or numpy integers, never floats or bools."""

@@ -290,6 +290,20 @@ class TestEmptyMatrices:
             EtaIntegrator(self.empty, self.empty).fourier(1)
 
 
+class TestQuadratureRule:
+    def test_rules_cached_read_only(self):
+        first, again = gauss_legendre(64), gauss_legendre(np.int64(64))
+        np.testing.assert_array_equal(first.nodes, again.nodes)
+        np.testing.assert_array_equal(first.weights, again.weights)
+        x, w = np.polynomial.legendre.leggauss(64)
+        assert first.nodes.tobytes() == ((x + 1.0) / 2.0).tobytes()
+        assert first.weights.tobytes() == (w / 2.0).tobytes()
+        for array in (first.nodes, first.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        assert gauss_legendre(64).nodes[0] == again.nodes[0]
+
+
 class TestTypedErrors:
     """Bad rules and grids raise UnishiftError, never a bare ValueError or TypeError."""
 

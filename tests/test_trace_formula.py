@@ -33,8 +33,8 @@ from unishift import (
     trace_norm,
 )
 from unishift import linalg
-from unishift.linalg import UnitaryPath, _power_stream, haar_unitary, herm_eig, random_hermitian
-from unishift.trace_formula import _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
+from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, _power_stream, haar_unitary, herm_eig, random_hermitian
+from unishift.trace_formula import _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
 
 seeds = st.integers(0, 2**31 - 1)
@@ -91,6 +91,98 @@ class TestPowers:
             assert y.shape == (6, 2)
             np.testing.assert_allclose(y, ref, atol=1e-12)
             assert not np.shares_memory(y, b) and not np.shares_memory(y, pair.u)
+
+
+def lhs_oracle(pair, n: int) -> complex:
+    """Tr{ U^n - U0^n - i n A U0^n } from ``np.linalg.matrix_power``."""
+    base = power(pair.u0, n)
+    return complex(np.trace(power(pair.u, n) - base - 1j * n * pair.a @ base))
+
+
+class TestPowerBlocks:
+    """The blocked stream: blocks of ``_BLOCK // d^2`` consecutive powers, one batched step each."""
+
+    @staticmethod
+    def block_size(dim: int) -> int:
+        return _BLOCK // dim**2
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds, st.integers(1, 7), st.sets(st.integers(-400, 400), min_size=1, max_size=8))
+    def test_lhs_values_match_oracle_on_gapped_modes(self, seed, dim, modes):
+        pair = random_pair(seed, dim, 1.0)
+        modes = sorted(modes)
+        got = _lhs_mode_traces(pair.u0, pair.u, pair.a, modes)
+        for n, value in zip(modes, got):
+            ref = lhs_oracle(pair, n)
+            assert abs(value - ref) <= 1e-12 * (1 + abs(n)) * (1 + abs(ref)), n
+
+    @pytest.mark.parametrize("modes", [[0], [-1, 0, 1], [-7, -3, 0, 2, 9], [5, 1, -5, 5]])
+    def test_both_signs_mode_zero_and_dimension_one(self, modes):
+        pair = random_pair(3, 1, 1.0)
+        got = _lhs_mode_traces(pair.u0, pair.u, pair.a, modes)
+        assert got.shape == (len(modes),)
+        for n, value in zip(modes, got):
+            assert abs(value - lhs_oracle(pair, n)) <= 1e-13, n
+        if 0 in modes:
+            assert got[modes.index(0)] == 0
+
+    @pytest.mark.parametrize("dim", [1, 6, 8])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_block_boundaries(self, dim, offset, blocks, sign):
+        pair = random_pair(11, dim, 1.0)
+        size = self.block_size(dim)
+        top = blocks * size + offset
+        wanted = [sign * k for k in sorted({top, top - 1, min(size, top), min(size + 1, top), 1})]
+        runs = list(_power_blocks(pair.u, wanted))
+        ks = np.concatenate([k for k, _ in runs])
+        # one run per block, consecutive powers from sign * 1 to sign * top
+        assert ks.tolist() == [sign * k for k in range(1, top + 1)]
+        assert [len(y) for _, y in runs] == [min(size, top - start) for start in range(0, top, size)]
+        powers = dict(_power_stream(pair.u, wanted))
+        for m in set(wanted):
+            np.testing.assert_allclose(powers[m], power(pair.u, m), atol=1e-12 * abs(m))
+        got = _lhs_mode_traces(pair.u0, pair.u, pair.a, wanted)
+        for n, value in zip(wanted, got):
+            ref = lhs_oracle(pair, n)
+            assert abs(value - ref) <= 1e-12 * (1 + abs(n)) * (1 + abs(ref)), n
+
+    @pytest.mark.parametrize("dim, cols", [(3, 2), (6, 6), (40, 3), (70, 4)])
+    @pytest.mark.parametrize("far", [True, False])
+    def test_blocks_never_alias_inputs_or_each_other(self, dim, cols, far):
+        # blocks of one power (far=False, or dim 70) are a special case of the doubling
+        pair = random_pair(12, dim, 1.0)
+        b = np.linalg.qr(np.random.default_rng(2).standard_normal((dim, cols)) + 0j)[0]
+        wanted = [0, 1, -1, 2 * self.block_size(dim) + 3, -5] if far else [0, 1, -1]
+        for columns in (None, b):
+            kept = []
+            for ks, y in _power_blocks(pair.u, wanted, columns):
+                assert not np.shares_memory(y, pair.u)
+                assert columns is None or not np.shares_memory(y, columns)
+                assert all(not np.shares_memory(y, earlier) for _, earlier, _ in kept)
+                kept.append((ks, y, y.copy()))
+            # no block is written after it is yielded
+            for _, y, snapshot in kept:
+                np.testing.assert_array_equal(y, snapshot)
+            ref = np.eye(dim) if columns is None else b
+            for ks, y, _ in kept:
+                for k, yk in zip(ks, y):
+                    np.testing.assert_allclose(yk, power(pair.u, k) @ ref, atol=1e-11 * (1 + abs(k)))
+
+    @pytest.mark.parametrize("z", [0.99, 1 / 0.99])
+    def test_near_circle_series_matches_direct_inverses(self, z):
+        # order ~4000 on either side of the circle: the series left side stays
+        # within the resolvent tolerance of the one from matrix inverses
+        pair = random_pair(20, 6, 1.0)
+        tol = 1e-7
+        order, _ = resolvent_truncation(z, hs_norm(pair.a), op_norm(pair.a), tol)
+        assert order > 3000
+        series = _lhs(pair.u0, pair.u, pair.a, resolvent_coefficients(z, order))
+        eye = np.eye(6)
+        r_u, r_u0 = np.linalg.inv(pair.u - z * eye), np.linalg.inv(pair.u0 - z * eye)
+        direct = np.trace(r_u - r_u0 + r_u0 @ (1j * pair.a @ pair.u0) @ r_u0)
+        assert abs(series - direct) <= tol * (1 + abs(direct))
 
 
 class TestGateauxMonomial:
@@ -168,7 +260,7 @@ class TestModeTraces:
     def test_matches_full_matrix_oracle(self, seed, dim, scale):
         pair = random_pair(seed, dim, scale)
         modes = range(-12, 13)
-        got = _lhs_mode_traces(pair.u0, pair.u, pair.a, modes)
+        got = dict(zip(modes, _lhs_mode_traces(pair.u0, pair.u, pair.a, modes)))
         assert sorted(got) == list(modes)
         for n in modes:
             ref = np.trace(power(pair.u, n) - power(pair.u0, n) - gateaux_monomial(pair.u0, pair.a, n))
@@ -176,9 +268,9 @@ class TestModeTraces:
 
     def test_sparse_modes(self):
         pair = random_pair(19, 4, 1.0)
-        got = _lhs_mode_traces(pair.u0, pair.u, pair.a, [-5, 3])
+        got = dict(zip([-5, 3], _lhs_mode_traces(pair.u0, pair.u, pair.a, [-5, 3])))
         assert sorted(got) == [-5, 3]
-        full = _lhs_mode_traces(pair.u0, pair.u, pair.a, range(-5, 6))
+        full = dict(zip(range(-5, 6), _lhs_mode_traces(pair.u0, pair.u, pair.a, range(-5, 6))))
         assert got[-5] == full[-5] and got[3] == full[3]
 
 
@@ -366,8 +458,7 @@ class TestResolvent:
 
     @pytest.mark.parametrize("z", [0.99, 1 / 0.99])
     def test_near_circle_orders(self, z):
-        # Orders near 4000: a left side quadratic in the order takes about a
-        # minute per point.  Modes that high need more s-nodes than the
+        # Orders near 4000.  Modes that high need more s-nodes than the
         # 64-node default, which misses the tolerance for this pair on the
         # right side (relative error 0.1 at 64 nodes, 1.7e-4 at 128, 2.5e-10
         # at 256).

@@ -23,7 +23,6 @@ from .errors import (
     UnishiftError,
     UnnormalisedSeed,
     ZeroDirection,
-    ZeroHarmonic,
 )
 from .linalg import (
     HermitianDecomposition,
@@ -33,7 +32,6 @@ from .linalg import (
     haar_unitary,
     herm_eig,
     hs_norm,
-    log_unitary,
     op_norm,
     random_hermitian,
     random_pair,

@@ -56,10 +56,6 @@ class SampleOutOfRange(UnishiftError):
     """A propagator sample time lies outside [-T, T]."""
 
 
-class ZeroHarmonic(UnishiftError):
-    """The zeroth Fourier mode was requested where only nonzero modes make sense."""
-
-
 class PathMismatch(UnishiftError):
     """U is not e^{iA} U0 within tolerance, so the pair is inconsistent."""
 

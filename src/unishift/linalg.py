@@ -1,15 +1,13 @@
 """Dense complex linear algebra for unitary perturbation pairs.
 
-The rest of the package works with three kinds of objects built here:
+The rest of the package works with two kinds of objects built here:
 
   * Hermitian eigendecompositions (``herm_eig``), used both directly and as
     the backend for unitary spectra,
   * spectral decompositions of unitaries (``unitary_eig``) with eigenangles
     in (0, 2pi]; an eigenvalue 1 is parked at angle 2pi, so the cumulative
     spectral projection vanishes at t = 0.  A stack (..., d, d) goes through
-    the same gufunc calls as one matrix and gives the same bits per slice,
-  * principal logarithms of unitaries (``log_unitary``) with spectrum in
-    (-pi, pi]; the boundary eigenvalue -1 maps to +pi.
+    the same gufunc calls as one matrix and gives the same bits per slice.
 
 Unitary spectra are computed by rotating the matrix away from -1, taking the
 Cayley transform ``i (I - U') (I + U')^{-1}`` (a Hermitian matrix), and
@@ -41,10 +39,11 @@ TWO_PI = 2.0 * np.pi
 # Angles within this distance of 0 (mod 2pi) are treated as eigenvalue 1.
 _ONE_SNAP = 1e-12
 
-# Cap, in complex entries, on one block of stacked temporaries: the power
-# blocks of ``_power_blocks`` here and the integrator's (nodes, d, d) stacks
-# and (modes, jumps) phase matrices in ``spectral_shift``.  Without it peak
-# memory would grow with the number of powers, nodes or modes.
+# Cap, in entries, on one block of stacked temporaries: the power blocks of
+# ``_power_blocks`` here, the integrator's (nodes, d, d) stacks and (modes,
+# jumps) phase matrices in ``spectral_shift`` and the (rows, columns) cells
+# of one block of the CLI's CSV writer.  Without it peak memory would grow
+# with the number of powers, nodes, modes or rows.
 _BLOCK = 1 << 13
 
 
@@ -294,14 +293,6 @@ def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
         angles=np.take_along_axis(theta, order, -1),
         vectors=np.take_along_axis(v, order[..., None, :], -1),
     )
-
-
-def log_unitary(v) -> np.ndarray:
-    """Principal logarithm A of a unitary: A Hermitian, spectrum in (-pi, pi], e^{iA} = V."""
-    dec = unitary_eig(as_matrix(v))
-    x = np.where(dec.angles > np.pi, dec.angles - TWO_PI, dec.angles)
-    a = _from_spectrum(dec.vectors, x)
-    return 0.5 * (a + a.conj().T)
 
 
 class UnitaryPath:

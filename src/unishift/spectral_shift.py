@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, UnishiftError, ZeroHarmonic, _is_whole
+from .errors import NotHermitian, UnishiftError, _is_whole
 from .linalg import _BLOCK, TWO_PI, UnitaryPath, hs_norm, unitary_eig
 from .quadrature import QuadratureRule, as_rule
 
@@ -83,7 +83,7 @@ class EtaIntegrator:
 
     Building the object validates U0 and A once, through its ``path`` (a
     ``UnitaryPath``, which also checks endpoints), and diagonalises the U_s in
-    stacked blocks of nodes; the profile, its Fourier data, its mean and the
+    stacked blocks of nodes; the profile, its mean and the
     pairings against f'' are sums over the jump list, exact in t.  Every step
     is deterministic, so repeated runs are bit-identical.
     """
@@ -148,12 +148,6 @@ class EtaIntegrator:
     def mean(self) -> float:
         """Mean of eta over [0, 2pi]: each jump holds from its angle to 2pi."""
         return float(np.sum(self.jump_weights * (TWO_PI - self.jump_angles))) / TWO_PI
-
-    def fourier(self, n: int) -> complex:
-        """Exact-in-t Fourier coefficient of eta: integral of e^{int} eta(t) dt."""
-        if n == 0:
-            raise ZeroHarmonic("the n = 0 coefficient is the additive-constant ambiguity")
-        return complex(1j / n * self._mode_sums([n])[0])
 
     def pairing(self, fprime) -> complex:
         """Integral of f'' against eta, exact in t, from f' on the circle.

@@ -8,11 +8,13 @@ path to the package routine it checks:
     a general eigenvalue solve; ``unitary_eig`` picks it from the reflected
     spectrum of (U + U*)/2 instead.
   * ``cayley_forward`` is the Hermitian preimage H0 of a unitary, the inverse
-    of ``cayley_inverse``.
+    of ``cayley_inverse``; ``log_unitary`` is the principal logarithm of a
+    unitary, spectrum in (-pi, pi], the boundary eigenvalue -1 mapped to +pi.
   * ``StepFunction``, ``weighted_measure_step``, ``eta_step_at_s`` and
     ``integrate_against`` evaluate the integrand of eta one s-node at a time;
     they are the per-node reference the jump list of ``EtaIntegrator`` is
-    tested against.
+    tested against.  ``eta_fourier`` reads one Fourier coefficient of eta off
+    that jump list (``ZeroHarmonic`` for n = 0), for the Fourier cross-check.
   * ``gateaux_monomial`` and ``gateaux_series`` keep the full matrices of the
     directional derivative along U_s = e^{isA} U0, by the product rule
 
@@ -54,9 +56,12 @@ from unishift.linalg import (
     TWO_PI,
     SpectralDecomposition,
     UnitaryPath,
+    _from_spectrum,
+    as_matrix,
     hs_norm,
     require_hermitian,
     require_unitary,
+    unitary_eig,
 )
 from unishift.reduction import ProjectionBasis
 from unishift.spectral_shift import IMAG_TOL
@@ -121,6 +126,14 @@ def cayley_forward(u0, phase: float, min_gap: float = 1e-6) -> np.ndarray:
         )
     h0 = 1j * np.linalg.solve(eye + rotated, eye - rotated)
     return 0.5 * (h0 + h0.conj().T)
+
+
+def log_unitary(v) -> np.ndarray:
+    """Principal logarithm A of a unitary: A Hermitian, spectrum in (-pi, pi], e^{iA} = V."""
+    dec = unitary_eig(as_matrix(v))
+    x = np.where(dec.angles > np.pi, dec.angles - TWO_PI, dec.angles)
+    a = _from_spectrum(dec.vectors, x)
+    return 0.5 * (a + a.conj().T)
 
 
 @dataclass(frozen=True)
@@ -235,6 +248,20 @@ def eta_step_at_s(u0dec: SpectralDecomposition, usdec: SpectralDecomposition, a)
     if u0dec.angles.shape != usdec.angles.shape:
         raise DimensionMismatch("decompositions have different dimensions")
     return weighted_measure_step(u0dec, a) - weighted_measure_step(usdec, a)
+
+
+class ZeroHarmonic(UnishiftError):
+    """The zeroth Fourier mode was requested where only nonzero modes make sense."""
+
+
+def eta_fourier(integrator, n: int) -> complex:
+    """Exact-in-t Fourier coefficient of eta: integral of e^{int} eta(t) dt.
+
+    One mode of the integrator's own jump-list sum: (i/n) sum_k w_k (e^{in theta_k} - 1).
+    """
+    if n == 0:
+        raise ZeroHarmonic("the n = 0 coefficient is the additive-constant ambiguity")
+    return complex(1j / n * integrator._mode_sums([n])[0])
 
 
 def _monomial_derivative(us: np.ndarray, ia: np.ndarray, r: int) -> np.ndarray:

@@ -8,6 +8,8 @@ import pytest
 from unishift.cli import (
     ConfigError,
     RunConfig,
+    _write_csv,
+    _write_json,
     build_parser,
     config_from_args,
     main,
@@ -15,6 +17,7 @@ from unishift.cli import (
     parse_ranks,
     run,
 )
+from unishift.linalg import _BLOCK
 
 
 def read_json(path):
@@ -264,6 +267,72 @@ class TestEtaCommand:
         payload = read_json(out)
         assert set(payload) == {"t", "eta", "eta0"}
         assert len(payload["t"]) == 16
+
+    def test_csv_and_json_carry_the_same_floats(self, tmp_path):
+        args = ["eta", "--dim", "8", "--seed", "5", "--grid", "1024"]
+        csv_out, json_out = tmp_path / "csv" / "eta.csv", tmp_path / "json" / "eta.json"
+        assert main(args + ["--out", str(csv_out)]) == 0
+        assert main(args + ["--format", "json", "--out", str(json_out)]) == 0
+        lines = csv_out.read_text(encoding="utf-8").splitlines()
+        header, rows = lines[0].split(","), [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        payload = read_json(json_out)
+        for j, name in enumerate(header):
+            from_csv = np.array([row[j] for row in rows], dtype=np.float64)
+            from_json = np.array(payload[name], dtype=np.float64)
+            assert from_csv.view(np.int64).tolist() == from_json.view(np.int64).tolist()
+
+
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), 0.1, 1.0 / 3.0, 2.0**-1022, 1e16, 123456789.0,
+]
+
+
+class TestWriters:
+    """The blocked CSV writer against the per-row ``{:.17g}`` text, the JSON writer against ``json.dump``."""
+
+    @staticmethod
+    def reference_csv(columns) -> bytes:
+        row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+        body = map(row.format, *(np.asarray(column).tolist() for column in columns.values()))
+        return (",".join(columns) + "\n" + "".join(body)).encode("utf-8")
+
+    @staticmethod
+    def columns(n: int) -> dict:
+        rng = np.random.default_rng(n)
+        return {
+            "special": np.resize(np.array(SPECIAL_FLOATS), n),
+            "signed_zero": np.where(np.arange(n) % 3 == 0, -0.0, 0.0),
+            "steps": np.floor(np.arange(n) / 100.0) * 0.1,  # runs of 100 equal values across block edges
+            "random": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            "rank": (np.arange(n) % 7 - 3) * 10**15,
+        }
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_csv_bytes_match_per_row_format(self, tmp_path, offset):
+        rows = _BLOCK // len(self.columns(0))
+        for n in ([0, 1, 2 * rows + 5] if offset is None else [rows + offset]):
+            columns = self.columns(n)
+            assert columns["rank"].dtype == np.int64
+            out = tmp_path / f"rows{n}.csv"
+            _write_csv(str(out), columns)
+            assert out.read_bytes() == self.reference_csv(columns)
+
+    def test_csv_takes_lists_and_single_columns(self, tmp_path):
+        for columns in ({"x": SPECIAL_FLOATS}, {"rank": [8, 16, 32], "abs_diff": [1e-3, -0.0, 2.5e-7]}):
+            out = tmp_path / "lists.csv"
+            _write_csv(str(out), columns)
+            assert out.read_bytes() == self.reference_csv(columns)
+
+    def test_json_bytes_match_json_dump(self, tmp_path):
+        payload = {"b": [1.0, -0.0, 5e-324, 1.7976931348623157e308], "a": {"z": True, "y": None, "x": "\u03b7"},
+                   "records": [{"rank": 8, "pass": False}, {"rank": 16, "pass": True}], "empty": []}
+        out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+        _write_json(str(out), payload)
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert out.read_bytes() == ref.read_bytes()
 
 
 CONVERGE_ROW_KEYS = {"cells", "rank", "compressed_trace_re", "compressed_trace_im", "abs_diff"}

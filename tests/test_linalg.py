@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import choose_phase, require_hermitian_svd, require_unitary_svd
+from oracles import choose_phase, log_unitary, require_hermitian_svd, require_unitary_svd
 from unishift import (
     EmptyMatrix,
     NotHermitian,
@@ -11,7 +11,6 @@ from unishift import (
     UnishiftError,
     herm_eig,
     hs_norm,
-    log_unitary,
     op_norm,
     random_pair,
     unitary_eig,

@@ -112,10 +112,13 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.format!r}")
 
     def out_path(self) -> str:
+        """``out``, else the command's default file in ``$UNISHIFT_OUTDIR``, named ``.json`` for JSON."""
         if self.out:
             return self.out
-        base = os.environ.get(ENV_OUTDIR, ".")
-        return os.path.join(base, COMMANDS[self.command].output)
+        name = COMMANDS[self.command].output
+        if self.format == "json":
+            name = os.path.splitext(name)[0] + ".json"
+        return os.path.join(os.environ.get(ENV_OUTDIR, "."), name)
 
 
 def _record(report, **extra) -> dict:

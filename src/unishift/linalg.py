@@ -145,10 +145,6 @@ class HermitianDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    def exp_i(self, s: float = 1.0) -> np.ndarray:
-        """e^{i s H} from the cached spectrum."""
-        return _from_spectrum(self.vectors, np.exp(1j * s * self.eigenvalues))
-
 
 def _power_blocks(u: np.ndarray, ms, b: np.ndarray | None = None):
     """Yield (ks, Y) with Y[j] = U^{ks[j]} B, in runs of consecutive ks covering every wanted m.
@@ -299,8 +295,9 @@ class UnitaryPath:
     """The path s -> e^{isA} U0: the one validated pair context.
 
     With ``check`` the base must be unitary and the direction Hermitian; the
-    two must share their size either way.  A's eigensystem is computed once
-    and serves every point of the path and the endpoint check.
+    two must share their size either way.  A's eigensystem A = V L V* and
+    V* U0 are computed once; every point of the path, the endpoint check
+    and ``random_pair`` use the one product U_s = (V e^{isL})(V* U0).
     """
 
     def __init__(self, u0, a, check: bool = True):
@@ -312,9 +309,11 @@ class UnitaryPath:
         if self.u0.shape != self.a.shape:
             raise DimensionMismatch(f"path base is {self.u0.shape} but direction is {self.a.shape}")
         self.direction_spectrum = herm_eig(self.a, check=False)
+        self.vstar_u0 = _adjoint(self.direction_spectrum.vectors) @ self.u0
 
     def at(self, s: float) -> np.ndarray:
-        return self.direction_spectrum.exp_i(s) @ self.u0
+        spectrum = self.direction_spectrum
+        return (spectrum.vectors * np.exp(1j * s * spectrum.eigenvalues)) @ self.vstar_u0
 
     def require_endpoint(self, u) -> np.ndarray:
         """U checked as the endpoint: unitary, same size, within dim * 1e-10 of e^{iA} U0."""
@@ -372,5 +371,5 @@ def random_pair(seed: int, dim: int, scale: float) -> UnitaryPair:
     rng = np.random.default_rng(seed)
     u0 = haar_unitary(rng, dim)
     a = random_hermitian(rng, dim, scale)
-    u = herm_eig(a, check=False).exp_i() @ u0
+    u = UnitaryPath(u0, a, check=False).at(1.0)
     return UnitaryPair(u0=u0, a=a, u=u, seed=seed, dim=dim, scale=scale)

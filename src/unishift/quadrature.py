@@ -50,8 +50,11 @@ def as_rule(rule) -> QuadratureRule:
     if rule is None:
         return gauss_legendre(DEFAULT_S_NODES)
     if isinstance(rule, QuadratureRule):
-        if np.any(rule.nodes < 0.0) or np.any(rule.nodes > 1.0):
-            raise UnishiftError("quadrature nodes must lie in [0, 1]")
+        nodes, weights = np.asarray(rule.nodes), np.asarray(rule.weights)
+        if nodes.ndim != 1 or nodes.shape != weights.shape or not nodes.size:
+            raise UnishiftError("quadrature nodes and weights must be 1-d and of the same non-zero length")
+        if not (np.all((nodes >= 0.0) & (nodes <= 1.0)) and np.isfinite(weights).all()):  # NaN nodes fail too
+            raise UnishiftError("quadrature nodes must lie in [0, 1] and weights be finite")
         return rule
     if _is_whole(rule):
         return gauss_legendre(int(rule))

@@ -28,7 +28,8 @@ from the same eigenvalues) give
     e^{isA} = I + F diag(e^{is tau} - 1) F*,
 
 and likewise for the compressed direction Ap = B* A B of rank at most L,
-whose kept eigenpairs the compressed model carries.  The propagator
+whose kept eigenpairs the compressed model carries; one helper forms each
+endpoint e^{iA} U0 = U0 + F diag(e^{i tau} - 1) F* U0.  The propagator
 samples, the exponential off-block norms, the Taylor-remainder trace norm
 and the mixed-trace factors all work on d x L factors, and each mixed trace
 is an elementwise sum, not the trace of a product.
@@ -211,6 +212,11 @@ def _exp_step(f: np.ndarray, tau: np.ndarray, s: float = 1.0) -> np.ndarray:
     return f * np.expm1(1j * s * tau)
 
 
+def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """e^{iH} U0 = U0 + F diag(e^{i tau} - 1) F* U0 from H's kept pairs (F, tau)."""
+    return u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
+
+
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
     """Window projection seeded by the eigenvectors of the low-rank direction A."""
     h0, a = _ambient_operands(None, h0=h0, a=a)
@@ -380,7 +386,7 @@ def _compressed(p: ProjectionBasis, h0: np.ndarray, a: np.ndarray, phase: float)
     ac = 0.5 * (ac + ac.conj().T)
     u0p = _cayley(hc, phase)
     fc, tau_c, _ = _kept_pairs(herm_eig(ac, check=False))
-    up = u0p + _exp_step(fc, tau_c) @ (fc.conj().T @ u0p)
+    up = _low_rank_endpoint(fc, tau_c, u0p)
     return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c)
 
 
@@ -479,8 +485,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     f, tau, _ = _kept_pairs(herm_eig(a, check=False))
     half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
     u0 = _cayley(h0, phase)
-    u = u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
-    full = _lhs(u0, u, a, p)
+    full = _lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n)
@@ -532,5 +537,6 @@ def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: 
     h0 = spread_diagonal(ambient, 1.0)
     a = random_low_rank_hermitian(rng, ambient, rank, scale)
     u0 = _cayley(h0, phase)
-    u = herm_eig(a, check=False).exp_i() @ u0
+    f, tau, _ = _kept_pairs(herm_eig(a, check=False))
+    u = _low_rank_endpoint(f, tau, u0)
     return ReductionInstance(h0=h0, a=a, phase=phase, u0=u0, u=u, half_width=1.0)

@@ -6,10 +6,17 @@ For a pair U0, U = e^{iA} U0 the profile is
 
 where E_s is the cumulative spectral projection of U_s = e^{isA} U0.  For a
 fixed s the integrand is a right-continuous step function of t that starts
-at 0 and jumps exactly at the eigenangles of U0 and U_s.  Only the s-integral
-is approximated, with Gauss-Legendre nodes, so eta itself is a step function
-described by one flat list of (angle, weight) jumps; ``EtaIntegrator`` builds
-that list from one stacked spectral pass over all nodes.  Every t-integral
+at 0 and jumps exactly at the eigenangles of U0 and U_s, by +-v*Av for the
+unit eigenvector v.  Only the s-integral is approximated, with
+Gauss-Legendre nodes, so eta itself is a step function described by one
+flat list of (angle, weight) jumps.
+
+``EtaIntegrator`` builds that list in the eigenbasis A = V L V*.  There
+U_s is unitarily similar to e^{isL} M with M = V* U0 V, a row scaling of
+one fixed matrix, so one stacked spectral pass over s = 0 (U0 itself) and
+every node gives all the eigenangles.  For an eigencolumn y of e^{isL} M
+the eigenvector of U_s is v = V y, and its weight v*Av = sum_j L_j |y_j|^2
+is real by construction; no product with A is formed.  Every t-integral
 is then a closed-form sum over the jumps (summation by parts): for any f
 whose derivative f' is known on the circle,
 
@@ -29,11 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, UnishiftError, _is_whole
-from .linalg import _BLOCK, TWO_PI, UnitaryPath, hs_norm, unitary_eig
+from .errors import UnishiftError, _is_whole
+from .linalg import _BLOCK, TWO_PI, UnitaryPath, unitary_eig
 from .quadrature import QuadratureRule, as_rule
-
-IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,57 +78,38 @@ def piecewise_linear_abs_integral(grid, y) -> float:
 class EtaIntegrator:
     """The jumps of eta for one pair (U0, A), shared across queries.
 
-    At node s the integrand t -> Tr{A [E_0(t) - E_s(t)]} jumps by +v*Av at
-    each eigenangle of U0 and by -v*Av at each eigenangle of U_s (v the unit
-    eigenvector).  eta mixes these steps with the quadrature weights, so it
-    is the step function of one flat jump list: ``jump_angles`` and
-    ``jump_weights``, the U0 jumps first and once, scaled by the weight sum,
-    then every node's jumps times minus its weight.  ``node_angles`` and
-    ``node_weights`` keep the unweighted (nodes, d) jump data of the U_s.
+    ``jump_angles`` and ``jump_weights`` are eta's flat jump list: the U0
+    jumps first and once, scaled by the weight sum, then every node's jumps
+    times minus its weight.  ``node_angles`` and ``node_weights`` keep the
+    unweighted (1 + nodes, d) jump data from the eigenbasis of A (see the
+    module docstring): row 0 is U0 (s = 0), row j + 1 the U_s of node j.
 
     Building the object validates U0 and A once, through its ``path`` (a
-    ``UnitaryPath``, which also checks endpoints), and diagonalises the U_s in
-    stacked blocks of nodes; the profile, its mean and the
-    pairings against f'' are sums over the jump list, exact in t.  Every step
-    is deterministic, so repeated runs are bit-identical.
+    ``UnitaryPath``, which also checks endpoints), and diagonalises the rows
+    in stacked blocks; the profile, its mean and the pairings against f''
+    are sums over the jump list, exact in t.  Every step is deterministic,
+    so repeated runs are bit-identical.
     """
 
     def __init__(self, u0, a, rule=None):
         self.rule = as_rule(rule)
         self.path = UnitaryPath(u0, a)
         self.u0, self.a = self.path.u0, self.path.a
-        self.u0dec = unitary_eig(self.u0, check=False)
-        self.u0_weights = self._weights_of(self.u0dec.vectors)
-        # U_s = V e^{isL} V* U0 with A = V L V*, formed a block of nodes at a time
         spectrum = self.path.direction_spectrum
-        vstar_u0 = spectrum.vectors.conj().T @ self.u0
-        per_block = max(1, _BLOCK // self.u0.size)
+        m = self.path.vstar_u0 @ spectrum.vectors
+        s = np.concatenate([[0.0], self.rule.nodes])
+        per_block = max(1, _BLOCK // max(m.size, 1))
         angles, weights = [], []
-        for start in range(0, self.rule.count, per_block):
-            s = self.rule.nodes[start:start + per_block]
-            rotations = np.exp(1j * np.multiply.outer(s, spectrum.eigenvalues))
-            dec = unitary_eig((spectrum.vectors * rotations[:, None, :]) @ vstar_u0, check=False)
+        for start in range(0, s.size, per_block):
+            rotations = np.exp(1j * np.multiply.outer(s[start:start + per_block], spectrum.eigenvalues))
+            dec = unitary_eig(rotations[:, :, None] * m, check=False)
             angles.append(dec.angles)
-            weights.append(self._weights_of(dec.vectors))
+            weights.append(spectrum.eigenvalues @ np.abs(dec.vectors) ** 2)
         self.node_angles = np.concatenate(angles)
         self.node_weights = np.concatenate(weights)
         w = self.rule.weights
-        self.jump_angles = np.concatenate([self.u0dec.angles, self.node_angles.ravel()])
-        self.jump_weights = np.concatenate(
-            [np.sum(w) * self.u0_weights, -(w[:, None] * self.node_weights).ravel()]
-        )
-
-    def _weights_of(self, vectors: np.ndarray) -> np.ndarray:
-        """Jump weights v_k* A v_k for the eigencolumns of one matrix or a stack.
-
-        A is Hermitian, which forces real weights; an imaginary residue above
-        ``IMAG_TOL`` (scaled by ||A||) raises ``NotHermitian`` rather than being dropped.
-        """
-        raw = np.sum(vectors.conj() * (self.a @ vectors), axis=-2)
-        residue = float(np.max(np.abs(raw.imag), initial=0.0))
-        if residue > IMAG_TOL * max(1.0, hs_norm(self.a)):
-            raise NotHermitian(f"jump weights carry imaginary residue {residue:.3e}; A is not Hermitian")
-        return raw.real
+        self.jump_angles = self.node_angles.ravel()
+        self.jump_weights = (np.concatenate([[np.sum(w)], -w])[:, None] * self.node_weights).ravel()
 
     def _mode_sums(self, rs) -> np.ndarray:
         """sum_k w_k (e^{ir theta_k} - 1) over the jump list, per mode r.

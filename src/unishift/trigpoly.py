@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UnishiftError
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
@@ -18,6 +20,8 @@ class TrigPolynomial:
 
     def __post_init__(self):
         clean = {int(n): complex(a) for n, a in self.coeffs.items() if a != 0}
+        if not np.isfinite(np.fromiter(clean.values(), np.complex128, len(clean))).all():
+            raise UnishiftError("trigonometric polynomial coefficients must be finite")
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod

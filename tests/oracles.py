@@ -64,11 +64,12 @@ from unishift.linalg import (
     unitary_eig,
 )
 from unishift.reduction import ProjectionBasis
-from unishift.spectral_shift import IMAG_TOL
 from unishift.trace_formula import _exp_remainder_factor
 from unishift.trigpoly import TrigPolynomial
 
 MERGE_TOL = 1e-10
+# Largest imaginary jump-weight residue, relative to ||W||, that counts as roundoff.
+IMAG_TOL = 1e-10
 
 
 def power(u, n: int) -> np.ndarray:

@@ -113,6 +113,20 @@ class TestConfig:
         cfg = RunConfig(command="verify")
         assert cfg.out_path() == str(tmp_path / "verify.json")
 
+    @pytest.mark.parametrize("argv, written", [
+        (["eta", "--dim", "2", "--grid", "8"], {"eta.csv", "eta.json"}),
+        (["eta", "--dim", "2", "--grid", "8", "--format", "json"], {"eta.json", "eta.meta.json"}),
+        (["converge", "--ambient", "64", "--ranks", "4,8,16", "--seed", "6", "--scale", "0.4"], {"converge.csv"}),
+        (["converge", "--ambient", "64", "--ranks", "4,8,16", "--seed", "6", "--scale", "0.4", "--format", "json"],
+         {"converge.json"}),
+    ])
+    def test_default_output_name_follows_format(self, tmp_path, monkeypatch, argv, written):
+        monkeypatch.setenv("UNISHIFT_OUTDIR", str(tmp_path))
+        assert main(argv) == 0
+        assert {p.name for p in tmp_path.iterdir()} == written
+        if "json" in argv:
+            read_json(tmp_path / (argv[0] + ".json"))
+
 
 class TestCommandTable:
     @pytest.mark.parametrize("command, settings", [

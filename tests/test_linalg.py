@@ -230,8 +230,7 @@ def test_log_unitary_diagonal_and_bounds():
     v = np.diag(np.exp(1j * np.array([0.3, -2.9])))
     a = log_unitary(v)
     np.testing.assert_allclose(a, np.diag([0.3, -2.9]), atol=1e-12)
-    dec = herm_eig(a)
-    assert op_norm(dec.exp_i() - v) <= 2 * 1e-12
+    assert op_norm(UnitaryPath(np.eye(2), a).at(1.0) - v) <= 2 * 1e-12
     assert hs_norm(a) <= np.pi / 2 * hs_norm(v - np.eye(2)) + 2 * 1e-10
 
 
@@ -242,7 +241,7 @@ def test_log_exp_roundtrip(seed, dim):
     assert op_norm(a - a.conj().T) <= dim * 1e-12
     w = np.linalg.eigvalsh(a)
     assert np.all(w > -np.pi - 1e-12) and np.all(w <= np.pi + 1e-12)
-    assert op_norm(herm_eig(a).exp_i() - v) <= dim * 1e-12
+    assert op_norm(UnitaryPath(np.eye(dim), a).at(1.0) - v) <= dim * 1e-12
 
 
 @given(seeds, dims, st.floats(0.05, 3.0))

@@ -40,7 +40,7 @@ from unishift import (
     reduction_instance,
     spread_diagonal,
 )
-from unishift.linalg import haar_unitary
+from unishift.linalg import UnitaryPath, haar_unitary
 from unishift.reduction import _offblock, random_low_rank_hermitian
 from unishift.trace_formula import _exp_remainder_factor
 
@@ -208,7 +208,7 @@ class TestCompressedModel:
         assert op_norm(model.u0p.conj().T @ model.u0p - eye) <= r * 1e-10
         assert op_norm(model.up.conj().T @ model.up - eye) <= r * 1e-10
         assert op_norm(model.ap - model.ap.conj().T) <= 1e-12
-        assert op_norm(model.up - herm_eig(model.ap).exp_i() @ model.u0p) <= r * 1e-10
+        assert op_norm(model.up - UnitaryPath(model.u0p, model.ap).at(1.0)) <= r * 1e-10
 
     def test_model_audit_bounds_hold(self):
         inst = reduction_instance(9, 128, 2, 0.5)

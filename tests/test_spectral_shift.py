@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from unishift import (
     DimensionMismatch,
     EmptyMatrix,
     EtaIntegrator,
-    NotHermitian,
     QuadratureRule,
+    TrigPolynomial,
     UnishiftError,
+    batch_verify,
     eta_profile,
     gauss_legendre,
     hs_norm,
@@ -19,7 +22,7 @@ from unishift import (
     trace_norm,
     unitary_eig,
 )
-from unishift.linalg import TWO_PI, UnitaryPath
+from unishift.linalg import TWO_PI, UnitaryPath, haar_unitary
 from unishift.quadrature import as_rule
 from unishift.spectral_shift import piecewise_linear_abs_integral
 
@@ -46,9 +49,9 @@ def per_node_steps(pair, rule):
 
 
 def node_step(integrator, j):
-    """The step of node j rebuilt from the integrator's per-node jump data."""
-    angles = np.concatenate([integrator.u0dec.angles, integrator.node_angles[j]])
-    weights = np.concatenate([integrator.u0_weights, -integrator.node_weights[j]])
+    """The step of node j rebuilt from the integrator's jump data: row 0 is U0, row j + 1 node j."""
+    angles = np.concatenate([integrator.node_angles[0], integrator.node_angles[j + 1]])
+    weights = np.concatenate([integrator.node_weights[0], -integrator.node_weights[j + 1]])
     return StepFunction.from_jumps(angles, weights)
 
 
@@ -232,9 +235,9 @@ class TestJumpListReference:
         # weights summing to 3, so the scaling of the U0 jumps shows
         rule = QuadratureRule(gl.nodes, 3.0 * gl.weights)
         integrator = EtaIntegrator(pair.u0, pair.a, rule)
-        assert integrator.node_angles.shape == integrator.node_weights.shape == (8, 4)
+        assert integrator.node_angles.shape == integrator.node_weights.shape == (1 + 8, 4)
         assert integrator.jump_angles.shape == integrator.jump_weights.shape == (4 + 8 * 4,)
-        np.testing.assert_allclose(integrator.jump_weights[:4], 3.0 * integrator.u0_weights, rtol=1e-14)
+        np.testing.assert_allclose(integrator.jump_weights[:4], 3.0 * integrator.node_weights[0], rtol=1e-14)
         steps = per_node_steps(pair, rule)
         grid = np.linspace(0.0, TWO_PI, 101)
         ref = sum(w * f.evaluate(grid) for w, f in zip(rule.weights, steps))
@@ -247,6 +250,51 @@ class TestJumpListReference:
         t = integrator.jump_angles[first]
         assert integrator.eta(t) == integrator.jump_weights[first]
         assert integrator.eta(np.nextafter(t, 0.0)) == 0.0
+
+
+def _conjugated(rng, values):
+    """Q diag(values) Q* for a Haar Q: a Hermitian with exactly that spectrum, repeats included."""
+    q = haar_unitary(rng, len(values))
+    return (q * np.asarray(values, dtype=float)) @ q.conj().T
+
+
+class TestEigenbasisEdgeSpectra:
+    """The eigenbasis jump data against the per-node oracle where V is not unique or U0 sits at +-1."""
+
+    dim = 4
+
+    @pytest.mark.parametrize("u0_kind", ["haar", "identity", "minus_identity"])
+    @pytest.mark.parametrize("a_kind", ["zero", "scalar", "repeated", "generic"])
+    def test_matches_per_node_oracle(self, u0_kind, a_kind):
+        rng = np.random.default_rng(17)
+        u0 = {"haar": haar_unitary(rng, self.dim), "identity": np.eye(self.dim),
+              "minus_identity": -np.eye(self.dim)}[u0_kind]
+        a = {"zero": np.zeros((self.dim, self.dim)), "scalar": 0.8 * np.eye(self.dim),
+             "repeated": _conjugated(rng, [0.7, 0.7, -0.4, 1.2]),
+             "generic": _conjugated(rng, [0.9, -0.3, 0.2, -1.1])}[a_kind]
+        rule = gauss_legendre(8)
+        integrator = EtaIntegrator(u0, a, rule)
+        steps = per_node_steps(SimpleNamespace(u0=u0, a=a), rule)
+
+        np.testing.assert_allclose(np.sort(integrator.node_angles[0]), unitary_eig(u0).angles, atol=1e-13)
+        np.testing.assert_allclose(integrator.node_weights.sum(axis=1), np.trace(a).real, atol=1e-13)
+        grid = np.linspace(0.0, TWO_PI, 1000)  # misses pi, where U0 = -I jumps
+        for j, (s, step) in enumerate(zip(rule.nodes, steps)):
+            oracle = unitary_eig(UnitaryPath(u0, a).at(float(s)))
+            np.testing.assert_allclose(np.sort(integrator.node_angles[j + 1]), oracle.angles, atol=1e-13)
+            ours = node_step(integrator, j)
+            np.testing.assert_allclose(ours.evaluate(grid), step.evaluate(grid), atol=1e-13)
+            for r in (-5, -1, 1, 2, 7):
+                assert integrate_against(ours, r) == pytest.approx(integrate_against(step, r), abs=1e-12)
+        ref = sum(w * f.evaluate(grid) for w, f in zip(rule.weights, steps))
+        profile = integrator.profile(grid.size)
+        np.testing.assert_allclose(profile.eta, ref, atol=1e-13)
+        mean = sum(w * f.integral().real for w, f in zip(rule.weights, steps)) / TWO_PI
+        np.testing.assert_allclose(profile.eta0, ref - mean, atol=1e-13)
+        pairings = integrator.curvature_pairings(range(-6, 7))
+        for r, value in pairings.items():
+            expected = sum(w * integrate_against(f, r) for w, f in zip(rule.weights, steps))
+            assert value == pytest.approx(expected, abs=1e-12)
 
 
 class TestPairing:
@@ -321,18 +369,18 @@ class TestTypedErrors:
             lambda: gauss_legendre(True),
             lambda: as_rule(True),
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).profile(2.5),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), QuadratureRule(np.array([]), np.array([]))),
+            lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial.monomial(1)],
+                                 s_rule=QuadratureRule(np.array([0.5]), np.array([0.5, 0.5]))),
+            lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial.monomial(1)],
+                                 s_rule=QuadratureRule(np.full((2, 2), 0.5), np.full((2, 2), 0.25))),
+            lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial.monomial(1)],
+                                 s_rule=QuadratureRule(np.array([0.5]), np.array([np.nan]))),
         ],
     )
     def test_raises_unishift_error(self, call):
         with pytest.raises(UnishiftError):
             call()
-
-    def test_imaginary_jump_weights_raise_not_hermitian(self):
-        pair = random_pair(3, 4, 1.0)
-        integrator = EtaIntegrator(pair.u0, pair.a, 8)
-        integrator.a = 1j * pair.a  # skew-Hermitian: every weight v* A v is imaginary
-        with pytest.raises(NotHermitian):
-            integrator._weights_of(integrator.u0dec.vectors)
 
 
 class TestEtaFourier:

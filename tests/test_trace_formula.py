@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from unishift import (
     OnUnitCircle,
     PathMismatch,
     TrigPolynomial,
+    UnishiftError,
     batch_verify,
     eta_profile,
     gauss_legendre,
@@ -33,7 +35,7 @@ from unishift import (
     trace_norm,
 )
 from unishift import linalg
-from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, _power_stream, haar_unitary, herm_eig, random_hermitian
+from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, _power_stream, haar_unitary, random_hermitian
 from unishift.trace_formula import _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
 
@@ -66,6 +68,11 @@ class TestTrigPolynomial:
 
     def test_zero_coefficients_dropped(self):
         assert TrigPolynomial({3: 0.0, 1: 2.0}).support == [1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(UnishiftError, match="finite"):
+            TrigPolynomial({1: 1.0, 2: value})
 
 
 class TestPowers:
@@ -407,7 +414,7 @@ class TestEdgeSpectra:
         rng = np.random.default_rng(seed)
         u0 = self.base(rng, dim, kind, rotate)
         a = random_hermitian(rng, dim, scale)
-        u = herm_eig(a).exp_i() @ u0
+        u = UnitaryPath(u0, a).at(1.0)
         reports = batch_verify(u0, u, a, [TrigPolynomial.monomial(r) for r in range(-6, 7)], tol=1e-8)
         assert all(rep.passed for rep in reports), max(rep.rel_err for rep in reports)
         assert eta_profile(u0, a, 256).l1_eta0 <= np.pi / 2 * hs_norm(a) ** 2 + 1e-8
@@ -571,7 +578,7 @@ class TestResolvent:
     def test_base_eigenvalues_at_one_minus_one_and_i(self, z):
         u0 = np.diag([1.0, -1.0, 1j])
         a = random_hermitian(np.random.default_rng(3), 3, 1.0)
-        rep = resolvent_check(u0, herm_eig(a).exp_i() @ u0, a, z)
+        rep = resolvent_check(u0, UnitaryPath(u0, a).at(1.0), a, z)
         assert rep.passed
         assert rep.series_vs_direct <= 1e-7 * (1 + abs(rep.direct_lhs))
 
@@ -579,3 +586,29 @@ class TestResolvent:
         pair = random_pair(18, 3, 1.0)
         with pytest.raises(OnUnitCircle):
             resolvent_check(pair.u0, pair.u, pair.a, 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("z", [1e300, -1e300j, 1e-300])
+    def test_extreme_z_without_overflow(self, z):
+        pair = random_pair(18, 3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = resolvent_check(pair.u0, pair.u, pair.a, z)
+        assert rep.passed
+
+
+class TestToleranceRejected:
+    """A tol that is NaN or not positive is named in a typed error, not taken as an unreachable z."""
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_batch_verify(self, tol):
+        pair = random_pair(4, 3, 1.0)
+        with pytest.raises(UnishiftError, match="tol") as exc:
+            batch_verify(pair.u0, pair.u, pair.a, [TrigPolynomial.monomial(1)], tol=tol)
+        assert not isinstance(exc.value, OnUnitCircle)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_resolvent_check(self, tol):
+        pair = random_pair(4, 3, 1.0)
+        with pytest.raises(UnishiftError, match="tol") as exc:
+            resolvent_check(pair.u0, pair.u, pair.a, 0.5, tol=tol)
+        assert not isinstance(exc.value, OnUnitCircle)

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import SpectralDecomposition, _from_spectrum, _require_finite, hs_norm, require_unitary, unitary_eig
-from .trigpoly import TrigPolynomial
+from .linalg import (
+    SpectralDecomposition, _as_array, _from_spectrum, _require_finite, hs_norm, require_unitary, unitary_eig,
+)
+from .trigpoly import TrigPolynomial, _require_polynomial
 
 # Eigenvalue pairs closer than this switch to the derivative limit of the
 # divided difference, which dodges catastrophic cancellation in the quotient.
@@ -58,15 +60,16 @@ def doi_apply(g: TrigPolynomial, us, u0, x) -> np.ndarray:
 
     With X = Us - U0 the result equals g(Us) - g(U0); that identity is what
     makes the kernel the right finite-dimensional stand-in for the abstract
-    two-variable spectral integral.  ``X`` must be (dim Us) x (dim U0) with
-    finite entries; otherwise ``DimensionMismatch`` or ``UnishiftError`` is raised.
+    two-variable spectral integral.  ``g`` must be a ``TrigPolynomial`` and
+    ``X`` a numeric (dim Us) x (dim U0) array with finite entries; otherwise
+    ``DimensionMismatch`` or ``UnishiftError`` is raised.
     """
-    us = require_unitary(us, what="doi left unitary")
-    u0 = require_unitary(u0, what="doi right unitary")
-    x = np.asarray(x, dtype=np.complex128)
+    _require_polynomial(g, "g")
+    us = require_unitary(us, "doi left unitary")
+    u0 = require_unitary(u0, "doi right unitary")
+    x = _require_finite(_as_array(x, copy=None))
     if x.shape != (us.shape[0], u0.shape[0]):
         raise DimensionMismatch(f"X has shape {x.shape}, expected {(us.shape[0], u0.shape[0])}")
-    _require_finite(x)
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     rotated = ldec.vectors.conj().T @ x @ rdec.vectors
     return ldec.vectors @ (kernel(g, ldec, rdec) * rotated) @ rdec.vectors.conj().T
@@ -100,11 +103,9 @@ def schur_bound_check(f: TrigPolynomial, us, u0) -> SchurBoundReport:
     Also audits the kernel itself against its sup bound (pi/2) ||f0||_inf.
     The sup norms come from dense sampling, so the reported mesh matters.
     """
-    us = require_unitary(us, what="bound left unitary")
-    u0 = require_unitary(u0, what="bound right unitary")
-    if us.shape != u0.shape:
-        raise DimensionMismatch(f"unitaries have shapes {us.shape} and {u0.shape}")
-    g = primitive_of(f)
+    us = require_unitary(us, "bound left unitary")
+    u0 = require_unitary(u0, "bound right unitary", us.shape[0])
+    g = primitive_of(_require_polynomial(f, "f"))
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     lhs = hs_norm(circle_function_of(g, ldec) - circle_function_of(g, rdec))
     f_sup = sampled_sup_norm(f)

@@ -19,8 +19,14 @@ point goes to the midpoint of that set's largest gap.  It is then at least
 pi/(2d) from every eigenangle, so the transform has norm at most
 cot(pi/(4d)) for any input.
 
+Every matrix operand passes one check, ``as_matrix``: complex128 (ragged or
+non-numeric input is an ``UnishiftError``), square and of the expected size
+if one is given (else ``DimensionMismatch``), with finite entries.
+``require_hermitian`` and ``require_unitary`` run it and take the size too.
+
 Everything here is a pure function of its arguments; returned arrays are
-freshly allocated and never aliased to the inputs.
+freshly allocated and never aliased to the inputs, except where a caller
+asks ``as_matrix`` for ``copy=None`` to read an operand in place.
 """
 
 from __future__ import annotations
@@ -61,20 +67,18 @@ def _as_array(m, copy: bool | None) -> np.ndarray:
         raise UnishiftError(f"not a rectangular numeric array: {exc}") from exc
 
 
-def _as_stack(m) -> np.ndarray:
-    """Coerce to a complex128 stack (..., d, d) of square matrices with finite entries."""
-    a = _as_array(m, copy=True)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise UnishiftError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+def as_matrix(m, what: str = "matrix", dim: int | None = None, copy: bool | None = True) -> np.ndarray:
+    """The one operand check: M as a finite square complex128 matrix, dim x dim when ``dim`` is given.
+
+    Ragged or non-numeric input and NaN or Inf entries raise ``UnishiftError``,
+    any other shape ``DimensionMismatch``.  ``copy=None`` reads a complex128
+    input in place.
+    """
+    a = _as_array(m, copy=copy)
+    n = (a.shape[0] if a.ndim else 0) if dim is None else dim
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"{what} has shape {a.shape}, not {n} x {n}")
     return _require_finite(a)
-
-
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
-    a = _as_stack(m)
-    if a.ndim != 2:
-        raise UnishiftError(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 def _adjoint(m) -> np.ndarray:
@@ -108,33 +112,32 @@ def trace(m) -> complex:
 _CERTIFICATE_MARGIN = 1.0 - 1e-9
 
 
-def require_hermitian(m, what: str = "matrix") -> np.ndarray:
-    """M with ||M - M*||_2 <= tol = 1e-10 ||M||_2, else ``NotHermitian``.
+def _require_small(gap: np.ndarray, tol: float, error: type[UnishiftError], what: str) -> None:
+    """``error`` unless ||gap||_2 <= tol; ||gap||_2 <= ||gap||_HS, so a Hilbert-Schmidt norm proves a pass."""
+    if hs_norm(gap) > _CERTIFICATE_MARGIN * tol:
+        dev = op_norm(gap)
+        if dev > tol:
+            raise error(f"{what} by {dev:.3e} (tol {tol:.3e})")
+
+
+def require_hermitian(m, what: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """``as_matrix(m, what, dim)`` with ||M - M*||_2 <= tol = 1e-10 ||M||_2, else ``NotHermitian``.
 
     ||X||_2 <= ||X||_HS and ||M||_HS / sqrt(d) <= ||M||_2, so Hilbert-Schmidt
     norms prove a pass without an SVD; only an undecided case takes them.
     """
-    m = as_matrix(m)
+    m = as_matrix(m, what, dim)
     gap = m - m.conj().T
-    if hs_norm(gap) <= _CERTIFICATE_MARGIN * (1e-10 * hs_norm(m) / np.sqrt(max(m.shape[0], 1))):
-        return m
-    tol = 1e-10 * op_norm(m)
-    dev = op_norm(gap)
-    if dev > tol:
-        raise NotHermitian(f"{what} deviates from Hermitian by {dev:.3e} (tol {tol:.3e})")
+    if hs_norm(gap) > _CERTIFICATE_MARGIN * (1e-10 * hs_norm(m) / np.sqrt(max(m.shape[0], 1))):
+        _require_small(gap, 1e-10 * op_norm(m), NotHermitian, f"{what} deviates from Hermitian")
     return m
 
 
-def require_unitary(m, what: str = "matrix") -> np.ndarray:
-    """M with ||M*M - I||_2 <= tol = d 1e-10, else ``NotUnitary``; ||.||_HS proves a pass."""
-    m = as_matrix(m)
-    tol = m.shape[0] * 1e-10
+def require_unitary(m, what: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """``as_matrix(m, what, dim)`` with ||M*M - I||_2 <= tol = d 1e-10, else ``NotUnitary``."""
+    m = as_matrix(m, what, dim)
     gap = m.conj().T @ m - np.eye(m.shape[0])
-    if hs_norm(gap) <= _CERTIFICATE_MARGIN * tol:
-        return m
-    dev = op_norm(gap)
-    if dev > tol:
-        raise NotUnitary(f"{what} deviates from unitary by {dev:.3e} (tol {tol:.3e})")
+    _require_small(gap, m.shape[0] * 1e-10, NotUnitary, f"{what} deviates from unitary")
     return m
 
 
@@ -229,7 +232,10 @@ class SpectralDecomposition:
 
 
 def _check_unitary_stack(u, check: bool, what: str) -> np.ndarray:
-    u = _as_stack(u)
+    """U as a finite complex128 stack (..., d, d) of square matrices, d >= 1, unitary with ``check``."""
+    u = _require_finite(_as_array(u, copy=None))  # only read
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
+        raise UnishiftError(f"expected a square matrix or a stack of them, got shape {u.shape}")
     if u.shape[-1] == 0:
         raise EmptyMatrix(f"{what} is 0x0 and has no spectrum")
     if check:
@@ -301,13 +307,8 @@ class UnitaryPath:
     """
 
     def __init__(self, u0, a, check: bool = True):
-        if check:
-            self.u0 = require_unitary(u0, what="path base")
-            self.a = require_hermitian(a, what="path direction")
-        else:
-            self.u0, self.a = as_matrix(u0), as_matrix(a)
-        if self.u0.shape != self.a.shape:
-            raise DimensionMismatch(f"path base is {self.u0.shape} but direction is {self.a.shape}")
+        self.u0 = (require_unitary if check else as_matrix)(u0, "path base")
+        self.a = (require_hermitian if check else as_matrix)(a, "path direction", self.u0.shape[0])
         self.direction_spectrum = herm_eig(self.a, check=False)
         self.vstar_u0 = _adjoint(self.direction_spectrum.vectors) @ self.u0
 
@@ -316,14 +317,9 @@ class UnitaryPath:
         return (spectrum.vectors * np.exp(1j * s * spectrum.eigenvalues)) @ self.vstar_u0
 
     def require_endpoint(self, u) -> np.ndarray:
-        """U checked as the endpoint: unitary, same size, within dim * 1e-10 of e^{iA} U0."""
-        u = require_unitary(u, what="path endpoint")
-        if u.shape != self.u0.shape:
-            raise DimensionMismatch(f"path endpoint is {u.shape} but base is {self.u0.shape}")
-        tol = u.shape[0] * 1e-10
-        dev = op_norm(u - self.at(1.0))
-        if dev > tol:
-            raise PathMismatch(f"U deviates from e^(iA) U0 by {dev:.3e} (tol {tol:.3e})")
+        """U checked as the endpoint: unitary, of the base's size, within dim * 1e-10 of e^{iA} U0."""
+        u = require_unitary(u, "path endpoint", self.u0.shape[0])
+        _require_small(u - self.at(1.0), u.shape[0] * 1e-10, PathMismatch, "U deviates from e^(iA) U0")
         return u
 
 

@@ -46,16 +46,20 @@ def _legendre_rule(n: int) -> QuadratureRule:
 
 
 def as_rule(rule) -> QuadratureRule:
-    """Accept a QuadratureRule, a node count, or None (package default)."""
+    """Accept a QuadratureRule (returned with float64 arrays), a node count, or None (package default)."""
     if rule is None:
         return gauss_legendre(DEFAULT_S_NODES)
     if isinstance(rule, QuadratureRule):
-        nodes, weights = np.asarray(rule.nodes), np.asarray(rule.weights)
-        if nodes.ndim != 1 or nodes.shape != weights.shape or not nodes.size:
-            raise UnishiftError("quadrature nodes and weights must be 1-d and of the same non-zero length")
+        try:
+            nodes, weights = np.asarray(rule.nodes), np.asarray(rule.weights)
+        except ValueError as exc:  # ragged
+            raise UnishiftError(f"quadrature nodes and weights must be arrays: {exc}") from exc
+        kinds = {nodes.dtype.kind, weights.dtype.kind}
+        if kinds - set("iuf") or nodes.ndim != 1 or nodes.shape != weights.shape or not nodes.size:
+            raise UnishiftError("quadrature nodes and weights must be real 1-d arrays of the same non-zero length")
         if not (np.all((nodes >= 0.0) & (nodes <= 1.0)) and np.isfinite(weights).all()):  # NaN nodes fail too
             raise UnishiftError("quadrature nodes must lie in [0, 1] and weights be finite")
-        return rule
+        return QuadratureRule(*(x.astype(np.float64, copy=False) for x in (nodes, weights)))
     if _is_whole(rule):
         return gauss_legendre(int(rule))
     raise UnishiftError(f"cannot interpret {rule!r} as a quadrature rule")

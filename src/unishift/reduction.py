@@ -16,10 +16,12 @@ numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
 Each public entry point checks its operands once, in one private check,
-and everything behind it trusts them: each of H0, A, U0 and U must be a
-finite square matrix of the ambient size (the projection's, or else that of
-the first operand) and each seed a vector of that length
-(``DimensionMismatch``), and H0 and A must be Hermitian (``NotHermitian``).
+and everything behind it trusts them.  At the ambient size (the
+projection's, or else the first operand's) H0 and A pass
+``require_hermitian`` and U0 and U ``as_matrix``, read in place; each seed
+must be a vector of that length (``DimensionMismatch``).  The audits check
+U against e^{iA} U0 from A's kept pairs (``PathMismatch``), and the phase,
+half-width, horizon T >= 0 and samples in [-T, T] must be finite.
 
 The direction is low rank, so no d x d exponential is ever formed.  The
 eigenpairs (F, tau) of A with |tau| > 1e-12 max(||A||, 1) (||A|| is read
@@ -43,11 +45,11 @@ checks solve (i +- H0) Y = B instead of inverting, the compressed powers
 are streamed from the r x r identity, and the mixed-trace factors read
 F* (U0^k B).
 
-The basis itself comes from Gram-Schmidt cell by cell.  The pieces of the
-seeds in different cells lie on disjoint sets of eigenvectors of H0, so they
-are orthogonal; each cell's pieces are orthonormalised in that cell's
-eigen-coordinates and mapped back by its eigencolumns, with one drop
-tolerance on the piece norms and on the residuals.
+The basis itself comes from one SVD per cell.  The pieces of the seeds in
+different cells lie on disjoint sets of eigenvectors of H0, so they are
+orthogonal; in each cell's eigen-coordinates the pieces of norm above
+``GS_DROP_TOL``, normalised, give their left singular vectors of singular
+value above that tolerance, which the cell's eigencolumns map back.
 
 ``convergence_study`` checks and decomposes H0 and A once for its whole
 ladder, and builds and traces every rung's pair without checking it again.
@@ -65,6 +67,7 @@ from .errors import (
     DimensionMismatch,
     MissingConstruction,
     PartitionTooFine,
+    PathMismatch,
     SampleOutOfRange,
     UnishiftError,
     UnnormalisedSeed,
@@ -75,7 +78,8 @@ from .linalg import (
     HermitianDecomposition,
     _as_array,
     _power_stream,
-    _require_finite,
+    _require_small,
+    as_matrix,
     herm_eig,
     hs_norm,
     require_hermitian,
@@ -95,7 +99,9 @@ def cayley_inverse(h0, phase: float) -> np.ndarray:
 
 
 def _cayley(h0: np.ndarray, phase: float) -> np.ndarray:
-    """``cayley_inverse`` of an H0 that is already a Hermitian complex matrix."""
+    """``cayley_inverse`` of an H0 that is already a Hermitian complex matrix; the phase must be finite."""
+    if not -np.inf < phase < np.inf:  # NaN fails too
+        raise UnishiftError(f"phase must be a finite real number, not {phase!r}")
     eye = 1j * np.eye(h0.shape[0])
     return np.exp(1j * phase) * np.linalg.solve(eye + h0, eye - h0)
 
@@ -129,23 +135,6 @@ def _offblock(b: np.ndarray, y: np.ndarray) -> float:
     return hs_norm(y - b @ (b.conj().T @ y))
 
 
-def _orthonormalize(candidates: list[np.ndarray], dim: int) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalisation pass per vector."""
-    basis = np.zeros((dim, len(candidates)), dtype=np.complex128)
-    kept = 0
-    for vec in candidates:
-        v = vec.astype(np.complex128, copy=True)
-        for _ in range(2):
-            if kept:
-                q = basis[:, :kept]
-                v -= q @ (q.conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm > GS_DROP_TOL:
-            basis[:, kept] = v / norm
-            kept += 1
-    return basis[:, :kept].copy()
-
-
 def build_projection(h0, vectors, half_width: float, cells: int) -> ProjectionBasis:
     """Span of the spectral-cell pieces of the seed vectors.
 
@@ -166,8 +155,8 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     lengths = np.linalg.norm(f, axis=0)
     if not np.all(np.abs(lengths - 1.0) <= 1e-10):  # NaN lengths fail too
         raise UnnormalisedSeed("seed vectors must be finite and normalised")
-    if not _is_whole(cells, 1) or half_width <= 0.0:
-        raise BadWindow("need a positive window and a whole number of cells, at least one")
+    if not (_is_whole(cells, 1) and 0.0 < half_width < np.inf):  # NaN fails too
+        raise BadWindow("need a finite positive window and a whole number of cells, at least one")
     eps = count * half_width / np.sqrt(cells)
     coords = dec.vectors.conj().T @ f  # eigenbasis coordinates of the seeds
     inside = (dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width)
@@ -178,8 +167,8 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     edges = np.linspace(-half_width, half_width, cells + 1)
     cell_index = np.clip(np.searchsorted(edges, dec.eigenvalues, side="left") - 1, 0, cells - 1)
     # Pieces from different cells lie on disjoint sets of eigenvectors, so they
-    # are orthogonal: Gram-Schmidt runs per cell on the eigen-coordinates, and
-    # the cell's eigencolumns map the result back.
+    # are orthogonal: one SVD per cell on the eigen-coordinates of its kept
+    # normalised pieces, and the cell's eigencolumns map the result back.
     blocks = [np.zeros((dim, 0), dtype=np.complex128)]
     for k in range(cells):
         rows = (cell_index == k) & inside
@@ -187,8 +176,9 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
             continue
         pieces = coords[rows, :]
         norms = np.linalg.norm(pieces, axis=0)
-        candidates = [pieces[:, l] / norms[l] for l in range(count) if norms[l] > GS_DROP_TOL]
-        blocks.append(dec.vectors[:, rows] @ _orthonormalize(candidates, pieces.shape[0]))
+        kept = norms > GS_DROP_TOL
+        left, values, _ = np.linalg.svd(pieces[:, kept] / norms[kept], full_matrices=False)
+        blocks.append(dec.vectors[:, rows] @ left[:, values > GS_DROP_TOL])
     return ProjectionBasis(
         ambient_dim=dim,
         columns=np.concatenate(blocks, axis=1),
@@ -250,9 +240,9 @@ def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]
     """The one operand check: each operand as a complex array, in the order given.
 
     The ambient size is the projection's, or without one the first
-    operand's.  Every operand must be a finite square matrix of that size,
-    except ``seeds``, a list of vectors of that length returned as columns
-    (``DimensionMismatch``); ``h0`` and ``a`` must be Hermitian (``NotHermitian``).
+    operand's.  Every operand passes ``as_matrix`` at that size, ``h0`` and
+    ``a`` through ``require_hermitian``, except ``seeds``, a list of vectors
+    of that length returned as columns (``DimensionMismatch``).
     """
     dim = None if p is None else p.ambient_dim
     out = []
@@ -262,36 +252,36 @@ def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]
             if any(v.shape != (dim,) for v in f):
                 raise DimensionMismatch(f"seeds must be vectors of the ambient length {dim}")
             out.append(np.column_stack(f) if f else np.zeros((dim, 0), dtype=np.complex128))
-            continue
-        x = _as_array(x, copy=None)  # require_hermitian copies; U0 and U are only read
-        if dim is None:
-            dim = x.shape[0] if x.ndim else 0
-        if x.shape != (dim, dim):
-            raise DimensionMismatch(f"{name} has shape {x.shape}, not the ambient {dim} x {dim}")
-        out.append(require_hermitian(x, what=name) if name in ("h0", "a") else _require_finite(x))
+        else:  # require_hermitian copies; U0 and U are only read
+            x = require_hermitian(x, name, dim) if name in ("h0", "a") else as_matrix(x, name, dim, copy=None)
+            dim = x.shape[0]
+            out.append(x)
     return out
 
 
-def _audit_frame(p: ProjectionBasis, powers, **operands) -> tuple[float, np.ndarray, list[np.ndarray]]:
+def _audit_frame(p: ProjectionBasis, powers, t_max: float = 0.0, **operands):
     """eps and the columns B of an audited projection, and its operands (see ``_ambient_operands``).
 
-    Every audited power must be a whole number (``UnishiftError``).
+    Every audited power must be a whole number and T a finite number >= 0 (``UnishiftError``).
     """
     if p.params is None:
         raise MissingConstruction("projection carries no construction record to audit")
     for m in powers:
         if not _is_whole(m):
             raise UnishiftError(f"audited powers must be whole numbers, not {m!r}")
+    if not 0.0 <= t_max < np.inf:  # NaN fails too
+        raise UnishiftError(f"the audit horizon T must be a finite number >= 0, not {t_max!r}")
     return p.params.eps, p.columns, _ambient_operands(p, **operands)
 
 
-def _direction_factors(a, b: np.ndarray):
-    """A's kept pairs (F, tau), ||A||, P_perp F = F - B(B* F) and F* B.
+def _direction_factors(a, b: np.ndarray, u0: np.ndarray, u: np.ndarray):
+    """A's kept pairs (F, tau), ||A||, P_perp F = F - B(B* F) and F* B, once U is e^{iA} U0 within d 1e-10.
 
     F* is a co-isometry, so it drops out of the Hilbert-Schmidt norms of
     P_perp A = P_perp F tau F* and P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F* P.
     """
     f, tau, a_op = _kept_pairs(herm_eig(a, check=False))
+    _require_small(u - _low_rank_endpoint(f, tau, u0), u.shape[0] * 1e-10, PathMismatch, "U deviates from e^(iA) U0")
     return f, tau, a_op, f - b @ (b.conj().T @ f), f.conj().T @ b
 
 
@@ -327,12 +317,12 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     < 2 T e^{T ||A||} eps over the sample grid, the base powers, and the
     perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps.
     """
-    eps, b, (u0, u, a) = _audit_frame(p, m_list, u0=u0, u=u, a=a)
-    _, tau, a_op, f_perp, fb = _direction_factors(a, b)
+    eps, b, (u0, u, a) = _audit_frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    _, tau, a_op, f_perp, fb = _direction_factors(a, b, u0, u)
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
     for t in t_samples:
-        if abs(t) > t_max + 1e-12:
+        if not abs(t) <= t_max + 1e-12:  # NaN fails too
             raise SampleOutOfRange("propagator samples must stay within [-T, T]")
         value = hs_norm(_exp_step(f_perp, tau, float(t)) @ fb)
         checks.append(_check(f"propagator[t={float(t):+.3f}]", value, propagator_bound))
@@ -402,11 +392,10 @@ def audit_compressed_model(
     ||(U0^m - U0p^m) P||_2 and ||P (U^m - Up^m) P||_2, and the mixed traces
     |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.
     """
-    eps, b, (h0, a, u0, u) = _audit_frame(p, [*m_list, *k_list], h0=h0, a=a, u0=u0, u=u)
+    eps, b, (h0, a, u0, u) = _audit_frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
     model = _compressed(p, h0, a, phase)
-    f, tau, a_op, f_perp, fb = _direction_factors(a, b)
+    f, tau, a_op, f_perp, fb = _direction_factors(a, b, u0, u)
     fc, tau_c = model.ap_vectors, model.ap_values
-    a_hs = hs_norm(a)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
     bfc = b @ fc
@@ -418,7 +407,7 @@ def audit_compressed_model(
         worst = max(worst, hs_norm(diff))
     checks.append(_check("propagator_vs_compressed", worst, 2 * t_max * eps))
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
-    tr_bound = 2.0 * a_hs * _exp_remainder_factor(a_op) * eps
+    tr_bound = 2.0 * hs_norm(a) * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     # U0^m B and U^m B are streamed on the d x r columns; the compressed
     # powers are r x r, streamed from the identity.

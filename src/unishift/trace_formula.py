@@ -41,13 +41,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
 from .errors import OnUnitCircle, UnishiftError
 from .linalg import UnitaryPath, _power_blocks, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
-from .trigpoly import TrigPolynomial
+from .trigpoly import TrigPolynomial, _require_polynomial
 
 
 # Largest resolvent series order; a z that needs more counts as on the circle.
@@ -145,6 +146,7 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
     matrix with them for all polynomials, and curvature pairings on the right.
     """
     _require_tol(tol)
+    polys = [_require_polynomial(p) for p in polys]
     session = EtaIntegrator(u0, a, s_rule)
     u = session.path.require_endpoint(u)
     modes = sorted({n for p in polys for n in p.coeffs})
@@ -221,9 +223,8 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
     agree with the left side computed directly from matrix inverses.
     """
     _require_tol(tol)
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise UnishiftError(f"z = {z} is not a finite complex number")
+    if not (isinstance(z, Number) and cmath.isfinite(z := complex(z))):
+        raise UnishiftError(f"z = {z!r} is not a finite complex number")
     if abs(abs(z) - 1.0) < 1e-6:
         raise OnUnitCircle(f"|z| = {abs(z):.8f} is within 1e-6 of the unit circle")
     session = EtaIntegrator(u0, a, s_rule)

@@ -59,6 +59,13 @@ class TrigPolynomial:
         return TrigPolynomial({n - 1: n * a for n, a in self.coeffs.items() if n != 0})
 
 
+def _require_polynomial(p, what: str = "polynomial") -> TrigPolynomial:
+    """``p`` itself if it is a ``TrigPolynomial``, else ``UnishiftError``."""
+    if not isinstance(p, TrigPolynomial):
+        raise UnishiftError(f"{what} must be a TrigPolynomial, not {type(p).__name__}")
+    return p
+
+
 def random_trig_polynomial(rng: np.random.Generator, max_degree: int) -> TrigPolynomial:
     """Random polynomial with coefficients damped like 1 / (1 + |n|^2)."""
     coeffs = {}

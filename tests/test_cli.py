@@ -76,6 +76,18 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]", '{"z": "abc"}'],
+                             ids=["missing", "invalid-json", "json-list", "bad-z"])
+    def test_unusable_config_file_exits_2(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "run.json"
+        if text is not None:
+            cfg_file.write_text(text)
+        out = tmp_path / "r.json"
+        assert main(["resolvent", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_integer_config_ranks_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"ranks": [16.7, 64.2]}))

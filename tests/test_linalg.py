@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import choose_phase, log_unitary, require_hermitian_svd, require_unitary_svd
 from unishift import (
+    DimensionMismatch,
     EmptyMatrix,
     NotHermitian,
     NotUnitary,
@@ -314,6 +315,30 @@ def test_random_pair_rejects_non_integer_dim(dim):
 def test_random_pair_rejects_bad_seed(seed):
     with pytest.raises(UnishiftError, match="seed must be a whole number"):
         random_pair(seed, 3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "bad, dim",
+    [(np.ones((2, 3)), None), (np.eye(3), 4), (np.ones(3), None), (np.ones((1, 3, 3)), 3), (5.0, None), (5.0, 1)],
+    ids=["non-square", "wrong-size", "vector", "stack", "scalar", "scalar-sized"],
+)
+def test_one_operand_check_states_the_size(bad, dim):
+    """Any shape but dim x dim (any square size when dim is None) is a DimensionMismatch, in each check."""
+    from unishift.linalg import as_matrix
+
+    for check in (as_matrix, require_hermitian, require_unitary):
+        with pytest.raises(DimensionMismatch, match="probe has shape"):
+            check(bad, "probe", dim)
+
+
+def test_one_operand_check_copies_unless_asked():
+    from unishift.linalg import as_matrix
+
+    c = np.eye(3, dtype=complex)
+    assert as_matrix(c, dim=3, copy=None) is c
+    got = as_matrix(np.eye(3), dim=3)
+    assert got.dtype == np.complex128 and as_matrix(c) is not c
+    np.testing.assert_array_equal(got, c)
 
 
 def test_matrix_coercion_rejects_bad_input():

@@ -20,6 +20,7 @@ from unishift import (
     MissingConstruction,
     NotHermitian,
     PartitionTooFine,
+    PathMismatch,
     ProjectionBasis,
     SampleOutOfRange,
     TrigPolynomial,
@@ -407,7 +408,7 @@ class TestStreamedAuditsOracle:
 
 
 class TestPerCellOrthonormalisation:
-    """Cell-by-cell Gram-Schmidt spans what one global Gram-Schmidt over all pieces spans."""
+    """One SVD per cell spans what one global Gram-Schmidt over all pieces spans."""
 
     @staticmethod
     def assert_matches_global(h0, seeds, half_width, cells):
@@ -473,6 +474,15 @@ class TestPerCellOrthonormalisation:
         f = np.column_stack([self.unit(x + y), self.unit(3.0j * x + z)])
         p = self.assert_matches_global(h0, f, 1.0, 4)
         # cells 0, 1 and 3 each give one direction; the second piece in cell 1 is dropped
+        assert p.rank == 3
+
+    def test_small_piece_counts_at_unit_length(self):
+        h0 = spread_diagonal(8, 1.0)
+        e = np.eye(8, dtype=complex)
+        # cell 1 of 2 holds a piece of norm 1e-6 along e_4 and a unit piece 1e-7 off it: normalised
+        # first, they are independent; unnormalised, their smaller singular value is about 1e-13
+        f = np.column_stack([self.unit(e[0] + 1e-6 * e[4]), self.unit(e[4] + 1e-7 * e[5])])
+        p = self.assert_matches_global(h0, f, 1.0, 2)
         assert p.rank == 3
 
 
@@ -626,6 +636,53 @@ class TestTypedErrors:
         inst = reduction_instance(16, 32, 2, 0.5)
         with pytest.raises(error):
             call(inst, TrigPolynomial.monomial(2))
+
+    @pytest.mark.parametrize(
+        "error, call",
+        [
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, 0.5, phase=np.inf)),
+            (UnishiftError, lambda inst, p: cayley_inverse(inst.h0, np.nan)),
+            (UnishiftError, lambda inst, p: convergence_study(inst.h0, inst.a, np.nan, TrigPolynomial.monomial(2), [4])),
+            (UnishiftError, lambda inst, p: compressed_model(p, inst.h0, inst.a, -np.inf)),
+            (UnishiftError, lambda inst, p: audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, np.nan, 2.0, [1], [1])),
+            (BadWindow, lambda inst, p: build_projection(inst.h0, [p.directions[:, 0]], np.nan, 4)),
+            (BadWindow, lambda inst, p: build_direction_projection(inst.h0, inst.a, np.inf, 4)),
+            (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, np.nan, [1], [])),
+            (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, -1.0, [1], [])),
+            (UnishiftError, lambda inst, p: audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, np.nan, [1], [1])),
+            (UnishiftError, lambda inst, p: audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, -1.0, [1], [1])),
+            (SampleOutOfRange, lambda inst, p: audit_perturbation_estimates(
+                p, inst.u0, inst.u, inst.a, 2.0, [1], [np.nan])),
+        ],
+        ids=["instance-phase-inf", "cayley-phase-nan", "study-phase-nan", "model-phase-inf", "audit-phase-nan",
+             "window-nan", "window-inf", "perturbation-t-nan", "perturbation-t-negative", "compressed-t-nan",
+             "compressed-t-negative", "sample-nan"],
+    )
+    def test_finite_scalars(self, error, call):
+        """Phases, half-widths, audit horizons T and samples must be finite (T >= 0); NaN or Inf never runs."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        with pytest.raises(error):
+            call(inst, build_direction_projection(inst.h0, inst.a, inst.half_width, 4))
+
+    def test_audits_check_u_against_the_endpoint(self):
+        """U must lie within d 1e-10 of e^{iA} U0 in the operator norm; U0 passed as U is a PathMismatch."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        corner = np.zeros((32, 32), dtype=complex)
+        corner[0, 0] = 32 * 1e-10  # operator norm: the tolerance
+        audits = [
+            lambda u: audit_perturbation_estimates(p, inst.u0, u, inst.a, 2.0, [1], [0.0]),
+            lambda u: audit_compressed_model(p, inst.h0, inst.a, inst.u0, u, inst.phase, 2.0, [1], [1]),
+        ]
+        for audit in audits:
+            assert audit(inst.u).passed
+            audit(inst.u + 0.5 * corner)
+            for u in (inst.u + 2.0 * corner, inst.u0):
+                with pytest.raises(PathMismatch):
+                    audit(u)
 
     def test_numpy_integer_sizes_accepted(self):
         inst = reduction_instance(np.int64(16), np.int64(32), np.int32(2), 0.5)

@@ -14,10 +14,13 @@ from unishift import (
     TrigPolynomial,
     UnishiftError,
     batch_verify,
+    doi_apply,
     eta_profile,
     gauss_legendre,
     hs_norm,
     random_pair,
+    resolvent_check,
+    schur_bound_check,
     trace,
     trace_norm,
     unitary_eig,
@@ -352,7 +355,7 @@ class TestQuadratureRule:
 
 
 class TestTypedErrors:
-    """Bad rules and grids raise UnishiftError, never a bare ValueError or TypeError."""
+    """Bad rules, grids, points, polynomials and operands raise UnishiftError, never a bare ValueError or TypeError."""
 
     @pytest.mark.parametrize(
         "call",
@@ -376,11 +379,29 @@ class TestTypedErrors:
                                  s_rule=QuadratureRule(np.full((2, 2), 0.5), np.full((2, 2), 0.25))),
             lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial.monomial(1)],
                                  s_rule=QuadratureRule(np.array([0.5]), np.array([np.nan]))),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), QuadratureRule(np.array(["0.5"]), np.array(["1.0"]))),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), QuadratureRule([[0.5], [0.2, 0.3]], [1.0, 1.0])),
+            lambda: resolvent_check(np.eye(2), np.eye(2), np.zeros((2, 2)), "x"),
+            lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [1.0]),
+            lambda: schur_bound_check(1.0, np.eye(2), np.eye(2)),
+            lambda: doi_apply(1.0, np.eye(2), np.eye(2), np.zeros((2, 2))),
+            lambda: doi_apply(TrigPolynomial.monomial(1), np.eye(2), np.eye(2), [[1.0, 2.0], [3.0]]),
+            lambda: doi_apply(TrigPolynomial.monomial(1), np.eye(2), np.eye(2), [["a", "b"], ["c", "d"]]),
         ],
     )
     def test_raises_unishift_error(self, call):
         with pytest.raises(UnishiftError):
             call()
+
+    def test_rule_from_lists_runs_as_float64(self):
+        """A rule built from lists is the rule of the same float64 arrays."""
+        listed = as_rule(QuadratureRule([0.25, 0.75], [0.5, 0.5]))
+        assert listed.nodes.dtype == listed.weights.dtype == np.float64
+        pair = random_pair(3, 3, 1.0)
+        got = EtaIntegrator(pair.u0, pair.a, QuadratureRule([0.25, 0.75], [0.5, 0.5]))
+        want = EtaIntegrator(pair.u0, pair.a, QuadratureRule(np.array([0.25, 0.75]), np.array([0.5, 0.5])))
+        np.testing.assert_array_equal(got.jump_angles, want.jump_angles)
+        np.testing.assert_array_equal(got.jump_weights, want.jump_weights)
 
 
 class TestEtaFourier:

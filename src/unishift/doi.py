@@ -35,7 +35,7 @@ def primitive_of(f: TrigPolynomial) -> TrigPolynomial:
     g(e^{it}) = integral of f0 over [0, t] with f0 = f - mean(f); in
     coefficients g_n = f_n / (i n) for n != 0, and g_0 makes g(1) = 0.
     """
-    coeffs = {n: c / (1j * n) for n, c in f.coeffs.items() if n != 0}
+    coeffs = {n: c / (1j * n) for n, c in _require_polynomial(f, "f").coeffs.items() if n != 0}
     coeffs[0] = -sum(coeffs.values())
     return TrigPolynomial(coeffs)
 
@@ -105,7 +105,7 @@ def schur_bound_check(f: TrigPolynomial, us, u0) -> SchurBoundReport:
     """
     us = require_unitary(us, "bound left unitary")
     u0 = require_unitary(u0, "bound right unitary", us.shape[0])
-    g = primitive_of(_require_polynomial(f, "f"))
+    g = primitive_of(f)
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     lhs = hs_norm(circle_function_of(g, ldec) - circle_function_of(g, rdec))
     f_sup = sampled_sup_norm(f)

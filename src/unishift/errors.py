@@ -1,11 +1,12 @@
 """Exception types shared across the package, and its one whole-number check."""
 
-from numbers import Integral
+import numpy as np
 
 
 def _is_whole(value, minimum: int | None = None) -> bool:
     """Whether ``value`` is an int or numpy integer, never a bool, and at least ``minimum``."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and (minimum is None or value >= minimum)
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return whole and (minimum is None or value >= minimum)
 
 
 class UnishiftError(ValueError):

@@ -32,6 +32,7 @@ asks ``as_matrix`` for ``copy=None`` to read an operand in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -235,7 +236,7 @@ def _check_unitary_stack(u, check: bool, what: str) -> np.ndarray:
     """U as a finite complex128 stack (..., d, d) of square matrices, d >= 1, unitary with ``check``."""
     u = _require_finite(_as_array(u, copy=None))  # only read
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
-        raise UnishiftError(f"expected a square matrix or a stack of them, got shape {u.shape}")
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {u.shape}")
     if u.shape[-1] == 0:
         raise EmptyMatrix(f"{what} is 0x0 and has no spectrum")
     if check:
@@ -353,17 +354,22 @@ def random_hermitian(rng: np.random.Generator, dim: int, op_scale: float) -> np.
     return h * (op_scale / top)
 
 
+def _require_draw(seed, scale) -> None:
+    """A seeded instance's seed is a whole number >= 0 and its scale, the norm of A, a real number in (0, pi)."""
+    if not _is_whole(seed, 0):
+        raise UnishiftError(f"seed must be a whole number, at least 0, not {seed!r}")
+    if not (isinstance(scale, Real) and 0.0 < scale < np.pi):  # NaN fails too
+        raise UnishiftError(f"scale must lie in (0, pi), not {scale!r}")
+
+
 def random_pair(seed: int, dim: int, scale: float) -> UnitaryPair:
     """Deterministic random pair (U0, A, U = e^{iA} U0) with ||A||_op = scale.
 
     ``scale`` must stay in (0, pi) so the principal logarithm of U U0* is A.
     """
-    if not _is_whole(seed, 0):
-        raise UnishiftError(f"seed must be a whole number, at least 0, not {seed!r}")
+    _require_draw(seed, scale)
     if not _is_whole(dim, 1):
         raise UnishiftError(f"dim must be a whole number, at least 1, not {dim!r}")
-    if not 0.0 < scale < np.pi:
-        raise UnishiftError("scale must lie in (0, pi)")
     rng = np.random.default_rng(seed)
     u0 = haar_unitary(rng, dim)
     a = random_hermitian(rng, dim, scale)

@@ -78,6 +78,7 @@ from .linalg import (
     HermitianDecomposition,
     _as_array,
     _power_stream,
+    _require_draw,
     _require_small,
     as_matrix,
     herm_eig,
@@ -474,12 +475,12 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     f, tau, _ = _kept_pairs(herm_eig(a, check=False))
     half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
     u0 = _cayley(h0, phase)
-    full = _lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)
+    full = complex(_lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)[0])
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n)
         model = _compressed(proj, h0, a, phase)
-        compressed = _lhs(model.u0p, model.up, model.ap, p)
+        compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
         rows.append(
             ConvergenceRow(
                 cells=int(n),
@@ -518,8 +519,7 @@ class ReductionInstance:
 
 def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: float = 0.0) -> ReductionInstance:
     """Seeded ambient model: H0 equidistributed in (-1, 1) and a low-rank direction."""
-    if not _is_whole(seed, 0):
-        raise UnishiftError(f"seed must be a whole number, at least 0, not {seed!r}")
+    _require_draw(seed, scale)
     if not (_is_whole(rank, 1) and _is_whole(ambient, rank)):
         raise DimensionMismatch(f"need whole sizes 1 <= rank <= ambient, got rank {rank!r} and ambient {ambient!r}")
     rng = np.random.default_rng(seed)

@@ -22,8 +22,9 @@ whose derivative f' is known on the circle,
 
     integral of f''(t) eta(t) dt = -sum_k w_k (f'(theta_k) - f'(2pi)),
 
-one O(jumps) sum with no truncation; f = e^{irt} gives the mode pairings
--ir sum_k w_k (e^{ir theta_k} - 1).
+one O(jumps) sum with no truncation; f = e^{irt} gives the right side of the
+trace identity per Fourier mode, -ir sum_k w_k (e^{ir theta_k} - 1), as one
+array aligned with the modes asked for (``curvature_pairings``).
 
 The reduced s-integrand behind the trace identity is analytic in s, so those
 integrals converge geometrically even though the pointwise profile on a
@@ -111,20 +112,6 @@ class EtaIntegrator:
         self.jump_angles = self.node_angles.ravel()
         self.jump_weights = (np.concatenate([[np.sum(w)], -w])[:, None] * self.node_weights).ravel()
 
-    def _mode_sums(self, rs) -> np.ndarray:
-        """sum_k w_k (e^{ir theta_k} - 1) over the jump list, per mode r.
-
-        The -1 comes from the upper edge 2pi; keeping it makes each sum exact
-        without relying on the jump weights cancelling to zero.
-        """
-        rs = np.asarray(rs)
-        out = np.empty(rs.shape, dtype=np.complex128)
-        per_block = max(1, _BLOCK // self.jump_angles.size)
-        for start in range(0, rs.size, per_block):
-            phases = np.exp(1j * np.multiply.outer(rs[start:start + per_block], self.jump_angles))
-            out[start:start + per_block] = (phases - 1.0) @ self.jump_weights
-        return out
-
     def eta(self, t) -> np.ndarray:
         """Profile values at t: cumulative jump weights over angles <= t."""
         order = np.argsort(self.jump_angles, kind="stable")
@@ -144,14 +131,22 @@ class EtaIntegrator:
         """
         return complex(-((fprime(self.jump_angles) - fprime(TWO_PI)) @ self.jump_weights))
 
-    def curvature_pairings(self, rs) -> dict[int, complex]:
-        """Integral of (d/dt)^2 e^{irt} against eta, exact in t, per distinct mode in ``rs``.
+    def curvature_pairings(self, rs) -> np.ndarray:
+        """``pairing`` for f' = ir e^{irt} for each whole-number mode r in ``rs``, in that order, in blocks of modes.
 
-        This is ``pairing`` for f' = ir e^{irt}, batched over the modes.
+        The -1 in -ir sum_k w_k (e^{ir theta_k} - 1) is the upper edge 2pi; keeping it makes
+        each sum exact without relying on the jump weights cancelling to zero.
         """
-        modes = np.array(sorted({int(r) for r in rs}), dtype=int)
-        pairings = -1j * modes * self._mode_sums(modes)
-        return {int(r): complex(v) for r, v in zip(modes, pairings)}
+        if not all(map(_is_whole, rs := list(rs))):
+            raise UnishiftError("every mode must be a whole number")
+        rs = np.array(rs, dtype=np.int64)
+        out = np.empty(rs.shape, dtype=np.complex128)
+        per_block = max(1, _BLOCK // self.jump_angles.size)
+        for start in range(0, rs.size, per_block):
+            r = rs[start:start + per_block]
+            phases = np.exp(1j * np.multiply.outer(r, self.jump_angles))
+            out[start:start + per_block] = -1j * r * ((phases - 1.0) @ self.jump_weights)
+        return out
 
     def profile(self, grid_size: int) -> EtaProfile:
         if not _is_whole(grid_size, 2):

@@ -5,18 +5,18 @@ For U = e^{iA} U0 and a trigonometric polynomial p, the identity reads
     Tr{ p(U) - p(U0) - d/ds p(U_s)|_{s=0} }
         = integral over [0, 2pi] of (d/dt)^2 p(e^{it}) * eta(t) dt .
 
-Both sides are linear in the coefficients of p, so each is assembled from
-one number per Fourier mode n.  The left side streams the powers U^k and
-U0^k in blocks of consecutive k, each block one (b, d, d) stack advanced by
-one batched product (adjoints for negative modes), with the generator the
-reduction audits use for U^m B (``linalg._power_blocks``).  Per block it takes
-the b traces at once and the b derivative terms from the cyclic trace
-identity below in one product with conj(A); the polynomial's left side is
-then one dot product of its coefficients with the per-mode values.  The right
-side is an exact sum over the jump list of eta (eigenangles of U_s at
-Gauss-Legendre nodes in s, see ``spectral_shift``).  The left side touches
-no eigendecomposition, so the two sides share no spectral code path and
-agreeing results actually mean something.
+Both sides are linear in the coefficients of p, so each is an array of one
+number per Fourier mode n, and one coefficient matrix C (row j holds the
+coefficients of polynomial j on the sorted modes) assembles both for every
+polynomial: C @ traces and C @ pairings.  The left side streams the powers
+U^k and U0^k in blocks of consecutive k, each block one (b, d, d) stack
+advanced by one batched product (adjoints for negative modes), with the
+generator the reduction audits use for U^m B (``linalg._power_blocks``); per
+block it takes the b traces and, by the cyclic trace identity below, the b
+derivative terms in one product with conj(A).  The right side is an exact
+sum over the jump list of eta (eigenangles of U_s at Gauss-Legendre nodes in
+s, see ``spectral_shift``).  The left side touches no eigendecomposition, so
+the two sides share no spectral code path and agreeing results mean something.
 
 The resolvent w -> (w - z)^{-1} is not a trigonometric polynomial.  Its
 right side is one closed-form sum over the jumps from f'(t) =
@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from numbers import Number
+from numbers import Number, Real
 
 import numpy as np
 
@@ -63,8 +63,8 @@ def _exp_remainder_factor(x: float) -> float:
 
 
 def _require_tol(tol: float) -> None:
-    if not tol > 0.0:  # NaN fails too
-        raise UnishiftError(f"tol must be a positive number, not {tol!r}")
+    if not (isinstance(tol, Real) and 0.0 < tol < math.inf):  # NaN fails too
+        raise UnishiftError(f"tol must be a finite positive number, not {tol!r}")
 
 
 def require_path(u0, u, a) -> None:
@@ -90,26 +90,25 @@ def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> np.
     return values[modes - lo]
 
 
-def _coefficients(polys, modes) -> np.ndarray:
-    """Row j holds the coefficients of polys[j] on ``modes``, which cover every support."""
-    column = {n: i for i, n in enumerate(modes)}
-    out = np.zeros((len(polys), len(modes)), dtype=np.complex128)
-    for row, p in zip(out, polys):
-        row[[column[n] for n in p.coeffs]] = list(p.coeffs.values())
-    return out
+def _coefficients(polys) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted modes of ``polys`` and the matrix C whose row j holds polys[j]'s coefficients on them."""
+    modes = np.array(sorted({n for p in polys for n in p.coeffs}), dtype=np.int64)
+    c = np.zeros((len(polys), modes.size), dtype=np.complex128)
+    for row, p in zip(c, polys):
+        row[np.searchsorted(modes, list(p.coeffs))] = list(p.coeffs.values())
+    return modes, c
 
 
-def _lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, p: TrigPolynomial) -> complex:
-    """``lhs_trace`` for a pair that is already validated: one dot product over p's modes."""
-    modes = np.fromiter(p.coeffs, dtype=np.int64, count=len(p.coeffs))
-    coeffs = np.fromiter(p.coeffs.values(), dtype=np.complex128, count=len(p.coeffs))
-    return complex(coeffs @ _lhs_mode_traces(u0, u, a, modes))
+def _lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, *polys: TrigPolynomial) -> np.ndarray:
+    """Left side of each of ``polys`` for a pair that is already validated: C @ the per-mode traces."""
+    modes, c = _coefficients(polys)
+    return c @ _lhs_mode_traces(u0, u, a, modes)
 
 
 def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
     """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via blocks of streamed powers."""
     path = UnitaryPath(u0, a)
-    return _lhs(path.u0, path.require_endpoint(u), path.a, p)
+    return complex(_lhs(path.u0, path.require_endpoint(u), path.a, p)[0])
 
 
 @dataclass(frozen=True)
@@ -141,22 +140,18 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
     """Verify many polynomials for one pair, validating it once.
 
     The pair is validated by the integrator's path.  Both sides are linear in
-    the coefficients, so each side is assembled from per-mode values: streamed
-    traces of U^n - U0^n - D_n on the left, one product of the coefficient
-    matrix with them for all polynomials, and curvature pairings on the right.
+    the coefficients, so each is one product of the coefficient matrix C of
+    ``polys`` with per-mode values: the streamed traces of U^n - U0^n - D_n
+    on the left and the curvature pairings on the right.
     """
     _require_tol(tol)
     polys = [_require_polynomial(p) for p in polys]
     session = EtaIntegrator(u0, a, s_rule)
     u = session.path.require_endpoint(u)
-    modes = sorted({n for p in polys for n in p.coeffs})
-    lhs = _coefficients(polys, modes) @ _lhs_mode_traces(session.u0, u, session.a, modes)
-    rhs_mode = session.curvature_pairings(modes)
-    reports = []
-    for p, lhs_p in zip(polys, lhs.tolist()):
-        rhs = complex(sum(c * rhs_mode[n] for n, c in p.items()))
-        reports.append(VerificationReport.from_sides(lhs_p, rhs, tol, session.rule.count))
-    return reports
+    modes, c = _coefficients(polys)
+    lhs = _lhs(session.u0, u, session.a, *polys)
+    rhs = c @ session.curvature_pairings(modes)
+    return [VerificationReport.from_sides(*s, tol, session.rule.count) for s in zip(lhs.tolist(), rhs.tolist())]
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,7 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
     session = EtaIntegrator(u0, a, s_rule)
     u0, a, u = session.u0, session.a, session.path.require_endpoint(u)
     order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
-    lhs = _lhs(u0, u, a, resolvent_coefficients(z, order))
+    lhs = complex(_lhs(u0, u, a, resolvent_coefficients(z, order))[0])
 
     def fprime(t):
         """d/dt (e^{it} - z)^{-1} on the circle; dividing twice keeps a huge |z| from overflowing."""

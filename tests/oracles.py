@@ -262,7 +262,7 @@ def eta_fourier(integrator, n: int) -> complex:
     """
     if n == 0:
         raise ZeroHarmonic("the n = 0 coefficient is the additive-constant ambiguity")
-    return complex(1j / n * integrator._mode_sums([n])[0])
+    return complex(1j / n * ((np.exp(1j * n * integrator.jump_angles) - 1.0) @ integrator.jump_weights))
 
 
 def _monomial_derivative(us: np.ndarray, ia: np.ndarray, r: int) -> np.ndarray:

@@ -40,6 +40,7 @@ from unishift import (
     op_norm,
     reduction_instance,
     spread_diagonal,
+    unitary_eig,
 )
 from unishift.linalg import UnitaryPath, haar_unitary
 from unishift.reduction import _offblock, random_low_rank_hermitian
@@ -600,6 +601,8 @@ class TestTypedErrors:
             (DimensionMismatch, lambda: convergence_study(wide.h0, inst.a, inst.phase, poly, [4])),
             (DimensionMismatch, lambda: build_projection(inst.h0, [np.eye(31)[0]], 1.0, 4)),
             (DimensionMismatch, lambda: cayley_inverse(np.ones((3, 4)), 0.0)),
+            (DimensionMismatch, lambda: unitary_eig(np.ones((3, 4)))),
+            (DimensionMismatch, lambda: unitary_eig(np.ones(3))),
             (ZeroDirection, lambda: build_projection(inst.h0, [], 1.0, 4)),
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [])),
             (UnishiftError, lambda: cayley_inverse([[1.0, 2.0], [3.0]], 0.0)),
@@ -641,6 +644,11 @@ class TestTypedErrors:
         "error, call",
         [
             (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, 0.5, phase=np.inf)),
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, 0.0)),
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, -0.5)),
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, np.pi)),
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, np.nan)),
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, "0.5")),
             (UnishiftError, lambda inst, p: cayley_inverse(inst.h0, np.nan)),
             (UnishiftError, lambda inst, p: convergence_study(inst.h0, inst.a, np.nan, TrigPolynomial.monomial(2), [4])),
             (UnishiftError, lambda inst, p: compressed_model(p, inst.h0, inst.a, -np.inf)),
@@ -657,12 +665,15 @@ class TestTypedErrors:
             (SampleOutOfRange, lambda inst, p: audit_perturbation_estimates(
                 p, inst.u0, inst.u, inst.a, 2.0, [1], [np.nan])),
         ],
-        ids=["instance-phase-inf", "cayley-phase-nan", "study-phase-nan", "model-phase-inf", "audit-phase-nan",
+        ids=["instance-phase-inf", "instance-scale-zero", "instance-scale-negative", "instance-scale-pi",
+             "instance-scale-nan", "instance-scale-string", "cayley-phase-nan", "study-phase-nan", "model-phase-inf", "audit-phase-nan",
              "window-nan", "window-inf", "perturbation-t-nan", "perturbation-t-negative", "compressed-t-nan",
              "compressed-t-negative", "sample-nan"],
     )
     def test_finite_scalars(self, error, call):
-        """Phases, half-widths, audit horizons T and samples must be finite (T >= 0); NaN or Inf never runs."""
+        """Phases, half-widths, audit horizons T and samples must be finite (T >= 0); NaN or Inf never runs.
+
+        The instance scale (the norm of A) is a real number in (0, pi)."""
         inst = reduction_instance(16, 32, 2, 0.5)
         with pytest.raises(error):
             call(inst, build_direction_projection(inst.h0, inst.a, inst.half_width, 4))

@@ -18,6 +18,7 @@ from unishift import (
     eta_profile,
     gauss_legendre,
     hs_norm,
+    primitive_of,
     random_pair,
     resolvent_check,
     schur_bound_check,
@@ -25,7 +26,7 @@ from unishift import (
     trace_norm,
     unitary_eig,
 )
-from unishift.linalg import TWO_PI, UnitaryPath, haar_unitary
+from unishift.linalg import _BLOCK, TWO_PI, UnitaryPath, haar_unitary
 from unishift.quadrature import as_rule
 from unishift.spectral_shift import piecewise_linear_abs_integral
 
@@ -103,7 +104,7 @@ class TestIntegrateAgainst:
         rule = gauss_legendre(8)
         steps = per_node_steps(pair, rule)
         rs = [-3, -1, 0, 2, 7]
-        batch = EtaIntegrator(pair.u0, pair.a, rule).curvature_pairings(rs)
+        batch = dict(zip(rs, EtaIntegrator(pair.u0, pair.a, rule).curvature_pairings(rs)))
         assert sorted(batch) == sorted(rs)
         for r in rs:
             ref = sum(w * integrate_against(f, r) for w, f in zip(rule.weights, steps))
@@ -223,7 +224,7 @@ class TestJumpListReference:
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
         rs = list(range(-8, 9)) + [-20, 25]
-        pairings = integrator.curvature_pairings(rs)
+        pairings = dict(zip(rs, integrator.curvature_pairings(rs)))
         for r in rs:
             close(pairings[r], sum(w * integrate_against(f, r) for w, f in zip(rule.weights, steps)))
         for n in (1, -2, 5):
@@ -294,10 +295,40 @@ class TestEigenbasisEdgeSpectra:
         np.testing.assert_allclose(profile.eta, ref, atol=1e-13)
         mean = sum(w * f.integral().real for w, f in zip(rule.weights, steps)) / TWO_PI
         np.testing.assert_allclose(profile.eta0, ref - mean, atol=1e-13)
-        pairings = integrator.curvature_pairings(range(-6, 7))
+        pairings = dict(zip(range(-6, 7), integrator.curvature_pairings(range(-6, 7))))
         for r, value in pairings.items():
             expected = sum(w * integrate_against(f, r) for w, f in zip(rule.weights, steps))
             assert value == pytest.approx(expected, abs=1e-12)
+
+
+class TestCurvaturePairings:
+    """The per-mode right side: one array aligned with the modes given, whole numbers only."""
+
+    def test_aligned_with_unsorted_modes_across_blocks(self):
+        pair = random_pair(11, 6, 1.7)
+        integrator = EtaIntegrator(pair.u0, pair.a, 32)
+        rng = np.random.default_rng(4)
+        rs = [int(r) for r in rng.permutation(np.arange(-70, 71))] + [7, 0, -33, 7]
+        assert len(rs) > 2 * (_BLOCK // integrator.jump_angles.size)  # at least three mode blocks
+        got = integrator.curvature_pairings(rs)
+        assert got.shape == (len(rs),) and got.dtype == np.complex128
+        for r, value in zip(rs, got):
+            ref = integrator.pairing(lambda t: 1j * r * np.exp(1j * r * t))
+            assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))
+        assert got[rs.index(0)] == 0
+
+    def test_empty_and_generator_input(self):
+        integrator = EtaIntegrator(np.eye(2), np.diag([0.3, -0.2]), 8)
+        assert integrator.curvature_pairings([]).shape == (0,)
+        np.testing.assert_array_equal(
+            integrator.curvature_pairings(r for r in (2, np.int64(-1))), integrator.curvature_pairings([2, -1])
+        )
+
+    @pytest.mark.parametrize("rs", [[1.5], [2.0], [True], ["1"], [1, None]])
+    def test_non_integer_modes_rejected(self, rs):
+        integrator = EtaIntegrator(np.eye(2), np.diag([0.3, -0.2]), 8)
+        with pytest.raises(UnishiftError, match="whole number"):
+            integrator.curvature_pairings(rs)
 
 
 class TestPairing:
@@ -308,7 +339,7 @@ class TestPairing:
     def test_matches_curvature_pairings(self, seed, dim, r, scale):
         pair = random_pair(seed, dim, scale)
         integrator = EtaIntegrator(pair.u0, pair.a, 32)
-        ref = integrator.curvature_pairings([r])[r]
+        ref = dict(zip([r], integrator.curvature_pairings([r])))[r]
         got = integrator.pairing(lambda t: 1j * r * np.exp(1j * r * t))
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
@@ -387,6 +418,9 @@ class TestTypedErrors:
             lambda: doi_apply(1.0, np.eye(2), np.eye(2), np.zeros((2, 2))),
             lambda: doi_apply(TrigPolynomial.monomial(1), np.eye(2), np.eye(2), [[1.0, 2.0], [3.0]]),
             lambda: doi_apply(TrigPolynomial.monomial(1), np.eye(2), np.eye(2), [["a", "b"], ["c", "d"]]),
+            lambda: primitive_of(3),
+            lambda: random_pair(0, 3, "1"),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings([1.5]),
         ],
     )
     def test_raises_unishift_error(self, call):

@@ -49,7 +49,7 @@ def central_difference(u0, a, p, s, h):
 
 def curvature_integral(u0, a, p, s_rule=None):
     """Curvature integral of p against eta from the integrator's mode pairings."""
-    pairings = EtaIntegrator(u0, a, s_rule).curvature_pairings(p.support)
+    pairings = dict(zip(p.support, EtaIntegrator(u0, a, s_rule).curvature_pairings(p.support)))
     return complex(sum(c * pairings[n] for n, c in p.items()))
 
 
@@ -68,6 +68,26 @@ class TestTrigPolynomial:
 
     def test_zero_coefficients_dropped(self):
         assert TrigPolynomial({3: 0.0, 1: 2.0}).support == [1]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TrigPolynomial({1.5: 1.0}),
+            lambda: TrigPolynomial({2.0: 1.0}),
+            lambda: TrigPolynomial({True: 1.0}),
+            lambda: TrigPolynomial({"1": 1.0}),
+            lambda: TrigPolynomial([(1, 1.0)]),
+            lambda: TrigPolynomial.monomial(2.5),
+        ],
+        ids=["float", "whole-float", "bool", "string", "list", "monomial-float"],
+    )
+    def test_modes_must_be_whole_numbers(self, build):
+        with pytest.raises(UnishiftError, match="whole-number modes"):
+            build()
+
+    def test_numpy_integer_modes_become_ints(self):
+        p = TrigPolynomial({np.int64(-2): 1.0, np.int32(3): 2.0})
+        assert p.support == [-2, 3] and all(type(n) is int for n in p.coeffs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
     def test_non_finite_coefficient_rejected(self, value):
@@ -384,6 +404,18 @@ class TestVerify:
             assert rep.rhs == pytest.approx(single.rhs, abs=1e-12)
             assert rep.passed
 
+    def test_right_side_is_the_coefficient_sum_of_pairings(self):
+        """Each report's rhs is sum_n c_n * pairing(f' = in e^{int}), with modes shared across polynomials."""
+        pair = random_pair(15, 4, 1.2)
+        rng = np.random.default_rng(15)
+        polys = [random_trig_polynomial(rng, 6), TrigPolynomial({9: 2.0, -1: 1j}), TrigPolynomial({}),
+                 TrigPolynomial({0: 3.0, 4: -1.0})]
+        integrator = EtaIntegrator(pair.u0, pair.a, 32)
+        for p, rep in zip(polys, batch_verify(pair.u0, pair.u, pair.a, polys, s_rule=32)):
+            ref = sum(c * integrator.pairing(lambda t: 1j * n * np.exp(1j * n * t)) for n, c in p.items())
+            assert abs(rep.rhs - ref) <= 1e-12 * (1.0 + abs(ref))
+            assert rep.lhs == pytest.approx(lhs_trace(pair.u0, pair.u, pair.a, p), abs=1e-12)
+
     def test_empty_matrices_raise_typed_error(self):
         empty = np.zeros((0, 0), dtype=complex)
         with pytest.raises(EmptyMatrix):
@@ -481,16 +513,16 @@ class TestResolvent:
         rule = gauss_legendre(64)
         rep = resolvent_check(pair.u0, pair.u, pair.a, z, s_rule=rule)
         p = resolvent_coefficients(z, rep.truncation_order)
-        pairings = EtaIntegrator(pair.u0, pair.a, rule).curvature_pairings(p.support)
+        pairings = dict(zip(p.support, EtaIntegrator(pair.u0, pair.a, rule).curvature_pairings(p.support)))
         series = sum(c * pairings[n] for n, c in p.items())
         assert rep.passed
         assert abs(rep.rhs - series) <= rep.tail_bound + 1e-12 * (1.0 + abs(series))
 
-    def test_right_side_uses_no_mode_sums(self, monkeypatch):
+    def test_right_side_uses_no_curvature_pairings(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the resolvent right side must not sum over modes")
 
-        monkeypatch.setattr(EtaIntegrator, "_mode_sums", refuse)
+        monkeypatch.setattr(EtaIntegrator, "curvature_pairings", refuse)
         pair = random_pair(24, 4, 1.0)
         assert resolvent_check(pair.u0, pair.u, pair.a, 0.9).passed
 
@@ -597,16 +629,16 @@ class TestResolvent:
 
 
 class TestToleranceRejected:
-    """A tol that is NaN or not positive is named in a typed error, not taken as an unreachable z."""
+    """A tol that is NaN, infinite or not positive is named in a typed error, not taken as an unreachable z."""
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_batch_verify(self, tol):
         pair = random_pair(4, 3, 1.0)
         with pytest.raises(UnishiftError, match="tol") as exc:
             batch_verify(pair.u0, pair.u, pair.a, [TrigPolynomial.monomial(1)], tol=tol)
         assert not isinstance(exc.value, OnUnitCircle)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_resolvent_check(self, tol):
         pair = random_pair(4, 3, 1.0)
         with pytest.raises(UnishiftError, match="tol") as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one whole-number check."""
+"""Exception types shared across the package, its one whole-number check and the mode check built on it."""
 
 import numpy as np
 
@@ -7,6 +7,11 @@ def _is_whole(value, minimum: int | None = None) -> bool:
     """Whether ``value`` is an int or numpy integer, never a bool, and at least ``minimum``."""
     whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     return whole and (minimum is None or value >= minimum)
+
+
+def _is_mode(value) -> bool:
+    """Whether ``value`` is a whole number (``_is_whole``) within int64, the type of every array of modes."""
+    return _is_whole(value, -(2**63)) and value < 2**63
 
 
 class UnishiftError(ValueError):

@@ -23,9 +23,12 @@ must be a vector of that length (``DimensionMismatch``).  The audits check
 U against e^{iA} U0 from A's kept pairs (``PathMismatch``), and the phase,
 half-width, horizon T >= 0 and samples in [-T, T] must be finite.
 
-The direction is low rank, so no d x d exponential is ever formed.  The
-eigenpairs (F, tau) of A with |tau| > 1e-12 max(||A||, 1) (||A|| is read
-from the same eigenvalues) give
+The direction is low rank, so no d x d exponential and no d x d
+eigendecomposition of it is ever formed.  An orthonormal basis Q of the
+range of A, grown by blocks of its largest residual columns, and the eigh
+of the k x k matrix Q*AQ give, in O(d^2 k) for rank k, the eigenpairs
+(F, tau) of A with |tau| > 1e-12 max(||A||, 1) (||A|| is read from the same
+eigenvalues), and
 
     e^{isA} = I + F diag(e^{is tau} - 1) F*,
 
@@ -77,6 +80,7 @@ from .errors import (
 from .linalg import (
     HermitianDecomposition,
     _as_array,
+    _eigh,
     _power_stream,
     _require_draw,
     _require_small,
@@ -188,14 +192,35 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     )
 
 
-def _kept_pairs(dec: HermitianDecomposition) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs (F, tau) with |tau| > 1e-12 max(||H||, 1), and ||H|| = max |eigenvalue|.
+def _kept_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs (F, tau) of a Hermitian H with |tau| > 1e-12 max(||H||, 1), and ||H|| = max |eigenvalue|.
 
     Up to the dropped eigenvalues, e^{isH} = I + F diag(e^{is tau} - 1) F*.
+    The pairs come from an orthonormal basis Q of the range of H and the
+    eigh of the k x k matrix Q*HQ, in O(d^2 k) for rank k.  Q grows by
+    blocks, doubling in size, of the largest columns of the residual
+    H - Q(Q*H), each orthonormalised by SVD against Q, until every residual
+    column is at most delta = 1e-13 max(max column norm, 1) / sqrt(d); the
+    dropped part is then at most 2 sqrt(d) delta in the 2-norm.
     """
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    keep = np.abs(dec.eigenvalues) > 1e-12 * max(top, 1.0)
-    return dec.vectors[:, keep], dec.eigenvalues[keep], top
+    rest = 0.5 * (h + h.conj().T)  # H - Q(Q*H) for the Hermitian part of H, with Q empty so far
+    dim, norms = h.shape[0], np.linalg.norm(rest, axis=0)
+    delta = 1e-13 * max(float(np.max(norms, initial=0.0)), 1.0) / np.sqrt(max(dim, 1))
+    q, size = np.zeros((dim, 0), dtype=np.complex128), 1
+    while q.shape[1] < dim and (big := np.flatnonzero(norms > delta)).size:
+        pick = big[np.argsort(-norms[big], kind="stable")[:size]]
+        left, values, _ = np.linalg.svd(rest[:, pick], full_matrices=False)
+        new = left[:, values > delta]  # not empty: the first picked column exceeds delta
+        # A direction of small singular value keeps roundoff along Q divided by it: project and re-orthonormalise.
+        new = np.linalg.qr(new - q @ (q.conj().T @ new))[0]
+        rest -= new @ (new.conj().T @ rest)
+        q, size = np.concatenate([q, new], axis=1), 2 * size
+        norms = np.linalg.norm(rest, axis=0)
+    small = q.conj().T @ (h @ q)  # hermitised, Q*HQ of the Hermitian part
+    tau, vectors = _eigh(0.5 * (small + small.conj().T))
+    top = float(np.max(np.abs(tau), initial=0.0))
+    keep = np.abs(tau) > 1e-12 * max(top, 1.0)
+    return q @ vectors[:, keep], tau[keep], top
 
 
 def _exp_step(f: np.ndarray, tau: np.ndarray, s: float = 1.0) -> np.ndarray:
@@ -211,7 +236,7 @@ def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.nda
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
     """Window projection seeded by the eigenvectors of the low-rank direction A."""
     h0, a = _ambient_operands(None, h0=h0, a=a)
-    f, _, _ = _kept_pairs(herm_eig(a, check=False))
+    f, _, _ = _kept_pairs(a)
     return _window_basis(herm_eig(h0, check=False), f, half_width, cells)
 
 
@@ -281,7 +306,7 @@ def _direction_factors(a, b: np.ndarray, u0: np.ndarray, u: np.ndarray):
     F* is a co-isometry, so it drops out of the Hilbert-Schmidt norms of
     P_perp A = P_perp F tau F* and P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F* P.
     """
-    f, tau, a_op = _kept_pairs(herm_eig(a, check=False))
+    f, tau, a_op = _kept_pairs(a)
     _require_small(u - _low_rank_endpoint(f, tau, u0), u.shape[0] * 1e-10, PathMismatch, "U deviates from e^(iA) U0")
     return f, tau, a_op, f - b @ (b.conj().T @ f), f.conj().T @ b
 
@@ -376,7 +401,7 @@ def _compressed(p: ProjectionBasis, h0: np.ndarray, a: np.ndarray, phase: float)
     hc = 0.5 * (hc + hc.conj().T)
     ac = 0.5 * (ac + ac.conj().T)
     u0p = _cayley(hc, phase)
-    fc, tau_c, _ = _kept_pairs(herm_eig(ac, check=False))
+    fc, tau_c, _ = _kept_pairs(ac)
     up = _low_rank_endpoint(fc, tau_c, u0p)
     return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c)
 
@@ -472,7 +497,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     if h0.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
     h0_dec = herm_eig(h0, check=False)
-    f, tau, _ = _kept_pairs(herm_eig(a, check=False))
+    f, tau, _ = _kept_pairs(a)
     half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
     u0 = _cayley(h0, phase)
     full = complex(_lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)[0])
@@ -526,6 +551,6 @@ def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: 
     h0 = spread_diagonal(ambient, 1.0)
     a = random_low_rank_hermitian(rng, ambient, rank, scale)
     u0 = _cayley(h0, phase)
-    f, tau, _ = _kept_pairs(herm_eig(a, check=False))
+    f, tau, _ = _kept_pairs(a)
     u = _low_rank_endpoint(f, tau, u0)
     return ReductionInstance(h0=h0, a=a, phase=phase, u0=u0, u=u, half_width=1.0)

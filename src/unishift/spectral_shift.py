@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnishiftError, _is_whole
+from .errors import UnishiftError, _is_mode, _is_whole
 from .linalg import _BLOCK, TWO_PI, UnitaryPath, unitary_eig
 from .quadrature import QuadratureRule, as_rule
 
@@ -137,8 +137,8 @@ class EtaIntegrator:
         The -1 in -ir sum_k w_k (e^{ir theta_k} - 1) is the upper edge 2pi; keeping it makes
         each sum exact without relying on the jump weights cancelling to zero.
         """
-        if not all(map(_is_whole, rs := list(rs))):
-            raise UnishiftError("every mode must be a whole number")
+        if not all(map(_is_mode, rs := list(rs))):
+            raise UnishiftError("every mode must be a whole number within int64")
         rs = np.array(rs, dtype=np.int64)
         out = np.empty(rs.shape, dtype=np.complex128)
         per_block = max(1, _BLOCK // self.jump_angles.size)

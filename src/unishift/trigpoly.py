@@ -1,8 +1,9 @@
 """Trigonometric (Laurent) polynomials on the unit circle.
 
-A polynomial is a finite map from whole-number modes n to coefficients a_n,
-acting as z -> sum a_n z^n on |z| = 1.  The weight sum(n^2 |a_n|) controls
-membership in the class to which the trace identity extends from monomials.
+A polynomial is a finite map from whole-number modes n, within int64, to
+coefficients a_n, acting as z -> sum a_n z^n on |z| = 1.  The weight
+sum(n^2 |a_n|) controls membership in the class to which the trace identity
+extends from monomials.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnishiftError, _is_whole
+from .errors import UnishiftError, _is_mode
 
 
 @dataclass(frozen=True)
@@ -19,8 +20,8 @@ class TrigPolynomial:
     coeffs: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.coeffs, dict) and all(map(_is_whole, self.coeffs))):
-            raise UnishiftError("a trigonometric polynomial maps whole-number modes to coefficients")
+        if not (isinstance(self.coeffs, dict) and all(map(_is_mode, self.coeffs))):
+            raise UnishiftError("a trigonometric polynomial maps whole-number modes within int64 to coefficients")
         clean = {int(n): complex(a) for n, a in self.coeffs.items() if a != 0}
         if not np.isfinite(np.fromiter(clean.values(), np.complex128, len(clean))).all():
             raise UnishiftError("trigonometric polynomial coefficients must be finite")

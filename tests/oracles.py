@@ -35,6 +35,9 @@ path to the package routine it checks:
     ``np.linalg.matrix_power`` (so U^{-m} comes from an inverse), ``inv``
     for the resolvents and exponentials from a full ``eigh``; the package
     streams U^m B on the d x r columns and works on low-rank factors.
+  * ``dense_kept_pairs`` takes the kept eigenpairs of a Hermitian matrix
+    from one full eigh; the package builds a basis of the range first and
+    diagonalises only the k x k compression.
   * ``full_space``, ``abs_sum``, ``weighted_abs_sum``,
     ``remainder_trace_norm_bound`` and ``PhaseTooClose`` are test-only
     helpers: the whole-space projection, coefficient sums of a polynomial,
@@ -351,6 +354,17 @@ def _dense_exp_i(h: np.ndarray, s: float = 1.0) -> np.ndarray:
     """e^{isH} from a full eigh of the Hermitian part of H."""
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     return (v * np.exp(1j * s * w)) @ v.conj().T
+
+
+def dense_kept_pairs(h) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs (F, tau) of the Hermitian part of H with |tau| > 1e-12 max(||H||, 1), and ||H||.
+
+    One full eigh of the d x d matrix: ||H|| is its largest |eigenvalue|.
+    """
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    top = float(np.max(np.abs(w), initial=0.0))
+    keep = np.abs(w) > 1e-12 * max(top, 1.0)
+    return v[:, keep], w[keep], top
 
 
 def _projectors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

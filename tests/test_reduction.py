@@ -9,6 +9,7 @@ from oracles import (
     choose_phase,
     dense_compressed_audit,
     dense_compressed_model,
+    dense_kept_pairs,
     dense_perturbation_audit,
     dense_projection_audit,
     full_space,
@@ -43,7 +44,7 @@ from unishift import (
     unitary_eig,
 )
 from unishift.linalg import UnitaryPath, haar_unitary
-from unishift.reduction import _offblock, random_low_rank_hermitian
+from unishift.reduction import _kept_pairs, _offblock, random_low_rank_hermitian
 from unishift.trace_formula import _exp_remainder_factor
 
 seeds = st.integers(0, 2**31 - 1)
@@ -371,6 +372,53 @@ class TestThinFactorsOracle:
         self.audit_against_reference(p, inst, inst.a, inst.u, [0.0])
 
 
+class TestKeptPairsOracle:
+    """Kept eigenpairs from a basis of the range against one full eigh of the d x d matrix."""
+
+    @staticmethod
+    def assert_matches_dense(h):
+        f, tau, top = _kept_pairs(h)
+        f_ref, tau_ref, top_ref = dense_kept_pairs(h)
+        scale = max(op_norm(h), 1.0)
+        assert tau.shape == tau_ref.shape
+        assert np.max(np.abs(tau - tau_ref), initial=0.0) <= 1e-12 * scale
+        assert op_norm((f * tau) @ f.conj().T - h) <= 1e-12 * scale
+        assert np.max(np.abs(f.conj().T @ f - np.eye(tau.size)), initial=0.0) <= 1e-12
+        assert abs(top - top_ref) <= 1e-14 * scale
+        return tau
+
+    @pytest.mark.parametrize("dim", [1, 8, 64])
+    @pytest.mark.parametrize("rank", ["zero", "one", "two", "quarter", "full"])
+    @pytest.mark.parametrize("norm", [0.5, 3.0])
+    def test_random_ranks(self, dim, rank, norm):
+        k = {"zero": 0, "one": 1, "two": min(2, dim), "quarter": dim // 4, "full": dim}[rank]
+        if k == 0:
+            zero = np.zeros((dim, dim), dtype=complex)
+            assert self.assert_matches_dense(zero).size == 0
+            with pytest.raises(ZeroDirection):
+                build_direction_projection(spread_diagonal(dim, 1.0), zero, 1.0, 1)
+            return
+        h = random_low_rank_hermitian(np.random.default_rng(100 * dim + k), dim, k, norm)
+        assert self.assert_matches_dense(h).size == k
+
+    @pytest.mark.parametrize(
+        "taus",
+        [[0.5, 0.5, 0.5, -0.5, -0.5], [1.0] * 16, [0.7] * 64, [2.0, 2.0, 1e-3, 1e-3, -1e-3]],
+        ids=["two-levels", "projection", "multiple-of-identity", "near-zero-pairs"],
+    )
+    def test_repeated_eigenvalues(self, taus):
+        q = haar_unitary(np.random.default_rng(len(taus)), 64)[:, : len(taus)]
+        assert self.assert_matches_dense((q * taus) @ q.conj().T).size == len(taus)
+
+    @pytest.mark.parametrize("norm", [0.5, 2.0, 40.0])
+    def test_one_kept_one_dropped_below_the_threshold(self, norm):
+        # 1e-11 ||H|| is above the drop threshold 1e-12 max(||H||, 1), 1e-13 ||H|| below it
+        taus = norm * np.array([1.0, -0.6, 1e-11, -1e-13])
+        q = haar_unitary(np.random.default_rng(7), 64)[:, :4]
+        kept = self.assert_matches_dense((q * taus) @ q.conj().T)
+        np.testing.assert_allclose(np.sort(kept), np.sort(taus[:3]), rtol=0, atol=1e-14 * max(norm, 1.0))
+
+
 class TestStreamedAuditsOracle:
     """Every audit value against its dense definition with P = BB*, full powers and inverses."""
 
@@ -545,11 +593,11 @@ class TestOneOperandCheck:
         cases = [
             (1, 0, lambda: cayley_inverse(inst.h0, 0.0)),
             (1, 1, lambda: build_projection(inst.h0, [seed], 1.0, 4)),
-            (2, 2, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
-            (2, 1, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
+            (2, 1, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
+            (2, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
             (1, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1])),
-            (1, 1, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
-            (2, 2, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])),
+            (1, 0, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
+            (2, 0, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])),
         ]
         for n_checks, n_eigs, call in cases:
             checks.clear()

@@ -421,6 +421,8 @@ class TestTypedErrors:
             lambda: primitive_of(3),
             lambda: random_pair(0, 3, "1"),
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings([1.5]),
+            lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial({2**70: 1.0})]),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings([2**70]),
         ],
     )
     def test_raises_unishift_error(self, call):

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import UnishiftError, _is_whole
 
 DEFAULT_S_NODES = 64
+_MAX_S_NODES = 4096  # leggauss diagonalises a dense n x n matrix: 128 MiB and seconds at 4096 nodes
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,13 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
     The symmetric raw rule integrates s exactly, so sum(w * s) = 1/2 to
     rounding; several bounds downstream rely on that.  Rules are cached by
-    node count, so the returned arrays are shared and read-only.
+    node count, so the returned arrays are shared and read-only.  More than
+    ``_MAX_S_NODES`` nodes is an error, raised before anything is allocated.
     """
     if not _is_whole(n, 1):
         raise UnishiftError(f"need a whole number of nodes, at least one, not {n!r}")
+    if n > _MAX_S_NODES:
+        raise UnishiftError(f"at most {_MAX_S_NODES} Gauss-Legendre nodes, not {n}")
     return _legendre_rule(int(n))
 
 

@@ -160,8 +160,8 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     lengths = np.linalg.norm(f, axis=0)
     if not np.all(np.abs(lengths - 1.0) <= 1e-10):  # NaN lengths fail too
         raise UnnormalisedSeed("seed vectors must be finite and normalised")
-    if not (_is_whole(cells, 1) and 0.0 < half_width < np.inf):  # NaN fails too
-        raise BadWindow("need a finite positive window and a whole number of cells, at least one")
+    if not (_is_whole(cells, 1) and cells < 2**63 and 0.0 < half_width < np.inf):  # NaN fails too
+        raise BadWindow("need a finite positive window and a whole number of cells within int64, at least one")
     eps = count * half_width / np.sqrt(cells)
     coords = dec.vectors.conj().T @ f  # eigenbasis coordinates of the seeds
     inside = (dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width)
@@ -169,16 +169,13 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     if np.any(leak >= eps):
         worst = float(np.max(leak))
         raise BadWindow(f"a seed vector leaks {worst:.3e} outside the window (eps {eps:.3e})")
-    edges = np.linspace(-half_width, half_width, cells + 1)
-    cell_index = np.clip(np.searchsorted(edges, dec.eigenvalues, side="left") - 1, 0, cells - 1)
+    cell_index = _cells_of(dec.eigenvalues, half_width, cells)
     # Pieces from different cells lie on disjoint sets of eigenvectors, so they
-    # are orthogonal: one SVD per cell on the eigen-coordinates of its kept
-    # normalised pieces, and the cell's eigencolumns map the result back.
+    # are orthogonal: one SVD per occupied cell on the eigen-coordinates of its
+    # kept normalised pieces, and the cell's eigencolumns map the result back.
     blocks = [np.zeros((dim, 0), dtype=np.complex128)]
-    for k in range(cells):
+    for k in np.unique(cell_index[inside]):
         rows = (cell_index == k) & inside
-        if not np.any(rows):
-            continue
         pieces = coords[rows, :]
         norms = np.linalg.norm(pieces, axis=0)
         kept = norms > GS_DROP_TOL
@@ -190,6 +187,20 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
         directions=f,
         params=WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps)),
     )
+
+
+def _cells_of(values: np.ndarray, half_width: float, cells: int) -> np.ndarray:
+    """The cell k of each value in (-a, a], edge k < value <= edge k + 1; values outside land in the end cells.
+
+    The edges of np.linspace(-a, a, cells + 1), k (2a / cells) + (-a) and last a, are bisected, never built.
+    """
+    step = 2.0 * half_width / cells
+    lo, hi = np.zeros(values.shape, np.int64), np.full(values.shape, cells, np.int64)
+    while np.any(hi - lo > 1):  # edge lo < value <= edge hi; edge hi is a or has the formula
+        mid = lo + (hi - lo) // 2
+        below = mid * step + -half_width < values
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo
 
 
 def _kept_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

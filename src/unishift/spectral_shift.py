@@ -39,41 +39,22 @@ import numpy as np
 
 from .errors import UnishiftError, _is_mode, _is_whole
 from .linalg import _BLOCK, TWO_PI, UnitaryPath, unitary_eig
-from .quadrature import QuadratureRule, as_rule
+from .quadrature import as_rule
 
 
 @dataclass(frozen=True)
 class EtaProfile:
-    """Gridded shift profile with its centred version and L1 size.
+    """Gridded shift profile, its centred version and the exact L1 size of the latter.
 
-    ``eta0`` subtracts the exact mean of the quadrature mixture; ``l1_eta0``
-    integrates |eta0| treating the grid samples as piecewise linear (with
-    zero-crossing splits), which is the presentation-grade number — the
-    verification path never consumes it.
+    ``eta0`` subtracts the exact mean of the quadrature mixture.  ``l1_eta0``
+    is the integral of |eta - mean| over [0, 2pi], a sum over the jump list
+    that does not depend on the grid.
     """
 
     grid: np.ndarray
     eta: np.ndarray
     eta0: np.ndarray
-    rule: QuadratureRule
     l1_eta0: float
-
-    @property
-    def s_nodes_used(self) -> int:
-        return self.rule.count
-
-
-def piecewise_linear_abs_integral(grid, y) -> float:
-    """Exact integral of |piecewise-linear interpolant| through (grid, y)."""
-    grid = np.asarray(grid, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(grid)
-    y0, y1 = y[:-1], y[1:]
-    same = y0 * y1 >= 0.0
-    trap = 0.5 * (np.abs(y0) + np.abs(y1)) * h
-    denom = np.where(same, 1.0, np.abs(y0) + np.abs(y1))
-    split = 0.5 * (y0 * y0 + y1 * y1) / denom * h
-    return float(np.sum(np.where(same, trap, split)))
 
 
 class EtaIntegrator:
@@ -112,11 +93,15 @@ class EtaIntegrator:
         self.jump_angles = self.node_angles.ravel()
         self.jump_weights = (np.concatenate([[np.sum(w)], -w])[:, None] * self.node_weights).ravel()
 
+    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted jump angles and eta's levels: level k holds from angle k - 1 to angle k, edges 0 and 2pi."""
+        order = np.argsort(self.jump_angles, kind="stable")
+        return self.jump_angles[order], np.concatenate([[0.0], np.cumsum(self.jump_weights[order])])
+
     def eta(self, t) -> np.ndarray:
         """Profile values at t: cumulative jump weights over angles <= t."""
-        order = np.argsort(self.jump_angles, kind="stable")
-        levels = np.concatenate([[0.0], np.cumsum(self.jump_weights[order])])
-        return levels[np.searchsorted(self.jump_angles[order], np.asarray(t, dtype=float), side="right")]
+        angles, levels = self._steps()
+        return levels[np.searchsorted(angles, np.asarray(t, dtype=float), side="right")]
 
     def mean(self) -> float:
         """Mean of eta over [0, 2pi]: each jump holds from its angle to 2pi."""
@@ -151,16 +136,12 @@ class EtaIntegrator:
     def profile(self, grid_size: int) -> EtaProfile:
         if not _is_whole(grid_size, 2):
             raise UnishiftError(f"grid must be a whole number of points, at least 2, not {grid_size!r}")
+        angles, levels = self._steps()
         grid = np.linspace(0.0, TWO_PI, grid_size)
-        eta = self.eta(grid)
-        eta0 = eta - self.mean()
-        return EtaProfile(
-            grid=grid,
-            eta=eta,
-            eta0=eta0,
-            rule=self.rule,
-            l1_eta0=piecewise_linear_abs_integral(grid, eta0),
-        )
+        eta = levels[np.searchsorted(angles, grid, side="right")]
+        mean = self.mean()
+        gaps = np.diff(np.concatenate([[0.0], angles, [TWO_PI]]))
+        return EtaProfile(grid=grid, eta=eta, eta0=eta - mean, l1_eta0=float(np.abs(levels - mean) @ gaps))
 
 
 def eta_profile(u0, a, grid_size: int, s_rule=None) -> EtaProfile:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Number, Real
 
@@ -145,6 +146,8 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
     on the left and the curvature pairings on the right.
     """
     _require_tol(tol)
+    if not isinstance(polys, Iterable):
+        raise UnishiftError(f"polys must be an iterable of TrigPolynomials, not {type(polys).__name__}")
     polys = [_require_polynomial(p) for p in polys]
     session = EtaIntegrator(u0, a, s_rule)
     u = session.path.require_endpoint(u)

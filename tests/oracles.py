@@ -206,6 +206,10 @@ class StepFunction:
         """Exact integral over [0, 2pi]."""
         return complex(np.sum(self.values * np.diff(self._edges())))
 
+    def abs_integral(self, shift: float) -> float:
+        """Exact integral of |f - shift| over [0, 2pi]."""
+        return float(np.sum(np.abs(self.values - shift) * np.diff(self._edges())))
+
     def fourier_integral(self, r: int) -> complex:
         """Exact integral of e^{irt} f(t) dt over [0, 2pi]."""
         if r == 0:

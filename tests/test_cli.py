@@ -457,6 +457,11 @@ class TestBoundsCommand:
                 assert audit["pass"] is all(check["ok"] for check in audit["checks"])
                 assert all(set(check) == CHECK_KEYS for check in audit["checks"])
 
+    def test_huge_cell_count_runs_in_bounded_memory(self, tmp_path, address_space_cap):
+        out = tmp_path / "b.json"
+        assert main(["bounds", "--ambient", "64", "--ranks", "1000000000000", "--out", str(out)]) == 0
+        assert [(p["cells"], p["rank"]) for p in read_json(out)["partitions"]] == [(10**12, 64)]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["bounds", "--ambient", "64", "--ranks", "4,16", "--seed", "8", "--scale", "0.5"]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -475,6 +480,12 @@ class TestExitCodes:
         out = tmp_path / "out.file"
         assert main([command, "--seed", "-1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: seed and rmax must be non-negative\n"
+        assert not out.exists()
+
+    def test_node_count_beyond_the_cap_exits_2(self, tmp_path, capsys, address_space_cap):
+        out = tmp_path / "eta.csv"
+        assert main(["eta", "--s-nodes", "20000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: at most 4096 Gauss-Legendre nodes, not 20000\n"
         assert not out.exists()
 
     def test_subprocess_entry_point(self, tmp_path):

@@ -99,6 +99,15 @@ class TestBuildProjection:
         assert p.rank <= 8 * 3
         assert op_norm(p.columns.conj().T @ p.columns - np.eye(p.rank)) <= 1e-12
 
+    def test_huge_cell_count_visits_only_occupied_cells(self, address_space_cap):
+        # spread_diagonal(64) puts one eigenvalue in each of 64 cells, as any finer partition does
+        inst = reduction_instance(1, 64, 2, 0.5)
+        fine = build_direction_projection(inst.h0, inst.a, inst.half_width, 64)
+        huge = build_direction_projection(inst.h0, inst.a, inst.half_width, 10**12)
+        np.testing.assert_array_equal(huge.columns, fine.columns)
+        assert huge.params.cells == 10**12
+        assert build_projection(inst.h0, fine.directions.T, 1.0, 10**12).columns.tobytes() == huge.columns.tobytes()
+
     def test_bad_window(self):
         h0 = spread_diagonal(8, 1.0)
         f = np.zeros(8, dtype=complex)
@@ -659,6 +668,7 @@ class TestTypedErrors:
             (DimensionMismatch, lambda: reduction_instance(1, 4, 8, 0.5)),
             (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 1.0, 2.5)),
             (BadWindow, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 2.5)),
+            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 1.0, 2**63)),
         ]
         for error, call in cases:
             with pytest.raises(error):

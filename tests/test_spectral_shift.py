@@ -28,7 +28,6 @@ from unishift import (
 )
 from unishift.linalg import _BLOCK, TWO_PI, UnitaryPath, haar_unitary
 from unishift.quadrature import as_rule
-from unishift.spectral_shift import piecewise_linear_abs_integral
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -184,13 +183,39 @@ class TestEtaProfile:
         assert prof.eta0 == pytest.approx(prof.eta - np.mean(prof.eta), abs=0.05)
         assert np.all(np.isreal(prof.eta))
         assert prof.l1_eta0 <= np.pi / 2 * hs_norm(pair.a) ** 2 + 1e-8
-        assert prof.s_nodes_used == 64
 
     @given(seeds, st.integers(1, 12), st.floats(0.1, 2.9))
     def test_l1_bound_random(self, seed, dim, scale):
         pair = random_pair(seed, dim, scale)
         prof = eta_profile(pair.u0, pair.a, 256, 32)
         assert prof.l1_eta0 <= np.pi / 2 * hs_norm(pair.a) ** 2 + 1e-8
+
+
+def eigenvalue_one_pairs():
+    """U0 with the eigenvalue 1 (angle 2pi): once moved by A, once fixed by every U_s (A e_1 = 0)."""
+    u0 = np.diag(np.exp(1j * np.array([0.0, 2.0, -1.0, 4.0])))
+    a = random_pair(5, 4, 1.3).a
+    fixed = a.copy()
+    fixed[0, :] = fixed[:, 0] = 0.0
+    return [(u0, a), (u0, fixed)]
+
+
+class TestExactL1:
+    """``l1_eta0`` is the exact L1 distance of the step function eta from its mean, whatever the grid."""
+
+    @pytest.mark.parametrize(
+        "u0, a",
+        [(p.u0, p.a) for p in (random_pair(d, d, 2.0) for d in (1, 4, 16, 64))]
+        + [(random_pair(2, 5, 1.0).u0, np.zeros((5, 5)))]
+        + eigenvalue_one_pairs(),
+        ids=["d=1", "d=4", "d=16", "d=64", "zero direction", "eigenvalue 1", "eigenvalue 1 on the path"],
+    )
+    def test_matches_step_function_oracle(self, u0, a):
+        integrator = EtaIntegrator(u0, a)
+        want = StepFunction.from_jumps(integrator.jump_angles, integrator.jump_weights).abs_integral(integrator.mean())
+        for grid_size in (2, 20000):
+            got = integrator.profile(grid_size).l1_eta0
+            assert abs(got - want) <= 1e-13 * want
 
 
 class TestPerNodeIdentity:
@@ -372,6 +397,12 @@ class TestEmptyMatrices:
 
 
 class TestQuadratureRule:
+    def test_node_cap_raises_before_allocating(self, address_space_cap):
+        # leggauss(20000) would need a 3.2 GB companion matrix
+        for call in (gauss_legendre, as_rule):
+            with pytest.raises(UnishiftError, match="at most 4096"):
+                call(20000)
+
     def test_rules_cached_read_only(self):
         first, again = gauss_legendre(64), gauss_legendre(np.int64(64))
         np.testing.assert_array_equal(first.nodes, again.nodes)
@@ -423,6 +454,7 @@ class TestTypedErrors:
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings([1.5]),
             lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial({2**70: 1.0})]),
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings([2**70]),
+            lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), None),
         ],
     )
     def test_raises_unishift_error(self, call):
@@ -472,11 +504,3 @@ class TestEtaFourier:
         for n in (1, -1, 3, -3):
             lhs = lhs_trace(pair.u0, pair.u, pair.a, TrigPolynomial.monomial(n))
             assert abs(eta_fourier(session, n) + lhs / n**2) <= 1e-8 * (1 + abs(lhs))
-
-
-def test_piecewise_linear_abs_integral_with_crossing():
-    # the hat (-1, 1) over [0, 2]: |linear| integrates to 2 * (1/2 * 1 * 1/2) = 0.5... split at 1
-    grid = np.array([0.0, 2.0])
-    y = np.array([-1.0, 1.0])
-    assert piecewise_linear_abs_integral(grid, y) == pytest.approx(1.0)
-    assert piecewise_linear_abs_integral(np.array([0.0, 1.0]), np.array([2.0, 2.0])) == pytest.approx(2.0)

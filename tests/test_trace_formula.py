@@ -34,7 +34,7 @@ from unishift import (
     resolvent_check,
     trace_norm,
 )
-from unishift import linalg
+from unishift import linalg, trace_formula
 from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, _power_stream, haar_unitary, random_hermitian
 from unishift.trace_formula import _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
@@ -450,6 +450,43 @@ class TestEdgeSpectra:
         reports = batch_verify(u0, u, a, [TrigPolynomial.monomial(r) for r in range(-6, 7)], tol=1e-8)
         assert all(rep.passed for rep in reports), max(rep.rel_err for rep in reports)
         assert eta_profile(u0, a, 256).l1_eta0 <= np.pi / 2 * hs_norm(a) ** 2 + 1e-8
+
+
+class Forbidden(AssertionError):
+    """A side of the identity reached code that belongs to the other side."""
+
+
+def forbid(monkeypatch, owner, *names):
+    def forbidden(*args, **kwargs):
+        raise Forbidden("called from the wrong side of the identity")
+
+    for name in names:
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+class TestSidesShareNoSpectralCode:
+    """The left side runs with every eigensolver disabled, the right side with every power stream disabled."""
+
+    pair = random_pair(13, 5, 1.4)
+    polys = [TrigPolynomial.monomial(n) for n in (-4, -1, 2, 7)] + [TrigPolynomial({-2: 0.5, 3: 1j})]
+
+    def test_left_side_takes_no_eigendecomposition(self, monkeypatch):
+        want = _lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys)
+        forbid(monkeypatch, np.linalg, "eigh", "eigvalsh", "eig", "eigvals")
+        np.testing.assert_array_equal(_lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys), want)
+        with pytest.raises(Forbidden):  # the patch reaches the right side
+            EtaIntegrator(self.pair.u0, self.pair.a)
+
+    def test_right_side_takes_no_matrix_power(self, monkeypatch):
+        modes = list(range(-8, 9))
+        want = EtaIntegrator(self.pair.u0, self.pair.a).curvature_pairings(modes)
+        forbid(monkeypatch, linalg, "_power_blocks")
+        forbid(monkeypatch, trace_formula, "_power_blocks")
+        forbid(monkeypatch, np.linalg, "matrix_power")
+        got = EtaIntegrator(self.pair.u0, self.pair.a).curvature_pairings(modes)
+        np.testing.assert_array_equal(got, want)
+        with pytest.raises(Forbidden):  # the patch reaches the left side
+            _lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys)
 
 
 class TestRemainderBound:

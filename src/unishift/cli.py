@@ -58,6 +58,11 @@ AUDIT_M_LIST = (1, -1, 2, -2, 4, -4)
 AUDIT_K_LIST = (1, 2, 4)
 AUDIT_T_MAX = 2.0
 
+# Largest sizes a run may ask for, refused before anything is allocated: a
+# Haar draw and the integrator's stacks grow as dim^2, a reduction instance
+# holds four ambient^2 matrices, and an eta export three grid-long columns.
+_MAX_SIZES = {"dim": 1024, "ambient": 4096, "grid": 10**6}
+
 
 class ConfigError(UnishiftError):
     """An invalid run configuration."""
@@ -106,6 +111,9 @@ class RunConfig:
             raise ConfigError("seed and rmax must be non-negative")
         if self.ambient < 4:
             raise ConfigError("ambient dimension too small")
+        for name, cap in _MAX_SIZES.items():
+            if getattr(self, name) > cap:
+                raise ConfigError(f"{name} must be at most {cap}, not {getattr(self, name)}")
         if not self.ranks or not all(type(n) is int and n >= 1 for n in self.ranks):
             raise ConfigError("ranks must be positive integers")
         if self.format not in _FLAGS["format"].choices:

@@ -63,7 +63,8 @@ class SampleOutOfRange(UnishiftError):
 
 
 class PathMismatch(UnishiftError):
-    """U is not e^{iA} U0 within tolerance, so the pair is inconsistent."""
+    """Operands do not fit together within tolerance: U is not e^{iA} U0, U0 is not diagonal in the
+    eigenbasis of H0, or H0 is not the operator that built the projection."""
 
 
 class OnUnitCircle(UnishiftError):

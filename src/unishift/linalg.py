@@ -185,15 +185,6 @@ def _power_blocks(u: np.ndarray, ms, b: np.ndarray | None = None):
             yield sign * np.arange(k0, k0 + len(y)), y
 
 
-def _power_stream(u: np.ndarray, ms, b: np.ndarray | None = None):
-    """Yield (m, U^m B) for each wanted m, slice by slice from ``_power_blocks``."""
-    wanted = {int(m) for m in ms}
-    for ks, ys in _power_blocks(u, list(wanted), b):
-        for k, y in zip(ks.tolist(), ys):
-            if k in wanted:
-                yield k, y
-
-
 def _from_spectrum(vectors: np.ndarray, values) -> np.ndarray:
     """V diag(values) V* for eigencolumns V and per-eigenvalue scalars; stacks too."""
     return (vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors)

@@ -36,17 +36,34 @@ and likewise for the compressed direction Ap = B* A B of rank at most L,
 whose kept eigenpairs the compressed model carries; one helper forms each
 endpoint e^{iA} U0 = U0 + F diag(e^{i tau} - 1) F* U0.  The propagator
 samples, the exponential off-block norms, the Taylor-remainder trace norm
-and the mixed-trace factors all work on d x L factors, and each mixed trace
-is an elementwise sum, not the trace of a product.
+and the mixed-trace factors all work on d x L factors; a norm
+||X diag(D) Y||_HS with X = QR is ||R diag(D) Y||_HS, and each mixed trace
+is the trace of a product of L x r and r x r factors, not of r x r ones.
 
-Every other ambient step acts on the d x r orthonormal columns B of the
-projection (r = rank P).  No dense power of U0 or U is formed: the powers
-are streamed as U^m B by the same generator that serves the left side of
-the trace identity, one product U Y (or U* Y) per step, and an off-block
-norm ||P_perp X P||_2 is ||Y - B(B* Y)||_2 for Y = X B.  The resolvent
-checks solve (i +- H0) Y = B instead of inverting, the compressed powers
-are streamed from the r x r identity, and the mixed-trace factors read
-F* (U0^k B).
+Every other ambient step works in the eigen-coordinates of H0 and uses the
+cells of the window basis.  A window basis carries the eigenpairs
+H0 = V diag(lambda) V* it was built from and, for each occupied cell, its
+eigen-rows and its block Bhat_k of Bhat = V* B, so B = V Bhat (r = rank P
+columns, at most L per cell); a basis with eigenpairs and no layout is one
+cell of every row.  Each audit reads the diagonal c of V* U0 V from one
+d x d product and checks that U0 = V diag(c) V* with |c| = 1, and that H0 =
+V diag(lambda) V*, where it takes H0 (``_coordinates``).  Then:
+
+  * H0 B, both resolvents (i +- H0)^{-1} B and every U0^m B are diagonal
+    scalings D Bhat, whose part outside ran P splits by cell:
+    ||P_perp X P||_HS^2 = sum_k ||D_k Bhat_k - Bhat_k (Bhat_k* D_k Bhat_k)||^2,
+    one batched product over the padded (K, n, L) cell stack, O(d L^2) in
+    all, with no d x d solve;
+  * U acts as (I + Fh diag(e^{i tau} - 1) Fh*) diag(c) with Fh = V* F, so
+    V* U^m B is streamed from Bhat at O(d r k) a step, and a dense
+    coordinate block Y is projected onto ran Bhat through the cell blocks
+    in O(d L r);
+  * B* H0 B = Bhat* diag(lambda) Bhat is block diagonal, so U0p is the
+    Cayley image of each cell's L x L block, and Up = (I + Fc (e^{i tau_c}
+    - 1) Fc*) U0p is streamed from the r x r identity at O(r^2 L) a step.
+
+The streamed coordinates carry one extra zero row, which the -1 padding of
+the cell rows and columns reads.
 
 The basis itself comes from one SVD per cell.  The pieces of the seeds in
 different cells lie on disjoint sets of eigenvectors of H0, so they are
@@ -55,8 +72,9 @@ orthogonal; in each cell's eigen-coordinates the pieces of norm above
 value above that tolerance, which the cell's eigencolumns map back.
 
 ``convergence_study`` checks and decomposes H0 and A once for its whole
-ladder, and builds and traces every rung's pair without checking it again.
-Nothing is kept between calls.
+ladder, forms U0 = V diag(c) V* from that decomposition, and builds and
+traces every rung's pair without checking it again.  Nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -69,6 +87,7 @@ from .errors import (
     BadWindow,
     DimensionMismatch,
     MissingConstruction,
+    NotUnitary,
     PartitionTooFine,
     PathMismatch,
     SampleOutOfRange,
@@ -79,9 +98,10 @@ from .errors import (
 )
 from .linalg import (
     HermitianDecomposition,
+    _adjoint,
     _as_array,
     _eigh,
-    _power_stream,
+    _from_spectrum,
     _require_draw,
     _require_small,
     as_matrix,
@@ -104,11 +124,16 @@ def cayley_inverse(h0, phase: float) -> np.ndarray:
 
 
 def _cayley(h0: np.ndarray, phase: float) -> np.ndarray:
-    """``cayley_inverse`` of an H0 that is already a Hermitian complex matrix; the phase must be finite."""
+    """``cayley_inverse`` of an H0, or of each of a stack, already Hermitian and complex; the phase must be finite."""
     if not -np.inf < phase < np.inf:  # NaN fails too
         raise UnishiftError(f"phase must be a finite real number, not {phase!r}")
-    eye = 1j * np.eye(h0.shape[0])
+    eye = 1j * np.eye(h0.shape[-1])
     return np.exp(1j * phase) * np.linalg.solve(eye + h0, eye - h0)
+
+
+def _cayley_values(lam: np.ndarray, phase: float) -> np.ndarray:
+    """e^{i phase} (i - lam) / (i + lam) for each real lam: U0 = V diag(c) V* is the Cayley image of V diag(lam) V*."""
+    return _cayley(lam[:, None, None], phase)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -123,12 +148,26 @@ class WindowParams:
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Orthonormal columns spanning ran P, with the inputs that built it."""
+    """Orthonormal columns B spanning ran P, with the inputs that built it.
+
+    An audited basis also carries the eigenpairs H0 = V diag(lambda) V*
+    (``eigenvalues``, ``eigenvectors``) and the coordinates Bhat = V* B by
+    cell: row k of ``cell_rows`` holds the eigen-rows of occupied cell k and
+    row k of ``cell_columns`` the columns of B it spans, each padded with -1,
+    and ``cell_blocks[k]`` is the block of Bhat on those rows and columns,
+    padded with zeros.  Eigenpairs without a layout are one cell holding
+    every row.  Like the columns, these are trusted as built.
+    """
 
     ambient_dim: int
     columns: np.ndarray
     directions: np.ndarray
     params: WindowParams | None = None
+    eigenvalues: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = None
+    cell_rows: np.ndarray | None = None
+    cell_columns: np.ndarray | None = None
+    cell_blocks: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -173,19 +212,36 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     # Pieces from different cells lie on disjoint sets of eigenvectors, so they
     # are orthogonal: one SVD per occupied cell on the eigen-coordinates of its
     # kept normalised pieces, and the cell's eigencolumns map the result back.
-    blocks = [np.zeros((dim, 0), dtype=np.complex128)]
+    rows_of, blocks = [], []
     for k in np.unique(cell_index[inside]):
-        rows = (cell_index == k) & inside
+        rows = np.flatnonzero((cell_index == k) & inside)
         pieces = coords[rows, :]
         norms = np.linalg.norm(pieces, axis=0)
         kept = norms > GS_DROP_TOL
         left, values, _ = np.linalg.svd(pieces[:, kept] / norms[kept], full_matrices=False)
-        blocks.append(dec.vectors[:, rows] @ left[:, values > GS_DROP_TOL])
+        if np.any(big := values > GS_DROP_TOL):
+            rows_of.append(rows)
+            blocks.append(left[:, big])
+    n, width = max(map(len, rows_of), default=0), max((x.shape[1] for x in blocks), default=0)
+    cell_rows, cell_columns = np.full((len(blocks), n), -1), np.full((len(blocks), width), -1)
+    cell_blocks = np.zeros((len(blocks), n, width), dtype=np.complex128)
+    start = 0
+    for k, (rows, block) in enumerate(zip(rows_of, blocks)):
+        cell_rows[k, :rows.size] = rows
+        cell_columns[k, :block.shape[1]] = np.arange(start, start + block.shape[1])
+        cell_blocks[k, :rows.size, :block.shape[1]] = block
+        start += block.shape[1]
+    columns = [dec.vectors[:, rows] @ block for rows, block in zip(rows_of, blocks)]
     return ProjectionBasis(
         ambient_dim=dim,
-        columns=np.concatenate(blocks, axis=1),
+        columns=np.concatenate([np.zeros((dim, 0), dtype=np.complex128), *columns], axis=1),
         directions=f,
         params=WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps)),
+        eigenvalues=dec.eigenvalues,
+        eigenvectors=dec.vectors,
+        cell_rows=cell_rows,
+        cell_columns=cell_columns,
+        cell_blocks=cell_blocks,
     )
 
 
@@ -297,9 +353,12 @@ def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]
 
 
 def _audit_frame(p: ProjectionBasis, powers, t_max: float = 0.0, **operands):
-    """eps and the columns B of an audited projection, and its operands (see ``_ambient_operands``).
+    """eps, the eigen-coordinates of an audited projection and its operands (see ``_ambient_operands``).
 
-    Every audited power must be a whole number and T a finite number >= 0 (``UnishiftError``).
+    Every audited power must be a whole number and T a finite number >= 0
+    (``UnishiftError``).  The coordinates are those of ``_coordinates``,
+    checked at delta = AUDIT_SLACK / (2 max(1, max |m|)) over the audited
+    powers m, so no check lets an audited power move by AUDIT_SLACK.
     """
     if p.params is None:
         raise MissingConstruction("projection carries no construction record to audit")
@@ -308,7 +367,155 @@ def _audit_frame(p: ProjectionBasis, powers, t_max: float = 0.0, **operands):
             raise UnishiftError(f"audited powers must be whole numbers, not {m!r}")
     if not 0.0 <= t_max < np.inf:  # NaN fails too
         raise UnishiftError(f"the audit horizon T must be a finite number >= 0, not {t_max!r}")
-    return p.params.eps, p.columns, _ambient_operands(p, **operands)
+    checked = dict(zip(operands, _ambient_operands(p, **operands)))
+    delta = AUDIT_SLACK / (2.0 * max([1, *(abs(int(m)) for m in powers)]))
+    return p.params.eps, _coordinates(p, delta, checked.get("h0"), checked["u0"]), list(checked.values())
+
+
+def _cells(p: ProjectionBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, blocks) of the projection's cells; eigenpairs with no layout are one cell of every row."""
+    d = p.ambient_dim
+    if p.eigenvalues is None or p.eigenvectors is None:
+        raise MissingConstruction("projection carries no eigen-coordinates of H0")
+    if np.shape(p.eigenvalues) != (d,) or np.shape(p.eigenvectors) != (d, d):
+        raise DimensionMismatch(f"the eigenpairs of H0 must be of the ambient size {d}")
+    if p.cell_blocks is None:
+        return np.arange(d)[None], np.arange(p.rank)[None], (p.eigenvectors.conj().T @ p.columns)[None]
+    return p.cell_rows, p.cell_columns, p.cell_blocks
+
+
+def _coordinates(p: ProjectionBasis, delta: float, h0: np.ndarray | None, u0: np.ndarray | None = None):
+    """(c, cells) with U0 = V diag(c) V* in the projection's eigenbasis V, once H0 = V diag(lambda) V*.
+
+    c is the diagonal of V* (U0 V), one d x d product.  ||H0 V - V diag(lambda)||_HS
+    and ||U0 V - V diag(c)||_HS must be at most delta (``PathMismatch``: H0 is
+    not the operator that built the projection, or U0 no function of it), and
+    every |c_j| within delta of 1 (``NotUnitary``).  Each bounds the change
+    of an operand in the Hilbert-Schmidt norm, so it moves a power U0^m by at
+    most |m| delta (1 + 2 delta)^|m| and the Cayley image of H0 by 2 delta.
+    """
+    cells, v = _cells(p), p.eigenvectors
+    if h0 is not None:
+        gap = h0 @ v
+        gap -= v * p.eigenvalues
+        if hs_norm(gap) > delta:
+            raise PathMismatch(f"H0 is not the operator V diag(lambda) V* that built the projection (tol {delta:.3e})")
+    if u0 is None:
+        return None, cells
+    gap = u0 @ v
+    c = np.einsum("ij,ij->j", v.conj(), gap)
+    gap -= v * c
+    if hs_norm(gap) > delta:
+        raise PathMismatch(f"U0 is not diagonal in the eigenbasis of H0 (tol {delta:.3e})")
+    if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
+        raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
+    return c, cells
+
+
+def _power(c: np.ndarray, m: int) -> np.ndarray:
+    """c^m elementwise, conj(c)^|m| for m < 0: the eigenvalues of U^m for a unitary U = V diag(c) V*."""
+    return (c if m >= 0 else c.conj()) ** abs(m)
+
+
+def _offblock_norms(cells, scales: np.ndarray):
+    """||P_perp X P||_HS for each X = V diag(D) V*, D in ``scales`` (s, d), summed over the cells in O(d L^2).
+
+    Also returns the cell blocks of diag(D) Bhat and of Bhat* diag(D) Bhat,
+    (s, K, n, L) and (s, K, L, L).  Padded rows read the last entry of D and
+    meet zero rows of the blocks.
+    """
+    rows, _, blocks = cells
+    y = scales[:, rows, None] * blocks
+    grams = _adjoint(blocks) @ y
+    return _norms(y - blocks @ grams), y, grams
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The Hilbert-Schmidt norm of each x[j] of a stack."""
+    return np.linalg.norm(x.reshape(x.shape[0], int(np.prod(x.shape[1:]))), axis=1)
+
+
+def _factor_norms(x: np.ndarray, scales: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||X diag(D) Y||_HS for each row D of ``scales``: with X = QR, the orthonormal Q drops out of R diag(D) Y."""
+    return _norms((np.linalg.qr(x, mode="r")[None] * scales[:, None, :]) @ y)
+
+
+def _dense_offblock(cells, y: np.ndarray) -> float:
+    """||Y - Bhat(Bhat* Y)||_HS for dense coordinates Y, cell by cell in O(d L c).
+
+    Y carries a zero row d, which the padding (-1) of the cell rows reads;
+    rows in no cell keep all of Y.
+    """
+    rows, _, blocks = cells
+    inside = y[rows]
+    rest = inside - blocks @ (_adjoint(blocks) @ inside)
+    outside = np.ones(len(y), dtype=bool)
+    outside[rows] = False
+    return float(np.sqrt(hs_norm(rest) ** 2 + hs_norm(y[outside]) ** 2))
+
+
+def _to_columns(cells, x: np.ndarray) -> np.ndarray:
+    """The (r, ...) array, in B's column order, of a (K, L, ...) array indexed by cell and slot."""
+    used = cells[1] >= 0
+    out = np.empty((int(used.sum()), *x.shape[2:]), dtype=x.dtype)
+    out[cells[1][used]] = x[used]
+    return out
+
+
+def _scatter(row_index: np.ndarray, col_index: np.ndarray, blocks: np.ndarray, shape) -> np.ndarray:
+    """A zero matrix of ``shape`` with blocks[k] on rows row_index[k] and columns col_index[k], padding (-1) skipped."""
+    out = np.zeros(shape, dtype=np.complex128)
+    i = np.broadcast_to(row_index[:, :, None], blocks.shape)
+    j = np.broadcast_to(col_index[:, None, :], blocks.shape)
+    used = (i >= 0) & (j >= 0)
+    out[i[used], j[used]] = blocks[used]
+    return out
+
+
+def _unitary_powers(scale, unscale, f: np.ndarray, e: np.ndarray, y: np.ndarray, ms):
+    """Yield (m, X^m Y) for each wanted m, X = (I + F diag(e) F*) S with orthonormal F, one step per power.
+
+    ``scale`` applies S and ``unscale`` S*; X^{-1} = X* = S* (I + F diag(conj e) F*) for a unitary X.
+    """
+    wanted = {int(m) for m in ms}
+    if 0 in wanted:
+        yield 0, y
+    fh = f.conj().T
+    for sign in (1, -1):
+        x = y
+        for k in range(1, max([0, *(sign * m for m in wanted)]) + 1):
+            if sign > 0:
+                x = scale(x)
+                x = x + f @ (e[:, None] * (fh @ x))
+            else:
+                x = unscale(x + f @ (e.conj()[:, None] * (fh @ x)))
+            if sign * k in wanted:
+                yield sign * k, x
+
+
+def _ambient_powers(p: ProjectionBasis, cells, c: np.ndarray, fh: np.ndarray, tau: np.ndarray, ms):
+    """Yield (m, V* U^m B) for U = e^{iA} U0 = V (I + Fh diag(e^{i tau} - 1) Fh*) diag(c) V*, Fh = V* F.
+
+    Starts from the coordinates Bhat of B; each step costs O(d r k).  The
+    coordinates carry a zero row d (with c and Fh zero there), which the
+    padding (-1) of the cell rows reads.
+    """
+    start = _scatter(cells[0], cells[1], cells[2], (p.ambient_dim + 1, p.rank))
+    c, fh = np.append(c, 0.0)[:, None], np.concatenate([fh, np.zeros((1, fh.shape[1]))])
+    yield from _unitary_powers(lambda x: c * x, lambda x: c.conj() * x, fh, np.expm1(1j * tau), start, ms)
+
+
+def _by_cell(cells, w: np.ndarray):
+    """Z -> diag(W_k) Z on rank coordinates Z whose zero row r the padding (-1) of the cell columns reads and writes."""
+    cols = cells[1]
+
+    def apply(z):
+        out = np.zeros_like(z)
+        out[cols] = w @ z[cols]
+        out[-1] = 0.0
+        return out
+
+    return apply
 
 
 def _direction_factors(a, b: np.ndarray, u0: np.ndarray, u: np.ndarray):
@@ -331,19 +538,21 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
 
     Checks, in order: seed capture ||P_perp f_l||, the window operator
     ||P_perp H0 P||_2, both resolvents ||P_perp (i +- H0)^{-1} P||_2, and the
-    unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.
+    unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.  H0 must carry the
+    projection's eigenpairs and U0 be diagonal and unitary in them, within
+    AUDIT_SLACK / (2 max |m|) (see ``_coordinates``).
     """
-    eps, b, (h0, u0) = _audit_frame(p, m_list, h0=h0, u0=u0)
+    eps, (c, cells), _ = _audit_frame(p, m_list, h0=h0, u0=u0)
     checks = []
     for l in range(p.directions.shape[1]):
-        checks.append(_check(f"seed_capture[{l}]", _offblock(b, p.directions[:, l]), eps))
-    checks.append(_check("window_offblock", _offblock(b, h0 @ b), eps))
-    eye = 1j * np.eye(p.ambient_dim)
-    checks.append(_check("resolvent_plus", _offblock(b, np.linalg.solve(eye + h0, b)), eps))
-    checks.append(_check("resolvent_minus", _offblock(b, np.linalg.solve(eye - h0, b)), eps))
-    base = dict(_power_stream(u0, m_list, b))
-    for m in m_list:
-        checks.append(_check(f"base_power[{m}]", _offblock(b, base[int(m)]), 2 * abs(m) * eps))
+        checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, p.directions[:, l]), eps))
+    lam = p.eigenvalues
+    scales = [lam, 1.0 / (1j + lam), 1.0 / (1j - lam), *(_power(c, int(m)) for m in m_list)]
+    norms = _offblock_norms(cells, np.array(scales))[0]
+    for name, value in zip(("window_offblock", "resolvent_plus", "resolvent_minus"), norms):
+        checks.append(_check(name, value, eps))
+    for m, value in zip(m_list, norms[3:]):
+        checks.append(_check(f"base_power[{m}]", value, 2 * abs(m) * eps))
     return AuditReport(label="window-projection", eps=eps, checks=tuple(checks))
 
 
@@ -352,23 +561,30 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
 
     Checks ||P_perp A||_2 < 2 eps, the propagator ||P_perp e^{itA} P||_2
     < 2 T e^{T ||A||} eps over the sample grid, the base powers, and the
-    perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps.
+    perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps.  U0 must
+    be diagonal and unitary in the projection's eigenbasis, within
+    AUDIT_SLACK / (2 max |m|) (see ``_coordinates``).  The perturbed powers
+    are those of e^{iA} U0, which U must match within d 1e-10.
     """
-    eps, b, (u0, u, a) = _audit_frame(p, m_list, t_max, u0=u0, u=u, a=a)
-    _, tau, a_op, f_perp, fb = _direction_factors(a, b, u0, u)
+    eps, (c, cells), (u0, u, a) = _audit_frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    f, tau, a_op, f_perp, fb = _direction_factors(a, p.columns, u0, u)
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
+    if not all(abs(t) <= t_max + 1e-12 for t in t_samples):  # NaN fails too
+        raise SampleOutOfRange("propagator samples must stay within [-T, T]")
+    # P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F*B, a d x L factor times an L x r one
+    ts = np.array([float(t) for t in t_samples])
+    propagators = _factor_norms(f_perp, np.expm1(1j * np.multiply.outer(ts, tau)), fb)
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
-    for t in t_samples:
-        if not abs(t) <= t_max + 1e-12:  # NaN fails too
-            raise SampleOutOfRange("propagator samples must stay within [-T, T]")
-        value = hs_norm(_exp_step(f_perp, tau, float(t)) @ fb)
-        checks.append(_check(f"propagator[t={float(t):+.3f}]", value, propagator_bound))
-    base, pert = dict(_power_stream(u0, m_list, b)), dict(_power_stream(u, m_list, b))
+    for t, value in zip(ts, propagators):
+        checks.append(_check(f"propagator[t={t:+.3f}]", value, propagator_bound))
+    base = _offblock_norms(cells, np.array([_power(c, int(m)) for m in m_list]).reshape(-1, p.ambient_dim))[0]
+    fh = p.eigenvectors.conj().T @ f
+    pert = {m: _dense_offblock(cells, y) for m, y in _ambient_powers(p, cells, c, fh, tau, m_list)}
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
-    for m in m_list:
+    for m, value in zip(m_list, base):
         m = int(m)
-        checks.append(_check(f"base_power[{m}]", _offblock(b, base[m]), 2 * abs(m) * eps))
-        checks.append(_check(f"pert_power[{m}]", _offblock(b, pert[m]), abs(m) * pert_factor))
+        checks.append(_check(f"base_power[{m}]", value, 2 * abs(m) * eps))
+        checks.append(_check(f"pert_power[{m}]", pert[m], abs(m) * pert_factor))
     return AuditReport(label="perturbation-coupling", eps=eps, checks=tuple(checks))
 
 
@@ -399,22 +615,29 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     is Hermitian, so i + B* H0 B is always invertible; the endpoint is
     e^{i Ap} U0p.  P commutes with both rebuilt unitaries by construction,
     which is what makes rank-coordinates legitimate.  H0 and A must be
-    Hermitian and of the projection's ambient size.
+    Hermitian and of the projection's ambient size, and H0 within
+    AUDIT_SLACK / 2 of the operator whose eigenpairs the projection carries.
     """
     h0, a = _ambient_operands(p, h0=h0, a=a)
-    return _compressed(p, h0, a, phase)
+    _, cells = _coordinates(p, AUDIT_SLACK / 2.0, h0)
+    return _compressed(p, cells, a, phase)[0]
 
 
-def _compressed(p: ProjectionBasis, h0: np.ndarray, a: np.ndarray, phase: float) -> CompressedModel:
-    """``compressed_model`` of operands that passed the check."""
-    b = p.columns
-    hc, ac = b.conj().T @ h0 @ b, b.conj().T @ a @ b
-    hc = 0.5 * (hc + hc.conj().T)
+def _compressed(p: ProjectionBasis, cells, a: np.ndarray, phase: float) -> tuple[CompressedModel, np.ndarray]:
+    """``compressed_model`` of a checked A, and the cell blocks W of U0p, (K, L, L).
+
+    B* H0 B = Bhat* diag(lambda) Bhat is block diagonal, so U0p is the
+    Cayley image of each cell's block, placed on the cell's columns.
+    """
+    b, (rows, cols, blocks) = p.columns, cells
+    hc = _adjoint(blocks) @ (p.eigenvalues[rows, None] * blocks)
+    w = _cayley(0.5 * (hc + _adjoint(hc)), phase)
+    u0p = _scatter(cols, cols, w, (p.rank, p.rank))
+    ac = b.conj().T @ a @ b
     ac = 0.5 * (ac + ac.conj().T)
-    u0p = _cayley(hc, phase)
     fc, tau_c, _ = _kept_pairs(ac)
     up = _low_rank_endpoint(fc, tau_c, u0p)
-    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c)
+    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c), w
 
 
 def audit_compressed_model(
@@ -427,53 +650,65 @@ def audit_compressed_model(
     spaced s in [-T, T]), the trace-norm remainder
     ||P_perp (e^{iA} - iA - I)||_1, the power errors
     ||(U0^m - U0p^m) P||_2 and ||P (U^m - Up^m) P||_2, and the mixed traces
-    |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.
+    |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.  H0 and U0 are checked as in
+    ``audit_projection_estimates``, over the powers m and k, and U as in
+    ``audit_perturbation_estimates``.
     """
-    eps, b, (h0, a, u0, u) = _audit_frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
-    model = _compressed(p, h0, a, phase)
+    eps, (c, cells), (h0, a, u0, u) = _audit_frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
+    b = p.columns
+    model, w = _compressed(p, cells, a, phase)
     f, tau, a_op, f_perp, fb = _direction_factors(a, b, u0, u)
     fc, tau_c = model.ap_vectors, model.ap_values
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
-    bfc = b @ fc
     checks = [_check("exp_step_offblock", hs_norm(_exp_step(f_perp, tau)), 2 * eps)]
-    worst = 0.0
-    for s in np.linspace(-t_max, t_max, 21):
-        # e^{isA} B - B e^{isAp} = F (e^{is tau} - 1) F*B - B Fc (e^{is tau_c} - 1) Fc*
-        diff = _exp_step(f, tau, float(s)) @ fb - _exp_step(bfc, tau_c, float(s)) @ fc.conj().T
-        worst = max(worst, hs_norm(diff))
-    checks.append(_check("propagator_vs_compressed", worst, 2 * t_max * eps))
+    # e^{isA} B - B e^{isAp} = F (e^{is tau} - 1) F*B - B Fc (e^{is tau_c} - 1) Fc*
+    #                        = [F, B Fc] diag(e^{is tau} - 1, 1 - e^{is tau_c}) [F*B; Fc*]
+    s_grid = np.linspace(-t_max, t_max, 21)
+    steps = np.expm1(1j * np.multiply.outer(s_grid, np.concatenate([tau, tau_c])))
+    steps[:, tau.size:] *= -1.0
+    worst = _factor_norms(np.concatenate([f, b @ fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
+    checks.append(_check("propagator_vs_compressed", float(np.max(worst)), 2 * t_max * eps))
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
     tr_bound = 2.0 * hs_norm(a) * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
-    # U0^m B and U^m B are streamed on the d x r columns; the compressed
-    # powers are r x r, streamed from the identity.
-    base = dict(_power_stream(u0, [*m_list, *k_list], b))
-    base_c = dict(_power_stream(model.u0p, m_list))
-    pert, pert_c = dict(_power_stream(u, m_list, b)), dict(_power_stream(model.up, m_list))
+    # U0 = V diag(c) V* and U0p = diag(W_k) act cell by cell: (U0^m B - B U0p^m) = V (c^m Bhat - Bhat W^m)
+    # has one block per cell.  Up = (I + Fc (e^{i tau_c} - 1) Fc*) U0p is streamed on the r x r identity,
+    # and B* U^m B is read cell by cell off the stream of V* U^m B.
+    ms = sorted({int(m) for m in [*m_list, *k_list]})
+    _, y, grams = _offblock_norms(cells, np.array([_power(c, m) for m in ms]).reshape(-1, p.ambient_dim))
+    y, grams = dict(zip(ms, y)), dict(zip(ms, grams))
+    fh = p.eigenvectors.conj().T @ f
+    bhat = _adjoint(cells[2])
+    pert = {m: _to_columns(cells, bhat @ x[cells[0]]) for m, x in _ambient_powers(p, cells, c, fh, tau, m_list)}
+    # rank coordinates with a zero row r, as in ``_by_cell``
+    fc_rows, eye = np.concatenate([fc, np.zeros((1, fc.shape[1]))]), np.eye(p.rank + 1, p.rank, dtype=np.complex128)
+    steps = _by_cell(cells, w), _by_cell(cells, _adjoint(w))
+    pert_c = {m: z[:-1] for m, z in _unitary_powers(*steps, fc_rows, np.expm1(1j * tau_c), eye, m_list)}
     for m in m_list:
         m = int(m)
-        value = hs_norm(base[m] - b @ base_c[m])
+        w_m = np.linalg.matrix_power(w if m >= 0 else _adjoint(w), abs(m))
+        value = hs_norm(y[m] - cells[2] @ w_m)
         checks.append(_check(f"base_power_error[{m}]", value, 2 * abs(m) * eps))
-        value = hs_norm(b.conj().T @ pert[m] - pert_c[m])
+        value = hs_norm(pert[m] - pert_c[m])
         bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
         checks.append(_check(f"pert_power_error[{m}]", value, bound))
     # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} in rank coordinates, where
-    # B* e^{iA} U0^k B - e^{iAp} B* U0^k B = (F*B)* (e^{i tau} - 1) F* U0^k B
-    #                                         - Fc (e^{i tau_c} - 1) (B Fc)* U0^k B.
-    # The factor depends on k only, so it is formed once per k; the trace is
-    # the elementwise sum of Up^m and the factor's transpose.
+    # B* e^{iA} U0^k B - e^{iAp} B* U0^k B = X Y_k with X = [(F*B)* (e^{i tau} - 1), -Fc (e^{i tau_c} - 1)]
+    # and Y_k = [F* U0^k B; Fc* B* U0^k B], F* U0^k B = Fh* (c^k Bhat) and B* U0^k B = diag(Bhat_k* c^k Bhat_k)
+    # cell by cell.  So each trace is Tr{(Y_k Up^m) X}, with no r x r factor formed.
+    fh_cells, fc_cells = _adjoint(fh[cells[0]]), _adjoint(fc_rows[cells[1]])
+    x = np.concatenate([_exp_step(fb.conj().T, tau), -_exp_step(fc, tau_c)], axis=1)
+    ys = np.array([
+        np.concatenate([
+            _to_columns(cells, (fh_cells @ y[int(k)]).swapaxes(1, 2)).T,
+            _to_columns(cells, (fc_cells @ grams[int(k)]).swapaxes(1, 2)).T,
+        ])
+        for k in k_list
+    ]).reshape(len(k_list), x.shape[1], p.rank)
     mixed_bound = 4.0 * eps * eps * np.exp(a_op)
-    inners = []
-    for k in k_list:
-        base_k = base[int(k)]
-        inners.append(
-            _exp_step(fb.conj().T, tau) @ (f.conj().T @ base_k)
-            - _exp_step(fc, tau_c) @ (bfc.conj().T @ base_k)
-        )
     for m in m_list:
-        for k, inner in zip(k_list, inners):
-            value = abs(complex(np.sum(pert_c[int(m)] * inner.T)))
+        for k, value in zip(k_list, np.abs(np.einsum("kaj,ja->k", ys @ pert_c[int(m)], x))):
             checks.append(_check(f"mixed_trace[m={int(m)},k={int(k)}]", value, mixed_bound))
     return AuditReport(label="compressed-model", eps=eps, checks=tuple(checks))
 
@@ -510,12 +745,12 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     h0_dec = herm_eig(h0, check=False)
     f, tau, _ = _kept_pairs(a)
     half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
-    u0 = _cayley(h0, phase)
+    u0 = _from_spectrum(h0_dec.vectors, _cayley_values(h0_dec.eigenvalues, phase))
     full = complex(_lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)[0])
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n)
-        model = _compressed(proj, h0, a, phase)
+        model = _compressed(proj, _cells(proj), a, phase)[0]
         compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
         rows.append(
             ConvergenceRow(
@@ -561,7 +796,7 @@ def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: 
     rng = np.random.default_rng(seed)
     h0 = spread_diagonal(ambient, 1.0)
     a = random_low_rank_hermitian(rng, ambient, rank, scale)
-    u0 = _cayley(h0, phase)
+    u0 = np.diag(_cayley_values(np.diagonal(h0).real, phase))
     f, tau, _ = _kept_pairs(a)
     u = _low_rank_endpoint(f, tau, u0)
     return ReductionInstance(h0=h0, a=a, phase=phase, u0=u0, u=u, half_width=1.0)

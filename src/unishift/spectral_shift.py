@@ -33,6 +33,7 @@ t-grid converges only first order in the node count.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,8 @@ class EtaIntegrator:
         The -1 in -ir sum_k w_k (e^{ir theta_k} - 1) is the upper edge 2pi; keeping it makes
         each sum exact without relying on the jump weights cancelling to zero.
         """
-        if not all(map(_is_mode, rs := list(rs))):
-            raise UnishiftError("every mode must be a whole number within int64")
+        if not (isinstance(rs, Iterable) and all(map(_is_mode, rs := list(rs)))):
+            raise UnishiftError("modes must be an iterable of whole numbers within int64")
         rs = np.array(rs, dtype=np.int64)
         out = np.empty(rs.shape, dtype=np.complex128)
         per_block = max(1, _BLOCK // self.jump_angles.size)

@@ -9,14 +9,14 @@ Both sides are linear in the coefficients of p, so each is an array of one
 number per Fourier mode n, and one coefficient matrix C (row j holds the
 coefficients of polynomial j on the sorted modes) assembles both for every
 polynomial: C @ traces and C @ pairings.  The left side streams the powers
-U^k and U0^k in blocks of consecutive k, each block one (b, d, d) stack
-advanced by one batched product (adjoints for negative modes), with the
-generator the reduction audits use for U^m B (``linalg._power_blocks``); per
-block it takes the b traces and, by the cyclic trace identity below, the b
-derivative terms in one product with conj(A).  The right side is an exact
-sum over the jump list of eta (eigenangles of U_s at Gauss-Legendre nodes in
-s, see ``spectral_shift``).  The left side touches no eigendecomposition, so
-the two sides share no spectral code path and agreeing results mean something.
+U^k and U0^k in blocks of consecutive k (``linalg._power_blocks``), each
+block one (b, d, d) stack advanced by one batched product (adjoints for
+negative modes); per block it takes the b traces and, by the cyclic trace
+identity below, the b derivative terms in one product with conj(A).  The
+right side is an exact sum over the jump list of eta (eigenangles of U_s at
+Gauss-Legendre nodes in s, see ``spectral_shift``).  The left side touches
+no eigendecomposition, so the two sides share no spectral code path and
+agreeing results mean something.
 
 The resolvent w -> (w - z)^{-1} is not a trigonometric polynomial.  Its
 right side is one closed-form sum over the jumps from f'(t) =

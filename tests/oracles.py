@@ -40,7 +40,8 @@ path to the package routine it checks:
     diagonalises only the k x k compression.
   * ``full_space``, ``abs_sum``, ``weighted_abs_sum``,
     ``remainder_trace_norm_bound`` and ``PhaseTooClose`` are test-only
-    helpers: the whole-space projection, coefficient sums of a polynomial,
+    helpers: the whole-space projection (with the eigenpairs of an H0 when
+    one is given), coefficient sums of a polynomial,
     the per-mode trace-norm bound of the left side, and the error of
     ``cayley_forward``.
 
@@ -458,10 +459,17 @@ def dense_compressed_audit(
     return checks
 
 
-def full_space(dim: int) -> ProjectionBasis:
-    """The projection onto the whole ambient space, with no seeds and no construction record."""
+def full_space(dim: int, h0=None) -> ProjectionBasis:
+    """The projection onto the whole ambient space, with no seeds and no construction record.
+
+    With ``h0`` it carries the eigenpairs of H0 from one full eigh and no cell
+    layout, so it is one cell holding every row.
+    """
     eye = np.eye(dim, dtype=np.complex128)
-    return ProjectionBasis(ambient_dim=dim, columns=eye, directions=eye[:, :0])
+    if h0 is None:
+        return ProjectionBasis(ambient_dim=dim, columns=eye, directions=eye[:, :0])
+    w, v = np.linalg.eigh(np.asarray(h0, dtype=np.complex128))
+    return ProjectionBasis(ambient_dim=dim, columns=eye, directions=eye[:, :0], eigenvalues=w, eigenvectors=v)
 
 
 def abs_sum(p: TrigPolynomial) -> float:

@@ -488,6 +488,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: at most 4096 Gauss-Legendre nodes, not 20000\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eta", "--grid", str(10**12)], f"grid must be at most 1000000, not {10**12}"),
+            (["eta", "--dim", "1025"], "dim must be at most 1024, not 1025"),
+            (["verify", "--dim", "100000", "--trials", "1"], "dim must be at most 1024, not 100000"),
+            (["resolvent", "--dim", "100000"], "dim must be at most 1024, not 100000"),
+            (["bounds", "--ambient", str(10**6)], f"ambient must be at most 4096, not {10**6}"),
+            (["converge", "--ambient", "4097"], "ambient must be at most 4096, not 4097"),
+        ],
+        ids=["grid", "eta-dim", "verify-dim", "resolvent-dim", "bounds-ambient", "converge-ambient"],
+    )
+    def test_size_beyond_its_cap_exits_2(self, tmp_path, capsys, address_space_cap, argv, message):
+        """Each size is refused above its cap before anything is allocated, not with a MemoryError."""
+        out = tmp_path / "out.file"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "eta", "converge", "resolvent", "bounds"])
+    def test_sizes_at_their_caps_pass_validation(self, command):
+        RunConfig(command=command, dim=1024, ambient=4096, grid=10**6).validate()
+
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "v.json"
         proc = subprocess.run(

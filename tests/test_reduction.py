@@ -20,6 +20,7 @@ from unishift import (
     DimensionMismatch,
     MissingConstruction,
     NotHermitian,
+    NotUnitary,
     PartitionTooFine,
     PathMismatch,
     ProjectionBasis,
@@ -44,7 +45,7 @@ from unishift import (
     unitary_eig,
 )
 from unishift.linalg import UnitaryPath, haar_unitary
-from unishift.reduction import _kept_pairs, _offblock, random_low_rank_hermitian
+from unishift.reduction import ReductionInstance, _kept_pairs, _offblock, random_low_rank_hermitian
 from unishift.trace_formula import _exp_remainder_factor
 
 seeds = st.integers(0, 2**31 - 1)
@@ -199,7 +200,7 @@ class TestPerturbationAudit:
 class TestCompressedModel:
     def test_full_space_reproduces_pair(self):
         inst = reduction_instance(6, 48, 2, 0.5)
-        model = compressed_model(full_space(48), inst.h0, inst.a, inst.phase)
+        model = compressed_model(full_space(48, inst.h0), inst.h0, inst.a, inst.phase)
         assert op_norm(model.u0p - inst.u0) <= 48 * 1e-10
         assert op_norm(model.ap - inst.a) <= 1e-12
         assert op_norm(model.up - inst.u) <= 48 * 1e-10
@@ -250,7 +251,7 @@ class TestCompressedModel:
         # P = full space: power errors vanish
         full = ProjectionBasis(
             64, np.eye(64, dtype=np.complex128), np.eye(64)[:, :2],
-            params=p.params,
+            params=p.params, eigenvalues=p.eigenvalues, eigenvectors=p.eigenvectors,
         )
         report = audit_compressed_model(
             full, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1]
@@ -288,7 +289,7 @@ class TestConvergenceStudy:
 
     def test_identity_projection_matches_full(self):
         inst = reduction_instance(14, 64, 2, 0.5)
-        p_full = full_space(64)
+        p_full = full_space(64, inst.h0)
         model = compressed_model(p_full, inst.h0, inst.a, inst.phase)
         poly = TrigPolynomial.monomial(2)
         full = lhs_trace(inst.u0, inst.u, inst.a, poly)
@@ -322,6 +323,51 @@ def assert_matches_reference(report, reference):
     for check, (name, value, bound) in zip(report.checks, reference):
         assert abs(check.value - value) <= 1e-12 * (1 + abs(value)), (name, check.value, value)
         assert abs(check.bound - bound) <= 1e-12 * (1 + abs(bound)), (name, check.bound, bound)
+
+
+OFF_IDENTITY = ["haar", "repeated", "edge", "isometry", "outside"]
+
+
+def off_identity_case(kind: str):
+    """An instance whose H0 is not diagonal in the standard basis, and a projection for it.
+
+    ``haar``: H0 = Q diag(levels) Q* with a Haar Q, 8 cells.  ``repeated``:
+    four 12-fold eigenvalues, one per cell of 4, under a Haar Q.  ``edge``:
+    every cell edge of 4 cells in (-1, 1] is an eigenvalue, exactly: H0 is a
+    permuted diagonal, so its eigenbasis is a permutation, not I.
+    ``isometry``: the ``haar`` H0 with a Haar isometry B that carries H0's
+    eigenpairs and no cell layout.  ``outside``: 11 of 44 eigenvalues lie
+    outside the window (-1, 1] of 2 unequal cells, so their rows are in no
+    cell.  U0 is the dense Cayley image of H0, and U = e^{iA} U0 from a full
+    eigh of the rank-2 A.
+    """
+    rng = np.random.default_rng(OFF_IDENTITY.index(kind) + 40)
+    if kind == "edge":
+        levels = np.concatenate([np.linspace(-1.0, 1.0, 5)[1:], np.linspace(-0.95, 0.95, 28)])
+        order = rng.permutation(levels.size)
+        h0, cells = np.diag(levels[order]).astype(complex), 4
+    else:
+        if kind == "repeated":
+            levels, cells = np.repeat([-0.7, -0.2, 0.1, 0.6], 12), 4
+        elif kind == "outside":
+            inside = np.concatenate([np.linspace(-0.9, 0.9, 30), [0.95, 0.96, 0.97]])
+            levels, cells = np.concatenate([np.linspace(-1.4, -1.05, 6), inside, np.linspace(1.1, 1.5, 5)]), 2
+        else:
+            levels, cells = spread_diagonal(64, 1.0).diagonal().real, 8
+        q = haar_unitary(rng, levels.size)
+        h0 = (q * levels) @ q.conj().T
+        h0 = 0.5 * (h0 + h0.conj().T)
+    dim = levels.size
+    a = random_low_rank_hermitian(rng, dim, 2, 0.6)
+    u0 = cayley_inverse(h0, 0.3)
+    inst = ReductionInstance(h0=h0, a=a, phase=0.3, u0=u0, u=UnitaryPath(u0, a).at(1.0), half_width=1.0)
+    p = build_direction_projection(h0, a, 1.0, cells)
+    if kind == "isometry":
+        b = haar_unitary(rng, dim)[:, : dim // 3]
+        p = ProjectionBasis(
+            dim, b, p.directions, params=p.params, eigenvalues=p.eigenvalues, eigenvectors=p.eigenvectors
+        )
+    return inst, p
 
 
 class TestThinFactorsOracle:
@@ -363,7 +409,10 @@ class TestThinFactorsOracle:
         cols = data.draw(st.integers(1, ambient))
         b = haar_unitary(np.random.default_rng(seed + 1), ambient)[:, :cols]
         window = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        p = ProjectionBasis(ambient, b, window.directions, params=window.params)
+        p = ProjectionBasis(
+            ambient, b, window.directions, params=window.params,
+            eigenvalues=window.eigenvalues, eigenvectors=window.eigenvectors,
+        )
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
     def test_projection_of_full_rank(self):
@@ -379,6 +428,12 @@ class TestThinFactorsOracle:
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
         self.audit_against_reference(p, inst, zero, inst.u0, [0.0])
         self.audit_against_reference(p, inst, inst.a, inst.u, [0.0])
+
+    @pytest.mark.parametrize("kind", OFF_IDENTITY)
+    def test_matches_dense_formulas_off_the_identity_basis(self, kind):
+        inst, p = off_identity_case(kind)
+        assert np.max(np.abs(p.eigenvectors - np.eye(p.ambient_dim))) > 0.5
+        self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
 
 class TestKeptPairsOracle:
@@ -443,6 +498,21 @@ class TestStreamedAuditsOracle:
         inst = reduction_instance(ambient + cells, ambient, rank, 0.6, phase=0.3)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, cells)
         assert (p.rank == ambient) == full
+        assert all(report.passed for report in self.audit_against_dense(p, inst))
+
+    @pytest.mark.parametrize("kind", OFF_IDENTITY)
+    def test_matches_dense_definitions_off_the_identity_basis(self, kind):
+        inst, p = off_identity_case(kind)
+        reports = self.audit_against_dense(p, inst)
+        if kind != "isometry":  # a window projection passes its own audits
+            assert all(report.passed for report in reports)
+        if kind == "repeated":  # two seeds in each of four 12-fold eigenspaces
+            assert p.rank == 8
+        if kind == "outside":  # 33 eigen-rows in two cells of 15 and 18, padded to 18
+            assert (p.cell_rows >= 0).sum() == 33 and p.cell_rows.shape == (2, 18)
+
+    def audit_against_dense(self, p, inst):
+        """The three audits, each value within 1e-12 and each bound within 1e-12 (1 + bound) of its definition."""
         b, eps = p.columns, p.params.eps
         reports = [
             audit_projection_estimates(p, inst.h0, inst.u0, self.M),
@@ -462,7 +532,7 @@ class TestStreamedAuditsOracle:
             for check, (name, value, bound) in zip(report.checks, reference):
                 assert abs(check.value - value) <= 1e-12, (name, check.value, value)
                 assert abs(check.bound - bound) <= 1e-12 * (1 + bound), (name, check.bound, bound)
-            assert report.passed
+        return reports
 
 
 class TestPerCellOrthonormalisation:
@@ -628,7 +698,24 @@ class TestTypedErrors:
         skew_h0 = inst.h0 + 1e-3 * np.triu(np.ones((32, 32)), 1)
         small = np.eye(31, dtype=complex)
         wide = reduction_instance(16, 64, 2, 0.5)
+        # U0 must be V diag(c) V* with |c| = 1 in the eigenbasis V of the H0 that built the projection
+        haar = haar_unitary(np.random.default_rng(5), 32)
+        haar_u = UnitaryPath(haar, inst.a).at(1.0)
+        other = spread_diagonal(32, 0.9)
         cases = [
+            (NotUnitary, lambda: audit_projection_estimates(p, inst.h0, 1.01 * inst.u0, [1, 2])),
+            (NotUnitary, lambda: audit_perturbation_estimates(
+                p, 1.01 * inst.u0, 1.01 * inst.u, inst.a, 2.0, [1, 2], [0.0])),
+            (NotUnitary, lambda: audit_compressed_model(
+                p, inst.h0, inst.a, 1.01 * inst.u0, 1.01 * inst.u, inst.phase, 2.0, [1, 2], [1])),
+            (PathMismatch, lambda: audit_projection_estimates(p, inst.h0, haar, [1, 2])),
+            (PathMismatch, lambda: audit_perturbation_estimates(p, haar, haar_u, inst.a, 2.0, [1, 2], [0.0])),
+            (PathMismatch, lambda: audit_compressed_model(
+                p, inst.h0, inst.a, haar, haar_u, inst.phase, 2.0, [1, 2], [1])),
+            (PathMismatch, lambda: audit_projection_estimates(p, other, inst.u0, [1, 2])),
+            (PathMismatch, lambda: audit_compressed_model(
+                p, other, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1])),
+            (PathMismatch, lambda: compressed_model(p, other, inst.a, inst.phase)),
             (PartitionTooFine, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [16])),
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [0, 4])),
             (ZeroDirection, lambda: build_direction_projection(inst.h0, zero, 1.0, 4)),
@@ -752,6 +839,45 @@ class TestTypedErrors:
             for u in (inst.u + 2.0 * corner, inst.u0):
                 with pytest.raises(PathMismatch):
                     audit(u)
+
+    def test_tolerance_is_the_audit_slack_over_twice_the_largest_power(self):
+        """delta = 1e-10 / (2 max |m|) for U0 and H0, so |m| delta stays below the audit slack."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        scaled = (1.0 + 4e-11) * inst.u0  # every |c_j| - 1 is 4e-11
+        assert audit_projection_estimates(p, inst.h0, scaled, [1, -1]).passed  # delta 5e-11
+        with pytest.raises(NotUnitary):
+            audit_projection_estimates(p, inst.h0, scaled, [1, -4])  # delta 1.25e-11
+        for shift, passes in [(8e-12, True), (9e-12, False)]:  # ||H0 V - V diag(lambda)||_HS = shift sqrt(32)
+            call = lambda: audit_projection_estimates(p, inst.h0 + shift * np.eye(32), inst.u0, [1, -1])
+            if passes:
+                call()
+            else:
+                with pytest.raises(PathMismatch):
+                    call()
+
+    def test_hand_built_basis_needs_the_eigenpairs_of_h0(self):
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        plain = ProjectionBasis(32, p.columns, p.directions, params=p.params)
+        short = ProjectionBasis(32, p.columns, p.directions, p.params, p.eigenvalues[:31], p.eigenvectors)
+        with pytest.raises(MissingConstruction):
+            audit_projection_estimates(plain, inst.h0, inst.u0, [1])
+        with pytest.raises(MissingConstruction):
+            compressed_model(plain, inst.h0, inst.a, inst.phase)
+        with pytest.raises(DimensionMismatch):
+            audit_perturbation_estimates(short, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])
+        # the same eigenpairs without the cell layout are one cell holding every row
+        one_cell = ProjectionBasis(32, p.columns, p.directions, p.params, p.eigenvalues, p.eigenvectors)
+        for got, want in [
+            (audit_projection_estimates(one_cell, inst.h0, inst.u0, [1, -2]),
+             audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
+            (audit_compressed_model(one_cell, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1]),
+             audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1])),
+        ]:
+            assert [c.name for c in got.checks] == [c.name for c in want.checks]
+            values = [(x.value, y.value) for x, y in zip(got.checks, want.checks)]
+            assert max(abs(x - y) for x, y in values) <= 1e-13
 
     def test_numpy_integer_sizes_accepted(self):
         inst = reduction_instance(np.int64(16), np.int64(32), np.int32(2), 0.5)

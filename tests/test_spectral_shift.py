@@ -455,6 +455,7 @@ class TestTypedErrors:
             lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial({2**70: 1.0})]),
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings([2**70]),
             lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), None),
+            lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings(None),
         ],
     )
     def test_raises_unishift_error(self, call):

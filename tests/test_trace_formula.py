@@ -35,7 +35,7 @@ from unishift import (
     trace_norm,
 )
 from unishift import linalg, trace_formula
-from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, _power_stream, haar_unitary, random_hermitian
+from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, haar_unitary, random_hermitian
 from unishift.trace_formula import _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
 
@@ -95,23 +95,28 @@ class TestTrigPolynomial:
             TrigPolynomial({1: 1.0, 2: value})
 
 
+def wanted_powers(u, wanted, b=None) -> dict:
+    """{m: U^m B} for each wanted m, read off the runs of ``_power_blocks``."""
+    return {k: y for ks, ys in _power_blocks(u, wanted, b) for k, y in zip(ks.tolist(), ys) if k in wanted}
+
+
 class TestPowers:
     def test_matches_matrix_power(self):
         pair = random_pair(0, 5, 1.0)
         wanted = [0, 1, 3, -2, -5, 4, -1]
-        got = dict(_power_stream(pair.u, wanted))
+        got = wanted_powers(pair.u, wanted)
         assert sorted(got) == [-5, -2, -1, 0, 1, 3, 4]
         for n, p in got.items():
             ref = np.linalg.matrix_power(pair.u if n > 0 else pair.u.conj().T, abs(n))
             np.testing.assert_allclose(p, ref, atol=1e-11)
         # the unit powers are copies, never views of the input
         assert not np.shares_memory(got[1], pair.u) and not np.shares_memory(got[-1], pair.u)
-        assert list(_power_stream(pair.u, [])) == []
+        assert list(_power_blocks(pair.u, [])) == []
 
     def test_columns_match_matrix_power(self):
         pair = random_pair(1, 6, 1.0)
         b = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)) + 0j)[0]
-        got = dict(_power_stream(pair.u, [0, 1, -1, 3, -3], b))
+        got = wanted_powers(pair.u, [0, 1, -1, 3, -3], b)
         assert sorted(got) == [-3, -1, 0, 1, 3]
         for m, y in got.items():
             ref = np.linalg.matrix_power(pair.u if m >= 0 else pair.u.conj().T, abs(m)) @ b
@@ -167,7 +172,7 @@ class TestPowerBlocks:
         # one run per block, consecutive powers from sign * 1 to sign * top
         assert ks.tolist() == [sign * k for k in range(1, top + 1)]
         assert [len(y) for _, y in runs] == [min(size, top - start) for start in range(0, top, size)]
-        powers = dict(_power_stream(pair.u, wanted))
+        powers = wanted_powers(pair.u, wanted)
         for m in set(wanted):
             np.testing.assert_allclose(powers[m], power(pair.u, m), atol=1e-12 * abs(m))
         got = _lhs_mode_traces(pair.u0, pair.u, pair.a, wanted)

@@ -150,35 +150,33 @@ class HermitianDecomposition:
     vectors: np.ndarray
 
 
-def _power_blocks(u: np.ndarray, ms, b: np.ndarray | None = None):
-    """Yield (ks, Y) with Y[j] = U^{ks[j]} B, in runs of consecutive ks covering every wanted m.
+def _power_blocks(u: np.ndarray, ms):
+    """Yield (ks, Y) with Y[j] = U^{ks[j]}, in runs of consecutive ks covering every wanted m.
 
     Positive m step by U, negative m by U*, the inverse of a unitary U; no
     eigendecomposition is touched.  Each sign is streamed a block of
     ``size = min(top, _BLOCK // d^2)`` consecutive powers at a time, as one
-    (size, d, c) stack: the first block's d x d powers come from doubling
-    products P[n:n+m] = P[:m] U^n, and each later block is one batched
-    product U^size @ Y, so a stream of size 1 makes the one-step products.
-    m = 0 yields B alone; B = None stands for the identity.  Nothing yielded
-    aliases U or B; callers only read the blocks, since the last power of
-    the first block is the step to the next.
+    (size, d, d) stack: the first block comes from doubling products
+    P[n:n+m] = P[:m] U^n, and each later block is one batched product
+    U^size @ Y, so a stream of size 1 makes the one-step products.  m = 0
+    yields the identity.  Nothing yielded aliases U; callers only read the
+    blocks, since the last power of the first block is the step to the next.
     """
     ms = np.asarray(ms, dtype=np.int64)
     d = u.shape[0]
     if (ms == 0).any():
-        yield np.zeros(1, dtype=np.int64), (np.eye(d, dtype=u.dtype) if b is None else b)[None].copy()
+        yield np.zeros(1, dtype=np.int64), np.eye(d, dtype=u.dtype)[None]
     for sign in (1, -1):
         top = int((sign * ms).max(initial=0))
         if top < 1:
             continue
         step = u if sign == 1 else u.conj().T
         size = min(top, max(1, _BLOCK // max(u.size, 1)))
-        # with B = None the first block is yielded as is, so it must not alias U
-        powers = step[None].copy() if b is None else step[None]
+        powers = step[None].copy()  # the first block is yielded as is, so it must not alias U
         while len(powers) < size:
             m = min(len(powers), size - len(powers))
             powers = np.concatenate([powers, powers[:m] @ powers[-1]])
-        y = powers if b is None else powers @ b
+        y = powers
         for k0 in range(1, top + 1, size):
             if k0 > 1:
                 y = powers[-1] @ y[:top - k0 + 1]

@@ -15,13 +15,14 @@ evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
-Each public entry point checks its operands once, in one private check,
-and everything behind it trusts them.  At the ambient size (the
-projection's, or else the first operand's) H0 and A pass
-``require_hermitian`` and U0 and U ``as_matrix``, read in place; each seed
-must be a vector of that length (``DimensionMismatch``).  The audits check
-U against e^{iA} U0 from A's kept pairs (``PathMismatch``), and the phase,
-half-width, horizon T >= 0 and samples in [-T, T] must be finite.
+Each public entry point checks its operands once (``_ambient_operands``):
+H0 and A pass ``require_hermitian`` and U0 and U ``as_matrix`` at the
+ambient size, and each seed must be a vector of that length.  Each audit,
+and ``compressed_model``, then builds one checked frame (``_frame``): the
+operands against the projection's eigenpairs and U against e^{iA} U0, all
+at one tolerance delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's
+powers m.  Phases, half-widths, the horizon T >= 0 and samples in [-T, T]
+must be finite.
 
 The direction is low rank, so no d x d exponential and no d x d
 eigendecomposition of it is ever formed.  An orthonormal basis Q of the
@@ -45,9 +46,8 @@ cells of the window basis.  A window basis carries the eigenpairs
 H0 = V diag(lambda) V* it was built from and, for each occupied cell, its
 eigen-rows and its block Bhat_k of Bhat = V* B, so B = V Bhat (r = rank P
 columns, at most L per cell); a basis with eigenpairs and no layout is one
-cell of every row.  Each audit reads the diagonal c of V* U0 V from one
-d x d product and checks that U0 = V diag(c) V* with |c| = 1, and that H0 =
-V diag(lambda) V*, where it takes H0 (``_coordinates``).  Then:
+cell of every row.  The frame reads U0 = V diag(c) V* from one d x d
+product.  Then:
 
   * H0 B, both resolvents (i +- H0)^{-1} B and every U0^m B are diagonal
     scalings D Bhat, whose part outside ran P splits by cell:
@@ -103,7 +103,6 @@ from .linalg import (
     _eigh,
     _from_spectrum,
     _require_draw,
-    _require_small,
     as_matrix,
     herm_eig,
     hs_norm,
@@ -352,64 +351,70 @@ def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]
     return out
 
 
-def _audit_frame(p: ProjectionBasis, powers, t_max: float = 0.0, **operands):
-    """eps, the eigen-coordinates of an audited projection and its operands (see ``_ambient_operands``).
+def _frame(p: ProjectionBasis, powers=None, t_max: float = 0.0, **operands):
+    """The one checked frame of an audit, or with ``powers`` None of ``compressed_model``.
 
-    Every audited power must be a whole number and T a finite number >= 0
-    (``UnishiftError``).  The coordinates are those of ``_coordinates``,
-    checked at delta = AUDIT_SLACK / (2 max(1, max |m|)) over the audited
-    powers m, so no check lets an audited power move by AUDIT_SLACK.
+    An audit needs the construction record (``MissingConstruction``), whole
+    powers and a finite T >= 0 (``UnishiftError``).  Then, once per call,
+    the operands pass ``_ambient_operands`` and the projection must carry
+    the eigenpairs H0 = V diag(lambda) V* (``MissingConstruction``) of the
+    ambient size (``DimensionMismatch``).  With c = diag(V* U0 V), every
+    operand is checked in the Hilbert-Schmidt norm at one tolerance
+    delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
+    ||H0 V - V diag(lambda)||, ||U0 V - V diag(c)|| and ||U - e^{iA} U0||
+    (``PathMismatch``), and each abs(|c_j| - 1) (``NotUnitary``).  So no
+    operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
+    < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.
+
+    Returns eps (None without powers), the cells (rows, columns, blocks),
+    c (None without U0), the checked operands in the order given, and with
+    U A's kept pairs (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and
+    F* B (else None).
     """
-    if p.params is None:
-        raise MissingConstruction("projection carries no construction record to audit")
-    for m in powers:
-        if not _is_whole(m):
-            raise UnishiftError(f"audited powers must be whole numbers, not {m!r}")
-    if not 0.0 <= t_max < np.inf:  # NaN fails too
-        raise UnishiftError(f"the audit horizon T must be a finite number >= 0, not {t_max!r}")
+    top = 1
+    if powers is not None:
+        if p.params is None:
+            raise MissingConstruction("projection carries no construction record to audit")
+        for m in powers:
+            if not _is_whole(m):
+                raise UnishiftError(f"audited powers must be whole numbers, not {m!r}")
+        if not 0.0 <= t_max < np.inf:  # NaN fails too
+            raise UnishiftError(f"the audit horizon T must be a finite number >= 0, not {t_max!r}")
+        top = max([1, *(abs(int(m)) for m in powers)])
     checked = dict(zip(operands, _ambient_operands(p, **operands)))
-    delta = AUDIT_SLACK / (2.0 * max([1, *(abs(int(m)) for m in powers)]))
-    return p.params.eps, _coordinates(p, delta, checked.get("h0"), checked["u0"]), list(checked.values())
-
-
-def _cells(p: ProjectionBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, columns, blocks) of the projection's cells; eigenpairs with no layout are one cell of every row."""
-    d = p.ambient_dim
-    if p.eigenvalues is None or p.eigenvectors is None:
+    d, v, lam = p.ambient_dim, p.eigenvectors, p.eigenvalues
+    if lam is None or v is None:
         raise MissingConstruction("projection carries no eigen-coordinates of H0")
-    if np.shape(p.eigenvalues) != (d,) or np.shape(p.eigenvectors) != (d, d):
+    if np.shape(lam) != (d,) or np.shape(v) != (d, d):
         raise DimensionMismatch(f"the eigenpairs of H0 must be of the ambient size {d}")
-    if p.cell_blocks is None:
-        return np.arange(d)[None], np.arange(p.rank)[None], (p.eigenvectors.conj().T @ p.columns)[None]
-    return p.cell_rows, p.cell_columns, p.cell_blocks
+    cells = (p.cell_rows, p.cell_columns, p.cell_blocks)
+    if p.cell_blocks is None:  # one cell of every row
+        cells = np.arange(d)[None], np.arange(p.rank)[None], (v.conj().T @ p.columns)[None]
+    delta = AUDIT_SLACK / (2.0 * top)
 
-
-def _coordinates(p: ProjectionBasis, delta: float, h0: np.ndarray | None, u0: np.ndarray | None = None):
-    """(c, cells) with U0 = V diag(c) V* in the projection's eigenbasis V, once H0 = V diag(lambda) V*.
-
-    c is the diagonal of V* (U0 V), one d x d product.  ||H0 V - V diag(lambda)||_HS
-    and ||U0 V - V diag(c)||_HS must be at most delta (``PathMismatch``: H0 is
-    not the operator that built the projection, or U0 no function of it), and
-    every |c_j| within delta of 1 (``NotUnitary``).  Each bounds the change
-    of an operand in the Hilbert-Schmidt norm, so it moves a power U0^m by at
-    most |m| delta (1 + 2 delta)^|m| and the Cayley image of H0 by 2 delta.
-    """
-    cells, v = _cells(p), p.eigenvectors
-    if h0 is not None:
-        gap = h0 @ v
-        gap -= v * p.eigenvalues
+    def require(gap, what):
         if hs_norm(gap) > delta:
-            raise PathMismatch(f"H0 is not the operator V diag(lambda) V* that built the projection (tol {delta:.3e})")
-    if u0 is None:
-        return None, cells
-    gap = u0 @ v
-    c = np.einsum("ij,ij->j", v.conj(), gap)
-    gap -= v * c
-    if hs_norm(gap) > delta:
-        raise PathMismatch(f"U0 is not diagonal in the eigenbasis of H0 (tol {delta:.3e})")
-    if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
-        raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
-    return c, cells
+            raise PathMismatch(f"{what} (tol {delta:.3e})")
+
+    if "h0" in checked:
+        gap = checked["h0"] @ v
+        gap -= v * lam
+        require(gap, "H0 is not the operator V diag(lambda) V* that built the projection")
+    c = direction = None
+    if "u0" in checked:
+        gap = checked["u0"] @ v
+        c = np.einsum("ij,ij->j", v.conj(), gap)
+        gap -= v * c
+        require(gap, "U0 is not diagonal in the eigenbasis of H0")
+        if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
+            raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
+    if "u" in checked:
+        f, tau, a_op = _kept_pairs(checked["a"])
+        require(checked["u"] - _low_rank_endpoint(f, tau, checked["u0"]), "U is not e^(iA) U0")
+        b = p.columns
+        direction = f, tau, a_op, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
+    eps = None if powers is None else p.params.eps
+    return eps, cells, c, list(checked.values()), direction
 
 
 def _power(c: np.ndarray, m: int) -> np.ndarray:
@@ -518,17 +523,6 @@ def _by_cell(cells, w: np.ndarray):
     return apply
 
 
-def _direction_factors(a, b: np.ndarray, u0: np.ndarray, u: np.ndarray):
-    """A's kept pairs (F, tau), ||A||, P_perp F = F - B(B* F) and F* B, once U is e^{iA} U0 within d 1e-10.
-
-    F* is a co-isometry, so it drops out of the Hilbert-Schmidt norms of
-    P_perp A = P_perp F tau F* and P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F* P.
-    """
-    f, tau, a_op = _kept_pairs(a)
-    _require_small(u - _low_rank_endpoint(f, tau, u0), u.shape[0] * 1e-10, PathMismatch, "U deviates from e^(iA) U0")
-    return f, tau, a_op, f - b @ (b.conj().T @ f), f.conj().T @ b
-
-
 def _check(name: str, value: float, bound: float) -> BoundCheck:
     return BoundCheck(name=name, value=float(value), bound=float(bound), ok=bool(value <= bound + AUDIT_SLACK))
 
@@ -538,11 +532,10 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
 
     Checks, in order: seed capture ||P_perp f_l||, the window operator
     ||P_perp H0 P||_2, both resolvents ||P_perp (i +- H0)^{-1} P||_2, and the
-    unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.  H0 must carry the
-    projection's eigenpairs and U0 be diagonal and unitary in them, within
-    AUDIT_SLACK / (2 max |m|) (see ``_coordinates``).
+    unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.  H0 and U0 are checked
+    against the projection's eigenpairs as in ``_frame``.
     """
-    eps, (c, cells), _ = _audit_frame(p, m_list, h0=h0, u0=u0)
+    eps, cells, c, _, _ = _frame(p, m_list, h0=h0, u0=u0)
     checks = []
     for l in range(p.directions.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, p.directions[:, l]), eps))
@@ -561,13 +554,11 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
 
     Checks ||P_perp A||_2 < 2 eps, the propagator ||P_perp e^{itA} P||_2
     < 2 T e^{T ||A||} eps over the sample grid, the base powers, and the
-    perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps.  U0 must
-    be diagonal and unitary in the projection's eigenbasis, within
-    AUDIT_SLACK / (2 max |m|) (see ``_coordinates``).  The perturbed powers
-    are those of e^{iA} U0, which U must match within d 1e-10.
+    perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps, those of
+    e^{iA} U0.  U0 and U are checked as in ``_frame``.
     """
-    eps, (c, cells), (u0, u, a) = _audit_frame(p, m_list, t_max, u0=u0, u=u, a=a)
-    f, tau, a_op, f_perp, fb = _direction_factors(a, p.columns, u0, u)
+    eps, cells, c, _, (_, tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    # F* is a co-isometry, so it drops out of ||P_perp A||_HS = ||P_perp F tau F*||_HS
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
     if not all(abs(t) <= t_max + 1e-12 for t in t_samples):  # NaN fails too
         raise SampleOutOfRange("propagator samples must stay within [-T, T]")
@@ -578,7 +569,6 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     for t, value in zip(ts, propagators):
         checks.append(_check(f"propagator[t={t:+.3f}]", value, propagator_bound))
     base = _offblock_norms(cells, np.array([_power(c, int(m)) for m in m_list]).reshape(-1, p.ambient_dim))[0]
-    fh = p.eigenvectors.conj().T @ f
     pert = {m: _dense_offblock(cells, y) for m, y in _ambient_powers(p, cells, c, fh, tau, m_list)}
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
     for m, value in zip(m_list, base):
@@ -614,12 +604,10 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     The compressed base is the phase-rotated Cayley image of B* H0 B, which
     is Hermitian, so i + B* H0 B is always invertible; the endpoint is
     e^{i Ap} U0p.  P commutes with both rebuilt unitaries by construction,
-    which is what makes rank-coordinates legitimate.  H0 and A must be
-    Hermitian and of the projection's ambient size, and H0 within
-    AUDIT_SLACK / 2 of the operator whose eigenpairs the projection carries.
+    which is what makes rank-coordinates legitimate.  H0 and A are checked
+    as in ``_frame``, with no powers.
     """
-    h0, a = _ambient_operands(p, h0=h0, a=a)
-    _, cells = _coordinates(p, AUDIT_SLACK / 2.0, h0)
+    _, cells, _, (_, a), _ = _frame(p, h0=h0, a=a)
     return _compressed(p, cells, a, phase)[0]
 
 
@@ -650,14 +638,13 @@ def audit_compressed_model(
     spaced s in [-T, T]), the trace-norm remainder
     ||P_perp (e^{iA} - iA - I)||_1, the power errors
     ||(U0^m - U0p^m) P||_2 and ||P (U^m - Up^m) P||_2, and the mixed traces
-    |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.  H0 and U0 are checked as in
-    ``audit_projection_estimates``, over the powers m and k, and U as in
-    ``audit_perturbation_estimates``.
+    |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.  H0, U0 and U are checked as in
+    ``_frame``, over the powers m and k.
     """
-    eps, (c, cells), (h0, a, u0, u) = _audit_frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
+    frame = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
+    eps, cells, c, (_, a, _, _), (f, tau, a_op, fh, f_perp, fb) = frame
     b = p.columns
     model, w = _compressed(p, cells, a, phase)
-    f, tau, a_op, f_perp, fb = _direction_factors(a, b, u0, u)
     fc, tau_c = model.ap_vectors, model.ap_values
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
@@ -678,7 +665,6 @@ def audit_compressed_model(
     ms = sorted({int(m) for m in [*m_list, *k_list]})
     _, y, grams = _offblock_norms(cells, np.array([_power(c, m) for m in ms]).reshape(-1, p.ambient_dim))
     y, grams = dict(zip(ms, y)), dict(zip(ms, grams))
-    fh = p.eigenvectors.conj().T @ f
     bhat = _adjoint(cells[2])
     pert = {m: _to_columns(cells, bhat @ x[cells[0]]) for m, x in _ambient_powers(p, cells, c, fh, tau, m_list)}
     # rank coordinates with a zero row r, as in ``_by_cell``
@@ -750,7 +736,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n)
-        model = _compressed(proj, _cells(proj), a, phase)[0]
+        model = _compressed(proj, (proj.cell_rows, proj.cell_columns, proj.cell_blocks), a, phase)[0]
         compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
         rows.append(
             ConvergenceRow(

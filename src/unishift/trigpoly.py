@@ -31,10 +31,6 @@ class TrigPolynomial:
     def monomial(cls, n: int) -> "TrigPolynomial":
         return cls({n: 1.0})
 
-    @classmethod
-    def constant(cls, a: complex) -> "TrigPolynomial":
-        return cls({0: a})
-
     def items(self):
         """Coefficient pairs in ascending n, for reproducible iteration."""
         return sorted(self.coeffs.items())

@@ -270,7 +270,7 @@ class TestConvergenceStudy:
 
     def test_constant_polynomial(self):
         inst = reduction_instance(11, 64, 2, 0.5)
-        study = convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.constant(1.0), [4, 8])
+        study = convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial({0: 1.0}), [4, 8])
         assert study.full_trace == pytest.approx(0.0, abs=1e-12)
         for row in study.rows:
             assert row.abs_diff <= 1e-12
@@ -684,6 +684,27 @@ class TestOneOperandCheck:
             call()
             assert (len(checks), len(eigs)) == (n_checks, n_eigs)
 
+    def test_each_audit_finds_the_kept_pairs_of_a_at_most_once(self, monkeypatch):
+        """One checked frame per call: each Hermitian operand checked once, A's kept pairs found at most once."""
+        from unishift import reduction
+
+        inst = reduction_instance(4, 64, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        checks, ambient = self.count(monkeypatch, "require_hermitian"), []
+        original = reduction._kept_pairs
+        monkeypatch.setattr(reduction, "_kept_pairs", lambda h: ambient.append(h.shape == (64, 64)) or original(h))
+        cases = [
+            (1, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
+            (1, 1, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1, -2], [0.0, 1.0])),
+            (2, 1, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1, -2], [1, 2])),
+            (2, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
+        ]
+        for n_checks, n_pairs, call in cases:
+            checks.clear()
+            ambient.clear()
+            call()
+            assert (len(checks), sum(ambient)) == (n_checks, n_pairs)
+
 
 class TestTypedErrors:
     def test_each_guard_raises_its_type(self):
@@ -824,21 +845,29 @@ class TestTypedErrors:
             call(inst, build_direction_projection(inst.h0, inst.a, inst.half_width, 4))
 
     def test_audits_check_u_against_the_endpoint(self):
-        """U must lie within d 1e-10 of e^{iA} U0 in the operator norm; U0 passed as U is a PathMismatch."""
+        """U must lie within delta = 1e-10 / (2 max |m|) of e^{iA} U0 in the Hilbert-Schmidt norm."""
         inst = reduction_instance(16, 32, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
         corner = np.zeros((32, 32), dtype=complex)
-        corner[0, 0] = 32 * 1e-10  # operator norm: the tolerance
+        corner[0, 0] = 1.0  # Hilbert-Schmidt norm 1
         audits = [
-            lambda u: audit_perturbation_estimates(p, inst.u0, u, inst.a, 2.0, [1], [0.0]),
-            lambda u: audit_compressed_model(p, inst.h0, inst.a, inst.u0, u, inst.phase, 2.0, [1], [1]),
+            lambda u, ms: audit_perturbation_estimates(p, inst.u0, u, inst.a, 2.0, ms, [0.0]),
+            lambda u, ms: audit_compressed_model(p, inst.h0, inst.a, inst.u0, u, inst.phase, 2.0, ms, [1]),
         ]
         for audit in audits:
-            assert audit(inst.u).passed
-            audit(inst.u + 0.5 * corner)
-            for u in (inst.u + 2.0 * corner, inst.u0):
-                with pytest.raises(PathMismatch):
-                    audit(u)
+            for ms, delta in [([1], 5e-11), ([1, -4], 1.25e-11)]:
+                assert audit(inst.u, ms).passed
+                assert audit(inst.u + 0.5 * delta * corner, ms).passed
+                for u in (inst.u + 2.0 * delta * corner, inst.u0):
+                    with pytest.raises(PathMismatch):
+                        audit(u, ms)
+            # 2e-11 lies between the two tolerances
+            assert audit(inst.u + 2e-11 * corner, [1]).passed
+            with pytest.raises(PathMismatch):
+                audit(inst.u + 2e-11 * corner, [1, -4])
+            # 1.6e-9, half of d 1e-10, can move U^4 by 6.4e-9, far above the audit slack
+            with pytest.raises(PathMismatch):
+                audit(inst.u + 1.6e-9 * corner, [4])
 
     def test_tolerance_is_the_audit_slack_over_twice_the_largest_power(self):
         """delta = 1e-10 / (2 max |m|) for U0 and H0, so |m| delta stays below the audit slack."""

@@ -21,64 +21,22 @@ from .errors import (
     PathMismatch,
     SampleOutOfRange,
     UnishiftError,
-    UnnormalisedSeed,
     ZeroDirection,
 )
-from .linalg import (
-    HermitianDecomposition,
-    SpectralDecomposition,
-    UnitaryPair,
-    UnitaryPath,
-    haar_unitary,
-    herm_eig,
-    hs_norm,
-    op_norm,
-    random_hermitian,
-    random_pair,
-    trace,
-    trace_norm,
-    unitary_eig,
-)
-from .quadrature import QuadratureRule, gauss_legendre
-from .trigpoly import TrigPolynomial, random_trig_polynomial
-from .spectral_shift import (
-    EtaIntegrator,
-    EtaProfile,
-    eta_profile,
-)
-from .trace_formula import (
-    ResolventReport,
-    VerificationReport,
-    batch_verify,
-    lhs_trace,
-    resolvent_check,
-)
-from .doi import (
-    SchurBoundReport,
-    doi_apply,
-    kernel,
-    primitive_of,
-    schur_bound_check,
-)
+from .linalg import herm_eig, hs_norm, op_norm, random_pair, unitary_eig
+from .quadrature import gauss_legendre
+from .trigpoly import TrigPolynomial
+from .spectral_shift import EtaIntegrator, eta_profile
+from .trace_formula import batch_verify, lhs_trace, resolvent_check
+from .doi import doi_apply, schur_bound_check
 from .reduction import (
-    AuditReport,
-    BoundCheck,
-    CompressedModel,
-    ConvergenceRow,
-    ConvergenceStudy,
-    ProjectionBasis,
-    WindowParams,
     audit_compressed_model,
     audit_perturbation_estimates,
     audit_projection_estimates,
     build_direction_projection,
-    build_projection,
-    cayley_inverse,
     compressed_model,
     convergence_study,
-    random_low_rank_hermitian,
     reduction_instance,
-    spread_diagonal,
 )
 
 __version__ = "0.1.0"

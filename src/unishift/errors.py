@@ -1,4 +1,7 @@
-"""Exception types shared across the package, its one whole-number check and the mode check built on it."""
+"""Exception types shared across the package, and its one whole-number, int64-mode and real-number checks."""
+
+import math
+from numbers import Real
 
 import numpy as np
 
@@ -7,6 +10,14 @@ def _is_whole(value, minimum: int | None = None) -> bool:
     """Whether ``value`` is an int or numpy integer, never a bool, and at least ``minimum``."""
     whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     return whole and (minimum is None or value >= minimum)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, never a bool, that is finite as a float (NaN is not)."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_mode(value) -> bool:
@@ -46,16 +57,12 @@ class PartitionTooFine(UnishiftError):
     """The ambient space is under 4x the finest partition, so cells hold too few eigenvalues."""
 
 
-class UnnormalisedSeed(UnishiftError):
-    """A seed vector of a window projection does not have unit length."""
-
-
 class ZeroDirection(UnishiftError):
     """The direction operator is zero, so it gives no seed vectors."""
 
 
 class MissingConstruction(UnishiftError):
-    """An audited projection carries no construction record (seed count, window, cells)."""
+    """An audited projection is not a window basis: no construction record, eigenpairs of H0 or cell layout."""
 
 
 class SampleOutOfRange(UnishiftError):

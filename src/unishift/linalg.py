@@ -32,13 +32,12 @@ asks ``as_matrix`` for ``copy=None`` to read an operand in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch, EmptyMatrix, NoConvergence, NotHermitian, NotUnitary, PathMismatch, UnishiftError,
-    _is_whole,
+    _is_real, _is_whole,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -347,7 +346,7 @@ def _require_draw(seed, scale) -> None:
     """A seeded instance's seed is a whole number >= 0 and its scale, the norm of A, a real number in (0, pi)."""
     if not _is_whole(seed, 0):
         raise UnishiftError(f"seed must be a whole number, at least 0, not {seed!r}")
-    if not (isinstance(scale, Real) and 0.0 < scale < np.pi):  # NaN fails too
+    if not (_is_real(scale) and 0.0 < scale < np.pi):
         raise UnishiftError(f"scale must lie in (0, pi), not {scale!r}")
 
 

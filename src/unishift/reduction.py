@@ -17,12 +17,13 @@ trace error over a ladder of partition resolutions.
 
 Each public entry point checks its operands once (``_ambient_operands``):
 H0 and A pass ``require_hermitian`` and U0 and U ``as_matrix`` at the
-ambient size, and each seed must be a vector of that length.  Each audit,
-and ``compressed_model``, then builds one checked frame (``_frame``): the
-operands against the projection's eigenpairs and U against e^{iA} U0, all
-at one tolerance delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's
-powers m.  Phases, half-widths, the horizon T >= 0 and samples in [-T, T]
-must be finite.
+ambient size.  The seeds are the kept eigenvectors of A, orthonormal by
+construction.  Each audit, and ``compressed_model``, then builds one
+checked frame (``_frame``): the operands against the projection's
+eigenpairs and U against e^{iA} U0, all at one tolerance
+delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m.
+Phases, half-widths, the horizon T >= 0 and samples in [-T, T] are finite
+real numbers (``_is_real``); powers, samples and cell counts are iterables.
 
 The direction is low rank, so no d x d exponential and no d x d
 eigendecomposition of it is ever formed.  An orthonormal basis Q of the
@@ -45,9 +46,8 @@ Every other ambient step works in the eigen-coordinates of H0 and uses the
 cells of the window basis.  A window basis carries the eigenpairs
 H0 = V diag(lambda) V* it was built from and, for each occupied cell, its
 eigen-rows and its block Bhat_k of Bhat = V* B, so B = V Bhat (r = rank P
-columns, at most L per cell); a basis with eigenpairs and no layout is one
-cell of every row.  The frame reads U0 = V diag(c) V* from one d x d
-product.  Then:
+columns, at most L per cell).  The frame reads U0 = V diag(c) V* from one
+d x d product.  Then:
 
   * H0 B, both resolvents (i +- H0)^{-1} B and every U0^m B are diagonal
     scalings D Bhat, whose part outside ran P splits by cell:
@@ -92,14 +92,13 @@ from .errors import (
     PathMismatch,
     SampleOutOfRange,
     UnishiftError,
-    UnnormalisedSeed,
     ZeroDirection,
+    _is_real,
     _is_whole,
 )
 from .linalg import (
     HermitianDecomposition,
     _adjoint,
-    _as_array,
     _eigh,
     _from_spectrum,
     _require_draw,
@@ -110,21 +109,15 @@ from .linalg import (
     trace_norm,
 )
 from .trace_formula import _exp_remainder_factor, _lhs
-from .trigpoly import TrigPolynomial
+from .trigpoly import TrigPolynomial, _require_polynomial
 
 GS_DROP_TOL = 1e-12
 AUDIT_SLACK = 1e-10
 
 
-def cayley_inverse(h0, phase: float) -> np.ndarray:
-    """Unitary e^{i phase} (i - H0)(i + H0)^{-1} from a Hermitian H0."""
-    (h0,) = _ambient_operands(None, h0=h0)
-    return _cayley(h0, phase)
-
-
 def _cayley(h0: np.ndarray, phase: float) -> np.ndarray:
-    """``cayley_inverse`` of an H0, or of each of a stack, already Hermitian and complex; the phase must be finite."""
-    if not -np.inf < phase < np.inf:  # NaN fails too
+    """Unitary e^{i phase} (i - H0)(i + H0)^{-1} of a checked H0, or of each of a stack, at a finite real phase."""
+    if not _is_real(phase):
         raise UnishiftError(f"phase must be a finite real number, not {phase!r}")
     eye = 1j * np.eye(h0.shape[-1])
     return np.exp(1j * phase) * np.linalg.solve(eye + h0, eye - h0)
@@ -149,24 +142,23 @@ class WindowParams:
 class ProjectionBasis:
     """Orthonormal columns B spanning ran P, with the inputs that built it.
 
-    An audited basis also carries the eigenpairs H0 = V diag(lambda) V*
-    (``eigenvalues``, ``eigenvectors``) and the coordinates Bhat = V* B by
-    cell: row k of ``cell_rows`` holds the eigen-rows of occupied cell k and
-    row k of ``cell_columns`` the columns of B it spans, each padded with -1,
-    and ``cell_blocks[k]`` is the block of Bhat on those rows and columns,
-    padded with zeros.  Eigenpairs without a layout are one cell holding
-    every row.  Like the columns, these are trusted as built.
+    The basis carries the eigenpairs H0 = V diag(lambda) V* (``eigenvalues``,
+    ``eigenvectors``) and the coordinates Bhat = V* B by cell: row k of
+    ``cell_rows`` holds the eigen-rows of occupied cell k and row k of
+    ``cell_columns`` the columns of B it spans, each padded with -1, and
+    ``cell_blocks[k]`` is the block of Bhat on those rows and columns,
+    padded with zeros.  Like the columns, these are trusted as built.
     """
 
     ambient_dim: int
     columns: np.ndarray
     directions: np.ndarray
-    params: WindowParams | None = None
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
-    cell_rows: np.ndarray | None = None
-    cell_columns: np.ndarray | None = None
-    cell_blocks: np.ndarray | None = None
+    params: WindowParams
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    cell_rows: np.ndarray
+    cell_columns: np.ndarray
+    cell_blocks: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -178,35 +170,25 @@ def _offblock(b: np.ndarray, y: np.ndarray) -> float:
     return hs_norm(y - b @ (b.conj().T @ y))
 
 
-def build_projection(h0, vectors, half_width: float, cells: int) -> ProjectionBasis:
-    """Span of the spectral-cell pieces of the seed vectors.
+def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int) -> ProjectionBasis:
+    """Span of the spectral-cell pieces of the orthonormal seed columns F, from the eigendecomposition of H0.
 
     The window (-a, a] splits into ``cells`` half-open intervals; each seed
     f_l contributes the normalised projection of f_l onto every cell it
     meets.  A seed leaking past the window by more than eps = L a / sqrt(n)
     is an error, since every off-block estimate downstream assumes capture.
     """
-    h0, f = _ambient_operands(None, h0=h0, seeds=vectors)
-    return _window_basis(herm_eig(h0, check=False), f, half_width, cells)
-
-
-def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int) -> ProjectionBasis:
-    """``build_projection`` from the eigendecomposition of H0 and the seeds as columns."""
     dim, count = f.shape
     if count == 0:
         raise ZeroDirection("no seed vectors to project (a zero direction gives none)")
-    lengths = np.linalg.norm(f, axis=0)
-    if not np.all(np.abs(lengths - 1.0) <= 1e-10):  # NaN lengths fail too
-        raise UnnormalisedSeed("seed vectors must be finite and normalised")
-    if not (_is_whole(cells, 1) and cells < 2**63 and 0.0 < half_width < np.inf):  # NaN fails too
+    if not (_is_whole(cells, 1) and cells < 2**63 and _is_real(half_width) and half_width > 0.0):
         raise BadWindow("need a finite positive window and a whole number of cells within int64, at least one")
     eps = count * half_width / np.sqrt(cells)
     coords = dec.vectors.conj().T @ f  # eigenbasis coordinates of the seeds
     inside = (dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width)
     leak = np.linalg.norm(np.where(inside[:, None], 0.0, coords), axis=0)
     if np.any(leak >= eps):
-        worst = float(np.max(leak))
-        raise BadWindow(f"a seed vector leaks {worst:.3e} outside the window (eps {eps:.3e})")
+        raise BadWindow(f"a seed vector leaks {float(np.max(leak)):.3e} outside the window (eps {eps:.3e})")
     cell_index = _cells_of(dec.eigenvalues, half_width, cells)
     # Pieces from different cells lie on disjoint sets of eigenvectors, so they
     # are orthogonal: one SVD per occupied cell on the eigen-coordinates of its
@@ -333,64 +315,62 @@ def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]
 
     The ambient size is the projection's, or without one the first
     operand's.  Every operand passes ``as_matrix`` at that size, ``h0`` and
-    ``a`` through ``require_hermitian``, except ``seeds``, a list of vectors
-    of that length returned as columns (``DimensionMismatch``).
+    ``a`` through ``require_hermitian``, which copies; U0 and U are only read.
     """
     dim = None if p is None else p.ambient_dim
     out = []
     for name, x in operands.items():
-        if name == "seeds":
-            f = [_as_array(v, copy=None) for v in x]
-            if any(v.shape != (dim,) for v in f):
-                raise DimensionMismatch(f"seeds must be vectors of the ambient length {dim}")
-            out.append(np.column_stack(f) if f else np.zeros((dim, 0), dtype=np.complex128))
-        else:  # require_hermitian copies; U0 and U are only read
-            x = require_hermitian(x, name, dim) if name in ("h0", "a") else as_matrix(x, name, dim, copy=None)
-            dim = x.shape[0]
-            out.append(x)
+        x = require_hermitian(x, name, dim) if name in ("h0", "a") else as_matrix(x, name, dim, copy=None)
+        dim = x.shape[0]
+        out.append(x)
     return out
 
 
-def _frame(p: ProjectionBasis, powers=None, t_max: float = 0.0, **operands):
-    """The one checked frame of an audit, or with ``powers`` None of ``compressed_model``.
+def _listed(values, what: str) -> list:
+    """An iterable ``values`` read once into a list; anything else is ``UnishiftError``."""
+    try:
+        return list(values)
+    except TypeError:
+        raise UnishiftError(f"{what} must be an iterable, not {type(values).__name__}") from None
 
-    An audit needs the construction record (``MissingConstruction``), whole
-    powers and a finite T >= 0 (``UnishiftError``).  Then, once per call,
-    the operands pass ``_ambient_operands`` and the projection must carry
-    the eigenpairs H0 = V diag(lambda) V* (``MissingConstruction``) of the
-    ambient size (``DimensionMismatch``).  With c = diag(V* U0 V), every
-    operand is checked in the Hilbert-Schmidt norm at one tolerance
-    delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
-    ||H0 V - V diag(lambda)||, ||U0 V - V diag(c)|| and ||U - e^{iA} U0||
-    (``PathMismatch``), and each abs(|c_j| - 1) (``NotUnitary``).  So no
-    operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
-    < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.
 
-    Returns eps (None without powers), the cells (rows, columns, blocks),
-    c (None without U0), the checked operands in the order given, and with
-    U A's kept pairs (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and
-    F* B (else None).
+def _powers(values) -> list[int]:
+    """Audited powers: an iterable of whole numbers (``_is_whole``) as ints, else ``UnishiftError``."""
+    if not all(map(_is_whole, values := _listed(values, "audited powers"))):
+        raise UnishiftError(f"audited powers must be whole numbers, not {values!r}")
+    return [int(m) for m in values]
+
+
+def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, **operands):
+    """The one checked frame of an audit, or with no ``powers`` of ``compressed_model``.
+
+    The projection must be a window basis with its construction record,
+    eigenpairs and cell layout (``MissingConstruction``), and T a finite
+    real number >= 0 (``UnishiftError``).  Then, once per call, the operands
+    pass ``_ambient_operands`` and the eigenpairs H0 = V diag(lambda) V*
+    must be of the ambient size (``DimensionMismatch``).  With
+    c = diag(V* U0 V), every operand is checked in the Hilbert-Schmidt norm
+    at one tolerance delta = AUDIT_SLACK / (2 max(1, max |m|)) over the
+    call's powers m: ||H0 V - V diag(lambda)||, ||U0 V - V diag(c)|| and
+    ||U - e^{iA} U0|| (``PathMismatch``), and each abs(|c_j| - 1)
+    (``NotUnitary``).  So no operand moves a power U0^m or U^m by more than
+    |m| delta (1 + 2 delta)^|m| < AUDIT_SLACK, nor the Cayley image of H0 by
+    more than 2 delta.
+
+    Returns eps, the cells (rows, columns, blocks), c (None without U0), the
+    checked operands in the order given, and with U A's kept pairs
+    (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and F* B (else None).
     """
-    top = 1
-    if powers is not None:
-        if p.params is None:
-            raise MissingConstruction("projection carries no construction record to audit")
-        for m in powers:
-            if not _is_whole(m):
-                raise UnishiftError(f"audited powers must be whole numbers, not {m!r}")
-        if not 0.0 <= t_max < np.inf:  # NaN fails too
-            raise UnishiftError(f"the audit horizon T must be a finite number >= 0, not {t_max!r}")
-        top = max([1, *(abs(int(m)) for m in powers)])
+    if not isinstance(p, ProjectionBasis) or any(x is None for x in vars(p).values()):
+        raise MissingConstruction("the projection must be a window basis with its record, eigenpairs and cells")
+    if not (_is_real(t_max) and t_max >= 0.0):
+        raise UnishiftError(f"the audit horizon T must be a finite real number >= 0, not {t_max!r}")
     checked = dict(zip(operands, _ambient_operands(p, **operands)))
     d, v, lam = p.ambient_dim, p.eigenvectors, p.eigenvalues
-    if lam is None or v is None:
-        raise MissingConstruction("projection carries no eigen-coordinates of H0")
     if np.shape(lam) != (d,) or np.shape(v) != (d, d):
         raise DimensionMismatch(f"the eigenpairs of H0 must be of the ambient size {d}")
     cells = (p.cell_rows, p.cell_columns, p.cell_blocks)
-    if p.cell_blocks is None:  # one cell of every row
-        cells = np.arange(d)[None], np.arange(p.rank)[None], (v.conj().T @ p.columns)[None]
-    delta = AUDIT_SLACK / (2.0 * top)
+    delta = AUDIT_SLACK / (2.0 * max([1, *map(abs, powers)]))
 
     def require(gap, what):
         if hs_norm(gap) > delta:
@@ -413,8 +393,7 @@ def _frame(p: ProjectionBasis, powers=None, t_max: float = 0.0, **operands):
         require(checked["u"] - _low_rank_endpoint(f, tau, checked["u0"]), "U is not e^(iA) U0")
         b = p.columns
         direction = f, tau, a_op, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
-    eps = None if powers is None else p.params.eps
-    return eps, cells, c, list(checked.values()), direction
+    return p.params.eps, cells, c, list(checked.values()), direction
 
 
 def _power(c: np.ndarray, m: int) -> np.ndarray:
@@ -482,7 +461,7 @@ def _unitary_powers(scale, unscale, f: np.ndarray, e: np.ndarray, y: np.ndarray,
 
     ``scale`` applies S and ``unscale`` S*; X^{-1} = X* = S* (I + F diag(conj e) F*) for a unitary X.
     """
-    wanted = {int(m) for m in ms}
+    wanted = set(ms)
     if 0 in wanted:
         yield 0, y
     fh = f.conj().T
@@ -535,12 +514,13 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.  H0 and U0 are checked
     against the projection's eigenpairs as in ``_frame``.
     """
+    m_list = _powers(m_list)
     eps, cells, c, _, _ = _frame(p, m_list, h0=h0, u0=u0)
     checks = []
     for l in range(p.directions.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, p.directions[:, l]), eps))
     lam = p.eigenvalues
-    scales = [lam, 1.0 / (1j + lam), 1.0 / (1j - lam), *(_power(c, int(m)) for m in m_list)]
+    scales = [lam, 1.0 / (1j + lam), 1.0 / (1j - lam), *(_power(c, m) for m in m_list)]
     norms = _offblock_norms(cells, np.array(scales))[0]
     for name, value in zip(("window_offblock", "resolvent_plus", "resolvent_minus"), norms):
         checks.append(_check(name, value, eps))
@@ -557,22 +537,23 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps, those of
     e^{iA} U0.  U0 and U are checked as in ``_frame``.
     """
+    m_list = _powers(m_list)
     eps, cells, c, _, (_, tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
     # F* is a co-isometry, so it drops out of ||P_perp A||_HS = ||P_perp F tau F*||_HS
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
-    if not all(abs(t) <= t_max + 1e-12 for t in t_samples):  # NaN fails too
-        raise SampleOutOfRange("propagator samples must stay within [-T, T]")
+    ts = _listed(t_samples, "propagator samples")
+    if not all(_is_real(t) and abs(t) <= t_max + 1e-12 for t in ts):
+        raise SampleOutOfRange("propagator samples must be finite real numbers within [-T, T]")
     # P_perp e^{itA} P = P_perp F (e^{it tau} - 1) F*B, a d x L factor times an L x r one
-    ts = np.array([float(t) for t in t_samples])
+    ts = np.array([float(t) for t in ts])
     propagators = _factor_norms(f_perp, np.expm1(1j * np.multiply.outer(ts, tau)), fb)
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
     for t, value in zip(ts, propagators):
         checks.append(_check(f"propagator[t={t:+.3f}]", value, propagator_bound))
-    base = _offblock_norms(cells, np.array([_power(c, int(m)) for m in m_list]).reshape(-1, p.ambient_dim))[0]
+    base = _offblock_norms(cells, np.array([_power(c, m) for m in m_list]).reshape(-1, p.ambient_dim))[0]
     pert = {m: _dense_offblock(cells, y) for m, y in _ambient_powers(p, cells, c, fh, tau, m_list)}
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
     for m, value in zip(m_list, base):
-        m = int(m)
         checks.append(_check(f"base_power[{m}]", value, 2 * abs(m) * eps))
         checks.append(_check(f"pert_power[{m}]", pert[m], abs(m) * pert_factor))
     return AuditReport(label="perturbation-coupling", eps=eps, checks=tuple(checks))
@@ -607,7 +588,7 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     which is what makes rank-coordinates legitimate.  H0 and A are checked
     as in ``_frame``, with no powers.
     """
-    _, cells, _, (_, a), _ = _frame(p, h0=h0, a=a)
+    _, cells, _, (_, a), _ = _frame(p, (), h0=h0, a=a)
     return _compressed(p, cells, a, phase)[0]
 
 
@@ -641,6 +622,7 @@ def audit_compressed_model(
     |Tr{ P Up^m (e^{iA} - e^{iAp}) U0^k }|.  H0, U0 and U are checked as in
     ``_frame``, over the powers m and k.
     """
+    m_list, k_list = _powers(m_list), _powers(k_list)
     frame = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
     eps, cells, c, (_, a, _, _), (f, tau, a_op, fh, f_perp, fb) = frame
     b = p.columns
@@ -662,7 +644,7 @@ def audit_compressed_model(
     # U0 = V diag(c) V* and U0p = diag(W_k) act cell by cell: (U0^m B - B U0p^m) = V (c^m Bhat - Bhat W^m)
     # has one block per cell.  Up = (I + Fc (e^{i tau_c} - 1) Fc*) U0p is streamed on the r x r identity,
     # and B* U^m B is read cell by cell off the stream of V* U^m B.
-    ms = sorted({int(m) for m in [*m_list, *k_list]})
+    ms = sorted({*m_list, *k_list})
     _, y, grams = _offblock_norms(cells, np.array([_power(c, m) for m in ms]).reshape(-1, p.ambient_dim))
     y, grams = dict(zip(ms, y)), dict(zip(ms, grams))
     bhat = _adjoint(cells[2])
@@ -672,7 +654,6 @@ def audit_compressed_model(
     steps = _by_cell(cells, w), _by_cell(cells, _adjoint(w))
     pert_c = {m: z[:-1] for m, z in _unitary_powers(*steps, fc_rows, np.expm1(1j * tau_c), eye, m_list)}
     for m in m_list:
-        m = int(m)
         w_m = np.linalg.matrix_power(w if m >= 0 else _adjoint(w), abs(m))
         value = hs_norm(y[m] - cells[2] @ w_m)
         checks.append(_check(f"base_power_error[{m}]", value, 2 * abs(m) * eps))
@@ -687,15 +668,15 @@ def audit_compressed_model(
     x = np.concatenate([_exp_step(fb.conj().T, tau), -_exp_step(fc, tau_c)], axis=1)
     ys = np.array([
         np.concatenate([
-            _to_columns(cells, (fh_cells @ y[int(k)]).swapaxes(1, 2)).T,
-            _to_columns(cells, (fc_cells @ grams[int(k)]).swapaxes(1, 2)).T,
+            _to_columns(cells, (fh_cells @ y[k]).swapaxes(1, 2)).T,
+            _to_columns(cells, (fc_cells @ grams[k]).swapaxes(1, 2)).T,
         ])
         for k in k_list
     ]).reshape(len(k_list), x.shape[1], p.rank)
     mixed_bound = 4.0 * eps * eps * np.exp(a_op)
     for m in m_list:
-        for k, value in zip(k_list, np.abs(np.einsum("kaj,ja->k", ys @ pert_c[int(m)], x))):
-            checks.append(_check(f"mixed_trace[m={int(m)},k={int(k)}]", value, mixed_bound))
+        for k, value in zip(k_list, np.abs(np.einsum("kaj,ja->k", ys @ pert_c[m], x))):
+            checks.append(_check(f"mixed_trace[m={m},k={k}]", value, mixed_bound))
     return AuditReport(label="compressed-model", eps=eps, checks=tuple(checks))
 
 
@@ -723,7 +704,8 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     finest partition so cells keep holding several eigenvalues.
     """
     h0, a = _ambient_operands(None, h0=h0, a=a)
-    cell_counts = list(cell_counts)
+    _require_polynomial(p)
+    cell_counts = _listed(cell_counts, "cell counts")
     if not cell_counts or not all(_is_whole(n, 1) for n in cell_counts):
         raise BadWindow("need at least one cell count, each a positive whole number")
     if h0.shape[0] < 4 * max(cell_counts):
@@ -738,14 +720,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
         proj = _window_basis(h0_dec, f, half_width, n)
         model = _compressed(proj, (proj.cell_rows, proj.cell_columns, proj.cell_blocks), a, phase)[0]
         compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
-        rows.append(
-            ConvergenceRow(
-                cells=int(n),
-                rank=proj.rank,
-                compressed_trace=compressed,
-                abs_diff=abs(full - compressed),
-            )
-        )
+        rows.append(ConvergenceRow(int(n), proj.rank, compressed, abs(full - compressed)))
     return ConvergenceStudy(full_trace=full, rows=tuple(rows))
 
 

@@ -42,11 +42,11 @@ import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Number, Real
+from numbers import Number
 
 import numpy as np
 
-from .errors import OnUnitCircle, UnishiftError
+from .errors import OnUnitCircle, UnishiftError, _is_real
 from .linalg import UnitaryPath, _power_blocks, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial, _require_polynomial
@@ -64,7 +64,7 @@ def _exp_remainder_factor(x: float) -> float:
 
 
 def _require_tol(tol: float) -> None:
-    if not (isinstance(tol, Real) and 0.0 < tol < math.inf):  # NaN fails too
+    if not (_is_real(tol) and tol > 0.0):
         raise UnishiftError(f"tol must be a finite positive number, not {tol!r}")
 
 
@@ -109,7 +109,7 @@ def _lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, *polys: TrigPolynomial) -
 def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
     """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via blocks of streamed powers."""
     path = UnitaryPath(u0, a)
-    return complex(_lhs(path.u0, path.require_endpoint(u), path.a, p)[0])
+    return complex(_lhs(path.u0, path.require_endpoint(u), path.a, _require_polynomial(p))[0])
 
 
 @dataclass(frozen=True)

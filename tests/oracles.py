@@ -8,7 +8,7 @@ path to the package routine it checks:
     a general eigenvalue solve; ``unitary_eig`` picks it from the reflected
     spectrum of (U + U*)/2 instead.
   * ``cayley_forward`` is the Hermitian preimage H0 of a unitary, the inverse
-    of ``cayley_inverse``; ``log_unitary`` is the principal logarithm of a
+    of ``reduction._cayley``; ``log_unitary`` is the principal logarithm of a
     unitary, spectrum in (-pi, pi], the boundary eigenvalue -1 mapped to +pi.
   * ``StepFunction``, ``weighted_measure_step``, ``eta_step_at_s`` and
     ``integrate_against`` evaluate the integrand of eta one s-node at a time;
@@ -38,12 +38,12 @@ path to the package routine it checks:
   * ``dense_kept_pairs`` takes the kept eigenpairs of a Hermitian matrix
     from one full eigh; the package builds a basis of the range first and
     diagonalises only the k x k compression.
-  * ``full_space``, ``abs_sum``, ``weighted_abs_sum``,
+  * ``one_cell_basis``, ``full_space``, ``abs_sum``, ``weighted_abs_sum``,
     ``remainder_trace_norm_bound`` and ``PhaseTooClose`` are test-only
-    helpers: the whole-space projection (with the eigenpairs of an H0 when
-    one is given), coefficient sums of a polynomial,
-    the per-mode trace-norm bound of the left side, and the error of
-    ``cayley_forward``.
+    helpers: a hand-built basis with one cell holding every row, the
+    whole-space projection with the eigenpairs of an H0, coefficient sums of
+    a polynomial, the per-mode trace-norm bound of the left side, and the
+    error of ``cayley_forward``.
 
 Except in the dense audits, integer powers come from
 ``np.linalg.matrix_power``, of U* for negative exponents.
@@ -67,7 +67,7 @@ from unishift.linalg import (
     require_unitary,
     unitary_eig,
 )
-from unishift.reduction import ProjectionBasis
+from unishift.reduction import ProjectionBasis, WindowParams
 from unishift.trace_formula import _exp_remainder_factor
 from unishift.trigpoly import TrigPolynomial
 
@@ -459,17 +459,29 @@ def dense_compressed_audit(
     return checks
 
 
-def full_space(dim: int, h0=None) -> ProjectionBasis:
-    """The projection onto the whole ambient space, with no seeds and no construction record.
+def one_cell_basis(columns, eigenvalues, eigenvectors, params: WindowParams, directions) -> ProjectionBasis:
+    """A hand-built basis B whose one cell holds every eigen-row of H0 = V diag(lambda) V* and every column.
 
-    With ``h0`` it carries the eigenpairs of H0 from one full eigh and no cell
-    layout, so it is one cell holding every row.
+    Its cell block is all of V* B, so it fits any orthonormal B, window or not.
+    """
+    dim, rank = columns.shape
+    return ProjectionBasis(
+        dim, columns, directions, params, eigenvalues, eigenvectors,
+        cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
+        cell_blocks=(eigenvectors.conj().T @ columns)[None],
+    )
+
+
+def full_space(dim: int, h0) -> ProjectionBasis:
+    """The projection onto the whole ambient space, with the eigenpairs of H0 from one full eigh.
+
+    It has no seeds (L = 0), so its construction record has eps = L a / sqrt(n) = 0,
+    with the whole line as its window.
     """
     eye = np.eye(dim, dtype=np.complex128)
-    if h0 is None:
-        return ProjectionBasis(ambient_dim=dim, columns=eye, directions=eye[:, :0])
     w, v = np.linalg.eigh(np.asarray(h0, dtype=np.complex128))
-    return ProjectionBasis(ambient_dim=dim, columns=eye, directions=eye[:, :0], eigenvalues=w, eigenvectors=v)
+    record = WindowParams(count=0, half_width=np.inf, cells=1, eps=0.0)
+    return one_cell_basis(eye, w, v, record, eye[:, :0])
 
 
 def abs_sum(p: TrigPolynomial) -> float:

@@ -8,13 +8,11 @@ from unishift import (
     TrigPolynomial,
     doi_apply,
     hs_norm,
-    kernel,
-    primitive_of,
     random_pair,
     schur_bound_check,
     unitary_eig,
 )
-from unishift.doi import circle_function_of, sampled_sup_norm
+from unishift.doi import circle_function_of, kernel, primitive_of, sampled_sup_norm
 from unishift.linalg import haar_unitary
 from unishift.quadrature import gauss_legendre
 from unishift.trigpoly import random_trig_polynomial

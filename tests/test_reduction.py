@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from oracles import (
     dense_perturbation_audit,
     dense_projection_audit,
     full_space,
+    one_cell_basis,
     window_basis_global_mgs,
 )
 from unishift import (
@@ -23,29 +26,32 @@ from unishift import (
     NotUnitary,
     PartitionTooFine,
     PathMismatch,
-    ProjectionBasis,
     SampleOutOfRange,
     TrigPolynomial,
     UnishiftError,
-    UnnormalisedSeed,
     ZeroDirection,
     audit_compressed_model,
     audit_perturbation_estimates,
     audit_projection_estimates,
     build_direction_projection,
-    build_projection,
-    cayley_inverse,
     compressed_model,
     convergence_study,
     herm_eig,
     lhs_trace,
     op_norm,
     reduction_instance,
-    spread_diagonal,
     unitary_eig,
 )
 from unishift.linalg import UnitaryPath, haar_unitary
-from unishift.reduction import ReductionInstance, _kept_pairs, _offblock, random_low_rank_hermitian
+from unishift.reduction import (
+    ReductionInstance,
+    _cayley,
+    _kept_pairs,
+    _offblock,
+    _window_basis,
+    random_low_rank_hermitian,
+    spread_diagonal,
+)
 from unishift.trace_formula import _exp_remainder_factor
 
 seeds = st.integers(0, 2**31 - 1)
@@ -69,7 +75,7 @@ class TestCayley:
         phi = choose_phase(u0)
         h0 = cayley_forward(u0, phi)
         assert op_norm(h0 - h0.conj().T) <= dim * 1e-10
-        assert op_norm(cayley_inverse(h0, phi) - u0) <= dim * 1e-10
+        assert op_norm(_cayley(h0, phi) - u0) <= dim * 1e-10
 
     def test_phase_too_close(self):
         u0 = np.diag([np.exp(1j * (np.pi + 1e-9)), 1.0])
@@ -82,7 +88,7 @@ class TestBuildProjection:
         h0 = spread_diagonal(16, 1.0)
         f = np.zeros(16, dtype=complex)
         f[3] = 1.0
-        p = build_projection(h0, [f], 1.0, 4)
+        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 4)
         assert np.linalg.norm(f - p.columns @ (p.columns.conj().T @ f)) <= 1e-12
 
     def test_single_cell_rank_bound(self):
@@ -90,7 +96,7 @@ class TestBuildProjection:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         f /= np.linalg.norm(f)
-        p = build_projection(h0, [f], 1.0, 1)
+        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 1)
         assert p.rank <= 1
         assert p.params.eps == pytest.approx(1.0)
 
@@ -107,26 +113,21 @@ class TestBuildProjection:
         huge = build_direction_projection(inst.h0, inst.a, inst.half_width, 10**12)
         np.testing.assert_array_equal(huge.columns, fine.columns)
         assert huge.params.cells == 10**12
-        assert build_projection(inst.h0, fine.directions.T, 1.0, 10**12).columns.tobytes() == huge.columns.tobytes()
+        seeded = _window_basis(herm_eig(inst.h0), fine.directions, 1.0, 10**12)
+        assert seeded.columns.tobytes() == huge.columns.tobytes()
 
     def test_bad_window(self):
         h0 = spread_diagonal(8, 1.0)
         f = np.zeros(8, dtype=complex)
         f[7] = 1.0  # eigenvalue near +1, outside a shrunken window
         with pytest.raises(BadWindow):
-            build_projection(h0, [f], 0.5, 64)
-
-    def test_rejects_unnormalised_seed(self):
-        h0 = spread_diagonal(4, 1.0)
-        with pytest.raises(ValueError):
-            build_projection(h0, [np.array([2.0, 0, 0, 0], dtype=complex)], 1.0, 2)
+            _window_basis(herm_eig(h0), f[:, None], 0.5, 64)
 
 
 class TestProjectionAudit:
     def test_full_space_trivial(self):
         inst = reduction_instance(1, 32, 2, 0.5)
-        p = full_space(32)
-        p = ProjectionBasis(32, p.columns, p.directions, params=None)
+        p = replace(full_space(32, inst.h0), params=None)
         with pytest.raises(ValueError):
             audit_projection_estimates(p, inst.h0, inst.u0, [1])
 
@@ -249,10 +250,8 @@ class TestCompressedModel:
         assert by_name["propagator_vs_compressed"].value <= 1e-12
         assert by_name["taylor_remainder_tracenorm"].value <= 1e-12
         # P = full space: power errors vanish
-        full = ProjectionBasis(
-            64, np.eye(64, dtype=np.complex128), np.eye(64)[:, :2],
-            params=p.params, eigenvalues=p.eigenvalues, eigenvectors=p.eigenvectors,
-        )
+        eye = np.eye(64, dtype=np.complex128)
+        full = one_cell_basis(eye, p.eigenvalues, p.eigenvectors, p.params, eye[:, :2])
         report = audit_compressed_model(
             full, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1]
         )
@@ -336,7 +335,7 @@ def off_identity_case(kind: str):
     every cell edge of 4 cells in (-1, 1] is an eigenvalue, exactly: H0 is a
     permuted diagonal, so its eigenbasis is a permutation, not I.
     ``isometry``: the ``haar`` H0 with a Haar isometry B that carries H0's
-    eigenpairs and no cell layout.  ``outside``: 11 of 44 eigenvalues lie
+    eigenpairs and one cell holding every row (``one_cell_basis``).  ``outside``: 11 of 44 eigenvalues lie
     outside the window (-1, 1] of 2 unequal cells, so their rows are in no
     cell.  U0 is the dense Cayley image of H0, and U = e^{iA} U0 from a full
     eigh of the rank-2 A.
@@ -359,14 +358,12 @@ def off_identity_case(kind: str):
         h0 = 0.5 * (h0 + h0.conj().T)
     dim = levels.size
     a = random_low_rank_hermitian(rng, dim, 2, 0.6)
-    u0 = cayley_inverse(h0, 0.3)
+    u0 = _cayley(h0, 0.3)
     inst = ReductionInstance(h0=h0, a=a, phase=0.3, u0=u0, u=UnitaryPath(u0, a).at(1.0), half_width=1.0)
     p = build_direction_projection(h0, a, 1.0, cells)
     if kind == "isometry":
         b = haar_unitary(rng, dim)[:, : dim // 3]
-        p = ProjectionBasis(
-            dim, b, p.directions, params=p.params, eigenvalues=p.eigenvalues, eigenvectors=p.eigenvectors
-        )
+        p = one_cell_basis(b, p.eigenvalues, p.eigenvectors, p.params, p.directions)
     return inst, p
 
 
@@ -409,10 +406,7 @@ class TestThinFactorsOracle:
         cols = data.draw(st.integers(1, ambient))
         b = haar_unitary(np.random.default_rng(seed + 1), ambient)[:, :cols]
         window = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        p = ProjectionBasis(
-            ambient, b, window.directions, params=window.params,
-            eigenvalues=window.eigenvalues, eigenvectors=window.eigenvectors,
-        )
+        p = one_cell_basis(b, window.eigenvalues, window.eigenvectors, window.params, window.directions)
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
     def test_projection_of_full_rank(self):
@@ -540,7 +534,7 @@ class TestPerCellOrthonormalisation:
 
     @staticmethod
     def assert_matches_global(h0, seeds, half_width, cells):
-        p = build_projection(h0, [seeds[:, l] for l in range(seeds.shape[1])], half_width, cells)
+        p = _window_basis(herm_eig(h0), np.asarray(seeds, dtype=complex), half_width, cells)
         ref = window_basis_global_mgs(h0, seeds, half_width, cells)
         b = p.columns
         assert p.rank == ref.shape[1]
@@ -667,11 +661,8 @@ class TestOneOperandCheck:
     def test_each_entry_point_checks_once_and_diagonalises_as_before(self, monkeypatch):
         inst = reduction_instance(4, 64, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        seed = herm_eig(inst.a).vectors[:, -1]
         checks, eigs = self.count(monkeypatch, "require_hermitian"), self.count(monkeypatch, "herm_eig")
         cases = [
-            (1, 0, lambda: cayley_inverse(inst.h0, 0.0)),
-            (1, 1, lambda: build_projection(inst.h0, [seed], 1.0, 4)),
             (2, 1, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
             (2, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
             (1, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1])),
@@ -712,9 +703,8 @@ class TestTypedErrors:
         zero = np.zeros((32, 32), dtype=complex)
         poly = TrigPolynomial.monomial(2)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        bare = ProjectionBasis(32, p.columns, p.directions, params=None)
-        seed = np.zeros(32, dtype=complex)
-        seed[0] = 2.0
+        bare = replace(p, params=None)
+        dec, unit = herm_eig(inst.h0), np.eye(32, dtype=complex)[:, :1]
         skew_a = inst.a + 1e-3 * np.triu(np.ones((32, 32)), 1)
         skew_h0 = inst.h0 + 1e-3 * np.triu(np.ones((32, 32)), 1)
         small = np.eye(31, dtype=complex)
@@ -741,9 +731,8 @@ class TestTypedErrors:
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [0, 4])),
             (ZeroDirection, lambda: build_direction_projection(inst.h0, zero, 1.0, 4)),
             (ZeroDirection, lambda: convergence_study(inst.h0, zero, inst.phase, poly, [4])),
-            (UnnormalisedSeed, lambda: build_projection(inst.h0, [seed], 1.0, 4)),
-            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 0.0, 4)),
-            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 1.0, 0)),
+            (BadWindow, lambda: _window_basis(dec, unit, 0.0, 4)),
+            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 0)),
             (MissingConstruction, lambda: audit_projection_estimates(bare, inst.h0, inst.u0, [1])),
             (MissingConstruction, lambda: audit_perturbation_estimates(
                 bare, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
@@ -761,22 +750,35 @@ class TestTypedErrors:
             (DimensionMismatch, lambda: audit_compressed_model(
                 p, inst.h0, inst.a, small, inst.u, inst.phase, 2.0, [1], [1])),
             (NotHermitian, lambda: compressed_model(p, skew_h0, inst.a, inst.phase)),
-            (DimensionMismatch, lambda: compressed_model(full_space(31), inst.h0, inst.a, 0.0)),
+            (DimensionMismatch, lambda: compressed_model(full_space(31, small), inst.h0, inst.a, 0.0)),
             (DimensionMismatch, lambda: build_direction_projection(wide.h0, inst.a, 1.0, 4)),
             (DimensionMismatch, lambda: convergence_study(wide.h0, inst.a, inst.phase, poly, [4])),
-            (DimensionMismatch, lambda: build_projection(inst.h0, [np.eye(31)[0]], 1.0, 4)),
-            (DimensionMismatch, lambda: cayley_inverse(np.ones((3, 4)), 0.0)),
             (DimensionMismatch, lambda: unitary_eig(np.ones((3, 4)))),
             (DimensionMismatch, lambda: unitary_eig(np.ones(3))),
-            (ZeroDirection, lambda: build_projection(inst.h0, [], 1.0, 4)),
+            (ZeroDirection, lambda: _window_basis(dec, unit[:, :0], 1.0, 4)),
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [])),
-            (UnishiftError, lambda: cayley_inverse([[1.0, 2.0], [3.0]], 0.0)),
-            (UnnormalisedSeed, lambda: build_projection(inst.h0, [np.full(32, np.nan)], 1.0, 4)),
             (DimensionMismatch, lambda: reduction_instance(1, 0, 2, 0.5)),
             (DimensionMismatch, lambda: reduction_instance(1, 4, 8, 0.5)),
-            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 1.0, 2.5)),
+            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2.5)),
             (BadWindow, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 2.5)),
-            (BadWindow, lambda: build_projection(inst.h0, [seed / 2.0], 1.0, 2**63)),
+            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2**63)),
+            # lists that are not iterables, a projection that is not a basis, polynomials that are not
+            (UnishiftError, lambda: audit_projection_estimates(p, inst.h0, inst.u0, None)),
+            (UnishiftError, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, None, [0.0])),
+            (UnishiftError, lambda: audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, None, [1])),
+            (UnishiftError, lambda: audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], None)),
+            (UnishiftError, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1], None)),
+            (UnishiftError, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, None)),
+            (MissingConstruction, lambda: audit_projection_estimates(None, inst.h0, inst.u0, [1])),
+            (MissingConstruction, lambda: audit_perturbation_estimates(
+                None, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
+            (MissingConstruction, lambda: audit_compressed_model(
+                None, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
+            (MissingConstruction, lambda: compressed_model(None, inst.h0, inst.a, inst.phase)),
+            (UnishiftError, lambda: lhs_trace(inst.u0, inst.u, inst.a, 3)),
+            (UnishiftError, lambda: convergence_study(inst.h0, inst.a, 0.0, 3, [4])),
         ]
         for error, call in cases:
             with pytest.raises(error):
@@ -815,12 +817,12 @@ class TestTypedErrors:
             (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, np.pi)),
             (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, np.nan)),
             (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, "0.5")),
-            (UnishiftError, lambda inst, p: cayley_inverse(inst.h0, np.nan)),
+            (UnishiftError, lambda inst, p: _cayley(inst.h0, np.nan)),
             (UnishiftError, lambda inst, p: convergence_study(inst.h0, inst.a, np.nan, TrigPolynomial.monomial(2), [4])),
             (UnishiftError, lambda inst, p: compressed_model(p, inst.h0, inst.a, -np.inf)),
             (UnishiftError, lambda inst, p: audit_compressed_model(
                 p, inst.h0, inst.a, inst.u0, inst.u, np.nan, 2.0, [1], [1])),
-            (BadWindow, lambda inst, p: build_projection(inst.h0, [p.directions[:, 0]], np.nan, 4)),
+            (BadWindow, lambda inst, p: _window_basis(herm_eig(inst.h0), p.directions[:, :1], np.nan, 4)),
             (BadWindow, lambda inst, p: build_direction_projection(inst.h0, inst.a, np.inf, 4)),
             (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, np.nan, [1], [])),
             (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, -1.0, [1], [])),
@@ -830,16 +832,28 @@ class TestTypedErrors:
                 p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, -1.0, [1], [1])),
             (SampleOutOfRange, lambda inst, p: audit_perturbation_estimates(
                 p, inst.u0, inst.u, inst.a, 2.0, [1], [np.nan])),
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, 0.5, phase="x")),
+            (UnishiftError, lambda inst, p: audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, "x", 2.0, [1], [1])),
+            (BadWindow, lambda inst, p: build_direction_projection(inst.h0, inst.a, "1", 4)),
+            (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, "2", [1], [])),
+            (SampleOutOfRange, lambda inst, p: audit_perturbation_estimates(
+                p, inst.u0, inst.u, inst.a, 2.0, [1], ["a"])),
+            (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, True)),
+            (BadWindow, lambda inst, p: build_direction_projection(inst.h0, inst.a, True, 4)),
+            (UnishiftError, lambda inst, p: audit_compressed_model(
+                p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, True, [1], [1])),
         ],
         ids=["instance-phase-inf", "instance-scale-zero", "instance-scale-negative", "instance-scale-pi",
              "instance-scale-nan", "instance-scale-string", "cayley-phase-nan", "study-phase-nan", "model-phase-inf", "audit-phase-nan",
              "window-nan", "window-inf", "perturbation-t-nan", "perturbation-t-negative", "compressed-t-nan",
-             "compressed-t-negative", "sample-nan"],
+             "compressed-t-negative", "sample-nan", "instance-phase-string", "audit-phase-string", "window-string",
+             "perturbation-t-string", "sample-string", "instance-scale-bool", "window-bool", "compressed-t-bool"],
     )
     def test_finite_scalars(self, error, call):
-        """Phases, half-widths, audit horizons T and samples must be finite (T >= 0); NaN or Inf never runs.
+        """Phases, half-widths, audit horizons T and samples must be finite real numbers, never bools (T >= 0).
 
-        The instance scale (the norm of A) is a real number in (0, pi)."""
+        NaN, Inf and strings never run.  The instance scale (the norm of A) is a real number in (0, pi)."""
         inst = reduction_instance(16, 32, 2, 0.5)
         with pytest.raises(error):
             call(inst, build_direction_projection(inst.h0, inst.a, inst.half_width, 4))
@@ -888,16 +902,18 @@ class TestTypedErrors:
     def test_hand_built_basis_needs_the_eigenpairs_of_h0(self):
         inst = reduction_instance(16, 32, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        plain = ProjectionBasis(32, p.columns, p.directions, params=p.params)
-        short = ProjectionBasis(32, p.columns, p.directions, p.params, p.eigenvalues[:31], p.eigenvectors)
+        plain = replace(p, eigenvalues=None, eigenvectors=None)
+        short = replace(p, eigenvalues=p.eigenvalues[:31])
         with pytest.raises(MissingConstruction):
             audit_projection_estimates(plain, inst.h0, inst.u0, [1])
         with pytest.raises(MissingConstruction):
             compressed_model(plain, inst.h0, inst.a, inst.phase)
         with pytest.raises(DimensionMismatch):
             audit_perturbation_estimates(short, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])
-        # the same eigenpairs without the cell layout are one cell holding every row
-        one_cell = ProjectionBasis(32, p.columns, p.directions, p.params, p.eigenvalues, p.eigenvectors)
+        with pytest.raises(MissingConstruction):  # eigenpairs without a cell layout
+            audit_compressed_model(replace(p, cell_blocks=None), inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])
+        # the same basis with one cell holding every row gives the same values
+        one_cell = one_cell_basis(p.columns, p.eigenvalues, p.eigenvectors, p.params, p.directions)
         for got, want in [
             (audit_projection_estimates(one_cell, inst.h0, inst.u0, [1, -2]),
              audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
@@ -907,6 +923,20 @@ class TestTypedErrors:
             assert [c.name for c in got.checks] == [c.name for c in want.checks]
             values = [(x.value, y.value) for x, y in zip(got.checks, want.checks)]
             assert max(abs(x - y) for x, y in values) <= 1e-13
+
+    def test_powers_and_samples_are_read_once(self):
+        """Iterators of powers and samples give the reports of the same lists."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        audits = [
+            lambda ms, ks, ts: audit_projection_estimates(p, inst.h0, inst.u0, ms),
+            lambda ms, ks, ts: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, ms, ts),
+            lambda ms, ks, ts: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, ms, ks),
+        ]
+        for audit in audits:
+            want = audit([1, -4], [0, 2], [0.0, 1.5])
+            assert len(want.checks) > 3
+            assert audit(iter([1, -4]), iter([0, 2]), iter([0.0, 1.5])) == want
 
     def test_numpy_integer_sizes_accepted(self):
         inst = reduction_instance(np.int64(16), np.int64(32), np.int32(2), 0.5)

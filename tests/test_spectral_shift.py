@@ -10,7 +10,6 @@ from unishift import (
     DimensionMismatch,
     EmptyMatrix,
     EtaIntegrator,
-    QuadratureRule,
     TrigPolynomial,
     UnishiftError,
     batch_verify,
@@ -18,16 +17,14 @@ from unishift import (
     eta_profile,
     gauss_legendre,
     hs_norm,
-    primitive_of,
     random_pair,
     resolvent_check,
     schur_bound_check,
-    trace,
-    trace_norm,
     unitary_eig,
 )
-from unishift.linalg import _BLOCK, TWO_PI, UnitaryPath, haar_unitary
-from unishift.quadrature import as_rule
+from unishift.doi import primitive_of
+from unishift.linalg import _BLOCK, TWO_PI, UnitaryPath, haar_unitary, trace, trace_norm
+from unishift.quadrature import QuadratureRule, as_rule
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -456,6 +453,8 @@ class TestTypedErrors:
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings([2**70]),
             lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), None),
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings(None),
+            lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial.monomial(1)], tol=True),
+            lambda: random_pair(0, 3, True),
         ],
     )
     def test_raises_unishift_error(self, call):

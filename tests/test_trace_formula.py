@@ -32,10 +32,9 @@ from unishift import (
     op_norm,
     random_pair,
     resolvent_check,
-    trace_norm,
 )
 from unishift import linalg, trace_formula
-from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, haar_unitary, random_hermitian
+from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, haar_unitary, random_hermitian, trace_norm
 from unishift.trace_formula import _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
 

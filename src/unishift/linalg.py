@@ -9,15 +9,15 @@ The rest of the package works with two kinds of objects built here:
     spectral projection vanishes at t = 0.  A stack (..., d, d) goes through
     the same gufunc calls as one matrix and gives the same bits per slice.
 
-Unitary spectra are computed by rotating the matrix away from -1, taking the
-Cayley transform ``i (I - U') (I + U')^{-1}`` (a Hermitian matrix), and
-mapping Hermitian eigenvalues back to the circle.  ``unitary_eig`` picks the
-rotation from the Hermitian part (U + U*)/2 alone: its eigenvalues cos(theta)
-fix the spectrum up to reflection in the real axis, so the eigenangles lie in
-the reflected set {+-arccos cos(theta)} of at most 2d points, and the avoided
-point goes to the midpoint of that set's largest gap.  It is then at least
-pi/(2d) from every eigenangle, so the transform has norm at most
-cot(pi/(4d)) for any input.
+Unitary spectra come from Rayleigh-Ritz on the Hermitian part
+C = (U + U*)/2, which commutes with U (Parlett, The Symmetric Eigenvalue
+Problem, ch. 11): one eigh of C gives Ritz vectors Q, and each eigenangle
+is arg X_kk of X = Q*UQ.  Where eigenvalues cos(theta) of C (nearly)
+coincide, as for a mirror pair theta, -theta, eigh may mix eigenvectors of
+U; an off-diagonal |X_jk| above ``_COUPLING_TOL`` flags that, and only the
+flagged runs of X go through the phase-rotated Cayley transform
+(``_cayley_eig``).  Every other Ritz pair has residual at most
+sqrt(d) ``_COUPLING_TOL``.
 
 Every matrix operand passes one check, ``as_matrix``: complex128 (ragged or
 non-numeric input is an ``UnishiftError``), square and of the expected size
@@ -44,6 +44,9 @@ TWO_PI = 2.0 * np.pi
 
 # Angles within this distance of 0 (mod 2pi) are treated as eigenvalue 1.
 _ONE_SNAP = 1e-12
+
+# An off-diagonal entry of Q*UQ above this, for the Ritz vectors Q of (U + U*)/2, marks two mixed eigenvectors.
+_COUPLING_TOL = 1e-13
 
 # Cap, in entries, on one block of stacked temporaries: the power blocks of
 # ``_power_blocks`` here, the integrator's (nodes, d, d) stacks and (modes,
@@ -258,31 +261,77 @@ def _reflected_phases(u: np.ndarray) -> np.ndarray:
     return np.where(mid > 0.0, mid - np.pi, np.pi)
 
 
-def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary via the phase-rotated Cayley transform.
+def _cayley_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenangles in [0, 2pi) and eigencolumns of a unitary block or stack by the phase-rotated Cayley transform.
 
     Reduces to the Hermitian eigenproblem of
     i (I - e^{-i phi} U)(I + e^{-i phi} U)^{-1} and maps each eigenvalue h
-    back to the angle of e^{i phi} (i - h)/(i + h), normalised into (0, 2pi].
-    The phase comes from one eigvalsh of the Hermitian part (U + U*)/2 (see
-    ``_reflected_phases``): -e^{i phi} is at least pi/(2d) from the spectrum,
-    so the transform has norm at most cot(pi/(4d)).  ``u`` may be a stack
-    (..., d, d): eigvalsh, the solve and eigh are numpy gufuncs, so every
-    slice equals the one-matrix call bit for bit.
+    back to the angle of e^{i phi} (i - h)/(i + h).  With the phase of
+    ``_reflected_phases``, -e^{i phi} is at least pi/(2d) from the spectrum,
+    so the transform has norm at most cot(pi/(4d)).
     """
-    u = _check_unitary_stack(u, check, "unitary_eig input")
     phi = _reflected_phases(u)
     rotated = np.exp(-1j * phi)[..., None, None] * u
     eye = np.eye(u.shape[-1])
     h0 = 1j * np.linalg.solve(eye + rotated, eye - rotated)
     w, v = _eigh(0.5 * (h0 + _adjoint(h0)))
     # angle of e^{i phi} (i - h)/(i + h); the arctan form avoids complex division
-    theta = np.mod(phi[..., None] + np.pi - 2.0 * np.arctan2(1.0, w), TWO_PI)
+    return np.mod(phi[..., None] + np.pi - 2.0 * np.arctan2(1.0, w), TWO_PI), v
+
+
+def _coupled_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts (flat indices into the (n, d) angles) and lengths of the coupled runs of a stack X (n, d, d).
+
+    Indices j < k with |X_jk| or |X_kj| above ``_COUPLING_TOL`` join every
+    index from j to k into one run; overlapping runs merge.  Only runs of
+    two or more indices are returned.
+    """
+    d = x.shape[-1]
+    coupled = np.abs(x) > _COUPLING_TOL
+    coupled |= np.swapaxes(coupled, -1, -2)
+    # the last index each index is coupled to, then the running maximum; |X_kk| is near 1, so a row
+    # is clear only far from unitary, and then it reaches to the end and the rest is solved as one run
+    reach = np.maximum(d - 1 - np.argmax(coupled[..., ::-1], axis=-1), np.arange(d))
+    ends = np.flatnonzero(np.maximum.accumulate(reach, axis=-1) == np.arange(d))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    lengths = ends - starts + 1
+    return starts[lengths > 1], lengths[lengths > 1]
+
+
+def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
+    """Spectral decomposition of a unitary by Rayleigh-Ritz on its Hermitian part.
+
+    One eigh of C = (U + U*)/2, which commutes with U, gives Ritz vectors Q;
+    with X = Q*UQ each angle is arg X_kk.  eigh can mix eigenvectors of U
+    only where the eigenvalues cos(theta) of C (nearly) coincide: mirror
+    pairs theta, -theta, or a cluster.  Such a mixing shows as an
+    off-diagonal |X_jk| above ``_COUPLING_TOL``; the flagged indices form
+    runs of consecutive indices (``_coupled_runs``), and each run's block of
+    X is solved by ``_cayley_eig`` and rotates its columns of Q.  Every other
+    Ritz pair has residual ||U q_k - X_kk q_k|| <= sqrt(d) ``_COUPLING_TOL``.
+    ``u`` may be a stack (..., d, d): eigh, the products and the block
+    solves are numpy gufuncs, so every slice equals the one-matrix call bit
+    for bit.
+    """
+    u = _check_unitary_stack(u, check, "unitary_eig input")
+    shape, d = u.shape, u.shape[-1]
+    _, q = _eigh(0.5 * (u + _adjoint(u)))
+    q = q.reshape(-1, d, d)
+    x = _adjoint(q) @ (u.reshape(-1, d, d) @ q)
+    theta = np.mod(np.angle(np.diagonal(x, axis1=-2, axis2=-1)), TWO_PI)
+    starts, lengths = _coupled_runs(x)
+    for size in sorted(set(lengths.tolist())):
+        first = starts[lengths == size]
+        k, rows = first // d, first[:, None] % d + np.arange(size)
+        block_angles, w = _cayley_eig(x[k[:, None, None], rows[:, :, None], rows[:, None, :]])
+        theta[k[:, None], rows] = block_angles
+        q[k[:, None], :, rows] = np.swapaxes(np.swapaxes(q[k[:, None], :, rows], 1, 2) @ w, 1, 2)
+    theta = theta.reshape(shape[:-1])
     theta = np.where((theta <= _ONE_SNAP) | (theta >= TWO_PI - _ONE_SNAP), TWO_PI, theta)
     order = np.argsort(theta, axis=-1, kind="stable")
     return SpectralDecomposition(
         angles=np.take_along_axis(theta, order, -1),
-        vectors=np.take_along_axis(v, order[..., None, :], -1),
+        vectors=np.take_along_axis(q.reshape(shape), order[..., None, :], -1),
     )
 
 

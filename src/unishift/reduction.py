@@ -355,7 +355,9 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, **operands
     ||U - e^{iA} U0|| (``PathMismatch``), and each abs(|c_j| - 1)
     (``NotUnitary``).  So no operand moves a power U0^m or U^m by more than
     |m| delta (1 + 2 delta)^|m| < AUDIT_SLACK, nor the Cayley image of H0 by
-    more than 2 delta.
+    more than 2 delta.  A power whose delta falls below d times the machine
+    epsilon, the roundoff of one such gap at ambient size d, is refused
+    (``UnishiftError``) before any operand is judged by it.
 
     Returns eps, the cells (rows, columns, blocks), c (None without U0), the
     checked operands in the order given, and with U A's kept pairs
@@ -371,6 +373,11 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, **operands
         raise DimensionMismatch(f"the eigenpairs of H0 must be of the ambient size {d}")
     cells = (p.cell_rows, p.cell_columns, p.cell_blocks)
     delta = AUDIT_SLACK / (2.0 * max([1, *map(abs, powers)]))
+    if delta < (floor := d * np.finfo(float).eps):
+        raise UnishiftError(
+            f"power {max(powers, key=abs)} needs its operands checked to {delta:.3e}, below the roundoff"
+            f" {floor:.3e} of a Hilbert-Schmidt gap at ambient size {d}"
+        )
 
     def require(gap, what):
         if hs_norm(gap) > delta:

@@ -13,8 +13,11 @@ flat list of (angle, weight) jumps.
 
 ``EtaIntegrator`` builds that list in the eigenbasis A = V L V*.  There
 U_s is unitarily similar to e^{isL} M with M = V* U0 V, a row scaling of
-one fixed matrix, so one stacked spectral pass over s = 0 (U0 itself) and
-every node gives all the eigenangles.  For an eigencolumn y of e^{isL} M
+one fixed matrix, so ``unitary_eig`` over the stack of s = 0 (U0 itself)
+and every node, in blocks of at most ``_BLOCK`` entries, gives all the
+eigenangles: per block one stacked eigh of the Hermitian parts, two
+products for the Ritz values, and Cayley solves only of the small coupled
+blocks (mirror pairs theta, -theta).  For an eigencolumn y of e^{isL} M
 the eigenvector of U_s is v = V y, and its weight v*Av = sum_j L_j |y_j|^2
 is real by construction; no product with A is formed.  Every t-integral
 is then a closed-form sum over the jumps (summation by parts): for any f

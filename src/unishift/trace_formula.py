@@ -152,7 +152,7 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
     session = EtaIntegrator(u0, a, s_rule)
     u = session.path.require_endpoint(u)
     modes, c = _coefficients(polys)
-    lhs = _lhs(session.u0, u, session.a, *polys)
+    lhs = c @ _lhs_mode_traces(session.u0, u, session.a, modes)
     rhs = c @ session.curvature_pairings(modes)
     return [VerificationReport.from_sides(*s, tol, session.rule.count) for s in zip(lhs.tolist(), rhs.tolist())]
 

@@ -5,8 +5,12 @@ path to the package routine it checks:
 
   * ``choose_phase`` puts the avoided point of the Cayley rotation in the
     largest gap of the spectrum itself (at least pi/d away), at the price of
-    a general eigenvalue solve; ``unitary_eig`` picks it from the reflected
-    spectrum of (U + U*)/2 instead.
+    a general eigenvalue solve; the package's block solver picks it from the
+    reflected spectrum of (U + U*)/2 instead.
+  * ``cayley_unitary_eig`` is the spectral decomposition of a whole unitary
+    (or stack) by the phase-rotated Cayley transform at ``choose_phase``;
+    ``unitary_eig`` takes Ritz pairs of (U + U*)/2 and solves only its
+    coupled blocks that way.
   * ``cayley_forward`` is the Hermitian preimage H0 of a unitary, the inverse
     of ``reduction._cayley``; ``log_unitary`` is the principal logarithm of a
     unitary, spectrum in (-pi, pi], the boundary eigenvalue -1 mapped to +pi.
@@ -109,6 +113,27 @@ def choose_phase(u0):
     phi = np.mod(midpoint[..., 0] - np.pi, TWO_PI)
     phi = np.where(phi > np.pi, phi - TWO_PI, phi)
     return phi if u0.ndim > 2 else float(phi)
+
+
+def cayley_unitary_eig(u) -> SpectralDecomposition:
+    """Eigenangles in (0, 2pi], eigenvalue 1 at 2pi, and eigencolumns of U or of each slice of a stack.
+
+    One eigh of the Hermitian i (I - U')(I + U')^{-1}, U' = e^{-i phi} U at
+    phi = ``choose_phase``, maps each eigenvalue h back to the angle of
+    e^{i phi} (i - h)/(i + h); angles within 1e-12 of 0 (mod 2pi) go to 2pi.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    phi = np.asarray(choose_phase(u))
+    rotated = np.exp(-1j * phi)[..., None, None] * u
+    eye = np.eye(u.shape[-1])
+    h = 1j * np.linalg.solve(eye + rotated, eye - rotated)
+    w, v = np.linalg.eigh(0.5 * (h + np.swapaxes(h, -1, -2).conj()))
+    theta = np.mod(phi[..., None] + np.pi - 2.0 * np.arctan2(1.0, w), TWO_PI)
+    theta = np.where((theta <= 1e-12) | (theta >= TWO_PI - 1e-12), TWO_PI, theta)
+    order = np.argsort(theta, axis=-1, kind="stable")
+    return SpectralDecomposition(
+        angles=np.take_along_axis(theta, order, -1), vectors=np.take_along_axis(v, order[..., None, :], -1)
+    )
 
 
 class PhaseTooClose(UnishiftError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import choose_phase, log_unitary, require_hermitian_svd, require_unitary_svd
+from oracles import cayley_unitary_eig, choose_phase, log_unitary, require_hermitian_svd, require_unitary_svd
 from unishift import (
     DimensionMismatch,
     EmptyMatrix,
@@ -212,6 +212,93 @@ def test_unitary_eig_stack_edge_spectra():
                 for u, rebuilt, v in zip(stack, rebuild(dec), dec.vectors):
                     assert op_norm(rebuilt - u) <= dim * 1e-12
                     assert op_norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
+
+
+# Centres of eigenvalue groups sit on j 2pi / GROUP_GRID, so a centre's mirror image is a centre too and
+# distinct centres are at least 3.1e-3 apart.  A mirror partner -theta is moved by delta: exact pairs,
+# and shifts on both sides of the coupling tolerance 1e-13.
+GROUP_GRID = 2000
+MIRROR_DELTAS = (0.0, 0.0, 1e-15, 3e-14, 8e-14, 1.2e-13, 3e-13, 1e-11, 1e-8, 1e-5)
+
+
+def grouped_spectrum(rng, dim):
+    """Eigenangles in groups about separated centres, and the centres.
+
+    Up to six centres come from the upper half circle, 0 and pi included;
+    most others get the mirror partner -theta + delta, the rest move to
+    -theta.  Each eigenvalue sits on its centre (repeats), 1e-13 off it
+    (within 1e-13 of +-1 at those centres) or 1e-9 off it (clusters).
+    """
+    centres = []
+    for j in rng.choice(GROUP_GRID // 2 + 1, size=min(dim, 6), replace=False):
+        theta = np.pi * (j / (GROUP_GRID // 2))
+        if j % (GROUP_GRID // 2) == 0 or rng.random() < 0.3:
+            centres.append(theta * rng.choice([-1.0, 1.0]))
+        else:
+            centres += [theta, -theta + rng.choice(MIRROR_DELTAS) * rng.choice([-1.0, 1.0])]
+    centres = np.mod(centres, TWO_PI)
+    which = np.concatenate([np.arange(centres.size), rng.integers(0, centres.size, dim)])[:dim]
+    offsets = rng.choice([0.0, 0.0, 1e-13, 1e-9], dim) * rng.choice([-1.0, 1.0], dim)
+    return centres[which] + offsets, centres
+
+
+def group_sums(dec, centres, weights):
+    """Per centre: the count, the sorted angle offsets from it and the sum of lambda_j |y_j|^2 over its eigencolumns."""
+    offset = np.mod(dec.angles[:, None] - centres[None, :] + np.pi, TWO_PI) - np.pi
+    nearest = np.argmin(np.abs(offset), axis=1)
+    mass = weights @ np.abs(dec.vectors) ** 2
+    return [
+        (np.sort(offset[nearest == g, g]), float(np.sum(mass[nearest == g]))) for g in range(centres.size)
+    ]
+
+
+@given(seeds, st.integers(1, 64), st.booleans())
+def test_unitary_eig_matches_the_cayley_oracle_on_grouped_spectra(seed, dim, rotate):
+    # mirror pairs put equal cos(theta) into one coupled Ritz block; the oracle solves the whole matrix by Cayley
+    rng = np.random.default_rng(seed)
+    stack, truths = [], []
+    for _ in range(3):
+        angles, centres = grouped_spectrum(rng, dim)
+        q = haar_unitary(rng, dim) if rotate else np.eye(dim, dtype=complex)
+        stack.append((q * circle_points(angles)) @ q.conj().T)
+        truths.append((angles, centres, q))
+    stack = np.stack(stack)
+    dec = assert_stack_matches_slices(stack)
+    oracle = cayley_unitary_eig(stack)
+    weights = rng.uniform(-1.0, 1.0, dim)
+    for k, (angles, centres, q) in enumerate(truths):
+        one = linalg.SpectralDecomposition(dec.angles[k], dec.vectors[k])
+        ref = linalg.SpectralDecomposition(oracle.angles[k], oracle.vectors[k])
+        true = linalg.SpectralDecomposition(np.mod(angles, TWO_PI), q)
+        assert op_norm(rebuild(one) - stack[k]) <= dim * 1e-12
+        assert op_norm(one.vectors.conj().T @ one.vectors - np.eye(dim)) <= 1e-12
+        got, want = group_sums(one, centres, weights), group_sums(ref, centres, weights)
+        for (offsets, mass), (ref_offsets, ref_mass), (true_offsets, true_mass) in zip(
+            got, want, group_sums(true, centres, weights)
+        ):
+            assert offsets.shape == ref_offsets.shape == true_offsets.shape
+            np.testing.assert_allclose(offsets, ref_offsets, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(offsets, true_offsets, rtol=0, atol=1e-11)
+            assert abs(mass - ref_mass) <= 1e-10 and abs(mass - true_mass) <= 1e-10
+
+
+def test_unitary_eig_solves_a_coupled_run_of_two_mirror_pairs(monkeypatch):
+    # cos(1.1) and cos(1.1 + 1e-9) agree to 1e-9, so eigh mixes all four eigenvectors of the two pairs
+    angles = np.array([1.1, -1.1, 1.1 + 1e-9, -1.1 - 1e-9, 0.3, 2.5])
+    q = haar_unitary(np.random.default_rng(7), 6)
+    u = (q * np.exp(1j * angles)) @ q.conj().T
+    blocks = []
+    solve = linalg._cayley_eig
+    monkeypatch.setattr(linalg, "_cayley_eig", lambda x: blocks.append(x.shape[-1]) or solve(x))
+    dec = unitary_eig(u)
+    assert max(blocks) >= 3
+    np.testing.assert_allclose(dec.angles, np.sort(np.mod(angles, TWO_PI)), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dec.angles, cayley_unitary_eig(u).angles, rtol=0, atol=1e-13)
+    assert op_norm(rebuild(dec) - u) <= 6 * 1e-14
+    assert op_norm(dec.vectors.conj().T @ dec.vectors - np.eye(6)) <= 1e-14
+    # each eigencolumn is q's column for its angle, up to a phase
+    overlap = np.abs(q.conj().T @ dec.vectors)
+    np.testing.assert_allclose(overlap[np.argsort(np.mod(angles, TWO_PI)), np.arange(6)], 1.0, atol=1e-6)
 
 
 def test_unitary_eig_empty_matrix():

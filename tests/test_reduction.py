@@ -883,6 +883,22 @@ class TestTypedErrors:
             with pytest.raises(PathMismatch):
                 audit(inst.u + 1.6e-9 * corner, [4])
 
+    def test_power_beyond_the_roundoff_of_the_checks_is_refused(self):
+        """delta = 1e-10 / (2 max |m|) below d eps names the power, not an operand, as at fault."""
+        inst = reduction_instance(1, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        audits = [
+            lambda ms: audit_projection_estimates(p, inst.h0, inst.u0, ms),
+            lambda ms: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, ms, [0.0]),
+            lambda ms: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], ms),
+        ]
+        for audit in audits:
+            for ms in ([2**20], [1, -(2**20)], [7038]):  # 32 eps = 7.1e-15 > 1e-10 / 14076
+                with pytest.raises(UnishiftError, match=f"power {ms[-1]} ") as info:
+                    audit(ms)
+                assert type(info.value) is UnishiftError
+            assert audit([4096]).passed  # delta 1.2e-14
+
     def test_tolerance_is_the_audit_slack_over_twice_the_largest_power(self):
         """delta = 1e-10 / (2 max |m|) for U0 and H0, so |m| delta stays below the audit slack."""
         inst = reduction_instance(16, 32, 2, 0.5)

@@ -411,6 +411,18 @@ class TestVerify:
         with pytest.raises(EmptyMatrix):
             batch_verify(empty, empty, empty, [TrigPolynomial.monomial(1)])
 
+    def test_coefficient_matrix_is_formed_once(self, monkeypatch):
+        # both sides take the one C; the left side is C @ the per-mode traces, bit for bit as _lhs gives it
+        pair = random_pair(16, 4, 1.2)
+        polys = [TrigPolynomial({3: 1.0, -2: 0.5j}), TrigPolynomial.monomial(-5), TrigPolynomial({0: 2.0, 3: -1.0})]
+        want = _lhs(pair.u0, pair.u, pair.a, *polys)
+        calls = []
+        coefficients = trace_formula._coefficients
+        monkeypatch.setattr(trace_formula, "_coefficients", lambda ps: calls.append(len(ps)) or coefficients(ps))
+        reports = batch_verify(pair.u0, pair.u, pair.a, polys)
+        assert calls == [3]
+        np.testing.assert_array_equal([rep.lhs for rep in reports], want)
+
 
 class TestEdgeSpectra:
     """The identity where U0 has eigenvalues at or next to 1 and -1, or repeated ones."""

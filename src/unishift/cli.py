@@ -41,10 +41,11 @@ from .errors import UnishiftError
 from .linalg import _BLOCK, hs_norm, random_pair
 from .quadrature import DEFAULT_S_NODES, gauss_legendre
 from .reduction import (
+    _instance,
+    _window_basis,
     audit_compressed_model,
     audit_perturbation_estimates,
     audit_projection_estimates,
-    build_direction_projection,
     convergence_study,
     reduction_instance,
 )
@@ -254,9 +255,10 @@ def cmd_resolvent(config: RunConfig) -> int:
 def cmd_bounds(config: RunConfig) -> int:
     inst = reduction_instance(config.seed, config.ambient, rank=2, scale=config.scale)
     t_grid = np.linspace(-AUDIT_T_MAX, AUDIT_T_MAX, 21)
+    h0, dec, _, f, _ = _instance(inst.h0, inst.a)
     partitions = []
     for cells in config.ranks:
-        proj = build_direction_projection(inst.h0, inst.a, inst.half_width, cells)
+        proj = _window_basis(dec, f, inst.half_width, cells, h0)
         reports = [
             audit_projection_estimates(proj, inst.h0, inst.u0, AUDIT_M_LIST),
             audit_perturbation_estimates(

@@ -15,15 +15,17 @@ evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
-Each public entry point checks its operands once (``_ambient_operands``):
-H0 and A pass ``require_hermitian`` and U0 and U ``as_matrix`` at the
-ambient size.  The seeds are the kept eigenvectors of A, orthonormal by
-construction.  Each audit, and ``compressed_model``, then builds one
-checked frame (``_frame``): the operands against the projection's
-eigenpairs and U against e^{iA} U0, all at one tolerance
-delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m.
-Phases, half-widths, the horizon T >= 0 and samples in [-T, T] are finite
-real numbers (``_is_real``); powers, samples and cell counts are iterables.
+One instance (``_instance``) checks H0 and A (``require_hermitian``), takes
+the eigh of H0 and the kept pairs of A for a projection, every partition of
+a ``bounds`` run or a convergence ladder, whose U0 = V diag(c) V* comes from
+that eigh; nothing is kept between calls.  The seeds, A's kept eigenvectors,
+are orthonormal, and a window basis carries the checked H0 that built it.
+Each audit, and ``compressed_model``, builds one checked frame (``_frame``)
+at delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m: H0
+against the basis's H0 in O(d^2), A by ``require_hermitian``, U0 against
+the eigenpairs and U against e^{iA} U0.  Phases, half-widths, the horizon
+T >= 0 and samples in [-T, T] are finite real numbers (``_is_real``);
+powers, samples and cell counts are iterables.
 
 The direction is low rank, so no d x d exponential and no d x d
 eigendecomposition of it is ever formed.  An orthonormal basis Q of the
@@ -70,11 +72,6 @@ different cells lie on disjoint sets of eigenvectors of H0, so they are
 orthogonal; in each cell's eigen-coordinates the pieces of norm above
 ``GS_DROP_TOL``, normalised, give their left singular vectors of singular
 value above that tolerance, which the cell's eigencolumns map back.
-
-``convergence_study`` checks and decomposes H0 and A once for its whole
-ladder, forms U0 = V diag(c) V* from that decomposition, and builds and
-traces every rung's pair without checking it again.  Nothing is kept
-between calls.
 """
 
 from __future__ import annotations
@@ -142,7 +139,8 @@ class WindowParams:
 class ProjectionBasis:
     """Orthonormal columns B spanning ran P, with the inputs that built it.
 
-    The basis carries the eigenpairs H0 = V diag(lambda) V* (``eigenvalues``,
+    The basis carries the checked ``h0`` (V diag(lambda) V* for a hand-built
+    basis without it), its eigenpairs H0 = V diag(lambda) V* (``eigenvalues``,
     ``eigenvectors``) and the coordinates Bhat = V* B by cell: row k of
     ``cell_rows`` holds the eigen-rows of occupied cell k and row k of
     ``cell_columns`` the columns of B it spans, each padded with -1, and
@@ -159,6 +157,7 @@ class ProjectionBasis:
     cell_rows: np.ndarray
     cell_columns: np.ndarray
     cell_blocks: np.ndarray
+    h0: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -170,7 +169,7 @@ def _offblock(b: np.ndarray, y: np.ndarray) -> float:
     return hs_norm(y - b @ (b.conj().T @ y))
 
 
-def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int) -> ProjectionBasis:
+def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int, h0=None):
     """Span of the spectral-cell pieces of the orthonormal seed columns F, from the eigendecomposition of H0.
 
     The window (-a, a] splits into ``cells`` half-open intervals; each seed
@@ -189,13 +188,14 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     leak = np.linalg.norm(np.where(inside[:, None], 0.0, coords), axis=0)
     if np.any(leak >= eps):
         raise BadWindow(f"a seed vector leaks {float(np.max(leak)):.3e} outside the window (eps {eps:.3e})")
-    cell_index = _cells_of(dec.eigenvalues, half_width, cells)
+    # The eigenvalues ascend, so each occupied cell's rows are one run of the window's rows.
+    window = np.flatnonzero(inside)
+    runs = np.split(window, np.flatnonzero(np.diff(_cells_of(dec.eigenvalues[window], half_width, cells))) + 1)
     # Pieces from different cells lie on disjoint sets of eigenvectors, so they
     # are orthogonal: one SVD per occupied cell on the eigen-coordinates of its
     # kept normalised pieces, and the cell's eigencolumns map the result back.
     rows_of, blocks = [], []
-    for k in np.unique(cell_index[inside]):
-        rows = np.flatnonzero((cell_index == k) & inside)
+    for rows in runs if window.size else []:
         pieces = coords[rows, :]
         norms = np.linalg.norm(pieces, axis=0)
         kept = norms > GS_DROP_TOL
@@ -223,6 +223,7 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
         cell_rows=cell_rows,
         cell_columns=cell_columns,
         cell_blocks=cell_blocks,
+        h0=h0,
     )
 
 
@@ -281,11 +282,17 @@ def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.nda
     return u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
 
 
+def _instance(h0, a):
+    """The checked H0, its ``HermitianDecomposition``, the checked A of its size and A's kept pairs (F, tau)."""
+    h0 = require_hermitian(h0, "h0")
+    a = require_hermitian(a, "a", h0.shape[0])
+    return h0, herm_eig(h0, check=False), a, *_kept_pairs(a)[:2]
+
+
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
     """Window projection seeded by the eigenvectors of the low-rank direction A."""
-    h0, a = _ambient_operands(None, h0=h0, a=a)
-    f, _, _ = _kept_pairs(a)
-    return _window_basis(herm_eig(h0, check=False), f, half_width, cells)
+    h0, dec, _, f, _ = _instance(h0, a)
+    return _window_basis(dec, f, half_width, cells, h0)
 
 
 @dataclass(frozen=True)
@@ -310,22 +317,6 @@ class AuditReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _ambient_operands(p: ProjectionBasis | None, **operands) -> list[np.ndarray]:
-    """The one operand check: each operand as a complex array, in the order given.
-
-    The ambient size is the projection's, or without one the first
-    operand's.  Every operand passes ``as_matrix`` at that size, ``h0`` and
-    ``a`` through ``require_hermitian``, which copies; U0 and U are only read.
-    """
-    dim = None if p is None else p.ambient_dim
-    out = []
-    for name, x in operands.items():
-        x = require_hermitian(x, name, dim) if name in ("h0", "a") else as_matrix(x, name, dim, copy=None)
-        dim = x.shape[0]
-        out.append(x)
-    return out
-
-
 def _listed(values, what: str) -> list:
     """An iterable ``values`` read once into a list; anything else is ``UnishiftError``."""
     try:
@@ -341,33 +332,31 @@ def _powers(values) -> list[int]:
     return [int(m) for m in values]
 
 
-def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, **operands):
+def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None, a=None, u0=None, u=None):
     """The one checked frame of an audit, or with no ``powers`` of ``compressed_model``.
 
     The projection must be a window basis with its construction record,
-    eigenpairs and cell layout (``MissingConstruction``), and T a finite
-    real number >= 0 (``UnishiftError``).  Then, once per call, the operands
-    pass ``_ambient_operands`` and the eigenpairs H0 = V diag(lambda) V*
-    must be of the ambient size (``DimensionMismatch``).  With
-    c = diag(V* U0 V), every operand is checked in the Hilbert-Schmidt norm
-    at one tolerance delta = AUDIT_SLACK / (2 max(1, max |m|)) over the
-    call's powers m: ||H0 V - V diag(lambda)||, ||U0 V - V diag(c)|| and
-    ||U - e^{iA} U0|| (``PathMismatch``), and each abs(|c_j| - 1)
-    (``NotUnitary``).  So no operand moves a power U0^m or U^m by more than
-    |m| delta (1 + 2 delta)^|m| < AUDIT_SLACK, nor the Cayley image of H0 by
-    more than 2 delta.  A power whose delta falls below d times the machine
-    epsilon, the roundoff of one such gap at ambient size d, is refused
-    (``UnishiftError``) before any operand is judged by it.
+    eigenpairs H0 = V diag(lambda) V* and cell layout (``MissingConstruction``),
+    of its ambient size d (``DimensionMismatch``), and T a finite real
+    number >= 0 (``UnishiftError``).  Each operand given is checked once,
+    where used, at size d (``as_matrix``) and in the Hilbert-Schmidt norm at
+    delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
+    ||H0 - p.h0|| (``PathMismatch``, ``NotHermitian`` for a non-Hermitian H0),
+    A by ``require_hermitian``, and with c = diag(V* U0 V), ||U0 V - V diag(c)||
+    and ||U - e^{iA} U0|| (``PathMismatch``) and abs(|c_j| - 1) (``NotUnitary``).
+    So no operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
+    < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.  A power
+    whose delta falls below d times the machine epsilon, the roundoff of one
+    such gap at ambient size d, is refused (``UnishiftError``) first.
 
     Returns eps, the cells (rows, columns, blocks), c (None without U0), the
-    checked operands in the order given, and with U A's kept pairs
-    (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and F* B (else None).
+    checked A (None without it), and with U A's kept pairs (F, tau), ||A||,
+    Fh = V* F, P_perp F = F - B(B* F) and F* B (else None).
     """
-    if not isinstance(p, ProjectionBasis) or any(x is None for x in vars(p).values()):
+    if not isinstance(p, ProjectionBasis) or any(x is None for k, x in vars(p).items() if k != "h0"):
         raise MissingConstruction("the projection must be a window basis with its record, eigenpairs and cells")
     if not (_is_real(t_max) and t_max >= 0.0):
         raise UnishiftError(f"the audit horizon T must be a finite real number >= 0, not {t_max!r}")
-    checked = dict(zip(operands, _ambient_operands(p, **operands)))
     d, v, lam = p.ambient_dim, p.eigenvectors, p.eigenvalues
     if np.shape(lam) != (d,) or np.shape(v) != (d, d):
         raise DimensionMismatch(f"the eigenpairs of H0 must be of the ambient size {d}")
@@ -383,24 +372,28 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, **operands
         if hs_norm(gap) > delta:
             raise PathMismatch(f"{what} (tol {delta:.3e})")
 
-    if "h0" in checked:
-        gap = checked["h0"] @ v
-        gap -= v * lam
-        require(gap, "H0 is not the operator V diag(lambda) V* that built the projection")
+    if h0 is not None:
+        h0 = as_matrix(h0, "h0", d, copy=None)
+        if hs_norm(gap := h0 - (_from_spectrum(v, lam) if p.h0 is None else p.h0)) > delta:
+            require_hermitian(h0, "h0", d)
+            require(gap, "H0 is not the operator that built the projection")
+    if a is not None:
+        a = require_hermitian(a, "a", d)
     c = direction = None
-    if "u0" in checked:
-        gap = checked["u0"] @ v
+    if u0 is not None:
+        u0 = as_matrix(u0, "u0", d, copy=None)
+        gap = u0 @ v
         c = np.einsum("ij,ij->j", v.conj(), gap)
         gap -= v * c
         require(gap, "U0 is not diagonal in the eigenbasis of H0")
         if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
             raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
-    if "u" in checked:
-        f, tau, a_op = _kept_pairs(checked["a"])
-        require(checked["u"] - _low_rank_endpoint(f, tau, checked["u0"]), "U is not e^(iA) U0")
+    if u is not None:
+        f, tau, a_op = _kept_pairs(a)
+        require(as_matrix(u, "u", d, copy=None) - _low_rank_endpoint(f, tau, u0), "U is not e^(iA) U0")
         b = p.columns
         direction = f, tau, a_op, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
-    return p.params.eps, cells, c, list(checked.values()), direction
+    return p.params.eps, cells, c, a, direction
 
 
 def _power(c: np.ndarray, m: int) -> np.ndarray:
@@ -518,8 +511,8 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
 
     Checks, in order: seed capture ||P_perp f_l||, the window operator
     ||P_perp H0 P||_2, both resolvents ||P_perp (i +- H0)^{-1} P||_2, and the
-    unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.  H0 and U0 are checked
-    against the projection's eigenpairs as in ``_frame``.
+    unitary powers ||P_perp U0^m P||_2 <= 2|m| eps.  H0 is checked against
+    the basis's H0 and U0 against its eigenpairs, as in ``_frame``.
     """
     m_list = _powers(m_list)
     eps, cells, c, _, _ = _frame(p, m_list, h0=h0, u0=u0)
@@ -595,7 +588,7 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     which is what makes rank-coordinates legitimate.  H0 and A are checked
     as in ``_frame``, with no powers.
     """
-    _, cells, _, (_, a), _ = _frame(p, (), h0=h0, a=a)
+    _, cells, _, a, _ = _frame(p, (), h0=h0, a=a)
     return _compressed(p, cells, a, phase)[0]
 
 
@@ -631,7 +624,7 @@ def audit_compressed_model(
     """
     m_list, k_list = _powers(m_list), _powers(k_list)
     frame = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
-    eps, cells, c, (_, a, _, _), (f, tau, a_op, fh, f_perp, fb) = frame
+    eps, cells, c, a, (f, tau, a_op, fh, f_perp, fb) = frame
     b = p.columns
     model, w = _compressed(p, cells, a, phase)
     fc, tau_c = model.ap_vectors, model.ap_values
@@ -710,21 +703,19 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     the extent of H0's spectrum.  The ambient space must be at least 4x the
     finest partition so cells keep holding several eigenvalues.
     """
-    h0, a = _ambient_operands(None, h0=h0, a=a)
+    h0, h0_dec, a, f, tau = _instance(h0, a)
     _require_polynomial(p)
     cell_counts = _listed(cell_counts, "cell counts")
     if not cell_counts or not all(_is_whole(n, 1) for n in cell_counts):
         raise BadWindow("need at least one cell count, each a positive whole number")
     if h0.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
-    h0_dec = herm_eig(h0, check=False)
-    f, tau, _ = _kept_pairs(a)
     half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
     u0 = _from_spectrum(h0_dec.vectors, _cayley_values(h0_dec.eigenvalues, phase))
     full = complex(_lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)[0])
     rows = []
     for n in sorted(cell_counts):
-        proj = _window_basis(h0_dec, f, half_width, n)
+        proj = _window_basis(h0_dec, f, half_width, n, h0)
         model = _compressed(proj, (proj.cell_rows, proj.cell_columns, proj.cell_blocks), a, phase)[0]
         compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
         rows.append(ConvergenceRow(int(n), proj.rank, compressed, abs(full - compressed)))

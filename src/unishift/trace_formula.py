@@ -168,15 +168,21 @@ class ResolventReport(VerificationReport):
     series_vs_direct: float
 
 
+def _resolvent_series(z: complex, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending modes and the coefficients of ``resolvent_coefficients(z, order)``, as arrays."""
+    if abs(z) < 1.0:
+        return np.arange(-(order + 1), 0), np.array([z**k for k in range(order, -1, -1)], dtype=np.complex128)
+    return np.arange(order + 1), np.array([-(z ** -(k + 1)) for k in range(order + 1)], dtype=np.complex128)
+
+
 def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
     """Truncated Fourier expansion of w -> (w - z)^{-1} on |w| = 1.
 
     Inside the circle the coefficients sit at negative modes, a_{-(k+1)} = z^k;
     outside they sit at nonnegative modes, a_k = -z^{-(k+1)}.
     """
-    if abs(z) < 1.0:
-        return TrigPolynomial({-(k + 1): z**k for k in range(order + 1)})
-    return TrigPolynomial({k: -(z ** -(k + 1)) for k in range(order + 1)})
+    modes, coeffs = _resolvent_series(z, order)
+    return TrigPolynomial(dict(zip(modes.tolist(), coeffs.tolist())))
 
 
 def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):
@@ -228,7 +234,8 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
     session = EtaIntegrator(u0, a, s_rule)
     u0, a, u = session.u0, session.a, session.path.require_endpoint(u)
     order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
-    lhs = complex(_lhs(u0, u, a, resolvent_coefficients(z, order))[0])
+    modes, coeffs = _resolvent_series(z, order)
+    lhs = complex((coeffs[None] @ _lhs_mode_traces(u0, u, a, modes))[0])
 
     def fprime(t):
         """d/dt (e^{it} - z)^{-1} on the circle; dividing twice keeps a huge |z| from overflowing."""

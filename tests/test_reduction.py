@@ -664,16 +664,25 @@ class TestOneOperandCheck:
         checks, eigs = self.count(monkeypatch, "require_hermitian"), self.count(monkeypatch, "herm_eig")
         cases = [
             (2, 1, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
-            (2, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
-            (1, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1])),
+            (1, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
+            (0, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1])),
             (1, 0, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
-            (2, 0, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])),
+            (1, 0, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])),
         ]
         for n_checks, n_eigs, call in cases:
             checks.clear()
             eigs.clear()
             call()
             assert (len(checks), len(eigs)) == (n_checks, n_eigs)
+
+    @pytest.mark.parametrize("ranks", ["16", "4,8,16,32"])
+    def test_bounds_checks_and_diagonalises_h0_once_per_run(self, monkeypatch, tmp_path, ranks):
+        """H0 and A are checked once per run, A again by two audits of each partition; H0 has one eigh."""
+        from unishift.cli import main
+
+        checks, eigs = self.count(monkeypatch, "require_hermitian"), self.count(monkeypatch, "herm_eig")
+        assert main(["bounds", "--ambient", "64", "--ranks", ranks, "--out", str(tmp_path / "bounds.json")]) == 0
+        assert (len(checks), len(eigs)) == (2 + 2 * len(ranks.split(",")), 1)
 
     def test_each_audit_finds_the_kept_pairs_of_a_at_most_once(self, monkeypatch):
         """One checked frame per call: each Hermitian operand checked once, A's kept pairs found at most once."""
@@ -685,10 +694,10 @@ class TestOneOperandCheck:
         original = reduction._kept_pairs
         monkeypatch.setattr(reduction, "_kept_pairs", lambda h: ambient.append(h.shape == (64, 64)) or original(h))
         cases = [
-            (1, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
+            (0, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
             (1, 1, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1, -2], [0.0, 1.0])),
-            (2, 1, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1, -2], [1, 2])),
-            (2, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
+            (1, 1, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1, -2], [1, 2])),
+            (1, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
         ]
         for n_checks, n_pairs, call in cases:
             checks.clear()
@@ -914,6 +923,24 @@ class TestTypedErrors:
             else:
                 with pytest.raises(PathMismatch):
                     call()
+
+    def test_h0_is_held_to_the_h0_that_built_the_basis(self):
+        """H0 within delta of the basis's own H0 (Hilbert-Schmidt) passes; beyond it PathMismatch, or NotHermitian."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        bump = np.zeros((32, 32), dtype=complex)
+        bump[0, 1] = bump[1, 0] = 1.0 / np.sqrt(2.0)  # Hermitian, Hilbert-Schmidt norm 1
+        calls = [  # with delta = 1e-10 / (2 max(1, max |m|))
+            (lambda h0: audit_projection_estimates(p, h0, inst.u0, [1, 2]), 2.5e-11),
+            (lambda h0: audit_compressed_model(p, h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1]), 2.5e-11),
+            (lambda h0: compressed_model(p, h0, inst.a, inst.phase), 5e-11),
+        ]
+        for call, delta in calls:
+            call(inst.h0 + 0.5 * delta * bump)
+            with pytest.raises(PathMismatch):
+                call(inst.h0 + 2.0 * delta * bump)
+            with pytest.raises(NotHermitian):
+                call(inst.h0 + 1e-3 * np.triu(bump))
 
     def test_hand_built_basis_needs_the_eigenpairs_of_h0(self):
         inst = reduction_instance(16, 32, 2, 0.5)

@@ -557,6 +557,15 @@ class TestResolvent:
         assert rep.passed
         assert abs(rep.rhs - series) <= rep.tail_bound + 1e-12 * (1.0 + abs(series))
 
+    @pytest.mark.parametrize("z", [0.3 + 0.4j, 1 / 0.95])
+    def test_left_side_is_lhs_trace_of_the_coefficients(self, z):
+        """The series left side, from the coefficient arrays, has the bits of ``lhs_trace`` of the polynomial."""
+        pair = random_pair(23, 5, 1.0)
+        rep = resolvent_check(pair.u0, pair.u, pair.a, z, s_rule=gauss_legendre(16))
+        want = lhs_trace(pair.u0, pair.u, pair.a, resolvent_coefficients(rep.z, rep.truncation_order))
+        assert rep.truncation_order > 10
+        assert np.array(rep.lhs).tobytes() == np.array(want).tobytes()
+
     def test_right_side_uses_no_curvature_pairings(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the resolvent right side must not sum over modes")

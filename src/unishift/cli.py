@@ -38,9 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnishiftError
-from .linalg import _BLOCK, hs_norm, random_pair
+from .linalg import _BLOCK, _MAX_DIM, hs_norm, random_pair
 from .quadrature import DEFAULT_S_NODES, gauss_legendre
 from .reduction import (
+    _MAX_AMBIENT,
     _instance,
     _window_basis,
     audit_compressed_model,
@@ -49,7 +50,7 @@ from .reduction import (
     convergence_study,
     reduction_instance,
 )
-from .spectral_shift import eta_profile
+from .spectral_shift import _MAX_GRID, eta_profile
 from .trace_formula import batch_verify, resolvent_check
 from .trigpoly import TrigPolynomial, random_trig_polynomial
 
@@ -59,10 +60,9 @@ AUDIT_M_LIST = (1, -1, 2, -2, 4, -4)
 AUDIT_K_LIST = (1, 2, 4)
 AUDIT_T_MAX = 2.0
 
-# Largest sizes a run may ask for, refused before anything is allocated: a
-# Haar draw and the integrator's stacks grow as dim^2, a reduction instance
-# holds four ambient^2 matrices, and an eta export three grid-long columns.
-_MAX_SIZES = {"dim": 1024, "ambient": 4096, "grid": 10**6}
+# Largest sizes a run may ask for, the library's own caps, refused before
+# anything is allocated.
+_MAX_SIZES = {"dim": _MAX_DIM, "ambient": _MAX_AMBIENT, "grid": _MAX_GRID}
 
 
 class ConfigError(UnishiftError):

@@ -62,7 +62,7 @@ class ZeroDirection(UnishiftError):
 
 
 class MissingConstruction(UnishiftError):
-    """An audited projection is not a window basis: no construction record, eigenpairs of H0 or cell layout."""
+    """A projection is not a window basis, or a window basis lacks its record, H0, eigenpairs of H0 or cell layout."""
 
 
 class SampleOutOfRange(UnishiftError):

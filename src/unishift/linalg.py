@@ -399,14 +399,20 @@ def _require_draw(seed, scale) -> None:
         raise UnishiftError(f"scale must lie in (0, pi), not {scale!r}")
 
 
+_MAX_DIM = 1024  # a draw and the integrator's stacks grow as dim^2
+
+
 def random_pair(seed: int, dim: int, scale: float) -> UnitaryPair:
     """Deterministic random pair (U0, A, U = e^{iA} U0) with ||A||_op = scale.
 
-    ``scale`` must stay in (0, pi) so the principal logarithm of U U0* is A.
+    ``scale`` must stay in (0, pi) so the principal logarithm of U U0* is A,
+    and ``dim`` in [1, ``_MAX_DIM``], checked before anything is allocated.
     """
     _require_draw(seed, scale)
     if not _is_whole(dim, 1):
         raise UnishiftError(f"dim must be a whole number, at least 1, not {dim!r}")
+    if dim > _MAX_DIM:
+        raise UnishiftError(f"dim must be at most {_MAX_DIM}, not {dim}")
     rng = np.random.default_rng(seed)
     u0 = haar_unitary(rng, dim)
     a = random_hermitian(rng, dim, scale)

@@ -19,7 +19,9 @@ One instance (``_instance``) checks H0 and A (``require_hermitian``), takes
 the eigh of H0 and the kept pairs of A for a projection, every partition of
 a ``bounds`` run or a convergence ladder, whose U0 = V diag(c) V* comes from
 that eigh; nothing is kept between calls.  The seeds, A's kept eigenvectors,
-are orthonormal, and a window basis carries the checked H0 that built it.
+are orthonormal.  A window basis (``ProjectionBasis``) carries the checked
+H0 that built it, and its fields are checked for presence and shape once,
+when it is made; the audits and their helpers read it directly.
 Each audit, and ``compressed_model``, builds one checked frame (``_frame``)
 at delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m: H0
 against the basis's H0 in O(d^2), A by ``require_hermitian``, U0 against
@@ -139,16 +141,17 @@ class WindowParams:
 class ProjectionBasis:
     """Orthonormal columns B spanning ran P, with the inputs that built it.
 
-    The basis carries the checked ``h0`` (V diag(lambda) V* for a hand-built
-    basis without it), its eigenpairs H0 = V diag(lambda) V* (``eigenvalues``,
-    ``eigenvectors``) and the coordinates Bhat = V* B by cell: row k of
-    ``cell_rows`` holds the eigen-rows of occupied cell k and row k of
-    ``cell_columns`` the columns of B it spans, each padded with -1, and
-    ``cell_blocks[k]`` is the block of Bhat on those rows and columns,
-    padded with zeros.  Like the columns, these are trusted as built.
+    The basis carries the checked ``h0``, its eigenpairs H0 = V diag(lambda) V*
+    (``eigenvalues``, ``eigenvectors``) and the coordinates Bhat = V* B by
+    cell: row k of ``cell_rows`` holds the eigen-rows of occupied cell k and
+    row k of ``cell_columns`` the columns of B it spans, each padded with -1,
+    and ``cell_blocks[k]`` is the block of Bhat on those rows and columns,
+    padded with zeros.  Making a basis, ``dataclasses.replace`` included,
+    checks that every field is there (``MissingConstruction``) and that the
+    shapes agree on the ambient size d = len(eigenvalues) and on the cell
+    layout (``DimensionMismatch``); the values are trusted as built.
     """
 
-    ambient_dim: int
     columns: np.ndarray
     directions: np.ndarray
     params: WindowParams
@@ -157,7 +160,23 @@ class ProjectionBasis:
     cell_rows: np.ndarray
     cell_columns: np.ndarray
     cell_blocks: np.ndarray
-    h0: np.ndarray | None = None
+    h0: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.params, WindowParams) or any(x is None for x in vars(self).values()):
+            raise MissingConstruction("a window basis needs its record, H0, eigenpairs and cells")
+        # axes: d ambient, r rank, L seeds, K cells, n rows and w columns per cell
+        axes = dict(eigenvalues="d", eigenvectors="dd", h0="dd", columns="dr", directions="dL", cell_rows="Kn",
+                    cell_columns="Kw", cell_blocks="Knw")
+        sizes = {}
+        for name, names in axes.items():
+            shape = np.shape(getattr(self, name))
+            if len(shape) != len(names) or any(sizes.setdefault(a, n) != n for a, n in zip(names, shape)):
+                raise DimensionMismatch(f"{name} of shape {shape} does not fit the window basis {sizes}")
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.eigenvalues.shape[0]
 
     @property
     def rank(self) -> int:
@@ -169,8 +188,8 @@ def _offblock(b: np.ndarray, y: np.ndarray) -> float:
     return hs_norm(y - b @ (b.conj().T @ y))
 
 
-def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int, h0=None):
-    """Span of the spectral-cell pieces of the orthonormal seed columns F, from the eigendecomposition of H0.
+def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int, h0: np.ndarray):
+    """Span of the spectral-cell pieces of the orthonormal seed columns F, from the checked H0 and its eigh ``dec``.
 
     The window (-a, a] splits into ``cells`` half-open intervals; each seed
     f_l contributes the normalised projection of f_l onto every cell it
@@ -214,7 +233,6 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
         start += block.shape[1]
     columns = [dec.vectors[:, rows] @ block for rows, block in zip(rows_of, blocks)]
     return ProjectionBasis(
-        ambient_dim=dim,
         columns=np.concatenate([np.zeros((dim, 0), dtype=np.complex128), *columns], axis=1),
         directions=f,
         params=WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps)),
@@ -335,10 +353,9 @@ def _powers(values) -> list[int]:
 def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None, a=None, u0=None, u=None):
     """The one checked frame of an audit, or with no ``powers`` of ``compressed_model``.
 
-    The projection must be a window basis with its construction record,
-    eigenpairs H0 = V diag(lambda) V* and cell layout (``MissingConstruction``),
-    of its ambient size d (``DimensionMismatch``), and T a finite real
-    number >= 0 (``UnishiftError``).  Each operand given is checked once,
+    The projection must be a ``ProjectionBasis`` (``MissingConstruction``),
+    which was checked when it was made, and T a finite real number >= 0
+    (``UnishiftError``).  Each operand given is checked once,
     where used, at size d (``as_matrix``) and in the Hilbert-Schmidt norm at
     delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
     ||H0 - p.h0|| (``PathMismatch``, ``NotHermitian`` for a non-Hermitian H0),
@@ -349,18 +366,15 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     whose delta falls below d times the machine epsilon, the roundoff of one
     such gap at ambient size d, is refused (``UnishiftError``) first.
 
-    Returns eps, the cells (rows, columns, blocks), c (None without U0), the
-    checked A (None without it), and with U A's kept pairs (F, tau), ||A||,
-    Fh = V* F, P_perp F = F - B(B* F) and F* B (else None).
+    Returns c (None without U0), the checked A (None without it), and with U
+    A's kept pairs (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and
+    F* B (else None).
     """
-    if not isinstance(p, ProjectionBasis) or any(x is None for k, x in vars(p).items() if k != "h0"):
-        raise MissingConstruction("the projection must be a window basis with its record, eigenpairs and cells")
+    if not isinstance(p, ProjectionBasis):
+        raise MissingConstruction(f"the projection must be a window basis, not {type(p).__name__}")
     if not (_is_real(t_max) and t_max >= 0.0):
         raise UnishiftError(f"the audit horizon T must be a finite real number >= 0, not {t_max!r}")
-    d, v, lam = p.ambient_dim, p.eigenvectors, p.eigenvalues
-    if np.shape(lam) != (d,) or np.shape(v) != (d, d):
-        raise DimensionMismatch(f"the eigenpairs of H0 must be of the ambient size {d}")
-    cells = (p.cell_rows, p.cell_columns, p.cell_blocks)
+    d, v = p.ambient_dim, p.eigenvectors
     delta = AUDIT_SLACK / (2.0 * max([1, *map(abs, powers)]))
     if delta < (floor := d * np.finfo(float).eps):
         raise UnishiftError(
@@ -374,7 +388,7 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
 
     if h0 is not None:
         h0 = as_matrix(h0, "h0", d, copy=None)
-        if hs_norm(gap := h0 - (_from_spectrum(v, lam) if p.h0 is None else p.h0)) > delta:
+        if hs_norm(gap := h0 - p.h0) > delta:
             require_hermitian(h0, "h0", d)
             require(gap, "H0 is not the operator that built the projection")
     if a is not None:
@@ -393,7 +407,7 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
         require(as_matrix(u, "u", d, copy=None) - _low_rank_endpoint(f, tau, u0), "U is not e^(iA) U0")
         b = p.columns
         direction = f, tau, a_op, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
-    return p.params.eps, cells, c, a, direction
+    return c, a, direction
 
 
 def _power(c: np.ndarray, m: int) -> np.ndarray:
@@ -401,17 +415,16 @@ def _power(c: np.ndarray, m: int) -> np.ndarray:
     return (c if m >= 0 else c.conj()) ** abs(m)
 
 
-def _offblock_norms(cells, scales: np.ndarray):
+def _offblock_norms(p: ProjectionBasis, scales: np.ndarray):
     """||P_perp X P||_HS for each X = V diag(D) V*, D in ``scales`` (s, d), summed over the cells in O(d L^2).
 
     Also returns the cell blocks of diag(D) Bhat and of Bhat* diag(D) Bhat,
     (s, K, n, L) and (s, K, L, L).  Padded rows read the last entry of D and
     meet zero rows of the blocks.
     """
-    rows, _, blocks = cells
-    y = scales[:, rows, None] * blocks
-    grams = _adjoint(blocks) @ y
-    return _norms(y - blocks @ grams), y, grams
+    y = scales[:, p.cell_rows, None] * p.cell_blocks
+    grams = _adjoint(p.cell_blocks) @ y
+    return _norms(y - p.cell_blocks @ grams), y, grams
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -424,25 +437,24 @@ def _factor_norms(x: np.ndarray, scales: np.ndarray, y: np.ndarray) -> np.ndarra
     return _norms((np.linalg.qr(x, mode="r")[None] * scales[:, None, :]) @ y)
 
 
-def _dense_offblock(cells, y: np.ndarray) -> float:
+def _dense_offblock(p: ProjectionBasis, y: np.ndarray) -> float:
     """||Y - Bhat(Bhat* Y)||_HS for dense coordinates Y, cell by cell in O(d L c).
 
     Y carries a zero row d, which the padding (-1) of the cell rows reads;
     rows in no cell keep all of Y.
     """
-    rows, _, blocks = cells
-    inside = y[rows]
-    rest = inside - blocks @ (_adjoint(blocks) @ inside)
+    inside = y[p.cell_rows]
+    rest = inside - p.cell_blocks @ (_adjoint(p.cell_blocks) @ inside)
     outside = np.ones(len(y), dtype=bool)
-    outside[rows] = False
+    outside[p.cell_rows] = False
     return float(np.sqrt(hs_norm(rest) ** 2 + hs_norm(y[outside]) ** 2))
 
 
-def _to_columns(cells, x: np.ndarray) -> np.ndarray:
+def _to_columns(p: ProjectionBasis, x: np.ndarray) -> np.ndarray:
     """The (r, ...) array, in B's column order, of a (K, L, ...) array indexed by cell and slot."""
-    used = cells[1] >= 0
+    used = p.cell_columns >= 0
     out = np.empty((int(used.sum()), *x.shape[2:]), dtype=x.dtype)
-    out[cells[1][used]] = x[used]
+    out[p.cell_columns[used]] = x[used]
     return out
 
 
@@ -477,21 +489,21 @@ def _unitary_powers(scale, unscale, f: np.ndarray, e: np.ndarray, y: np.ndarray,
                 yield sign * k, x
 
 
-def _ambient_powers(p: ProjectionBasis, cells, c: np.ndarray, fh: np.ndarray, tau: np.ndarray, ms):
+def _ambient_powers(p: ProjectionBasis, c: np.ndarray, fh: np.ndarray, tau: np.ndarray, ms):
     """Yield (m, V* U^m B) for U = e^{iA} U0 = V (I + Fh diag(e^{i tau} - 1) Fh*) diag(c) V*, Fh = V* F.
 
     Starts from the coordinates Bhat of B; each step costs O(d r k).  The
     coordinates carry a zero row d (with c and Fh zero there), which the
     padding (-1) of the cell rows reads.
     """
-    start = _scatter(cells[0], cells[1], cells[2], (p.ambient_dim + 1, p.rank))
+    start = _scatter(p.cell_rows, p.cell_columns, p.cell_blocks, (p.ambient_dim + 1, p.rank))
     c, fh = np.append(c, 0.0)[:, None], np.concatenate([fh, np.zeros((1, fh.shape[1]))])
     yield from _unitary_powers(lambda x: c * x, lambda x: c.conj() * x, fh, np.expm1(1j * tau), start, ms)
 
 
-def _by_cell(cells, w: np.ndarray):
+def _by_cell(p: ProjectionBasis, w: np.ndarray):
     """Z -> diag(W_k) Z on rank coordinates Z whose zero row r the padding (-1) of the cell columns reads and writes."""
-    cols = cells[1]
+    cols = p.cell_columns
 
     def apply(z):
         out = np.zeros_like(z)
@@ -515,13 +527,13 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     the basis's H0 and U0 against its eigenpairs, as in ``_frame``.
     """
     m_list = _powers(m_list)
-    eps, cells, c, _, _ = _frame(p, m_list, h0=h0, u0=u0)
-    checks = []
+    c, _, _ = _frame(p, m_list, h0=h0, u0=u0)
+    eps, checks = p.params.eps, []
     for l in range(p.directions.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, p.directions[:, l]), eps))
     lam = p.eigenvalues
     scales = [lam, 1.0 / (1j + lam), 1.0 / (1j - lam), *(_power(c, m) for m in m_list)]
-    norms = _offblock_norms(cells, np.array(scales))[0]
+    norms = _offblock_norms(p, np.array(scales))[0]
     for name, value in zip(("window_offblock", "resolvent_plus", "resolvent_minus"), norms):
         checks.append(_check(name, value, eps))
     for m, value in zip(m_list, norms[3:]):
@@ -538,7 +550,8 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     e^{iA} U0.  U0 and U are checked as in ``_frame``.
     """
     m_list = _powers(m_list)
-    eps, cells, c, _, (_, tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    c, _, (_, tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    eps = p.params.eps
     # F* is a co-isometry, so it drops out of ||P_perp A||_HS = ||P_perp F tau F*||_HS
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
     ts = _listed(t_samples, "propagator samples")
@@ -550,8 +563,8 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
     for t, value in zip(ts, propagators):
         checks.append(_check(f"propagator[t={t:+.3f}]", value, propagator_bound))
-    base = _offblock_norms(cells, np.array([_power(c, m) for m in m_list]).reshape(-1, p.ambient_dim))[0]
-    pert = {m: _dense_offblock(cells, y) for m, y in _ambient_powers(p, cells, c, fh, tau, m_list)}
+    base = _offblock_norms(p, np.array([_power(c, m) for m in m_list]).reshape(-1, p.ambient_dim))[0]
+    pert = {m: _dense_offblock(p, y) for m, y in _ambient_powers(p, c, fh, tau, m_list)}
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
     for m, value in zip(m_list, base):
         checks.append(_check(f"base_power[{m}]", value, 2 * abs(m) * eps))
@@ -588,20 +601,20 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     which is what makes rank-coordinates legitimate.  H0 and A are checked
     as in ``_frame``, with no powers.
     """
-    _, cells, _, a, _ = _frame(p, (), h0=h0, a=a)
-    return _compressed(p, cells, a, phase)[0]
+    a = _frame(p, (), h0=h0, a=a)[1]
+    return _compressed(p, a, phase)[0]
 
 
-def _compressed(p: ProjectionBasis, cells, a: np.ndarray, phase: float) -> tuple[CompressedModel, np.ndarray]:
+def _compressed(p: ProjectionBasis, a: np.ndarray, phase: float) -> tuple[CompressedModel, np.ndarray]:
     """``compressed_model`` of a checked A, and the cell blocks W of U0p, (K, L, L).
 
     B* H0 B = Bhat* diag(lambda) Bhat is block diagonal, so U0p is the
     Cayley image of each cell's block, placed on the cell's columns.
     """
-    b, (rows, cols, blocks) = p.columns, cells
-    hc = _adjoint(blocks) @ (p.eigenvalues[rows, None] * blocks)
+    b, blocks = p.columns, p.cell_blocks
+    hc = _adjoint(blocks) @ (p.eigenvalues[p.cell_rows, None] * blocks)
     w = _cayley(0.5 * (hc + _adjoint(hc)), phase)
-    u0p = _scatter(cols, cols, w, (p.rank, p.rank))
+    u0p = _scatter(p.cell_columns, p.cell_columns, w, (p.rank, p.rank))
     ac = b.conj().T @ a @ b
     ac = 0.5 * (ac + ac.conj().T)
     fc, tau_c, _ = _kept_pairs(ac)
@@ -623,10 +636,9 @@ def audit_compressed_model(
     ``_frame``, over the powers m and k.
     """
     m_list, k_list = _powers(m_list), _powers(k_list)
-    frame = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
-    eps, cells, c, a, (f, tau, a_op, fh, f_perp, fb) = frame
-    b = p.columns
-    model, w = _compressed(p, cells, a, phase)
+    c, a, (f, tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
+    b, eps, rows = p.columns, p.params.eps, p.cell_rows
+    model, w = _compressed(p, a, phase)
     fc, tau_c = model.ap_vectors, model.ap_values
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
@@ -645,17 +657,17 @@ def audit_compressed_model(
     # has one block per cell.  Up = (I + Fc (e^{i tau_c} - 1) Fc*) U0p is streamed on the r x r identity,
     # and B* U^m B is read cell by cell off the stream of V* U^m B.
     ms = sorted({*m_list, *k_list})
-    _, y, grams = _offblock_norms(cells, np.array([_power(c, m) for m in ms]).reshape(-1, p.ambient_dim))
+    _, y, grams = _offblock_norms(p, np.array([_power(c, m) for m in ms]).reshape(-1, p.ambient_dim))
     y, grams = dict(zip(ms, y)), dict(zip(ms, grams))
-    bhat = _adjoint(cells[2])
-    pert = {m: _to_columns(cells, bhat @ x[cells[0]]) for m, x in _ambient_powers(p, cells, c, fh, tau, m_list)}
+    bhat = _adjoint(p.cell_blocks)
+    pert = {m: _to_columns(p, bhat @ x[rows]) for m, x in _ambient_powers(p, c, fh, tau, m_list)}
     # rank coordinates with a zero row r, as in ``_by_cell``
     fc_rows, eye = np.concatenate([fc, np.zeros((1, fc.shape[1]))]), np.eye(p.rank + 1, p.rank, dtype=np.complex128)
-    steps = _by_cell(cells, w), _by_cell(cells, _adjoint(w))
+    steps = _by_cell(p, w), _by_cell(p, _adjoint(w))
     pert_c = {m: z[:-1] for m, z in _unitary_powers(*steps, fc_rows, np.expm1(1j * tau_c), eye, m_list)}
     for m in m_list:
         w_m = np.linalg.matrix_power(w if m >= 0 else _adjoint(w), abs(m))
-        value = hs_norm(y[m] - cells[2] @ w_m)
+        value = hs_norm(y[m] - p.cell_blocks @ w_m)
         checks.append(_check(f"base_power_error[{m}]", value, 2 * abs(m) * eps))
         value = hs_norm(pert[m] - pert_c[m])
         bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
@@ -664,12 +676,12 @@ def audit_compressed_model(
     # B* e^{iA} U0^k B - e^{iAp} B* U0^k B = X Y_k with X = [(F*B)* (e^{i tau} - 1), -Fc (e^{i tau_c} - 1)]
     # and Y_k = [F* U0^k B; Fc* B* U0^k B], F* U0^k B = Fh* (c^k Bhat) and B* U0^k B = diag(Bhat_k* c^k Bhat_k)
     # cell by cell.  So each trace is Tr{(Y_k Up^m) X}, with no r x r factor formed.
-    fh_cells, fc_cells = _adjoint(fh[cells[0]]), _adjoint(fc_rows[cells[1]])
+    fh_cells, fc_cells = _adjoint(fh[rows]), _adjoint(fc_rows[p.cell_columns])
     x = np.concatenate([_exp_step(fb.conj().T, tau), -_exp_step(fc, tau_c)], axis=1)
     ys = np.array([
         np.concatenate([
-            _to_columns(cells, (fh_cells @ y[k]).swapaxes(1, 2)).T,
-            _to_columns(cells, (fc_cells @ grams[k]).swapaxes(1, 2)).T,
+            _to_columns(p, (fh_cells @ y[k]).swapaxes(1, 2)).T,
+            _to_columns(p, (fc_cells @ grams[k]).swapaxes(1, 2)).T,
         ])
         for k in k_list
     ]).reshape(len(k_list), x.shape[1], p.rank)
@@ -716,7 +728,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n, h0)
-        model = _compressed(proj, (proj.cell_rows, proj.cell_columns, proj.cell_blocks), a, phase)[0]
+        model = _compressed(proj, a, phase)[0]
         compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
         rows.append(ConvergenceRow(int(n), proj.rank, compressed, abs(full - compressed)))
     return ConvergenceStudy(full_trace=full, rows=tuple(rows))
@@ -747,11 +759,16 @@ class ReductionInstance:
     half_width: float
 
 
+_MAX_AMBIENT = 4096  # an instance holds four ambient x ambient matrices
+
+
 def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: float = 0.0) -> ReductionInstance:
-    """Seeded ambient model: H0 equidistributed in (-1, 1) and a low-rank direction."""
+    """Seeded ambient model: H0 equidistributed in (-1, 1) and a low-rank direction, at most ``_MAX_AMBIENT``."""
     _require_draw(seed, scale)
     if not (_is_whole(rank, 1) and _is_whole(ambient, rank)):
         raise DimensionMismatch(f"need whole sizes 1 <= rank <= ambient, got rank {rank!r} and ambient {ambient!r}")
+    if ambient > _MAX_AMBIENT:
+        raise UnishiftError(f"ambient must be at most {_MAX_AMBIENT}, not {ambient}")
     rng = np.random.default_rng(seed)
     h0 = spread_diagonal(ambient, 1.0)
     a = random_low_rank_hermitian(rng, ambient, rank, scale)

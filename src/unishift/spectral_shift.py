@@ -45,6 +45,8 @@ from .errors import UnishiftError, _is_mode, _is_whole
 from .linalg import _BLOCK, TWO_PI, UnitaryPath, unitary_eig
 from .quadrature import as_rule
 
+_MAX_GRID = 10**6  # a profile holds three grid-long columns
+
 
 @dataclass(frozen=True)
 class EtaProfile:
@@ -138,8 +140,11 @@ class EtaIntegrator:
         return out
 
     def profile(self, grid_size: int) -> EtaProfile:
+        """eta, eta0 and the exact L1 size of eta0 on a uniform grid of 2 to ``_MAX_GRID`` points over [0, 2pi]."""
         if not _is_whole(grid_size, 2):
             raise UnishiftError(f"grid must be a whole number of points, at least 2, not {grid_size!r}")
+        if grid_size > _MAX_GRID:
+            raise UnishiftError(f"grid must be at most {_MAX_GRID}, not {grid_size}")
         angles, levels = self._steps()
         grid = np.linspace(0.0, TWO_PI, grid_size)
         eta = levels[np.searchsorted(angles, grid, side="right")]

@@ -46,7 +46,7 @@ from numbers import Number
 
 import numpy as np
 
-from .errors import OnUnitCircle, UnishiftError, _is_real
+from .errors import OnUnitCircle, UnishiftError, _is_real, _is_whole
 from .linalg import UnitaryPath, _power_blocks, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial, _require_polynomial
@@ -66,6 +66,13 @@ def _exp_remainder_factor(x: float) -> float:
 def _require_tol(tol: float) -> None:
     if not (_is_real(tol) and tol > 0.0):
         raise UnishiftError(f"tol must be a finite positive number, not {tol!r}")
+
+
+def _require_point(z) -> complex:
+    """A resolvent point z as a complex number, converted once; anything but a finite number is ``UnishiftError``."""
+    if not (isinstance(z, Number) and cmath.isfinite(z := complex(z))):
+        raise UnishiftError(f"z = {z!r} is not a finite complex number")
+    return z
 
 
 def require_path(u0, u, a) -> None:
@@ -179,8 +186,13 @@ def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
     """Truncated Fourier expansion of w -> (w - z)^{-1} on |w| = 1.
 
     Inside the circle the coefficients sit at negative modes, a_{-(k+1)} = z^k;
-    outside they sit at nonnegative modes, a_k = -z^{-(k+1)}.
+    outside they sit at nonnegative modes, a_k = -z^{-(k+1)}.  z is taken as
+    a complex number, as in ``resolvent_check``, and the order is a whole
+    number >= 0.
     """
+    z = _require_point(z)
+    if not _is_whole(order, 0):
+        raise UnishiftError(f"the series order must be a whole number, at least 0, not {order!r}")
     modes, coeffs = _resolvent_series(z, order)
     return TrigPolynomial(dict(zip(modes.tolist(), coeffs.tolist())))
 
@@ -198,8 +210,11 @@ def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):
         a_hs^2 rho^K [ q(K)/g + q'(K) rho/g^2 + rho (1 + rho)/(2 g^3) ],  g = 1 - rho,
 
     which decreases in K, so a bisection finds the smallest K below tol/10;
-    the order is K - 1, and past ``_MAX_ORDER`` z counts as on the circle.
+    the order is K - 1, and past ``_MAX_ORDER``, or at rho = 1, z counts as
+    on the circle.  z must be a finite number and tol a finite positive one.
     """
+    z = _require_point(z)
+    _require_tol(tol)
     rho = min(abs(z), 1.0 / abs(z)) if z != 0 else 0.0
     if rho == 0.0:
         return 0, 0.0
@@ -210,7 +225,7 @@ def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):
         return a_hs**2 * rho**k * (q / g + (k + 0.5 + c) * rho / g**2 + rho * (1.0 + rho) / (2.0 * g**3))
 
     lo, hi = 0, _MAX_ORDER + 1
-    if not tail(hi) < budget:
+    if not (rho < 1.0 and tail(hi) < budget):
         raise OnUnitCircle(f"|z| = {abs(z):.6f} needs a series order above {_MAX_ORDER} for tolerance {tol:g}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -227,9 +242,7 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
     agree with the left side computed directly from matrix inverses.
     """
     _require_tol(tol)
-    if not (isinstance(z, Number) and cmath.isfinite(z := complex(z))):
-        raise UnishiftError(f"z = {z!r} is not a finite complex number")
-    if abs(abs(z) - 1.0) < 1e-6:
+    if abs(abs(z := _require_point(z)) - 1.0) < 1e-6:
         raise OnUnitCircle(f"|z| = {abs(z):.8f} is within 1e-6 of the unit circle")
     session = EtaIntegrator(u0, a, s_rule)
     u0, a, u = session.u0, session.a, session.path.require_endpoint(u)

@@ -1,14 +1,15 @@
 """Trigonometric (Laurent) polynomials on the unit circle.
 
 A polynomial is a finite map from whole-number modes n, within int64, to
-coefficients a_n, acting as z -> sum a_n z^n on |z| = 1.  The weight
-sum(n^2 |a_n|) controls membership in the class to which the trace identity
-extends from monomials.
+finite numeric coefficients a_n (never a bool or a string), acting as
+z -> sum a_n z^n on |z| = 1.  The weight sum(n^2 |a_n|) controls membership
+in the class to which the trace identity extends from monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Number
 
 import numpy as np
 
@@ -22,6 +23,8 @@ class TrigPolynomial:
     def __post_init__(self):
         if not (isinstance(self.coeffs, dict) and all(map(_is_mode, self.coeffs))):
             raise UnishiftError("a trigonometric polynomial maps whole-number modes within int64 to coefficients")
+        if not all(isinstance(a, Number) and not isinstance(a, bool) for a in self.coeffs.values()):
+            raise UnishiftError("trigonometric polynomial coefficients must be numbers, never a bool or a string")
         clean = {int(n): complex(a) for n, a in self.coeffs.items() if a != 0}
         if not np.isfinite(np.fromiter(clean.values(), np.complex128, len(clean))).all():
             raise UnishiftError("trigonometric polynomial coefficients must be finite")

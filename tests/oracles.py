@@ -484,16 +484,16 @@ def dense_compressed_audit(
     return checks
 
 
-def one_cell_basis(columns, eigenvalues, eigenvectors, params: WindowParams, directions) -> ProjectionBasis:
+def one_cell_basis(columns, h0, eigenvalues, eigenvectors, params: WindowParams, directions) -> ProjectionBasis:
     """A hand-built basis B whose one cell holds every eigen-row of H0 = V diag(lambda) V* and every column.
 
     Its cell block is all of V* B, so it fits any orthonormal B, window or not.
     """
     dim, rank = columns.shape
     return ProjectionBasis(
-        dim, columns, directions, params, eigenvalues, eigenvectors,
+        columns, directions, params, eigenvalues, eigenvectors,
         cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
-        cell_blocks=(eigenvectors.conj().T @ columns)[None],
+        cell_blocks=(eigenvectors.conj().T @ columns)[None], h0=h0,
     )
 
 
@@ -503,10 +503,10 @@ def full_space(dim: int, h0) -> ProjectionBasis:
     It has no seeds (L = 0), so its construction record has eps = L a / sqrt(n) = 0,
     with the whole line as its window.
     """
-    eye = np.eye(dim, dtype=np.complex128)
-    w, v = np.linalg.eigh(np.asarray(h0, dtype=np.complex128))
+    eye, h0 = np.eye(dim, dtype=np.complex128), np.asarray(h0, dtype=np.complex128)
+    w, v = np.linalg.eigh(h0)
     record = WindowParams(count=0, half_width=np.inf, cells=1, eps=0.0)
-    return one_cell_basis(eye, w, v, record, eye[:, :0])
+    return one_cell_basis(eye, h0, w, v, record, eye[:, :0])
 
 
 def abs_sum(p: TrigPolynomial) -> float:

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from unishift import UnishiftError, eta_profile, random_pair, reduction_instance
 from unishift.cli import (
+    _MAX_SIZES,
     ConfigError,
     RunConfig,
     _write_csv,
@@ -506,6 +508,21 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "size, call",
+        [
+            ("dim", lambda n: random_pair(0, n, 1.0)),
+            ("ambient", lambda n: reduction_instance(0, n, 2, 0.5)),
+            ("grid", lambda n: eta_profile(np.eye(2), np.zeros((2, 2)), n)),
+        ],
+    )
+    def test_library_refuses_sizes_beyond_the_cli_caps(self, address_space_cap, size, call):
+        """The library holds each size to the cap the command line reads, before allocating anything."""
+        cap = _MAX_SIZES[size]
+        for n in (cap + 1, 10**6 * cap):
+            with pytest.raises(UnishiftError, match=f"{size} must be at most {cap}, not {n}"):
+                call(n)
 
     @pytest.mark.parametrize("command", ["verify", "eta", "converge", "resolvent", "bounds"])
     def test_sizes_at_their_caps_pass_validation(self, command):

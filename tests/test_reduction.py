@@ -88,7 +88,7 @@ class TestBuildProjection:
         h0 = spread_diagonal(16, 1.0)
         f = np.zeros(16, dtype=complex)
         f[3] = 1.0
-        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 4)
+        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 4, h0)
         assert np.linalg.norm(f - p.columns @ (p.columns.conj().T @ f)) <= 1e-12
 
     def test_single_cell_rank_bound(self):
@@ -96,7 +96,7 @@ class TestBuildProjection:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         f /= np.linalg.norm(f)
-        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 1)
+        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 1, h0)
         assert p.rank <= 1
         assert p.params.eps == pytest.approx(1.0)
 
@@ -113,7 +113,7 @@ class TestBuildProjection:
         huge = build_direction_projection(inst.h0, inst.a, inst.half_width, 10**12)
         np.testing.assert_array_equal(huge.columns, fine.columns)
         assert huge.params.cells == 10**12
-        seeded = _window_basis(herm_eig(inst.h0), fine.directions, 1.0, 10**12)
+        seeded = _window_basis(herm_eig(inst.h0), fine.directions, 1.0, 10**12, inst.h0)
         assert seeded.columns.tobytes() == huge.columns.tobytes()
 
     def test_bad_window(self):
@@ -121,15 +121,14 @@ class TestBuildProjection:
         f = np.zeros(8, dtype=complex)
         f[7] = 1.0  # eigenvalue near +1, outside a shrunken window
         with pytest.raises(BadWindow):
-            _window_basis(herm_eig(h0), f[:, None], 0.5, 64)
+            _window_basis(herm_eig(h0), f[:, None], 0.5, 64, h0)
 
 
 class TestProjectionAudit:
     def test_full_space_trivial(self):
         inst = reduction_instance(1, 32, 2, 0.5)
-        p = replace(full_space(32, inst.h0), params=None)
         with pytest.raises(ValueError):
-            audit_projection_estimates(p, inst.h0, inst.u0, [1])
+            audit_projection_estimates(replace(full_space(32, inst.h0), params=None), inst.h0, inst.u0, [1])
 
     def test_bounds_hold_on_instance(self):
         inst = reduction_instance(2, 128, 2, 0.5)
@@ -251,7 +250,7 @@ class TestCompressedModel:
         assert by_name["taylor_remainder_tracenorm"].value <= 1e-12
         # P = full space: power errors vanish
         eye = np.eye(64, dtype=np.complex128)
-        full = one_cell_basis(eye, p.eigenvalues, p.eigenvectors, p.params, eye[:, :2])
+        full = one_cell_basis(eye, p.h0, p.eigenvalues, p.eigenvectors, p.params, eye[:, :2])
         report = audit_compressed_model(
             full, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1]
         )
@@ -363,7 +362,7 @@ def off_identity_case(kind: str):
     p = build_direction_projection(h0, a, 1.0, cells)
     if kind == "isometry":
         b = haar_unitary(rng, dim)[:, : dim // 3]
-        p = one_cell_basis(b, p.eigenvalues, p.eigenvectors, p.params, p.directions)
+        p = one_cell_basis(b, p.h0, p.eigenvalues, p.eigenvectors, p.params, p.directions)
     return inst, p
 
 
@@ -406,7 +405,7 @@ class TestThinFactorsOracle:
         cols = data.draw(st.integers(1, ambient))
         b = haar_unitary(np.random.default_rng(seed + 1), ambient)[:, :cols]
         window = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        p = one_cell_basis(b, window.eigenvalues, window.eigenvectors, window.params, window.directions)
+        p = one_cell_basis(b, window.h0, window.eigenvalues, window.eigenvectors, window.params, window.directions)
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
     def test_projection_of_full_rank(self):
@@ -534,7 +533,7 @@ class TestPerCellOrthonormalisation:
 
     @staticmethod
     def assert_matches_global(h0, seeds, half_width, cells):
-        p = _window_basis(herm_eig(h0), np.asarray(seeds, dtype=complex), half_width, cells)
+        p = _window_basis(herm_eig(h0), np.asarray(seeds, dtype=complex), half_width, cells, h0)
         ref = window_basis_global_mgs(h0, seeds, half_width, cells)
         b = p.columns
         assert p.rank == ref.shape[1]
@@ -712,7 +711,6 @@ class TestTypedErrors:
         zero = np.zeros((32, 32), dtype=complex)
         poly = TrigPolynomial.monomial(2)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        bare = replace(p, params=None)
         dec, unit = herm_eig(inst.h0), np.eye(32, dtype=complex)[:, :1]
         skew_a = inst.a + 1e-3 * np.triu(np.ones((32, 32)), 1)
         skew_h0 = inst.h0 + 1e-3 * np.triu(np.ones((32, 32)), 1)
@@ -740,13 +738,13 @@ class TestTypedErrors:
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [0, 4])),
             (ZeroDirection, lambda: build_direction_projection(inst.h0, zero, 1.0, 4)),
             (ZeroDirection, lambda: convergence_study(inst.h0, zero, inst.phase, poly, [4])),
-            (BadWindow, lambda: _window_basis(dec, unit, 0.0, 4)),
-            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 0)),
-            (MissingConstruction, lambda: audit_projection_estimates(bare, inst.h0, inst.u0, [1])),
+            (BadWindow, lambda: _window_basis(dec, unit, 0.0, 4, inst.h0)),
+            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 0, inst.h0)),
+            (MissingConstruction, lambda: audit_projection_estimates(replace(p, params=None), inst.h0, inst.u0, [1])),
             (MissingConstruction, lambda: audit_perturbation_estimates(
-                bare, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
+                replace(p, params=None), inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
             (MissingConstruction, lambda: audit_compressed_model(
-                bare, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
+                replace(p, params=None), inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
             (SampleOutOfRange, lambda: audit_perturbation_estimates(
                 p, inst.u0, inst.u, inst.a, 1.0, [1], [-1.5])),
             (NotHermitian, lambda: audit_projection_estimates(p, skew_h0, inst.u0, [1])),
@@ -764,13 +762,13 @@ class TestTypedErrors:
             (DimensionMismatch, lambda: convergence_study(wide.h0, inst.a, inst.phase, poly, [4])),
             (DimensionMismatch, lambda: unitary_eig(np.ones((3, 4)))),
             (DimensionMismatch, lambda: unitary_eig(np.ones(3))),
-            (ZeroDirection, lambda: _window_basis(dec, unit[:, :0], 1.0, 4)),
+            (ZeroDirection, lambda: _window_basis(dec, unit[:, :0], 1.0, 4, inst.h0)),
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [])),
             (DimensionMismatch, lambda: reduction_instance(1, 0, 2, 0.5)),
             (DimensionMismatch, lambda: reduction_instance(1, 4, 8, 0.5)),
-            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2.5)),
+            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2.5, inst.h0)),
             (BadWindow, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 2.5)),
-            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2**63)),
+            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2**63, inst.h0)),
             # lists that are not iterables, a projection that is not a basis, polynomials that are not
             (UnishiftError, lambda: audit_projection_estimates(p, inst.h0, inst.u0, None)),
             (UnishiftError, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, None, [0.0])),
@@ -831,7 +829,7 @@ class TestTypedErrors:
             (UnishiftError, lambda inst, p: compressed_model(p, inst.h0, inst.a, -np.inf)),
             (UnishiftError, lambda inst, p: audit_compressed_model(
                 p, inst.h0, inst.a, inst.u0, inst.u, np.nan, 2.0, [1], [1])),
-            (BadWindow, lambda inst, p: _window_basis(herm_eig(inst.h0), p.directions[:, :1], np.nan, 4)),
+            (BadWindow, lambda inst, p: _window_basis(herm_eig(inst.h0), p.directions[:, :1], np.nan, 4, inst.h0)),
             (BadWindow, lambda inst, p: build_direction_projection(inst.h0, inst.a, np.inf, 4)),
             (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, np.nan, [1], [])),
             (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, -1.0, [1], [])),
@@ -942,21 +940,36 @@ class TestTypedErrors:
             with pytest.raises(NotHermitian):
                 call(inst.h0 + 1e-3 * np.triu(bump))
 
+    @pytest.mark.parametrize("field", [
+        "columns", "directions", "params", "eigenvalues", "eigenvectors", "h0", "cell_rows", "cell_columns",
+        "cell_blocks",
+    ])
+    def test_basis_is_checked_where_it_is_made(self, field):
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        # an array where the record belongs is a missing record; any other wrong shape disagrees with the layout
+        wrong_shape = MissingConstruction if field == "params" else DimensionMismatch
+        for value, error in [(None, MissingConstruction), (np.eye(3), wrong_shape), (np.float64(1.0), wrong_shape)]:
+            with pytest.raises(error):
+                replace(p, **{field: value})
+        kept = replace(p, **{field: getattr(p, field)})
+        assert (kept.ambient_dim, kept.rank) == (32, p.rank)
+
     def test_hand_built_basis_needs_the_eigenpairs_of_h0(self):
         inst = reduction_instance(16, 32, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        plain = replace(p, eigenvalues=None, eigenvectors=None)
-        short = replace(p, eigenvalues=p.eigenvalues[:31])
         with pytest.raises(MissingConstruction):
-            audit_projection_estimates(plain, inst.h0, inst.u0, [1])
+            audit_projection_estimates(replace(p, eigenvalues=None, eigenvectors=None), inst.h0, inst.u0, [1])
         with pytest.raises(MissingConstruction):
-            compressed_model(plain, inst.h0, inst.a, inst.phase)
+            compressed_model(replace(p, eigenvalues=None, eigenvectors=None), inst.h0, inst.a, inst.phase)
         with pytest.raises(DimensionMismatch):
-            audit_perturbation_estimates(short, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])
+            audit_perturbation_estimates(
+                replace(p, eigenvalues=p.eigenvalues[:31]), inst.u0, inst.u, inst.a, 2.0, [1], [0.0]
+            )
         with pytest.raises(MissingConstruction):  # eigenpairs without a cell layout
             audit_compressed_model(replace(p, cell_blocks=None), inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])
         # the same basis with one cell holding every row gives the same values
-        one_cell = one_cell_basis(p.columns, p.eigenvalues, p.eigenvectors, p.params, p.directions)
+        one_cell = one_cell_basis(p.columns, p.h0, p.eigenvalues, p.eigenvectors, p.params, p.directions)
         for got, want in [
             (audit_projection_estimates(one_cell, inst.h0, inst.u0, [1, -2]),
              audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),

@@ -93,6 +93,15 @@ class TestTrigPolynomial:
         with pytest.raises(UnishiftError, match="finite"):
             TrigPolynomial({1: 1.0, 2: value})
 
+    @pytest.mark.parametrize("value", ["1", True, "a", None, [1], np.array(1.0), np.True_])
+    def test_coefficients_must_be_numbers(self, value):
+        with pytest.raises(UnishiftError, match="must be numbers"):
+            TrigPolynomial({0: 1.0, 1: value})
+
+    def test_numpy_and_python_numbers_accepted(self):
+        p = TrigPolynomial({0: np.float64(0.5), 1: np.int8(2), 2: np.complex64(1j), 3: 3})
+        assert p.coeffs == {0: 0.5, 1: 2.0, 2: 1j, 3: 3.0}
+
 
 def wanted_powers(u, wanted) -> dict:
     """{m: U^m} for each wanted m, read off the runs of ``_power_blocks``."""
@@ -653,6 +662,38 @@ class TestResolvent:
     def test_truncation_order_capped(self):
         with pytest.raises(OnUnitCircle):
             resolvent_truncation(1 - 2e-6, 1.0, 1.0, 1e-7)
+        with pytest.raises(OnUnitCircle):  # rho = 1: no order suffices
+            resolvent_truncation(1.0, 1.0, 1.0, 1e-7)
+
+    @pytest.mark.parametrize("call", [
+        lambda: resolvent_coefficients("x", 3),
+        lambda: resolvent_coefficients(None, 3),
+        lambda: resolvent_coefficients(np.nan, 3),
+        lambda: resolvent_coefficients(0.5, 2.5),
+        lambda: resolvent_coefficients(0.5, -1),
+        lambda: resolvent_coefficients(0.5, True),
+        lambda: resolvent_truncation(np.nan, 1.0, 1.0, 1e-7),
+        lambda: resolvent_truncation("x", 1.0, 1.0, 1e-7),
+        lambda: resolvent_truncation(0.5, 1.0, 1.0, 0.0),
+        lambda: resolvent_truncation(0.5, 1.0, 1.0, np.nan),
+    ], ids=["z-string", "z-none", "z-nan", "order-float", "order-negative", "order-bool", "trunc-z-nan",
+            "trunc-z-string", "trunc-tol-zero", "trunc-tol-nan"])
+    def test_series_helpers_check_their_inputs(self, call):
+        """A bad point, order or tol is named in a typed error, never taken for a z on the circle."""
+        with pytest.raises(UnishiftError) as exc:
+            call()
+        assert not isinstance(exc.value, OnUnitCircle)
+
+    def test_real_z_gives_the_coefficients_of_complex_z(self):
+        pair = random_pair(23, 5, 1.0)
+        z = 1 / 0.95
+        order, _ = resolvent_truncation(z, hs_norm(pair.a), op_norm(pair.a), 1e-7)
+        got = resolvent_coefficients(z, order)
+        assert got.coeffs == resolvent_coefficients(complex(z), order).coeffs
+        rep = resolvent_check(pair.u0, pair.u, pair.a, z, s_rule=gauss_legendre(16))
+        want = lhs_trace(pair.u0, pair.u, pair.a, got)
+        assert order == rep.truncation_order == 670
+        assert np.array(rep.lhs).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("z", [0.5, 2.0, 0.9j])
     def test_base_eigenvalues_at_one_minus_one_and_i(self, z):

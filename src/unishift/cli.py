@@ -152,14 +152,26 @@ def _write_json(path: str, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct int64 keys, ascending, and the index of each key among them, from one stable sort."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 def _write_csv(path: str, columns: dict) -> None:
     """A header of the column names, then one row per index of the equal-length columns.
 
     Each cell is ``"%.17g"`` of its value, as ``"{:.17g}"`` gives it, for
     float64 or int64 columns.  Rows go out in blocks of ``_BLOCK`` cells; in
-    a block each column formats its distinct values (keyed on their bits, so
-    ``-0.0`` stays apart from ``0.0``) in one ``%`` and indexes the text
-    back, and the block is written with one more ``%``.
+    a block each column formats its distinct values (``_distinct`` of their
+    bits, so ``-0.0`` stays apart from ``0.0``) in one ``%`` and indexes the
+    text back, and the block is written with one more ``%``.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     values = [np.asarray(column) for column in columns.values()]
@@ -171,7 +183,7 @@ def _write_csv(path: str, columns: dict) -> None:
             blocks = [column[start:start + rows] for column in values]
             cells = np.empty((len(blocks[0]), len(blocks)), dtype=object)
             for j, block in enumerate(blocks):
-                bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+                bits, inverse = _distinct(block.view(np.int64))
                 text = ("%.17g\n" * bits.size % tuple(bits.view(block.dtype).tolist())).split("\n")
                 cells[:, j] = np.array(text[:-1], dtype=object)[inverse]
             fh.write(row * len(cells) % tuple(cells.ravel().tolist()))

@@ -190,14 +190,36 @@ def _from_spectrum(vectors: np.ndarray, values) -> np.ndarray:
     return (vectors * np.asarray(values)[..., None, :]) @ _adjoint(vectors)
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square M is exactly 0, in O(d^2).
+
+    Past the first entry, the flat M splits into d - 1 rows of d + 1 entries
+    that each end on a diagonal entry, so the d(d - 1) off-diagonal entries
+    are a (d - 1, d) view of a C-contiguous M.
+    """
+    d = m.shape[0]
+    return not m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].any()
+
+
 def herm_eig(h, check: bool = True) -> HermitianDecomposition:
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
 
     Deterministic for a fixed input.  Raises ``NotHermitian`` when the input
     deviates from its adjoint by more than 1e-10 of its operator norm, and
     ``NoConvergence`` if the LAPACK iteration fails.
+
+    An exactly diagonal input with a non-decreasing real part is its own
+    eigenbasis: its real diagonal and the identity columns are returned with
+    no LAPACK call.  LAPACK gives the same bits, except that it rescales a
+    matrix of norm below about 1e-146 and may then move an eigenvalue by an
+    ulp.  Any other input, including an unsorted diagonal, goes to LAPACK,
+    whose selection sort can order the eigencolumns of repeated eigenvalues
+    otherwise than their input order.
     """
     h = require_hermitian(h, what="eigensolver input") if check else as_matrix(h)
+    w = np.diagonal(h).real
+    if _is_diagonal(h) and np.all(w[1:] >= w[:-1]):
+        return HermitianDecomposition(eigenvalues=w.copy(), vectors=np.eye(len(w), dtype=np.complex128))
     w, v = _eigh(0.5 * (h + h.conj().T))
     return HermitianDecomposition(eigenvalues=w, vectors=v)
 

@@ -18,7 +18,10 @@ trace error over a ladder of partition resolutions.
 One instance (``_instance``) checks H0 and A (``require_hermitian``), takes
 the eigh of H0 and the kept pairs of A for a projection, every partition of
 a ``bounds`` run or a convergence ladder, whose U0 = V diag(c) V* comes from
-that eigh; nothing is kept between calls.  The seeds, A's kept eigenvectors,
+that eigh; nothing is kept between calls.  An exactly diagonal H0 with
+ascending entries, as ``reduction_instance`` builds, is its own eigenbasis:
+``herm_eig`` returns V = I with no LAPACK call, and the study's U0 is
+diag(c).  The seeds, A's kept eigenvectors,
 are orthonormal.  A window basis (``ProjectionBasis``) carries the checked
 H0 that built it, and its fields are checked for presence and shape once,
 when it is made; the audits and their helpers read it directly.
@@ -51,7 +54,8 @@ cells of the window basis.  A window basis carries the eigenpairs
 H0 = V diag(lambda) V* it was built from and, for each occupied cell, its
 eigen-rows and its block Bhat_k of Bhat = V* B, so B = V Bhat (r = rank P
 columns, at most L per cell).  The frame reads U0 = V diag(c) V* from one
-d x d product.  Then:
+d x d product, U0 V, or, when V is exactly the identity, off the diagonal
+of U0 in O(d^2), with the same tolerance and errors.  Then:
 
   * H0 B, both resolvents (i +- H0)^{-1} B and every U0^m B are diagonal
     scalings D Bhat, whose part outside ran P splits by cell:
@@ -100,6 +104,7 @@ from .linalg import (
     _adjoint,
     _eigh,
     _from_spectrum,
+    _is_diagonal,
     _require_draw,
     as_matrix,
     herm_eig,
@@ -181,6 +186,11 @@ class ProjectionBasis:
     @property
     def rank(self) -> int:
         return self.columns.shape[1]
+
+
+def _is_identity(v: np.ndarray) -> bool:
+    """Whether the square V is exactly the identity, in O(d^2): then V* X V is X for every X."""
+    return _is_diagonal(v) and bool(np.all(np.diagonal(v) == 1.0))
 
 
 def _offblock(b: np.ndarray, y: np.ndarray) -> float:
@@ -360,6 +370,7 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
     ||H0 - p.h0|| (``PathMismatch``, ``NotHermitian`` for a non-Hermitian H0),
     A by ``require_hermitian``, and with c = diag(V* U0 V), ||U0 V - V diag(c)||
+    (||U0 - diag(c)|| in O(d^2) when V is exactly the identity)
     and ||U - e^{iA} U0|| (``PathMismatch``) and abs(|c_j| - 1) (``NotUnitary``).
     So no operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
     < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.  A power
@@ -396,9 +407,13 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     c = direction = None
     if u0 is not None:
         u0 = as_matrix(u0, "u0", d, copy=None)
-        gap = u0 @ v
-        c = np.einsum("ij,ij->j", v.conj(), gap)
-        gap -= v * c
+        if _is_identity(v):  # a diagonal H0: V* U0 V is U0, and its gap is U0 - diag(c)
+            c, gap = np.diagonal(u0).copy(), u0.copy()
+            np.fill_diagonal(gap, 0.0)
+        else:
+            gap = u0 @ v
+            c = np.einsum("ij,ij->j", v.conj(), gap)
+            gap -= v * c
         require(gap, "U0 is not diagonal in the eigenbasis of H0")
         if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
             raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
@@ -723,7 +738,8 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     if h0.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
     half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
-    u0 = _from_spectrum(h0_dec.vectors, _cayley_values(h0_dec.eigenvalues, phase))
+    c = _cayley_values(h0_dec.eigenvalues, phase)
+    u0 = np.diag(c) if _is_identity(h0_dec.vectors) else _from_spectrum(h0_dec.vectors, c)
     full = complex(_lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)[0])
     rows = []
     for n in sorted(cell_counts):

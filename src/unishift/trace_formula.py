@@ -188,11 +188,13 @@ def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
     Inside the circle the coefficients sit at negative modes, a_{-(k+1)} = z^k;
     outside they sit at nonnegative modes, a_k = -z^{-(k+1)}.  z is taken as
     a complex number, as in ``resolvent_check``, and the order is a whole
-    number >= 0.
+    number from 0 to ``_MAX_ORDER``, checked before anything is allocated.
     """
     z = _require_point(z)
     if not _is_whole(order, 0):
         raise UnishiftError(f"the series order must be a whole number, at least 0, not {order!r}")
+    if order > _MAX_ORDER:
+        raise UnishiftError(f"the series order must be at most {_MAX_ORDER}, not {order}")
     modes, coeffs = _resolvent_series(z, order)
     return TrigPolynomial(dict(zip(modes.tolist(), coeffs.tolist())))
 

@@ -10,6 +10,7 @@ from unishift.cli import (
     _MAX_SIZES,
     ConfigError,
     RunConfig,
+    _distinct,
     _write_csv,
     _write_json,
     build_parser,
@@ -351,6 +352,27 @@ class TestWriters:
             out = tmp_path / "lists.csv"
             _write_csv(str(out), columns)
             assert out.read_bytes() == self.reference_csv(columns)
+
+    def test_csv_signed_zeros_repeats_and_int64_against_printf_text(self, tmp_path):
+        columns = {"x": np.array([0.0, -0.0, 1.5, 0.0, -0.0, 1.5, -2.0]),
+                   "n": np.array([2**62, -1, 2**62, 0, -1, 7, -(2**63)], dtype=np.int64)}
+        out = tmp_path / "printf.csv"
+        _write_csv(str(out), columns)
+        rows = ["%.17g,%.17g" % pair for pair in zip(columns["x"].tolist(), columns["n"].tolist())]
+        assert out.read_text(encoding="utf-8") == "x,n\n" + "".join(row + "\n" for row in rows)
+        assert rows[:2] == ["0,4.6116860184273879e+18", "-0,-1"]
+
+    @pytest.mark.parametrize("keys", [
+        [5], [3, 3, 3], [0, -(2**63), 2**63 - 1, 0, 7, -(2**63)],
+        np.array([0.0, -0.0, 0.0, np.inf, -0.0, 1.0]).view(np.int64),
+        np.random.default_rng(4).integers(-3, 3, 500),
+    ], ids=["one", "all-equal", "int64-extremes", "signed-zero-bits", "many-repeats"])
+    def test_distinct_is_unique_with_inverse(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        got, want = _distinct(keys), np.unique(keys, return_inverse=True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(got[0][got[1]], keys)
 
     def test_json_bytes_match_json_dump(self, tmp_path):
         payload = {"b": [1.0, -0.0, 5e-324, 1.7976931348623157e308], "a": {"z": True, "y": None, "x": "\u03b7"},

@@ -54,6 +54,54 @@ def test_herm_eig_roundtrip_8x8():
     assert np.all(res <= 50 * 8 * np.finfo(float).eps * op_norm(h))
 
 
+class TestDiagonalEigenbasis:
+    """An exactly diagonal input with a non-decreasing diagonal is its own eigenbasis: no LAPACK call, LAPACK's bits."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        shapes = []
+        original = linalg._eigh
+        monkeypatch.setattr(linalg, "_eigh", lambda h: shapes.append(h.shape) or original(h))
+        return shapes
+
+    @pytest.mark.parametrize("dim", [1, 2, 64, 256])
+    @pytest.mark.parametrize("kind", ["ascending", "descending", "shuffled", "repeated", "repeated-shuffled",
+                                      "repeated-descending", "imaginary"])
+    def test_matches_lapack_bit_for_bit(self, monkeypatch, dim, kind):
+        rng = np.random.default_rng(dim)
+        levels, repeated = np.sort(rng.standard_normal(dim)), np.sort(rng.integers(-2, 3, dim).astype(float))
+        diagonal = {
+            "ascending": levels,
+            "descending": levels[::-1],
+            "shuffled": rng.permutation(levels),
+            "repeated": repeated,
+            "repeated-shuffled": rng.permutation(repeated),
+            "repeated-descending": repeated[::-1],
+            "imaginary": levels + 1e-13j * rng.standard_normal(dim),  # well inside the Hermitian tolerance
+        }[kind]
+        h = np.diag(diagonal).astype(complex)
+        shapes = self.recorded(monkeypatch)
+        dec = herm_eig(h)
+        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+        assert dec.eigenvalues.tobytes() == w.tobytes()
+        assert dec.vectors.tobytes() == v.tobytes()
+        ascending = bool(np.all(diagonal.real[1:] >= diagonal.real[:-1]))
+        assert shapes == ([] if ascending else [(dim, dim)])
+        assert ascending or kind not in ("ascending", "repeated", "imaginary")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_off_diagonal_entry_goes_to_lapack(self, monkeypatch, order):
+        dim = 5
+        shapes = self.recorded(monkeypatch)
+        for i, j in zip(*np.nonzero(~np.eye(dim, dtype=bool))):
+            h = np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order)
+            h[i, j] = 1e-300
+            herm_eig(h, check=False)
+        assert shapes == [(dim, dim)] * (dim * (dim - 1))
+        herm_eig(np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order))
+        assert len(shapes) == dim * (dim - 1)
+
+
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))

@@ -638,6 +638,60 @@ class TestOneDecompositionPerCall:
             assert abs(row.abs_diff - abs(full - compressed)) <= 1e-12
 
 
+class TestDiagonalH0:
+    """A diagonal H0 is its own eigenbasis; a rotated copy of the same instance takes the dense path."""
+
+    @pytest.mark.parametrize("argv", [["bounds", "--ranks", "4,16,64"], ["converge", "--ranks", "2,4,8,16"]])
+    def test_commands_take_no_ambient_eigh(self, monkeypatch, tmp_path, argv):
+        from unishift import linalg, reduction
+        from unishift.cli import main
+
+        shapes = []
+        original = linalg._eigh
+
+        def recording(h):
+            shapes.append(h.shape)
+            return original(h)
+
+        monkeypatch.setattr(linalg, "_eigh", recording)
+        monkeypatch.setattr(reduction, "_eigh", recording)
+        assert main([*argv, "--ambient", "64", "--out", str(tmp_path / "out")]) == 0
+        assert shapes and max(shape[-1] for shape in shapes) < 64
+
+    @pytest.mark.parametrize("cells", [4, 16, 64])
+    def test_haar_rotated_h0_gets_the_same_verdicts(self, cells):
+        inst = reduction_instance(9, 64, 2, 0.5, phase=0.3)
+        q = haar_unitary(np.random.default_rng(cells), 64)
+
+        def rotated(x):
+            return q @ x @ q.conj().T
+
+        h0, a = (0.5 * (rotated(x) + rotated(x).conj().T) for x in (inst.h0, inst.a))
+        twin = ReductionInstance(h0=h0, a=a, phase=0.3, u0=rotated(inst.u0), u=rotated(inst.u), half_width=1.0)
+        reports = []
+        for case in (inst, twin):
+            p = build_direction_projection(case.h0, case.a, case.half_width, cells)
+            reports.append((p, [
+                audit_projection_estimates(p, case.h0, case.u0, M_LIST),
+                audit_perturbation_estimates(p, case.u0, case.u, case.a, 2.0, M_LIST, T_GRID),
+                audit_compressed_model(p, case.h0, case.a, case.u0, case.u, case.phase, 2.0, M_LIST, [1, 2, 4]),
+            ]))
+            # U0 off the unit circle, and U0 with a coupling between two eigenvectors of H0
+            coupling = 1e-6 * np.outer(p.eigenvectors[:, 0], p.eigenvectors[:, 1].conj())
+            with pytest.raises(NotUnitary):
+                audit_projection_estimates(p, case.h0, 1.01 * case.u0, M_LIST)
+            with pytest.raises(PathMismatch):
+                audit_projection_estimates(p, case.h0, case.u0 + coupling, M_LIST)
+        (p, diagonal), (twin_p, dense) = reports
+        assert p.rank == twin_p.rank
+        assert np.array_equal(p.eigenvectors, np.eye(64)) and not np.array_equal(twin_p.eigenvectors, np.eye(64))
+        for got, want in zip(dense, diagonal):
+            assert [(c.name, c.ok) for c in got.checks] == [(c.name, c.ok) for c in want.checks]
+            for g, w in zip(got.checks, want.checks):
+                assert abs(g.value - w.value) <= 1e-11 * (1 + abs(w.value)), g.name
+                assert abs(g.bound - w.bound) <= 1e-12 * (1 + abs(w.bound)), g.name
+
+
 class TestOneOperandCheck:
     """Each public entry point checks each Hermitian operand once; nothing behind it checks again."""
 

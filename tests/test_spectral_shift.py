@@ -25,6 +25,7 @@ from unishift import (
 from unishift.doi import primitive_of
 from unishift.linalg import _BLOCK, TWO_PI, UnitaryPath, haar_unitary, trace, trace_norm
 from unishift.quadrature import QuadratureRule, as_rule
+from unishift.trace_formula import _MAX_ORDER, resolvent_coefficients
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -455,6 +456,7 @@ class TestTypedErrors:
             lambda: EtaIntegrator(np.eye(2), np.zeros((2, 2)), 4).curvature_pairings(None),
             lambda: batch_verify(np.eye(2), np.eye(2), np.zeros((2, 2)), [TrigPolynomial.monomial(1)], tol=True),
             lambda: random_pair(0, 3, True),
+            lambda: resolvent_coefficients(0.5, _MAX_ORDER + 1),
         ],
     )
     def test_raises_unishift_error(self, call):

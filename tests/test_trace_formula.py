@@ -35,7 +35,7 @@ from unishift import (
 )
 from unishift import linalg, trace_formula
 from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, haar_unitary, random_hermitian, trace_norm
-from unishift.trace_formula import _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
+from unishift.trace_formula import _MAX_ORDER, _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
 
 seeds = st.integers(0, 2**31 - 1)
@@ -683,6 +683,12 @@ class TestResolvent:
         with pytest.raises(UnishiftError) as exc:
             call()
         assert not isinstance(exc.value, OnUnitCircle)
+
+    def test_series_order_beyond_the_cap_is_refused_before_allocating(self, address_space_cap):
+        for order in (_MAX_ORDER + 1, 10**9, 10**18):
+            with pytest.raises(UnishiftError, match=f"at most {_MAX_ORDER}, not {order}"):
+                resolvent_coefficients(0.5, order)
+        assert resolvent_coefficients(0.5, _MAX_ORDER).coeffs[-1] == 1.0  # the cap itself is an order
 
     def test_real_z_gives_the_coefficients_of_complex_z(self):
         pair = random_pair(23, 5, 1.0)

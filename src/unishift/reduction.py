@@ -47,7 +47,7 @@ endpoint e^{iA} U0 = U0 + F diag(e^{i tau} - 1) F* U0.  The propagator
 samples, the exponential off-block norms, the Taylor-remainder trace norm
 and the mixed-trace factors all work on d x L factors; a norm
 ||X diag(D) Y||_HS with X = QR is ||R diag(D) Y||_HS, and each mixed trace
-is the trace of a product of L x r and r x r factors, not of r x r ones.
+is the trace of a product of a 2L x r factor and an r x 2L one.
 
 Every other ambient step works in the eigen-coordinates of H0 and uses the
 cells of the window basis.  A window basis carries the eigenpairs
@@ -62,22 +62,37 @@ of U0 in O(d^2), with the same tolerance and errors.  Then:
     ||P_perp X P||_HS^2 = sum_k ||D_k Bhat_k - Bhat_k (Bhat_k* D_k Bhat_k)||^2,
     one batched product over the padded (K, n, L) cell stack, O(d L^2) in
     all, with no d x d solve;
-  * U acts as (I + Fh diag(e^{i tau} - 1) Fh*) diag(c) with Fh = V* F, so
-    V* U^m B is streamed from Bhat at O(d r k) a step, and a dense
-    coordinate block Y is projected onto ran Bhat through the cell blocks
-    in O(d L r);
   * B* H0 B = Bhat* diag(lambda) Bhat is block diagonal, so U0p is the
-    Cayley image of each cell's L x L block, and Up = (I + Fc (e^{i tau_c}
-    - 1) Fc*) U0p is streamed from the r x r identity at O(r^2 L) a step.
+    Cayley image of each cell's L x L block, and in each cell's eigenbasis
+    Q_k of that block U0p = diag(omega);
+  * so V* U V = (I + Fh diag(e) Fh*) diag(c), with Fh = V* F and
+    e = e^{i tau} - 1, and in the basis B diag(Q_k) Up = (I + Fc' diag(e_c)
+    Fc'*) diag(omega): each is X = (I + F diag(e) F*) S with S diagonal and
+    F thin, and telescoping gives
 
-The streamed coordinates carry one extra zero row, which the -1 padding of
-the cell rows and columns reads.
+        X^m = S^m + sum_{j<m} (X^j F) diag(e) (F* S^{m-j})         (m > 0)
+
+    and its mirror through X^{-1} = S* (I + F diag(conj e) F*) for m < 0.
+    Only the thin X^j F advance, at O(d L^2) a step, shared by the audited
+    powers of one sign; the rows F* S^q B come cell by cell from the blocks.
+    Each audited power then forms only the matrix its check reads:
+    P_perp V* U^m B (d x r), with P_perp applied to the thin factors, or
+    B* U^m B - Up^m (r x r), a block diagonal plus one skinny product, and
+    Up^m X (r x 2L) for the mixed traces.  The terms are summed in blocks of
+    at most max(256, L) columns, so memory does not grow with |m|, and the
+    norms are taken of the formed matrices.
+
+The ambient coordinates carry one extra zero row, which the -1 padding of
+the cell rows reads.
 
 The basis itself comes from one SVD per cell.  The pieces of the seeds in
 different cells lie on disjoint sets of eigenvectors of H0, so they are
 orthogonal; in each cell's eigen-coordinates the pieces of norm above
 ``GS_DROP_TOL``, normalised, give their left singular vectors of singular
-value above that tolerance, which the cell's eigencolumns map back.
+value above that tolerance, which the cell's eigencolumns map back.  The
+SVDs are batched over the cells that share a row count and a kept-piece
+pattern, and the products over the cells of one width, with the factor
+layouts of a single cell, so the basis has the bits of a cell-by-cell loop.
 """
 
 from __future__ import annotations
@@ -217,33 +232,51 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
     leak = np.linalg.norm(np.where(inside[:, None], 0.0, coords), axis=0)
     if np.any(leak >= eps):
         raise BadWindow(f"a seed vector leaks {float(np.max(leak)):.3e} outside the window (eps {eps:.3e})")
-    # The eigenvalues ascend, so each occupied cell's rows are one run of the window's rows.
+    # The eigenvalues ascend, so each cell's rows are one run of the window's rows.
     window = np.flatnonzero(inside)
-    runs = np.split(window, np.flatnonzero(np.diff(_cells_of(dec.eigenvalues[window], half_width, cells))) + 1)
+    starts = np.flatnonzero(np.diff(_cells_of(dec.eigenvalues[window], half_width, cells), prepend=-1))
+    lengths = np.diff(starts, append=window.size)
     # Pieces from different cells lie on disjoint sets of eigenvectors, so they
-    # are orthogonal: one SVD per occupied cell on the eigen-coordinates of its
-    # kept normalised pieces, and the cell's eigencolumns map the result back.
-    rows_of, blocks = [], []
-    for rows in runs if window.size else []:
-        pieces = coords[rows, :]
-        norms = np.linalg.norm(pieces, axis=0)
-        kept = norms > GS_DROP_TOL
-        left, values, _ = np.linalg.svd(pieces[:, kept] / norms[kept], full_matrices=False)
-        if np.any(big := values > GS_DROP_TOL):
-            rows_of.append(rows)
-            blocks.append(left[:, big])
-    n, width = max(map(len, rows_of), default=0), max((x.shape[1] for x in blocks), default=0)
-    cell_rows, cell_columns = np.full((len(blocks), n), -1), np.full((len(blocks), width), -1)
-    cell_blocks = np.zeros((len(blocks), n, width), dtype=np.complex128)
-    start = 0
-    for k, (rows, block) in enumerate(zip(rows_of, blocks)):
-        cell_rows[k, :rows.size] = rows
-        cell_columns[k, :block.shape[1]] = np.arange(start, start + block.shape[1])
-        cell_blocks[k, :rows.size, :block.shape[1]] = block
-        start += block.shape[1]
-    columns = [dec.vectors[:, rows] @ block for rows, block in zip(rows_of, blocks)]
+    # are orthogonal: one SVD per cell on the eigen-coordinates of its kept
+    # normalised pieces, batched over the cells of one row count and one kept
+    # pattern.  The singular values descend, so each cell keeps a prefix of its
+    # left singular vectors.
+    batches, widths = [], np.zeros(starts.size, dtype=np.int64)
+    for at in _groups(lengths):
+        rows = window[starts[at, None] + np.arange(lengths[at[0]])]
+        pieces = coords[rows]
+        norms = np.linalg.norm(pieces, axis=1)
+        for mine in _groups(norms > GS_DROP_TOL):
+            if (kept := norms[mine[0]] > GS_DROP_TOL).any():
+                left, values, _ = np.linalg.svd(pieces[mine][:, :, kept] / norms[mine][:, None, kept],
+                                                full_matrices=False)
+                widths[at[mine]] = np.count_nonzero(values > GS_DROP_TOL, axis=1)
+                batches.append((at[mine], rows[mine], left))
+    # Occupied cells, in ascending order, each with its first column of B.
+    occupied = np.flatnonzero(widths)
+    slot = np.cumsum(widths > 0) - 1
+    first = np.cumsum(widths) - widths
+    n, width = int(lengths[occupied].max(initial=0)), int(widths.max(initial=0))
+    span = np.arange(width)
+    cell_rows = np.full((occupied.size, n), -1)
+    cell_columns = np.where(span < widths[occupied, None], first[occupied, None] + span, -1)
+    cell_blocks = np.zeros((occupied.size, n, width), dtype=np.complex128)
+    columns = np.zeros((dim, int(widths.sum())), dtype=np.complex128)
+    for at, rows, left in batches:
+        keep, size = widths[at] > 0, min(left.shape[2], width)
+        at, rows, left, w = at[keep], rows[keep], left[keep], widths[at[keep]]
+        cell_rows[slot[at], :rows.shape[1]] = rows
+        cell_blocks[slot[at], :rows.shape[1], :size] = np.where(span[:size] < w[:, None, None], left[:, :, :size], 0.0)
+        # The cell's eigencolumns map its block back, batched over the cells of
+        # each width; each factor keeps the column-major layout of a single
+        # cell's V[:, rows] and block, so the products are those of one cell.
+        for same in _groups(w):
+            k = w[same[0]]
+            vectors = np.moveaxis(dec.vectors[:, rows[same]], 0, 1)
+            mapped = vectors @ np.ascontiguousarray(left[same, :, :k].swapaxes(1, 2)).swapaxes(1, 2)
+            columns[:, (first[at[same], None] + np.arange(k)).ravel()] = np.moveaxis(mapped, 0, 1).reshape(dim, -1)
     return ProjectionBasis(
-        columns=np.concatenate([np.zeros((dim, 0), dtype=np.complex128), *columns], axis=1),
+        columns=columns,
         directions=f,
         params=WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps)),
         eigenvalues=dec.eigenvalues,
@@ -253,6 +286,18 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
         cell_blocks=cell_blocks,
         h0=h0,
     )
+
+
+def _groups(keys: np.ndarray) -> list[np.ndarray]:
+    """Indices of the equal entries of a 1-D ``keys``, or of its equal rows if 2-D: one ascending array per value.
+
+    np.unique would do, but its first call in a process imports numpy.ma, which costs more than the grouping.
+    """
+    if not len(keys):
+        return []
+    keys = keys.reshape(len(keys), -1)
+    order = np.lexsort(keys.T[::-1])
+    return np.split(order, np.flatnonzero(np.any(keys[order][1:] != keys[order][:-1], axis=1)) + 1)
 
 
 def _cells_of(values: np.ndarray, half_width: float, cells: int) -> np.ndarray:
@@ -425,21 +470,21 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     return c, a, direction
 
 
-def _power(c: np.ndarray, m: int) -> np.ndarray:
-    """c^m elementwise, conj(c)^|m| for m < 0: the eigenvalues of U^m for a unitary U = V diag(c) V*."""
-    return (c if m >= 0 else c.conj()) ** abs(m)
+def _powers_of(c: np.ndarray, ms) -> np.ndarray:
+    """Row j is c^m elementwise for m = ms[j], conj(c)^|m| for m < 0: the eigenvalues of U^m for U = V diag(c) V*."""
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1, 1)
+    return np.where(ms >= 0, c, c.conj()) ** np.abs(ms)
 
 
-def _offblock_norms(p: ProjectionBasis, scales: np.ndarray):
-    """||P_perp X P||_HS for each X = V diag(D) V*, D in ``scales`` (s, d), summed over the cells in O(d L^2).
+def _offblock_cells(p: ProjectionBasis, scales: np.ndarray) -> np.ndarray:
+    """The cell blocks (s, K, n, L) of P_perp X P for each X = V diag(D) V*, D in ``scales`` (s, d), in O(d L^2).
 
-    Also returns the cell blocks of diag(D) Bhat and of Bhat* diag(D) Bhat,
-    (s, K, n, L) and (s, K, L, L).  Padded rows read the last entry of D and
+    In eigen-coordinates P_perp X P is diag(D) Bhat - Bhat (Bhat* diag(D) Bhat),
+    which has one block per cell.  Padded rows read the last entry of D and
     meet zero rows of the blocks.
     """
     y = scales[:, p.cell_rows, None] * p.cell_blocks
-    grams = _adjoint(p.cell_blocks) @ y
-    return _norms(y - p.cell_blocks @ grams), y, grams
+    return y - p.cell_blocks @ (_adjoint(p.cell_blocks) @ y)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -452,19 +497,6 @@ def _factor_norms(x: np.ndarray, scales: np.ndarray, y: np.ndarray) -> np.ndarra
     return _norms((np.linalg.qr(x, mode="r")[None] * scales[:, None, :]) @ y)
 
 
-def _dense_offblock(p: ProjectionBasis, y: np.ndarray) -> float:
-    """||Y - Bhat(Bhat* Y)||_HS for dense coordinates Y, cell by cell in O(d L c).
-
-    Y carries a zero row d, which the padding (-1) of the cell rows reads;
-    rows in no cell keep all of Y.
-    """
-    inside = y[p.cell_rows]
-    rest = inside - p.cell_blocks @ (_adjoint(p.cell_blocks) @ inside)
-    outside = np.ones(len(y), dtype=bool)
-    outside[p.cell_rows] = False
-    return float(np.sqrt(hs_norm(rest) ** 2 + hs_norm(y[outside]) ** 2))
-
-
 def _to_columns(p: ProjectionBasis, x: np.ndarray) -> np.ndarray:
     """The (r, ...) array, in B's column order, of a (K, L, ...) array indexed by cell and slot."""
     used = p.cell_columns >= 0
@@ -474,59 +506,114 @@ def _to_columns(p: ProjectionBasis, x: np.ndarray) -> np.ndarray:
 
 
 def _scatter(row_index: np.ndarray, col_index: np.ndarray, blocks: np.ndarray, shape) -> np.ndarray:
-    """A zero matrix of ``shape`` with blocks[k] on rows row_index[k] and columns col_index[k], padding (-1) skipped."""
-    out = np.zeros(shape, dtype=np.complex128)
-    i = np.broadcast_to(row_index[:, :, None], blocks.shape)
-    j = np.broadcast_to(col_index[:, None, :], blocks.shape)
+    """Zero matrices of ``shape`` with blocks[..., k, :, :] on rows row_index[k] and columns col_index[k].
+
+    One matrix per leading index of the (..., K, n, w) ``blocks``; padding (-1) is skipped.
+    """
+    i = np.broadcast_to(row_index[:, :, None], blocks.shape[-3:])
+    j = np.broadcast_to(col_index[:, None, :], blocks.shape[-3:])
     used = (i >= 0) & (j >= 0)
-    out[i[used], j[used]] = blocks[used]
+    out = np.zeros((*blocks.shape[:-3], *shape), dtype=np.complex128)
+    out[..., i[used], j[used]] = blocks[..., used]
     return out
 
 
-def _unitary_powers(scale, unscale, f: np.ndarray, e: np.ndarray, y: np.ndarray, ms):
-    """Yield (m, X^m Y) for each wanted m, X = (I + F diag(e) F*) S with orthonormal F, one step per power.
+_TERM_COLUMNS = 256  # a block of telescoped terms holds at most max(this, L) columns
 
-    ``scale`` applies S and ``unscale`` S*; X^{-1} = X* = S* (I + F diag(conj e) F*) for a unitary X.
+
+def _telescoped(s: np.ndarray, f: np.ndarray, e: np.ndarray, rows, ms, per: int):
+    """Blocks (G, {m: R_m}) with X^m Z = S^m Z + sum G[:, :len(R_m)] @ R_m over the blocks, for each m of ``ms``.
+
+    X = (I + F diag(e) F*) S is unitary, S = diag(s), F orthonormal, and the
+    powers ``ms`` are all positive or all negative.  Telescoping
+    X^m - S^m = sum_{j<m} X^j (X - S) S^{m-1-j} gives, for m > 0 and n = -m > 0,
+
+        X^m - S^m       = sum_{j<m} (X^j F) diag(e) (F* S^{m-j}),
+        X^{-n} - S^{-n} = sum_{j<n} (X^{-j} S* F) diag(conj e) (F* S^{-(n-1-j)}),
+
+    as X^{-1} = X* = S* (I + F diag(conj e) F*).  So only the thin X^{+-j} F
+    advances, at O(N L^2) a step, once for all the powers; ``rows(qs)`` gives
+    the rows F* S^q Z, (len(qs), L, r), each q read once a block.  A block
+    holds the terms of ``per`` steps j, the last one fewer.
     """
-    wanted = set(ms)
-    if 0 in wanted:
-        yield 0, y
-    fh = f.conj().T
-    for sign in (1, -1):
-        x = y
-        for k in range(1, max([0, *(sign * m for m in wanted)]) + 1):
-            if sign > 0:
-                x = scale(x)
-                x = x + f @ (e[:, None] * (fh @ x))
-            else:
-                x = unscale(x + f @ (e.conj()[:, None] * (fh @ x)))
-            if sign * k in wanted:
-                yield sign * k, x
+    if not ms:
+        return
+    n, fh, forward = max(map(abs, ms)), f.conj().T, ms[0] > 0
+    if not forward:
+        s, e = s.conj(), e.conj()
+    g = f if forward else s[:, None] * f
+    for lo in range(0, n, per):
+        steps = np.arange(lo, min(n, lo + per))
+        left = []
+        for j in steps:
+            left.append(g)
+            if j + 1 < n:  # g <- X g, or g <- X^{-1} g
+                if forward:
+                    g = s[:, None] * g
+                g = g + f @ (e[:, None] * (fh @ g))
+                if not forward:
+                    g = s[:, None] * g
+        # term j of the power m reads the rows at q = m - j for m > 0, q = m + 1 + j for m < 0
+        own = {m: (m - steps if m > 0 else m + 1 + steps)[: abs(m) - lo] for m in ms if abs(m) > lo}
+        qs = np.sort(np.concatenate(list(own.values())))
+        qs = qs[np.append(True, qs[1:] != qs[:-1])]
+        t = rows(qs) * e[:, None]
+        yield np.concatenate(left, axis=1), {
+            m: t[np.searchsorted(qs, q)].reshape(q.size * t.shape[1], t.shape[2]) for m, q in own.items()
+        }
 
 
-def _ambient_powers(p: ProjectionBasis, c: np.ndarray, fh: np.ndarray, tau: np.ndarray, ms):
-    """Yield (m, V* U^m B) for U = e^{iA} U0 = V (I + Fh diag(e^{i tau} - 1) Fh*) diag(c) V*, Fh = V* F.
+def _per(width: int) -> int:
+    """Terms per block of ``_telescoped`` for thin factors of ``width`` columns: at most max(_TERM_COLUMNS, width)."""
+    return max(1, _TERM_COLUMNS // max(1, width))
 
-    Starts from the coordinates Bhat of B; each step costs O(d r k).  The
-    coordinates carry a zero row d (with c and Fh zero there), which the
-    padding (-1) of the cell rows reads.
+
+def _slot_rows(p: ProjectionBasis, x: np.ndarray) -> np.ndarray:
+    """The (s, l, r) array, in B's column order, of an (s, K, l, w) array whose last axis is the cell's column slot."""
+    return _to_columns(p, x.transpose(1, 3, 0, 2)).transpose(1, 2, 0)
+
+
+def _ambient_stream(p: ProjectionBasis, c: np.ndarray, fh: np.ndarray, tau: np.ndarray, blocks: np.ndarray):
+    """The ``_telescoped`` operands (s, F, e, rows) of V* U^m B for U = V (I + Fh diag(e) Fh*) diag(c) V*, Fh = V* F.
+
+    Here e = e^{i tau} - 1, and B is given by its cell blocks, those of
+    ``p`` or a rotation of each within its columns.  The coordinates carry a
+    zero row d (with c and Fh zero there), which the padding (-1) of the
+    cell rows reads; the rows Fh* c^q Bhat come cell by cell in O(d L^2).
     """
-    start = _scatter(p.cell_rows, p.cell_columns, p.cell_blocks, (p.ambient_dim + 1, p.rank))
-    c, fh = np.append(c, 0.0)[:, None], np.concatenate([fh, np.zeros((1, fh.shape[1]))])
-    yield from _unitary_powers(lambda x: c * x, lambda x: c.conj() * x, fh, np.expm1(1j * tau), start, ms)
+    c1 = np.append(c, 0.0)
+    fh1 = np.concatenate([fh, np.zeros((1, fh.shape[1]))])
+    fh_cells = _adjoint(fh1[p.cell_rows])
+
+    def rows(qs):
+        return _slot_rows(p, fh_cells @ (_powers_of(c1, qs)[:, p.cell_rows, None] * blocks))
+
+    return c1, fh1, np.expm1(1j * tau), rows
 
 
-def _by_cell(p: ProjectionBasis, w: np.ndarray):
-    """Z -> diag(W_k) Z on rank coordinates Z whose zero row r the padding (-1) of the cell columns reads and writes."""
-    cols = p.cell_columns
+def _cell_eigh(p: ProjectionBasis, hc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of each cell's block of the padded (K, w, w) stack ``hc``, one batched eigh per cell width.
 
-    def apply(z):
-        out = np.zeros_like(z)
-        out[cols] = w @ z[cols]
-        out[-1] = 0.0
-        return out
+    A padded slot gets the eigenvalue 0 and its own unit vector.
+    """
+    widths = np.count_nonzero(p.cell_columns >= 0, axis=1)
+    values = np.zeros(hc.shape[:2])
+    vectors = np.broadcast_to(np.eye(hc.shape[-1], dtype=np.complex128), hc.shape).copy()
+    for at in _groups(widths):
+        k = widths[at[0]]
+        values[at, :k], vectors[at, :k, :k] = _eigh(hc[at, :k, :k])
+    return values, vectors
 
-    return apply
+
+def _perp(p: ProjectionBasis, g: np.ndarray) -> np.ndarray:
+    """P_perp G = G - Bhat (Bhat* G) for coordinates G with a zero row d, cell by cell in O(d L c) for c columns.
+
+    The padding (-1) of the cell rows reads and writes the zero row; rows in
+    no cell keep all of G.
+    """
+    out = g.copy()
+    out[p.cell_rows] -= p.cell_blocks @ (_adjoint(p.cell_blocks) @ g[p.cell_rows])
+    return out
 
 
 def _check(name: str, value: float, bound: float) -> BoundCheck:
@@ -547,8 +634,8 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     for l in range(p.directions.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, p.directions[:, l]), eps))
     lam = p.eigenvalues
-    scales = [lam, 1.0 / (1j + lam), 1.0 / (1j - lam), *(_power(c, m) for m in m_list)]
-    norms = _offblock_norms(p, np.array(scales))[0]
+    scales = np.concatenate([[lam, 1.0 / (1j + lam), 1.0 / (1j - lam)], _powers_of(c, m_list)])
+    norms = _norms(_offblock_cells(p, scales))
     for name, value in zip(("window_offblock", "resolvent_plus", "resolvent_minus"), norms):
         checks.append(_check(name, value, eps))
     for m, value in zip(m_list, norms[3:]):
@@ -578,12 +665,20 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
     for t, value in zip(ts, propagators):
         checks.append(_check(f"propagator[t={t:+.3f}]", value, propagator_bound))
-    base = _offblock_norms(p, np.array([_power(c, m) for m in m_list]).reshape(-1, p.ambient_dim))[0]
-    pert = {m: _dense_offblock(p, y) for m, y in _ambient_powers(p, c, fh, tau, m_list)}
+    # P_perp V* U^m B = P_perp c^m Bhat + sum_j (P_perp G_j) R_j: the cell blocks of the first
+    # term are those of the base power, and P_perp acts on the thin factors G_j of the stream.
+    base = _offblock_cells(p, _powers_of(c, m_list))
+    pert = dict(zip(m_list, _scatter(p.cell_rows, p.cell_columns, base, (p.ambient_dim + 1, p.rank))))
+    stream, per = _ambient_stream(p, c, fh, tau, p.cell_blocks), _per(tau.size)
+    for sign in (1, -1):
+        for left, right in _telescoped(*stream, [m for m in pert if sign * m > 0], per):
+            left = _perp(p, left)
+            for m, r_m in right.items():
+                pert[m] += left[:, : r_m.shape[0]] @ r_m
     pert_factor = 2.0 * (np.exp(a_op) + 1.0) * eps
-    for m, value in zip(m_list, base):
+    for m, value in zip(m_list, _norms(base)):
         checks.append(_check(f"base_power[{m}]", value, 2 * abs(m) * eps))
-        checks.append(_check(f"pert_power[{m}]", pert[m], abs(m) * pert_factor))
+        checks.append(_check(f"pert_power[{m}]", hs_norm(pert[m]), abs(m) * pert_factor))
     return AuditReport(label="perturbation-coupling", eps=eps, checks=tuple(checks))
 
 
@@ -621,20 +716,20 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
 
 
 def _compressed(p: ProjectionBasis, a: np.ndarray, phase: float) -> tuple[CompressedModel, np.ndarray]:
-    """``compressed_model`` of a checked A, and the cell blocks W of U0p, (K, L, L).
+    """``compressed_model`` of a checked A, and the cell blocks of B* H0 B, (K, L, L).
 
     B* H0 B = Bhat* diag(lambda) Bhat is block diagonal, so U0p is the
     Cayley image of each cell's block, placed on the cell's columns.
     """
     b, blocks = p.columns, p.cell_blocks
     hc = _adjoint(blocks) @ (p.eigenvalues[p.cell_rows, None] * blocks)
-    w = _cayley(0.5 * (hc + _adjoint(hc)), phase)
-    u0p = _scatter(p.cell_columns, p.cell_columns, w, (p.rank, p.rank))
+    hc = 0.5 * (hc + _adjoint(hc))
+    u0p = _scatter(p.cell_columns, p.cell_columns, _cayley(hc, phase), (p.rank, p.rank))
     ac = b.conj().T @ a @ b
     ac = 0.5 * (ac + ac.conj().T)
     fc, tau_c, _ = _kept_pairs(ac)
     up = _low_rank_endpoint(fc, tau_c, u0p)
-    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c), w
+    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c), hc
 
 
 def audit_compressed_model(
@@ -653,7 +748,7 @@ def audit_compressed_model(
     m_list, k_list = _powers(m_list), _powers(k_list)
     c, a, (f, tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
     b, eps, rows = p.columns, p.params.eps, p.cell_rows
-    model, w = _compressed(p, a, phase)
+    model, hc = _compressed(p, a, phase)
     fc, tau_c = model.ap_vectors, model.ap_values
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
@@ -668,41 +763,50 @@ def audit_compressed_model(
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
     tr_bound = 2.0 * hs_norm(a) * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
-    # U0 = V diag(c) V* and U0p = diag(W_k) act cell by cell: (U0^m B - B U0p^m) = V (c^m Bhat - Bhat W^m)
-    # has one block per cell.  Up = (I + Fc (e^{i tau_c} - 1) Fc*) U0p is streamed on the r x r identity,
-    # and B* U^m B is read cell by cell off the stream of V* U^m B.
-    ms = sorted({*m_list, *k_list})
-    _, y, grams = _offblock_norms(p, np.array([_power(c, m) for m in ms]).reshape(-1, p.ambient_dim))
-    y, grams = dict(zip(ms, y)), dict(zip(ms, grams))
-    bhat = _adjoint(p.cell_blocks)
-    pert = {m: _to_columns(p, bhat @ x[rows]) for m, x in _ambient_powers(p, c, fh, tau, m_list)}
-    # rank coordinates with a zero row r, as in ``_by_cell``
-    fc_rows, eye = np.concatenate([fc, np.zeros((1, fc.shape[1]))]), np.eye(p.rank + 1, p.rank, dtype=np.complex128)
-    steps = _by_cell(p, w), _by_cell(p, _adjoint(w))
-    pert_c = {m: z[:-1] for m, z in _unitary_powers(*steps, fc_rows, np.expm1(1j * tau_c), eye, m_list)}
-    for m in m_list:
-        w_m = np.linalg.matrix_power(w if m >= 0 else _adjoint(w), abs(m))
-        value = hs_norm(y[m] - p.cell_blocks @ w_m)
+    # The powers work in each cell's eigenbasis Q_k of Bhat_k* diag(lambda) Bhat_k.  With B' = B diag(Q_k),
+    # U0p = diag(omega), and U0^m B' - B' U0p^m = V (c^m Bhat' - Bhat' omega^m) has one block per cell.
+    cols, nm = p.cell_columns, len(m_list)
+    mu, q = _cell_eigh(p, hc)
+    blocks, omega_cells = p.cell_blocks @ q, _cayley_values(mu.ravel(), phase).reshape(mu.shape)
+    y = _powers_of(c, [*m_list, *k_list])[:, rows, None] * blocks
+    grams = _adjoint(blocks) @ y
+    base = _norms(y[:nm] - blocks * _powers_of(omega_cells.ravel(), m_list).reshape(nm, *mu.shape)[:, :, None])
+    # In B' coordinates Up = (I + Fc' diag(e^{i tau_c} - 1) Fc'*) diag(omega) with Fc' = diag(Q_k*) Fc, and
+    # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} = Tr{Y_k (Up^m X)} with B'* e^{iA} U0^k B' - e^{iAp} B'* U0^k B' = X Y_k:
+    # X = [(F*B')* (e^{i tau} - 1), -Fc' (e^{i tau_c} - 1)], Y_k = [Fh* c^k Bhat'; Fc'* diag(Bhat'_k* c^k Bhat'_k)].
+    fh_cells = _adjoint(np.concatenate([fh, np.zeros((1, tau.size))])[rows])
+    fc_cells = _adjoint(q) @ np.concatenate([fc, np.zeros((1, tau_c.size))])[cols]
+    fc_q, omega = _to_columns(p, fc_cells), _to_columns(p, omega_cells)
+    fb_q = _slot_rows(p, (fh_cells @ blocks)[None])[0]
+    x = np.concatenate([_exp_step(fb_q.conj().T, tau), -_exp_step(fc_q, tau_c)], axis=1)
+    ys = np.concatenate([_slot_rows(p, fh_cells @ y[nm:]), _slot_rows(p, _adjoint(fc_cells) @ grams[nm:])], axis=1)
+    # B'* U^m B' - Up^m = diag(grams_m - omega^m) + sum_j [Bhat'* G_j, -Gc_j] [R_j; Rc_j] from the two
+    # telescoped streams, and Up^m X = omega^m X + sum_j Gc_j (Rc_j X): one r x r matrix per m.
+    omega_m = _powers_of(omega, m_list)
+    diff = _scatter(cols, cols, grams[:nm], (p.rank, p.rank))
+    diff[:, np.arange(p.rank), np.arange(p.rank)] -= omega_m
+    diff, up_x = dict(zip(m_list, diff)), dict(zip(m_list, omega_m[:, :, None] * x))
+    ambient, per = _ambient_stream(p, c, fh, tau, blocks), _per(max(tau.size, tau_c.size))
+
+    def compressed_rows(qs):
+        return fc_q.conj().T[None] * _powers_of(omega, qs)[:, None, :]
+
+    compressed = omega, fc_q, np.expm1(1j * tau_c), compressed_rows
+    for sign in (1, -1):
+        signed = [m for m in diff if sign * m > 0]
+        for (g, r_amb), (gc, r_c) in zip(_telescoped(*ambient, signed, per), _telescoped(*compressed, signed, per)):
+            g = _to_columns(p, _adjoint(blocks) @ g[rows])
+            for m in r_amb:
+                a_m, c_m = r_amb[m].shape[0], r_c[m].shape[0]
+                diff[m] += np.concatenate([g[:, :a_m], -gc[:, :c_m]], axis=1) @ np.concatenate([r_amb[m], r_c[m]])
+                up_x[m] += gc[:, :c_m] @ (r_c[m] @ x)
+    for m, value in zip(m_list, base):
         checks.append(_check(f"base_power_error[{m}]", value, 2 * abs(m) * eps))
-        value = hs_norm(pert[m] - pert_c[m])
         bound = 2 * abs(m) * eps * ((abs(m) - 1) * np.exp(a_op) + abs(m) + 1)
-        checks.append(_check(f"pert_power_error[{m}]", value, bound))
-    # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} in rank coordinates, where
-    # B* e^{iA} U0^k B - e^{iAp} B* U0^k B = X Y_k with X = [(F*B)* (e^{i tau} - 1), -Fc (e^{i tau_c} - 1)]
-    # and Y_k = [F* U0^k B; Fc* B* U0^k B], F* U0^k B = Fh* (c^k Bhat) and B* U0^k B = diag(Bhat_k* c^k Bhat_k)
-    # cell by cell.  So each trace is Tr{(Y_k Up^m) X}, with no r x r factor formed.
-    fh_cells, fc_cells = _adjoint(fh[rows]), _adjoint(fc_rows[p.cell_columns])
-    x = np.concatenate([_exp_step(fb.conj().T, tau), -_exp_step(fc, tau_c)], axis=1)
-    ys = np.array([
-        np.concatenate([
-            _to_columns(p, (fh_cells @ y[k]).swapaxes(1, 2)).T,
-            _to_columns(p, (fc_cells @ grams[k]).swapaxes(1, 2)).T,
-        ])
-        for k in k_list
-    ]).reshape(len(k_list), x.shape[1], p.rank)
+        checks.append(_check(f"pert_power_error[{m}]", hs_norm(diff[m]), bound))
     mixed_bound = 4.0 * eps * eps * np.exp(a_op)
     for m in m_list:
-        for k, value in zip(k_list, np.abs(np.einsum("kaj,ja->k", ys @ pert_c[m], x))):
+        for k, value in zip(k_list, np.abs(np.einsum("kaj,ja->k", ys, up_x[m]))):
             checks.append(_check(f"mixed_trace[m={m},k={k}]", value, mixed_bound))
     return AuditReport(label="compressed-model", eps=eps, checks=tuple(checks))
 

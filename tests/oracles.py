@@ -33,12 +33,16 @@ path to the package routine it checks:
   * ``window_basis_global_mgs`` spans the spectral-cell pieces of the seeds
     by one modified Gram-Schmidt over all cells in the ambient space; the
     package orthonormalises cell by cell in eigen-coordinates.
+  * ``window_basis_per_cell`` is the cell-by-cell construction with one SVD
+    call, one fill and one product per occupied cell; the package batches
+    the SVDs over cells of one shape, and its outputs must equal these bit
+    for bit.
   * ``dense_projection_audit``, ``dense_perturbation_audit`` and
     ``dense_compressed_audit`` evaluate every audited quantity from its
     displayed formula with the projector P = BB*, full matrix powers from
     ``np.linalg.matrix_power`` (so U^{-m} comes from an inverse), ``inv``
     for the resolvents and exponentials from a full ``eigh``; the package
-    streams U^m B on the d x r columns and works on low-rank factors.
+    telescopes U^m B through thin d x L streams and works on low-rank factors.
   * ``dense_kept_pairs`` takes the kept eigenpairs of a Hermitian matrix
     from one full eigh; the package builds a basis of the range first and
     diagonalises only the k x k compression.
@@ -71,7 +75,7 @@ from unishift.linalg import (
     require_unitary,
     unitary_eig,
 )
-from unishift.reduction import ProjectionBasis, WindowParams
+from unishift.reduction import GS_DROP_TOL, ProjectionBasis, WindowParams, _cells_of
 from unishift.trace_formula import _exp_remainder_factor
 from unishift.trigpoly import TrigPolynomial
 
@@ -378,6 +382,39 @@ def window_basis_global_mgs(h0, seeds, half_width: float, cells: int, drop_tol: 
             basis[:, kept] = x / norm
             kept += 1
     return basis[:, :kept]
+
+
+def window_basis_per_cell(dec, f, half_width: float, cells: int) -> dict[str, np.ndarray]:
+    """The columns and cell layout of the window basis, one SVD per occupied cell.
+
+    ``dec`` holds the ascending eigenvalues and eigenvectors of H0 and ``f``
+    the orthonormal seeds; the cells come from ``_cells_of``, and the seeds
+    are assumed captured by the window.
+    """
+    coords = dec.vectors.conj().T @ f
+    window = np.flatnonzero((dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width))
+    runs = np.split(window, np.flatnonzero(np.diff(_cells_of(dec.eigenvalues[window], half_width, cells))) + 1)
+    rows_of, blocks = [], []
+    for rows in runs if window.size else []:
+        pieces = coords[rows, :]
+        norms = np.linalg.norm(pieces, axis=0)
+        kept = norms > GS_DROP_TOL
+        left, values, _ = np.linalg.svd(pieces[:, kept] / norms[kept], full_matrices=False)
+        if np.any(big := values > GS_DROP_TOL):
+            rows_of.append(rows)
+            blocks.append(left[:, big])
+    n, width = max(map(len, rows_of), default=0), max((x.shape[1] for x in blocks), default=0)
+    cell_rows, cell_columns = np.full((len(blocks), n), -1), np.full((len(blocks), width), -1)
+    cell_blocks = np.zeros((len(blocks), n, width), dtype=np.complex128)
+    start = 0
+    for k, (rows, block) in enumerate(zip(rows_of, blocks)):
+        cell_rows[k, :rows.size] = rows
+        cell_columns[k, :block.shape[1]] = np.arange(start, start + block.shape[1])
+        cell_blocks[k, :rows.size, :block.shape[1]] = block
+        start += block.shape[1]
+    columns = [dec.vectors[:, rows] @ block for rows, block in zip(rows_of, blocks)]
+    columns = np.concatenate([np.zeros((f.shape[0], 0), dtype=np.complex128), *columns], axis=1)
+    return dict(columns=columns, cell_rows=cell_rows, cell_columns=cell_columns, cell_blocks=cell_blocks)
 
 
 def _dense_exp_i(h: np.ndarray, s: float = 1.0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from oracles import (
     full_space,
     one_cell_basis,
     window_basis_global_mgs,
+    window_basis_per_cell,
 )
 from unishift import (
     BadWindow,
@@ -366,8 +368,26 @@ def off_identity_case(kind: str):
     return inst, p
 
 
+def unequal_widths_case():
+    """A diagonal H0 whose first of 4 cells holds one eigenvalue and the others 13 each, and its window basis.
+
+    The rank-2 direction has a piece in every cell, so the first cell keeps
+    one column and the others two: cell blocks and columns are padded.
+    """
+    levels = np.concatenate([[-0.75], np.linspace(-0.45, 0.95, 39)])
+    h0 = np.diag(levels).astype(complex)
+    a = random_low_rank_hermitian(np.random.default_rng(77), levels.size, 2, 0.6)
+    u0 = _cayley(h0, 0.3)
+    f, tau, _ = _kept_pairs(a)
+    inst = ReductionInstance(h0=h0, a=a, phase=0.3, u0=u0, u=u0 + (f * np.expm1(1j * tau)) @ (f.conj().T @ u0),
+                             half_width=1.0)
+    p = build_direction_projection(h0, a, 1.0, 4)
+    assert list((p.cell_columns >= 0).sum(axis=1)) == [1, 2, 2, 2]
+    return inst, p
+
+
 class TestThinFactorsOracle:
-    M = [0, 1, -1, 2, -2, 4, -4]
+    M = [0, 1, -1, 2, -2, 4, -4, 7, -7, 16, -16]
     K = [0, 1, -1, 2, -4]
 
     def audit_against_reference(self, p, inst, a, u, samples):
@@ -428,6 +448,11 @@ class TestThinFactorsOracle:
         assert np.max(np.abs(p.eigenvectors - np.eye(p.ambient_dim))) > 0.5
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
+    def test_cells_of_unequal_widths(self):
+        inst, p = unequal_widths_case()
+        self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
+        self.audit_against_reference(p, inst, np.zeros_like(inst.a), inst.u0, T_GRID)
+
 
 class TestKeptPairsOracle:
     """Kept eigenpairs from a basis of the range against one full eigh of the d x d matrix."""
@@ -479,7 +504,7 @@ class TestKeptPairsOracle:
 class TestStreamedAuditsOracle:
     """Every audit value against its dense definition with P = BB*, full powers and inverses."""
 
-    M = [0, 1, -1, 2, -3, 4, -4]
+    M = [0, 1, -1, 2, -3, 4, -4, 7, -7, 16, -16]
     K = [0, -1, 2, -4]
     SAMPLES = np.linspace(-2.0, 2.0, 5)
 
@@ -503,6 +528,25 @@ class TestStreamedAuditsOracle:
             assert p.rank == 8
         if kind == "outside":  # 33 eigen-rows in two cells of 15 and 18, padded to 18
             assert (p.cell_rows >= 0).sum() == 33 and p.cell_rows.shape == (2, 18)
+
+    def test_cells_of_unequal_widths(self):
+        inst, p = unequal_widths_case()
+        assert all(report.passed for report in self.audit_against_dense(p, inst))
+
+    @pytest.mark.parametrize("kind", ["instance", "unequal"])
+    def test_zero_direction(self, kind):
+        if kind == "unequal":
+            inst, p = unequal_widths_case()
+        else:
+            inst = reduction_instance(6, 64, 2, 0.6, phase=0.3)
+            p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
+        inst = replace(inst, a=np.zeros_like(inst.a), u=inst.u0)
+        reports = self.audit_against_dense(p, inst)
+        assert all(report.passed for report in reports)
+        # U = U0: the perturbed powers are the base ones
+        pert = {c.name: c.value for c in reports[1].checks}
+        for m in self.M:
+            assert pert[f"pert_power[{m}]"] == pytest.approx(pert[f"base_power[{m}]"], abs=1e-13)
 
     def audit_against_dense(self, p, inst):
         """The three audits, each value within 1e-12 and each bound within 1e-12 (1 + bound) of its definition."""
@@ -605,6 +649,88 @@ class TestPerCellOrthonormalisation:
         f = np.column_stack([self.unit(e[0] + 1e-6 * e[4]), self.unit(e[4] + 1e-7 * e[5])])
         p = self.assert_matches_global(h0, f, 1.0, 2)
         assert p.rank == 3
+
+
+def window_case(kind: str, cells: int):
+    """An H0 of ambient size 256 and orthonormal seeds for a window of ``cells`` cells in (-1, 1].
+
+    ``repeated``: sixteen 16-fold eigenvalues under a Haar Q and three seeds.
+    ``edge``: a diagonal H0 with eigenvalues on the edges k (2 / cells) - 1 of
+    the partition, among them 1, the last.  ``no-piece``: a diagonal H0 and a
+    seed with entries on four eigenvectors only, so most cells keep one piece
+    of two.  ``instance`` is a ``reduction_instance`` with its two kept
+    eigenvectors as seeds, and ``rotated`` the same under a Haar Q with one
+    seed, so each cell keeps one column of several rows.
+    """
+    rng = np.random.default_rng(cells % 1000)
+    levels = spread_diagonal(256, 1.0).diagonal().real
+    if kind == "repeated":
+        levels = np.repeat(np.linspace(-0.9, 0.9, 16), 16)
+        f = np.linalg.qr(rng.standard_normal((256, 3)) + 1j * rng.standard_normal((256, 3)))[0]
+    elif kind == "edge":
+        k = np.unique(np.round(np.linspace(1, cells, 9)).astype(np.int64))
+        levels = np.sort(np.concatenate([levels[: 256 - k.size], k * (2.0 / cells) + -1.0]))
+        f = np.linalg.qr(rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2)))[0]
+    elif kind == "no-piece":
+        f = np.zeros((256, 2), dtype=complex)
+        f[[3, 90, 91, 250], 0] = [0.5, 0.5j, -0.5, 0.5]
+        f[:, 1] = np.linspace(1.0, 2.0, 256) / np.linalg.norm(np.linspace(1.0, 2.0, 256))
+    else:
+        inst = reduction_instance(cells % 97, 256, 2, 0.5)
+        f = _kept_pairs(inst.a)[0][:, : 2 if kind == "instance" else 1]
+    h0 = np.diag(levels).astype(complex)
+    if kind in ("repeated", "rotated"):
+        q = haar_unitary(rng, 256)
+        h0 = (q * levels) @ q.conj().T
+        h0 = 0.5 * (h0 + h0.conj().T)
+    return h0, f
+
+
+class TestBatchedWindowBasis:
+    """The window basis, with its SVDs batched over cells of one shape, equals one SVD per cell bit for bit."""
+
+    @pytest.mark.parametrize("cells", [1, 8, 64, 256, 10**12])
+    @pytest.mark.parametrize("kind", ["instance", "rotated", "repeated", "edge", "no-piece"])
+    def test_matches_the_per_cell_loop(self, kind, cells):
+        h0, f = window_case(kind, cells)
+        dec = herm_eig(h0)
+        p = _window_basis(dec, f, 1.0, cells, h0)
+        for name, want in window_basis_per_cell(dec, f, 1.0, cells).items():
+            got = getattr(p, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        if kind == "no-piece" and cells == 8:  # the first seed has pieces in cells 0, 2 and 7 only
+            assert list(np.count_nonzero(p.cell_columns >= 0, axis=1)) == [2, 1, 2, 1, 1, 1, 1, 2]
+        if kind == "edge" and cells == 8:  # cells are closed on the right: each edge ends its cell
+            edges = np.flatnonzero(np.isin(dec.eigenvalues, np.arange(1, 9) * 0.25 - 1.0))
+            assert all(np.any(p.cell_rows[k] == edges[k]) for k in range(8))
+
+
+class TestBoundedMemory:
+    """The telescoped sums are formed in blocks of bounded width: memory does not grow with the power."""
+
+    @pytest.mark.parametrize("audit", ["perturbation", "compressed"])
+    def test_peak_at_power_400_is_at_most_twice_that_at_4(self, audit):
+        inst = reduction_instance(8, 64, 64, 0.5)  # a full-rank direction: L = d
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        assert p.directions.shape == (64, 64)
+
+        def peak(m):
+            calls = {
+                "perturbation": lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [m, -m], [0.0]),
+                "compressed": lambda: audit_compressed_model(
+                    p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [m, -m], [1]
+                ),
+            }
+            tracemalloc.start()
+            try:
+                assert calls[audit]().passed
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4), peak(400)
+        assert large <= 2 * small, (small, large)
 
 
 class TestOneDecompositionPerCall:

@@ -60,9 +60,10 @@ AUDIT_M_LIST = (1, -1, 2, -2, 4, -4)
 AUDIT_K_LIST = (1, 2, 4)
 AUDIT_T_MAX = 2.0
 
-# Largest sizes a run may ask for, the library's own caps, refused before
-# anything is allocated.
-_MAX_SIZES = {"dim": _MAX_DIM, "ambient": _MAX_AMBIENT, "grid": _MAX_GRID}
+# Largest sizes a run may ask for, refused before anything is allocated: the
+# library's own caps, and rmax, whose (2 rmax + 4) x (2 rmax + 1) coefficient
+# matrix in ``verify`` stays near 67 MB at 1024.
+_MAX_SIZES = {"dim": _MAX_DIM, "ambient": _MAX_AMBIENT, "grid": _MAX_GRID, "rmax": 1024}
 
 
 class ConfigError(UnishiftError):

@@ -27,10 +27,10 @@ H0 that built it, and its fields are checked for presence and shape once,
 when it is made; the audits and their helpers read it directly.
 Each audit, and ``compressed_model``, builds one checked frame (``_frame``)
 at delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m: H0
-against the basis's H0 in O(d^2), A by ``require_hermitian``, U0 against
-the eigenpairs and U against e^{iA} U0.  Phases, half-widths, the horizon
-T >= 0 and samples in [-T, T] are finite real numbers (``_is_real``);
-powers, samples and cell counts are iterables.
+against the basis's H0 in O(d^2), A by ``require_hermitian`` (and its kept
+pairs found once), U0 against the eigenpairs and U against e^{iA} U0.
+Phases, half-widths, the horizon T >= 0 and samples in [-T, T] are finite
+real numbers (``_is_real``); powers, samples and cell counts are iterables.
 
 The direction is low rank, so no d x d exponential and no d x d
 eigendecomposition of it is ever formed.  An orthonormal basis Q of the
@@ -39,13 +39,14 @@ of the k x k matrix Q*AQ give, in O(d^2 k) for rank k, the eigenpairs
 (F, tau) of A with |tau| > 1e-12 max(||A||, 1) (||A|| is read from the same
 eigenvalues), and
 
-    e^{isA} = I + F diag(e^{is tau} - 1) F*,
+    e^{isA} = I + F diag(e^{is tau} - 1) F*.
 
-and likewise for the compressed direction Ap = B* A B of rank at most L,
-whose kept eigenpairs the compressed model carries; one helper forms each
-endpoint e^{iA} U0 = U0 + F diag(e^{i tau} - 1) F* U0.  The propagator
-samples, the exponential off-block norms, the Taylor-remainder trace norm
-and the mixed-trace factors all work on d x L factors; a norm
+The compressed direction is Ap = B* A B = (F*B)* diag(tau) (F*B), of rank at
+most L; with the thin QR B*F = QR its kept eigenpairs come from the eigh of
+the small R diag(tau) R*, so no product of B with a d x d matrix is formed.
+One helper forms each endpoint e^{iA} U0 = U0 + F diag(e^{i tau} - 1) F* U0.
+The propagator samples, the exponential off-block norms, the Taylor-remainder
+trace norm and the mixed-trace factors all work on d x L factors; a norm
 ||X diag(D) Y||_HS with X = QR is ||R diag(D) Y||_HS, and each mixed trace
 is the trace of a product of a 2L x r factor and an r x 2L one.
 
@@ -62,9 +63,11 @@ of U0 in O(d^2), with the same tolerance and errors.  Then:
     ||P_perp X P||_HS^2 = sum_k ||D_k Bhat_k - Bhat_k (Bhat_k* D_k Bhat_k)||^2,
     one batched product over the padded (K, n, L) cell stack, O(d L^2) in
     all, with no d x d solve;
-  * B* H0 B = Bhat* diag(lambda) Bhat is block diagonal, so U0p is the
-    Cayley image of each cell's L x L block, and in each cell's eigenbasis
-    Q_k of that block U0p = diag(omega);
+  * B* H0 B = Bhat* diag(lambda) Bhat is block diagonal: one batched eigh
+    gives each cell's block Q_k diag(mu_k) Q_k*, so in each cell's eigenbasis
+    U0p = diag(omega) with omega the Cayley values of mu.  ``_compressed``
+    returns the compressed pair in this form, which the compressed audit
+    reads directly and ``compressed_model`` expands once to r x r;
   * so V* U V = (I + Fh diag(e) Fh*) diag(c), with Fh = V* F and
     e = e^{i tau} - 1, and in the basis B diag(Q_k) Up = (I + Fc' diag(e_c)
     Fc'*) diag(omega): each is X = (I + F diag(e) F*) S with S diagonal and
@@ -338,7 +341,11 @@ def _kept_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         rest -= new @ (new.conj().T @ rest)
         q, size = np.concatenate([q, new], axis=1), 2 * size
         norms = np.linalg.norm(rest, axis=0)
-    small = q.conj().T @ (h @ q)  # hermitised, Q*HQ of the Hermitian part
+    return _kept_of(q, q.conj().T @ (h @ q))  # hermitised, Q*HQ of the Hermitian part
+
+
+def _kept_of(q: np.ndarray, small: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs (Q W, tau) of Q S Q*, S = W diag(tau) W* hermitised, with |tau| > 1e-12 max(||S||, 1), and ||S||."""
     tau, vectors = _eigh(0.5 * (small + small.conj().T))
     top = float(np.max(np.abs(tau), initial=0.0))
     keep = np.abs(tau) > 1e-12 * max(top, 1.0)
@@ -422,8 +429,8 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     whose delta falls below d times the machine epsilon, the roundoff of one
     such gap at ambient size d, is refused (``UnishiftError``) first.
 
-    Returns c (None without U0), the checked A (None without it), and with U
-    A's kept pairs (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and
+    Returns c (None without U0), the checked A (None without it), and with A
+    its kept pairs (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and
     F* B (else None).
     """
     if not isinstance(p, ProjectionBasis):
@@ -447,9 +454,12 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
         if hs_norm(gap := h0 - p.h0) > delta:
             require_hermitian(h0, "h0", d)
             require(gap, "H0 is not the operator that built the projection")
+    c = direction = None
     if a is not None:
         a = require_hermitian(a, "a", d)
-    c = direction = None
+        f, tau, a_op = _kept_pairs(a)
+        b = p.columns
+        direction = f, tau, a_op, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
     if u0 is not None:
         u0 = as_matrix(u0, "u0", d, copy=None)
         if _is_identity(v):  # a diagonal H0: V* U0 V is U0, and its gap is U0 - diag(c)
@@ -463,10 +473,7 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
         if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
             raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
     if u is not None:
-        f, tau, a_op = _kept_pairs(a)
         require(as_matrix(u, "u", d, copy=None) - _low_rank_endpoint(f, tau, u0), "U is not e^(iA) U0")
-        b = p.columns
-        direction = f, tau, a_op, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
     return c, a, direction
 
 
@@ -591,20 +598,6 @@ def _ambient_stream(p: ProjectionBasis, c: np.ndarray, fh: np.ndarray, tau: np.n
     return c1, fh1, np.expm1(1j * tau), rows
 
 
-def _cell_eigh(p: ProjectionBasis, hc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of each cell's block of the padded (K, w, w) stack ``hc``, one batched eigh per cell width.
-
-    A padded slot gets the eigenvalue 0 and its own unit vector.
-    """
-    widths = np.count_nonzero(p.cell_columns >= 0, axis=1)
-    values = np.zeros(hc.shape[:2])
-    vectors = np.broadcast_to(np.eye(hc.shape[-1], dtype=np.complex128), hc.shape).copy()
-    for at in _groups(widths):
-        k = widths[at[0]]
-        values[at, :k], vectors[at, :k, :k] = _eigh(hc[at, :k, :k])
-    return values, vectors
-
-
 def _perp(p: ProjectionBasis, g: np.ndarray) -> np.ndarray:
     """P_perp G = G - Bhat (Bhat* G) for coordinates G with a zero row d, cell by cell in O(d L c) for c columns.
 
@@ -684,18 +677,12 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
 
 @dataclass(frozen=True)
 class CompressedModel:
-    """The pair compressed to ran P: base unitary, direction, endpoint, phase.
-
-    ``ap_vectors`` and ``ap_values`` are the kept eigenpairs (Fc, tau_c) of
-    the direction, so e^{isAp} = I + Fc diag(e^{is tau_c} - 1) Fc*.
-    """
+    """The pair compressed to ran P, in B's coordinates: base unitary, direction Ap = B* A B, endpoint, phase."""
 
     u0p: np.ndarray
     ap: np.ndarray
     up: np.ndarray
     phase: float
-    ap_vectors: np.ndarray
-    ap_values: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -705,31 +692,46 @@ class CompressedModel:
 def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel:
     """Compress H0 and A by P and rebuild the unitaries inside ran P.
 
-    The compressed base is the phase-rotated Cayley image of B* H0 B, which
-    is Hermitian, so i + B* H0 B is always invertible; the endpoint is
+    The compressed base is the phase-rotated Cayley image of the Hermitian
+    B* H0 B, taken on each cell's eigenvalues; the direction Ap = B* A B is
+    (F*B)* diag(tau) (F*B) from A's kept pairs, and the endpoint is
     e^{i Ap} U0p.  P commutes with both rebuilt unitaries by construction,
     which is what makes rank-coordinates legitimate.  H0 and A are checked
     as in ``_frame``, with no powers.
     """
-    a = _frame(p, (), h0=h0, a=a)[1]
-    return _compressed(p, a, phase)[0]
+    _, _, (_, tau, _, _, _, fb) = _frame(p, (), h0=h0, a=a)
+    return _model(p, fb, tau, phase)
 
 
-def _compressed(p: ProjectionBasis, a: np.ndarray, phase: float) -> tuple[CompressedModel, np.ndarray]:
-    """``compressed_model`` of a checked A, and the cell blocks of B* H0 B, (K, L, L).
+def _model(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: float) -> CompressedModel:
+    """``_compressed`` expanded once to r x r: U0p = (+)_k Q_k diag(omega_k) Q_k*, Ap and Up = e^{iAp} U0p."""
+    q, omega, fc, tau_c = _compressed(p, fb, tau, phase)
+    u0p = _scatter(p.cell_columns, p.cell_columns, (q * omega[:, None, :]) @ _adjoint(q), (p.rank, p.rank))
+    ap = (fb.conj().T * tau) @ fb
+    ap = 0.5 * (ap + ap.conj().T)
+    return CompressedModel(u0p=u0p, ap=ap, up=_low_rank_endpoint(fc, tau_c, u0p), phase=phase)
 
-    B* H0 B = Bhat* diag(lambda) Bhat is block diagonal, so U0p is the
-    Cayley image of each cell's block, placed on the cell's columns.
+
+def _compressed(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: float):
+    """The compressed pair in each cell's eigenbasis, from A's kept pairs (F, tau) through F*B (L x r).
+
+    B* H0 B = Bhat* diag(lambda) Bhat has one block per cell; one batched
+    eigh per cell width gives Q_k diag(mu_k) Q_k* (a padded slot gets the
+    eigenvalue 0 and its own unit vector), and U0p = (+)_k Q_k diag(omega_k)
+    Q_k* with omega the Cayley values of mu.  With the thin QR B*F = QR,
+    Ap = (F*B)* diag(tau) (F*B) = Q (R diag(tau) R*) Q*, so the eigh of the
+    small R diag(tau) R* gives Ap's kept pairs (Fc, tau_c), those with
+    |tau_c| > 1e-12 max(||Ap||, 1).  Returns Q (K, w, w), omega (K, w), Fc and tau_c.
     """
-    b, blocks = p.columns, p.cell_blocks
+    blocks, widths = p.cell_blocks, np.count_nonzero(p.cell_columns >= 0, axis=1)
     hc = _adjoint(blocks) @ (p.eigenvalues[p.cell_rows, None] * blocks)
     hc = 0.5 * (hc + _adjoint(hc))
-    u0p = _scatter(p.cell_columns, p.cell_columns, _cayley(hc, phase), (p.rank, p.rank))
-    ac = b.conj().T @ a @ b
-    ac = 0.5 * (ac + ac.conj().T)
-    fc, tau_c, _ = _kept_pairs(ac)
-    up = _low_rank_endpoint(fc, tau_c, u0p)
-    return CompressedModel(u0p=u0p, ap=ac, up=up, phase=phase, ap_vectors=fc, ap_values=tau_c), hc
+    mu, q = np.zeros(hc.shape[:2]), np.broadcast_to(np.eye(hc.shape[-1], dtype=np.complex128), hc.shape).copy()
+    for at in _groups(widths):
+        k = widths[at[0]]
+        mu[at, :k], q[at, :k, :k] = _eigh(hc[at, :k, :k])
+    qf, rf = np.linalg.qr(fb.conj().T)
+    return q, _cayley_values(mu.ravel(), phase).reshape(mu.shape), *_kept_of(qf, (rf * tau) @ rf.conj().T)[:2]
 
 
 def audit_compressed_model(
@@ -748,8 +750,7 @@ def audit_compressed_model(
     m_list, k_list = _powers(m_list), _powers(k_list)
     c, a, (f, tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
     b, eps, rows = p.columns, p.params.eps, p.cell_rows
-    model, hc = _compressed(p, a, phase)
-    fc, tau_c = model.ap_vectors, model.ap_values
+    q, omega_cells, fc, tau_c = _compressed(p, fb, tau, phase)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
     checks = [_check("exp_step_offblock", hs_norm(_exp_step(f_perp, tau)), 2 * eps)]
@@ -765,12 +766,10 @@ def audit_compressed_model(
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     # The powers work in each cell's eigenbasis Q_k of Bhat_k* diag(lambda) Bhat_k.  With B' = B diag(Q_k),
     # U0p = diag(omega), and U0^m B' - B' U0p^m = V (c^m Bhat' - Bhat' omega^m) has one block per cell.
-    cols, nm = p.cell_columns, len(m_list)
-    mu, q = _cell_eigh(p, hc)
-    blocks, omega_cells = p.cell_blocks @ q, _cayley_values(mu.ravel(), phase).reshape(mu.shape)
+    cols, nm, blocks = p.cell_columns, len(m_list), p.cell_blocks @ q
     y = _powers_of(c, [*m_list, *k_list])[:, rows, None] * blocks
     grams = _adjoint(blocks) @ y
-    base = _norms(y[:nm] - blocks * _powers_of(omega_cells.ravel(), m_list).reshape(nm, *mu.shape)[:, :, None])
+    base = _norms(y[:nm] - blocks * _powers_of(omega_cells.ravel(), m_list).reshape(nm, *omega_cells.shape)[:, :, None])
     # In B' coordinates Up = (I + Fc' diag(e^{i tau_c} - 1) Fc'*) diag(omega) with Fc' = diag(Q_k*) Fc, and
     # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} = Tr{Y_k (Up^m X)} with B'* e^{iA} U0^k B' - e^{iAp} B'* U0^k B' = X Y_k:
     # X = [(F*B')* (e^{i tau} - 1), -Fc' (e^{i tau_c} - 1)], Y_k = [Fh* c^k Bhat'; Fc'* diag(Bhat'_k* c^k Bhat'_k)].
@@ -848,7 +847,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     rows = []
     for n in sorted(cell_counts):
         proj = _window_basis(h0_dec, f, half_width, n, h0)
-        model = _compressed(proj, a, phase)[0]
+        model = _model(proj, f.conj().T @ proj.columns, tau, phase)
         compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
         rows.append(ConvergenceRow(int(n), proj.rank, compressed, abs(full - compressed)))
     return ConvergenceStudy(full_trace=full, rows=tuple(rows))

@@ -99,8 +99,15 @@ def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> np.
 
 
 def _coefficients(polys) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted modes of ``polys`` and the matrix C whose row j holds polys[j]'s coefficients on them."""
-    modes = np.array(sorted({n for p in polys for n in p.coeffs}), dtype=np.int64)
+    """The sorted modes of ``polys`` and the matrix C whose row j holds polys[j]'s coefficients on them.
+
+    A mode beyond +-(``_MAX_ORDER`` + 1), the largest the resolvent series
+    uses, is ``UnishiftError`` before anything is allocated.
+    """
+    modes = sorted({n for p in polys for n in p.coeffs})
+    if modes and max(-modes[0], modes[-1]) > _MAX_ORDER + 1:
+        raise UnishiftError(f"Fourier modes must lie within +-{_MAX_ORDER + 1}, not {max(modes, key=abs)}")
+    modes = np.array(modes, dtype=np.int64)
     c = np.zeros((len(polys), modes.size), dtype=np.complex128)
     for row, p in zip(c, polys):
         row[np.searchsorted(modes, list(p.coeffs))] = list(p.coeffs.values())
@@ -155,10 +162,9 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
     _require_tol(tol)
     if not isinstance(polys, Iterable):
         raise UnishiftError(f"polys must be an iterable of TrigPolynomials, not {type(polys).__name__}")
-    polys = [_require_polynomial(p) for p in polys]
+    modes, c = _coefficients([_require_polynomial(p) for p in polys])
     session = EtaIntegrator(u0, a, s_rule)
     u = session.path.require_endpoint(u)
-    modes, c = _coefficients(polys)
     lhs = c @ _lhs_mode_traces(session.u0, u, session.a, modes)
     rhs = c @ session.curvature_pairings(modes)
     return [VerificationReport.from_sides(*s, tol, session.rule.count) for s in zip(lhs.tolist(), rhs.tolist())]

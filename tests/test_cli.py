@@ -521,8 +521,11 @@ class TestExitCodes:
             (["resolvent", "--dim", "100000"], "dim must be at most 1024, not 100000"),
             (["bounds", "--ambient", str(10**6)], f"ambient must be at most 4096, not {10**6}"),
             (["converge", "--ambient", "4097"], "ambient must be at most 4096, not 4097"),
+            (["verify", "--dim", "2", "--trials", "1", "--rmax", "100000"], "rmax must be at most 1024, not 100000"),
+            (["verify", "--dim", "2", "--trials", "1", "--rmax", str(10**9)], f"rmax must be at most 1024, not {10**9}"),
         ],
-        ids=["grid", "eta-dim", "verify-dim", "resolvent-dim", "bounds-ambient", "converge-ambient"],
+        ids=["grid", "eta-dim", "verify-dim", "resolvent-dim", "bounds-ambient", "converge-ambient", "verify-rmax",
+             "verify-rmax-huge"],
     )
     def test_size_beyond_its_cap_exits_2(self, tmp_path, capsys, address_space_cap, argv, message):
         """Each size is refused above its cap before anything is allocated, not with a MemoryError."""
@@ -548,7 +551,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["verify", "eta", "converge", "resolvent", "bounds"])
     def test_sizes_at_their_caps_pass_validation(self, command):
-        RunConfig(command=command, dim=1024, ambient=4096, grid=10**6).validate()
+        RunConfig(command=command, dim=1024, ambient=4096, grid=10**6, rmax=1024).validate()
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "v.json"

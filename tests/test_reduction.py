@@ -35,6 +35,7 @@ from unishift import (
     audit_compressed_model,
     audit_perturbation_estimates,
     audit_projection_estimates,
+    batch_verify,
     build_direction_projection,
     compressed_model,
     convergence_study,
@@ -386,6 +387,40 @@ def unequal_widths_case():
     return inst, p
 
 
+THIN_DIRECTIONS = ["orthogonal", "one-column", "zero", "repeated", "full-rank"]
+
+
+def thin_direction_case(kind: str):
+    """A projection, an instance and its direction A and endpoint U for an edge case of the thin Ap = (F*B)* diag(tau) F*B.
+
+    ``orthogonal``: A lives on the first two coordinates and B spans ten
+    others, so B*F = 0.  ``one-column``: one Haar column against a rank-3 A,
+    so r < L.  ``zero``: A = 0.  ``repeated``: A = F diag(0.5, 0.5, -0.3) F*
+    with a repeated eigenvalue.  ``full-rank``: a direction of rank d.
+    """
+    rng = np.random.default_rng(THIN_DIRECTIONS.index(kind) + 60)
+    h0 = spread_diagonal(32, 1.0)
+    if kind == "orthogonal":
+        a = np.zeros((32, 32), dtype=complex)
+        a[:2, :2] = [[0.5, 0.2j], [-0.2j, -0.3]]
+    elif kind == "repeated":
+        f = haar_unitary(rng, 32)[:, :3]
+        a = (f * [0.5, 0.5, -0.3]) @ f.conj().T
+    else:
+        a = random_low_rank_hermitian(rng, 32, 32 if kind == "full-rank" else 3, 0.6)
+    u0 = _cayley(h0, 0.3)
+    f, tau, _ = _kept_pairs(a)
+    inst = ReductionInstance(h0=h0, a=a, phase=0.3, u0=u0, u=u0 + (f * np.expm1(1j * tau)) @ (f.conj().T @ u0),
+                             half_width=1.0)
+    p = build_direction_projection(h0, a, 1.0, 8)
+    if kind in ("orthogonal", "one-column"):
+        b = np.eye(32, dtype=complex)[:, 2:12] if kind == "orthogonal" else haar_unitary(rng, 32)[:, :1]
+        p = one_cell_basis(b, p.h0, p.eigenvalues, p.eigenvectors, p.params, p.directions)
+    if kind == "zero":
+        return p, inst, np.zeros_like(a), u0
+    return p, inst, a, inst.u
+
+
 class TestThinFactorsOracle:
     M = [0, 1, -1, 2, -2, 4, -4, 7, -7, 16, -16]
     K = [0, 1, -1, 2, -4]
@@ -452,6 +487,17 @@ class TestThinFactorsOracle:
         inst, p = unequal_widths_case()
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
         self.audit_against_reference(p, inst, np.zeros_like(inst.a), inst.u0, T_GRID)
+
+    @pytest.mark.parametrize("kind", THIN_DIRECTIONS)
+    def test_thin_compressed_direction_edge_cases(self, kind):
+        p, inst, a, u = thin_direction_case(kind)
+        fb = _kept_pairs(a)[0].conj().T @ p.columns
+        shapes = {"orthogonal": (2, 10), "one-column": (3, 1), "zero": (0, p.rank), "repeated": (3, p.rank),
+                  "full-rank": (32, p.rank)}
+        assert fb.shape == shapes[kind]
+        if kind == "orthogonal":
+            assert np.max(np.abs(fb)) == 0.0
+        self.audit_against_reference(p, inst, a, u, T_GRID)
 
 
 class TestKeptPairsOracle:
@@ -863,26 +909,57 @@ class TestOneOperandCheck:
         assert main(["bounds", "--ambient", "64", "--ranks", ranks, "--out", str(tmp_path / "bounds.json")]) == 0
         assert (len(checks), len(eigs)) == (2 + 2 * len(ranks.split(",")), 1)
 
-    def test_each_audit_finds_the_kept_pairs_of_a_at_most_once(self, monkeypatch):
-        """One checked frame per call: each Hermitian operand checked once, A's kept pairs found at most once."""
+    @staticmethod
+    def kept_pair_shapes(monkeypatch):
+        """The shape of the matrix of every ``_kept_pairs`` call, in order."""
         from unishift import reduction
 
+        shapes, original = [], reduction._kept_pairs
+        monkeypatch.setattr(reduction, "_kept_pairs", lambda h: shapes.append(h.shape) or original(h))
+        return shapes
+
+    def test_each_audit_finds_the_kept_pairs_of_a_at_most_once(self, monkeypatch):
+        """One checked frame per call: each Hermitian operand checked once, A's kept pairs found at most once.
+
+        Every ``_kept_pairs`` call is counted: none runs on an r x r compressed direction.
+        """
         inst = reduction_instance(4, 64, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        checks, ambient = self.count(monkeypatch, "require_hermitian"), []
-        original = reduction._kept_pairs
-        monkeypatch.setattr(reduction, "_kept_pairs", lambda h: ambient.append(h.shape == (64, 64)) or original(h))
+        checks, shapes = self.count(monkeypatch, "require_hermitian"), self.kept_pair_shapes(monkeypatch)
         cases = [
             (0, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
             (1, 1, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1, -2], [0.0, 1.0])),
             (1, 1, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1, -2], [1, 2])),
-            (1, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
+            (1, 1, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
         ]
         for n_checks, n_pairs, call in cases:
             checks.clear()
-            ambient.clear()
+            shapes.clear()
             call()
-            assert (len(checks), sum(ambient)) == (n_checks, n_pairs)
+            assert (len(checks), shapes) == (n_checks, [(64, 64)] * n_pairs)
+
+    @pytest.mark.parametrize("ladder", [[4], [4, 8], [2, 4, 8, 16], [2, 4, 8, 12, 16, 24]])
+    def test_convergence_study_finds_the_kept_pairs_of_a_once(self, monkeypatch, ladder):
+        """Every rung reuses the study's kept pairs of A: one ``_kept_pairs`` call per study, on the d x d A."""
+        inst = reduction_instance(21, 96, 2, 0.4)
+        shapes = self.kept_pair_shapes(monkeypatch)
+        convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), ladder)
+        assert shapes == [(96, 96)]
+
+    def test_no_entry_point_solves_a_cayley_block(self, monkeypatch):
+        """The compressed base comes from each cell's eigenvalues: ``_cayley`` only ever sees a stack of 1 x 1."""
+        from unishift import reduction
+
+        shapes, original = [], reduction._cayley
+        monkeypatch.setattr(reduction, "_cayley", lambda h, phase: shapes.append(h.shape) or original(h, phase))
+        inst = reduction_instance(4, 64, 2, 0.5, phase=0.3)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])
+        audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1, -2], [0.0, 1.0])
+        audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1, 2])
+        compressed_model(p, inst.h0, inst.a, inst.phase)
+        convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), [4, 8])
+        assert shapes and all(shape[1:] == (1, 1) for shape in shapes), shapes
 
 
 class TestTypedErrors:
@@ -1044,6 +1121,24 @@ class TestTypedErrors:
         inst = reduction_instance(16, 32, 2, 0.5)
         with pytest.raises(error):
             call(inst, build_direction_projection(inst.h0, inst.a, inst.half_width, 4))
+
+    @pytest.mark.parametrize("mode", [10**12, -(10**12), 100_002])
+    @pytest.mark.parametrize("entry", ["lhs_trace", "batch_verify", "convergence_study"])
+    def test_fourier_mode_beyond_the_series_is_refused_before_allocating(self, address_space_cap, entry, mode):
+        """A mode beyond +-100001, the largest of the resolvent series, is UnishiftError, not a MemoryError."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        poly = TrigPolynomial.monomial(mode)
+        calls = {
+            "lhs_trace": lambda: lhs_trace(inst.u0, inst.u, inst.a, poly),
+            "batch_verify": lambda: batch_verify(inst.u0, inst.u, inst.a, [TrigPolynomial.monomial(1), poly]),
+            "convergence_study": lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [4]),
+        }
+        with pytest.raises(UnishiftError, match=f"within \\+-100001, not {mode}$"):
+            calls[entry]()
+
+    def test_the_largest_series_mode_is_accepted(self):
+        inst = reduction_instance(16, 4, 2, 0.5)
+        assert np.isfinite(lhs_trace(inst.u0, inst.u, inst.a, TrigPolynomial.monomial(-100_001)))
 
     def test_audits_check_u_against_the_endpoint(self):
         """U must lie within delta = 1e-10 / (2 max |m|) of e^{iA} U0 in the Hilbert-Schmidt norm."""

@@ -268,10 +268,10 @@ def cmd_resolvent(config: RunConfig) -> int:
 def cmd_bounds(config: RunConfig) -> int:
     inst = reduction_instance(config.seed, config.ambient, rank=2, scale=config.scale)
     t_grid = np.linspace(-AUDIT_T_MAX, AUDIT_T_MAX, 21)
-    h0, dec, _, f, _ = _instance(inst.h0, inst.a)
+    checked = _instance(inst.h0, inst.a)
     partitions = []
     for cells in config.ranks:
-        proj = _window_basis(dec, f, inst.half_width, cells, h0)
+        proj = _window_basis(checked, inst.half_width, cells)
         reports = [
             audit_projection_estimates(proj, inst.h0, inst.u0, AUDIT_M_LIST),
             audit_perturbation_estimates(

@@ -8,6 +8,12 @@ sup bound (pi/2) ||f||_inf for g the primitive of a mean-zero f yields the
 Hilbert-Schmidt Lipschitz estimate
 
     || g(Us) - g(U0) ||_2  <=  pi ||f||_inf ||Us - U0||_2 .
+
+The kernel takes each mode of g in closed form, the same at every gap, so
+no pair of eigenvalues switches to a limit.  The sup norms are bracketed by
+the degree: sampled at N >= 8 deg points, their max M gives
+M <= ||f||_inf <= M / (1 - pi deg / N), and the check passes, fails or
+raises ``NoConvergence`` by where its left sides fall against the two ends.
 """
 
 from __future__ import annotations
@@ -16,17 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NoConvergence, UnishiftError
 from .linalg import (
-    SpectralDecomposition, _as_array, _from_spectrum, _require_finite, hs_norm, require_unitary, unitary_eig,
+    TWO_PI, SpectralDecomposition, _as_array, _from_spectrum, _require_finite, hs_norm, require_unitary, unitary_eig,
 )
+from .trace_formula import _MAX_ORDER
 from .trigpoly import TrigPolynomial, _require_polynomial
 
-# Eigenvalue pairs closer than this switch to the derivative limit of the
-# divided difference, which dodges catastrophic cancellation in the quotient.
-NEAR_DIAGONAL = 1e-8
-
-SUP_SAMPLES = 4096
+SUP_SAMPLES = 4096  # the fewest points a sup norm is sampled at; a degree-deg f takes max(this, 8 deg)
 
 
 def primitive_of(f: TrigPolynomial) -> TrigPolynomial:
@@ -41,18 +44,29 @@ def primitive_of(f: TrigPolynomial) -> TrigPolynomial:
 
 
 def kernel(g: TrigPolynomial, left: SpectralDecomposition, right: SpectralDecomposition) -> np.ndarray:
-    """K_{jk} = [g(e^{i lambda_j}) - g(e^{i mu_k})] / [e^{i lambda_j} - e^{i mu_k}].
+    """K_{jk} = [g(e^{i lambda_j}) - g(e^{i mu_k})] / [e^{i lambda_j} - e^{i mu_k}], and g'(e^{i mu_k}) where they meet.
 
-    Near-coincident eigenvalues (gap below ``NEAR_DIAGONAL``) take the
-    analytic limit sum_n n g_n e^{i(n-1) mu_k} instead of the quotient.
+    Each mode n of g adds g_n (z^n - w^n) / (z - w) for z = e^{i lambda},
+    w = e^{i mu}, which is
+
+        e^{i (n - 1) sigma} n sinc(n delta / 2 pi) / sinc(delta / 2 pi),
+
+    with delta = lambda - mu reduced to (-pi, pi] and sigma = mu + delta / 2.
+    Reduced, |delta / 2 pi| <= 1/2, so the denominator is at least 2 / pi and
+    the form is as accurate at a gap of 0 as at a gap of pi, across the
+    wrap from 2 pi to 0 included.  The cost is O(modes d^2), in O(d^2) memory.
     """
-    zl = np.exp(1j * left.angles)[:, None]
-    zr = np.exp(1j * right.angles)[None, :]
-    denom = zl - zr
-    near = np.abs(denom) < NEAR_DIAGONAL
-    quotient = (g(zl) - g(zr)) / np.where(near, 1.0, denom)
-    limit = np.broadcast_to(g.z_derivative()(zr), quotient.shape)
-    return np.where(near, limit, quotient)
+    lam, mu = left.angles[:, None], right.angles[None, :]
+    # Across the wrap the angle above pi moves by TWO_PI, exactly, and then by 2 pi - TWO_PI, so delta is
+    # the reduced gap of the two angles to within a rounding of its own size, however near 2 pi apart they are.
+    delta = lam - mu
+    delta = np.where(delta > np.pi, (lam - TWO_PI) - mu - 2.4492935982947064e-16,
+                     np.where(delta <= -np.pi, lam - (mu - TWO_PI) + 2.4492935982947064e-16, delta))
+    sigma, x = mu + 0.5 * delta, delta / TWO_PI
+    out = np.zeros(delta.shape, dtype=np.complex128)
+    for n, a in g.items():
+        out += (n * a) * np.exp(1j * ((n - 1) * sigma)) * np.sinc(n * x)
+    return out / np.sinc(x)
 
 
 def doi_apply(g: TrigPolynomial, us, u0, x) -> np.ndarray:
@@ -80,19 +94,33 @@ def circle_function_of(g: TrigPolynomial, dec: SpectralDecomposition) -> np.ndar
     return _from_spectrum(dec.vectors, g(np.exp(1j * dec.angles)))
 
 
-def sampled_sup_norm(p: TrigPolynomial) -> float:
-    """max |p(e^{it})| on a uniform mesh of ``SUP_SAMPLES`` points; exact enough for low-degree input."""
-    t = np.linspace(0.0, 2.0 * np.pi, SUP_SAMPLES, endpoint=False)
-    return float(np.max(np.abs(p.at_angle(t)), initial=0.0))
+def sampled_sup_norm(p: TrigPolynomial, samples: int) -> tuple[float, float]:
+    """(M, M / (1 - pi deg / N)), which bracket ||p||_inf: M is the max of |p| on N = ``samples`` equispaced points.
+
+    Every point of the circle lies within pi / N of a sample, and by
+    Bernstein's inequality ||p'||_inf <= deg ||p||_inf, so
+    ||p||_inf - M <= (pi deg / N) ||p||_inf.  Needs N > pi deg.  The samples
+    p(e^{2 pi i k / N}) are one inverse FFT of the coefficients placed at
+    n mod N, which no two modes share, in O(N log N).
+    """
+    coeffs = np.zeros(samples, dtype=np.complex128)
+    coeffs[np.array(list(p.coeffs), dtype=np.int64) % samples] = list(p.coeffs.values())
+    top = float(np.max(np.abs(np.fft.ifft(coeffs, norm="forward"))))
+    return top, top / (1.0 - np.pi * p.degree / samples)
 
 
 @dataclass(frozen=True)
 class SchurBoundReport:
+    """Both sides of each bound, the right sides from both ends of the sampled sup norms, at ``samples`` points."""
+
     lhs: float
     rhs: float
+    rhs_upper: float
     f_sup: float
+    f_sup_upper: float
     kernel_sup: float
     kernel_bound: float
+    kernel_bound_upper: float
     samples: int
     passed: bool
 
@@ -101,26 +129,42 @@ def schur_bound_check(f: TrigPolynomial, us, u0) -> SchurBoundReport:
     """Check ||g(Us) - g(U0)||_2 <= pi ||f||_inf ||Us - U0||_2 for g = primitive_of(f).
 
     Also audits the kernel itself against its sup bound (pi/2) ||f0||_inf.
-    The sup norms come from dense sampling, so the reported mesh matters.
+    The sup norms of f and f0 are sampled at N = max(``SUP_SAMPLES``, 8 deg)
+    points and bracketed as in ``sampled_sup_norm``.  The check passes when
+    both left sides are within the bounds built from the lower ends, and
+    fails when either exceeds its bound built from the upper end; in between
+    the samples cannot decide, and ``NoConvergence`` is raised.  A degree
+    beyond ``_MAX_ORDER`` + 1 is ``UnishiftError`` before anything is allocated.
     """
+    if _require_polynomial(f, "f").degree > _MAX_ORDER + 1:
+        raise UnishiftError(f"Fourier modes must lie within +-{_MAX_ORDER + 1}, not {max(f.coeffs, key=abs)}")
     us = require_unitary(us, "bound left unitary")
     u0 = require_unitary(u0, "bound right unitary", us.shape[0])
     g = primitive_of(f)
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     lhs = hs_norm(circle_function_of(g, ldec) - circle_function_of(g, rdec))
-    f_sup = sampled_sup_norm(f)
-    f0 = TrigPolynomial({n: c for n, c in f.coeffs.items() if n != 0})
-    f0_sup = sampled_sup_norm(f0)
-    rhs = np.pi * f_sup * hs_norm(us - u0)
+    samples = max(SUP_SAMPLES, 8 * f.degree)
+    f_sup = sampled_sup_norm(f, samples)
+    f0_sup = sampled_sup_norm(TrigPolynomial({n: c for n, c in f.coeffs.items() if n != 0}), samples)
+    gap = hs_norm(us - u0)
+    rhs = [np.pi * x * gap for x in f_sup]
     ker_sup = float(np.max(np.abs(kernel(g, ldec, rdec)), initial=0.0))
-    ker_bound = 0.5 * np.pi * f0_sup
-    passed = lhs <= rhs + 1e-10 and ker_sup <= ker_bound + 1e-8
+    ker_bound = [0.5 * np.pi * x for x in f0_sup]
+    passed = lhs <= rhs[0] + 1e-10 and ker_sup <= ker_bound[0] + 1e-8
+    if not passed and lhs <= rhs[1] + 1e-10 and ker_sup <= ker_bound[1] + 1e-8:
+        raise NoConvergence(
+            f"{samples} samples cannot decide the bound: lhs {lhs:.6e} against [{rhs[0]:.6e}, {rhs[1]:.6e}],"
+            f" kernel sup {ker_sup:.6e} against [{ker_bound[0]:.6e}, {ker_bound[1]:.6e}]"
+        )
     return SchurBoundReport(
         lhs=lhs,
-        rhs=float(rhs),
-        f_sup=f_sup,
+        rhs=float(rhs[0]),
+        rhs_upper=float(rhs[1]),
+        f_sup=f_sup[0],
+        f_sup_upper=f_sup[1],
         kernel_sup=ker_sup,
-        kernel_bound=float(ker_bound),
-        samples=SUP_SAMPLES,
+        kernel_bound=float(ker_bound[0]),
+        kernel_bound_upper=float(ker_bound[1]),
+        samples=samples,
         passed=passed,
     )

@@ -38,7 +38,7 @@ class NotUnitary(UnishiftError):
 
 
 class NoConvergence(UnishiftError):
-    """The dense eigensolver exceeded its iteration budget."""
+    """A computation could not decide: the dense eigensolver exceeded its budget, or samples left a bound open."""
 
 
 class EmptyMatrix(UnishiftError):

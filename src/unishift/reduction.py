@@ -15,20 +15,20 @@ evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
-One instance (``_instance``) checks H0 and A (``require_hermitian``), takes
-the eigh of H0 and the kept pairs of A for a projection, every partition of
-a ``bounds`` run or a convergence ladder, whose U0 = V diag(c) V* comes from
-that eigh; nothing is kept between calls.  An exactly diagonal H0 with
-ascending entries, as ``reduction_instance`` builds, is its own eigenbasis:
-``herm_eig`` returns V = I with no LAPACK call, and the study's U0 is
-diag(c).  The seeds, A's kept eigenvectors,
-are orthonormal.  A window basis (``ProjectionBasis``) carries the checked
-H0 that built it, and its fields are checked for presence and shape once,
-when it is made; the audits and their helpers read it directly.
-Each audit, and ``compressed_model``, builds one checked frame (``_frame``)
-at delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m: H0
-against the basis's H0 in O(d^2), A by ``require_hermitian`` (and its kept
-pairs found once), U0 against the eigenpairs and U against e^{iA} U0.
+One checked instance (``_instance``) holds H0 and A, each checked once by
+``require_hermitian``, the eigh of H0, and A's kept pairs and ||A||.  Every
+partition of a ``bounds`` run or a convergence ladder is built from one
+instance, whose U0 = V diag(c) V* comes from that eigh; nothing is kept
+between calls.  An exactly diagonal H0 with ascending entries, as
+``reduction_instance`` builds, is its own eigenbasis: ``herm_eig`` returns
+V = I with no LAPACK call, and the study's U0 is diag(c).  A window basis
+(``ProjectionBasis``) carries the instance that built it, whose orthonormal
+F, A's kept eigenvectors, are its seeds, and is checked for presence and
+shape once, when it is made.  Each audit, and ``compressed_model``, builds
+one checked frame (``_frame``) at delta = AUDIT_SLACK / (2 max(1, max |m|))
+over the call's powers m: H0 and A against the basis's own in O(d^2), so an
+operand that did not build the basis is refused, U0 against the eigenpairs
+and U against e^{iA} U0.
 Phases, half-widths, the horizon T >= 0 and samples in [-T, T] are finite
 real numbers (``_is_real``); powers, samples and cell counts are iterables.
 
@@ -51,8 +51,8 @@ trace norm and the mixed-trace factors all work on d x L factors; a norm
 is the trace of a product of a 2L x r factor and an r x 2L one.
 
 Every other ambient step works in the eigen-coordinates of H0 and uses the
-cells of the window basis.  A window basis carries the eigenpairs
-H0 = V diag(lambda) V* it was built from and, for each occupied cell, its
+cells of the window basis.  A window basis carries, with the eigenpairs
+H0 = V diag(lambda) V* of its instance, for each occupied cell its
 eigen-rows and its block Bhat_k of Bhat = V* B, so B = V Bhat (r = rank P
 columns, at most L per cell).  The frame reads U0 = V diag(c) V* from one
 d x d product, U0 V, or, when V is exactly the identity, off the diagonal
@@ -118,7 +118,6 @@ from .errors import (
     _is_whole,
 )
 from .linalg import (
-    HermitianDecomposition,
     _adjoint,
     _eigh,
     _from_spectrum,
@@ -161,45 +160,56 @@ class WindowParams:
 
 
 @dataclass(frozen=True)
-class ProjectionBasis:
-    """Orthonormal columns B spanning ran P, with the inputs that built it.
+class CheckedInstance:
+    """The checked H0 = V diag(lambda) V* (``eigenvalues``, ``eigenvectors``), A, A's kept pairs (F, tau), ||A||."""
 
-    The basis carries the checked ``h0``, its eigenpairs H0 = V diag(lambda) V*
-    (``eigenvalues``, ``eigenvectors``) and the coordinates Bhat = V* B by
-    cell: row k of ``cell_rows`` holds the eigen-rows of occupied cell k and
-    row k of ``cell_columns`` the columns of B it spans, each padded with -1,
-    and ``cell_blocks[k]`` is the block of Bhat on those rows and columns,
-    padded with zeros.  Making a basis, ``dataclasses.replace`` included,
-    checks that every field is there (``MissingConstruction``) and that the
-    shapes agree on the ambient size d = len(eigenvalues) and on the cell
+    h0: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    a: np.ndarray
+    f: np.ndarray
+    tau: np.ndarray
+    a_norm: float
+
+
+@dataclass(frozen=True)
+class ProjectionBasis:
+    """Orthonormal columns B spanning ran P, with the checked instance that built it.
+
+    The seeds are the instance's F.  Row k of ``cell_rows`` holds the
+    eigen-rows of occupied cell k and row k of ``cell_columns`` the columns
+    of B it spans, each padded with -1, and ``cell_blocks[k]`` is the block
+    of Bhat = V* B on those rows and columns, padded with zeros.  Making a
+    basis, ``dataclasses.replace`` included, checks that every field and
+    every field of the instance is there (``MissingConstruction``) and that
+    the shapes agree on the ambient size d, the seed count and the cell
     layout (``DimensionMismatch``); the values are trusted as built.
     """
 
     columns: np.ndarray
-    directions: np.ndarray
     params: WindowParams
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    instance: CheckedInstance
     cell_rows: np.ndarray
     cell_columns: np.ndarray
     cell_blocks: np.ndarray
-    h0: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.params, WindowParams) or any(x is None for x in vars(self).values()):
-            raise MissingConstruction("a window basis needs its record, H0, eigenpairs and cells")
+        if not (isinstance(self.params, WindowParams) and isinstance(self.instance, CheckedInstance)) or any(
+            x is None for x in (*vars(self).values(), *vars(self.instance).values())
+        ):
+            raise MissingConstruction("a window basis needs its record, its checked instance and its cells")
         # axes: d ambient, r rank, L seeds, K cells, n rows and w columns per cell
-        axes = dict(eigenvalues="d", eigenvectors="dd", h0="dd", columns="dr", directions="dL", cell_rows="Kn",
-                    cell_columns="Kw", cell_blocks="Knw")
-        sizes = {}
+        axes = dict(eigenvalues="d", eigenvectors="dd", h0="dd", a="dd", f="dL", tau="L", columns="dr",
+                    cell_rows="Kn", cell_columns="Kw", cell_blocks="Knw")
+        fields, sizes = {**vars(self.instance), **vars(self)}, {}
         for name, names in axes.items():
-            shape = np.shape(getattr(self, name))
+            shape = np.shape(fields[name])
             if len(shape) != len(names) or any(sizes.setdefault(a, n) != n for a, n in zip(names, shape)):
                 raise DimensionMismatch(f"{name} of shape {shape} does not fit the window basis {sizes}")
 
     @property
     def ambient_dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.instance.eigenvalues.shape[0]
 
     @property
     def rank(self) -> int:
@@ -216,28 +226,29 @@ def _offblock(b: np.ndarray, y: np.ndarray) -> float:
     return hs_norm(y - b @ (b.conj().T @ y))
 
 
-def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float, cells: int, h0: np.ndarray):
-    """Span of the spectral-cell pieces of the orthonormal seed columns F, from the checked H0 and its eigh ``dec``.
+def _window_basis(inst: CheckedInstance, half_width: float, cells: int) -> ProjectionBasis:
+    """Span of the spectral-cell pieces of the instance's orthonormal seed columns F, in the eigenbasis of its H0.
 
     The window (-a, a] splits into ``cells`` half-open intervals; each seed
     f_l contributes the normalised projection of f_l onto every cell it
     meets.  A seed leaking past the window by more than eps = L a / sqrt(n)
     is an error, since every off-block estimate downstream assumes capture.
     """
+    f, vectors, eigenvalues = inst.f, inst.eigenvectors, inst.eigenvalues
     dim, count = f.shape
     if count == 0:
         raise ZeroDirection("no seed vectors to project (a zero direction gives none)")
     if not (_is_whole(cells, 1) and cells < 2**63 and _is_real(half_width) and half_width > 0.0):
         raise BadWindow("need a finite positive window and a whole number of cells within int64, at least one")
     eps = count * half_width / np.sqrt(cells)
-    coords = dec.vectors.conj().T @ f  # eigenbasis coordinates of the seeds
-    inside = (dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width)
+    coords = vectors.conj().T @ f  # eigenbasis coordinates of the seeds
+    inside = (eigenvalues > -half_width) & (eigenvalues <= half_width)
     leak = np.linalg.norm(np.where(inside[:, None], 0.0, coords), axis=0)
     if np.any(leak >= eps):
         raise BadWindow(f"a seed vector leaks {float(np.max(leak)):.3e} outside the window (eps {eps:.3e})")
     # The eigenvalues ascend, so each cell's rows are one run of the window's rows.
     window = np.flatnonzero(inside)
-    starts = np.flatnonzero(np.diff(_cells_of(dec.eigenvalues[window], half_width, cells), prepend=-1))
+    starts = np.flatnonzero(np.diff(_cells_of(eigenvalues[window], half_width, cells), prepend=-1))
     lengths = np.diff(starts, append=window.size)
     # Pieces from different cells lie on disjoint sets of eigenvectors, so they
     # are orthogonal: one SVD per cell on the eigen-coordinates of its kept
@@ -275,20 +286,11 @@ def _window_basis(dec: HermitianDecomposition, f: np.ndarray, half_width: float,
         # cell's V[:, rows] and block, so the products are those of one cell.
         for same in _groups(w):
             k = w[same[0]]
-            vectors = np.moveaxis(dec.vectors[:, rows[same]], 0, 1)
-            mapped = vectors @ np.ascontiguousarray(left[same, :, :k].swapaxes(1, 2)).swapaxes(1, 2)
+            cell_vectors = np.moveaxis(vectors[:, rows[same]], 0, 1)
+            mapped = cell_vectors @ np.ascontiguousarray(left[same, :, :k].swapaxes(1, 2)).swapaxes(1, 2)
             columns[:, (first[at[same], None] + np.arange(k)).ravel()] = np.moveaxis(mapped, 0, 1).reshape(dim, -1)
-    return ProjectionBasis(
-        columns=columns,
-        directions=f,
-        params=WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps)),
-        eigenvalues=dec.eigenvalues,
-        eigenvectors=dec.vectors,
-        cell_rows=cell_rows,
-        cell_columns=cell_columns,
-        cell_blocks=cell_blocks,
-        h0=h0,
-    )
+    params = WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps))
+    return ProjectionBasis(columns, params, inst, cell_rows, cell_columns, cell_blocks)
 
 
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
@@ -362,17 +364,17 @@ def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.nda
     return u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
 
 
-def _instance(h0, a):
-    """The checked H0, its ``HermitianDecomposition``, the checked A of its size and A's kept pairs (F, tau)."""
+def _instance(h0, a) -> CheckedInstance:
+    """The one checked instance of (H0, A): both checked, the eigh of H0 and A's kept pairs (F, tau) and ||A||."""
     h0 = require_hermitian(h0, "h0")
     a = require_hermitian(a, "a", h0.shape[0])
-    return h0, herm_eig(h0, check=False), a, *_kept_pairs(a)[:2]
+    dec = herm_eig(h0, check=False)
+    return CheckedInstance(h0, dec.eigenvalues, dec.vectors, a, *_kept_pairs(a))
 
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
     """Window projection seeded by the eigenvectors of the low-rank direction A."""
-    h0, dec, _, f, _ = _instance(h0, a)
-    return _window_basis(dec, f, half_width, cells, h0)
+    return _window_basis(_instance(h0, a), half_width, cells)
 
 
 @dataclass(frozen=True)
@@ -417,27 +419,27 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
 
     The projection must be a ``ProjectionBasis`` (``MissingConstruction``),
     which was checked when it was made, and T a finite real number >= 0
-    (``UnishiftError``).  Each operand given is checked once,
-    where used, at size d (``as_matrix``) and in the Hilbert-Schmidt norm at
+    (``UnishiftError``).  Each operand given is checked once, at size d
+    (``as_matrix``) and in the Hilbert-Schmidt norm at
     delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
-    ||H0 - p.h0|| (``PathMismatch``, ``NotHermitian`` for a non-Hermitian H0),
-    A by ``require_hermitian``, and with c = diag(V* U0 V), ||U0 V - V diag(c)||
-    (||U0 - diag(c)|| in O(d^2) when V is exactly the identity)
-    and ||U - e^{iA} U0|| (``PathMismatch``) and abs(|c_j| - 1) (``NotUnitary``).
-    So no operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
+    H0 and A against the basis's instance in O(d^2), and past delta by
+    ``require_hermitian`` and then ``PathMismatch``; with c = diag(V* U0 V),
+    ||U0 V - V diag(c)|| (||U0 - diag(c)|| in O(d^2) when V is exactly the
+    identity) and ||U - e^{iA} U0|| (``PathMismatch``) and abs(|c_j| - 1)
+    (``NotUnitary``).  So no operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
     < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.  A power
     whose delta falls below d times the machine epsilon, the roundoff of one
     such gap at ambient size d, is refused (``UnishiftError``) first.
 
-    Returns c (None without U0), the checked A (None without it), and with A
-    its kept pairs (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and
-    F* B (else None).
+    Returns c (None without U0) and, with A, the instance's kept pairs
+    (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and F* B (else None).
     """
     if not isinstance(p, ProjectionBasis):
         raise MissingConstruction(f"the projection must be a window basis, not {type(p).__name__}")
     if not (_is_real(t_max) and t_max >= 0.0):
         raise UnishiftError(f"the audit horizon T must be a finite real number >= 0, not {t_max!r}")
-    d, v = p.ambient_dim, p.eigenvectors
+    inst, d = p.instance, p.ambient_dim
+    f, tau, v = inst.f, inst.tau, inst.eigenvectors
     delta = AUDIT_SLACK / (2.0 * max([1, *map(abs, powers)]))
     if delta < (floor := d * np.finfo(float).eps):
         raise UnishiftError(
@@ -449,17 +451,15 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
         if hs_norm(gap) > delta:
             raise PathMismatch(f"{what} (tol {delta:.3e})")
 
-    if h0 is not None:
-        h0 = as_matrix(h0, "h0", d, copy=None)
-        if hs_norm(gap := h0 - p.h0) > delta:
-            require_hermitian(h0, "h0", d)
-            require(gap, "H0 is not the operator that built the projection")
+    operands = ("h0", h0, inst.h0, "H0 is not the operator"), ("a", a, inst.a, "A is not the direction")
+    for name, given, built, what in operands:
+        if given is not None and hs_norm(gap := as_matrix(given, name, d, copy=None) - built) > delta:
+            require_hermitian(given, name, d)
+            require(gap, f"{what} that built the projection")
     c = direction = None
     if a is not None:
-        a = require_hermitian(a, "a", d)
-        f, tau, a_op = _kept_pairs(a)
         b = p.columns
-        direction = f, tau, a_op, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
+        direction = f, tau, inst.a_norm, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
     if u0 is not None:
         u0 = as_matrix(u0, "u0", d, copy=None)
         if _is_identity(v):  # a diagonal H0: V* U0 V is U0, and its gap is U0 - diag(c)
@@ -474,7 +474,7 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
             raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
     if u is not None:
         require(as_matrix(u, "u", d, copy=None) - _low_rank_endpoint(f, tau, u0), "U is not e^(iA) U0")
-    return c, a, direction
+    return c, direction
 
 
 def _powers_of(c: np.ndarray, ms) -> np.ndarray:
@@ -622,11 +622,11 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     the basis's H0 and U0 against its eigenpairs, as in ``_frame``.
     """
     m_list = _powers(m_list)
-    c, _, _ = _frame(p, m_list, h0=h0, u0=u0)
-    eps, checks = p.params.eps, []
-    for l in range(p.directions.shape[1]):
-        checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, p.directions[:, l]), eps))
-    lam = p.eigenvalues
+    c, _ = _frame(p, m_list, h0=h0, u0=u0)
+    eps, checks, seeds = p.params.eps, [], p.instance.f
+    for l in range(seeds.shape[1]):
+        checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, seeds[:, l]), eps))
+    lam = p.instance.eigenvalues
     scales = np.concatenate([[lam, 1.0 / (1j + lam), 1.0 / (1j - lam)], _powers_of(c, m_list)])
     norms = _norms(_offblock_cells(p, scales))
     for name, value in zip(("window_offblock", "resolvent_plus", "resolvent_minus"), norms):
@@ -645,7 +645,7 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     e^{iA} U0.  U0 and U are checked as in ``_frame``.
     """
     m_list = _powers(m_list)
-    c, _, (_, tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    c, (_, tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
     eps = p.params.eps
     # F* is a co-isometry, so it drops out of ||P_perp A||_HS = ||P_perp F tau F*||_HS
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
@@ -699,7 +699,7 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     which is what makes rank-coordinates legitimate.  H0 and A are checked
     as in ``_frame``, with no powers.
     """
-    _, _, (_, tau, _, _, _, fb) = _frame(p, (), h0=h0, a=a)
+    _, (_, tau, _, _, _, fb) = _frame(p, (), h0=h0, a=a)
     return _model(p, fb, tau, phase)
 
 
@@ -724,7 +724,7 @@ def _compressed(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: floa
     |tau_c| > 1e-12 max(||Ap||, 1).  Returns Q (K, w, w), omega (K, w), Fc and tau_c.
     """
     blocks, widths = p.cell_blocks, np.count_nonzero(p.cell_columns >= 0, axis=1)
-    hc = _adjoint(blocks) @ (p.eigenvalues[p.cell_rows, None] * blocks)
+    hc = _adjoint(blocks) @ (p.instance.eigenvalues[p.cell_rows, None] * blocks)
     hc = 0.5 * (hc + _adjoint(hc))
     mu, q = np.zeros(hc.shape[:2]), np.broadcast_to(np.eye(hc.shape[-1], dtype=np.complex128), hc.shape).copy()
     for at in _groups(widths):
@@ -748,7 +748,7 @@ def audit_compressed_model(
     ``_frame``, over the powers m and k.
     """
     m_list, k_list = _powers(m_list), _powers(k_list)
-    c, a, (f, tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
+    c, (f, tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
     b, eps, rows = p.columns, p.params.eps, p.cell_rows
     q, omega_cells, fc, tau_c = _compressed(p, fb, tau, phase)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
@@ -762,7 +762,7 @@ def audit_compressed_model(
     worst = _factor_norms(np.concatenate([f, b @ fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
     checks.append(_check("propagator_vs_compressed", float(np.max(worst)), 2 * t_max * eps))
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
-    tr_bound = 2.0 * hs_norm(a) * _exp_remainder_factor(a_op) * eps
+    tr_bound = 2.0 * hs_norm(p.instance.a) * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     # The powers work in each cell's eigenbasis Q_k of Bhat_k* diag(lambda) Bhat_k.  With B' = B diag(Q_k),
     # U0p = diag(omega), and U0^m B' - B' U0p^m = V (c^m Bhat' - Bhat' omega^m) has one block per cell.
@@ -833,21 +833,21 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     the extent of H0's spectrum.  The ambient space must be at least 4x the
     finest partition so cells keep holding several eigenvalues.
     """
-    h0, h0_dec, a, f, tau = _instance(h0, a)
+    inst = _instance(h0, a)
     _require_polynomial(p)
     cell_counts = _listed(cell_counts, "cell counts")
     if not cell_counts or not all(_is_whole(n, 1) for n in cell_counts):
         raise BadWindow("need at least one cell count, each a positive whole number")
-    if h0.shape[0] < 4 * max(cell_counts):
+    if inst.h0.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
-    half_width = float(np.max(np.abs(h0_dec.eigenvalues))) * (1.0 + 1e-12) + 1e-15
-    c = _cayley_values(h0_dec.eigenvalues, phase)
-    u0 = np.diag(c) if _is_identity(h0_dec.vectors) else _from_spectrum(h0_dec.vectors, c)
-    full = complex(_lhs(u0, _low_rank_endpoint(f, tau, u0), a, p)[0])
+    half_width = float(np.max(np.abs(inst.eigenvalues))) * (1.0 + 1e-12) + 1e-15
+    c, v = _cayley_values(inst.eigenvalues, phase), inst.eigenvectors
+    u0 = np.diag(c) if _is_identity(v) else _from_spectrum(v, c)
+    full = complex(_lhs(u0, _low_rank_endpoint(inst.f, inst.tau, u0), inst.a, p)[0])
     rows = []
     for n in sorted(cell_counts):
-        proj = _window_basis(h0_dec, f, half_width, n, h0)
-        model = _model(proj, f.conj().T @ proj.columns, tau, phase)
+        proj = _window_basis(inst, half_width, n)
+        model = _model(proj, inst.f.conj().T @ proj.columns, inst.tau, phase)
         compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
         rows.append(ConvergenceRow(int(n), proj.rank, compressed, abs(full - compressed)))
     return ConvergenceStudy(full_trace=full, rows=tuple(rows))

@@ -56,10 +56,6 @@ class TrigPolynomial:
     def at_angle(self, t):
         return self(np.exp(1j * np.asarray(t)))
 
-    def z_derivative(self) -> "TrigPolynomial":
-        """Coefficient map of dp/dz (still a Laurent polynomial)."""
-        return TrigPolynomial({n - 1: n * a for n, a in self.coeffs.items() if n != 0})
-
 
 def _require_polynomial(p, what: str = "polynomial") -> TrigPolynomial:
     """``p`` itself if it is a ``TrigPolynomial``, else ``UnishiftError``."""

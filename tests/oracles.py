@@ -46,12 +46,14 @@ path to the package routine it checks:
   * ``dense_kept_pairs`` takes the kept eigenpairs of a Hermitian matrix
     from one full eigh; the package builds a basis of the range first and
     diagonalises only the k x k compression.
-  * ``one_cell_basis``, ``full_space``, ``abs_sum``, ``weighted_abs_sum``,
-    ``remainder_trace_norm_bound`` and ``PhaseTooClose`` are test-only
-    helpers: a hand-built basis with one cell holding every row, the
-    whole-space projection with the eigenpairs of an H0, coefficient sums of
-    a polynomial, the per-mode trace-norm bound of the left side, and the
-    error of ``cayley_forward``.
+  * ``one_cell_basis``, ``full_space``, ``seeded_instance``, ``abs_sum``,
+    ``weighted_abs_sum``, ``remainder_trace_norm_bound`` and
+    ``PhaseTooClose`` are test-only helpers: a hand-built basis with one cell
+    holding every row of a checked instance, the whole-space projection
+    recording an H0, with its eigenpairs from one full eigh, and an A, an
+    instance whose seeds are given columns, coefficient sums of a
+    polynomial, the per-mode trace-norm bound of the left side, and the error
+    of ``cayley_forward``.
 
 Except in the dense audits, integer powers come from
 ``np.linalg.matrix_power``, of U* for negative exponents.
@@ -59,7 +61,7 @@ Except in the dense audits, integer powers come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,7 +77,7 @@ from unishift.linalg import (
     require_unitary,
     unitary_eig,
 )
-from unishift.reduction import GS_DROP_TOL, ProjectionBasis, WindowParams, _cells_of
+from unishift.reduction import GS_DROP_TOL, CheckedInstance, ProjectionBasis, WindowParams, _cells_of, _instance
 from unishift.trace_formula import _exp_remainder_factor
 from unishift.trigpoly import TrigPolynomial
 
@@ -521,29 +523,34 @@ def dense_compressed_audit(
     return checks
 
 
-def one_cell_basis(columns, h0, eigenvalues, eigenvectors, params: WindowParams, directions) -> ProjectionBasis:
-    """A hand-built basis B whose one cell holds every eigen-row of H0 = V diag(lambda) V* and every column.
+def one_cell_basis(columns, instance: CheckedInstance, params: WindowParams) -> ProjectionBasis:
+    """A hand-built basis B with one cell: every column, and every eigen-row of the instance's H0 = V diag(lambda) V*.
 
     Its cell block is all of V* B, so it fits any orthonormal B, window or not.
     """
     dim, rank = columns.shape
     return ProjectionBasis(
-        columns, directions, params, eigenvalues, eigenvectors,
-        cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
-        cell_blocks=(eigenvectors.conj().T @ columns)[None], h0=h0,
+        columns, params, instance, cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
+        cell_blocks=(instance.eigenvectors.conj().T @ columns)[None],
     )
 
 
-def full_space(dim: int, h0) -> ProjectionBasis:
-    """The projection onto the whole ambient space, with the eigenpairs of H0 from one full eigh.
+def full_space(dim: int, h0, a) -> ProjectionBasis:
+    """The projection onto the whole ambient space, recording H0 with its eigenpairs from one full eigh, and A.
 
-    It has no seeds (L = 0), so its construction record has eps = L a / sqrt(n) = 0,
-    with the whole line as its window.
+    ran P is everything, so its construction record has eps = 0, with the
+    whole line as its window.
     """
     eye, h0 = np.eye(dim, dtype=np.complex128), np.asarray(h0, dtype=np.complex128)
     w, v = np.linalg.eigh(h0)
-    record = WindowParams(count=0, half_width=np.inf, cells=1, eps=0.0)
-    return one_cell_basis(eye, h0, w, v, record, eye[:, :0])
+    instance = replace(_instance(h0, a), eigenvalues=w, eigenvectors=v)
+    return one_cell_basis(eye, instance, WindowParams(count=instance.tau.size, half_width=np.inf, cells=1, eps=0.0))
+
+
+def seeded_instance(h0, f) -> CheckedInstance:
+    """The checked instance of H0 and A = F F*, recording the unit columns F themselves as its seeds, each tau 1."""
+    f = np.asarray(f, dtype=np.complex128)
+    return replace(_instance(h0, f @ f.conj().T), f=f, tau=np.ones(f.shape[1]))
 
 
 def abs_sum(p: TrigPolynomial) -> float:

@@ -248,7 +248,7 @@ def test_criterion_09_compression_convergence():
     poly = TrigPolynomial.monomial(2)
     study = convergence_study(inst.h0, inst.a, inst.phase, poly, [8, 16, 32, 64])
     diffs = {row.cells: row.abs_diff for row in study.rows}
-    model = compressed_model(full_space(256, inst.h0), inst.h0, inst.a, inst.phase)
+    model = compressed_model(full_space(256, inst.h0, inst.a), inst.h0, inst.a, inst.phase)
     identity_err = abs(
         lhs_trace(inst.u0, inst.u, inst.a, poly)
         - lhs_trace(model.u0p, model.up, model.ap, poly)

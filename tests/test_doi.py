@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 
 from unishift import (
     DimensionMismatch,
+    NoConvergence,
     TrigPolynomial,
+    UnishiftError,
     doi_apply,
     hs_norm,
     random_pair,
     schur_bound_check,
     unitary_eig,
 )
+from unishift import doi
 from unishift.doi import circle_function_of, kernel, primitive_of, sampled_sup_norm
-from unishift.linalg import haar_unitary
+from unishift.linalg import TWO_PI, SpectralDecomposition, haar_unitary
 from unishift.quadrature import gauss_legendre
 from unishift.trigpoly import random_trig_polynomial
 
@@ -87,6 +90,40 @@ class TestKernel:
         off = kernel(g, dec_a, dec_b)[0, 0]
         diag = kernel(g, dec_a, dec_a)[0, 0]
         assert off == pytest.approx(diag, abs=1e-5)
+
+
+class TestKernelAgainstMpmath:
+    """Each monomial's kernel entry against (z^n - w^n) / (z - w), or n z^(n-1) at a gap of 0, at 40 digits."""
+
+    GAPS = [0.0, 1e-12, 1e-10, 9e-9, 1.1e-8, 1e-6, 1e-4, 1e-2, 0.1, 1.0]
+
+    @classmethod
+    def angle_pairs(cls):
+        """Gaps from 1e-12 to 1 at two angles, and the same gaps across the wrap from 2 pi to 0, both ways."""
+        pairs = [(base + gap, base) for base in (0.7, 4.0) for gap in cls.GAPS]
+        pairs += [(TWO_PI, gap) for gap in cls.GAPS[1:]] + [(gap, TWO_PI) for gap in cls.GAPS[1:]]
+        pairs += [(TWO_PI - gap, 0.03) for gap in cls.GAPS[1:]]
+        return np.array(pairs).T
+
+    def test_every_monomial_to_200_at_every_gap(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        lam, mu = self.angle_pairs()
+        modes = np.arange(1, 201)
+        want = np.empty((2, modes.size, lam.size), dtype=complex)
+        for j, (a, b) in enumerate(zip(lam, mu)):
+            z, w = mpmath.expj(mpmath.mpf(float(a))), mpmath.expj(mpmath.mpf(float(b)))
+            for row, (x, y) in enumerate([(z, w), (1 / z, 1 / w)]):
+                xn = yn = mpmath.mpc(1)
+                for i, n in enumerate(modes):
+                    xn, yn = xn * x, yn * y
+                    want[row, i, j] = complex((xn - yn) / (z - w) if a != b else (1 - 2 * row) * n * xn / z)
+        left, right = (SpectralDecomposition(t, np.eye(t.size)) for t in (lam, mu))
+        for row, sign in enumerate((1, -1)):
+            for i, n in enumerate(sign * modes):
+                got = np.diagonal(kernel(TrigPolynomial.monomial(int(n)), left, right))
+                err = np.abs(got - want[row, i]) / (abs(n) * (1.0 + np.abs(want[row, i])))
+                assert err.max() <= 4e-15, (n, lam[err.argmax()], mu[err.argmax()], err.max())
 
 
 class TestDoiApply:
@@ -178,5 +215,40 @@ class TestSchurBound:
             assert rep.passed, (rep.lhs, rep.rhs, rep.kernel_sup, rep.kernel_bound)
 
     def test_sampled_sup_norm(self):
-        p = TrigPolynomial({1: 1.0, -1: 1.0})  # 2 cos t
-        assert sampled_sup_norm(p) == pytest.approx(2.0, abs=1e-6)
+        p = TrigPolynomial({1: 1.0, -1: 1.0})  # 2 cos t, sampled at its max t = 0
+        lower, upper = sampled_sup_norm(p, 4096)
+        assert lower == pytest.approx(2.0, abs=1e-12)
+        assert upper == pytest.approx(2.0 / (1.0 - np.pi / 4096), abs=1e-12)
+
+    def test_degree_beyond_the_samples_does_not_alias(self):
+        """z^4096 reads 1 at 4096 points; sampled at 8 deg points its true sup 2 of z^4096 - 1 is seen."""
+        pair = random_pair(0, 4, 1.0)
+        rep = schur_bound_check(TrigPolynomial({4096: 1.0, 0: -1.0}), pair.u, pair.u0)
+        assert rep.passed, rep
+        assert rep.samples == 8 * 4096
+        assert rep.f_sup <= 2.0 + 1e-9 and rep.f_sup_upper >= 2.0
+        assert rep.rhs == pytest.approx(np.pi * rep.f_sup * hs_norm(pair.u - pair.u0))
+
+    def test_verdict_by_the_ends_of_the_bracket(self, monkeypatch):
+        """Pass below the bound from the lower end, fail above the one from the upper end, else NoConvergence."""
+        pair = random_pair(5, 6, 1.5)
+        f = random_trig_polynomial(np.random.default_rng(5), 6)
+        real, sampled = schur_bound_check(f, pair.u, pair.u0), doi.sampled_sup_norm
+        ratio = max(real.lhs / real.rhs, real.kernel_sup / real.kernel_bound)
+        assert 0.05 < ratio < 1.0
+        for scale, verdict in [(1.0, True), (ratio / 1.5, None), (ratio / 3.0, False)]:
+            def bracket(p, n, s=scale):  # each sampled max scaled by ``scale``, the upper end twice the lower one
+                return s * sampled(p, n)[0], 2.0 * s * sampled(p, n)[0]
+
+            monkeypatch.setattr(doi, "sampled_sup_norm", bracket)
+            if verdict is None:
+                with pytest.raises(NoConvergence, match="cannot decide"):
+                    schur_bound_check(f, pair.u, pair.u0)
+            else:
+                assert schur_bound_check(f, pair.u, pair.u0).passed is verdict
+
+    @pytest.mark.parametrize("degree", [100_002, 10**6, -(10**12)])
+    def test_degree_beyond_the_series_is_refused_before_allocating(self, address_space_cap, degree):
+        pair = random_pair(0, 4, 1.0)
+        with pytest.raises(UnishiftError, match=f"within \\+-100001, not {degree}$"):
+            schur_bound_check(TrigPolynomial({degree: 1.0, 1: 0.5}), pair.u, pair.u0)

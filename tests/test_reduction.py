@@ -17,6 +17,7 @@ from oracles import (
     dense_projection_audit,
     full_space,
     one_cell_basis,
+    seeded_instance,
     window_basis_global_mgs,
     window_basis_per_cell,
 )
@@ -40,6 +41,7 @@ from unishift import (
     compressed_model,
     convergence_study,
     herm_eig,
+    hs_norm,
     lhs_trace,
     op_norm,
     reduction_instance,
@@ -47,8 +49,10 @@ from unishift import (
 )
 from unishift.linalg import UnitaryPath, haar_unitary
 from unishift.reduction import (
+    CompressedModel,
     ReductionInstance,
     _cayley,
+    _instance,
     _kept_pairs,
     _offblock,
     _window_basis,
@@ -91,7 +95,7 @@ class TestBuildProjection:
         h0 = spread_diagonal(16, 1.0)
         f = np.zeros(16, dtype=complex)
         f[3] = 1.0
-        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 4, h0)
+        p = _window_basis(seeded_instance(h0, f[:, None]), 1.0, 4)
         assert np.linalg.norm(f - p.columns @ (p.columns.conj().T @ f)) <= 1e-12
 
     def test_single_cell_rank_bound(self):
@@ -99,7 +103,7 @@ class TestBuildProjection:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         f /= np.linalg.norm(f)
-        p = _window_basis(herm_eig(h0), f[:, None], 1.0, 1, h0)
+        p = _window_basis(seeded_instance(h0, f[:, None]), 1.0, 1)
         assert p.rank <= 1
         assert p.params.eps == pytest.approx(1.0)
 
@@ -116,7 +120,7 @@ class TestBuildProjection:
         huge = build_direction_projection(inst.h0, inst.a, inst.half_width, 10**12)
         np.testing.assert_array_equal(huge.columns, fine.columns)
         assert huge.params.cells == 10**12
-        seeded = _window_basis(herm_eig(inst.h0), fine.directions, 1.0, 10**12, inst.h0)
+        seeded = _window_basis(fine.instance, 1.0, 10**12)
         assert seeded.columns.tobytes() == huge.columns.tobytes()
 
     def test_bad_window(self):
@@ -124,14 +128,14 @@ class TestBuildProjection:
         f = np.zeros(8, dtype=complex)
         f[7] = 1.0  # eigenvalue near +1, outside a shrunken window
         with pytest.raises(BadWindow):
-            _window_basis(herm_eig(h0), f[:, None], 0.5, 64, h0)
+            _window_basis(seeded_instance(h0, f[:, None]), 0.5, 64)
 
 
 class TestProjectionAudit:
     def test_full_space_trivial(self):
         inst = reduction_instance(1, 32, 2, 0.5)
         with pytest.raises(ValueError):
-            audit_projection_estimates(replace(full_space(32, inst.h0), params=None), inst.h0, inst.u0, [1])
+            audit_projection_estimates(replace(full_space(32, inst.h0, inst.a), params=None), inst.h0, inst.u0, [1])
 
     def test_bounds_hold_on_instance(self):
         inst = reduction_instance(2, 128, 2, 0.5)
@@ -173,8 +177,8 @@ class TestProjectionAudit:
 class TestPerturbationAudit:
     def test_zero_direction(self):
         inst = reduction_instance(3, 64, 2, 0.5)
-        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
         z = np.zeros((64, 64), dtype=complex)
+        p = replace(build_direction_projection(inst.h0, inst.a, inst.half_width, 8), instance=_instance(inst.h0, z))
         report = audit_perturbation_estimates(p, inst.u0, inst.u0, z, 2.0, [1], [0.0, 1.0])
         direction = [c for c in report.checks if c.name == "direction_offblock"][0]
         assert direction.value <= 1e-12
@@ -203,7 +207,7 @@ class TestPerturbationAudit:
 class TestCompressedModel:
     def test_full_space_reproduces_pair(self):
         inst = reduction_instance(6, 48, 2, 0.5)
-        model = compressed_model(full_space(48, inst.h0), inst.h0, inst.a, inst.phase)
+        model = compressed_model(full_space(48, inst.h0, inst.a), inst.h0, inst.a, inst.phase)
         assert op_norm(model.u0p - inst.u0) <= 48 * 1e-10
         assert op_norm(model.ap - inst.a) <= 1e-12
         assert op_norm(model.up - inst.u) <= 48 * 1e-10
@@ -211,7 +215,7 @@ class TestCompressedModel:
     def test_zero_direction_freezes_path(self):
         inst = reduction_instance(7, 48, 2, 0.5)
         z = np.zeros((48, 48), dtype=complex)
-        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
+        p = replace(build_direction_projection(inst.h0, inst.a, inst.half_width, 8), instance=_instance(inst.h0, z))
         model = compressed_model(p, inst.h0, z, inst.phase)
         assert op_norm(model.up - model.u0p) <= 1e-12
 
@@ -246,14 +250,15 @@ class TestCompressedModel:
         # A = 0: the first block of quantities collapses to zero
         z = np.zeros((64, 64), dtype=complex)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
-        report = audit_compressed_model(p, inst.h0, z, inst.u0, inst.u0, inst.phase, 2.0, [1], [1])
+        zero_p = replace(p, instance=_instance(inst.h0, z))
+        report = audit_compressed_model(zero_p, inst.h0, z, inst.u0, inst.u0, inst.phase, 2.0, [1], [1])
         by_name = {c.name: c for c in report.checks}
         assert by_name["exp_step_offblock"].value <= 1e-12
         assert by_name["propagator_vs_compressed"].value <= 1e-12
         assert by_name["taylor_remainder_tracenorm"].value <= 1e-12
         # P = full space: power errors vanish
         eye = np.eye(64, dtype=np.complex128)
-        full = one_cell_basis(eye, p.h0, p.eigenvalues, p.eigenvectors, p.params, eye[:, :2])
+        full = one_cell_basis(eye, p.instance, p.params)
         report = audit_compressed_model(
             full, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1]
         )
@@ -290,7 +295,7 @@ class TestConvergenceStudy:
 
     def test_identity_projection_matches_full(self):
         inst = reduction_instance(14, 64, 2, 0.5)
-        p_full = full_space(64, inst.h0)
+        p_full = full_space(64, inst.h0, inst.a)
         model = compressed_model(p_full, inst.h0, inst.a, inst.phase)
         poly = TrigPolynomial.monomial(2)
         full = lhs_trace(inst.u0, inst.u, inst.a, poly)
@@ -365,7 +370,7 @@ def off_identity_case(kind: str):
     p = build_direction_projection(h0, a, 1.0, cells)
     if kind == "isometry":
         b = haar_unitary(rng, dim)[:, : dim // 3]
-        p = one_cell_basis(b, p.h0, p.eigenvalues, p.eigenvectors, p.params, p.directions)
+        p = one_cell_basis(b, p.instance, p.params)
     return inst, p
 
 
@@ -415,9 +420,9 @@ def thin_direction_case(kind: str):
     p = build_direction_projection(h0, a, 1.0, 8)
     if kind in ("orthogonal", "one-column"):
         b = np.eye(32, dtype=complex)[:, 2:12] if kind == "orthogonal" else haar_unitary(rng, 32)[:, :1]
-        p = one_cell_basis(b, p.h0, p.eigenvalues, p.eigenvectors, p.params, p.directions)
+        p = one_cell_basis(b, p.instance, p.params)
     if kind == "zero":
-        return p, inst, np.zeros_like(a), u0
+        return replace(p, instance=_instance(h0, np.zeros_like(a))), inst, np.zeros_like(a), u0
     return p, inst, a, inst.u
 
 
@@ -460,7 +465,7 @@ class TestThinFactorsOracle:
         cols = data.draw(st.integers(1, ambient))
         b = haar_unitary(np.random.default_rng(seed + 1), ambient)[:, :cols]
         window = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        p = one_cell_basis(b, window.h0, window.eigenvalues, window.eigenvectors, window.params, window.directions)
+        p = one_cell_basis(b, window.instance, window.params)
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
     def test_projection_of_full_rank(self):
@@ -474,19 +479,20 @@ class TestThinFactorsOracle:
         inst = reduction_instance(4, 32, 2, 0.5)
         zero = np.zeros((32, 32), dtype=complex)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
-        self.audit_against_reference(p, inst, zero, inst.u0, [0.0])
+        self.audit_against_reference(replace(p, instance=_instance(inst.h0, zero)), inst, zero, inst.u0, [0.0])
         self.audit_against_reference(p, inst, inst.a, inst.u, [0.0])
 
     @pytest.mark.parametrize("kind", OFF_IDENTITY)
     def test_matches_dense_formulas_off_the_identity_basis(self, kind):
         inst, p = off_identity_case(kind)
-        assert np.max(np.abs(p.eigenvectors - np.eye(p.ambient_dim))) > 0.5
+        assert np.max(np.abs(p.instance.eigenvectors - np.eye(p.ambient_dim))) > 0.5
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
     def test_cells_of_unequal_widths(self):
         inst, p = unequal_widths_case()
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
-        self.audit_against_reference(p, inst, np.zeros_like(inst.a), inst.u0, T_GRID)
+        zero = np.zeros_like(inst.a)
+        self.audit_against_reference(replace(p, instance=_instance(inst.h0, zero)), inst, zero, inst.u0, T_GRID)
 
     @pytest.mark.parametrize("kind", THIN_DIRECTIONS)
     def test_thin_compressed_direction_edge_cases(self, kind):
@@ -587,7 +593,7 @@ class TestStreamedAuditsOracle:
             inst = reduction_instance(6, 64, 2, 0.6, phase=0.3)
             p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
         inst = replace(inst, a=np.zeros_like(inst.a), u=inst.u0)
-        reports = self.audit_against_dense(p, inst)
+        reports = self.audit_against_dense(replace(p, instance=_instance(inst.h0, inst.a)), inst)
         assert all(report.passed for report in reports)
         # U = U0: the perturbed powers are the base ones
         pert = {c.name: c.value for c in reports[1].checks}
@@ -603,7 +609,7 @@ class TestStreamedAuditsOracle:
             audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K),
         ]
         references = [
-            dense_projection_audit(b, p.directions, eps, inst.h0, inst.u0, self.M),
+            dense_projection_audit(b, p.instance.f, eps, inst.h0, inst.u0, self.M),
             dense_perturbation_audit(b, eps, inst.u0, inst.u, inst.a, 2.0, self.M, self.SAMPLES),
             dense_compressed_audit(
                 b, eps, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, self.M, self.K, T_GRID,
@@ -623,7 +629,7 @@ class TestPerCellOrthonormalisation:
 
     @staticmethod
     def assert_matches_global(h0, seeds, half_width, cells):
-        p = _window_basis(herm_eig(h0), np.asarray(seeds, dtype=complex), half_width, cells, h0)
+        p = _window_basis(seeded_instance(h0, seeds), half_width, cells)
         ref = window_basis_global_mgs(h0, seeds, half_width, cells)
         b = p.columns
         assert p.rank == ref.shape[1]
@@ -740,7 +746,7 @@ class TestBatchedWindowBasis:
     def test_matches_the_per_cell_loop(self, kind, cells):
         h0, f = window_case(kind, cells)
         dec = herm_eig(h0)
-        p = _window_basis(dec, f, 1.0, cells, h0)
+        p = _window_basis(seeded_instance(h0, f), 1.0, cells)
         for name, want in window_basis_per_cell(dec, f, 1.0, cells).items():
             got = getattr(p, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
@@ -759,7 +765,7 @@ class TestBoundedMemory:
     def test_peak_at_power_400_is_at_most_twice_that_at_4(self, audit):
         inst = reduction_instance(8, 64, 64, 0.5)  # a full-rank direction: L = d
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        assert p.directions.shape == (64, 64)
+        assert p.instance.f.shape == (64, 64)
 
         def peak(m):
             calls = {
@@ -849,14 +855,16 @@ class TestDiagonalH0:
                 audit_compressed_model(p, case.h0, case.a, case.u0, case.u, case.phase, 2.0, M_LIST, [1, 2, 4]),
             ]))
             # U0 off the unit circle, and U0 with a coupling between two eigenvectors of H0
-            coupling = 1e-6 * np.outer(p.eigenvectors[:, 0], p.eigenvectors[:, 1].conj())
+            v = p.instance.eigenvectors
+            coupling = 1e-6 * np.outer(v[:, 0], v[:, 1].conj())
             with pytest.raises(NotUnitary):
                 audit_projection_estimates(p, case.h0, 1.01 * case.u0, M_LIST)
             with pytest.raises(PathMismatch):
                 audit_projection_estimates(p, case.h0, case.u0 + coupling, M_LIST)
         (p, diagonal), (twin_p, dense) = reports
         assert p.rank == twin_p.rank
-        assert np.array_equal(p.eigenvectors, np.eye(64)) and not np.array_equal(twin_p.eigenvectors, np.eye(64))
+        assert np.array_equal(p.instance.eigenvectors, np.eye(64))
+        assert not np.array_equal(twin_p.instance.eigenvectors, np.eye(64))
         for got, want in zip(dense, diagonal):
             assert [(c.name, c.ok) for c in got.checks] == [(c.name, c.ok) for c in want.checks]
             for g, w in zip(got.checks, want.checks):
@@ -883,31 +891,34 @@ class TestOneOperandCheck:
         convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), ladder)
         assert len(checks) == 2
 
-    def test_each_entry_point_checks_once_and_diagonalises_as_before(self, monkeypatch):
+    def test_audits_take_the_operands_from_the_basis(self, monkeypatch):
+        """Building checks H0 and A and decomposes each once; the audits and the model then run none of these."""
         inst = reduction_instance(4, 64, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        checks, eigs = self.count(monkeypatch, "require_hermitian"), self.count(monkeypatch, "herm_eig")
+        counted = [self.count(monkeypatch, name) for name in ("require_hermitian", "herm_eig", "_kept_pairs")]
         cases = [
-            (2, 1, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
-            (1, 0, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
-            (0, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1])),
-            (1, 0, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
-            (1, 0, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])),
+            ((2, 1, 1), lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
+            ((0, 0, 0), lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
+            ((0, 0, 0), lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
+            ((0, 0, 0), lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1, -2], [0.0, 1.0])),
+            ((0, 0, 0), lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1, -2], [1, 2])),
         ]
-        for n_checks, n_eigs, call in cases:
-            checks.clear()
-            eigs.clear()
+        for want, call in cases:
+            for calls in counted:
+                calls.clear()
             call()
-            assert (len(checks), len(eigs)) == (n_checks, n_eigs)
+            assert tuple(map(len, counted)) == want
 
-    @pytest.mark.parametrize("ranks", ["16", "4,8,16,32"])
-    def test_bounds_checks_and_diagonalises_h0_once_per_run(self, monkeypatch, tmp_path, ranks):
-        """H0 and A are checked once per run, A again by two audits of each partition; H0 has one eigh."""
+    @pytest.mark.parametrize("command, ranks", [
+        ("bounds", "16"), ("bounds", "4,8,16,32"), ("converge", "16"), ("converge", "2,4,8,16"),
+    ])
+    def test_commands_check_and_decompose_once_per_run(self, monkeypatch, tmp_path, command, ranks):
+        """A run checks H0 and A once and takes one eigh of H0, and A's kept pairs once more than the instance did."""
         from unishift.cli import main
 
-        checks, eigs = self.count(monkeypatch, "require_hermitian"), self.count(monkeypatch, "herm_eig")
-        assert main(["bounds", "--ambient", "64", "--ranks", ranks, "--out", str(tmp_path / "bounds.json")]) == 0
-        assert (len(checks), len(eigs)) == (2 + 2 * len(ranks.split(",")), 1)
+        counted = [self.count(monkeypatch, name) for name in ("require_hermitian", "herm_eig", "_kept_pairs")]
+        assert main([command, "--ambient", "64", "--ranks", ranks, "--out", str(tmp_path / "out")]) == 0
+        assert tuple(map(len, counted)) == (2, 1, 2)
 
     @staticmethod
     def kept_pair_shapes(monkeypatch):
@@ -917,26 +928,6 @@ class TestOneOperandCheck:
         shapes, original = [], reduction._kept_pairs
         monkeypatch.setattr(reduction, "_kept_pairs", lambda h: shapes.append(h.shape) or original(h))
         return shapes
-
-    def test_each_audit_finds_the_kept_pairs_of_a_at_most_once(self, monkeypatch):
-        """One checked frame per call: each Hermitian operand checked once, A's kept pairs found at most once.
-
-        Every ``_kept_pairs`` call is counted: none runs on an r x r compressed direction.
-        """
-        inst = reduction_instance(4, 64, 2, 0.5)
-        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        checks, shapes = self.count(monkeypatch, "require_hermitian"), self.kept_pair_shapes(monkeypatch)
-        cases = [
-            (0, 0, lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
-            (1, 1, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1, -2], [0.0, 1.0])),
-            (1, 1, lambda: audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1, -2], [1, 2])),
-            (1, 1, lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
-        ]
-        for n_checks, n_pairs, call in cases:
-            checks.clear()
-            shapes.clear()
-            call()
-            assert (len(checks), shapes) == (n_checks, [(64, 64)] * n_pairs)
 
     @pytest.mark.parametrize("ladder", [[4], [4, 8], [2, 4, 8, 16], [2, 4, 8, 12, 16, 24]])
     def test_convergence_study_finds_the_kept_pairs_of_a_once(self, monkeypatch, ladder):
@@ -968,7 +959,8 @@ class TestTypedErrors:
         zero = np.zeros((32, 32), dtype=complex)
         poly = TrigPolynomial.monomial(2)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        dec, unit = herm_eig(inst.h0), np.eye(32, dtype=complex)[:, :1]
+        unit = np.eye(32, dtype=complex)[:, :1]
+        seeded = seeded_instance(inst.h0, unit)
         skew_a = inst.a + 1e-3 * np.triu(np.ones((32, 32)), 1)
         skew_h0 = inst.h0 + 1e-3 * np.triu(np.ones((32, 32)), 1)
         small = np.eye(31, dtype=complex)
@@ -995,8 +987,8 @@ class TestTypedErrors:
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [0, 4])),
             (ZeroDirection, lambda: build_direction_projection(inst.h0, zero, 1.0, 4)),
             (ZeroDirection, lambda: convergence_study(inst.h0, zero, inst.phase, poly, [4])),
-            (BadWindow, lambda: _window_basis(dec, unit, 0.0, 4, inst.h0)),
-            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 0, inst.h0)),
+            (BadWindow, lambda: _window_basis(seeded, 0.0, 4)),
+            (BadWindow, lambda: _window_basis(seeded, 1.0, 0)),
             (MissingConstruction, lambda: audit_projection_estimates(replace(p, params=None), inst.h0, inst.u0, [1])),
             (MissingConstruction, lambda: audit_perturbation_estimates(
                 replace(p, params=None), inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
@@ -1014,18 +1006,18 @@ class TestTypedErrors:
             (DimensionMismatch, lambda: audit_compressed_model(
                 p, inst.h0, inst.a, small, inst.u, inst.phase, 2.0, [1], [1])),
             (NotHermitian, lambda: compressed_model(p, skew_h0, inst.a, inst.phase)),
-            (DimensionMismatch, lambda: compressed_model(full_space(31, small), inst.h0, inst.a, 0.0)),
+            (DimensionMismatch, lambda: compressed_model(full_space(31, small, small), inst.h0, inst.a, 0.0)),
             (DimensionMismatch, lambda: build_direction_projection(wide.h0, inst.a, 1.0, 4)),
             (DimensionMismatch, lambda: convergence_study(wide.h0, inst.a, inst.phase, poly, [4])),
             (DimensionMismatch, lambda: unitary_eig(np.ones((3, 4)))),
             (DimensionMismatch, lambda: unitary_eig(np.ones(3))),
-            (ZeroDirection, lambda: _window_basis(dec, unit[:, :0], 1.0, 4, inst.h0)),
+            (ZeroDirection, lambda: _window_basis(seeded_instance(inst.h0, unit[:, :0]), 1.0, 4)),
             (BadWindow, lambda: convergence_study(inst.h0, inst.a, inst.phase, poly, [])),
             (DimensionMismatch, lambda: reduction_instance(1, 0, 2, 0.5)),
             (DimensionMismatch, lambda: reduction_instance(1, 4, 8, 0.5)),
-            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2.5, inst.h0)),
+            (BadWindow, lambda: _window_basis(seeded, 1.0, 2.5)),
             (BadWindow, lambda: build_direction_projection(inst.h0, inst.a, 1.0, 2.5)),
-            (BadWindow, lambda: _window_basis(dec, unit, 1.0, 2**63, inst.h0)),
+            (BadWindow, lambda: _window_basis(seeded, 1.0, 2**63)),
             # lists that are not iterables, a projection that is not a basis, polynomials that are not
             (UnishiftError, lambda: audit_projection_estimates(p, inst.h0, inst.u0, None)),
             (UnishiftError, lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, None, [0.0])),
@@ -1086,7 +1078,7 @@ class TestTypedErrors:
             (UnishiftError, lambda inst, p: compressed_model(p, inst.h0, inst.a, -np.inf)),
             (UnishiftError, lambda inst, p: audit_compressed_model(
                 p, inst.h0, inst.a, inst.u0, inst.u, np.nan, 2.0, [1], [1])),
-            (BadWindow, lambda inst, p: _window_basis(herm_eig(inst.h0), p.directions[:, :1], np.nan, 4, inst.h0)),
+            (BadWindow, lambda inst, p: _window_basis(p.instance, np.nan, 4)),
             (BadWindow, lambda inst, p: build_direction_projection(inst.h0, inst.a, np.inf, 4)),
             (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, np.nan, [1], [])),
             (UnishiftError, lambda inst, p: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, -1.0, [1], [])),
@@ -1215,36 +1207,73 @@ class TestTypedErrors:
             with pytest.raises(NotHermitian):
                 call(inst.h0 + 1e-3 * np.triu(bump))
 
-    @pytest.mark.parametrize("field", [
-        "columns", "directions", "params", "eigenvalues", "eigenvectors", "h0", "cell_rows", "cell_columns",
-        "cell_blocks",
-    ])
-    def test_basis_is_checked_where_it_is_made(self, field):
+    def test_a_is_held_to_the_a_that_built_the_basis(self):
+        """A within delta of the basis's own A gives its checks; beyond it PathMismatch, or NotHermitian, or a wrong size."""
         inst = reduction_instance(16, 32, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        # an array where the record belongs is a missing record; any other wrong shape disagrees with the layout
-        wrong_shape = MissingConstruction if field == "params" else DimensionMismatch
+        bump = np.zeros((32, 32), dtype=complex)
+        bump[0, 1] = bump[1, 0] = 1.0 / np.sqrt(2.0)  # Hermitian, Hilbert-Schmidt norm 1
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        noise = 1e-13 * (noise + noise.conj().T) / hs_norm(noise + noise.conj().T)
+        calls = [  # with delta = 1e-10 / (2 max(1, max |m|))
+            (lambda a: audit_perturbation_estimates(p, inst.u0, inst.u, a, 2.0, [1, 2], T_GRID), 2.5e-11),
+            (lambda a: audit_compressed_model(p, inst.h0, a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1]), 2.5e-11),
+            (lambda a: compressed_model(p, inst.h0, a, inst.phase), 5e-11),
+        ]
+        for call, delta in calls:
+            want, got = call(inst.a), call(inst.a + noise)
+            if isinstance(want, CompressedModel):
+                for x, y in [(got.u0p, want.u0p), (got.ap, want.ap), (got.up, want.up)]:
+                    assert np.max(np.abs(x - y)) <= 1e-12
+            else:
+                assert [(c.name, c.ok) for c in got.checks] == [(c.name, c.ok) for c in want.checks]
+                assert max(abs(x.value - y.value) for x, y in zip(got.checks, want.checks)) <= 1e-12
+            call(inst.a + 0.5 * delta * bump)
+            for other in (inst.a + 2.0 * delta * bump, reduction_instance(17, 32, 2, 0.5).a):
+                with pytest.raises(PathMismatch, match="A is not the direction that built the projection"):
+                    call(other)
+            with pytest.raises(NotHermitian):
+                call(inst.a + 1e-3 * np.triu(bump))
+            with pytest.raises(DimensionMismatch):
+                call(inst.a[:31, :31])
+
+    @pytest.mark.parametrize("field", [
+        "columns", "params", "instance", "cell_rows", "cell_columns", "cell_blocks",
+        "h0", "eigenvalues", "eigenvectors", "a", "f", "tau",
+    ])
+    def test_basis_is_checked_where_it_is_made(self, field):
+        """Each field of the basis, and each array of its instance, is checked when the basis is made."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        own = field in vars(p)
+
+        def made(value):
+            return replace(p, **{field: value}) if own else replace(p, instance=replace(p.instance, **{field: value}))
+
+        # an array where a record belongs is a missing record; any other wrong shape disagrees with the layout
+        wrong_shape = MissingConstruction if field in ("params", "instance") else DimensionMismatch
         for value, error in [(None, MissingConstruction), (np.eye(3), wrong_shape), (np.float64(1.0), wrong_shape)]:
             with pytest.raises(error):
-                replace(p, **{field: value})
-        kept = replace(p, **{field: getattr(p, field)})
+                made(value)
+        kept = made(getattr(p if own else p.instance, field))
         assert (kept.ambient_dim, kept.rank) == (32, p.rank)
 
     def test_hand_built_basis_needs_the_eigenpairs_of_h0(self):
         inst = reduction_instance(16, 32, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        bare = replace(p.instance, eigenvalues=None, eigenvectors=None)
         with pytest.raises(MissingConstruction):
-            audit_projection_estimates(replace(p, eigenvalues=None, eigenvectors=None), inst.h0, inst.u0, [1])
+            audit_projection_estimates(replace(p, instance=bare), inst.h0, inst.u0, [1])
         with pytest.raises(MissingConstruction):
-            compressed_model(replace(p, eigenvalues=None, eigenvectors=None), inst.h0, inst.a, inst.phase)
+            compressed_model(replace(p, instance=bare), inst.h0, inst.a, inst.phase)
         with pytest.raises(DimensionMismatch):
-            audit_perturbation_estimates(
-                replace(p, eigenvalues=p.eigenvalues[:31]), inst.u0, inst.u, inst.a, 2.0, [1], [0.0]
-            )
+            short = replace(p.instance, eigenvalues=p.instance.eigenvalues[:31])
+            audit_perturbation_estimates(replace(p, instance=short), inst.u0, inst.u, inst.a, 2.0, [1], [0.0])
         with pytest.raises(MissingConstruction):  # eigenpairs without a cell layout
             audit_compressed_model(replace(p, cell_blocks=None), inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])
         # the same basis with one cell holding every row gives the same values
-        one_cell = one_cell_basis(p.columns, p.h0, p.eigenvalues, p.eigenvectors, p.params, p.directions)
+        one_cell = one_cell_basis(p.columns, p.instance, p.params)
         for got, want in [
             (audit_projection_estimates(one_cell, inst.h0, inst.u0, [1, -2]),
              audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),

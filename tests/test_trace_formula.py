@@ -59,11 +59,9 @@ class TestTrigPolynomial:
         assert weighted_abs_sum(p, 1) == pytest.approx(8.0)
         assert weighted_abs_sum(p, 2) == pytest.approx(22.0)
 
-    def test_evaluation_and_derivative(self):
+    def test_evaluation(self):
         p = TrigPolynomial({1: 1.0, -1: 1.0})
         assert p(np.exp(0.4j)) == pytest.approx(2 * np.cos(0.4))
-        d = p.z_derivative()
-        assert d.coeffs == {0: 1.0, -2: -1.0}
 
     def test_zero_coefficients_dropped(self):
         assert TrigPolynomial({3: 0.0, 1: 2.0}).support == [1]

@@ -16,19 +16,20 @@ numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
 One checked instance (``_instance``) holds H0 and A, each checked once by
-``require_hermitian``, the eigh of H0, and A's kept pairs and ||A||.  Every
-partition of a ``bounds`` run or a convergence ladder is built from one
-instance, whose U0 = V diag(c) V* comes from that eigh; nothing is kept
-between calls.  An exactly diagonal H0 with ascending entries, as
+``require_hermitian``, the eigh H0 = V diag(lambda) V*, A's kept pairs
+(F, tau) and ||A||, and Fh = V* F.  All that follows computes in H0's
+eigen-coordinates; V is read only there and in the frame's U0 check, where
+dense operands come in.  Every partition of a ``bounds`` run or a
+convergence ladder is built from one instance; nothing is kept between
+calls.  An exactly diagonal H0 with ascending entries, as
 ``reduction_instance`` builds, is its own eigenbasis: ``herm_eig`` returns
-V = I with no LAPACK call, and the study's U0 is diag(c).  A window basis
-(``ProjectionBasis``) carries the instance that built it, whose orthonormal
-F, A's kept eigenvectors, are its seeds, and is checked for presence and
-shape once, when it is made.  Each audit, and ``compressed_model``, builds
-one checked frame (``_frame``) at delta = AUDIT_SLACK / (2 max(1, max |m|))
-over the call's powers m: H0 and A against the basis's own in O(d^2), so an
-operand that did not build the basis is refused, U0 against the eigenpairs
-and U against e^{iA} U0.
+V = I with no LAPACK call.  A window basis (``ProjectionBasis``) is the cell
+layout of B = V Bhat, with the instance that built it, whose F are its
+seeds, and is checked for presence and shape once, when it is made.  Each
+audit, and ``compressed_model``, builds one checked frame (``_frame``) at
+delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m: H0 and
+A against the basis's own in O(d^2), so an operand that did not build the
+basis is refused, U0 against the eigenpairs and U against e^{iA} U0.
 Phases, half-widths, the horizon T >= 0 and samples in [-T, T] are finite
 real numbers (``_is_real``); powers, samples and cell counts are iterables.
 
@@ -50,13 +51,13 @@ trace norm and the mixed-trace factors all work on d x L factors; a norm
 ||X diag(D) Y||_HS with X = QR is ||R diag(D) Y||_HS, and each mixed trace
 is the trace of a product of a 2L x r factor and an r x 2L one.
 
-Every other ambient step works in the eigen-coordinates of H0 and uses the
-cells of the window basis.  A window basis carries, with the eigenpairs
-H0 = V diag(lambda) V* of its instance, for each occupied cell its
-eigen-rows and its block Bhat_k of Bhat = V* B, so B = V Bhat (r = rank P
-columns, at most L per cell).  The frame reads U0 = V diag(c) V* from one
-d x d product, U0 V, or, when V is exactly the identity, off the diagonal
-of U0 in O(d^2), with the same tolerance and errors.  Then:
+Every other ambient step uses the cells of the window basis: for each
+occupied cell its eigen-rows and its block Bhat_k of Bhat = V* B (r = rank P
+columns, at most L per cell).  So P_perp Fh, F*B = Fh* Bhat and Bhat X come
+cell by cell, in coordinates with one extra zero row, which the -1 padding
+of the cell rows reads.  The frame checks U0 = V diag(c) V* by one d x d
+product U0 V, or, if the given V is exactly the identity, off the diagonal
+of U0 in O(d^2).  Then:
 
   * H0 B, both resolvents (i +- H0)^{-1} B and every U0^m B are diagonal
     scalings D Bhat, whose part outside ran P splits by cell:
@@ -83,19 +84,19 @@ of U0 in O(d^2), with the same tolerance and errors.  Then:
     B* U^m B - Up^m (r x r), a block diagonal plus one skinny product, and
     Up^m X (r x 2L) for the mixed traces.  The terms are summed in blocks of
     at most max(256, L) columns, so memory does not grow with |m|, and the
-    norms are taken of the formed matrices.
-
-The ambient coordinates carry one extra zero row, which the -1 padding of
-the cell rows reads.
+    norms are taken of the formed matrices;
+  * ``convergence_study`` reads each trace off the same stream with Z = I,
+    Tr(X^n - S^n) = sum_{j<n} tr((X^j F) diag(e) (F* S^{n-j})), the ambient
+    one from (c, Fh) and each rung's from (omega, Fc'), so it forms no d x d
+    or r x r matrix.
 
 The basis itself comes from one SVD per cell.  The pieces of the seeds in
 different cells lie on disjoint sets of eigenvectors of H0, so they are
 orthogonal; in each cell's eigen-coordinates the pieces of norm above
 ``GS_DROP_TOL``, normalised, give their left singular vectors of singular
-value above that tolerance, which the cell's eigencolumns map back.  The
-SVDs are batched over the cells that share a row count and a kept-piece
-pattern, and the products over the cells of one width, with the factor
-layouts of a single cell, so the basis has the bits of a cell-by-cell loop.
+value above that tolerance, the cell's block.  The SVDs are batched over
+the cells that share a row count and a kept-piece pattern, with the bits of
+a cell-by-cell loop.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ from .errors import (
 from .linalg import (
     _adjoint,
     _eigh,
-    _from_spectrum,
     _is_diagonal,
     _require_draw,
     as_matrix,
@@ -129,7 +129,7 @@ from .linalg import (
     require_hermitian,
     trace_norm,
 )
-from .trace_formula import _exp_remainder_factor, _lhs
+from .trace_formula import _coefficients, _exp_remainder_factor
 from .trigpoly import TrigPolynomial, _require_polynomial
 
 GS_DROP_TOL = 1e-12
@@ -161,20 +161,21 @@ class WindowParams:
 
 @dataclass(frozen=True)
 class CheckedInstance:
-    """The checked H0 = V diag(lambda) V* (``eigenvalues``, ``eigenvectors``), A, A's kept pairs (F, tau), ||A||."""
+    """The checked H0 = V diag(lambda) V*, A, A's kept pairs (F, tau), Fh = V* F and ||A||."""
 
     h0: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     a: np.ndarray
     f: np.ndarray
+    fh: np.ndarray
     tau: np.ndarray
     a_norm: float
 
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Orthonormal columns B spanning ran P, with the checked instance that built it.
+    """Orthonormal columns B = V Bhat spanning ran P, given by their cells, with the checked instance that built it.
 
     The seeds are the instance's F.  Row k of ``cell_rows`` holds the
     eigen-rows of occupied cell k and row k of ``cell_columns`` the columns
@@ -186,7 +187,6 @@ class ProjectionBasis:
     layout (``DimensionMismatch``); the values are trusted as built.
     """
 
-    columns: np.ndarray
     params: WindowParams
     instance: CheckedInstance
     cell_rows: np.ndarray
@@ -198,8 +198,8 @@ class ProjectionBasis:
             x is None for x in (*vars(self).values(), *vars(self.instance).values())
         ):
             raise MissingConstruction("a window basis needs its record, its checked instance and its cells")
-        # axes: d ambient, r rank, L seeds, K cells, n rows and w columns per cell
-        axes = dict(eigenvalues="d", eigenvectors="dd", h0="dd", a="dd", f="dL", tau="L", columns="dr",
+        # axes: d ambient, L seeds, K cells, n rows and w columns per cell
+        axes = dict(eigenvalues="d", eigenvectors="dd", h0="dd", a="dd", f="dL", fh="dL", tau="L",
                     cell_rows="Kn", cell_columns="Kw", cell_blocks="Knw")
         fields, sizes = {**vars(self.instance), **vars(self)}, {}
         for name, names in axes.items():
@@ -213,35 +213,25 @@ class ProjectionBasis:
 
     @property
     def rank(self) -> int:
-        return self.columns.shape[1]
-
-
-def _is_identity(v: np.ndarray) -> bool:
-    """Whether the square V is exactly the identity, in O(d^2): then V* X V is X for every X."""
-    return _is_diagonal(v) and bool(np.all(np.diagonal(v) == 1.0))
-
-
-def _offblock(b: np.ndarray, y: np.ndarray) -> float:
-    """||Y - B(B*Y)||_2: the part of Y outside ran B (for Y = X B, ||P_perp X P||_2)."""
-    return hs_norm(y - b @ (b.conj().T @ y))
+        return int(np.count_nonzero(self.cell_columns >= 0))
 
 
 def _window_basis(inst: CheckedInstance, half_width: float, cells: int) -> ProjectionBasis:
-    """Span of the spectral-cell pieces of the instance's orthonormal seed columns F, in the eigenbasis of its H0.
+    """Span of the spectral-cell pieces of the instance's orthonormal seed columns, read in H0's eigen-coordinates Fh.
 
     The window (-a, a] splits into ``cells`` half-open intervals; each seed
     f_l contributes the normalised projection of f_l onto every cell it
     meets.  A seed leaking past the window by more than eps = L a / sqrt(n)
     is an error, since every off-block estimate downstream assumes capture.
+    Only the cell layout is kept: each cell's eigen-rows and block of V* B.
     """
-    f, vectors, eigenvalues = inst.f, inst.eigenvectors, inst.eigenvalues
-    dim, count = f.shape
+    coords, eigenvalues = inst.fh, inst.eigenvalues
+    count = coords.shape[1]
     if count == 0:
         raise ZeroDirection("no seed vectors to project (a zero direction gives none)")
     if not (_is_whole(cells, 1) and cells < 2**63 and _is_real(half_width) and half_width > 0.0):
         raise BadWindow("need a finite positive window and a whole number of cells within int64, at least one")
     eps = count * half_width / np.sqrt(cells)
-    coords = vectors.conj().T @ f  # eigenbasis coordinates of the seeds
     inside = (eigenvalues > -half_width) & (eigenvalues <= half_width)
     leak = np.linalg.norm(np.where(inside[:, None], 0.0, coords), axis=0)
     if np.any(leak >= eps):
@@ -250,47 +240,29 @@ def _window_basis(inst: CheckedInstance, half_width: float, cells: int) -> Proje
     window = np.flatnonzero(inside)
     starts = np.flatnonzero(np.diff(_cells_of(eigenvalues[window], half_width, cells), prepend=-1))
     lengths = np.diff(starts, append=window.size)
-    # Pieces from different cells lie on disjoint sets of eigenvectors, so they
-    # are orthogonal: one SVD per cell on the eigen-coordinates of its kept
-    # normalised pieces, batched over the cells of one row count and one kept
-    # pattern.  The singular values descend, so each cell keeps a prefix of its
-    # left singular vectors.
-    batches, widths = [], np.zeros(starts.size, dtype=np.int64)
+    # One SVD per cell of its kept normalised pieces, batched over the cells of one row count and one kept
+    # pattern.  The singular values descend, so each cell keeps a prefix of its left singular vectors.
+    cell_rows = np.full((starts.size, int(lengths.max(initial=0))), -1)
+    cell_blocks = np.zeros((*cell_rows.shape, count), dtype=np.complex128)
+    widths = np.zeros(starts.size, dtype=np.int64)
     for at in _groups(lengths):
         rows = window[starts[at, None] + np.arange(lengths[at[0]])]
+        cell_rows[at, :rows.shape[1]] = rows
         pieces = coords[rows]
         norms = np.linalg.norm(pieces, axis=1)
         for mine in _groups(norms > GS_DROP_TOL):
             if (kept := norms[mine[0]] > GS_DROP_TOL).any():
                 left, values, _ = np.linalg.svd(pieces[mine][:, :, kept] / norms[mine][:, None, kept],
                                                 full_matrices=False)
-                widths[at[mine]] = np.count_nonzero(values > GS_DROP_TOL, axis=1)
-                batches.append((at[mine], rows[mine], left))
+                widths[at[mine]] = w = np.count_nonzero(values > GS_DROP_TOL, axis=1)
+                cell_blocks[at[mine], :rows.shape[1], :left.shape[2]] = np.where(
+                    np.arange(left.shape[2]) < w[:, None, None], left, 0.0)
     # Occupied cells, in ascending order, each with its first column of B.
-    occupied = np.flatnonzero(widths)
-    slot = np.cumsum(widths > 0) - 1
-    first = np.cumsum(widths) - widths
-    n, width = int(lengths[occupied].max(initial=0)), int(widths.max(initial=0))
-    span = np.arange(width)
-    cell_rows = np.full((occupied.size, n), -1)
+    occupied, first = np.flatnonzero(widths), np.cumsum(widths) - widths
+    n, span = int(lengths[occupied].max(initial=0)), np.arange(widths.max(initial=0))
     cell_columns = np.where(span < widths[occupied, None], first[occupied, None] + span, -1)
-    cell_blocks = np.zeros((occupied.size, n, width), dtype=np.complex128)
-    columns = np.zeros((dim, int(widths.sum())), dtype=np.complex128)
-    for at, rows, left in batches:
-        keep, size = widths[at] > 0, min(left.shape[2], width)
-        at, rows, left, w = at[keep], rows[keep], left[keep], widths[at[keep]]
-        cell_rows[slot[at], :rows.shape[1]] = rows
-        cell_blocks[slot[at], :rows.shape[1], :size] = np.where(span[:size] < w[:, None, None], left[:, :, :size], 0.0)
-        # The cell's eigencolumns map its block back, batched over the cells of
-        # each width; each factor keeps the column-major layout of a single
-        # cell's V[:, rows] and block, so the products are those of one cell.
-        for same in _groups(w):
-            k = w[same[0]]
-            cell_vectors = np.moveaxis(vectors[:, rows[same]], 0, 1)
-            mapped = cell_vectors @ np.ascontiguousarray(left[same, :, :k].swapaxes(1, 2)).swapaxes(1, 2)
-            columns[:, (first[at[same], None] + np.arange(k)).ravel()] = np.moveaxis(mapped, 0, 1).reshape(dim, -1)
     params = WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps))
-    return ProjectionBasis(columns, params, inst, cell_rows, cell_columns, cell_blocks)
+    return ProjectionBasis(params, inst, cell_rows[occupied, :n], cell_columns, cell_blocks[occupied, :n, :span.size])
 
 
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
@@ -369,7 +341,8 @@ def _instance(h0, a) -> CheckedInstance:
     h0 = require_hermitian(h0, "h0")
     a = require_hermitian(a, "a", h0.shape[0])
     dec = herm_eig(h0, check=False)
-    return CheckedInstance(h0, dec.eigenvalues, dec.vectors, a, *_kept_pairs(a))
+    f, tau, a_norm = _kept_pairs(a)
+    return CheckedInstance(h0, dec.eigenvalues, dec.vectors, a, f, dec.vectors.conj().T @ f, tau, a_norm)
 
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
@@ -424,22 +397,21 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
     H0 and A against the basis's instance in O(d^2), and past delta by
     ``require_hermitian`` and then ``PathMismatch``; with c = diag(V* U0 V),
-    ||U0 V - V diag(c)|| (||U0 - diag(c)|| in O(d^2) when V is exactly the
-    identity) and ||U - e^{iA} U0|| (``PathMismatch``) and abs(|c_j| - 1)
-    (``NotUnitary``).  So no operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
+    ||U0 V - V diag(c)|| (||U0 - diag(c)|| in O(d^2) for V = I exactly) and
+    ||U - e^{iA} U0|| (``PathMismatch``) and abs(|c_j| - 1) (``NotUnitary``).
+    So no operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
     < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.  A power
     whose delta falls below d times the machine epsilon, the roundoff of one
     such gap at ambient size d, is refused (``UnishiftError``) first.
 
-    Returns c (None without U0) and, with A, the instance's kept pairs
-    (F, tau), ||A||, Fh = V* F, P_perp F = F - B(B* F) and F* B (else None).
+    Returns c (None without U0) and, with A, tau, ||A||, Fh and P_perp Fh
+    with their zero row d, and F* B (else None).
     """
     if not isinstance(p, ProjectionBasis):
         raise MissingConstruction(f"the projection must be a window basis, not {type(p).__name__}")
     if not (_is_real(t_max) and t_max >= 0.0):
         raise UnishiftError(f"the audit horizon T must be a finite real number >= 0, not {t_max!r}")
     inst, d = p.instance, p.ambient_dim
-    f, tau, v = inst.f, inst.tau, inst.eigenvectors
     delta = AUDIT_SLACK / (2.0 * max([1, *map(abs, powers)]))
     if delta < (floor := d * np.finfo(float).eps):
         raise UnishiftError(
@@ -458,11 +430,11 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
             require(gap, f"{what} that built the projection")
     c = direction = None
     if a is not None:
-        b = p.columns
-        direction = f, tau, inst.a_norm, v.conj().T @ f, f - b @ (b.conj().T @ f), f.conj().T @ b
+        fh = _padded(inst.fh)
+        direction = inst.tau, inst.a_norm, fh, _perp(p, fh), _seed_rows(p, fh, p.cell_blocks)
     if u0 is not None:
-        u0 = as_matrix(u0, "u0", d, copy=None)
-        if _is_identity(v):  # a diagonal H0: V* U0 V is U0, and its gap is U0 - diag(c)
+        u0, v = as_matrix(u0, "u0", d, copy=None), inst.eigenvectors
+        if _is_diagonal(v) and np.all(np.diagonal(v) == 1.0):  # V = I exactly: the gap of U0 is U0 - diag(c)
             c, gap = np.diagonal(u0).copy(), u0.copy()
             np.fill_diagonal(gap, 0.0)
         else:
@@ -473,7 +445,7 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
         if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
             raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
     if u is not None:
-        require(as_matrix(u, "u", d, copy=None) - _low_rank_endpoint(f, tau, u0), "U is not e^(iA) U0")
+        require(as_matrix(u, "u", d, copy=None) - _low_rank_endpoint(inst.f, inst.tau, u0), "U is not e^(iA) U0")
     return c, direction
 
 
@@ -583,19 +555,31 @@ def _slot_rows(p: ProjectionBasis, x: np.ndarray) -> np.ndarray:
 def _ambient_stream(p: ProjectionBasis, c: np.ndarray, fh: np.ndarray, tau: np.ndarray, blocks: np.ndarray):
     """The ``_telescoped`` operands (s, F, e, rows) of V* U^m B for U = V (I + Fh diag(e) Fh*) diag(c) V*, Fh = V* F.
 
-    Here e = e^{i tau} - 1, and B is given by its cell blocks, those of
-    ``p`` or a rotation of each within its columns.  The coordinates carry a
-    zero row d (with c and Fh zero there), which the padding (-1) of the
-    cell rows reads; the rows Fh* c^q Bhat come cell by cell in O(d L^2).
+    Here e = e^{i tau} - 1, B is given by its cell blocks, those of ``p`` or
+    a rotation of each within its columns, and Fh with its zero row d, where
+    c is taken 0; the rows Fh* c^q Bhat come cell by cell in O(d L^2).
     """
-    c1 = np.append(c, 0.0)
-    fh1 = np.concatenate([fh, np.zeros((1, fh.shape[1]))])
-    fh_cells = _adjoint(fh1[p.cell_rows])
+    c1, fh_cells = np.append(c, 0.0), _adjoint(fh[p.cell_rows])
 
     def rows(qs):
         return _slot_rows(p, fh_cells @ (_powers_of(c1, qs)[:, p.cell_rows, None] * blocks))
 
-    return c1, fh1, np.expm1(1j * tau), rows
+    return c1, fh, np.expm1(1j * tau), rows
+
+
+def _diagonal_stream(s: np.ndarray, f: np.ndarray, tau: np.ndarray):
+    """The ``_telescoped`` operands (s, F, e, rows) of X^m Z, X = (I + F diag(e^{i tau} - 1) F*) diag(s), Z = I."""
+    return s, f, np.expm1(1j * tau), lambda qs: f.conj().T[None] * _powers_of(s, qs)[:, None, :]
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """X with a zero row appended: the row d (or r) that the padding (-1) of the cell rows (or columns) reads."""
+    return np.concatenate([x, np.zeros((1, x.shape[1]))])
+
+
+def _seed_rows(p: ProjectionBasis, g: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """G* B (c x r, in B's column order) for coordinates G with a zero row d and B given by its cell ``blocks``."""
+    return _slot_rows(p, (_adjoint(g[p.cell_rows]) @ blocks)[None])[0]
 
 
 def _perp(p: ProjectionBasis, g: np.ndarray) -> np.ndarray:
@@ -623,9 +607,9 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     """
     m_list = _powers(m_list)
     c, _ = _frame(p, m_list, h0=h0, u0=u0)
-    eps, checks, seeds = p.params.eps, [], p.instance.f
+    eps, checks, seeds = p.params.eps, [], _perp(p, _padded(p.instance.fh))
     for l in range(seeds.shape[1]):
-        checks.append(_check(f"seed_capture[{l}]", _offblock(p.columns, seeds[:, l]), eps))
+        checks.append(_check(f"seed_capture[{l}]", hs_norm(seeds[:, l]), eps))
     lam = p.instance.eigenvalues
     scales = np.concatenate([[lam, 1.0 / (1j + lam), 1.0 / (1j - lam)], _powers_of(c, m_list)])
     norms = _norms(_offblock_cells(p, scales))
@@ -645,7 +629,7 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     e^{iA} U0.  U0 and U are checked as in ``_frame``.
     """
     m_list = _powers(m_list)
-    c, (_, tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    c, (tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
     eps = p.params.eps
     # F* is a co-isometry, so it drops out of ||P_perp A||_HS = ||P_perp F tau F*||_HS
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
@@ -699,17 +683,11 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
     which is what makes rank-coordinates legitimate.  H0 and A are checked
     as in ``_frame``, with no powers.
     """
-    _, (_, tau, _, _, _, fb) = _frame(p, (), h0=h0, a=a)
-    return _model(p, fb, tau, phase)
-
-
-def _model(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: float) -> CompressedModel:
-    """``_compressed`` expanded once to r x r: U0p = (+)_k Q_k diag(omega_k) Q_k*, Ap and Up = e^{iAp} U0p."""
-    q, omega, fc, tau_c = _compressed(p, fb, tau, phase)
+    _, (tau, _, _, _, fb) = _frame(p, (), h0=h0, a=a)
+    q, omega, fc, tau_c, _ = _compressed(p, fb, tau, phase)
     u0p = _scatter(p.cell_columns, p.cell_columns, (q * omega[:, None, :]) @ _adjoint(q), (p.rank, p.rank))
     ap = (fb.conj().T * tau) @ fb
-    ap = 0.5 * (ap + ap.conj().T)
-    return CompressedModel(u0p=u0p, ap=ap, up=_low_rank_endpoint(fc, tau_c, u0p), phase=phase)
+    return CompressedModel(u0p=u0p, ap=0.5 * (ap + ap.conj().T), up=_low_rank_endpoint(fc, tau_c, u0p), phase=phase)
 
 
 def _compressed(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: float):
@@ -721,7 +699,7 @@ def _compressed(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: floa
     Q_k* with omega the Cayley values of mu.  With the thin QR B*F = QR,
     Ap = (F*B)* diag(tau) (F*B) = Q (R diag(tau) R*) Q*, so the eigh of the
     small R diag(tau) R* gives Ap's kept pairs (Fc, tau_c), those with
-    |tau_c| > 1e-12 max(||Ap||, 1).  Returns Q (K, w, w), omega (K, w), Fc and tau_c.
+    |tau_c| > 1e-12 max(||Ap||, 1).  Returns Q (K, w, w), omega (K, w), Fc, tau_c and Q_k* Fc (K, w, Lc).
     """
     blocks, widths = p.cell_blocks, np.count_nonzero(p.cell_columns >= 0, axis=1)
     hc = _adjoint(blocks) @ (p.instance.eigenvalues[p.cell_rows, None] * blocks)
@@ -731,7 +709,8 @@ def _compressed(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: floa
         k = widths[at[0]]
         mu[at, :k], q[at, :k, :k] = _eigh(hc[at, :k, :k])
     qf, rf = np.linalg.qr(fb.conj().T)
-    return q, _cayley_values(mu.ravel(), phase).reshape(mu.shape), *_kept_of(qf, (rf * tau) @ rf.conj().T)[:2]
+    fc, tau_c, _ = _kept_of(qf, (rf * tau) @ rf.conj().T)
+    return q, _cayley_values(mu.ravel(), phase).reshape(mu.shape), fc, tau_c, _adjoint(q) @ _padded(fc)[p.cell_columns]
 
 
 def audit_compressed_model(
@@ -748,35 +727,36 @@ def audit_compressed_model(
     ``_frame``, over the powers m and k.
     """
     m_list, k_list = _powers(m_list), _powers(k_list)
-    c, (f, tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
-    b, eps, rows = p.columns, p.params.eps, p.cell_rows
-    q, omega_cells, fc, tau_c = _compressed(p, fb, tau, phase)
+    c, (tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
+    eps, rows, cols = p.params.eps, p.cell_rows, p.cell_columns
+    q, omega_cells, fc, tau_c, fc_cells = _compressed(p, fb, tau, phase)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
-    # works on d x L factors; F* is a co-isometry and drops out of the norms.
+    # works on d x L factors; F* and V are isometries and drop out of the norms.
     checks = [_check("exp_step_offblock", hs_norm(_exp_step(f_perp, tau)), 2 * eps)]
-    # e^{isA} B - B e^{isAp} = F (e^{is tau} - 1) F*B - B Fc (e^{is tau_c} - 1) Fc*
-    #                        = [F, B Fc] diag(e^{is tau} - 1, 1 - e^{is tau_c}) [F*B; Fc*]
+    # V* (e^{isA} B - B e^{isAp}) = Fh (e^{is tau} - 1) F*B - Bhat Fc (e^{is tau_c} - 1) Fc*
+    #                             = [Fh, Bhat Fc] diag(e^{is tau} - 1, 1 - e^{is tau_c}) [F*B; Fc*]
     s_grid = np.linspace(-t_max, t_max, 21)
     steps = np.expm1(1j * np.multiply.outer(s_grid, np.concatenate([tau, tau_c])))
     steps[:, tau.size:] *= -1.0
-    worst = _factor_norms(np.concatenate([f, b @ fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
+    b_fc = np.zeros((fh.shape[0], tau_c.size), dtype=np.complex128)
+    b_fc[rows] = p.cell_blocks @ _padded(fc)[cols]
+    worst = _factor_norms(np.concatenate([fh, b_fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
     checks.append(_check("propagator_vs_compressed", float(np.max(worst)), 2 * t_max * eps))
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
     tr_bound = 2.0 * hs_norm(p.instance.a) * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     # The powers work in each cell's eigenbasis Q_k of Bhat_k* diag(lambda) Bhat_k.  With B' = B diag(Q_k),
     # U0p = diag(omega), and U0^m B' - B' U0p^m = V (c^m Bhat' - Bhat' omega^m) has one block per cell.
-    cols, nm, blocks = p.cell_columns, len(m_list), p.cell_blocks @ q
+    nm, blocks = len(m_list), p.cell_blocks @ q
     y = _powers_of(c, [*m_list, *k_list])[:, rows, None] * blocks
     grams = _adjoint(blocks) @ y
     base = _norms(y[:nm] - blocks * _powers_of(omega_cells.ravel(), m_list).reshape(nm, *omega_cells.shape)[:, :, None])
     # In B' coordinates Up = (I + Fc' diag(e^{i tau_c} - 1) Fc'*) diag(omega) with Fc' = diag(Q_k*) Fc, and
     # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} = Tr{Y_k (Up^m X)} with B'* e^{iA} U0^k B' - e^{iAp} B'* U0^k B' = X Y_k:
     # X = [(F*B')* (e^{i tau} - 1), -Fc' (e^{i tau_c} - 1)], Y_k = [Fh* c^k Bhat'; Fc'* diag(Bhat'_k* c^k Bhat'_k)].
-    fh_cells = _adjoint(np.concatenate([fh, np.zeros((1, tau.size))])[rows])
-    fc_cells = _adjoint(q) @ np.concatenate([fc, np.zeros((1, tau_c.size))])[cols]
+    fh_cells = _adjoint(fh[rows])
     fc_q, omega = _to_columns(p, fc_cells), _to_columns(p, omega_cells)
-    fb_q = _slot_rows(p, (fh_cells @ blocks)[None])[0]
+    fb_q = _seed_rows(p, fh, blocks)
     x = np.concatenate([_exp_step(fb_q.conj().T, tau), -_exp_step(fc_q, tau_c)], axis=1)
     ys = np.concatenate([_slot_rows(p, fh_cells @ y[nm:]), _slot_rows(p, _adjoint(fc_cells) @ grams[nm:])], axis=1)
     # B'* U^m B' - Up^m = diag(grams_m - omega^m) + sum_j [Bhat'* G_j, -Gc_j] [R_j; Rc_j] from the two
@@ -786,11 +766,7 @@ def audit_compressed_model(
     diff[:, np.arange(p.rank), np.arange(p.rank)] -= omega_m
     diff, up_x = dict(zip(m_list, diff)), dict(zip(m_list, omega_m[:, :, None] * x))
     ambient, per = _ambient_stream(p, c, fh, tau, blocks), _per(max(tau.size, tau_c.size))
-
-    def compressed_rows(qs):
-        return fc_q.conj().T[None] * _powers_of(omega, qs)[:, None, :]
-
-    compressed = omega, fc_q, np.expm1(1j * tau_c), compressed_rows
+    compressed = _diagonal_stream(omega, fc_q, tau_c)
     for sign in (1, -1):
         signed = [m for m in diff if sign * m > 0]
         for (g, r_amb), (gc, r_c) in zip(_telescoped(*ambient, signed, per), _telescoped(*compressed, signed, per)):
@@ -841,16 +817,32 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     if inst.h0.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
     half_width = float(np.max(np.abs(inst.eigenvalues))) * (1.0 + 1e-12) + 1e-15
-    c, v = _cayley_values(inst.eigenvalues, phase), inst.eigenvectors
-    u0 = np.diag(c) if _is_identity(v) else _from_spectrum(v, c)
-    full = complex(_lhs(u0, _low_rank_endpoint(inst.f, inst.tau, u0), inst.a, p)[0])
-    rows = []
+    full = _thin_lhs(_cayley_values(inst.eigenvalues, phase), inst.fh, inst.tau, p)
+    fh, rows = _padded(inst.fh), []
     for n in sorted(cell_counts):
         proj = _window_basis(inst, half_width, n)
-        model = _model(proj, inst.f.conj().T @ proj.columns, inst.tau, phase)
-        compressed = complex(_lhs(model.u0p, model.up, model.ap, p)[0])
+        _, omega, _, tau_c, fc_cells = _compressed(proj, _seed_rows(proj, fh, proj.cell_blocks), inst.tau, phase)
+        compressed = _thin_lhs(_to_columns(proj, omega), _to_columns(proj, fc_cells), tau_c, p)
         rows.append(ConvergenceRow(int(n), proj.rank, compressed, abs(full - compressed)))
     return ConvergenceStudy(full_trace=full, rows=tuple(rows))
+
+
+def _thin_lhs(s: np.ndarray, f: np.ndarray, tau: np.ndarray, p: TrigPolynomial) -> complex:
+    """Left side Tr{p(X) - p(S) - d/dt p(e^{itH} S)|_0} of X = e^{iH} S, H = F diag(tau) F*, S = diag(s), F orthonormal.
+
+    X = (I + F diag(e) F*) S with e = e^{i tau} - 1, so ``_telescoped`` gives
+    Tr(X^n - S^n) = sum_{j<n} tr((X^j F) diag(e) (F* S^{n-j})), and its mirror
+    for n < 0, and i n Tr(H S^n) = i n sum_l tau_l f_l* S^n f_l: no square
+    matrix, O(|n| N L^2) per mode n for N rows of F.
+    """
+    modes, coeffs = _coefficients([p])
+    traces = dict.fromkeys(modes.tolist(), 0.0)
+    for sign in (1, -1):
+        for g, right in _telescoped(*_diagonal_stream(s, f, tau), [n for n in traces if sign * n > 0], _per(tau.size)):
+            for n, r in right.items():
+                traces[n] += np.einsum("ia,ai->", g[:, : r.shape[0]], r)
+    derivative = 1j * modes * (_powers_of(s, modes) @ (np.abs(f) ** 2 @ tau))
+    return complex((coeffs @ (np.array(list(traces.values())) - derivative))[0])
 
 
 def spread_diagonal(dim: int, half_width: float) -> np.ndarray:
@@ -861,11 +853,17 @@ def spread_diagonal(dim: int, half_width: float) -> np.ndarray:
 
 def random_low_rank_hermitian(rng: np.random.Generator, dim: int, rank: int, scale: float) -> np.ndarray:
     """Hermitian of exact rank ``rank`` with operator norm ``scale``."""
+    q, taus = _low_rank_pairs(rng, dim, rank, scale)
+    return (q * taus) @ q.conj().T
+
+
+def _low_rank_pairs(rng: np.random.Generator, dim: int, rank: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs (Q, tau) that ``random_low_rank_hermitian`` draws: orthonormal Q, max |tau| = ``scale``."""
     z = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2.0)
     q, _ = np.linalg.qr(z)
     taus = rng.uniform(0.4, 1.0, rank) * rng.choice([-1.0, 1.0], rank)
     taus *= scale / np.max(np.abs(taus))
-    return (q * taus) @ q.conj().T
+    return q, taus
 
 
 @dataclass(frozen=True)
@@ -890,8 +888,7 @@ def reduction_instance(seed: int, ambient: int, rank: int, scale: float, phase: 
         raise UnishiftError(f"ambient must be at most {_MAX_AMBIENT}, not {ambient}")
     rng = np.random.default_rng(seed)
     h0 = spread_diagonal(ambient, 1.0)
-    a = random_low_rank_hermitian(rng, ambient, rank, scale)
+    q, tau = _low_rank_pairs(rng, ambient, rank, scale)
     u0 = np.diag(_cayley_values(np.diagonal(h0).real, phase))
-    f, tau, _ = _kept_pairs(a)
-    u = _low_rank_endpoint(f, tau, u0)
-    return ReductionInstance(h0=h0, a=a, phase=phase, u0=u0, u=u, half_width=1.0)
+    return ReductionInstance(h0=h0, a=(q * tau) @ q.conj().T, phase=phase, u0=u0, u=_low_rank_endpoint(q, tau, u0),
+                             half_width=1.0)

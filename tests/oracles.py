@@ -46,14 +46,15 @@ path to the package routine it checks:
   * ``dense_kept_pairs`` takes the kept eigenpairs of a Hermitian matrix
     from one full eigh; the package builds a basis of the range first and
     diagonalises only the k x k compression.
-  * ``one_cell_basis``, ``full_space``, ``seeded_instance``, ``abs_sum``,
-    ``weighted_abs_sum``, ``remainder_trace_norm_bound`` and
-    ``PhaseTooClose`` are test-only helpers: a hand-built basis with one cell
-    holding every row of a checked instance, the whole-space projection
-    recording an H0, with its eigenpairs from one full eigh, and an A, an
-    instance whose seeds are given columns, coefficient sums of a
-    polynomial, the per-mode trace-norm bound of the left side, and the error
-    of ``cayley_forward``.
+  * ``one_cell_basis``, ``ambient_columns``, ``full_space``,
+    ``seeded_instance``, ``abs_sum``, ``weighted_abs_sum``,
+    ``remainder_trace_norm_bound`` and ``PhaseTooClose`` are test-only
+    helpers: a hand-built basis with one cell holding every row of a checked
+    instance, the ambient columns B = V Bhat of a basis, which keeps only
+    its cells in eigen-coordinates, the whole-space projection recording an
+    H0, with its eigenpairs from one full eigh, and an A, an instance whose
+    seeds are given columns, coefficient sums of a polynomial, the per-mode
+    trace-norm bound of the left side, and the error of ``cayley_forward``.
 
 Except in the dense audits, integer powers come from
 ``np.linalg.matrix_power``, of U* for negative exponents.
@@ -530,9 +531,19 @@ def one_cell_basis(columns, instance: CheckedInstance, params: WindowParams) -> 
     """
     dim, rank = columns.shape
     return ProjectionBasis(
-        columns, params, instance, cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
+        params, instance, cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
         cell_blocks=(instance.eigenvectors.conj().T @ columns)[None],
     )
+
+
+def ambient_columns(p: ProjectionBasis) -> np.ndarray:
+    """The ambient columns B = V Bhat of a window basis: each occupied cell's block mapped by its eigencolumns."""
+    v = p.instance.eigenvectors
+    b = np.zeros((v.shape[0], p.rank), dtype=np.complex128)
+    for rows, cols, block in zip(p.cell_rows, p.cell_columns, p.cell_blocks):
+        rows, cols = rows[rows >= 0], cols[cols >= 0]
+        b[:, cols] = v[:, rows] @ block[: rows.size, : cols.size]
+    return b
 
 
 def full_space(dim: int, h0, a) -> ProjectionBasis:
@@ -543,14 +554,16 @@ def full_space(dim: int, h0, a) -> ProjectionBasis:
     """
     eye, h0 = np.eye(dim, dtype=np.complex128), np.asarray(h0, dtype=np.complex128)
     w, v = np.linalg.eigh(h0)
-    instance = replace(_instance(h0, a), eigenvalues=w, eigenvectors=v)
+    instance = _instance(h0, a)
+    instance = replace(instance, eigenvalues=w, eigenvectors=v, fh=v.conj().T @ instance.f)
     return one_cell_basis(eye, instance, WindowParams(count=instance.tau.size, half_width=np.inf, cells=1, eps=0.0))
 
 
 def seeded_instance(h0, f) -> CheckedInstance:
     """The checked instance of H0 and A = F F*, recording the unit columns F themselves as its seeds, each tau 1."""
     f = np.asarray(f, dtype=np.complex128)
-    return replace(_instance(h0, f @ f.conj().T), f=f, tau=np.ones(f.shape[1]))
+    instance = _instance(h0, f @ f.conj().T)
+    return replace(instance, f=f, fh=instance.eigenvectors.conj().T @ f, tau=np.ones(f.shape[1]))
 
 
 def abs_sum(p: TrigPolynomial) -> float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     PhaseTooClose,
+    ambient_columns,
     cayley_forward,
     choose_phase,
     dense_compressed_audit,
@@ -52,14 +53,15 @@ from unishift.reduction import (
     CompressedModel,
     ReductionInstance,
     _cayley,
+    _cayley_values,
     _instance,
     _kept_pairs,
-    _offblock,
+    _thin_lhs,
     _window_basis,
     random_low_rank_hermitian,
     spread_diagonal,
 )
-from unishift.trace_formula import _exp_remainder_factor
+from unishift.trace_formula import _exp_remainder_factor, _lhs
 
 seeds = st.integers(0, 2**31 - 1)
 M_LIST = [1, -1, 2, -2, 4, -4]
@@ -96,7 +98,8 @@ class TestBuildProjection:
         f = np.zeros(16, dtype=complex)
         f[3] = 1.0
         p = _window_basis(seeded_instance(h0, f[:, None]), 1.0, 4)
-        assert np.linalg.norm(f - p.columns @ (p.columns.conj().T @ f)) <= 1e-12
+        b = ambient_columns(p)
+        assert np.linalg.norm(f - b @ (b.conj().T @ f)) <= 1e-12
 
     def test_single_cell_rank_bound(self):
         h0 = spread_diagonal(8, 1.0)
@@ -111,17 +114,18 @@ class TestBuildProjection:
         inst = reduction_instance(0, 64, 3, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 8)
         assert p.rank <= 8 * 3
-        assert op_norm(p.columns.conj().T @ p.columns - np.eye(p.rank)) <= 1e-12
+        b = ambient_columns(p)
+        assert op_norm(b.conj().T @ b - np.eye(p.rank)) <= 1e-12
 
     def test_huge_cell_count_visits_only_occupied_cells(self, address_space_cap):
         # spread_diagonal(64) puts one eigenvalue in each of 64 cells, as any finer partition does
         inst = reduction_instance(1, 64, 2, 0.5)
         fine = build_direction_projection(inst.h0, inst.a, inst.half_width, 64)
         huge = build_direction_projection(inst.h0, inst.a, inst.half_width, 10**12)
-        np.testing.assert_array_equal(huge.columns, fine.columns)
+        np.testing.assert_array_equal(ambient_columns(huge), ambient_columns(fine))
         assert huge.params.cells == 10**12
         seeded = _window_basis(fine.instance, 1.0, 10**12)
-        assert seeded.columns.tobytes() == huge.columns.tobytes()
+        assert ambient_columns(seeded).tobytes() == ambient_columns(huge).tobytes()
 
     def test_bad_window(self):
         h0 = spread_diagonal(8, 1.0)
@@ -167,7 +171,9 @@ class TestProjectionAudit:
         vals = []
         for n in cells:
             p = build_direction_projection(inst.h0, inst.a, inst.half_width, n)
-            value = _offblock(p.columns, res @ p.columns)
+            b = ambient_columns(p)
+            y = res @ b
+            value = hs_norm(y - b @ (b.conj().T @ y))  # ||P_perp (i + H0)^{-1} P||_HS
             assert value <= p.params.eps + 1e-10
             vals.append(value)
         slope = np.polyfit(np.log(cells), np.log(vals), 1)[0]
@@ -303,6 +309,72 @@ class TestConvergenceStudy:
         assert abs(full - compressed) <= 64 * 1e-10
 
 
+THIN_MODES = list(range(-4, 5))
+
+
+def rel_gap(got, want) -> float:
+    """|got - want| / (1 + |want|), the package's ``rel_err``."""
+    return abs(got - want) / (1.0 + abs(want))
+
+
+class TestThinLeftSide:
+    """The study's traces, from thin streams in H0's eigen-coordinates, against the dense ``_lhs`` of the same pair."""
+
+    @staticmethod
+    def case(dim: int, kind: str):
+        """(H0, A, U0, U) of a reduction instance at phase 0.3, or of its rotation by a Haar Q."""
+        inst = reduction_instance(dim, dim, 2, 0.5, phase=0.3)
+        if kind == "diagonal":
+            return inst.h0, inst.a, inst.u0, inst.u
+        q = haar_unitary(np.random.default_rng(dim), dim)
+        f, tau, _ = _kept_pairs(inst.a)
+        qf = q @ f
+        h0 = (q * np.diagonal(inst.h0).real) @ q.conj().T
+        u0 = (q * np.diagonal(inst.u0)) @ q.conj().T
+        u = u0 + (qf * np.expm1(1j * tau)) @ (qf.conj().T @ u0)
+        return 0.5 * (h0 + h0.conj().T), (qf * tau) @ qf.conj().T, u0, u
+
+    @pytest.mark.parametrize("kind", ["diagonal", "haar"])
+    @pytest.mark.parametrize("dim, ladder", [(64, [4, 8, 16]), (256, [8, 16, 64]), (1024, [16, 64, 256])])
+    def test_matches_the_dense_left_side(self, dim, ladder, kind):
+        """Every mode -4..4 of the ambient pair, and every rung of the ladder, within 1e-12 of the dense left side."""
+        h0, a, u0, u = self.case(dim, kind)
+        inst = _instance(h0, a)
+        assert np.array_equal(inst.eigenvectors, np.eye(dim)) == (kind == "diagonal")
+        polys = [TrigPolynomial.monomial(n) for n in THIN_MODES]
+        c = _cayley_values(inst.eigenvalues, 0.3)
+        thin = [_thin_lhs(c, inst.fh, inst.tau, poly) for poly in polys]
+        for n, got, want in zip(THIN_MODES, thin, _lhs(u0, u, a, *polys)):
+            assert rel_gap(got, want) <= 1e-12, (n, got, want)
+        mixed = TrigPolynomial({n: (1.0 + 0.5j) / (1 + abs(n)) for n in THIN_MODES})
+        study = convergence_study(h0, a, 0.3, mixed, ladder)
+        assert rel_gap(study.full_trace, sum(mixed.coeffs[n] * x for n, x in zip(THIN_MODES, thin))) <= 1e-12
+        half_width = float(np.max(np.abs(inst.eigenvalues))) * (1.0 + 1e-12) + 1e-15
+        for row in study.rows:
+            model = compressed_model(_window_basis(inst, half_width, row.cells), h0, a, 0.3)
+            assert model.rank == row.rank
+            want = _lhs(model.u0p, model.up, model.ap, mixed)[0]
+            assert rel_gap(row.compressed_trace, want) <= 1e-12, (row.cells, row.compressed_trace, want)
+
+    def test_convergence_study_takes_no_dense_left_side(self, monkeypatch):
+        """The study never runs ``_lhs`` or ``_power_blocks``: the same study with both refused."""
+        from unishift import linalg, reduction, trace_formula
+
+        inst = reduction_instance(21, 128, 2, 0.4)
+        poly = TrigPolynomial({-3: 0.5, 2: 1.0, 4: 0.25j})
+        want = convergence_study(inst.h0, inst.a, inst.phase, poly, [4, 8, 16])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the study ran the dense left side")
+
+        for owner, name in [(trace_formula, "_lhs"), (trace_formula, "_power_blocks"), (linalg, "_power_blocks")]:
+            monkeypatch.setattr(owner, name, refused)
+        assert not any(hasattr(reduction, name) for name in ("_lhs", "_power_blocks"))
+        assert convergence_study(inst.h0, inst.a, inst.phase, poly, [4, 8, 16]) == want
+        with pytest.raises(AssertionError, match="dense left side"):  # the patch reaches the dense left side
+            lhs_trace(inst.u0, inst.u, inst.a, poly)
+
+
 class TestGenerators:
     def test_spread_diagonal_strictly_inside(self):
         h0 = spread_diagonal(16, 0.7)
@@ -433,7 +505,7 @@ class TestThinFactorsOracle:
     def audit_against_reference(self, p, inst, a, u, samples):
         pert = audit_perturbation_estimates(p, inst.u0, u, a, 2.0, self.M, samples)
         comp = audit_compressed_model(p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K)
-        b, eps = p.columns, p.params.eps
+        b, eps = ambient_columns(p), p.params.eps
         assert_matches_reference(pert, dense_perturbation_audit(b, eps, inst.u0, u, a, 2.0, self.M, samples))
         assert_matches_reference(comp, dense_compressed_audit(
             b, eps, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, T_GRID, _exp_remainder_factor
@@ -497,7 +569,7 @@ class TestThinFactorsOracle:
     @pytest.mark.parametrize("kind", THIN_DIRECTIONS)
     def test_thin_compressed_direction_edge_cases(self, kind):
         p, inst, a, u = thin_direction_case(kind)
-        fb = _kept_pairs(a)[0].conj().T @ p.columns
+        fb = _kept_pairs(a)[0].conj().T @ ambient_columns(p)
         shapes = {"orthogonal": (2, 10), "one-column": (3, 1), "zero": (0, p.rank), "repeated": (3, p.rank),
                   "full-rank": (32, p.rank)}
         assert fb.shape == shapes[kind]
@@ -602,7 +674,7 @@ class TestStreamedAuditsOracle:
 
     def audit_against_dense(self, p, inst):
         """The three audits, each value within 1e-12 and each bound within 1e-12 (1 + bound) of its definition."""
-        b, eps = p.columns, p.params.eps
+        b, eps = ambient_columns(p), p.params.eps
         reports = [
             audit_projection_estimates(p, inst.h0, inst.u0, self.M),
             audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, self.M, self.SAMPLES),
@@ -631,7 +703,7 @@ class TestPerCellOrthonormalisation:
     def assert_matches_global(h0, seeds, half_width, cells):
         p = _window_basis(seeded_instance(h0, seeds), half_width, cells)
         ref = window_basis_global_mgs(h0, seeds, half_width, cells)
-        b = p.columns
+        b = ambient_columns(p)
         assert p.rank == ref.shape[1]
         assert np.max(np.abs(b @ b.conj().T - ref @ ref.conj().T)) <= 1e-12
         assert np.max(np.abs(b.conj().T @ b - np.eye(p.rank))) <= 1e-12
@@ -748,7 +820,7 @@ class TestBatchedWindowBasis:
         dec = herm_eig(h0)
         p = _window_basis(seeded_instance(h0, f), 1.0, cells)
         for name, want in window_basis_per_cell(dec, f, 1.0, cells).items():
-            got = getattr(p, name)
+            got = ambient_columns(p) if name == "columns" else getattr(p, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
         if kind == "no-piece" and cells == 8:  # the first seed has pieces in cells 0, 2 and 7 only
@@ -783,6 +855,22 @@ class TestBoundedMemory:
 
         small, large = peak(4), peak(400)
         assert large <= 2 * small, (small, large)
+
+    def test_convergence_study_forms_no_square_matrix_beyond_the_instance(self):
+        """The study's peak is that of checking (H0, A) and taking their eigenpairs, plus 8 MiB, at ambient 1024."""
+        inst = reduction_instance(5, 1024, 2, 0.5)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        checked = peak(lambda: _instance(inst.h0, inst.a))
+        study = peak(lambda: convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), [16, 64, 256]))
+        assert study <= checked + 8 * 2**20, (checked, study)
 
 
 class TestOneDecompositionPerCall:
@@ -913,12 +1001,12 @@ class TestOneOperandCheck:
         ("bounds", "16"), ("bounds", "4,8,16,32"), ("converge", "16"), ("converge", "2,4,8,16"),
     ])
     def test_commands_check_and_decompose_once_per_run(self, monkeypatch, tmp_path, command, ranks):
-        """A run checks H0 and A once and takes one eigh of H0, and A's kept pairs once more than the instance did."""
+        """A run checks H0 and A once, takes one eigh of H0 and finds A's kept pairs once: the draw keeps its own."""
         from unishift.cli import main
 
         counted = [self.count(monkeypatch, name) for name in ("require_hermitian", "herm_eig", "_kept_pairs")]
         assert main([command, "--ambient", "64", "--ranks", ranks, "--out", str(tmp_path / "out")]) == 0
-        assert tuple(map(len, counted)) == (2, 1, 2)
+        assert tuple(map(len, counted)) == (2, 1, 1)
 
     @staticmethod
     def kept_pair_shapes(monkeypatch):
@@ -1239,8 +1327,8 @@ class TestTypedErrors:
                 call(inst.a[:31, :31])
 
     @pytest.mark.parametrize("field", [
-        "columns", "params", "instance", "cell_rows", "cell_columns", "cell_blocks",
-        "h0", "eigenvalues", "eigenvectors", "a", "f", "tau",
+        "params", "instance", "cell_rows", "cell_columns", "cell_blocks",
+        "h0", "eigenvalues", "eigenvectors", "a", "f", "fh", "tau",
     ])
     def test_basis_is_checked_where_it_is_made(self, field):
         """Each field of the basis, and each array of its instance, is checked when the basis is made."""
@@ -1273,7 +1361,7 @@ class TestTypedErrors:
         with pytest.raises(MissingConstruction):  # eigenpairs without a cell layout
             audit_compressed_model(replace(p, cell_blocks=None), inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])
         # the same basis with one cell holding every row gives the same values
-        one_cell = one_cell_basis(p.columns, p.instance, p.params)
+        one_cell = one_cell_basis(ambient_columns(p), p.instance, p.params)
         for got, want in [
             (audit_projection_estimates(one_cell, inst.h0, inst.u0, [1, -2]),
              audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),

@@ -33,7 +33,8 @@ from unishift import (
     random_pair,
     resolvent_check,
 )
-from unishift import linalg, trace_formula
+from unishift import linalg, reduction_instance, trace_formula
+from unishift.reduction import _cayley_values, _instance, _thin_lhs
 from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, haar_unitary, random_hermitian, trace_norm
 from unishift.trace_formula import _MAX_ORDER, _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
 from unishift.trigpoly import random_trig_polynomial
@@ -485,6 +486,18 @@ class TestSidesShareNoSpectralCode:
         np.testing.assert_array_equal(_lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys), want)
         with pytest.raises(Forbidden):  # the patch reaches the right side
             EtaIntegrator(self.pair.u0, self.pair.a)
+
+    def test_thin_left_side_takes_no_eigendecomposition(self, monkeypatch):
+        """The reduction's left side in H0's eigen-coordinates reads eigenpairs found before it, and finds none."""
+        inst = reduction_instance(13, 48, 3, 1.4, phase=0.3)
+        checked = _instance(inst.h0, inst.a)
+        c = _cayley_values(checked.eigenvalues, 0.3)
+        want = [_thin_lhs(c, checked.fh, checked.tau, p) for p in self.polys]
+        forbid(monkeypatch, np.linalg, "eigh", "eigvalsh", "eig", "eigvals")
+        got = [_thin_lhs(c, checked.fh, checked.tau, p) for p in self.polys]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        with pytest.raises(Forbidden):  # the patch reaches the eigenpairs
+            _instance(inst.h0, inst.a)
 
     def test_right_side_takes_no_matrix_power(self, monkeypatch):
         modes = list(range(-8, 9))

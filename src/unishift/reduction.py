@@ -17,21 +17,33 @@ trace error over a ladder of partition resolutions.
 
 One checked instance (``_instance``) holds H0 and A, each checked once by
 ``require_hermitian``, the eigh H0 = V diag(lambda) V*, A's kept pairs
-(F, tau) and ||A||, and Fh = V* F.  All that follows computes in H0's
-eigen-coordinates; V is read only there and in the frame's U0 check, where
-dense operands come in.  Every partition of a ``bounds`` run or a
-convergence ladder is built from one instance; nothing is kept between
-calls.  An exactly diagonal H0 with ascending entries, as
-``reduction_instance`` builds, is its own eigenbasis: ``herm_eig`` returns
-V = I with no LAPACK call.  A window basis (``ProjectionBasis``) is the cell
-layout of B = V Bhat, with the instance that built it, whose F are its
-seeds, and is checked for presence and shape once, when it is made.  Each
-audit, and ``compressed_model``, builds one checked frame (``_frame``) at
-delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m: H0 and
-A against the basis's own in O(d^2), so an operand that did not build the
-basis is refused, U0 against the eigenpairs and U against e^{iA} U0.
-Phases, half-widths, the horizon T >= 0 and samples in [-T, T] are finite
-real numbers (``_is_real``); powers, samples and cell counts are iterables.
+(F, tau) and ||A||, and Fh = V* F (a copy of F for V = I exactly).  All
+that follows computes in H0's eigen-coordinates; V is read only there and
+in the frame's U0 check, where dense operands come in.  Every partition of
+a ``bounds`` run or a convergence ladder is built from one instance;
+nothing is kept between calls.  An exactly diagonal H0 with ascending
+entries, as ``reduction_instance`` builds, is its own eigenbasis:
+``herm_eig`` returns V = I with no LAPACK call.  A window basis
+(``ProjectionBasis``) is the cell layout of B = V Bhat, with the instance
+that built it, whose F are its seeds, and is checked for presence and
+shape once, when it is made.  Each audit, and ``compressed_model``, builds
+one checked frame (``_frame``) at delta = AUDIT_SLACK / (2 max(1, max |m|))
+over the call's powers m: H0 and A against the basis's own in O(d^2), so
+an operand that did not build the basis is refused, U0 against the
+eigenpairs and U against e^{iA} U0.  Phases, half-widths, the horizon
+T >= 0 and samples in [-T, T] are finite real numbers (``_is_real``);
+powers, samples and cell counts are iterables.
+
+The dense d x d operands are read a block of rows at a time
+(``linalg._row_blocks``), so each pass stays in cache and forms no d x d
+temporary.  The Hermitian checks of ``_instance`` and the Hermitian part
+the range finder starts from come from the row-blocked
+``linalg._hermitian_blocks``; each step of the range finder updates its
+residual and takes the new column norms in one pass
+(``_deflated_norms``).  A frame reads each operand once: an H0 or A equal
+to the instance's checked copy passes on one ``np.array_equal``, U0's
+off-diagonal part is read in place when V = I, and ||U - e^{iA} U0|| is
+summed over row blocks.
 
 The direction is low rank, so no d x d exponential and no d x d
 eigendecomposition of it is ever formed.  An orthonormal basis Q of the
@@ -120,9 +132,14 @@ from .errors import (
 )
 from .linalg import (
     _adjoint,
+    _as_array,
+    _blocks_hs_norm,
     _eigh,
+    _hermitian_part,
     _is_diagonal,
+    _off_diagonal,
     _require_draw,
+    _row_blocks,
     as_matrix,
     herm_eig,
     hs_norm,
@@ -300,10 +317,13 @@ def _kept_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     blocks, doubling in size, of the largest columns of the residual
     H - Q(Q*H), each orthonormalised by SVD against Q, until every residual
     column is at most delta = 1e-13 max(max column norm, 1) / sqrt(d); the
-    dropped part is then at most 2 sqrt(d) delta in the 2-norm.
+    dropped part is then at most 2 sqrt(d) delta in the 2-norm.  The
+    Hermitian part and each update of the residual with its column norms
+    are row-blocked passes (``_hermitian_part``, ``_deflated_norms``), with
+    no d x d temporary.
     """
-    rest = 0.5 * (h + h.conj().T)  # H - Q(Q*H) for the Hermitian part of H, with Q empty so far
-    dim, norms = h.shape[0], np.linalg.norm(rest, axis=0)
+    rest = _hermitian_part(h)  # H - Q(Q*H) for the Hermitian part of H, with Q empty so far
+    dim, norms = h.shape[0], _deflated_norms(rest)
     delta = 1e-13 * max(float(np.max(norms, initial=0.0)), 1.0) / np.sqrt(max(dim, 1))
     q, size = np.zeros((dim, 0), dtype=np.complex128), 1
     while q.shape[1] < dim and (big := np.flatnonzero(norms > delta)).size:
@@ -312,10 +332,26 @@ def _kept_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         new = left[:, values > delta]  # not empty: the first picked column exceeds delta
         # A direction of small singular value keeps roundoff along Q divided by it: project and re-orthonormalise.
         new = np.linalg.qr(new - q @ (q.conj().T @ new))[0]
-        rest -= new @ (new.conj().T @ rest)
+        norms = _deflated_norms(rest, new)
         q, size = np.concatenate([q, new], axis=1), 2 * size
-        norms = np.linalg.norm(rest, axis=0)
     return _kept_of(q, q.conj().T @ (h @ q))  # hermitised, Q*HQ of the Hermitian part
+
+
+def _deflated_norms(rest: np.ndarray, new: np.ndarray | None = None) -> np.ndarray:
+    """The column norms of R - N(N*R), written into R = ``rest`` a block of rows at a time; of R itself without N.
+
+    Bit for bit ``rest -= new @ (new.conj().T @ rest)`` and
+    ``np.linalg.norm(rest, axis=0)``, whose reduction over rows adds the
+    squares row after row; the squares go on in that order from block to block.
+    """
+    coefficients = None if new is None else new.conj().T @ rest
+    squares = np.zeros((1, rest.shape[1]))
+    for rows in _row_blocks(rest.shape[0]):
+        block = rest[rows]
+        if new is not None:
+            block -= new[rows] @ coefficients
+        squares = np.add.reduce(np.concatenate([squares, (block.conj() * block).real]), axis=0, keepdims=True)
+    return np.sqrt(squares[0])
 
 
 def _kept_of(q: np.ndarray, small: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -336,13 +372,24 @@ def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.nda
     return u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
 
 
+def _is_identity(v: np.ndarray) -> bool:
+    """Whether the square V is exactly the identity, in O(d^2)."""
+    return _is_diagonal(v) and bool(np.all(np.diagonal(v) == 1.0))
+
+
 def _instance(h0, a) -> CheckedInstance:
-    """The one checked instance of (H0, A): both checked, the eigh of H0 and A's kept pairs (F, tau) and ||A||."""
+    """The one checked instance of (H0, A): both checked, the eigh of H0 and A's kept pairs (F, tau) and ||A||.
+
+    A's kept pairs are found before H0's eigenvectors are made, so the range
+    finder's d x d residual is gone before they come; Fh = V* F is a copy of F
+    when V is exactly the identity.
+    """
     h0 = require_hermitian(h0, "h0")
     a = require_hermitian(a, "a", h0.shape[0])
-    dec = herm_eig(h0, check=False)
     f, tau, a_norm = _kept_pairs(a)
-    return CheckedInstance(h0, dec.eigenvalues, dec.vectors, a, f, dec.vectors.conj().T @ f, tau, a_norm)
+    dec = herm_eig(h0, check=False)
+    fh = f.copy() if _is_identity(dec.vectors) else dec.vectors.conj().T @ f
+    return CheckedInstance(h0, dec.eigenvalues, dec.vectors, a, f, fh, tau, a_norm)
 
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
@@ -404,6 +451,13 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     whose delta falls below d times the machine epsilon, the roundoff of one
     such gap at ambient size d, is refused (``UnishiftError``) first.
 
+    Each d x d operand is read once where it can be: an H0 or A equal to
+    the instance's checked copy, entry for entry, has a gap of 0 and finite
+    entries, so one ``np.array_equal`` passes it; U0's off-diagonal part,
+    for V = I, is read in place; and U - U0 - F diag(e^{i tau} - 1)(F* U0)
+    is summed a block of rows at a time.  A d x d gap is formed only for an
+    H0 or A that differs from the checked copy, and for a dense V.
+
     Returns c (None without U0) and, with A, tau, ||A||, Fh and P_perp Fh
     with their zero row d, and F* B (else None).
     """
@@ -419,33 +473,42 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
             f" {floor:.3e} of a Hilbert-Schmidt gap at ambient size {d}"
         )
 
-    def require(gap, what):
-        if hs_norm(gap) > delta:
+    def require(gap_norm, what):
+        if gap_norm > delta:
             raise PathMismatch(f"{what} (tol {delta:.3e})")
 
     operands = ("h0", h0, inst.h0, "H0 is not the operator"), ("a", a, inst.a, "A is not the direction")
     for name, given, built, what in operands:
-        if given is not None and hs_norm(gap := as_matrix(given, name, d, copy=None) - built) > delta:
+        if given is None:
+            continue
+        given = _as_array(given, copy=None)
+        if given.shape == built.shape and np.array_equal(given, built):  # a gap of 0, and finite entries
+            continue
+        if (gap_norm := hs_norm(as_matrix(given, name, d, copy=None) - built)) > delta:
             require_hermitian(given, name, d)
-            require(gap, f"{what} that built the projection")
+            require(gap_norm, f"{what} that built the projection")
     c = direction = None
     if a is not None:
         fh = _padded(inst.fh)
         direction = inst.tau, inst.a_norm, fh, _perp(p, fh), _seed_rows(p, fh, p.cell_blocks)
     if u0 is not None:
         u0, v = as_matrix(u0, "u0", d, copy=None), inst.eigenvectors
-        if _is_diagonal(v) and np.all(np.diagonal(v) == 1.0):  # V = I exactly: the gap of U0 is U0 - diag(c)
-            c, gap = np.diagonal(u0).copy(), u0.copy()
-            np.fill_diagonal(gap, 0.0)
+        if _is_identity(v):  # the gap of U0 is its off-diagonal part, read in place
+            c, off = np.diagonal(u0).copy(), _off_diagonal(u0)
+            gap_norm = _blocks_hs_norm(off[rows] for rows in _row_blocks(d - 1))
         else:
             gap = u0 @ v
             c = np.einsum("ij,ij->j", v.conj(), gap)
             gap -= v * c
-        require(gap, "U0 is not diagonal in the eigenbasis of H0")
+            gap_norm = hs_norm(gap)
+        require(gap_norm, "U0 is not diagonal in the eigenbasis of H0")
         if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
             raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
     if u is not None:
-        require(as_matrix(u, "u", d, copy=None) - _low_rank_endpoint(inst.f, inst.tau, u0), "U is not e^(iA) U0")
+        # ||U - e^{iA} U0|| with e^{iA} U0 = U0 + F diag(e^{i tau} - 1) (F* U0), a block of rows at a time
+        u, step, fu0 = as_matrix(u, "u", d, copy=None), _exp_step(inst.f, inst.tau), inst.f.conj().T @ u0
+        gap_norm = _blocks_hs_norm(u[rows] - (u0[rows] + step[rows] @ fu0) for rows in _row_blocks(d))
+        require(gap_norm, "U is not e^(iA) U0")
     return c, direction
 
 

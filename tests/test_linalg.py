@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,25 @@ class TestDiagonalEigenbasis:
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_unchecked_herm_eig_reads_its_input_in_place(kind):
+    """With check=False no copy of the input is made: a read-only input works, and a diagonal one costs its identity."""
+    rng = np.random.default_rng(512)
+    h = np.diag(np.arange(512.0)).astype(complex) if kind == "diagonal" else random_hermitian(rng, 512, 1.0)
+    h.flags.writeable = False
+    want = herm_eig(h.copy())
+    tracemalloc.start()
+    try:
+        dec = herm_eig(h, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.eigenvalues.tobytes() == want.eigenvalues.tobytes() and dec.vectors.tobytes() == want.vectors.tobytes()
+    assert not np.shares_memory(dec.eigenvalues, h) and not np.shares_memory(dec.vectors, h)
+    if kind == "diagonal":
+        assert peak < 1.5 * h.nbytes, peak
 
 
 def test_choose_phase_identity():
@@ -568,6 +589,74 @@ def test_validation_certificate_matches_svd_definition(seed, dim, kind, factor):
     got, want = (_validation_outcome(check, m) for check in checks)
     assert got == want
     assert (want is not None) == (factor > 1.0)
+
+
+class TestRowBlockedHermitianKernel:
+    """The row-blocked Hermitian part and gap at sizes of one block, several, and a lone last row."""
+
+    SIZES = [1, 2, 31, 32, 33, 65, 257]
+
+    @pytest.fixture(params=["blocked", "whole"])
+    def path(self, request, monkeypatch):
+        """Matrices of at most ``_WHOLE_ROWS`` rows are read whole; "blocked" takes them through the kernel too."""
+        if request.param == "blocked":
+            monkeypatch.setattr(linalg, "_WHOLE_ROWS", 0)
+        return request.param
+
+    @staticmethod
+    def perturbed(dim, factor, limit, rng):
+        """A random Hermitian H plus a dense X with ||X - X*||_2 = factor * limit."""
+        h = random_hermitian(rng, dim, rng.uniform(0.1, 10.0))
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return h, (factor * limit(h) / op_norm(x - x.conj().T)) * x
+
+    @pytest.mark.parametrize("dim", SIZES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocks_cover_every_row_once(self, dim, order):
+        blocks = linalg._row_blocks(dim)
+        assert np.array_equal(np.concatenate([np.arange(dim)[rows] for rows in blocks]), np.arange(dim))
+        assert all(rows.stop - rows.start >= min(dim, 2) for rows in blocks)
+        m = np.asarray(np.random.default_rng(dim).standard_normal((dim, dim, 2)) @ [1.0, 1j], order=order)
+        rows = [(r, top.copy(), adjoint.copy()) for r, top, adjoint in linalg._hermitian_blocks(m)]
+        assert [r for r, _, _ in rows] == blocks
+        for r, top, adjoint in rows:
+            assert np.array_equal(top, m[r]) and np.array_equal(adjoint, m.conj().T[r])
+
+    @pytest.mark.parametrize("dim", SIZES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_hermitian_part_is_the_dense_formula_bit_for_bit(self, path, dim, order):
+        rng = np.random.default_rng(dim)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = np.asarray(m, order=order)
+        want = 0.5 * (m + m.conj().T)
+        got = linalg._hermitian_part(m)
+        assert got.flags.c_contiguous and got.tobytes() == np.ascontiguousarray(want).tobytes()
+        gap = hs_norm(m - m.conj().T)
+        assert abs(linalg._hermitian_gap(m) - gap) <= 1e-14 * gap
+
+    @pytest.mark.parametrize("dim", SIZES[2:])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_require_hermitian_decides_as_the_svd_definition(self, path, dim, factor):
+        """At 0.99 and 1.01 of the tolerance 1e-10 ||M||_2, with the gap spread over every block."""
+        rng = np.random.default_rng(dim)
+        h, x = self.perturbed(dim, factor, lambda h: 1e-10 * op_norm(h), rng)
+        got, want = (_validation_outcome(check, h + x) for check in (require_hermitian, require_hermitian_svd))
+        assert got == want
+        assert (want is not None) == (factor > 1.0)
+
+    @pytest.mark.parametrize("dim", SIZES[2:])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_certificate_reads_the_blocked_gap(self, path, monkeypatch, dim, factor):
+        """At 0.99 of the Hilbert-Schmidt certificate a pass takes no operator norm; at 1.01 it takes them."""
+        rng = np.random.default_rng(dim)
+        h = random_hermitian(rng, dim, rng.uniform(0.1, 10.0))
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = h + (factor * 1e-10 * hs_norm(h) / np.sqrt(dim) / hs_norm(x - x.conj().T)) * x
+        calls = []
+        original = linalg.op_norm
+        monkeypatch.setattr(linalg, "op_norm", lambda a: calls.append(1) or original(a))
+        assert _validation_outcome(require_hermitian, m) is None is _validation_outcome(require_hermitian_svd, m)
+        assert bool(calls) == (factor > 1.0)
 
 
 def test_valid_input_passes_without_an_svd(monkeypatch):

@@ -54,7 +54,10 @@ from unishift.reduction import (
     ReductionInstance,
     _cayley,
     _cayley_values,
+    _deflated_norms,
+    _frame,
     _instance,
+    _kept_of,
     _kept_pairs,
     _thin_lhs,
     _window_basis,
@@ -616,6 +619,44 @@ class TestKeptPairsOracle:
         q = haar_unitary(np.random.default_rng(len(taus)), 64)[:, : len(taus)]
         assert self.assert_matches_dense((q * taus) @ q.conj().T).size == len(taus)
 
+    @staticmethod
+    def dense_range_finder(h):
+        """``_kept_pairs`` with each residual update and its column norms taken as whole d x d arrays."""
+        rest = 0.5 * (h + h.conj().T)
+        dim, norms = h.shape[0], np.linalg.norm(rest, axis=0)
+        delta = 1e-13 * max(float(np.max(norms, initial=0.0)), 1.0) / np.sqrt(max(dim, 1))
+        q, size = np.zeros((dim, 0), dtype=np.complex128), 1
+        while q.shape[1] < dim and (big := np.flatnonzero(norms > delta)).size:
+            pick = big[np.argsort(-norms[big], kind="stable")[:size]]
+            left, values, _ = np.linalg.svd(rest[:, pick], full_matrices=False)
+            new = left[:, values > delta]
+            new = np.linalg.qr(new - q @ (q.conj().T @ new))[0]
+            rest -= new @ (new.conj().T @ rest)
+            q, size = np.concatenate([q, new], axis=1), 2 * size
+            norms = np.linalg.norm(rest, axis=0)
+        return _kept_of(q, q.conj().T @ (h @ q))
+
+    @pytest.mark.parametrize("dim", [31, 32, 33, 65, 257])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_row_blocked_deflation_is_the_dense_update_bit_for_bit(self, dim, k):
+        rng = np.random.default_rng(dim + k)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rest = g + g.conj().T
+        new = np.linalg.qr(rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k)))[0]
+        assert _deflated_norms(rest).tobytes() == np.linalg.norm(rest, axis=0).tobytes()
+        want = rest - new @ (new.conj().T @ rest)
+        norms = _deflated_norms(rest, new)
+        assert rest.tobytes() == want.tobytes()
+        assert norms.tobytes() == np.linalg.norm(want, axis=0).tobytes()
+
+    @pytest.mark.parametrize("dim", [33, 65, 257])
+    @pytest.mark.parametrize("rank", [2, 5, 12])
+    def test_row_blocked_range_finder_gives_the_dense_bits(self, dim, rank):
+        h = random_low_rank_hermitian(np.random.default_rng(dim * rank), dim, rank, 0.5)
+        h[0, -1] += 1e-14j  # not exactly Hermitian: the range finder reads its Hermitian part
+        for got, want in zip(_kept_pairs(h), self.dense_range_finder(h)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     @pytest.mark.parametrize("norm", [0.5, 2.0, 40.0])
     def test_one_kept_one_dropped_below_the_threshold(self, norm):
         # 1e-11 ||H|| is above the drop threshold 1e-12 max(||H||, 1), 1e-13 ||H|| below it
@@ -871,6 +912,81 @@ class TestBoundedMemory:
         checked = peak(lambda: _instance(inst.h0, inst.a))
         study = peak(lambda: convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), [16, 64, 256]))
         assert study <= checked + 8 * 2**20, (checked, study)
+
+    def test_instance_holds_at_most_four_square_matrices(self):
+        """At ambient 1024 (16 MiB a matrix) the checked copies of H0 and A, V and the range finder's residual."""
+        inst = reduction_instance(5, 1024, 2, 0.5)
+        tracemalloc.start()
+        try:
+            _instance(inst.h0, inst.a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20, peak
+
+    def test_each_frame_allocates_less_than_one_square_matrix(self, monkeypatch):
+        """Every audit's and the model's frame reads its d x d operands in place, at ambient 1024."""
+        from unishift import reduction
+
+        inst = reduction_instance(5, 1024, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 16)
+        peaks = []
+
+        def measured(*args, **kw):
+            tracemalloc.start()
+            try:
+                return _frame(*args, **kw)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(reduction, "_frame", measured)
+        audit_projection_estimates(p, inst.h0.copy(), inst.u0, [1, -2])
+        audit_perturbation_estimates(p, inst.u0, inst.u, inst.a.copy(), 2.0, [1, -2], [0.0, 1.0])
+        audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1, 2])
+        compressed_model(p, inst.h0, inst.a, inst.phase)
+        assert len(peaks) == 4 and max(peaks) < 16 * 2**20, peaks
+
+
+class TestRowBlockedFrame:
+    """The frame's single-read checks of U0, U, and H0 and A off their checked copies, see every block of rows."""
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (40, 3), (3, 40), (96, 95), (95, 96), (70, 20)])
+    def test_a_gap_in_any_block_of_rows_is_caught(self, i, j):
+        inst = reduction_instance(16, 97, 2, 0.5)  # row blocks 0-31, 32-63 and 64-96
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        corner = np.zeros((97, 97), dtype=complex)
+        corner[i, j] = 1.0
+        bump = (corner + corner.T) / np.sqrt(2.0)  # Hermitian, Hilbert-Schmidt norm 1
+        calls = {  # with delta = 1e-10 / (2 * 2) = 2.5e-11 for the powers 1 and 2
+            "h0": lambda x: audit_projection_estimates(p, inst.h0 + x * bump, inst.u0, [1, 2]),
+            "u0": lambda x: audit_projection_estimates(p, inst.h0, inst.u0 + x * corner, [1, 2]),
+            "a": lambda x: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a + x * bump, 2.0, [1, 2], [0.0]),
+            "u": lambda x: audit_perturbation_estimates(p, inst.u0, inst.u + x * corner, inst.a, 2.0, [1, 2], [0.0]),
+        }
+        for name, call in calls.items():
+            call(0.5 * 2.5e-11)
+            with pytest.raises(PathMismatch):
+                call(2.0 * 2.5e-11)
+
+    def test_equal_operands_pass_on_one_read(self, monkeypatch):
+        """Copies of the checked H0 and A, a zero's sign flipped, pass with no Hilbert-Schmidt gap formed."""
+        from unishift import reduction
+
+        inst = reduction_instance(16, 97, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        h0, a = inst.h0.copy(), inst.a.copy()
+        h0[5, 60] = -0.0
+        want = audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1])
+        seen, original = [], reduction.as_matrix
+        monkeypatch.setattr(reduction, "as_matrix", lambda m, what, *args, **kw: (
+            seen.append(what) or original(m, what, *args, **kw)))
+        assert audit_compressed_model(p, h0, a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1]) == want
+        assert seen == ["u0", "u"]
+        h0[5, 60] = np.nan  # no longer equal: the full check names the entry
+        with pytest.raises(UnishiftError, match="NaN or Inf"):
+            audit_compressed_model(p, h0, a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1])
+        assert seen[2:] == ["h0"]
 
 
 class TestOneDecompositionPerCall:

@@ -31,12 +31,14 @@ The one row-blocked kernel, ``_hermitian_blocks``, takes instead a block of
 time (a matrix of at most ``_WHOLE_ROWS`` rows, which fits in cache, is
 read whole).  It gives the Hermitian part (M + M*)/2 (``_hermitian_part``,
 bit for bit), which ``herm_eig`` decomposes and the reduction's range
-finder starts from, and the norm ||M - M*||_HS (``_hermitian_gap``) that
-``require_hermitian``'s certificate reads, with no d x d temporary.
+finder starts from, and the norms ||M - M*||_HS and ||M||_HS
+(``_hermitian_norms``) that ``require_hermitian``'s certificate reads, in
+one pass with no d x d temporary.
 
 Everything here is a pure function of its arguments; returned arrays are
-freshly allocated and never aliased to the inputs, except where a caller
-asks ``as_matrix`` for ``copy=None`` to read an operand in place.
+freshly allocated and never aliased to the inputs, except that
+``require_hermitian`` reads its operand in place and returns it as checked,
+as ``as_matrix`` does for a caller that asks for ``copy=None``.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def trace(m) -> complex:
 # 2048 on a 2-core Xeon with one BLAS thread).
 _ROWS = 32
 
-# ``_hermitian_part`` and ``_hermitian_gap`` read a matrix of at most this many
+# ``_hermitian_part`` and ``_hermitian_norms`` read a matrix of at most this many
 # rows whole: its transposed read stays in cache, and blocks would only add
 # their own work (on the same machine the blocked pass was slower up to
 # d = 128 and 3x faster at 256).
@@ -175,11 +177,15 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_gap(m: np.ndarray) -> float:
-    """||M - M*||_HS of a square M; past ``_WHOLE_ROWS`` a block of rows at a time, rounded otherwise than one norm."""
+def _hermitian_norms(m: np.ndarray) -> tuple[float, float]:
+    """(||M - M*||_HS, ||M||_HS) of a square M; past ``_WHOLE_ROWS`` from one pass of row blocks, rounded otherwise."""
     if m.shape[0] <= _WHOLE_ROWS:
-        return hs_norm(m - m.conj().T)
-    return _blocks_hs_norm(top - adjoint for _, top, adjoint in _hermitian_blocks(m))
+        return hs_norm(m - m.conj().T), hs_norm(m)
+    gap = norm = 0.0
+    for _, top, adjoint in _hermitian_blocks(m):
+        diff = top - adjoint
+        gap, norm = gap + np.vdot(diff, diff).real, norm + np.vdot(top, top).real
+    return float(np.sqrt(gap)), float(np.sqrt(norm))
 
 
 # A Hilbert-Schmidt certificate must clear its operator-norm test by this
@@ -196,15 +202,17 @@ def _require_small(gap: np.ndarray, tol: float, error: type[UnishiftError], what
 
 
 def require_hermitian(m, what: str = "matrix", dim: int | None = None) -> np.ndarray:
-    """``as_matrix(m, what, dim)`` with ||M - M*||_2 <= tol = 1e-10 ||M||_2, else ``NotHermitian``.
+    """``as_matrix(m, what, dim, copy=None)`` with ||M - M*||_2 <= tol = 1e-10 ||M||_2, else ``NotHermitian``.
 
+    A complex128 operand is read in place and returned as is.
     ||X||_2 <= ||X||_HS and ||M||_HS / sqrt(d) <= ||M||_2, so Hilbert-Schmidt
     norms prove a pass without an SVD; only an undecided case takes them.
-    The certificate's ||M - M*||_HS comes from the row-blocked
-    ``_hermitian_gap``, with no d x d gap; an undecided case forms the gap.
+    The certificate's two norms come from one row-blocked pass
+    (``_hermitian_norms``), with no d x d gap; an undecided case forms the gap.
     """
-    m = as_matrix(m, what, dim)
-    if _hermitian_gap(m) > _CERTIFICATE_MARGIN * (1e-10 * hs_norm(m) / np.sqrt(max(m.shape[0], 1))):
+    m = as_matrix(m, what, dim, copy=None)
+    gap, norm = _hermitian_norms(m)
+    if gap > _CERTIFICATE_MARGIN * (1e-10 * norm / np.sqrt(max(m.shape[0], 1))):
         _require_small(m - m.conj().T, 1e-10 * op_norm(m), NotHermitian, f"{what} deviates from Hermitian")
     return m
 
@@ -273,30 +281,15 @@ def _off_diagonal(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]
 
 
-def _is_diagonal(m: np.ndarray) -> bool:
-    """Whether every off-diagonal entry of the square M is exactly 0, in O(d^2)."""
-    return not _off_diagonal(m).any()
-
-
 def herm_eig(h, check: bool = True) -> HermitianDecomposition:
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
 
-    Deterministic for a fixed input.  Raises ``NotHermitian`` when the input
-    deviates from its adjoint by more than 1e-10 of its operator norm, and
-    ``NoConvergence`` if the LAPACK iteration fails.
-
-    An exactly diagonal input with a non-decreasing real part is its own
-    eigenbasis: its real diagonal and the identity columns are returned with
-    no LAPACK call.  LAPACK gives the same bits, except that it rescales a
-    matrix of norm below about 1e-146 and may then move an eigenvalue by an
-    ulp.  Any other input, including an unsorted diagonal, goes to LAPACK,
-    whose selection sort can order the eigencolumns of repeated eigenvalues
-    otherwise than their input order.
+    Deterministic for a fixed input, which is only read.  Raises
+    ``NotHermitian`` when the input deviates from its adjoint by more than
+    1e-10 of its operator norm, and ``NoConvergence`` if the LAPACK iteration
+    fails.  LAPACK decomposes the Hermitian part (``_hermitian_part``).
     """
-    h = require_hermitian(h, what="eigensolver input") if check else as_matrix(h, copy=None)  # only read
-    w = np.diagonal(h).real
-    if _is_diagonal(h) and np.all(w[1:] >= w[:-1]):
-        return HermitianDecomposition(eigenvalues=w.copy(), vectors=np.eye(len(w), dtype=np.complex128))
+    h = require_hermitian(h, what="eigensolver input") if check else as_matrix(h, copy=None)
     w, v = _eigh(_hermitian_part(h))
     return HermitianDecomposition(eigenvalues=w, vectors=v)
 
@@ -445,7 +438,8 @@ class UnitaryPath:
 
     def __init__(self, u0, a, check: bool = True):
         self.u0 = (require_unitary if check else as_matrix)(u0, "path base")
-        self.a = (require_hermitian if check else as_matrix)(a, "path direction", self.u0.shape[0])
+        n = self.u0.shape[0]
+        self.a = as_matrix(require_hermitian(a, "path direction", n) if check else a, "path direction", n)
         self.direction_spectrum = herm_eig(self.a, check=False)
         self.vstar_u0 = _adjoint(self.direction_spectrum.vectors) @ self.u0
 

@@ -15,24 +15,24 @@ evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
-One checked instance (``_instance``) holds H0 and A, each checked once by
-``require_hermitian``, the eigh H0 = V diag(lambda) V*, A's kept pairs
-(F, tau) and ||A||, and Fh = V* F (a copy of F for V = I exactly).  All
-that follows computes in H0's eigen-coordinates; V is read only there and
-in the frame's U0 check, where dense operands come in.  Every partition of
-a ``bounds`` run or a convergence ladder is built from one instance;
-nothing is kept between calls.  An exactly diagonal H0 with ascending
-entries, as ``reduction_instance`` builds, is its own eigenbasis:
-``herm_eig`` returns V = I with no LAPACK call.  A window basis
-(``ProjectionBasis``) is the cell layout of B = V Bhat, with the instance
-that built it, whose F are its seeds, and is checked for presence and
-shape once, when it is made.  Each audit, and ``compressed_model``, builds
-one checked frame (``_frame``) at delta = AUDIT_SLACK / (2 max(1, max |m|))
-over the call's powers m: H0 and A against the basis's own in O(d^2), so
-an operand that did not build the basis is refused, U0 against the
-eigenpairs and U against e^{iA} U0.  Phases, half-widths, the horizon
-T >= 0 and samples in [-T, T] are finite real numbers (``_is_real``);
-powers, samples and cell counts are iterables.
+One checked instance (``_instance``) holds spectral data and scalars only:
+H0 = V diag(lambda) V*, A's kept pairs (F, tau), Fh = V* F, ||A|| and
+||A||_HS.  It checks H0 and A in place with ``require_hermitian`` and keeps
+no d x d array.  V is None when H0 is its own eigenbasis, exactly diagonal
+with a non-decreasing real part, as ``reduction_instance`` builds it: then
+lambda is its real diagonal, Fh is F and no LAPACK call is made.  All that
+follows computes in H0's eigen-coordinates.  Every partition of a
+``bounds`` run or a convergence ladder is built from one instance; nothing
+is kept between calls.  A window basis (``ProjectionBasis``) is the cell
+layout of B = V Bhat, with the instance that built it, whose F are its
+seeds, and is checked for presence and shape once, when it is made.  Each
+audit, and ``compressed_model``, builds one checked frame (``_frame``) at
+delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m: each
+operand is held to the form the audits compute with, H0 to
+V diag(lambda) V*, A to F diag(tau) F*, U0 to V diag(c) V* and U to
+e^{iA} U0, so an operand that did not build the basis is refused.  Phases,
+half-widths, the horizon T >= 0 and samples in [-T, T] are finite real
+numbers (``_is_real``); powers, samples and cell counts are iterables.
 
 The dense d x d operands are read a block of rows at a time
 (``linalg._row_blocks``), so each pass stays in cache and forms no d x d
@@ -40,10 +40,9 @@ temporary.  The Hermitian checks of ``_instance`` and the Hermitian part
 the range finder starts from come from the row-blocked
 ``linalg._hermitian_blocks``; each step of the range finder updates its
 residual and takes the new column norms in one pass
-(``_deflated_norms``).  A frame reads each operand once: an H0 or A equal
-to the instance's checked copy passes on one ``np.array_equal``, U0's
-off-diagonal part is read in place when V = I, and ||U - e^{iA} U0|| is
-summed over row blocks.
+(``_deflated_norms``).  A frame reads each operand once, in place, for its
+Hilbert-Schmidt gap to its form, summed over row blocks; only an operand
+whose gap is not within delta takes the full checks.
 
 The direction is low rank, so no d x d exponential and no d x d
 eigendecomposition of it is ever formed.  An orthonormal basis Q of the
@@ -67,9 +66,8 @@ Every other ambient step uses the cells of the window basis: for each
 occupied cell its eigen-rows and its block Bhat_k of Bhat = V* B (r = rank P
 columns, at most L per cell).  So P_perp Fh, F*B = Fh* Bhat and Bhat X come
 cell by cell, in coordinates with one extra zero row, which the -1 padding
-of the cell rows reads.  The frame checks U0 = V diag(c) V* by one d x d
-product U0 V, or, if the given V is exactly the identity, off the diagonal
-of U0 in O(d^2).  Then:
+of the cell rows reads.  The frame's check of U0 gives c = diag(V* U0 V),
+the diagonal of U0 when V is None.  Then:
 
   * H0 B, both resolvents (i +- H0)^{-1} B and every U0^m B are diagonal
     scalings D Bhat, whose part outside ran P splits by cell:
@@ -136,7 +134,6 @@ from .linalg import (
     _blocks_hs_norm,
     _eigh,
     _hermitian_part,
-    _is_diagonal,
     _off_diagonal,
     _require_draw,
     _row_blocks,
@@ -178,16 +175,15 @@ class WindowParams:
 
 @dataclass(frozen=True)
 class CheckedInstance:
-    """The checked H0 = V diag(lambda) V*, A, A's kept pairs (F, tau), Fh = V* F and ||A||."""
+    """H0 = V diag(lambda) V* (V None: H0 is its own eigenbasis), A's kept pairs (F, tau), Fh = V*F, ||A||, ||A||_HS."""
 
-    h0: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    a: np.ndarray
+    eigenvectors: np.ndarray | None
     f: np.ndarray
     fh: np.ndarray
     tau: np.ndarray
     a_norm: float
+    a_hs: float
 
 
 @dataclass(frozen=True)
@@ -199,8 +195,8 @@ class ProjectionBasis:
     of B it spans, each padded with -1, and ``cell_blocks[k]`` is the block
     of Bhat = V* B on those rows and columns, padded with zeros.  Making a
     basis, ``dataclasses.replace`` included, checks that every field and
-    every field of the instance is there (``MissingConstruction``) and that
-    the shapes agree on the ambient size d, the seed count and the cell
+    every field of the instance but V is there (``MissingConstruction``) and
+    that the shapes agree on the ambient size d, the seed count and the cell
     layout (``DimensionMismatch``); the values are trusted as built.
     """
 
@@ -212,15 +208,15 @@ class ProjectionBasis:
 
     def __post_init__(self):
         if not (isinstance(self.params, WindowParams) and isinstance(self.instance, CheckedInstance)) or any(
-            x is None for x in (*vars(self).values(), *vars(self.instance).values())
+            x is None for name, x in (*vars(self).items(), *vars(self.instance).items()) if name != "eigenvectors"
         ):
             raise MissingConstruction("a window basis needs its record, its checked instance and its cells")
-        # axes: d ambient, L seeds, K cells, n rows and w columns per cell
-        axes = dict(eigenvalues="d", eigenvectors="dd", h0="dd", a="dd", f="dL", fh="dL", tau="L",
+        # axes: d ambient, L seeds, K cells, n rows and w columns per cell; V is None for H0 its own eigenbasis
+        axes = dict(eigenvalues="d", eigenvectors="dd", f="dL", fh="dL", tau="L",
                     cell_rows="Kn", cell_columns="Kw", cell_blocks="Knw")
         fields, sizes = {**vars(self.instance), **vars(self)}, {}
-        for name, names in axes.items():
-            shape = np.shape(fields[name])
+        for name in (name for name in axes if fields[name] is not None):
+            shape, names = np.shape(fields[name]), axes[name]
             if len(shape) != len(names) or any(sizes.setdefault(a, n) != n for a, n in zip(names, shape)):
                 raise DimensionMismatch(f"{name} of shape {shape} does not fit the window basis {sizes}")
 
@@ -372,24 +368,22 @@ def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.nda
     return u0 + _exp_step(f, tau) @ (f.conj().T @ u0)
 
 
-def _is_identity(v: np.ndarray) -> bool:
-    """Whether the square V is exactly the identity, in O(d^2)."""
-    return _is_diagonal(v) and bool(np.all(np.diagonal(v) == 1.0))
-
-
 def _instance(h0, a) -> CheckedInstance:
-    """The one checked instance of (H0, A): both checked, the eigh of H0 and A's kept pairs (F, tau) and ||A||.
+    """The one checked instance of (H0, A): both checked in place, H0's eigenpairs, A's kept pairs, ||A|| and ||A||_HS.
 
-    A's kept pairs are found before H0's eigenvectors are made, so the range
-    finder's d x d residual is gone before they come; Fh = V* F is a copy of F
-    when V is exactly the identity.
+    An exactly diagonal H0 with a non-decreasing real part is its own
+    eigenbasis (V None, Fh = F); any other H0 goes to ``herm_eig``.  A's kept
+    pairs come first, so the range finder's d x d residual is gone before
+    H0's eigenvectors are made.
     """
     h0 = require_hermitian(h0, "h0")
     a = require_hermitian(a, "a", h0.shape[0])
     f, tau, a_norm = _kept_pairs(a)
-    dec = herm_eig(h0, check=False)
-    fh = f.copy() if _is_identity(dec.vectors) else dec.vectors.conj().T @ f
-    return CheckedInstance(h0, dec.eigenvalues, dec.vectors, a, f, fh, tau, a_norm)
+    lam, v = np.diagonal(h0).real.copy(), None
+    if _off_diagonal(h0).any() or np.any(lam[1:] < lam[:-1]):
+        dec = herm_eig(h0, check=False)
+        lam, v = dec.eigenvalues, dec.vectors
+    return CheckedInstance(lam, v, f, f if v is None else v.conj().T @ f, tau, a_norm, hs_norm(a))
 
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
@@ -434,29 +428,44 @@ def _powers(values) -> list[int]:
     return [int(m) for m in values]
 
 
+def _eigen_gap(x: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """c = diag(V* X V) and ||X - V diag(c) V*||_HS of a square X read in place, a block of rows at a time.
+
+    For V None (the identity) c is X's diagonal and the gap its off-diagonal part; else each block of rows
+    of V* X gives its entries of c and of V* X - diag(c) V*, which has the gap's norm for a unitary V.
+    """
+    if v is None:
+        off = _off_diagonal(x)
+        return np.diagonal(x).copy(), _blocks_hs_norm(off[rows] for rows in _row_blocks(x.shape[0] - 1))
+    c, squares = np.empty(x.shape[0], dtype=np.complex128), 0.0
+    for rows in _row_blocks(x.shape[0]):
+        vh = v[:, rows].conj().T
+        block = vh @ x
+        c[rows] = np.einsum("ij,ji->i", block, v[:, rows])
+        block -= c[rows, None] * vh
+        squares += np.vdot(block, block).real
+    return c, float(np.sqrt(squares))
+
+
 def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None, a=None, u0=None, u=None):
     """The one checked frame of an audit, or with no ``powers`` of ``compressed_model``.
 
     The projection must be a ``ProjectionBasis`` (``MissingConstruction``),
     which was checked when it was made, and T a finite real number >= 0
-    (``UnishiftError``).  Each operand given is checked once, at size d
-    (``as_matrix``) and in the Hilbert-Schmidt norm at
-    delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m:
-    H0 and A against the basis's instance in O(d^2), and past delta by
-    ``require_hermitian`` and then ``PathMismatch``; with c = diag(V* U0 V),
-    ||U0 V - V diag(c)|| (||U0 - diag(c)|| in O(d^2) for V = I exactly) and
-    ||U - e^{iA} U0|| (``PathMismatch``) and abs(|c_j| - 1) (``NotUnitary``).
-    So no operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
+    (``UnishiftError``).  Each operand given must be d x d
+    (``DimensionMismatch``) and is read once, in place and a block of rows
+    at a time, for its Hilbert-Schmidt gap to the form the audits compute
+    with: H0 to V diag(lambda) V* and U0 to V diag(c) V*, c = diag(V* U0 V)
+    (``_eigen_gap``), A to F diag(tau) F* and U to e^{iA} U0 =
+    U0 + F diag(e^{i tau} - 1) F* U0; and abs(|c_j| - 1).  At
+    delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m, no
+    operand moves a power U0^m or U^m by more than |m| delta (1 + 2 delta)^|m|
     < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.  A power
     whose delta falls below d times the machine epsilon, the roundoff of one
-    such gap at ambient size d, is refused (``UnishiftError``) first.
-
-    Each d x d operand is read once where it can be: an H0 or A equal to
-    the instance's checked copy, entry for entry, has a gap of 0 and finite
-    entries, so one ``np.array_equal`` passes it; U0's off-diagonal part,
-    for V = I, is read in place; and U - U0 - F diag(e^{i tau} - 1)(F* U0)
-    is summed a block of rows at a time.  A d x d gap is formed only for an
-    H0 or A that differs from the checked copy, and for a dense V.
+    such gap at ambient size d, is refused (``UnishiftError``) first.  A gap
+    not within delta (NaN too) sends its operand to the full checks,
+    ``as_matrix`` and, for H0 and A, ``require_hermitian``; past them it is
+    ``PathMismatch``, or ``NotUnitary`` for |c|.
 
     Returns c (None without U0) and, with A, tau, ||A||, Fh and P_perp Fh
     with their zero row d, and F* B (else None).
@@ -473,43 +482,39 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
             f" {floor:.3e} of a Hilbert-Schmidt gap at ambient size {d}"
         )
 
-    def require(gap_norm, what):
-        if gap_norm > delta:
-            raise PathMismatch(f"{what} (tol {delta:.3e})")
+    def operand(given, name):
+        x = _as_array(given, copy=None)
+        return x if x.shape == (d, d) else as_matrix(x, name, d, copy=None)  # DimensionMismatch
 
-    operands = ("h0", h0, inst.h0, "H0 is not the operator"), ("a", a, inst.a, "A is not the direction")
-    for name, given, built, what in operands:
-        if given is None:
-            continue
-        given = _as_array(given, copy=None)
-        if given.shape == built.shape and np.array_equal(given, built):  # a gap of 0, and finite entries
-            continue
-        if (gap_norm := hs_norm(as_matrix(given, name, d, copy=None) - built)) > delta:
-            require_hermitian(given, name, d)
-            require(gap_norm, f"{what} that built the projection")
-    c = direction = None
-    if a is not None:
-        fh = _padded(inst.fh)
-        direction = inst.tau, inst.a_norm, fh, _perp(p, fh), _seed_rows(p, fh, p.cell_blocks)
-    if u0 is not None:
-        u0, v = as_matrix(u0, "u0", d, copy=None), inst.eigenvectors
-        if _is_identity(v):  # the gap of U0 is its off-diagonal part, read in place
-            c, off = np.diagonal(u0).copy(), _off_diagonal(u0)
-            gap_norm = _blocks_hs_norm(off[rows] for rows in _row_blocks(d - 1))
-        else:
-            gap = u0 @ v
-            c = np.einsum("ij,ij->j", v.conj(), gap)
-            gap -= v * c
-            gap_norm = hs_norm(gap)
-        require(gap_norm, "U0 is not diagonal in the eigenbasis of H0")
-        if np.max(np.abs(np.abs(c) - 1.0), initial=0.0) > delta:
-            raise NotUnitary(f"U0 has an eigenvalue off the unit circle (tol {delta:.3e})")
-    if u is not None:
-        # ||U - e^{iA} U0|| with e^{iA} U0 = U0 + F diag(e^{i tau} - 1) (F* U0), a block of rows at a time
-        u, step, fu0 = as_matrix(u, "u", d, copy=None), _exp_step(inst.f, inst.tau), inst.f.conj().T @ u0
-        gap_norm = _blocks_hs_norm(u[rows] - (u0[rows] + step[rows] @ fu0) for rows in _row_blocks(d))
-        require(gap_norm, "U is not e^(iA) U0")
-    return c, direction
+    def require(x, name, gap, error, what):
+        if not gap <= delta:
+            as_matrix(x, name, d, copy=None)
+            if name in ("h0", "a"):
+                require_hermitian(x, name, d)
+            raise error(f"{what} (tol {delta:.3e})")
+
+    c, fh = None, _padded(inst.fh)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or Inf entry only fails its gap
+        if h0 is not None:
+            h0 = operand(h0, "h0")
+            diagonal, off = _eigen_gap(h0, inst.eigenvectors)
+            gap = np.hypot(off, hs_norm(diagonal - inst.eigenvalues))
+            require(h0, "h0", gap, PathMismatch, "H0 is not the operator that built the projection")
+        if a is not None:
+            a, kept = operand(a, "a"), inst.f * inst.tau
+            gap = _blocks_hs_norm(a[rows] - kept[rows] @ inst.f.conj().T for rows in _row_blocks(d))
+            require(a, "a", gap, PathMismatch, "A is not the direction that built the projection")
+        if u0 is not None:
+            u0 = operand(u0, "u0")
+            c, off = _eigen_gap(u0, inst.eigenvectors)
+            require(u0, "u0", off, PathMismatch, "U0 is not diagonal in the eigenbasis of H0")
+            require(u0, "u0", np.max(np.abs(np.abs(c) - 1.0), initial=0.0), NotUnitary,
+                    "U0 has an eigenvalue off the unit circle")
+        if u is not None:
+            u, step, fu0 = operand(u, "u"), _exp_step(inst.f, inst.tau), inst.f.conj().T @ u0
+            gap = _blocks_hs_norm(u[rows] - (u0[rows] + step[rows] @ fu0) for rows in _row_blocks(d))
+            require(u, "u", gap, PathMismatch, "U is not e^(iA) U0")
+    return c, None if a is None else (inst.tau, inst.a_norm, fh, _perp(p, fh), _seed_rows(p, fh, p.cell_blocks))
 
 
 def _powers_of(c: np.ndarray, ms) -> np.ndarray:
@@ -806,7 +811,7 @@ def audit_compressed_model(
     worst = _factor_norms(np.concatenate([fh, b_fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
     checks.append(_check("propagator_vs_compressed", float(np.max(worst)), 2 * t_max * eps))
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
-    tr_bound = 2.0 * hs_norm(p.instance.a) * _exp_remainder_factor(a_op) * eps
+    tr_bound = 2.0 * p.instance.a_hs * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     # The powers work in each cell's eigenbasis Q_k of Bhat_k* diag(lambda) Bhat_k.  With B' = B diag(Q_k),
     # U0p = diag(omega), and U0^m B' - B' U0p^m = V (c^m Bhat' - Bhat' omega^m) has one block per cell.
@@ -877,7 +882,7 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     cell_counts = _listed(cell_counts, "cell counts")
     if not cell_counts or not all(_is_whole(n, 1) for n in cell_counts):
         raise BadWindow("need at least one cell count, each a positive whole number")
-    if inst.h0.shape[0] < 4 * max(cell_counts):
+    if inst.eigenvalues.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
     half_width = float(np.max(np.abs(inst.eigenvalues))) * (1.0 + 1e-12) + 1e-15
     full = _thin_lhs(_cayley_values(inst.eigenvalues, phase), inst.fh, inst.tau, p)
@@ -911,7 +916,7 @@ def _thin_lhs(s: np.ndarray, f: np.ndarray, tau: np.ndarray, p: TrigPolynomial) 
 def spread_diagonal(dim: int, half_width: float) -> np.ndarray:
     """Diagonal Hermitian with spectrum equidistributed strictly inside (-a, a)."""
     levels = -half_width + (np.arange(dim) + 0.5) * (2.0 * half_width / dim)
-    return np.diag(levels).astype(np.complex128)
+    return np.diag(levels.astype(np.complex128))
 
 
 def random_low_rank_hermitian(rng: np.random.Generator, dim: int, rank: int, scale: float) -> np.ndarray:

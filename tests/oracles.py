@@ -524,6 +524,12 @@ def dense_compressed_audit(
     return checks
 
 
+def eigenvectors(instance: CheckedInstance) -> np.ndarray:
+    """The eigencolumns V of the instance's H0 = V diag(lambda) V*, the identity where it records None."""
+    v = instance.eigenvectors
+    return np.eye(instance.eigenvalues.size, dtype=np.complex128) if v is None else v
+
+
 def one_cell_basis(columns, instance: CheckedInstance, params: WindowParams) -> ProjectionBasis:
     """A hand-built basis B with one cell: every column, and every eigen-row of the instance's H0 = V diag(lambda) V*.
 
@@ -532,13 +538,13 @@ def one_cell_basis(columns, instance: CheckedInstance, params: WindowParams) -> 
     dim, rank = columns.shape
     return ProjectionBasis(
         params, instance, cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
-        cell_blocks=(instance.eigenvectors.conj().T @ columns)[None],
+        cell_blocks=(eigenvectors(instance).conj().T @ columns)[None],
     )
 
 
 def ambient_columns(p: ProjectionBasis) -> np.ndarray:
     """The ambient columns B = V Bhat of a window basis: each occupied cell's block mapped by its eigencolumns."""
-    v = p.instance.eigenvectors
+    v = eigenvectors(p.instance)
     b = np.zeros((v.shape[0], p.rank), dtype=np.complex128)
     for rows, cols, block in zip(p.cell_rows, p.cell_columns, p.cell_blocks):
         rows, cols = rows[rows >= 0], cols[cols >= 0]
@@ -547,7 +553,7 @@ def ambient_columns(p: ProjectionBasis) -> np.ndarray:
 
 
 def full_space(dim: int, h0, a) -> ProjectionBasis:
-    """The projection onto the whole ambient space, recording H0 with its eigenpairs from one full eigh, and A.
+    """The projection onto the whole ambient space, recording H0's eigenpairs from one full eigh, and A's kept pairs.
 
     ran P is everything, so its construction record has eps = 0, with the
     whole line as its window.
@@ -563,7 +569,7 @@ def seeded_instance(h0, f) -> CheckedInstance:
     """The checked instance of H0 and A = F F*, recording the unit columns F themselves as its seeds, each tau 1."""
     f = np.asarray(f, dtype=np.complex128)
     instance = _instance(h0, f @ f.conj().T)
-    return replace(instance, f=f, fh=instance.eigenvectors.conj().T @ f, tau=np.ones(f.shape[1]))
+    return replace(instance, f=f, fh=eigenvectors(instance).conj().T @ f, tau=np.ones(f.shape[1]))
 
 
 def abs_sum(p: TrigPolynomial) -> float:

@@ -29,6 +29,7 @@ from unishift.linalg import (
     require_hermitian,
     require_unitary,
 )
+from unishift.reduction import _instance
 
 seeds = st.integers(0, 2**31 - 1)
 dims = st.integers(1, 12)
@@ -57,7 +58,8 @@ def test_herm_eig_roundtrip_8x8():
 
 
 class TestDiagonalEigenbasis:
-    """An exactly diagonal input with a non-decreasing diagonal is its own eigenbasis: no LAPACK call, LAPACK's bits."""
+    """The reduction's checked instance takes an exactly diagonal H0 with a non-decreasing real part as its own
+    eigenbasis: no LAPACK call, LAPACK's bits.  ``herm_eig`` itself always calls LAPACK."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -83,24 +85,30 @@ class TestDiagonalEigenbasis:
         }[kind]
         h = np.diag(diagonal).astype(complex)
         shapes = self.recorded(monkeypatch)
-        dec = herm_eig(h)
+        inst = _instance(h, np.zeros_like(h))
         w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-        assert dec.eigenvalues.tobytes() == w.tobytes()
-        assert dec.vectors.tobytes() == v.tobytes()
+        assert inst.eigenvalues.tobytes() == w.tobytes()
+        vectors = np.eye(dim, dtype=complex) if inst.eigenvectors is None else inst.eigenvectors
+        assert vectors.tobytes() == v.tobytes()
         ascending = bool(np.all(diagonal.real[1:] >= diagonal.real[:-1]))
         assert shapes == ([] if ascending else [(dim, dim)])
+        assert (inst.eigenvectors is None) == ascending
         assert ascending or kind not in ("ascending", "repeated", "imaginary")
+        dec = herm_eig(h)
+        assert dec.eigenvalues.tobytes() == w.tobytes() and dec.vectors.tobytes() == v.tobytes()
+        assert len(shapes) == (1 if ascending else 2)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_one_off_diagonal_entry_goes_to_lapack(self, monkeypatch, order):
         dim = 5
+        zero = np.zeros((dim, dim), dtype=complex)
         shapes = self.recorded(monkeypatch)
         for i, j in zip(*np.nonzero(~np.eye(dim, dtype=bool))):
             h = np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order)
             h[i, j] = 1e-300
-            herm_eig(h, check=False)
+            assert _instance(h, zero).eigenvectors is not None
         assert shapes == [(dim, dim)] * (dim * (dim - 1))
-        herm_eig(np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order))
+        assert _instance(np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order), zero).eigenvectors is None
         assert len(shapes) == dim * (dim - 1)
 
 
@@ -111,7 +119,11 @@ def test_herm_eig_rejects_non_hermitian():
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
 def test_unchecked_herm_eig_reads_its_input_in_place(kind):
-    """With check=False no copy of the input is made: a read-only input works, and a diagonal one costs its identity."""
+    """With check=False no copy of the input is made: a read-only input works.
+
+    A diagonal one, checked by the reduction's instance as its own eigenbasis, costs no more than the range
+    finder's residual of a zero direction.
+    """
     rng = np.random.default_rng(512)
     h = np.diag(np.arange(512.0)).astype(complex) if kind == "diagonal" else random_hermitian(rng, 512, 1.0)
     h.flags.writeable = False
@@ -125,6 +137,14 @@ def test_unchecked_herm_eig_reads_its_input_in_place(kind):
     assert dec.eigenvalues.tobytes() == want.eigenvalues.tobytes() and dec.vectors.tobytes() == want.vectors.tobytes()
     assert not np.shares_memory(dec.eigenvalues, h) and not np.shares_memory(dec.vectors, h)
     if kind == "diagonal":
+        zero = np.zeros_like(h)
+        tracemalloc.start()
+        try:
+            inst = _instance(h, zero)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.eigenvectors is None and inst.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert peak < 1.5 * h.nbytes, peak
 
 
@@ -631,8 +651,9 @@ class TestRowBlockedHermitianKernel:
         want = 0.5 * (m + m.conj().T)
         got = linalg._hermitian_part(m)
         assert got.flags.c_contiguous and got.tobytes() == np.ascontiguousarray(want).tobytes()
-        gap = hs_norm(m - m.conj().T)
-        assert abs(linalg._hermitian_gap(m) - gap) <= 1e-14 * gap
+        gap, norm = linalg._hermitian_norms(m)
+        assert abs(gap - hs_norm(m - m.conj().T)) <= 1e-14 * gap
+        assert abs(norm - hs_norm(m)) <= 1e-14 * norm
 
     @pytest.mark.parametrize("dim", SIZES[2:])
     @pytest.mark.parametrize("factor", [0.99, 1.01])

@@ -343,7 +343,7 @@ class TestThinLeftSide:
         """Every mode -4..4 of the ambient pair, and every rung of the ladder, within 1e-12 of the dense left side."""
         h0, a, u0, u = self.case(dim, kind)
         inst = _instance(h0, a)
-        assert np.array_equal(inst.eigenvectors, np.eye(dim)) == (kind == "diagonal")
+        assert (inst.eigenvectors is None) == (kind == "diagonal")
         polys = [TrigPolynomial.monomial(n) for n in THIN_MODES]
         c = _cayley_values(inst.eigenvalues, 0.3)
         thin = [_thin_lhs(c, inst.fh, inst.tau, poly) for poly in polys]
@@ -914,15 +914,21 @@ class TestBoundedMemory:
         assert study <= checked + 8 * 2**20, (checked, study)
 
     def test_instance_holds_at_most_four_square_matrices(self):
-        """At ambient 1024 (16 MiB a matrix) the checked copies of H0 and A, V and the range finder's residual."""
+        """At ambient 1024 (16 MiB a matrix) the peak is the range finder's residual, and nothing d x d is kept.
+
+        H0 and A are checked in place and the diagonal H0 is its own eigenbasis: the instance holds only
+        eigenvalues, the thin F and Fh, tau and two norms.
+        """
         inst = reduction_instance(5, 1024, 2, 0.5)
         tracemalloc.start()
         try:
-            _instance(inst.h0, inst.a)
-            peak = tracemalloc.get_traced_memory()[1]
+            checked = _instance(inst.h0, inst.a)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20, peak
+        assert checked.eigenvectors is None
+        assert peak <= 20 * 2**20, peak
+        assert held < 2**20, held
 
     def test_each_frame_allocates_less_than_one_square_matrix(self, monkeypatch):
         """Every audit's and the model's frame reads its d x d operands in place, at ambient 1024."""
@@ -949,7 +955,7 @@ class TestBoundedMemory:
 
 
 class TestRowBlockedFrame:
-    """The frame's single-read checks of U0, U, and H0 and A off their checked copies, see every block of rows."""
+    """The frame's single-read checks of H0, A, U0 and U against the audits' forms see every block of rows."""
 
     @pytest.mark.parametrize("i, j", [(0, 1), (40, 3), (3, 40), (96, 95), (95, 96), (70, 20)])
     def test_a_gap_in_any_block_of_rows_is_caught(self, i, j):
@@ -969,28 +975,59 @@ class TestRowBlockedFrame:
             with pytest.raises(PathMismatch):
                 call(2.0 * 2.5e-11)
 
-    def test_equal_operands_pass_on_one_read(self, monkeypatch):
-        """Copies of the checked H0 and A, a zero's sign flipped, pass with no Hilbert-Schmidt gap formed."""
+    @pytest.mark.parametrize("kind", ["diagonal", "haar"])
+    def test_equal_operands_pass_with_no_square_allocation(self, monkeypatch, kind):
+        """Copies of the operands, a zero's sign flipped, pass each frame in place: no full check, no d x d array.
+
+        At ambient 512 a d x d complex array is 4 MiB; each frame stays under a quarter of one, for the
+        diagonal H0 (V None) and for a Haar-rotated one (dense V).
+        """
         from unishift import reduction
 
-        inst = reduction_instance(16, 97, 2, 0.5)
-        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        h0, a = inst.h0.copy(), inst.a.copy()
-        h0[5, 60] = -0.0
+        dim = 512
+        inst = reduction_instance(16, dim, 2, 0.5, phase=0.3)
+        if kind == "haar":
+            q = haar_unitary(np.random.default_rng(dim), dim)
+            h0, a, u0, u = (q @ x @ q.conj().T for x in (inst.h0, inst.a, inst.u0, inst.u))
+            inst = replace(inst, h0=0.5 * (h0 + h0.conj().T), a=0.5 * (a + a.conj().T), u0=u0, u=u)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 16)
+        assert (p.instance.eigenvectors is None) == (kind == "diagonal")
+        h0, a, u0, u = (x.copy() for x in (inst.h0, inst.a, inst.u0, inst.u))
+        if kind == "diagonal":
+            h0[5, 60] = -0.0
         want = audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1])
-        seen, original = [], reduction.as_matrix
-        monkeypatch.setattr(reduction, "as_matrix", lambda m, what, *args, **kw: (
-            seen.append(what) or original(m, what, *args, **kw)))
-        assert audit_compressed_model(p, h0, a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1]) == want
-        assert seen == ["u0", "u"]
-        h0[5, 60] = np.nan  # no longer equal: the full check names the entry
-        with pytest.raises(UnishiftError, match="NaN or Inf"):
-            audit_compressed_model(p, h0, a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1])
-        assert seen[2:] == ["h0"]
+        seen, peaks = [], []
+        for name in ("as_matrix", "require_hermitian"):
+            original = getattr(reduction, name)
+            monkeypatch.setattr(reduction, name, lambda m, what, *args, _original=original, **kw: (
+                seen.append(what) or _original(m, what, *args, **kw)))
+        frame = reduction._frame
+
+        def measured(*args, **kw):
+            tracemalloc.start()
+            try:
+                return frame(*args, **kw)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(reduction, "_frame", measured)
+        assert audit_projection_estimates(p, h0, u0, [1, -2]).passed
+        assert audit_perturbation_estimates(p, u0, u, a, 2.0, [1, -2], [0.0, 1.0]).passed
+        assert audit_compressed_model(p, h0, a, u0, u, inst.phase, 2.0, [1, -2], [1]) == want
+        compressed_model(p, h0, a, inst.phase)
+        assert seen == []
+        assert len(peaks) == 4 and max(peaks) < dim * dim * 16 / 4, peaks
+        if kind == "diagonal":
+            h0[5, 60] = np.nan  # the gap is NaN: the full check names the entry
+            with pytest.raises(UnishiftError, match="NaN or Inf"):
+                audit_compressed_model(p, h0, a, u0, u, inst.phase, 2.0, [1, -2], [1])
+            assert seen == ["h0"]
 
 
 class TestOneDecompositionPerCall:
     def test_convergence_study_diagonalises_h0_once(self, monkeypatch):
+        """A diagonal H0 is its own eigenbasis and takes no ``herm_eig``; a rotated one takes one."""
         from unishift import reduction
 
         inst = reduction_instance(21, 128, 2, 0.4)
@@ -999,13 +1036,18 @@ class TestOneDecompositionPerCall:
         original = reduction.herm_eig
 
         def counting(h, check=True):
-            calls.append(np.array_equal(h, inst.h0))
+            calls.append(h)
             return original(h, check)
 
         monkeypatch.setattr(reduction, "herm_eig", counting)
         poly = TrigPolynomial.monomial(2)
         study = convergence_study(inst.h0, inst.a, inst.phase, poly, ladder)
-        assert sum(calls) == 1
+        assert calls == []
+        q = haar_unitary(np.random.default_rng(21), 128)
+        rotated = (q * np.diagonal(inst.h0).real) @ q.conj().T
+        rotated = 0.5 * (rotated + rotated.conj().T)
+        convergence_study(rotated, inst.a, inst.phase, poly, ladder)
+        assert len(calls) == 1 and calls[0] is rotated
         monkeypatch.undo()
 
         half_width = float(np.max(np.abs(np.linalg.eigvalsh(inst.h0)))) * (1.0 + 1e-12) + 1e-15
@@ -1059,7 +1101,7 @@ class TestDiagonalH0:
                 audit_compressed_model(p, case.h0, case.a, case.u0, case.u, case.phase, 2.0, M_LIST, [1, 2, 4]),
             ]))
             # U0 off the unit circle, and U0 with a coupling between two eigenvectors of H0
-            v = p.instance.eigenvectors
+            v = np.eye(64) if p.instance.eigenvectors is None else p.instance.eigenvectors
             coupling = 1e-6 * np.outer(v[:, 0], v[:, 1].conj())
             with pytest.raises(NotUnitary):
                 audit_projection_estimates(p, case.h0, 1.01 * case.u0, M_LIST)
@@ -1067,7 +1109,7 @@ class TestDiagonalH0:
                 audit_projection_estimates(p, case.h0, case.u0 + coupling, M_LIST)
         (p, diagonal), (twin_p, dense) = reports
         assert p.rank == twin_p.rank
-        assert np.array_equal(p.instance.eigenvectors, np.eye(64))
+        assert p.instance.eigenvectors is None
         assert not np.array_equal(twin_p.instance.eigenvectors, np.eye(64))
         for got, want in zip(dense, diagonal):
             assert [(c.name, c.ok) for c in got.checks] == [(c.name, c.ok) for c in want.checks]
@@ -1096,12 +1138,15 @@ class TestOneOperandCheck:
         assert len(checks) == 2
 
     def test_audits_take_the_operands_from_the_basis(self, monkeypatch):
-        """Building checks H0 and A and decomposes each once; the audits and the model then run none of these."""
+        """Building checks H0 and A and finds A's kept pairs once; the audits and the model then run none of these.
+
+        The diagonal H0 is its own eigenbasis and takes no ``herm_eig``.
+        """
         inst = reduction_instance(4, 64, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
         counted = [self.count(monkeypatch, name) for name in ("require_hermitian", "herm_eig", "_kept_pairs")]
         cases = [
-            ((2, 1, 1), lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
+            ((2, 0, 1), lambda: build_direction_projection(inst.h0, inst.a, 1.0, 4)),
             ((0, 0, 0), lambda: compressed_model(p, inst.h0, inst.a, 0.0)),
             ((0, 0, 0), lambda: audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),
             ((0, 0, 0), lambda: audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, [1, -2], [0.0, 1.0])),
@@ -1117,12 +1162,12 @@ class TestOneOperandCheck:
         ("bounds", "16"), ("bounds", "4,8,16,32"), ("converge", "16"), ("converge", "2,4,8,16"),
     ])
     def test_commands_check_and_decompose_once_per_run(self, monkeypatch, tmp_path, command, ranks):
-        """A run checks H0 and A once, takes one eigh of H0 and finds A's kept pairs once: the draw keeps its own."""
+        """A run checks H0 and A once and finds A's kept pairs once (the draw keeps its own); H0 takes no eigh."""
         from unishift.cli import main
 
         counted = [self.count(monkeypatch, name) for name in ("require_hermitian", "herm_eig", "_kept_pairs")]
         assert main([command, "--ambient", "64", "--ranks", ranks, "--out", str(tmp_path / "out")]) == 0
-        assert tuple(map(len, counted)) == (2, 1, 1)
+        assert tuple(map(len, counted)) == (2, 0, 1)
 
     @staticmethod
     def kept_pair_shapes(monkeypatch):
@@ -1412,7 +1457,7 @@ class TestTypedErrors:
                 call(inst.h0 + 1e-3 * np.triu(bump))
 
     def test_a_is_held_to_the_a_that_built_the_basis(self):
-        """A within delta of the basis's own A gives its checks; beyond it PathMismatch, or NotHermitian, or a wrong size."""
+        """A within delta of the basis's kept pairs of A gives its checks; beyond it PathMismatch, NotHermitian or a wrong size."""
         inst = reduction_instance(16, 32, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
         bump = np.zeros((32, 32), dtype=complex)
@@ -1442,12 +1487,74 @@ class TestTypedErrors:
             with pytest.raises(DimensionMismatch):
                 call(inst.a[:31, :31])
 
+    @pytest.mark.parametrize("kind", ["diagonal", "haar"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j])
+    def test_nan_or_inf_in_any_operand_is_named_by_the_full_check(self, kind, bad):
+        """A NaN or Inf entry of H0, A, U0 (on the diagonal only, or off it) or U, given to every call that takes the
+        operand, is the finite check's UnishiftError: never PathMismatch or NotUnitary, whatever its gap."""
+        inst = reduction_instance(16, 32, 2, 0.5, phase=0.3)
+        if kind == "haar":
+            q = haar_unitary(np.random.default_rng(32), 32)
+            h0, a, u0, u = (q @ x @ q.conj().T for x in (inst.h0, inst.a, inst.u0, inst.u))
+            inst = replace(inst, h0=0.5 * (h0 + h0.conj().T), a=0.5 * (a + a.conj().T), u0=u0, u=u)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        assert (p.instance.eigenvectors is None) == (kind == "diagonal")
+        calls = [  # each call takes the operands it names
+            lambda h0, a, u0, u: audit_projection_estimates(p, h0, u0, [1, -2]),
+            lambda h0, a, u0, u: audit_perturbation_estimates(p, u0, u, a, 2.0, [1, -2], [0.0]),
+            lambda h0, a, u0, u: audit_compressed_model(p, h0, a, u0, u, inst.phase, 2.0, [1, -2], [1]),
+            lambda h0, a, u0, u: compressed_model(p, h0, a, inst.phase),
+        ]
+        takes = [("h0", "u0"), ("u0", "u", "a"), ("h0", "a", "u0", "u"), ("h0", "a")]
+        for call, names in zip(calls, takes):
+            for name in names:
+                for at in [(3, 3), (3, 17)]:
+                    operands = dict(h0=inst.h0, a=inst.a, u0=inst.u0, u=inst.u)
+                    operands[name] = operands[name].copy()
+                    operands[name][at] = bad
+                    with pytest.raises(UnishiftError, match="NaN or Inf") as info:
+                        call(**operands)
+                    assert type(info.value) is UnishiftError, (name, at)
+
+    def test_a_is_held_to_its_kept_pairs(self):
+        """A is held to F diag(tau) F*, the direction every audit computes with: dropped eigenvalues count in its gap.
+
+        Thirty eigenvalues of 9e-13, below the keep threshold 1e-12 max(||A||, 1), are dropped from the kept
+        pairs; their Hilbert-Schmidt norm 4.9e-12 passes delta = 2.5e-11 (powers up to 2) and fails
+        delta = 5e-13 (power 100).
+        """
+        rng = np.random.default_rng(18)
+        inst = reduction_instance(18, 64, 2, 0.5)
+        q = haar_unitary(rng, 64)[:, :32]
+        f, _, _ = _kept_pairs(inst.a)
+        q = q - f @ (f.conj().T @ q)
+        q = np.linalg.qr(q)[0][:, :30]
+        a = inst.a + (q * 9e-13) @ q.conj().T
+        a = 0.5 * (a + a.conj().T)
+        p = build_direction_projection(inst.h0, a, inst.half_width, 4)
+        assert p.instance.tau.size == 2
+        for ms in ([1, 2], [1, 100]):
+            calls = [
+                lambda: audit_perturbation_estimates(p, inst.u0, inst.u, a, 2.0, ms, [0.0]),
+                lambda: audit_compressed_model(p, inst.h0, a, inst.u0, inst.u, inst.phase, 2.0, ms, [1]),
+            ]
+            for call in calls:
+                if ms == [1, 2]:
+                    call()
+                else:
+                    with pytest.raises(PathMismatch, match="A is not the direction that built the projection"):
+                        call()
+        compressed_model(p, inst.h0, a, inst.phase)
+
     @pytest.mark.parametrize("field", [
         "params", "instance", "cell_rows", "cell_columns", "cell_blocks",
-        "h0", "eigenvalues", "eigenvectors", "a", "f", "fh", "tau",
+        "eigenvalues", "eigenvectors", "f", "fh", "tau",
     ])
     def test_basis_is_checked_where_it_is_made(self, field):
-        """Each field of the basis, and each array of its instance, is checked when the basis is made."""
+        """Each field of the basis, and each array of its instance, is checked when the basis is made.
+
+        The eigenvectors V may be None, which records an H0 that is its own eigenbasis (any other V must be d x d).
+        """
         inst = reduction_instance(16, 32, 2, 0.5)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
         own = field in vars(p)
@@ -1458,10 +1565,15 @@ class TestTypedErrors:
         # an array where a record belongs is a missing record; any other wrong shape disagrees with the layout
         wrong_shape = MissingConstruction if field in ("params", "instance") else DimensionMismatch
         for value, error in [(None, MissingConstruction), (np.eye(3), wrong_shape), (np.float64(1.0), wrong_shape)]:
+            if field == "eigenvectors" and value is None:
+                assert made(value).instance.eigenvectors is None
+                continue
             with pytest.raises(error):
                 made(value)
         kept = made(getattr(p if own else p.instance, field))
         assert (kept.ambient_dim, kept.rank) == (32, p.rank)
+        if field == "eigenvectors":  # a dense V of the right size fits too
+            assert made(np.eye(32, dtype=complex)).instance.eigenvectors.shape == (32, 32)
 
     def test_hand_built_basis_needs_the_eigenpairs_of_h0(self):
         inst = reduction_instance(16, 32, 2, 0.5)

@@ -27,9 +27,9 @@ if one is given (else ``DimensionMismatch``), with finite entries.
 A C-ordered M and its adjoint M* are read in transposed orders, so one
 strided pass over M + M* misses the cache at every entry once d is large.
 The one row-blocked kernel, ``_hermitian_blocks``, takes instead a block of
-``_ROWS`` rows against the conjugate of the matching block of columns at a
-time (a matrix of at most ``_WHOLE_ROWS`` rows, which fits in cache, is
-read whole).  It gives the Hermitian part (M + M*)/2 (``_hermitian_part``,
+``_ROWS`` rows, or as many as a caller asks, against the conjugate of the
+matching block of columns at a time (a matrix of at most ``_WHOLE_ROWS``
+rows, which fits in cache, is read whole).  It gives the Hermitian part (M + M*)/2 (``_hermitian_part``,
 bit for bit), which ``herm_eig`` decomposes and the reduction's range
 finder starts from, and the norms ||M - M*||_HS and ||M||_HS
 (``_hermitian_norms``) that ``require_hermitian``'s certificate reads, in
@@ -134,13 +134,13 @@ _ROWS = 32
 _WHOLE_ROWS = 128
 
 
-def _row_blocks(d: int) -> list[slice]:
-    """Consecutive slices of ``_ROWS`` rows covering range(d), the last one taking a lone last row.
+def _row_blocks(d: int, size: int = _ROWS) -> list[slice]:
+    """Consecutive slices of ``size`` rows covering range(d), the last one taking a lone last row.
 
     So no block of a matrix of several rows is a single row: numpy takes a
     one-row product to gemv, which rounds otherwise than the rows of one gemm.
     """
-    edges = [*range(0, max(d - 1, 1), _ROWS), d]
+    edges = [*range(0, max(d - 1, 1), size), d]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
@@ -149,15 +149,15 @@ def _blocks_hs_norm(blocks) -> float:
     return float(np.sqrt(sum(np.vdot(x, x).real for x in blocks)))
 
 
-def _hermitian_blocks(m: np.ndarray):
-    """Yield (rows, M[rows], (M*)[rows]) over the ``_row_blocks`` of a square M.
+def _hermitian_blocks(m: np.ndarray, size: int = _ROWS):
+    """Yield (rows, M[rows], (M*)[rows]) over the ``_row_blocks(d, size)`` of a square M.
 
     (M*)[rows] is the transposed view of the conjugate of the block of
     columns M[:, rows], copied in its own layout into one buffer that the
     next block overwrites, so no d x d adjoint is formed.
     """
-    column = np.empty((m.shape[0], min(m.shape[0], _ROWS + 1)), dtype=np.complex128)
-    for rows in _row_blocks(m.shape[0]):
+    column = np.empty((m.shape[0], min(m.shape[0], size + 1)), dtype=np.complex128)
+    for rows in _row_blocks(m.shape[0], size):
         top = m[rows]
         yield rows, top, np.conjugate(m[:, rows], out=column[:, : top.shape[0]]).T
 

@@ -980,13 +980,15 @@ class TestRowBlockedFrame:
         """Copies of the operands, a zero's sign flipped, pass each frame in place: no full check, no d x d array.
 
         At ambient 512 a d x d complex array is 4 MiB; each frame stays under a quarter of one, for the
-        diagonal H0 (V None) and for a Haar-rotated one (dense V).
+        diagonal H0 (V None) and for a Haar-rotated one (dense V).  The products with a dense V are taken
+        in blocks of ``_PRODUCT_ROWS`` rows, half of so small a matrix, so here in blocks of ``_ROWS``.
         """
-        from unishift import reduction
+        from unishift import linalg, reduction
 
         dim = 512
         inst = reduction_instance(16, dim, 2, 0.5, phase=0.3)
         if kind == "haar":
+            monkeypatch.setattr(reduction, "_PRODUCT_ROWS", linalg._ROWS)
             q = haar_unitary(np.random.default_rng(dim), dim)
             h0, a, u0, u = (q @ x @ q.conj().T for x in (inst.h0, inst.a, inst.u0, inst.u))
             inst = replace(inst, h0=0.5 * (h0 + h0.conj().T), a=0.5 * (a + a.conj().T), u0=u0, u=u)
@@ -1545,6 +1547,71 @@ class TestTypedErrors:
                     with pytest.raises(PathMismatch, match="A is not the direction that built the projection"):
                         call()
         compressed_model(p, inst.h0, a, inst.phase)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "haar"])
+    def test_near_hermitian_operands_pass_the_frames_of_their_basis(self, kind):
+        """H0 and A with a skew part that ``require_hermitian`` accepts pass every audit of the basis they built.
+
+        The audits compute with Hermitian parts only, so the frame holds those to the basis: a skew part of
+        1e-11 on each of H0's 256 diagonal entries, and one of A near 5e-11, are past delta = 2.5e-11 in
+        the Hilbert-Schmidt norm and leave every report as it is for the Hermitian parts.  A Hermitian
+        change of 2 delta is still ``PathMismatch``, skew part or not.
+        """
+        dim, rng = 256, np.random.default_rng(34)
+        inst = reduction_instance(34, dim, 2, 0.5, phase=0.3)
+        h0, a, u0, u = inst.h0, inst.a, inst.u0, inst.u
+        if kind == "haar":
+            q = haar_unitary(rng, dim)
+            h0, a, u0, u = (q @ x @ q.conj().T for x in (h0, a, u0, u))
+            h0, a = 0.5 * (h0 + h0.conj().T), 0.5 * (a + a.conj().T)
+        k = 1e-13 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        skewed = {"h0": h0 + np.diag(1e-11j * rng.standard_normal(dim)), "a": a + (k - k.conj().T)}
+        for name, x in skewed.items():
+            assert hs_norm(x - x.conj().T) / 2 > 2.5e-11, name
+        p = build_direction_projection(skewed["h0"], skewed["a"], inst.half_width, 16)
+        assert (p.instance.eigenvectors is None) == (kind == "diagonal")
+        bump = np.zeros((dim, dim), dtype=complex)
+        bump[3, 40] = bump[40, 3] = 2 * 2.5e-11 / np.sqrt(2.0)  # Hermitian, Hilbert-Schmidt norm 2 delta
+
+        def reports(h0, a):
+            return [
+                audit_projection_estimates(p, h0, u0, [1, 2]),
+                audit_perturbation_estimates(p, u0, u, a, 2.0, [1, 2], [0.0, 1.0]),
+                audit_compressed_model(p, h0, a, u0, u, inst.phase, 2.0, [1, 2], [1]),
+            ]
+
+        assert reports(skewed["h0"], skewed["a"]) == reports(h0, a)
+        compressed_model(p, skewed["h0"], skewed["a"], inst.phase)
+        for name in skewed:
+            moved = {**skewed, name: skewed[name] + bump}
+            with pytest.raises(PathMismatch, match=f"{'H0' if name == 'h0' else 'A'} is not the"):
+                reports(moved["h0"], moved["a"])
+
+    def test_h0_is_held_to_its_eigendecomposition(self):
+        """H0 is held to V diag(lambda) V*: for a dense V, the gap of the H0 that built the basis is LAPACK's residual.
+
+        The residual grows as ||H0||.  For a Haar-rotated H0 at ambient 64 it is near 1e-12 at ||H0|| = 1e2,
+        within delta = 2.5e-11, and near 1e-9 at 1e5, past it: that H0 is refused as ``PathMismatch``, as the
+        audits would compute with an operator more than delta from it.  A diagonal H0 is its own eigenbasis,
+        with a gap of 0 at any norm.
+        """
+        inst = reduction_instance(35, 64, 2, 0.5, phase=0.3)
+        q = haar_unitary(np.random.default_rng(35), 64)
+        for scale, rotated, held in [(1e5, False, True), (1e2, True, True), (1e5, True, False)]:
+            h0, u0 = scale * inst.h0, inst.u0
+            if rotated:
+                h0, u0 = q @ h0 @ q.conj().T, q @ u0 @ q.conj().T
+                h0 = 0.5 * (h0 + h0.conj().T)
+            p = build_direction_projection(h0, inst.a, scale, 4)
+            assert (p.instance.eigenvectors is None) != rotated
+            calls = [lambda: audit_projection_estimates(p, h0, u0, [1, 2]),
+                     lambda: compressed_model(p, h0, inst.a, inst.phase)]
+            for call in calls:
+                if held:
+                    call()
+                else:
+                    with pytest.raises(PathMismatch, match="H0 is not the operator that built the projection"):
+                        call()
 
     @pytest.mark.parametrize("field", [
         "params", "instance", "cell_rows", "cell_columns", "cell_blocks",

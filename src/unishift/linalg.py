@@ -17,7 +17,13 @@ coincide, as for a mirror pair theta, -theta, eigh may mix eigenvectors of
 U; an off-diagonal |X_jk| above ``_COUPLING_TOL`` flags that, and only the
 flagged runs of X go through the phase-rotated Cayley transform
 (``_cayley_eig``).  Every other Ritz pair has residual at most
-sqrt(d) ``_COUPLING_TOL``.
+sqrt(d) ``_COUPLING_TOL``.  One private Ritz pass (``_ritz_pass``) is the
+only eigen-solve of both users: ``unitary_eig`` solves its runs and
+rotates and sorts the eigenvectors; ``_spectra``, behind the shift
+profile's integrator, reads a sequence of node stacks, keeps per stack
+only the angles, the eigenvector weights and its runs' small blocks, solves
+the runs of every stack once per run length after the last one, and sorts
+(angle, weight) pairs, with no eigenvector stack.
 
 Every matrix operand passes one check, ``as_matrix``: complex128 (ragged or
 non-numeric input is an ``UnishiftError``), square and of the expected size
@@ -390,41 +396,110 @@ def _coupled_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[lengths > 1], lengths[lengths > 1]
 
 
-def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary by Rayleigh-Ritz on its Hermitian part.
+def _ritz_pass(u: np.ndarray):
+    """Rayleigh-Ritz on a stack U (n, d, d) of unitaries: the one eigen-solve of ``unitary_eig`` and ``_spectra``.
 
     One eigh of C = (U + U*)/2, which commutes with U, gives Ritz vectors Q;
-    with X = Q*UQ each angle is arg X_kk.  eigh can mix eigenvectors of U
-    only where the eigenvalues cos(theta) of C (nearly) coincide: mirror
-    pairs theta, -theta, or a cluster.  Such a mixing shows as an
-    off-diagonal |X_jk| above ``_COUPLING_TOL``; the flagged indices form
-    runs of consecutive indices (``_coupled_runs``), and each run's block of
-    X is solved by ``_cayley_eig`` and rotates its columns of Q.  Every other
-    Ritz pair has residual ||U q_k - X_kk q_k|| <= sqrt(d) ``_COUPLING_TOL``.
-    ``u`` may be a stack (..., d, d): eigh, the products and the block
-    solves are numpy gufuncs, so every slice equals the one-matrix call bit
-    for bit.
+    with X = Q*UQ each Ritz angle is arg X_kk in [0, 2pi).  eigh can mix
+    eigenvectors of U only where the eigenvalues cos(theta) of C (nearly)
+    coincide: mirror pairs theta, -theta, or a cluster.  Such a mixing shows
+    as an off-diagonal |X_jk| above ``_COUPLING_TOL``; the flagged indices
+    form runs of consecutive indices (``_coupled_runs``), and each run's
+    block of X is left for ``_cayley_eig``.  Every other Ritz pair has
+    residual ||U q_k - X_kk q_k|| <= sqrt(d) ``_COUPLING_TOL``.
+
+    Returns Q (n, d, d), the Ritz angles (n, d) and, per run length in
+    ascending order, (k, rows, blocks): the slice k (m,) and the indices
+    rows (m, size) of each run, and its block X[k][rows, rows] (m, size, size).
+    eigh and the products are numpy gufuncs, so every slice gets the bits of
+    a stack of one.
     """
-    u = _check_unitary_stack(u, check, "unitary_eig input")
-    shape, d = u.shape, u.shape[-1]
+    d = u.shape[-1]
     _, q = _eigh(0.5 * (u + _adjoint(u)))
-    q = q.reshape(-1, d, d)
-    x = _adjoint(q) @ (u.reshape(-1, d, d) @ q)
+    x = _adjoint(q) @ (u @ q)
     theta = np.mod(np.angle(np.diagonal(x, axis1=-2, axis2=-1)), TWO_PI)
     starts, lengths = _coupled_runs(x)
+    runs = []
     for size in sorted(set(lengths.tolist())):
         first = starts[lengths == size]
         k, rows = first // d, first[:, None] % d + np.arange(size)
-        block_angles, w = _cayley_eig(x[k[:, None, None], rows[:, :, None], rows[:, None, :]])
-        theta[k[:, None], rows] = block_angles
-        q[k[:, None], :, rows] = np.swapaxes(np.swapaxes(q[k[:, None], :, rows], 1, 2) @ w, 1, 2)
-    theta = theta.reshape(shape[:-1])
+        runs.append((k, rows, x[k[:, None, None], rows[:, :, None], rows[:, None, :]]))
+    return q, theta, runs
+
+
+def _sorted_angles(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles in [0, 2pi) snapped to (0, 2pi], eigenvalue 1 at 2pi, each row sorted, and the stable sorting order."""
     theta = np.where((theta <= _ONE_SNAP) | (theta >= TWO_PI - _ONE_SNAP), TWO_PI, theta)
     order = np.argsort(theta, axis=-1, kind="stable")
-    return SpectralDecomposition(
-        angles=np.take_along_axis(theta, order, -1),
-        vectors=np.take_along_axis(q.reshape(shape), order[..., None, :], -1),
-    )
+    return np.take_along_axis(theta, order, -1), order
+
+
+def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
+    """Spectral decomposition of a unitary by Rayleigh-Ritz on its Hermitian part.
+
+    One Ritz pass (``_ritz_pass``) gives Ritz vectors Q and angles; each
+    coupled run's block of X = Q*UQ is solved by ``_cayley_eig``, one stacked
+    call per run length, and rotates its columns of Q.  ``u`` may be a stack
+    (..., d, d): eigh, the products and the block solves are numpy gufuncs,
+    so every slice equals the one-matrix call bit for bit.
+    """
+    u = _check_unitary_stack(u, check, "unitary_eig input")
+    shape, d = u.shape, u.shape[-1]
+    q, theta, runs = _ritz_pass(u.reshape(-1, d, d))
+    for k, rows, blocks in runs:
+        block_angles, w = _cayley_eig(blocks)
+        theta[k[:, None], rows] = block_angles
+        q[k[:, None], :, rows] = np.swapaxes(np.swapaxes(q[k[:, None], :, rows], 1, 2) @ w, 1, 2)
+    angles, order = _sorted_angles(theta.reshape(shape[:-1]))
+    return SpectralDecomposition(angles=angles, vectors=np.take_along_axis(q.reshape(shape), order[..., None, :], -1))
+
+
+def _ritz_summary(u: np.ndarray, lam: np.ndarray, offset: int):
+    """One Ritz pass of a stack U (n, d, d), reduced to what ``_spectra`` keeps; slice 0 is its row ``offset``.
+
+    Returns the Ritz angles, the weights lam @ |Q|^2 of the Ritz vectors Q
+    and, per run length, (at, blocks, G): the flat indices (m, size) of each
+    run's entries in the results, its block of X (``_ritz_pass``) and
+    G = Q_r* diag(lam) Q_r (m, size, size) for its Ritz vectors Q_r.  Q is
+    freed on return.
+    """
+    q, theta, runs = _ritz_pass(u)
+    kept = []
+    for k, rows, blocks in runs:
+        columns = q[k[:, None], :, rows]  # (m, size, d): row i is Ritz vector rows[i] of slice k
+        at = (offset + k[:, None]) * u.shape[-1] + rows
+        kept.append((at, blocks, columns.conj() @ np.swapaxes(lam * columns, 1, 2)))
+    return theta, lam @ np.abs(q) ** 2, kept
+
+
+def _spectra(stacks, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenangles and eigenvector weights sum_j lam_j |v_j|^2 of each slice of a sequence of stacks (n_i, d, d).
+
+    Row i of each (sum n_i, d) result is one slice, sorted by angle: the
+    angles of ``unitary_eig`` bit for bit, with no eigenvector kept.  Each
+    stack takes one Ritz pass (``_ritz_summary``) and keeps only its Ritz
+    angles and weights and its coupled runs' small blocks of X and G, so it
+    is freed before the next stack is read.  After the last stack every run
+    of one length, from all of them, is solved by one ``_cayley_eig`` call;
+    a run's rotation W gives its angles and, as Q_r W are its eigenvectors,
+    its weights diag(W* G W).
+    """
+    angles, weights, runs, offset = [], [], {}, 0
+    for u in stacks:
+        theta, w, kept = _ritz_summary(u, lam, offset)
+        offset += len(u)
+        angles.append(theta)
+        weights.append(w)
+        for run in kept:
+            runs.setdefault(run[0].shape[1], []).append(run)
+    theta, weights = np.concatenate(angles), np.concatenate(weights)
+    for size in sorted(runs):
+        at, blocks, gram = (np.concatenate(part) for part in zip(*runs[size]))
+        block_angles, w = _cayley_eig(blocks)
+        theta.flat[at] = block_angles
+        weights.flat[at] = np.sum(w.conj() * (gram @ w), axis=-2).real
+    theta, order = _sorted_angles(theta)
+    return theta, np.take_along_axis(weights, order, -1)
 
 
 class UnitaryPath:

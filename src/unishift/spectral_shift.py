@@ -13,13 +13,16 @@ flat list of (angle, weight) jumps.
 
 ``EtaIntegrator`` builds that list in the eigenbasis A = V L V*.  There
 U_s is unitarily similar to e^{isL} M with M = V* U0 V, a row scaling of
-one fixed matrix, so ``unitary_eig`` over the stack of s = 0 (U0 itself)
-and every node, in blocks of at most ``_BLOCK`` entries, gives all the
-eigenangles: per block one stacked eigh of the Hermitian parts, two
-products for the Ritz values, and Cayley solves only of the small coupled
-blocks (mirror pairs theta, -theta).  For an eigencolumn y of e^{isL} M
-the eigenvector of U_s is v = V y, and its weight v*Av = sum_j L_j |y_j|^2
-is real by construction; no product with A is formed.  Every t-integral
+one fixed matrix, so one Ritz pass (``linalg._spectra``) over the stack of
+s = 0 (U0 itself) and every node, in blocks of at most ``_BLOCK``
+entries, gives all the eigenangles: per block one stacked eigh of the
+Hermitian parts and two products for the Ritz values.  The small coupled
+blocks (mirror pairs theta, -theta) of every block are kept and solved
+together once the last block is read, in one Cayley solve per run length
+for the whole integrator.  For an eigencolumn y of e^{isL} M the
+eigenvector of U_s is v = V y, and its weight v*Av = sum_j L_j |y_j|^2 is
+real by construction; no product with A is formed, and no eigenvector is
+kept: each node's (angle, weight) pairs are sorted by angle.  Every t-integral
 is then a closed-form sum over the jumps (summation by parts): for any f
 whose derivative f' is known on the circle,
 
@@ -41,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnishiftError, _is_mode, _is_whole
-from .linalg import _BLOCK, TWO_PI, UnitaryPath, unitary_eig
+from .errors import EmptyMatrix, UnishiftError, _is_mode, _is_whole
+from .linalg import _BLOCK, TWO_PI, UnitaryPath, _spectra
 from .quadrature import as_rule
 
 _MAX_GRID = 10**6  # a profile holds three grid-long columns
@@ -73,8 +76,9 @@ class EtaIntegrator:
     module docstring): row 0 is U0 (s = 0), row j + 1 the U_s of node j.
 
     Building the object validates U0 and A once, through its ``path`` (a
-    ``UnitaryPath``, which also checks endpoints), and diagonalises the rows
-    in stacked blocks; the profile, its mean and the pairings against f''
+    ``UnitaryPath``, which also checks endpoints), and takes the rows'
+    spectra in stacked blocks (0x0 operands raise ``EmptyMatrix``); the
+    profile, its mean and the pairings against f''
     are sums over the jump list, exact in t.  Every step is deterministic,
     so repeated runs are bit-identical.
     """
@@ -85,16 +89,13 @@ class EtaIntegrator:
         self.u0, self.a = self.path.u0, self.path.a
         spectrum = self.path.direction_spectrum
         m = self.path.vstar_u0 @ spectrum.vectors
+        if m.shape[0] == 0:
+            raise EmptyMatrix("the pair is 0x0 and has no spectrum")
         s = np.concatenate([[0.0], self.rule.nodes])
-        per_block = max(1, _BLOCK // max(m.size, 1))
-        angles, weights = [], []
-        for start in range(0, s.size, per_block):
-            rotations = np.exp(1j * np.multiply.outer(s[start:start + per_block], spectrum.eigenvalues))
-            dec = unitary_eig(rotations[:, :, None] * m, check=False)
-            angles.append(dec.angles)
-            weights.append(spectrum.eigenvalues @ np.abs(dec.vectors) ** 2)
-        self.node_angles = np.concatenate(angles)
-        self.node_weights = np.concatenate(weights)
+        per_block = max(1, _BLOCK // m.size)
+        blocks = (np.exp(1j * np.multiply.outer(s[start:start + per_block], spectrum.eigenvalues))[:, :, None] * m
+                  for start in range(0, s.size, per_block))
+        self.node_angles, self.node_weights = _spectra(blocks, spectrum.eigenvalues)
         w = self.rule.weights
         self.jump_angles = self.node_angles.ravel()
         self.jump_weights = (np.concatenate([[np.sum(w)], -w])[:, None] * self.node_weights).ravel()

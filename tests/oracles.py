@@ -19,6 +19,10 @@ path to the package routine it checks:
     they are the per-node reference the jump list of ``EtaIntegrator`` is
     tested against.  ``eta_fourier`` reads one Fourier coefficient of eta off
     that jump list (``ZeroHarmonic`` for n = 0), for the Fourier cross-check.
+  * ``eigenvector_pass`` is the integrator's node data from ``unitary_eig``
+    of each node block, weights read off the sorted eigenvectors; the
+    integrator keeps no eigenvectors and solves the coupled runs of all
+    blocks together, and its angles must equal these bit for bit.
   * ``gateaux_monomial`` and ``gateaux_series`` keep the full matrices of the
     directional derivative along U_s = e^{isA} U0, by the product rule
 
@@ -68,6 +72,7 @@ import numpy as np
 
 from unishift.errors import DimensionMismatch, NotHermitian, NotUnitary, UnishiftError
 from unishift.linalg import (
+    _BLOCK,
     TWO_PI,
     SpectralDecomposition,
     UnitaryPath,
@@ -289,6 +294,20 @@ def eta_step_at_s(u0dec: SpectralDecomposition, usdec: SpectralDecomposition, a)
     if u0dec.angles.shape != usdec.angles.shape:
         raise DimensionMismatch("decompositions have different dimensions")
     return weighted_measure_step(u0dec, a) - weighted_measure_step(usdec, a)
+
+
+def eigenvector_pass(u0, a, rule) -> tuple[np.ndarray, np.ndarray]:
+    """The (1 + nodes, d) sorted angles and weights sum_j L_j |y_j|^2 from ``unitary_eig`` of blocks of e^{isL} M."""
+    path = UnitaryPath(u0, a)
+    lam, m = path.direction_spectrum.eigenvalues, path.vstar_u0 @ path.direction_spectrum.vectors
+    s = np.concatenate([[0.0], rule.nodes])
+    per_block = max(1, _BLOCK // m.size)
+    angles, weights = [], []
+    for start in range(0, s.size, per_block):
+        dec = unitary_eig(np.exp(1j * np.multiply.outer(s[start:start + per_block], lam))[:, :, None] * m, check=False)
+        angles.append(dec.angles)
+        weights.append(lam @ np.abs(dec.vectors) ** 2)
+    return np.concatenate(angles), np.concatenate(weights)
 
 
 class ZeroHarmonic(UnishiftError):

@@ -5,12 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from unishift import UnishiftError, eta_profile, random_pair, reduction_instance
+from unishift import UnishiftError, cli, eta_profile, random_pair, reduction_instance
 from unishift.cli import (
     _MAX_SIZES,
     ConfigError,
     RunConfig,
     _distinct,
+    _json_columns,
     _write_csv,
     _write_json,
     build_parser,
@@ -384,6 +385,15 @@ class TestWriters:
             fh.write("\n")
         assert out.read_bytes() == ref.read_bytes()
 
+    def test_eta_json_columns_match_json_dumps(self, tmp_path):
+        profile = {"t": [0.0, 5e-324, 1e308, 1.7976931348623157e308], "eta": [-0.0, 0.1, -5e-324, 1.0 / 3.0],
+                   "eta0": [-1e308, 2.0**-1022, 1e16, -0.0]}
+        assert _json_columns(profile) == json.dumps(profile, indent=2, sort_keys=True) + "\n"
+        out = tmp_path / "eta.json"
+        assert main(["eta", "--dim", "4", "--grid", "64", "--format", "json", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
 
 CONVERGE_ROW_KEYS = {"cells", "rank", "compressed_trace_re", "compressed_trace_im", "abs_diff"}
 RESOLVENT_KEYS = {
@@ -505,6 +515,30 @@ class TestExitCodes:
         assert main([command, "--seed", "-1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: seed and rmax must be non-negative\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "eta", "converge", "resolvent", "bounds"])
+    @pytest.mark.parametrize("where", ["below-a-file", "a-directory", "not-writable"])
+    def test_unwritable_out_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch, command, where):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "random_pair", no_run)
+        monkeypatch.setattr(cli, "reduction_instance", no_run)
+        (tmp_path / "file").write_text("")
+        out = {"below-a-file": tmp_path / "file" / "sub" / "out.json", "a-directory": tmp_path,
+               "not-writable": tmp_path / "out.json"}[where]
+        if where == "not-writable":
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out)!r}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
+    def test_eta_sidecar_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "eta.json").mkdir()
+        assert main(["eta", "--dim", "2", "--out", str(tmp_path / "eta.csv")]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {str(tmp_path / 'eta.json')!r}: it is a directory\n"
+        assert not (tmp_path / "eta.csv").exists()
 
     def test_node_count_beyond_the_cap_exits_2(self, tmp_path, capsys, address_space_cap):
         out = tmp_path / "eta.csv"

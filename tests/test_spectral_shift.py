@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import StepFunction, ZeroHarmonic, eta_fourier, eta_step_at_s, integrate_against, weighted_measure_step
+from oracles import (
+    StepFunction,
+    ZeroHarmonic,
+    cayley_unitary_eig,
+    eigenvector_pass,
+    eta_fourier,
+    eta_step_at_s,
+    integrate_against,
+    weighted_measure_step,
+)
 from unishift import (
     DimensionMismatch,
     EmptyMatrix,
@@ -22,6 +32,7 @@ from unishift import (
     schur_bound_check,
     unitary_eig,
 )
+from unishift import linalg
 from unishift.doi import primitive_of
 from unishift.linalg import _BLOCK, TWO_PI, UnitaryPath, haar_unitary, trace, trace_norm
 from unishift.quadrature import QuadratureRule, as_rule
@@ -277,6 +288,61 @@ class TestJumpListReference:
         t = integrator.jump_angles[first]
         assert integrator.eta(t) == integrator.jump_weights[first]
         assert integrator.eta(np.nextafter(t, 0.0)) == 0.0
+
+
+class TestBatchedRunResolution:
+    """One Ritz pass per node block, the coupled runs of all blocks solved together, no eigenvectors kept."""
+
+    @pytest.mark.parametrize("seed, dim", [(3, 1), (3, 2), (0, 5), (3, 16), (3, 64)])
+    def test_angles_bit_identical_to_the_eigenvector_pass(self, seed, dim):
+        pair = random_pair(seed, dim, 2.0)
+        rule = gauss_legendre(64)
+        integrator = EtaIntegrator(pair.u0, pair.a, rule)
+        angles, weights = eigenvector_pass(pair.u0, pair.a, rule)
+        assert integrator.node_angles.tobytes() == angles.tobytes()
+        assert np.max(np.abs(integrator.node_weights - weights)) <= 1e-14 * max(1.0, np.max(np.abs(weights)))
+
+    @pytest.mark.parametrize("seed, dim, nodes, rows", [(3, 64, 64, None), (1, 512, 8, (0, 1))],
+                             ids=["d64-64-nodes", "d512-8-nodes"])
+    def test_matches_the_per_node_cayley_oracle(self, monkeypatch, seed, dim, nodes, rows):
+        """Row 0 is U0, row j + 1 node j; at d = 512 rows 0 and 1 hold coupled runs of length 3 and 4."""
+        sizes = []
+        solve = linalg._cayley_eig
+        monkeypatch.setattr(linalg, "_cayley_eig", lambda x: sizes.append(x.shape[-1]) or solve(x))
+        pair = random_pair(seed, dim, 2.0)
+        rule = gauss_legendre(nodes)
+        integrator = EtaIntegrator(pair.u0, pair.a, rule)
+        # at most one Cayley solve per run length, over every block of nodes
+        assert sizes == sorted(set(sizes)) and sizes[0] == 2
+        assert dim < 512 or sizes == [2, 3, 4]
+        path, s = UnitaryPath(pair.u0, pair.a), np.concatenate([[0.0], rule.nodes])
+        grid = np.linspace(0.0, TWO_PI, 1000)
+        for row in range(s.size) if rows is None else rows:
+            dec = cayley_unitary_eig(path.at(float(s[row])))
+            weights = np.sum(dec.vectors.conj() * (pair.a @ dec.vectors), axis=0).real
+            np.testing.assert_allclose(integrator.node_angles[row], dec.angles, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(integrator.node_weights[row], weights, rtol=0, atol=1e-10)
+            if row == 0:
+                oracle_u0 = dec
+            elif rows is None:
+                ours, step = node_step(integrator, row - 1), eta_step_at_s(oracle_u0, dec, pair.a)
+                np.testing.assert_allclose(ours.evaluate(grid), step.evaluate(grid), atol=1e-10)
+                for r in (-3, 1, 4):
+                    assert integrate_against(ours, r) == pytest.approx(integrate_against(step, r), abs=1e-9)
+
+    def test_peak_memory_within_the_eigenvector_pass(self):
+        """At d = 256 a block is one node; the integrator holds no eigenvector stack beside it."""
+        pair = random_pair(3, 256, 2.0)
+        rule = gauss_legendre(8)
+        peaks = []
+        for build in (eigenvector_pass, EtaIntegrator):
+            tracemalloc.start()
+            try:
+                build(pair.u0, pair.a, rule)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 def _conjugated(rng, values):

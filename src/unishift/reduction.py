@@ -468,7 +468,8 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     U0^m or U^m by more than |m| delta (1 + 2 delta)^|m| < AUDIT_SLACK, nor the Cayley image of H0 by more
     than 2 delta.  A delta below d times the machine epsilon, the roundoff of one such gap, is refused
     (``UnishiftError``) first.  A gap not within delta (NaN too) sends its operand to ``as_matrix`` and,
-    for H0 and A, ``require_hermitian``; past them it is ``PathMismatch``, or ``NotUnitary`` for |c|.
+    for H0 and A, ``require_hermitian``; past them it is ``PathMismatch``, or ``NotUnitary`` for |c|, whose
+    message states the measured gap beside delta (for H0 with a dense V, a gap that includes V's residual).
 
     Returns c (None without U0) and, with A, tau, ||A||, Fh and P_perp Fh
     with their zero row d, and F* B (else None).
@@ -489,12 +490,12 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
         x = _as_array(given, copy=None)
         return x if x.shape == (d, d) else as_matrix(x, name, d, copy=None)  # DimensionMismatch
 
-    def require(x, name, gap, error, what):
+    def require(x, name, gap, error, what, measured="Hilbert-Schmidt gap", note=""):
         if not gap <= delta:
             as_matrix(x, name, d, copy=None)
             if name in ("h0", "a"):
                 require_hermitian(x, name, d)
-            raise error(f"{what} (tol {delta:.3e})")
+            raise error(f"{what} (tol {delta:.3e}): {measured} {gap:.3e}{note}")
 
     c, fh = None, _padded(inst.fh)
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or Inf entry only fails its gap
@@ -503,13 +504,15 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
             if x is not None:  # the gap of X, one read, bounds that of its Hermitian part
                 x = operand(x, name)
                 gap = gap if (gap := _gap(x, w, mu)) <= delta else _gap(x, w, mu, hermitian=True)
-                require(x, name, gap, PathMismatch, f"{what} that built the projection")
+                residual = name == "h0" and w is not None  # a dense V: the gap of the H0 that built it is not 0
+                require(x, name, gap, PathMismatch, f"{what} that built the projection",
+                        note=", which includes the residual of H0's eigendecomposition" if residual else "")
         if u0 is not None:
             u0 = operand(u0, "u0")
             c, off = _eigen_gap(u0, inst.eigenvectors)
             require(u0, "u0", off, PathMismatch, "U0 is not diagonal in the eigenbasis of H0")
             require(u0, "u0", np.max(np.abs(np.abs(c) - 1.0), initial=0.0), NotUnitary,
-                    "U0 has an eigenvalue off the unit circle")
+                    "U0 has an eigenvalue off the unit circle", "largest abs(|c_j| - 1)")
         if u is not None:
             u, step, fu0 = operand(u, "u"), _exp_step(inst.f, inst.tau), inst.f.conj().T @ u0
             gap = _blocks_hs_norm(u[rows] - (u0[rows] + step[rows] @ fu0) for rows in _row_blocks(d))

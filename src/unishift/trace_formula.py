@@ -22,7 +22,11 @@ The resolvent w -> (w - z)^{-1} is not a trigonometric polynomial.  Its
 right side is one closed-form sum over the jumps from f'(t) =
 -i e^{it} / (e^{it} - z)^2, with no truncation; only the left side uses a
 truncated Fourier series, with an explicit tail bound, and that series is
-checked against the left side computed directly from matrix inverses.
+checked against the left side computed directly from matrix inverses.  The
+series is geometric in X = z U* inside the circle and X = U / z outside, so
+its left side needs only S = sum_{k<n} X^k and T = sum_{k<n} k X^k for U and
+U0, which binary doubling gives in O(log n) products of one (2, d, d) stack
+(``_geometric_sums``) rather than one product per mode.
 
 The directional derivative of a monomial follows the product rule along the
 path:
@@ -47,7 +51,7 @@ from numbers import Number
 import numpy as np
 
 from .errors import OnUnitCircle, UnishiftError, _is_real, _is_whole
-from .linalg import UnitaryPath, _power_blocks, hs_norm, op_norm, trace
+from .linalg import UnitaryPath, _adjoint, _power_blocks, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial, _require_polynomial
 
@@ -181,13 +185,6 @@ class ResolventReport(VerificationReport):
     series_vs_direct: float
 
 
-def _resolvent_series(z: complex, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending modes and the coefficients of ``resolvent_coefficients(z, order)``, as arrays."""
-    if abs(z) < 1.0:
-        return np.arange(-(order + 1), 0), np.array([z**k for k in range(order, -1, -1)], dtype=np.complex128)
-    return np.arange(order + 1), np.array([-(z ** -(k + 1)) for k in range(order + 1)], dtype=np.complex128)
-
-
 def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
     """Truncated Fourier expansion of w -> (w - z)^{-1} on |w| = 1.
 
@@ -201,8 +198,9 @@ def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
         raise UnishiftError(f"the series order must be a whole number, at least 0, not {order!r}")
     if order > _MAX_ORDER:
         raise UnishiftError(f"the series order must be at most {_MAX_ORDER}, not {order}")
-    modes, coeffs = _resolvent_series(z, order)
-    return TrigPolynomial(dict(zip(modes.tolist(), coeffs.tolist())))
+    if abs(z) < 1.0:
+        return TrigPolynomial({-(k + 1): z**k for k in range(order, -1, -1)})
+    return TrigPolynomial({k: -(z ** -(k + 1)) for k in range(order + 1)})
 
 
 def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):
@@ -241,13 +239,48 @@ def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):
     return hi - 1, tail(hi)
 
 
+def _geometric_sums(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum_{k<n} X^k and T = sum_{k<n} k X^k for each X of a stack, n >= 1, by binary doubling.
+
+    From S_m, T_m and P = X^m, doubling takes S_2m = S_m + P S_m,
+    T_2m = T_m + P (T_m + m S_m) and P^2; each set bit of n after the
+    leading one then adds the term P to S and m P to T, and takes P X.  So
+    n needs at most 4 (bit length of n - 1) stacked products, where the
+    streamed sum needs n (Higham, Functions of Matrices, SIAM 2008, ch. 4).
+    """
+    s, t, power, m = np.broadcast_to(np.eye(x.shape[-1], dtype=x.dtype), x.shape).copy(), np.zeros_like(x), x, 1
+    for bit in bin(n)[3:]:
+        s, t, power, m = s + power @ s, t + power @ (t + m * s), power @ power, 2 * m
+        if bit == "1":
+            s, t, power, m = s + power, t + m * power, power @ x, m + 1
+    return s, t
+
+
+def _resolvent_lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, z: complex, order: int) -> complex:
+    """The left side of ``resolvent_coefficients(z, order)`` for a validated pair, from ``_geometric_sums``.
+
+    Inside the circle, with X = z U* and n = order + 1, the modes -(k+1) sum to
+    Tr(U* S) - Tr(U0* S0) + i Tr(A U0* (T0 + S0)); outside, with X = U / z, the
+    modes k sum to -(Tr S - Tr S0 - i Tr(A T0)) / z.  Tr(M* N) is vdot(M, N),
+    and Tr(A N) = vdot(A, N) for Hermitian A.
+    """
+    pair = np.stack([u, u0])
+    if abs(z) < 1.0:
+        (s, s0), (_, t0) = _geometric_sums(z * _adjoint(pair), order + 1)
+        return np.vdot(u, s) - np.vdot(u0, s0) + 1j * np.vdot(a, _adjoint(u0) @ (t0 + s0))
+    (s, s0), (_, t0) = _geometric_sums(pair / z, order + 1)
+    return -(np.trace(s) - np.trace(s0) - 1j * np.vdot(a, t0)) / z
+
+
 def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> ResolventReport:
     """Verify the trace identity for w -> (w - z)^{-1}, |z| != 1.
 
     The right side is the closed-form pairing of eta with the resolvent's
-    derivative on the circle.  The left side streams a truncated coefficient
-    expansion whose order comes from an explicit tail bound, and must also
-    agree with the left side computed directly from matrix inverses.
+    derivative on the circle.  The left side sums a truncated coefficient
+    expansion, whose order comes from an explicit tail bound, as two
+    geometric series summed by binary doubling (``_resolvent_lhs``), in
+    O(log order) products; it must also agree with the left side computed
+    directly from matrix inverses.
     """
     _require_tol(tol)
     if abs(abs(z := _require_point(z)) - 1.0) < 1e-6:
@@ -255,8 +288,7 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
     session = EtaIntegrator(u0, a, s_rule)
     u0, a, u = session.u0, session.a, session.path.require_endpoint(u)
     order, tail = resolvent_truncation(z, hs_norm(a), op_norm(a), tol)
-    modes, coeffs = _resolvent_series(z, order)
-    lhs = complex((coeffs[None] @ _lhs_mode_traces(u0, u, a, modes))[0])
+    lhs = complex(_resolvent_lhs(u0, u, a, z, order))
 
     def fprime(t):
         """d/dt (e^{it} - z)^{-1} on the circle; dividing twice keeps a huge |z| from overflowing."""

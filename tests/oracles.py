@@ -31,6 +31,10 @@ path to the package routine it checks:
                    = -sum_{k=0}^{|r|-1} (U_s*)^{|r|-k} (iA) (U_s*)^k (r <= -1);
 
     they are the oracle for the per-mode traces of the left side.
+  * ``mp_lhs_trace`` is the left side of a polynomial to 40 digits (mpmath),
+    from the eigenvalues of the float64 U and U0 and the diagonal of A in
+    U0's eigenvectors, one power per mode; the package's resolvent left side
+    sums geometric series of matrices by binary doubling instead.
   * ``require_hermitian_svd`` and ``require_unitary_svd`` are the validation
     checks by their definition, with an SVD for every operator norm; the
     package proves most passes from Hilbert-Schmidt norms instead.
@@ -352,6 +356,33 @@ def gateaux_series(u0, a, p: TrigPolynomial, s: float = 0.0) -> np.ndarray:
     for n, coeff in p.items():
         out = out + coeff * _monomial_derivative(us, ia, n)
     return out
+
+
+def mp_lhs_trace(u0, u, a, p: TrigPolynomial, dps: int = 40) -> complex:
+    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } for the given float64 matrices, summed with ``dps`` digits.
+
+    With U0 = V0 diag(mu) V0^{-1}, mode n contributes c_n (sum lambda^n - sum mu^n
+    - i n sum w mu^n), w the diagonal of V0^{-1} A V0; the powers are kept as
+    running products over n = 1, 2, ... for each sign.  Mode 0 contributes 0.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lam, _ = mpmath.eig(mpmath.matrix(np.asarray(u).tolist()))
+        mu, v0 = mpmath.eig(mpmath.matrix(np.asarray(u0).tolist()))
+        w_mat = mpmath.inverse(v0) * mpmath.matrix(np.asarray(a).tolist()) * v0
+        w = [w_mat[j, j] for j in range(len(mu))]
+        total = mpmath.mpc(0)
+        for sign in (1, -1):
+            steps_l, steps_m = [x**sign for x in lam], [x**sign for x in mu]
+            pl, pm = list(steps_l), list(steps_m)
+            for k in range(1, max([sign * n for n in p.coeffs] + [0]) + 1):
+                if (n := sign * k) in p.coeffs:
+                    tn = mpmath.fsum(pl) - mpmath.fsum(pm) - 1j * n * mpmath.fsum(x * y for x, y in zip(w, pm))
+                    total += mpmath.mpc(p.coeffs[n]) * tn
+                pl = [x * y for x, y in zip(pl, steps_l)]
+                pm = [x * y for x, y in zip(pm, steps_m)]
+        return complex(total)
 
 
 def require_hermitian_svd(m, what: str = "matrix") -> None:

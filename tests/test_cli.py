@@ -389,6 +389,8 @@ class TestWriters:
         profile = {"t": [0.0, 5e-324, 1e308, 1.7976931348623157e308], "eta": [-0.0, 0.1, -5e-324, 1.0 / 3.0],
                    "eta0": [-1e308, 2.0**-1022, 1e16, -0.0]}
         assert _json_columns(profile) == json.dumps(profile, indent=2, sort_keys=True) + "\n"
+        repeated = {"eta": [0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 5e-324, -5e-324, 0.0]}  # distinct bits, formatted once
+        assert _json_columns(repeated) == json.dumps(repeated, indent=2, sort_keys=True) + "\n"
         out = tmp_path / "eta.json"
         assert main(["eta", "--dim", "4", "--grid", "64", "--format", "json", "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -1610,8 +1611,16 @@ class TestTypedErrors:
                 if held:
                     call()
                 else:
-                    with pytest.raises(PathMismatch, match="H0 is not the operator that built the projection"):
+                    with pytest.raises(PathMismatch, match="H0 is not the operator that built the projection") as exc:
                         call()
+                    # the message states the measured gap, LAPACK's residual here, and says that it is one
+                    v, lam = p.instance.eigenvectors, p.instance.eigenvalues
+                    residual = np.linalg.norm(h0 - (v * lam) @ v.conj().T)
+                    found = re.search(r"\(tol ([0-9.e+-]+)\): Hilbert-Schmidt gap ([0-9.e+-]+), which includes the "
+                                      r"residual of H0's eigendecomposition$", str(exc.value))
+                    assert found, str(exc.value)
+                    tol, gap = map(float, found.groups())
+                    assert gap == pytest.approx(residual, rel=1e-3) and gap > 10 * tol
 
     @pytest.mark.parametrize("field", [
         "params", "instance", "cell_rows", "cell_columns", "cell_blocks",

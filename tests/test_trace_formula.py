@@ -11,6 +11,7 @@ from oracles import (
     abs_sum,
     gateaux_monomial,
     gateaux_series,
+    mp_lhs_trace,
     polynomial_of,
     power,
     remainder_trace_norm_bound,
@@ -36,7 +37,9 @@ from unishift import (
 from unishift import linalg, reduction_instance, trace_formula
 from unishift.reduction import _cayley_values, _instance, _thin_lhs
 from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, haar_unitary, random_hermitian, trace_norm
-from unishift.trace_formula import _MAX_ORDER, _lhs, _lhs_mode_traces, resolvent_coefficients, resolvent_truncation
+from unishift.trace_formula import (
+    _MAX_ORDER, _geometric_sums, _lhs, _lhs_mode_traces, _resolvent_lhs, resolvent_coefficients, resolvent_truncation,
+)
 from unishift.trigpoly import random_trig_polynomial
 
 seeds = st.integers(0, 2**31 - 1)
@@ -510,6 +513,101 @@ class TestSidesShareNoSpectralCode:
         with pytest.raises(Forbidden):  # the patch reaches the left side
             _lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys)
 
+    def test_resolvent_left_side_takes_no_eigendecomposition(self, monkeypatch):
+        """The doubled resolvent series left side, inside and outside the circle, finds no eigenpairs."""
+        points = [(0.3 + 0.4j, 40), (1 / 0.9, 300)]
+        want = [_resolvent_lhs(self.pair.u0, self.pair.u, self.pair.a, z, order) for z, order in points]
+        forbid(monkeypatch, np.linalg, "eigh", "eigvalsh", "eig", "eigvals")
+        got = [_resolvent_lhs(self.pair.u0, self.pair.u, self.pair.a, z, order) for z, order in points]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        with pytest.raises(Forbidden):  # the patch reaches the right side
+            resolvent_check(self.pair.u0, self.pair.u, self.pair.a, 0.5)
+
+    def test_right_side_takes_no_geometric_sums(self, monkeypatch):
+        modes = list(range(-8, 9))
+
+        def right_side():
+            session = EtaIntegrator(self.pair.u0, self.pair.a)
+            return session.pairing(lambda t: -1j * np.exp(1j * t) / (np.exp(1j * t) - 0.5) ** 2), \
+                session.curvature_pairings(modes)
+
+        want = right_side()
+        forbid(monkeypatch, trace_formula, "_geometric_sums")
+        got = right_side()
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        with pytest.raises(Forbidden):  # the patch reaches the left side
+            resolvent_check(self.pair.u0, self.pair.u, self.pair.a, 0.5)
+
+
+class TestGeometricSums:
+    """S = sum_{k<n} X^k and T = sum_{k<n} k X^k by binary doubling, against the plain loop."""
+
+    @staticmethod
+    def plain(x, n):
+        s, t, power = np.zeros_like(x), np.zeros_like(x), np.broadcast_to(np.eye(x.shape[-1]), x.shape)
+        for k in range(n):
+            s, t, power = s + power, t + k * power, power @ x
+        return s, t
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 1023, 1024, 1025])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_matches_the_plain_loop(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        x = 0.995 * np.stack([haar_unitary(rng, dim), haar_unitary(rng, dim)])
+        got, want = _geometric_sums(x, n), self.plain(x, n)
+        for g, w in zip(got, want):
+            assert g.shape == x.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * (1.0 + np.abs(w).max()))
+
+    def test_one_term_is_exact(self):
+        x = np.stack([haar_unitary(np.random.default_rng(1), 3)] * 2)
+        s, t = _geometric_sums(x, 1)
+        assert np.array_equal(s, np.stack([np.eye(3)] * 2)) and not t.any()
+
+    @pytest.mark.parametrize("z, order", [(1e300, 5), (-1e300j, 64), (1e-300, 5)])
+    def test_extreme_points_raise_no_runtime_warning(self, z, order):
+        """Powers of X = U / z or z U* underflow to zero quietly, so the sum is that of its first mode."""
+        pair = random_pair(18, 3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _resolvent_lhs(pair.u0, pair.u, pair.a, complex(z), order)
+        want = lhs_trace(pair.u0, pair.u, pair.a, resolvent_coefficients(z, 0))
+        assert np.isfinite(got) and abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+    def test_resolvent_check_streams_no_powers(self, monkeypatch):
+        pair = random_pair(19, 4, 1.0)
+        for owner, name in ((trace_formula, "_lhs_mode_traces"), (trace_formula, "_power_blocks"),
+                            (trace_formula, "resolvent_coefficients"), (linalg, "_power_blocks")):
+            monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"resolvent_check called {_name}"))
+        for z in (0.0, 0.6 - 0.5j, 1 / 0.9):
+            assert resolvent_check(pair.u0, pair.u, pair.a, z).passed
+
+    def test_left_side_products_grow_as_log_order(self, monkeypatch):
+        """At z = 0.999 (order above 40 000) the left side takes at most 4 ceil(log2(order + 2)) + 4 products.
+
+        Every product is counted whose operands descend from the stack handed to ``_geometric_sums`` (a
+        (2, d, d) stacked product counts once); the direct-inverse check and the right side are not counted.
+        """
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(ufunc)
+                plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                assert "out" not in kwargs
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                return result.view(Counted) if isinstance(result, np.ndarray) else result
+
+        original = trace_formula._geometric_sums
+        monkeypatch.setattr(trace_formula, "_geometric_sums", lambda x, n: original(x.view(Counted), n))
+        pair = random_pair(20, 3, 1.0)
+        rep = resolvent_check(pair.u0, pair.u, pair.a, 0.999)
+        assert rep.truncation_order > 40_000
+        assert math.ceil(math.log2(rep.truncation_order + 1)) <= len(products)
+        assert len(products) <= 4 * math.ceil(math.log2(rep.truncation_order + 2)) + 4
+
 
 class TestRemainderBound:
     @given(seeds, st.integers(1, 8))
@@ -577,14 +675,23 @@ class TestResolvent:
         assert rep.passed
         assert abs(rep.rhs - series) <= rep.tail_bound + 1e-12 * (1.0 + abs(series))
 
-    @pytest.mark.parametrize("z", [0.3 + 0.4j, 1 / 0.95])
-    def test_left_side_is_lhs_trace_of_the_coefficients(self, z):
-        """The series left side, from the coefficient arrays, has the bits of ``lhs_trace`` of the polynomial."""
-        pair = random_pair(23, 5, 1.0)
+    @pytest.mark.parametrize("seed, dim, z", [
+        (23, 5, 0.3 + 0.4j), (23, 5, 1 / 0.95), (23, 5, 0.95), (7, 4, -0.6 + 0.9j), (8, 3, 0.95j), (10, 1, -1 / 0.94),
+    ], ids=["(0.3+0.4j)", "1.0526315789473684", "0.95", "(-0.6+0.9j)", "0.95j", "dim1-outside"])
+    def test_left_side_is_lhs_trace_of_the_coefficients(self, seed, dim, z):
+        """The doubled series left side and ``lhs_trace`` of the coefficients are both a 40-digit sum of that series.
+
+        The two take different roundoff (O(log order) products against one product per mode), so each is
+        held to the same truncated series summed by mpmath from the eigenvalues, within 1e-13 (1 + |ref|).
+        """
+        pytest.importorskip("mpmath")
+        pair = random_pair(seed, dim, 1.0)
         rep = resolvent_check(pair.u0, pair.u, pair.a, z, s_rule=gauss_legendre(16))
-        want = lhs_trace(pair.u0, pair.u, pair.a, resolvent_coefficients(rep.z, rep.truncation_order))
+        series = resolvent_coefficients(rep.z, rep.truncation_order)
+        ref = mp_lhs_trace(pair.u0, pair.u, pair.a, series)
         assert rep.truncation_order > 10
-        assert np.array(rep.lhs).tobytes() == np.array(want).tobytes()
+        for got in (rep.lhs, lhs_trace(pair.u0, pair.u, pair.a, series)):
+            assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref))
 
     def test_right_side_uses_no_curvature_pairings(self, monkeypatch):
         def refuse(*args):
@@ -708,9 +815,9 @@ class TestResolvent:
         got = resolvent_coefficients(z, order)
         assert got.coeffs == resolvent_coefficients(complex(z), order).coeffs
         rep = resolvent_check(pair.u0, pair.u, pair.a, z, s_rule=gauss_legendre(16))
-        want = lhs_trace(pair.u0, pair.u, pair.a, got)
+        want = resolvent_check(pair.u0, pair.u, pair.a, complex(z), s_rule=gauss_legendre(16))
         assert order == rep.truncation_order == 670
-        assert np.array(rep.lhs).tobytes() == np.array(want).tobytes()
+        assert np.array(rep.lhs).tobytes() == np.array(want.lhs).tobytes()
 
     @pytest.mark.parametrize("z", [0.5, 2.0, 0.9j])
     def test_base_eigenvalues_at_one_minus_one_and_i(self, z):

@@ -24,12 +24,14 @@ byte-identical files: floats are serialised with 17 significant digits
 time- or host-dependent is written.
 Exit status is 0 only if every assertion in the requested run passed, 1 on a
 failed assertion, and 2 for an invalid configuration, an output path that
-cannot be written among them (checked before the run).
+cannot be written among them, or an ``eta`` profile or sidecar that would
+overwrite the other's file (checked before the run).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -248,6 +250,14 @@ def _sidecar_path(path: str) -> str:
     return base + (".json" if ext != ".json" else ".meta.json")
 
 
+def _holds_sidecar(path: str) -> bool:
+    """Whether ``path`` is a file holding an ``eta`` sidecar: a JSON object of at most 4 KiB with ``l1_eta0``."""
+    if os.path.isfile(path) and os.path.getsize(path) <= 4096:
+        with contextlib.suppress(OSError, ValueError), open(path, encoding="utf-8") as fh:
+            return isinstance(payload := json.load(fh), dict) and "l1_eta0" in payload
+    return False
+
+
 def cmd_eta(config: RunConfig) -> int:
     pair = random_pair(config.seed, config.dim, config.scale)
     profile = eta_profile(pair.u0, pair.a, config.grid, gauss_legendre(config.s_nodes))
@@ -438,6 +448,12 @@ def run(config: RunConfig) -> int:
     path = config.out_path()
     for target in (path, _sidecar_path(path)) if config.command == "eta" else (path,):
         _require_writable(target)
+    if config.command == "eta":  # a CSV export's sidecar D/eta.json is a JSON export's profile: neither overwrites the other
+        sidecar = _sidecar_path(path)
+        if _holds_sidecar(path):
+            raise ConfigError(f"cannot write {path!r}: it holds the sidecar of another eta export")
+        if os.path.lexists(sidecar) and not _holds_sidecar(sidecar):
+            raise ConfigError(f"cannot write the eta sidecar {sidecar!r}: it holds no eta sidecar")
     return COMMANDS[config.command].run(config)
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, UnishiftError
+from .errors import NoConvergence, UnishiftError
 from .linalg import (
-    TWO_PI, SpectralDecomposition, _as_array, _from_spectrum, _require_finite, hs_norm, require_unitary, unitary_eig,
+    TWO_PI, SpectralDecomposition, _from_spectrum, as_matrix, hs_norm, require_unitary, unitary_eig,
 )
 from .trace_formula import _MAX_ORDER
 from .trigpoly import TrigPolynomial, _require_polynomial
@@ -74,16 +74,14 @@ def doi_apply(g: TrigPolynomial, us, u0, x) -> np.ndarray:
 
     With X = Us - U0 the result equals g(Us) - g(U0); that identity is what
     makes the kernel the right finite-dimensional stand-in for the abstract
-    two-variable spectral integral.  ``g`` must be a ``TrigPolynomial`` and
-    ``X`` a numeric (dim Us) x (dim U0) array with finite entries; otherwise
+    two-variable spectral integral.  ``g`` must be a ``TrigPolynomial``, and
+    U0 and X pass ``as_matrix`` at the size of Us; otherwise
     ``DimensionMismatch`` or ``UnishiftError`` is raised.
     """
     _require_polynomial(g, "g")
     us = require_unitary(us, "doi left unitary")
-    u0 = require_unitary(u0, "doi right unitary")
-    x = _require_finite(_as_array(x, copy=None))
-    if x.shape != (us.shape[0], u0.shape[0]):
-        raise DimensionMismatch(f"X has shape {x.shape}, expected {(us.shape[0], u0.shape[0])}")
+    u0 = require_unitary(u0, "doi right unitary", us.shape[0])
+    x = as_matrix(x, "X", us.shape[0], copy=None)
     ldec, rdec = unitary_eig(us, check=False), unitary_eig(u0, check=False)
     rotated = ldec.vectors.conj().T @ x @ rdec.vectors
     return ldec.vectors @ (kernel(g, ldec, rdec) * rotated) @ rdec.vectors.conj().T

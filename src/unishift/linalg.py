@@ -4,26 +4,18 @@ The rest of the package works with two kinds of objects built here:
 
   * Hermitian eigendecompositions (``herm_eig``), used both directly and as
     the backend for unitary spectra,
-  * spectral decompositions of unitaries (``unitary_eig``) with eigenangles
-    in (0, 2pi]; an eigenvalue 1 is parked at angle 2pi, so the cumulative
-    spectral projection vanishes at t = 0.  A stack (..., d, d) goes through
-    the same gufunc calls as one matrix and gives the same bits per slice.
+  * spectral decompositions of one unitary matrix (``unitary_eig``) with
+    eigenangles in (0, 2pi]; an eigenvalue 1 is parked at angle 2pi, so the
+    cumulative spectral projection vanishes at t = 0.
 
 Unitary spectra come from Rayleigh-Ritz on the Hermitian part
 C = (U + U*)/2, which commutes with U (Parlett, The Symmetric Eigenvalue
-Problem, ch. 11): one eigh of C gives Ritz vectors Q, and each eigenangle
-is arg X_kk of X = Q*UQ.  Where eigenvalues cos(theta) of C (nearly)
-coincide, as for a mirror pair theta, -theta, eigh may mix eigenvectors of
-U; an off-diagonal |X_jk| above ``_COUPLING_TOL`` flags that, and only the
-flagged runs of X go through the phase-rotated Cayley transform
-(``_cayley_eig``).  Every other Ritz pair has residual at most
-sqrt(d) ``_COUPLING_TOL``.  One private Ritz pass (``_ritz_pass``) is the
-only eigen-solve of both users: ``unitary_eig`` solves its runs and
-rotates and sorts the eigenvectors; ``_spectra``, behind the shift
-profile's integrator, reads a sequence of node stacks, keeps per stack
-only the angles, the eigenvector weights and its runs' small blocks, solves
-the runs of every stack once per run length after the last one, and sorts
-(angle, weight) pairs, with no eigenvector stack.
+Problem, ch. 11).  One private Ritz pass (``_ritz_pass``) is the only
+eigen-solve; only its coupled runs, where eigh mixed eigenvectors of U, go
+through the phase-rotated Cayley transform (``_cayley_eig``).
+``unitary_eig`` rotates and sorts the eigenvectors of one matrix;
+``_spectra``, behind the shift profile's integrator, keeps only the sorted
+(angle, weight) pairs of a sequence of node stacks.
 
 Every matrix operand passes one check, ``as_matrix``: complex128 (ragged or
 non-numeric input is an ``UnishiftError``), square and of the expected size
@@ -32,14 +24,12 @@ if one is given (else ``DimensionMismatch``), with finite entries.
 
 A C-ordered M and its adjoint M* are read in transposed orders, so one
 strided pass over M + M* misses the cache at every entry once d is large.
-The one row-blocked kernel, ``_hermitian_blocks``, takes instead a block of
-``_ROWS`` rows, or as many as a caller asks, against the conjugate of the
-matching block of columns at a time (a matrix of at most ``_WHOLE_ROWS``
-rows, which fits in cache, is read whole).  It gives the Hermitian part (M + M*)/2 (``_hermitian_part``,
-bit for bit), which ``herm_eig`` decomposes and the reduction's range
-finder starts from, and the norms ||M - M*||_HS and ||M||_HS
-(``_hermitian_norms``) that ``require_hermitian``'s certificate reads, in
-one pass with no d x d temporary.
+The one row-blocked kernel, ``_hermitian_blocks``, reads a block of rows
+against the conjugate of the matching columns instead, at every size.  It
+gives the Hermitian part (``_hermitian_part``) that ``herm_eig`` decomposes
+and the reduction's range finder starts from, and the norms of
+``require_hermitian``'s certificate (``_hermitian_norms``), with no d x d
+temporary.
 
 Everything here is a pure function of its arguments; returned arrays are
 freshly allocated and never aliased to the inputs, except that
@@ -74,12 +64,6 @@ _COUPLING_TOL = 1e-13
 _BLOCK = 1 << 13
 
 
-def _require_finite(a: np.ndarray) -> np.ndarray:
-    if a.size and not np.isfinite(a).all():
-        raise UnishiftError("matrix has NaN or Inf entries")
-    return a
-
-
 def _as_array(m, copy: bool | None) -> np.ndarray:
     """``np.array(m, complex128, copy=copy)``; ragged or non-numeric input raises ``UnishiftError``."""
     try:
@@ -99,7 +83,9 @@ def as_matrix(m, what: str = "matrix", dim: int | None = None, copy: bool | None
     n = (a.shape[0] if a.ndim else 0) if dim is None else dim
     if a.shape != (n, n):
         raise DimensionMismatch(f"{what} has shape {a.shape}, not {n} x {n}")
-    return _require_finite(a)
+    if a.size and not np.isfinite(a).all():
+        raise UnishiftError("matrix has NaN or Inf entries")
+    return a
 
 
 def _adjoint(m) -> np.ndarray:
@@ -133,12 +119,6 @@ def trace(m) -> complex:
 # 2048 on a 2-core Xeon with one BLAS thread).
 _ROWS = 32
 
-# ``_hermitian_part`` and ``_hermitian_norms`` read a matrix of at most this many
-# rows whole: its transposed read stays in cache, and blocks would only add
-# their own work (on the same machine the blocked pass was slower up to
-# d = 128 and 3x faster at 256).
-_WHOLE_ROWS = 128
-
 
 def _row_blocks(d: int, size: int = _ROWS) -> list[slice]:
     """Consecutive slices of ``size`` rows covering range(d), the last one taking a lone last row.
@@ -169,14 +149,12 @@ def _hermitian_blocks(m: np.ndarray, size: int = _ROWS):
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*)/2 of a square M, bit for bit ``0.5 * (M + M.conj().T)``, a block of rows at a time past ``_WHOLE_ROWS``.
+    """(M + M*)/2 of a square M, a block of rows at a time, bit for bit ``0.5 * (M + M.conj().T)``.
 
     Only the sign of a zero may differ, where halving a subnormal entry
     underflows: numpy computes the complex product 0.5 S otherwise than S 0.5
     there, and swaps the two when it reuses a temporary S of 256 KiB or more.
     """
-    if m.shape[0] <= _WHOLE_ROWS:
-        return 0.5 * (m + m.conj().T)
     out = np.empty(m.shape, dtype=np.complex128)
     for rows, top, adjoint in _hermitian_blocks(m):
         np.multiply(np.add(top, adjoint, out=out[rows]), 0.5, out=out[rows])
@@ -184,9 +162,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_norms(m: np.ndarray) -> tuple[float, float]:
-    """(||M - M*||_HS, ||M||_HS) of a square M; past ``_WHOLE_ROWS`` from one pass of row blocks, rounded otherwise."""
-    if m.shape[0] <= _WHOLE_ROWS:
-        return hs_norm(m - m.conj().T), hs_norm(m)
+    """(||M - M*||_HS, ||M||_HS) of a square M from one pass of row blocks."""
     gap = norm = 0.0
     for _, top, adjoint in _hermitian_blocks(m):
         diff = top - adjoint
@@ -314,24 +290,10 @@ class SpectralDecomposition:
 
     The cumulative projection E(t) sums the eigenprojections with angle <= t,
     so E(0) = 0 and E(2pi) = I.  Eigenvalue 1 always carries the angle 2pi.
-    For a stack, ``angles`` is (..., d) and ``vectors`` is (..., d, d).
     """
 
     angles: np.ndarray
     vectors: np.ndarray
-
-
-def _check_unitary_stack(u, check: bool, what: str) -> np.ndarray:
-    """U as a finite complex128 stack (..., d, d) of square matrices, d >= 1, unitary with ``check``."""
-    u = _require_finite(_as_array(u, copy=None))  # only read
-    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {u.shape}")
-    if u.shape[-1] == 0:
-        raise EmptyMatrix(f"{what} is 0x0 and has no spectrum")
-    if check:
-        for m in u.reshape(-1, *u.shape[-2:]):
-            require_unitary(m, what=what)
-    return u
 
 
 def _reflected_phases(u: np.ndarray) -> np.ndarray:
@@ -435,23 +397,24 @@ def _sorted_angles(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_eig(u, check: bool = True) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary by Rayleigh-Ritz on its Hermitian part.
+    """Spectral decomposition of one unitary matrix by Rayleigh-Ritz on its Hermitian part.
 
     One Ritz pass (``_ritz_pass``) gives Ritz vectors Q and angles; each
     coupled run's block of X = Q*UQ is solved by ``_cayley_eig``, one stacked
-    call per run length, and rotates its columns of Q.  ``u`` may be a stack
-    (..., d, d): eigh, the products and the block solves are numpy gufuncs,
-    so every slice equals the one-matrix call bit for bit.
+    call per run length, and rotates its columns of Q.  The input passes
+    ``require_unitary`` with ``check``, else ``as_matrix``, so any shape but
+    d x d, a stack too, is a ``DimensionMismatch``; 0 x 0 is an ``EmptyMatrix``.
     """
-    u = _check_unitary_stack(u, check, "unitary_eig input")
-    shape, d = u.shape, u.shape[-1]
-    q, theta, runs = _ritz_pass(u.reshape(-1, d, d))
+    u = require_unitary(u, "unitary_eig input") if check else as_matrix(u, "unitary_eig input", copy=None)
+    if u.shape[0] == 0:
+        raise EmptyMatrix("unitary_eig input is 0x0 and has no spectrum")
+    q, theta, runs = _ritz_pass(u[None])
     for k, rows, blocks in runs:
         block_angles, w = _cayley_eig(blocks)
         theta[k[:, None], rows] = block_angles
         q[k[:, None], :, rows] = np.swapaxes(np.swapaxes(q[k[:, None], :, rows], 1, 2) @ w, 1, 2)
-    angles, order = _sorted_angles(theta.reshape(shape[:-1]))
-    return SpectralDecomposition(angles=angles, vectors=np.take_along_axis(q.reshape(shape), order[..., None, :], -1))
+    angles, order = _sorted_angles(theta[0])
+    return SpectralDecomposition(angles=angles, vectors=np.take_along_axis(q[0], order[None], -1))
 
 
 def _ritz_summary(u: np.ndarray, lam: np.ndarray, offset: int):

@@ -352,9 +352,9 @@ def _kept_of(q: np.ndarray, small: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return q @ vectors[:, keep], tau[keep], top
 
 
-def _exp_step(f: np.ndarray, tau: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """F diag(e^{is tau} - 1), so that e^{isH} X = X + _exp_step(F, tau, s) @ (F* X)."""
-    return f * np.expm1(1j * s * tau)
+def _exp_step(f: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """F diag(e^{i tau} - 1), so that e^{iH} X = X + _exp_step(F, tau) @ (F* X)."""
+    return f * np.expm1(1j * tau)
 
 
 def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.ndarray:

@@ -189,7 +189,8 @@ def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
     """Truncated Fourier expansion of w -> (w - z)^{-1} on |w| = 1.
 
     Inside the circle the coefficients sit at negative modes, a_{-(k+1)} = z^k;
-    outside they sit at nonnegative modes, a_k = -z^{-(k+1)}.  z is taken as
+    outside they sit at nonnegative modes, a_k = -w^{k+1} with w = 1/z, which
+    underflows to 0 where z^{-(k+1)} would overflow.  z is taken as
     a complex number, as in ``resolvent_check``, and the order is a whole
     number from 0 to ``_MAX_ORDER``, checked before anything is allocated.
     """
@@ -200,7 +201,7 @@ def resolvent_coefficients(z: complex, order: int) -> TrigPolynomial:
         raise UnishiftError(f"the series order must be at most {_MAX_ORDER}, not {order}")
     if abs(z) < 1.0:
         return TrigPolynomial({-(k + 1): z**k for k in range(order, -1, -1)})
-    return TrigPolynomial({k: -(z ** -(k + 1)) for k in range(order + 1)})
+    return TrigPolynomial({k: -((1.0 / z) ** (k + 1)) for k in range(order + 1)})
 
 
 def resolvent_truncation(z: complex, a_hs: float, a_op: float, tol: float):

@@ -20,9 +20,16 @@ path to the package routine it checks:
     tested against.  ``eta_fourier`` reads one Fourier coefficient of eta off
     that jump list (``ZeroHarmonic`` for n = 0), for the Fourier cross-check.
   * ``eigenvector_pass`` is the integrator's node data from ``unitary_eig``
-    of each node block, weights read off the sorted eigenvectors; the
-    integrator keeps no eigenvectors and solves the coupled runs of all
-    blocks together, and its angles must equal these bit for bit.
+    of each node's matrix, weights read off the sorted eigenvectors; the
+    integrator takes one Ritz pass per block of nodes, keeps no eigenvectors
+    and solves the coupled runs of all blocks together, and its angles must
+    equal these bit for bit.
+  * ``exact_eta`` is the profile in closed form from Krein's shift function:
+    a step function of the eigenvector masses of U0 minus ramps between the
+    eigenangles of U0 and U, from two eigendecompositions and no s at all.
+    The package integrates in s at Gauss-Legendre nodes and is first-order
+    accurate pointwise.  It stays a test oracle: paired with f'' it would
+    be a spectral left side.
   * ``gateaux_monomial`` and ``gateaux_series`` keep the full matrices of the
     directional derivative along U_s = e^{isA} U0, by the product rule
 
@@ -76,7 +83,6 @@ import numpy as np
 
 from unishift.errors import DimensionMismatch, NotHermitian, NotUnitary, UnishiftError
 from unishift.linalg import (
-    _BLOCK,
     TWO_PI,
     SpectralDecomposition,
     UnitaryPath,
@@ -301,17 +307,40 @@ def eta_step_at_s(u0dec: SpectralDecomposition, usdec: SpectralDecomposition, a)
 
 
 def eigenvector_pass(u0, a, rule) -> tuple[np.ndarray, np.ndarray]:
-    """The (1 + nodes, d) sorted angles and weights sum_j L_j |y_j|^2 from ``unitary_eig`` of blocks of e^{isL} M."""
+    """The (1 + nodes, d) sorted angles and weights sum_j L_j |y_j|^2 from ``unitary_eig`` of each e^{isL} M."""
     path = UnitaryPath(u0, a)
     lam, m = path.direction_spectrum.eigenvalues, path.vstar_u0 @ path.direction_spectrum.vectors
-    s = np.concatenate([[0.0], rule.nodes])
-    per_block = max(1, _BLOCK // m.size)
     angles, weights = [], []
-    for start in range(0, s.size, per_block):
-        dec = unitary_eig(np.exp(1j * np.multiply.outer(s[start:start + per_block], lam))[:, :, None] * m, check=False)
+    for s in np.concatenate([[0.0], rule.nodes]):
+        dec = unitary_eig(np.exp(1j * (s * lam))[:, None] * m, check=False)
         angles.append(dec.angles)
         weights.append(lam @ np.abs(dec.vectors) ** 2)
-    return np.concatenate(angles), np.concatenate(weights)
+    return np.array(angles), np.array(weights)
+
+
+def exact_eta(u0, a, t) -> tuple[np.ndarray, int]:
+    """Krein's closed form of eta at the angles t, with no s-quadrature, and the spectral flow k.
+
+        eta(t) = sum_{theta0_j <= t} v_j*Av_j - sum_j [(t - theta0_j)_+ - (t - theta1_j)_+] - k t
+
+    In angle variables Tr g(U) - Tr g(U0) = integral of g' xi dt, and the
+    derivative term is the integral of g' against mu_A(t) = Tr(A E_0(t)), so
+    d eta = d mu_A - xi dt.  theta0_j, v_j are the eigenangles in (0, 2pi]
+    and eigenvectors of U0, theta1_j those of U = e^{iA} U0, both from
+    ``cayley_unitary_eig`` with e^{iA} from one eigh of A.  The integer
+    k = (Tr A - sum theta1 + sum theta0) / 2pi counts the angles that wrap
+    past 2pi; a k farther than d 1e-9 from an integer is an AssertionError.
+    """
+    u0, a = np.asarray(u0, dtype=np.complex128), np.asarray(a, dtype=np.complex128)
+    lam, w = np.linalg.eigh(a)
+    before, after = cayley_unitary_eig(u0), cayley_unitary_eig(((w * np.exp(1j * lam)) @ w.conj().T) @ u0)
+    flow = (np.trace(a).real - after.angles.sum() + before.angles.sum()) / TWO_PI
+    k = round(flow)
+    assert abs(flow - k) <= 1e-9 * a.shape[0], f"spectral flow {flow!r} is not an integer"
+    masses = np.sum(before.vectors.conj() * (a @ before.vectors), axis=0).real
+    t = np.asarray(t, dtype=float)[:, None]
+    ramps = np.maximum(t - before.angles, 0.0) - np.maximum(t - after.angles, 0.0)
+    return (t >= before.angles) @ masses - ramps.sum(axis=1) - k * t[:, 0], k
 
 
 class ZeroHarmonic(UnishiftError):

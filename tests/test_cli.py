@@ -542,6 +542,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: cannot write {str(tmp_path / 'eta.json')!r}: it is a directory\n"
         assert not (tmp_path / "eta.csv").exists()
 
+    @pytest.mark.parametrize("first, then", [("csv", "json"), ("json", "csv")])
+    def test_eta_export_over_the_other_formats_files_exits_2(self, tmp_path, capsys, monkeypatch, first, then):
+        """A CSV export's sidecar eta.json is a JSON export's profile, and the other way round: refused, nothing written."""
+        assert main(["eta", "--dim", "2", "--grid", "8", "--format", first, "--out", str(tmp_path / f"eta.{first}")]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(cli, "random_pair", lambda *args: pytest.fail("the run started"))
+        assert main(["eta", "--dim", "2", "--grid", "8", "--format", then, "--out", str(tmp_path / f"eta.{then}")]) == 2
+        clash = {"json": "it holds the sidecar of another eta export", "csv": "it holds no eta sidecar"}[then]
+        assert capsys.readouterr().err.endswith(f"{str(tmp_path / 'eta.json')!r}: {clash}\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_eta_reruns_into_one_directory(self, tmp_path, fmt):
+        argv = ["eta", "--dim", "2", "--grid", "8", "--format", fmt, "--out", str(tmp_path / f"eta.{fmt}")]
+        assert main(argv) == 0
+        first = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 0
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == first
+        assert len(first) == 2
+
     def test_node_count_beyond_the_cap_exits_2(self, tmp_path, capsys, address_space_cap):
         out = tmp_path / "eta.csv"
         assert main(["eta", "--s-nodes", "20000", "--out", str(out)]) == 2

@@ -157,6 +157,11 @@ class TestDoiApply:
             with pytest.raises(DimensionMismatch):
                 doi_apply(g, pair.u, pair.u0, x)
 
+    def test_unitaries_of_different_sizes_raise_dimension_mismatch(self):
+        pair, small = random_pair(3, 4, 1.0), random_pair(3, 3, 1.0)
+        with pytest.raises(DimensionMismatch, match="doi right unitary has shape"):
+            doi_apply(TrigPolynomial.monomial(2), pair.u, small.u0, np.zeros((4, 3)))
+
     def test_non_finite_rejected(self):
         pair = random_pair(4, 3, 1.0)
         g = TrigPolynomial.monomial(2)

@@ -257,26 +257,36 @@ def test_unitary_eig_reconstruction(seed, dim):
     assert np.all(np.diff(dec.angles) >= 0.0)
 
 
-def assert_stack_matches_slices(stack):
-    dec = unitary_eig(stack)
+def decompose_slices(stack):
+    """``unitary_eig`` of each slice of a stack (k, d, d), stacked into angles (k, d) and vectors (k, d, d)."""
+    decs = [unitary_eig(u) for u in stack]
+    dec = linalg.SpectralDecomposition(np.stack([one.angles for one in decs]), np.stack([one.vectors for one in decs]))
     phases = choose_phase(stack)
     assert dec.angles.shape == stack.shape[:-1] and dec.vectors.shape == stack.shape
     for k, u in enumerate(stack):
-        one = unitary_eig(u)
-        assert np.array_equal(dec.angles[k], one.angles)
-        assert np.array_equal(dec.vectors[k], one.vectors)
         assert phases[k] == choose_phase(u)
     return dec
 
 
 @given(seeds, st.integers(1, 64))
-def test_unitary_eig_stack_matches_slices(seed, dim):
-    rng = np.random.default_rng(seed)
-    assert_stack_matches_slices(np.stack([haar_unitary(rng, dim) for _ in range(3)]))
+def test_unitary_eig_unchecked_matches_checked(seed, dim):
+    """``check`` only decides the operand check: both paths return the same bits."""
+    u = haar_unitary(np.random.default_rng(seed), dim)
+    checked, unchecked = unitary_eig(u), unitary_eig(u, check=False)
+    assert np.array_equal(checked.angles, unchecked.angles)
+    assert np.array_equal(checked.vectors, unchecked.vectors)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+@pytest.mark.parametrize("check", [True, False])
+def test_unitary_eig_rejects_a_stack(dim, check):
+    stack = np.stack([haar_unitary(np.random.default_rng(k), dim) for k in range(3)])
+    with pytest.raises(DimensionMismatch):
+        unitary_eig(stack, check=check)
 
 
 def test_unitary_eig_stack_edge_spectra():
-    dec = assert_stack_matches_slices(
+    dec = decompose_slices(
         np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([1j, -1.0, 1.0])]).astype(complex)
     )
     # eigenvalue 1 is parked at 2pi, -1 sits at pi, repeats stay repeated
@@ -287,7 +297,7 @@ def test_unitary_eig_stack_edge_spectra():
     assert op_norm(rebuild(dec)[2] - np.diag([1j, -1.0, 1.0])) <= 1e-12
 
     scalars = np.array([[[1.0]], [[-1.0]], [[np.exp(0.3j)]]], dtype=complex)
-    dec = assert_stack_matches_slices(scalars)
+    dec = decompose_slices(scalars)
     np.testing.assert_allclose(dec.angles[:, 0], [TWO_PI, np.pi, 0.3], atol=1e-12)
 
     # clustered, reflected and boundary spectra, diagonal and in a Haar basis
@@ -297,7 +307,7 @@ def test_unitary_eig_stack_edge_spectra():
             diagonal = np.stack([np.diag(circle_points(edge_angles(rng, kind, dim))) for _ in range(2)])
             q = haar_unitary(rng, dim)
             for stack in (diagonal, q @ diagonal @ q.conj().T):
-                dec = assert_stack_matches_slices(stack)
+                dec = decompose_slices(stack)
                 for u, rebuilt, v in zip(stack, rebuild(dec), dec.vectors):
                     assert op_norm(rebuilt - u) <= dim * 1e-12
                     assert op_norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
@@ -352,7 +362,7 @@ def test_unitary_eig_matches_the_cayley_oracle_on_grouped_spectra(seed, dim, rot
         stack.append((q * circle_points(angles)) @ q.conj().T)
         truths.append((angles, centres, q))
     stack = np.stack(stack)
-    dec = assert_stack_matches_slices(stack)
+    dec = decompose_slices(stack)
     oracle = cayley_unitary_eig(stack)
     weights = rng.uniform(-1.0, 1.0, dim)
     for k, (angles, centres, q) in enumerate(truths):
@@ -612,16 +622,13 @@ def test_validation_certificate_matches_svd_definition(seed, dim, kind, factor):
 
 
 class TestRowBlockedHermitianKernel:
-    """The row-blocked Hermitian part and gap at sizes of one block, several, and a lone last row."""
+    """The row-blocked Hermitian part and gap at sizes of one block, several, and a lone last row.
 
-    SIZES = [1, 2, 31, 32, 33, 65, 257]
+    Every size is read through the blocks, so 3 (one short block) and 64 (two
+    full blocks, no remainder) stand beside the block edges 31 to 33 and 65.
+    """
 
-    @pytest.fixture(params=["blocked", "whole"])
-    def path(self, request, monkeypatch):
-        """Matrices of at most ``_WHOLE_ROWS`` rows are read whole; "blocked" takes them through the kernel too."""
-        if request.param == "blocked":
-            monkeypatch.setattr(linalg, "_WHOLE_ROWS", 0)
-        return request.param
+    SIZES = [1, 2, 3, 31, 32, 33, 64, 65, 257]
 
     @staticmethod
     def perturbed(dim, factor, limit, rng):
@@ -644,7 +651,7 @@ class TestRowBlockedHermitianKernel:
 
     @pytest.mark.parametrize("dim", SIZES)
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_hermitian_part_is_the_dense_formula_bit_for_bit(self, path, dim, order):
+    def test_hermitian_part_is_the_dense_formula_bit_for_bit(self, dim, order):
         rng = np.random.default_rng(dim)
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         m = np.asarray(m, order=order)
@@ -657,7 +664,7 @@ class TestRowBlockedHermitianKernel:
 
     @pytest.mark.parametrize("dim", SIZES[2:])
     @pytest.mark.parametrize("factor", [0.99, 1.01])
-    def test_require_hermitian_decides_as_the_svd_definition(self, path, dim, factor):
+    def test_require_hermitian_decides_as_the_svd_definition(self, dim, factor):
         """At 0.99 and 1.01 of the tolerance 1e-10 ||M||_2, with the gap spread over every block."""
         rng = np.random.default_rng(dim)
         h, x = self.perturbed(dim, factor, lambda h: 1e-10 * op_norm(h), rng)
@@ -667,7 +674,7 @@ class TestRowBlockedHermitianKernel:
 
     @pytest.mark.parametrize("dim", SIZES[2:])
     @pytest.mark.parametrize("factor", [0.99, 1.01])
-    def test_certificate_reads_the_blocked_gap(self, path, monkeypatch, dim, factor):
+    def test_certificate_reads_the_blocked_gap(self, monkeypatch, dim, factor):
         """At 0.99 of the Hilbert-Schmidt certificate a pass takes no operator norm; at 1.01 it takes them."""
         rng = np.random.default_rng(dim)
         h = random_hermitian(rng, dim, rng.uniform(0.1, 10.0))

@@ -11,6 +11,7 @@ from oracles import (
     ZeroHarmonic,
     cayley_unitary_eig,
     eigenvector_pass,
+    exact_eta,
     eta_fourier,
     eta_step_at_s,
     integrate_against,
@@ -343,6 +344,59 @@ class TestBatchedRunResolution:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+
+def _all_wrapping_pair(seed, dim):
+    """U0 with angles in [5.5, 6], A with eigenvalues in [1, 2]: every angle moves up by 1 to 2 and wraps past 2pi once."""
+    rng = np.random.default_rng(seed)
+    q, v = haar_unitary(rng, dim), haar_unitary(rng, dim)
+    return (q * np.exp(1j * rng.uniform(5.5, 6.0, dim))) @ q.conj().T, (v * rng.uniform(1.0, 2.0, dim)) @ v.conj().T
+
+
+class TestExactProfile:
+    """The integrator's profile against Krein's closed form (``exact_eta``) on a 20001-point grid."""
+
+    GRID = np.linspace(0.0, TWO_PI, 20001)
+    NODES = (64, 256, 1024)
+
+    @pytest.mark.parametrize("beta, alpha, flow", [(2.3, 1.1, 0), (5.8, 1.0, 1), (0.4, -1.1, -1)])
+    def test_one_by_one_ramp(self, beta, alpha, flow):
+        """The 1x1 pair e^{i beta}, alpha: eta(t) = alpha ([beta <= t] - |{s : angle of e^{i(beta + s alpha)} <= t}|)."""
+        eta, k = exact_eta([[np.exp(1j * beta)]], [[alpha]], self.GRID)
+        # the angle of U_s is at most t where beta + s alpha lies in some (2pi m, 2pi m + t]
+        lo, hi = sorted((beta, beta + alpha))
+        cells = TWO_PI * np.arange(-1, 2)
+        overlap = np.minimum(hi, cells + self.GRID[:, None]) - np.maximum(lo, cells)
+        ramp = alpha * (self.GRID >= beta) - np.sign(alpha) * np.maximum(overlap, 0.0).sum(axis=1)
+        assert k == flow
+        np.testing.assert_allclose(eta, ramp, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case, flow", [("d4", 0), ("d16", -1), ("ramp", 0), ("wrapped-ramp", 1),
+                                            ("all-wrap-d8", 8)])
+    def test_profile_converges_at_first_order(self, case, flow):
+        """n times the sup and L1 distances at 256 and 1024 nodes stay within 2 and 3 times their value at 64.
+
+        The L1 distance of a pair whose angles wrap scatters more: where an
+        angle wraps at s*, the s-integrand has a step at s* for every t in
+        the spectral gap, and its quadrature error depends on where s* falls
+        between the nodes.
+        """
+        u0, a = {
+            "d4": lambda: (random_pair(2, 4, 2.0).u0, random_pair(2, 4, 2.0).a),
+            "d16": lambda: (random_pair(2, 16, 2.0).u0, random_pair(2, 16, 2.0).a),
+            "ramp": lambda: (np.array([[np.exp(2.3j)]]), np.array([[1.1 + 0j]])),
+            "wrapped-ramp": lambda: (np.array([[np.exp(5.8j)]]), np.array([[1.0 + 0j]])),
+            "all-wrap-d8": lambda: _all_wrapping_pair(5, 8),
+        }[case]()
+        exact, k = exact_eta(u0, a, self.GRID)
+        assert k == flow
+        scaled = []
+        for nodes in self.NODES:
+            gap = np.abs(EtaIntegrator(u0, a, gauss_legendre(nodes)).eta(self.GRID) - exact)
+            scaled.append((nodes * gap.max(), nodes * TWO_PI * gap.mean()))
+        (sup, l1), rest = scaled[0], scaled[1:]
+        assert all(s <= 2.0 * sup and m <= 3.0 * l1 for s, m in rest), scaled
+        assert sup <= 8.0  # every t-distance at 64 nodes is below 0.125
 
 
 def _conjugated(rng, values):

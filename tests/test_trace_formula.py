@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -651,6 +652,20 @@ class TestResolvent:
         assert p_in.coeffs == {-1: 1.0, -2: 0.5, -3: 0.25}
         p_out = resolvent_coefficients(2.0, 1)
         assert p_out.coeffs == {0: -0.5, 1: -0.25}
+
+    @pytest.mark.parametrize("z", [1e300, -1e300j, 1e160 + 1e160j, 1e-300])
+    def test_coefficients_far_from_the_circle_are_finite(self, z):
+        """Past |z| of about 1.3e154, z^{-(k+1)} would overflow to nan; (1/z)^{k+1} underflows quietly to 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = resolvent_coefficients(z, 2).coeffs
+        with mpmath.workdps(40):
+            zm = mpmath.mpc(complex(z))
+            want = {n: complex(zm ** (-n - 1)) for n in range(-3, 0)} if abs(z) < 1 else {
+                n: complex(-(zm ** -(n + 1))) for n in range(3)}
+        for n, c in want.items():
+            assert abs(got.get(n, 0j) - c) <= 1e-15 * abs(c) + 1e-310
+        assert got[-1 if abs(z) < 1 else 0] != 0
 
     @pytest.mark.parametrize("z", [0.99, 1 / 0.99])
     def test_near_circle_orders(self, z):

@@ -80,9 +80,9 @@ def as_matrix(m, what: str = "matrix", dim: int | None = None, copy: bool | None
     input in place.
     """
     a = _as_array(m, copy=copy)
-    n = (a.shape[0] if a.ndim else 0) if dim is None else dim
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"{what} has shape {a.shape}, not {n} x {n}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or dim not in (None, a.shape[0]):
+        wanted = "a square matrix" if dim is None else f"{dim} x {dim}"
+        raise DimensionMismatch(f"{what} has shape {a.shape}, not {wanted}")
     if a.size and not np.isfinite(a).all():
         raise UnishiftError("matrix has NaN or Inf entries")
     return a

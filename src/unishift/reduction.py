@@ -16,19 +16,19 @@ numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
 One checked instance (``_instance``) holds spectral data and scalars only:
-H0 = V diag(lambda) V*, A's kept pairs (F, tau), Fh = V* F, ||A|| and
-||A||_HS, with V None (Fh = F, no LAPACK call) when H0 is exactly diagonal
-with a non-decreasing real part, as ``reduction_instance`` builds it.  It
-checks H0 and A in place (``require_hermitian``) and keeps no d x d array;
-all that follows computes in H0's eigen-coordinates.  A ``bounds`` run or a
-convergence ladder builds every partition from one instance.  A window basis
-(``ProjectionBasis``) is the cell layout of B = V Bhat with the instance
-that built it, whose F are its seeds, checked for presence and shape when
-it is made.  Each audit, and ``compressed_model``, holds its operands to
-the forms it computes with in one checked frame (``_frame``), so an operand
-that did not build the basis is refused.  Phases, half-widths, the horizon
-T >= 0 and samples in [-T, T] are finite real numbers (``_is_real``);
-powers, samples and cell counts are iterables.
+the eigenvalues lambda of H0, A's kept pairs (F, tau), ||A|| and ||A||_HS.
+The reduction works in H0's eigen-coordinates: H0 must be exactly diagonal
+with a non-decreasing real part, as ``reduction_instance`` builds it, and
+any other H0 is ``UnishiftError`` before A is read.  The instance checks H0
+and A in place (``require_hermitian``) and keeps no d x d array.  A
+``bounds`` run or a convergence ladder builds every partition from one
+instance.  A window basis (``ProjectionBasis``) is the cell layout of B with
+the instance that built it, whose F are its seeds, checked for presence and
+shape when it is made.  Each audit, and ``compressed_model``, holds its
+operands to the forms it computes with in one checked frame (``_frame``),
+so an operand that did not build the basis is refused.  Phases,
+half-widths, the horizon T >= 0 and samples in [-T, T] are finite real
+numbers (``_is_real``); powers, samples and cell counts are iterables.
 
 The dense d x d operands are read in place a block of rows at a time
 (``linalg._row_blocks``), with no d x d temporary: the Hermitian checks and
@@ -55,26 +55,24 @@ trace norm and the mixed-trace factors all work on d x L factors; a norm
 is the trace of a product of a 2L x r factor and an r x 2L one.
 
 Every other ambient step uses the cells of the window basis: for each
-occupied cell its eigen-rows and its block Bhat_k of Bhat = V* B (r = rank P
-columns, at most L per cell).  So P_perp Fh, F*B = Fh* Bhat and Bhat X come
-cell by cell, in coordinates with one extra zero row, which the -1 padding
-of the cell rows reads.  The frame's check of U0 gives c = diag(V* U0 V),
-the diagonal of U0 when V is None.  Then:
+occupied cell its eigen-rows and its block B_k of B (r = rank P columns, at
+most L per cell).  So P_perp F, F*B and B X come cell by cell, in
+coordinates with one extra zero row, which the -1 padding of the cell rows
+reads.  The frame's check of U0 gives its diagonal c.  Then:
 
   * H0 B, both resolvents (i +- H0)^{-1} B and every U0^m B are diagonal
-    scalings D Bhat, whose part outside ran P splits by cell:
-    ||P_perp X P||_HS^2 = sum_k ||D_k Bhat_k - Bhat_k (Bhat_k* D_k Bhat_k)||^2,
+    scalings D B, whose part outside ran P splits by cell:
+    ||P_perp X P||_HS^2 = sum_k ||D_k B_k - B_k (B_k* D_k B_k)||^2,
     one batched product over the padded (K, n, L) cell stack, O(d L^2) in
     all, with no d x d solve;
-  * B* H0 B = Bhat* diag(lambda) Bhat is block diagonal: one batched eigh
-    gives each cell's block Q_k diag(mu_k) Q_k*, so in each cell's eigenbasis
+  * B* H0 B = B* diag(lambda) B is block diagonal: one batched eigh gives
+    each cell's block Q_k diag(mu_k) Q_k*, so in each cell's eigenbasis
     U0p = diag(omega) with omega the Cayley values of mu.  ``_compressed``
     returns the compressed pair in this form, which the compressed audit
     reads directly and ``compressed_model`` expands once to r x r;
-  * so V* U V = (I + Fh diag(e) Fh*) diag(c), with Fh = V* F and
-    e = e^{i tau} - 1, and in the basis B diag(Q_k) Up = (I + Fc' diag(e_c)
-    Fc'*) diag(omega): each is X = (I + F diag(e) F*) S with S diagonal and
-    F thin, and telescoping gives
+  * so U = (I + F diag(e) F*) diag(c), e = e^{i tau} - 1, and in the basis
+    B diag(Q_k) Up = (I + Fc' diag(e_c) Fc'*) diag(omega): each is X =
+    (I + F diag(e) F*) S with S diagonal and F thin, and telescoping gives
 
         X^m = S^m + sum_{j<m} (X^j F) diag(e) (F* S^{m-j})         (m > 0)
 
@@ -82,14 +80,14 @@ the diagonal of U0 when V is None.  Then:
     Only the thin X^j F advance, at O(d L^2) a step, shared by the audited
     powers of one sign; the rows F* S^q B come cell by cell from the blocks.
     Each audited power then forms only the matrix its check reads:
-    P_perp V* U^m B (d x r), with P_perp applied to the thin factors, or
+    P_perp U^m B (d x r), with P_perp applied to the thin factors, or
     B* U^m B - Up^m (r x r), a block diagonal plus one skinny product, and
     Up^m X (r x 2L) for the mixed traces.  The terms are summed in blocks of
     at most max(256, L) columns, so memory does not grow with |m|, and the
     norms are taken of the formed matrices;
   * ``convergence_study`` reads each trace off the same stream with Z = I,
     Tr(X^n - S^n) = sum_{j<n} tr((X^j F) diag(e) (F* S^{n-j})), the ambient
-    one from (c, Fh) and each rung's from (omega, Fc'), so it forms no d x d
+    one from (c, F) and each rung's from (omega, Fc'), so it forms no d x d
     or r x r matrix.
 
 The basis itself comes from one SVD per cell.  The pieces of the seeds in
@@ -121,7 +119,6 @@ from .errors import (
     _is_whole,
 )
 from .linalg import (
-    _ROWS,
     _adjoint,
     _as_array,
     _blocks_hs_norm,
@@ -132,7 +129,6 @@ from .linalg import (
     _require_draw,
     _row_blocks,
     as_matrix,
-    herm_eig,
     hs_norm,
     require_hermitian,
     trace_norm,
@@ -153,7 +149,7 @@ def _cayley(h0: np.ndarray, phase: float) -> np.ndarray:
 
 
 def _cayley_values(lam: np.ndarray, phase: float) -> np.ndarray:
-    """e^{i phase} (i - lam) / (i + lam) for each real lam: U0 = V diag(c) V* is the Cayley image of V diag(lam) V*."""
+    """e^{i phase} (i - lam) / (i + lam) for each real lam: U0 = diag(c) is the Cayley image of H0 = diag(lam)."""
     return _cayley(lam[:, None, None], phase)[:, 0, 0]
 
 
@@ -169,12 +165,10 @@ class WindowParams:
 
 @dataclass(frozen=True)
 class CheckedInstance:
-    """H0 = V diag(lambda) V* (V None: H0 is its own eigenbasis), A's kept pairs (F, tau), Fh = V*F, ||A||, ||A||_HS."""
+    """H0 = diag(lambda), A's kept pairs (F, tau), ||A|| and ||A||_HS."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
     f: np.ndarray
-    fh: np.ndarray
     tau: np.ndarray
     a_norm: float
     a_hs: float
@@ -182,16 +176,16 @@ class CheckedInstance:
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Orthonormal columns B = V Bhat spanning ran P, given by their cells, with the checked instance that built it.
+    """Orthonormal columns B spanning ran P, given by their cells, with the checked instance that built it.
 
     The seeds are the instance's F.  Row k of ``cell_rows`` holds the
     eigen-rows of occupied cell k and row k of ``cell_columns`` the columns
     of B it spans, each padded with -1, and ``cell_blocks[k]`` is the block
-    of Bhat = V* B on those rows and columns, padded with zeros.  Making a
-    basis, ``dataclasses.replace`` included, checks that every field and
-    every field of the instance but V is there (``MissingConstruction``) and
-    that the shapes agree on the ambient size d, the seed count and the cell
-    layout (``DimensionMismatch``); the values are trusted as built.
+    of B on those rows and columns, padded with zeros.  Making a basis,
+    ``dataclasses.replace`` included, checks that every field, its own and
+    its instance's, is there (``MissingConstruction``) and that the shapes
+    agree on the ambient size d, the seed count and the cell layout
+    (``DimensionMismatch``); the values are trusted as built.
     """
 
     params: WindowParams
@@ -202,15 +196,14 @@ class ProjectionBasis:
 
     def __post_init__(self):
         if not (isinstance(self.params, WindowParams) and isinstance(self.instance, CheckedInstance)) or any(
-            x is None for name, x in (*vars(self).items(), *vars(self.instance).items()) if name != "eigenvectors"
+            x is None for x in (*vars(self).values(), *vars(self.instance).values())
         ):
             raise MissingConstruction("a window basis needs its record, its checked instance and its cells")
-        # axes: d ambient, L seeds, K cells, n rows and w columns per cell; V is None for H0 its own eigenbasis
-        axes = dict(eigenvalues="d", eigenvectors="dd", f="dL", fh="dL", tau="L",
-                    cell_rows="Kn", cell_columns="Kw", cell_blocks="Knw")
+        # axes: d ambient, L seeds, K cells, n rows and w columns per cell
+        axes = dict(eigenvalues="d", f="dL", tau="L", cell_rows="Kn", cell_columns="Kw", cell_blocks="Knw")
         fields, sizes = {**vars(self.instance), **vars(self)}, {}
-        for name in (name for name in axes if fields[name] is not None):
-            shape, names = np.shape(fields[name]), axes[name]
+        for name, names in axes.items():
+            shape = np.shape(fields[name])
             if len(shape) != len(names) or any(sizes.setdefault(a, n) != n for a, n in zip(names, shape)):
                 raise DimensionMismatch(f"{name} of shape {shape} does not fit the window basis {sizes}")
 
@@ -224,15 +217,15 @@ class ProjectionBasis:
 
 
 def _window_basis(inst: CheckedInstance, half_width: float, cells: int) -> ProjectionBasis:
-    """Span of the spectral-cell pieces of the instance's orthonormal seed columns, read in H0's eigen-coordinates Fh.
+    """Span of the spectral-cell pieces of the instance's orthonormal seed columns F, in H0's eigen-coordinates.
 
     The window (-a, a] splits into ``cells`` half-open intervals; each seed
     f_l contributes the normalised projection of f_l onto every cell it
     meets.  A seed leaking past the window by more than eps = L a / sqrt(n)
     is an error, since every off-block estimate downstream assumes capture.
-    Only the cell layout is kept: each cell's eigen-rows and block of V* B.
+    Only the cell layout is kept: each cell's eigen-rows and block of B.
     """
-    coords, eigenvalues = inst.fh, inst.eigenvalues
+    coords, eigenvalues = inst.f, inst.eigenvalues
     count = coords.shape[1]
     if count == 0:
         raise ZeroDirection("no seed vectors to project (a zero direction gives none)")
@@ -363,19 +356,21 @@ def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.nda
 
 
 def _instance(h0, a) -> CheckedInstance:
-    """The one checked instance of (H0, A): both checked in place, H0's eigenpairs, A's kept pairs, ||A|| and ||A||_HS.
+    """The one checked instance of (H0, A): both checked in place, H0's eigenvalues, A's kept pairs, ||A|| and ||A||_HS.
 
-    An exactly diagonal H0 with a non-decreasing real part is its own eigenbasis (V None, Fh = F); any other
-    H0 goes to ``herm_eig`` after A's kept pairs, so the range finder's d x d residual is gone by then.
+    H0 must be exactly diagonal with a non-decreasing real part, its own eigenbasis; any other H0 is
+    ``UnishiftError`` before A is read, so a refused H0 never builds the range finder's d x d residual.
     """
     h0 = require_hermitian(h0, "h0")
+    lam = np.diagonal(h0).real.copy()
+    if _off_diagonal(h0).any() or np.any(lam[1:] < lam[:-1]):
+        raise UnishiftError(
+            "the reduction works in H0's eigenbasis: H0 must be diagonal with a non-decreasing real part; for"
+            " H0 = V diag(lambda) V*, pass diag(lambda) and the pair rotated by V (V* A V, V* U0 V, V* U V)"
+        )
     a = require_hermitian(a, "a", h0.shape[0])
     f, tau, a_norm = _kept_pairs(a)
-    lam, v = np.diagonal(h0).real.copy(), None
-    if _off_diagonal(h0).any() or np.any(lam[1:] < lam[:-1]):
-        dec = herm_eig(h0, check=False)
-        lam, v = dec.eigenvalues, dec.vectors
-    return CheckedInstance(lam, v, f, f if v is None else v.conj().T @ f, tau, a_norm, hs_norm(a))
+    return CheckedInstance(lam, f, tau, a_norm, hs_norm(a))
 
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
@@ -420,18 +415,14 @@ def _powers(values) -> list[int]:
     return [int(m) for m in values]
 
 
-# Rows per block of a product with a d x d V: within 5% of one whole product at d = 1024 to 2048 (32: 35% slower).
-_PRODUCT_ROWS = 256
-
-
 def _gap(x: np.ndarray, w: np.ndarray | None, mu: np.ndarray, hermitian: bool = False) -> float:
     """||Y - W diag(mu) W*||_HS for Y a square X or its Hermitian part, X read in place by rows; W None is I."""
     d = x.shape[0]
     if w is None and not hermitian:
         off = _off_diagonal(x)
         return float(np.hypot(_blocks_hs_norm(off[rows] for rows in _row_blocks(d - 1)), hs_norm(np.diagonal(x) - mu)))
-    size, squares = _ROWS if w is None or w.shape[1] < d else _PRODUCT_ROWS, 0.0
-    for rows, top, adjoint in _hermitian_blocks(x, size) if hermitian else ((r, x[r], 0) for r in _row_blocks(d, size)):
+    squares = 0.0
+    for rows, top, adjoint in _hermitian_blocks(x) if hermitian else ((r, x[r], 0) for r in _row_blocks(d)):
         block = 0.5 * (top + adjoint) if hermitian else top
         if w is None:
             block[np.arange(block.shape[0]), np.arange(rows.start, rows.stop)] -= mu[rows]
@@ -442,20 +433,6 @@ def _gap(x: np.ndarray, w: np.ndarray | None, mu: np.ndarray, hermitian: bool = 
     return float(np.sqrt(squares))
 
 
-def _eigen_gap(x: np.ndarray, v: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """c = diag(V* X V) and ||X - V diag(c) V*||_HS = ||V* X - diag(c) V*||_HS, X read in place; V None is I."""
-    if v is None:
-        return (c := np.diagonal(x).copy()), _gap(x, None, c)
-    c, squares = np.empty(x.shape[0], dtype=np.complex128), 0.0
-    for rows in _row_blocks(x.shape[0], _PRODUCT_ROWS):
-        vh = np.conj(v[:, rows].T, order="C")  # rows of V*, in the layout of the block
-        block = vh @ x
-        c[rows] = np.einsum("ij,ij->i", block, vh.conj())
-        block -= np.multiply(vh, c[rows, None], out=vh)
-        squares += np.vdot(block, block).real
-    return c, float(np.sqrt(squares))
-
-
 def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None, a=None, u0=None, u=None):
     """The one checked frame of an audit, or with no ``powers`` of ``compressed_model``.
 
@@ -463,15 +440,15 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
     T a finite real number >= 0 (``UnishiftError``).  Each d x d operand (``DimensionMismatch``) is held,
     read in place by rows, to the form the audits compute with, within delta = AUDIT_SLACK / (2 max(1, max |m|))
     over the call's powers m in the Hilbert-Schmidt norm: the Hermitian parts of H0 and A (the audits take
-    no skew part) to V diag(lambda) V* and F diag(tau) F*, U0 to V diag(c) V* with c = diag(V* U0 V) and
+    no skew part) to diag(lambda) and F diag(tau) F*, U0 to diag(c) with c = diag(U0) and
     abs(|c_j| - 1), and U to e^{iA} U0 = U0 + F diag(e^{i tau} - 1) F* U0.  So no operand moves a power
     U0^m or U^m by more than |m| delta (1 + 2 delta)^|m| < AUDIT_SLACK, nor the Cayley image of H0 by more
     than 2 delta.  A delta below d times the machine epsilon, the roundoff of one such gap, is refused
     (``UnishiftError``) first.  A gap not within delta (NaN too) sends its operand to ``as_matrix`` and,
     for H0 and A, ``require_hermitian``; past them it is ``PathMismatch``, or ``NotUnitary`` for |c|, whose
-    message states the measured gap beside delta (for H0 with a dense V, a gap that includes V's residual).
+    message states the measured gap beside delta.
 
-    Returns c (None without U0) and, with A, tau, ||A||, Fh and P_perp Fh
+    Returns c (None without U0) and, with A, tau, ||A||, F and P_perp F
     with their zero row d, and F* B (else None).
     """
     if not isinstance(p, ProjectionBasis):
@@ -490,47 +467,44 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
         x = _as_array(given, copy=None)
         return x if x.shape == (d, d) else as_matrix(x, name, d, copy=None)  # DimensionMismatch
 
-    def require(x, name, gap, error, what, measured="Hilbert-Schmidt gap", note=""):
+    def require(x, name, gap, error, what, measured="Hilbert-Schmidt gap"):
         if not gap <= delta:
             as_matrix(x, name, d, copy=None)
             if name in ("h0", "a"):
                 require_hermitian(x, name, d)
-            raise error(f"{what} (tol {delta:.3e}): {measured} {gap:.3e}{note}")
+            raise error(f"{what} (tol {delta:.3e}): {measured} {gap:.3e}")
 
-    c, fh = None, _padded(inst.fh)
+    c, f = None, _padded(inst.f)
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or Inf entry only fails its gap
-        for name, x, w, mu, what in (("h0", h0, inst.eigenvectors, inst.eigenvalues, "H0 is not the operator"),
+        for name, x, w, mu, what in (("h0", h0, None, inst.eigenvalues, "H0 is not the operator"),
                                      ("a", a, inst.f, inst.tau, "A is not the direction")):
             if x is not None:  # the gap of X, one read, bounds that of its Hermitian part
                 x = operand(x, name)
                 gap = gap if (gap := _gap(x, w, mu)) <= delta else _gap(x, w, mu, hermitian=True)
-                residual = name == "h0" and w is not None  # a dense V: the gap of the H0 that built it is not 0
-                require(x, name, gap, PathMismatch, f"{what} that built the projection",
-                        note=", which includes the residual of H0's eigendecomposition" if residual else "")
+                require(x, name, gap, PathMismatch, f"{what} that built the projection")
         if u0 is not None:
             u0 = operand(u0, "u0")
-            c, off = _eigen_gap(u0, inst.eigenvectors)
-            require(u0, "u0", off, PathMismatch, "U0 is not diagonal in the eigenbasis of H0")
+            c = np.diagonal(u0).copy()
+            require(u0, "u0", _gap(u0, None, c), PathMismatch, "U0 is not diagonal in the eigenbasis of H0")
             require(u0, "u0", np.max(np.abs(np.abs(c) - 1.0), initial=0.0), NotUnitary,
                     "U0 has an eigenvalue off the unit circle", "largest abs(|c_j| - 1)")
         if u is not None:
             u, step, fu0 = operand(u, "u"), _exp_step(inst.f, inst.tau), inst.f.conj().T @ u0
             gap = _blocks_hs_norm(u[rows] - (u0[rows] + step[rows] @ fu0) for rows in _row_blocks(d))
             require(u, "u", gap, PathMismatch, "U is not e^(iA) U0")
-    return c, None if a is None else (inst.tau, inst.a_norm, fh, _perp(p, fh), _seed_rows(p, fh, p.cell_blocks))
+    return c, None if a is None else (inst.tau, inst.a_norm, f, _perp(p, f), _seed_rows(p, f, p.cell_blocks))
 
 
 def _powers_of(c: np.ndarray, ms) -> np.ndarray:
-    """Row j is c^m elementwise for m = ms[j], conj(c)^|m| for m < 0: the eigenvalues of U^m for U = V diag(c) V*."""
+    """Row j is c^m elementwise for m = ms[j], conj(c)^|m| for m < 0: the diagonal of U^m for U = diag(c)."""
     ms = np.asarray(ms, dtype=np.int64).reshape(-1, 1)
     return np.where(ms >= 0, c, c.conj()) ** np.abs(ms)
 
 
 def _offblock_cells(p: ProjectionBasis, scales: np.ndarray) -> np.ndarray:
-    """The cell blocks (s, K, n, L) of P_perp X P for each X = V diag(D) V*, D in ``scales`` (s, d), in O(d L^2).
+    """The cell blocks (s, K, n, L) of P_perp X P for each X = diag(D), D in ``scales`` (s, d), in O(d L^2).
 
-    In eigen-coordinates P_perp X P is diag(D) Bhat - Bhat (Bhat* diag(D) Bhat),
-    which has one block per cell.  Padded rows read the last entry of D and
+    P_perp X P is diag(D) B - B (B* diag(D) B), which has one block per cell.  Padded rows read the last entry of D and
     meet zero rows of the blocks.
     """
     y = scales[:, p.cell_rows, None] * p.cell_blocks
@@ -623,19 +597,19 @@ def _slot_rows(p: ProjectionBasis, x: np.ndarray) -> np.ndarray:
     return _to_columns(p, x.transpose(1, 3, 0, 2)).transpose(1, 2, 0)
 
 
-def _ambient_stream(p: ProjectionBasis, c: np.ndarray, fh: np.ndarray, tau: np.ndarray, blocks: np.ndarray):
-    """The ``_telescoped`` operands (s, F, e, rows) of V* U^m B for U = V (I + Fh diag(e) Fh*) diag(c) V*, Fh = V* F.
+def _ambient_stream(p: ProjectionBasis, c: np.ndarray, f: np.ndarray, tau: np.ndarray, blocks: np.ndarray):
+    """The ``_telescoped`` operands (s, F, e, rows) of U^m B for U = (I + F diag(e) F*) diag(c).
 
     Here e = e^{i tau} - 1, B is given by its cell blocks, those of ``p`` or
-    a rotation of each within its columns, and Fh with its zero row d, where
-    c is taken 0; the rows Fh* c^q Bhat come cell by cell in O(d L^2).
+    a rotation of each within its columns, and F with its zero row d, where
+    c is taken 0; the rows F* c^q B come cell by cell in O(d L^2).
     """
-    c1, fh_cells = np.append(c, 0.0), _adjoint(fh[p.cell_rows])
+    c1, f_cells = np.append(c, 0.0), _adjoint(f[p.cell_rows])
 
     def rows(qs):
-        return _slot_rows(p, fh_cells @ (_powers_of(c1, qs)[:, p.cell_rows, None] * blocks))
+        return _slot_rows(p, f_cells @ (_powers_of(c1, qs)[:, p.cell_rows, None] * blocks))
 
-    return c1, fh, np.expm1(1j * tau), rows
+    return c1, f, np.expm1(1j * tau), rows
 
 
 def _diagonal_stream(s: np.ndarray, f: np.ndarray, tau: np.ndarray):
@@ -654,7 +628,7 @@ def _seed_rows(p: ProjectionBasis, g: np.ndarray, blocks: np.ndarray) -> np.ndar
 
 
 def _perp(p: ProjectionBasis, g: np.ndarray) -> np.ndarray:
-    """P_perp G = G - Bhat (Bhat* G) for coordinates G with a zero row d, cell by cell in O(d L c) for c columns.
+    """P_perp G = G - B (B* G) for coordinates G with a zero row d, cell by cell in O(d L c) for c columns.
 
     The padding (-1) of the cell rows reads and writes the zero row; rows in
     no cell keep all of G.
@@ -677,7 +651,7 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     """
     m_list = _powers(m_list)
     c, _ = _frame(p, m_list, h0=h0, u0=u0)
-    eps, checks, seeds = p.params.eps, [], _perp(p, _padded(p.instance.fh))
+    eps, checks, seeds = p.params.eps, [], _perp(p, _padded(p.instance.f))
     for l in range(seeds.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", hs_norm(seeds[:, l]), eps))
     lam = p.instance.eigenvalues
@@ -699,7 +673,7 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     e^{iA} U0.  U0, U and A are checked as in ``_frame``.
     """
     m_list = _powers(m_list)
-    c, (tau, a_op, fh, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
+    c, (tau, a_op, f, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
     eps = p.params.eps
     # F* is a co-isometry, so it drops out of ||P_perp A||_HS = ||P_perp F tau F*||_HS
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
@@ -712,11 +686,11 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     propagator_bound = 2.0 * t_max * np.exp(t_max * a_op) * eps
     for t, value in zip(ts, propagators):
         checks.append(_check(f"propagator[t={t:+.3f}]", value, propagator_bound))
-    # P_perp V* U^m B = P_perp c^m Bhat + sum_j (P_perp G_j) R_j: the cell blocks of the first
+    # P_perp U^m B = P_perp c^m B + sum_j (P_perp G_j) R_j: the cell blocks of the first
     # term are those of the base power, and P_perp acts on the thin factors G_j of the stream.
     base = _offblock_cells(p, _powers_of(c, m_list))
     pert = dict(zip(m_list, _scatter(p.cell_rows, p.cell_columns, base, (p.ambient_dim + 1, p.rank))))
-    stream, per = _ambient_stream(p, c, fh, tau, p.cell_blocks), _per(tau.size)
+    stream, per = _ambient_stream(p, c, f, tau, p.cell_blocks), _per(tau.size)
     for sign in (1, -1):
         for left, right in _telescoped(*stream, [m for m in pert if sign * m > 0], per):
             left = _perp(p, left)
@@ -763,7 +737,7 @@ def compressed_model(p: ProjectionBasis, h0, a, phase: float) -> CompressedModel
 def _compressed(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: float):
     """The compressed pair in each cell's eigenbasis, from A's kept pairs (F, tau) through F*B (L x r).
 
-    B* H0 B = Bhat* diag(lambda) Bhat has one block per cell; one batched
+    B* H0 B = B* diag(lambda) B has one block per cell; one batched
     eigh per cell width gives Q_k diag(mu_k) Q_k* (a padded slot gets the
     eigenvalue 0 and its own unit vector), and U0p = (+)_k Q_k diag(omega_k)
     Q_k* with omega the Cayley values of mu.  With the thin QR B*F = QR,
@@ -797,45 +771,45 @@ def audit_compressed_model(
     in ``_frame``, over the powers m and k.
     """
     m_list, k_list = _powers(m_list), _powers(k_list)
-    c, (tau, a_op, fh, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
+    c, (tau, a_op, f, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
     eps, rows, cols = p.params.eps, p.cell_rows, p.cell_columns
     q, omega_cells, fc, tau_c, fc_cells = _compressed(p, fb, tau, phase)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
-    # works on d x L factors; F* and V are isometries and drop out of the norms.
+    # works on d x L factors; F* is a co-isometry and drops out of the norms.
     checks = [_check("exp_step_offblock", hs_norm(_exp_step(f_perp, tau)), 2 * eps)]
-    # V* (e^{isA} B - B e^{isAp}) = Fh (e^{is tau} - 1) F*B - Bhat Fc (e^{is tau_c} - 1) Fc*
-    #                             = [Fh, Bhat Fc] diag(e^{is tau} - 1, 1 - e^{is tau_c}) [F*B; Fc*]
+    # e^{isA} B - B e^{isAp} = F (e^{is tau} - 1) F*B - B Fc (e^{is tau_c} - 1) Fc*
+    #                        = [F, B Fc] diag(e^{is tau} - 1, 1 - e^{is tau_c}) [F*B; Fc*]
     s_grid = np.linspace(-t_max, t_max, 21)
     steps = np.expm1(1j * np.multiply.outer(s_grid, np.concatenate([tau, tau_c])))
     steps[:, tau.size:] *= -1.0
-    b_fc = np.zeros((fh.shape[0], tau_c.size), dtype=np.complex128)
+    b_fc = np.zeros((f.shape[0], tau_c.size), dtype=np.complex128)
     b_fc[rows] = p.cell_blocks @ _padded(fc)[cols]
-    worst = _factor_norms(np.concatenate([fh, b_fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
+    worst = _factor_norms(np.concatenate([f, b_fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
     checks.append(_check("propagator_vs_compressed", float(np.max(worst)), 2 * t_max * eps))
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
     tr_bound = 2.0 * p.instance.a_hs * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
-    # The powers work in each cell's eigenbasis Q_k of Bhat_k* diag(lambda) Bhat_k.  With B' = B diag(Q_k),
-    # U0p = diag(omega), and U0^m B' - B' U0p^m = V (c^m Bhat' - Bhat' omega^m) has one block per cell.
+    # The powers work in each cell's eigenbasis Q_k of B_k* diag(lambda) B_k.  With B' = B diag(Q_k),
+    # U0p = diag(omega), and U0^m B' - B' U0p^m = c^m B' - B' omega^m has one block per cell.
     nm, blocks = len(m_list), p.cell_blocks @ q
     y = _powers_of(c, [*m_list, *k_list])[:, rows, None] * blocks
     grams = _adjoint(blocks) @ y
     base = _norms(y[:nm] - blocks * _powers_of(omega_cells.ravel(), m_list).reshape(nm, *omega_cells.shape)[:, :, None])
     # In B' coordinates Up = (I + Fc' diag(e^{i tau_c} - 1) Fc'*) diag(omega) with Fc' = diag(Q_k*) Fc, and
     # Tr{P Up^m (e^{iA} - e^{iAp}) U0^k} = Tr{Y_k (Up^m X)} with B'* e^{iA} U0^k B' - e^{iAp} B'* U0^k B' = X Y_k:
-    # X = [(F*B')* (e^{i tau} - 1), -Fc' (e^{i tau_c} - 1)], Y_k = [Fh* c^k Bhat'; Fc'* diag(Bhat'_k* c^k Bhat'_k)].
-    fh_cells = _adjoint(fh[rows])
+    # X = [(F*B')* (e^{i tau} - 1), -Fc' (e^{i tau_c} - 1)], Y_k = [F* c^k B'; Fc'* diag(B'_k* c^k B'_k)].
+    f_cells = _adjoint(f[rows])
     fc_q, omega = _to_columns(p, fc_cells), _to_columns(p, omega_cells)
-    fb_q = _seed_rows(p, fh, blocks)
+    fb_q = _seed_rows(p, f, blocks)
     x = np.concatenate([_exp_step(fb_q.conj().T, tau), -_exp_step(fc_q, tau_c)], axis=1)
-    ys = np.concatenate([_slot_rows(p, fh_cells @ y[nm:]), _slot_rows(p, _adjoint(fc_cells) @ grams[nm:])], axis=1)
-    # B'* U^m B' - Up^m = diag(grams_m - omega^m) + sum_j [Bhat'* G_j, -Gc_j] [R_j; Rc_j] from the two
+    ys = np.concatenate([_slot_rows(p, f_cells @ y[nm:]), _slot_rows(p, _adjoint(fc_cells) @ grams[nm:])], axis=1)
+    # B'* U^m B' - Up^m = diag(grams_m - omega^m) + sum_j [B'* G_j, -Gc_j] [R_j; Rc_j] from the two
     # telescoped streams, and Up^m X = omega^m X + sum_j Gc_j (Rc_j X): one r x r matrix per m.
     omega_m = _powers_of(omega, m_list)
     diff = _scatter(cols, cols, grams[:nm], (p.rank, p.rank))
     diff[:, np.arange(p.rank), np.arange(p.rank)] -= omega_m
     diff, up_x = dict(zip(m_list, diff)), dict(zip(m_list, omega_m[:, :, None] * x))
-    ambient, per = _ambient_stream(p, c, fh, tau, blocks), _per(max(tau.size, tau_c.size))
+    ambient, per = _ambient_stream(p, c, f, tau, blocks), _per(max(tau.size, tau_c.size))
     compressed = _diagonal_stream(omega, fc_q, tau_c)
     for sign in (1, -1):
         signed = [m for m in diff if sign * m > 0]
@@ -887,11 +861,11 @@ def convergence_study(h0, a, phase: float, p: TrigPolynomial, cell_counts) -> Co
     if inst.eigenvalues.shape[0] < 4 * max(cell_counts):
         raise PartitionTooFine("ambient dimension must be at least 4x the finest partition")
     half_width = float(np.max(np.abs(inst.eigenvalues))) * (1.0 + 1e-12) + 1e-15
-    full = _thin_lhs(_cayley_values(inst.eigenvalues, phase), inst.fh, inst.tau, p)
-    fh, rows = _padded(inst.fh), []
+    full = _thin_lhs(_cayley_values(inst.eigenvalues, phase), inst.f, inst.tau, p)
+    f, rows = _padded(inst.f), []
     for n in sorted(cell_counts):
         proj = _window_basis(inst, half_width, n)
-        _, omega, _, tau_c, fc_cells = _compressed(proj, _seed_rows(proj, fh, proj.cell_blocks), inst.tau, phase)
+        _, omega, _, tau_c, fc_cells = _compressed(proj, _seed_rows(proj, f, proj.cell_blocks), inst.tau, phase)
         compressed = _thin_lhs(_to_columns(proj, omega), _to_columns(proj, fc_cells), tau_c, p)
         rows.append(ConvergenceRow(int(n), proj.rank, compressed, abs(full - compressed)))
     return ConvergenceStudy(full_trace=full, rows=tuple(rows))

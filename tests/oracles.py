@@ -49,7 +49,7 @@ path to the package routine it checks:
     by one modified Gram-Schmidt over all cells in the ambient space; the
     package orthonormalises cell by cell in eigen-coordinates.
   * ``window_basis_per_cell`` is the cell-by-cell construction with one SVD
-    call, one fill and one product per occupied cell; the package batches
+    call and one fill per occupied cell; the package batches
     the SVDs over cells of one shape, and its outputs must equal these bit
     for bit.
   * ``dense_projection_audit``, ``dense_perturbation_audit`` and
@@ -65,9 +65,8 @@ path to the package routine it checks:
     ``seeded_instance``, ``abs_sum``, ``weighted_abs_sum``,
     ``remainder_trace_norm_bound`` and ``PhaseTooClose`` are test-only
     helpers: a hand-built basis with one cell holding every row of a checked
-    instance, the ambient columns B = V Bhat of a basis, which keeps only
-    its cells in eigen-coordinates, the whole-space projection recording an
-    H0, with its eigenpairs from one full eigh, and an A, an instance whose
+    instance, the columns B of a basis, which keeps only its cells, the
+    whole-space projection of a diagonal H0 and an A, an instance whose
     seeds are given columns, coefficient sums of a polynomial, the per-mode
     trace-norm bound of the left side, and the error of ``cayley_forward``.
 
@@ -466,19 +465,18 @@ def window_basis_global_mgs(h0, seeds, half_width: float, cells: int, drop_tol: 
     return basis[:, :kept]
 
 
-def window_basis_per_cell(dec, f, half_width: float, cells: int) -> dict[str, np.ndarray]:
+def window_basis_per_cell(eigenvalues, f, half_width: float, cells: int) -> dict[str, np.ndarray]:
     """The columns and cell layout of the window basis, one SVD per occupied cell.
 
-    ``dec`` holds the ascending eigenvalues and eigenvectors of H0 and ``f``
-    the orthonormal seeds; the cells come from ``_cells_of``, and the seeds
-    are assumed captured by the window.
+    ``eigenvalues`` are the ascending diagonal of H0 and ``f`` the orthonormal
+    seeds in its eigen-coordinates; the cells come from ``_cells_of``, and the
+    seeds are assumed captured by the window.
     """
-    coords = dec.vectors.conj().T @ f
-    window = np.flatnonzero((dec.eigenvalues > -half_width) & (dec.eigenvalues <= half_width))
-    runs = np.split(window, np.flatnonzero(np.diff(_cells_of(dec.eigenvalues[window], half_width, cells))) + 1)
+    window = np.flatnonzero((eigenvalues > -half_width) & (eigenvalues <= half_width))
+    runs = np.split(window, np.flatnonzero(np.diff(_cells_of(eigenvalues[window], half_width, cells))) + 1)
     rows_of, blocks = [], []
     for rows in runs if window.size else []:
-        pieces = coords[rows, :]
+        pieces = f[rows, :]
         norms = np.linalg.norm(pieces, axis=0)
         kept = norms > GS_DROP_TOL
         left, values, _ = np.linalg.svd(pieces[:, kept] / norms[kept], full_matrices=False)
@@ -494,8 +492,9 @@ def window_basis_per_cell(dec, f, half_width: float, cells: int) -> dict[str, np
         cell_columns[k, :block.shape[1]] = np.arange(start, start + block.shape[1])
         cell_blocks[k, :rows.size, :block.shape[1]] = block
         start += block.shape[1]
-    columns = [dec.vectors[:, rows] @ block for rows, block in zip(rows_of, blocks)]
-    columns = np.concatenate([np.zeros((f.shape[0], 0), dtype=np.complex128), *columns], axis=1)
+    columns = np.zeros((f.shape[0], start), dtype=np.complex128)
+    for k, (rows, block) in enumerate(zip(rows_of, blocks)):
+        columns[np.ix_(rows, cell_columns[k, : block.shape[1]])] = block
     return dict(columns=columns, cell_rows=cell_rows, cell_columns=cell_columns, cell_blocks=cell_blocks)
 
 
@@ -603,52 +602,42 @@ def dense_compressed_audit(
     return checks
 
 
-def eigenvectors(instance: CheckedInstance) -> np.ndarray:
-    """The eigencolumns V of the instance's H0 = V diag(lambda) V*, the identity where it records None."""
-    v = instance.eigenvectors
-    return np.eye(instance.eigenvalues.size, dtype=np.complex128) if v is None else v
-
-
 def one_cell_basis(columns, instance: CheckedInstance, params: WindowParams) -> ProjectionBasis:
-    """A hand-built basis B with one cell: every column, and every eigen-row of the instance's H0 = V diag(lambda) V*.
+    """A hand-built basis B with one cell: every column, and every eigen-row of the instance's H0 = diag(lambda).
 
-    Its cell block is all of V* B, so it fits any orthonormal B, window or not.
+    Its cell block is all of B, so it fits any orthonormal B, window or not.
     """
     dim, rank = columns.shape
     return ProjectionBasis(
         params, instance, cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
-        cell_blocks=(eigenvectors(instance).conj().T @ columns)[None],
+        cell_blocks=np.array(columns, dtype=np.complex128)[None],
     )
 
 
 def ambient_columns(p: ProjectionBasis) -> np.ndarray:
-    """The ambient columns B = V Bhat of a window basis: each occupied cell's block mapped by its eigencolumns."""
-    v = eigenvectors(p.instance)
-    b = np.zeros((v.shape[0], p.rank), dtype=np.complex128)
+    """The columns B of a window basis: each occupied cell's block on its eigen-rows and its columns."""
+    b = np.zeros((p.ambient_dim, p.rank), dtype=np.complex128)
     for rows, cols, block in zip(p.cell_rows, p.cell_columns, p.cell_blocks):
         rows, cols = rows[rows >= 0], cols[cols >= 0]
-        b[:, cols] = v[:, rows] @ block[: rows.size, : cols.size]
+        b[np.ix_(rows, cols)] = block[: rows.size, : cols.size]
     return b
 
 
 def full_space(dim: int, h0, a) -> ProjectionBasis:
-    """The projection onto the whole ambient space, recording H0's eigenpairs from one full eigh, and A's kept pairs.
+    """The projection onto the whole ambient space, with the checked instance of H0 and A.
 
     ran P is everything, so its construction record has eps = 0, with the
     whole line as its window.
     """
-    eye, h0 = np.eye(dim, dtype=np.complex128), np.asarray(h0, dtype=np.complex128)
-    w, v = np.linalg.eigh(h0)
     instance = _instance(h0, a)
-    instance = replace(instance, eigenvalues=w, eigenvectors=v, fh=v.conj().T @ instance.f)
+    eye = np.eye(dim, dtype=np.complex128)
     return one_cell_basis(eye, instance, WindowParams(count=instance.tau.size, half_width=np.inf, cells=1, eps=0.0))
 
 
 def seeded_instance(h0, f) -> CheckedInstance:
     """The checked instance of H0 and A = F F*, recording the unit columns F themselves as its seeds, each tau 1."""
     f = np.asarray(f, dtype=np.complex128)
-    instance = _instance(h0, f @ f.conj().T)
-    return replace(instance, f=f, fh=eigenvectors(instance).conj().T @ f, tau=np.ones(f.shape[1]))
+    return replace(_instance(h0, f @ f.conj().T), f=f, tau=np.ones(f.shape[1]))
 
 
 def abs_sum(p: TrigPolynomial) -> float:

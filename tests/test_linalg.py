@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -58,8 +59,9 @@ def test_herm_eig_roundtrip_8x8():
 
 
 class TestDiagonalEigenbasis:
-    """The reduction's checked instance takes an exactly diagonal H0 with a non-decreasing real part as its own
-    eigenbasis: no LAPACK call, LAPACK's bits.  ``herm_eig`` itself always calls LAPACK."""
+    """The reduction's checked instance takes only an exactly diagonal H0 with a non-decreasing real part, its own
+    eigenbasis: no LAPACK call, LAPACK's bits.  Any other H0 is refused, with no LAPACK call either.
+    ``herm_eig`` itself always calls LAPACK."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -84,32 +86,34 @@ class TestDiagonalEigenbasis:
             "imaginary": levels + 1e-13j * rng.standard_normal(dim),  # well inside the Hermitian tolerance
         }[kind]
         h = np.diag(diagonal).astype(complex)
-        shapes = self.recorded(monkeypatch)
-        inst = _instance(h, np.zeros_like(h))
         w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-        assert inst.eigenvalues.tobytes() == w.tobytes()
-        vectors = np.eye(dim, dtype=complex) if inst.eigenvectors is None else inst.eigenvectors
-        assert vectors.tobytes() == v.tobytes()
+        shapes = self.recorded(monkeypatch)
         ascending = bool(np.all(diagonal.real[1:] >= diagonal.real[:-1]))
-        assert shapes == ([] if ascending else [(dim, dim)])
-        assert (inst.eigenvectors is None) == ascending
         assert ascending or kind not in ("ascending", "repeated", "imaginary")
+        if ascending:  # its eigenbasis is I, LAPACK's bits too
+            assert _instance(h, np.zeros_like(h)).eigenvalues.tobytes() == w.tobytes()
+            assert np.eye(dim, dtype=complex).tobytes() == v.tobytes()
+        else:
+            with pytest.raises(UnishiftError, match="the reduction works in H0's eigenbasis"):
+                _instance(h, np.zeros_like(h))
+        assert shapes == []
         dec = herm_eig(h)
         assert dec.eigenvalues.tobytes() == w.tobytes() and dec.vectors.tobytes() == v.tobytes()
-        assert len(shapes) == (1 if ascending else 2)
+        assert shapes == [(dim, dim)]
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_one_off_diagonal_entry_goes_to_lapack(self, monkeypatch, order):
+    def test_one_off_diagonal_entry_is_refused(self, monkeypatch, order):
         dim = 5
         zero = np.zeros((dim, dim), dtype=complex)
         shapes = self.recorded(monkeypatch)
         for i, j in zip(*np.nonzero(~np.eye(dim, dtype=bool))):
             h = np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order)
             h[i, j] = 1e-300
-            assert _instance(h, zero).eigenvectors is not None
-        assert shapes == [(dim, dim)] * (dim * (dim - 1))
-        assert _instance(np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order), zero).eigenvectors is None
-        assert len(shapes) == dim * (dim - 1)
+            with pytest.raises(UnishiftError, match="the reduction works in H0's eigenbasis"):
+                _instance(h, zero)
+        inst = _instance(np.asarray(np.diag(np.arange(dim, dtype=complex)), order=order), zero)
+        assert inst.eigenvalues.tolist() == list(range(dim))
+        assert shapes == []
 
 
 def test_herm_eig_rejects_non_hermitian():
@@ -144,7 +148,7 @@ def test_unchecked_herm_eig_reads_its_input_in_place(kind):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert inst.eigenvectors is None and inst.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert inst.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert peak < 1.5 * h.nbytes, peak
 
 
@@ -275,6 +279,16 @@ def test_unitary_eig_unchecked_matches_checked(seed, dim):
     checked, unchecked = unitary_eig(u), unitary_eig(u, check=False)
     assert np.array_equal(checked.angles, unchecked.angles)
     assert np.array_equal(checked.vectors, unchecked.vectors)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (4, 3)], ids=["stack", "rectangle"])
+@pytest.mark.parametrize("check", [True, False])
+def test_an_operand_that_is_not_square_is_named_so(shape, check):
+    """With no size given, a stack or a rectangle is "not a square matrix", not a square of its first axis."""
+    m = np.zeros(shape, dtype=complex)
+    for decompose in (unitary_eig, herm_eig):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"has shape {shape}, not a square matrix") + "$"):
+            decompose(m, check=check)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 4])

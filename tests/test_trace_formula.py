@@ -496,9 +496,9 @@ class TestSidesShareNoSpectralCode:
         inst = reduction_instance(13, 48, 3, 1.4, phase=0.3)
         checked = _instance(inst.h0, inst.a)
         c = _cayley_values(checked.eigenvalues, 0.3)
-        want = [_thin_lhs(c, checked.fh, checked.tau, p) for p in self.polys]
+        want = [_thin_lhs(c, checked.f, checked.tau, p) for p in self.polys]
         forbid(monkeypatch, np.linalg, "eigh", "eigvalsh", "eig", "eigvals")
-        got = [_thin_lhs(c, checked.fh, checked.tau, p) for p in self.polys]
+        got = [_thin_lhs(c, checked.f, checked.tau, p) for p in self.polys]
         assert np.array(got).tobytes() == np.array(want).tobytes()
         with pytest.raises(Forbidden):  # the patch reaches the eigenpairs
             _instance(inst.h0, inst.a)

@@ -56,11 +56,11 @@ _ONE_SNAP = 1e-12
 # An off-diagonal entry of Q*UQ above this, for the Ritz vectors Q of (U + U*)/2, marks two mixed eigenvectors.
 _COUPLING_TOL = 1e-13
 
-# Cap, in entries, on one block of stacked temporaries: the power blocks of
-# ``_power_blocks`` here, the integrator's (nodes, d, d) stacks and (modes,
-# jumps) phase matrices in ``spectral_shift`` and the (rows, columns) cells
-# of one block of the CLI's CSV writer.  Without it peak memory would grow
-# with the number of powers, nodes, modes or rows.
+# Cap, in entries, on one block of stacked temporaries: the integrator's
+# (nodes, d, d) stacks and (modes, jumps) phase matrices in
+# ``spectral_shift`` and the (rows, columns) cells of one block of the CLI's
+# CSV writer.  Without it peak memory would grow with the number of nodes,
+# modes or rows.
 _BLOCK = 1 << 13
 
 
@@ -162,10 +162,11 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_norms(m: np.ndarray) -> tuple[float, float]:
-    """(||M - M*||_HS, ||M||_HS) of a square M from one pass of row blocks."""
+    """(||M - M*||_HS, ||M||_HS) of a square M from one pass of row blocks, each difference in one reused buffer."""
     gap = norm = 0.0
+    buffer = np.empty((min(m.shape[0], _ROWS + 1), m.shape[0]), dtype=np.complex128)
     for _, top, adjoint in _hermitian_blocks(m):
-        diff = top - adjoint
+        diff = np.subtract(top, adjoint, out=buffer[: top.shape[0]])
         gap, norm = gap + np.vdot(diff, diff).real, norm + np.vdot(top, top).real
     return float(np.sqrt(gap)), float(np.sqrt(norm))
 
@@ -213,39 +214,6 @@ class HermitianDecomposition:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-
-def _power_blocks(u: np.ndarray, ms):
-    """Yield (ks, Y) with Y[j] = U^{ks[j]}, in runs of consecutive ks covering every wanted m.
-
-    Positive m step by U, negative m by U*, the inverse of a unitary U; no
-    eigendecomposition is touched.  Each sign is streamed a block of
-    ``size = min(top, _BLOCK // d^2)`` consecutive powers at a time, as one
-    (size, d, d) stack: the first block comes from doubling products
-    P[n:n+m] = P[:m] U^n, and each later block is one batched product
-    U^size @ Y, so a stream of size 1 makes the one-step products.  m = 0
-    yields the identity.  Nothing yielded aliases U; callers only read the
-    blocks, since the last power of the first block is the step to the next.
-    """
-    ms = np.asarray(ms, dtype=np.int64)
-    d = u.shape[0]
-    if (ms == 0).any():
-        yield np.zeros(1, dtype=np.int64), np.eye(d, dtype=u.dtype)[None]
-    for sign in (1, -1):
-        top = int((sign * ms).max(initial=0))
-        if top < 1:
-            continue
-        step = u if sign == 1 else u.conj().T
-        size = min(top, max(1, _BLOCK // max(u.size, 1)))
-        powers = step[None].copy()  # the first block is yielded as is, so it must not alias U
-        while len(powers) < size:
-            m = min(len(powers), size - len(powers))
-            powers = np.concatenate([powers, powers[:m] @ powers[-1]])
-        y = powers
-        for k0 in range(1, top + 1, size):
-            if k0 > 1:
-                y = powers[-1] @ y[:top - k0 + 1]
-            yield sign * np.arange(k0, k0 + len(y)), y
 
 
 def _from_spectrum(vectors: np.ndarray, values) -> np.ndarray:

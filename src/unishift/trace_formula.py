@@ -8,15 +8,14 @@ For U = e^{iA} U0 and a trigonometric polynomial p, the identity reads
 Both sides are linear in the coefficients of p, so each is an array of one
 number per Fourier mode n, and one coefficient matrix C (row j holds the
 coefficients of polynomial j on the sorted modes) assembles both for every
-polynomial: C @ traces and C @ pairings.  The left side streams the powers
-U^k and U0^k in blocks of consecutive k (``linalg._power_blocks``), each
-block one (b, d, d) stack advanced by one batched product (adjoints for
-negative modes); per block it takes the b traces and, by the cyclic trace
-identity below, the b derivative terms in one product with conj(A).  The
-right side is an exact sum over the jump list of eta (eigenangles of U_s at
-Gauss-Legendre nodes in s, see ``spectral_shift``).  The left side touches
-no eigendecomposition, so the two sides share no spectral code path and
-agreeing results mean something.
+polynomial: C @ traces and C @ pairings.  The left side steps the pair
+(U, U0) as one (2, d, d) stack, one stacked product per mode (adjoints for
+negative modes), and reads at each power the two traces and, by the cyclic
+trace identity below, the derivative term.  The right side is an exact
+sum over the jump list of eta (eigenangles of U_s at Gauss-Legendre nodes
+in s, see ``spectral_shift``).  The left side touches no eigendecomposition,
+so the two sides share no spectral code path and agreeing results mean
+something.
 
 The resolvent w -> (w - z)^{-1} is not a trigonometric polynomial.  Its
 right side is one closed-form sum over the jumps from f'(t) =
@@ -51,7 +50,7 @@ from numbers import Number
 import numpy as np
 
 from .errors import OnUnitCircle, UnishiftError, _is_real, _is_whole
-from .linalg import UnitaryPath, _adjoint, _power_blocks, hs_norm, op_norm, trace
+from .linalg import UnitaryPath, _adjoint, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial, _require_polynomial
 
@@ -87,18 +86,21 @@ def require_path(u0, u, a) -> None:
 def _lhs_mode_traces(u0: np.ndarray, u: np.ndarray, a: np.ndarray, modes) -> np.ndarray:
     """Tr{ U^n - U0^n - d/ds U_s^n|_0 } for each mode n in ``modes``, in that order.
 
-    The derivative trace is i n Tr(A U0^n) = i n sum conj(A) * U0^n, since A
-    is Hermitian.  Blocks of powers of U and U0 are streamed side by side up
-    to the largest wanted |n|; each block gives its traces and its products
-    with conj(A) at once, and nothing is kept between blocks.
+    The derivative trace is i n Tr(A U0^n) = i n vdot(A, U0^n), since A is
+    Hermitian.  Per sign the stack P = (U, U0), or its adjoint for negative
+    modes, is stepped one stacked product per mode up to the largest wanted
+    |n|, and each power P^k gives its two traces and its derivative term.
     """
     modes = np.asarray(modes, dtype=np.int64)
     lo = modes.min(initial=0)
     values = np.zeros(modes.max(initial=0) - lo + 1, dtype=np.complex128)
-    a_conj = a.conj().ravel()
-    for (ks, power), (_, power0) in zip(_power_blocks(u, modes), _power_blocks(u0, modes)):
-        traces = np.trace(power, axis1=1, axis2=2) - np.trace(power0, axis1=1, axis2=2)
-        values[ks - lo] = traces - 1j * ks * (power0.reshape(len(ks), -1) @ a_conj)
+    for sign in (1, -1):
+        step = np.stack([u, u0]) if sign == 1 else _adjoint(np.stack([u, u0]))
+        power = np.eye(len(u), dtype=np.complex128)
+        for k in range(1, int((sign * modes).max(initial=0)) + 1):
+            power, n = power @ step, sign * k
+            traces = np.trace(power, axis1=1, axis2=2)
+            values[n - lo] = traces[0] - traces[1] - 1j * n * np.vdot(a, power[1])
     return values[modes - lo]
 
 
@@ -118,16 +120,12 @@ def _coefficients(polys) -> tuple[np.ndarray, np.ndarray]:
     return modes, c
 
 
-def _lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, *polys: TrigPolynomial) -> np.ndarray:
-    """Left side of each of ``polys`` for a pair that is already validated: C @ the per-mode traces."""
-    modes, c = _coefficients(polys)
-    return c @ _lhs_mode_traces(u0, u, a, modes)
-
-
 def lhs_trace(u0, u, a, p: TrigPolynomial) -> complex:
-    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } via blocks of streamed powers."""
+    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 }, C @ the per-mode traces of the stepped pair."""
     path = UnitaryPath(u0, a)
-    return complex(_lhs(path.u0, path.require_endpoint(u), path.a, _require_polynomial(p))[0])
+    u = path.require_endpoint(u)
+    modes, c = _coefficients([_require_polynomial(p)])
+    return complex((c @ _lhs_mode_traces(path.u0, u, path.a, modes))[0])
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def batch_verify(u0, u, a, polys, tol: float = 1e-8, s_rule=None) -> list[Verifi
 
     The pair is validated by the integrator's path.  Both sides are linear in
     the coefficients, so each is one product of the coefficient matrix C of
-    ``polys`` with per-mode values: the streamed traces of U^n - U0^n - D_n
+    ``polys`` with per-mode values: the stepped traces of U^n - U0^n - D_n
     on the left and the curvature pairings on the right.
     """
     _require_tol(tol)

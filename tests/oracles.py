@@ -26,7 +26,8 @@ path to the package routine it checks:
     equal these bit for bit.
   * ``exact_eta`` is the profile in closed form from Krein's shift function:
     a step function of the eigenvector masses of U0 minus ramps between the
-    eigenangles of U0 and U, from two eigendecompositions and no s at all.
+    eigenangles of U0 and U, from two eigendecompositions and no s at all;
+    ``exact_l1_eta0`` is the L1 size of its centred version, piece by piece.
     The package integrates in s at Gauss-Legendre nodes and is first-order
     accurate pointwise.  It stays a test oracle: paired with f'' it would
     be a spectral left side.
@@ -38,10 +39,11 @@ path to the package routine it checks:
                    = -sum_{k=0}^{|r|-1} (U_s*)^{|r|-k} (iA) (U_s*)^k (r <= -1);
 
     they are the oracle for the per-mode traces of the left side.
-  * ``mp_lhs_trace`` is the left side of a polynomial to 40 digits (mpmath),
-    from the eigenvalues of the float64 U and U0 and the diagonal of A in
-    U0's eigenvectors, one power per mode; the package's resolvent left side
-    sums geometric series of matrices by binary doubling instead.
+  * ``mp_lhs_trace`` is the left side of a polynomial, and ``mp_mode_traces``
+    its per-mode traces, to 40 digits (mpmath), from the eigenvalues of the
+    float64 U and U0 and the diagonal of A in U0's eigenvectors, one power
+    per mode; the package steps the matrices U and U0 themselves, and its
+    resolvent left side sums geometric series of them by binary doubling.
   * ``require_hermitian_svd`` and ``require_unitary_svd`` are the validation
     checks by their definition, with an SVD for every operator norm; the
     package proves most passes from Hilbert-Schmidt norms instead.
@@ -317,6 +319,24 @@ def eigenvector_pass(u0, a, rule) -> tuple[np.ndarray, np.ndarray]:
     return np.array(angles), np.array(weights)
 
 
+def _krein_data(u0, a) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The eigenangles theta0 of U0 with their masses v_j*Av_j, the eigenangles theta1 of U = e^{iA} U0, and k."""
+    u0, a = np.asarray(u0, dtype=np.complex128), np.asarray(a, dtype=np.complex128)
+    lam, w = np.linalg.eigh(a)
+    before, after = cayley_unitary_eig(u0), cayley_unitary_eig(((w * np.exp(1j * lam)) @ w.conj().T) @ u0)
+    flow = (np.trace(a).real - after.angles.sum() + before.angles.sum()) / TWO_PI
+    k = round(flow)
+    assert abs(flow - k) <= 1e-9 * a.shape[0], f"spectral flow {flow!r} is not an integer"
+    masses = np.sum(before.vectors.conj() * (a @ before.vectors), axis=0).real
+    return before.angles, masses, after.angles, k
+
+
+def _krein_eta(theta0, masses, theta1, k, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)[:, None]
+    ramps = np.maximum(t - theta0, 0.0) - np.maximum(t - theta1, 0.0)
+    return (t >= theta0) @ masses - ramps.sum(axis=1) - k * t[:, 0]
+
+
 def exact_eta(u0, a, t) -> tuple[np.ndarray, int]:
     """Krein's closed form of eta at the angles t, with no s-quadrature, and the spectral flow k.
 
@@ -330,16 +350,32 @@ def exact_eta(u0, a, t) -> tuple[np.ndarray, int]:
     k = (Tr A - sum theta1 + sum theta0) / 2pi counts the angles that wrap
     past 2pi; a k farther than d 1e-9 from an integer is an AssertionError.
     """
-    u0, a = np.asarray(u0, dtype=np.complex128), np.asarray(a, dtype=np.complex128)
-    lam, w = np.linalg.eigh(a)
-    before, after = cayley_unitary_eig(u0), cayley_unitary_eig(((w * np.exp(1j * lam)) @ w.conj().T) @ u0)
-    flow = (np.trace(a).real - after.angles.sum() + before.angles.sum()) / TWO_PI
-    k = round(flow)
-    assert abs(flow - k) <= 1e-9 * a.shape[0], f"spectral flow {flow!r} is not an integer"
-    masses = np.sum(before.vectors.conj() * (a @ before.vectors), axis=0).real
-    t = np.asarray(t, dtype=float)[:, None]
-    ramps = np.maximum(t - before.angles, 0.0) - np.maximum(t - after.angles, 0.0)
-    return (t >= before.angles) @ masses - ramps.sum(axis=1) - k * t[:, 0], k
+    theta0, masses, theta1, k = _krein_data(u0, a)
+    return _krein_eta(theta0, masses, theta1, k, t), k
+
+
+def exact_l1_eta0(u0, a) -> float:
+    """The integral over [0, 2pi] of |eta - mean eta| for ``exact_eta``, in closed form, with no grid.
+
+    Between consecutive breakpoints (0, the angles theta0 and theta1, 2pi)
+    eta is linear, with slope #{theta1_j < t} - #{theta0_j < t} - k, so each
+    piece's integral is its trapezoid, and |g| of a linear g with end values
+    g_a, g_b integrates to (|g_a| + |g_b|)/2 per unit length if they share
+    a sign, else to (g_a^2 + g_b^2) / (2 (|g_a| + |g_b|)).
+    """
+    theta0, masses, theta1, k = _krein_data(u0, a)
+    cuts = np.unique(np.concatenate([[0.0, TWO_PI], theta0, theta1]))
+    lo, width = cuts[:-1], np.diff(cuts)
+    mid = lo + 0.5 * width
+    slope = (mid[:, None] > theta1).sum(axis=1) - (mid[:, None] > theta0).sum(axis=1) - k
+    left = _krein_eta(theta0, masses, theta1, k, lo)
+    right = left + slope * width
+    mean = width @ (left + right) / (2.0 * TWO_PI)
+    g_a, g_b = left - mean, right - mean
+    same = g_a * g_b >= 0.0
+    ends = np.abs(g_a) + np.abs(g_b)
+    per_length = np.where(same, 0.5 * ends, (g_a**2 + g_b**2) / (2.0 * np.where(same, 1.0, ends)))
+    return float(width @ per_length)
 
 
 class ZeroHarmonic(UnishiftError):
@@ -386,31 +422,47 @@ def gateaux_series(u0, a, p: TrigPolynomial, s: float = 0.0) -> np.ndarray:
     return out
 
 
-def mp_lhs_trace(u0, u, a, p: TrigPolynomial, dps: int = 40) -> complex:
-    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } for the given float64 matrices, summed with ``dps`` digits.
+def _mp_mode_traces(u0, u, a, modes) -> dict:
+    """{n: Tr{ U^n - U0^n - d/ds U_s^n|_0 }} as mpmath numbers, at the working precision of the caller.
 
-    With U0 = V0 diag(mu) V0^{-1}, mode n contributes c_n (sum lambda^n - sum mu^n
-    - i n sum w mu^n), w the diagonal of V0^{-1} A V0; the powers are kept as
-    running products over n = 1, 2, ... for each sign.  Mode 0 contributes 0.
+    With U0 = V0 diag(mu) V0^{-1}, mode n is sum lambda^n - sum mu^n
+    - i n sum w mu^n, w the diagonal of V0^{-1} A V0; the powers are kept as
+    running products over n = 1, 2, ... for each sign.  Mode 0 is 0.
     """
     import mpmath
 
+    lam, _ = mpmath.eig(mpmath.matrix(np.asarray(u).tolist()))
+    mu, v0 = mpmath.eig(mpmath.matrix(np.asarray(u0).tolist()))
+    w_mat = mpmath.inverse(v0) * mpmath.matrix(np.asarray(a).tolist()) * v0
+    w = [w_mat[j, j] for j in range(len(mu))]
+    wanted = set(modes)
+    traces = {0: mpmath.mpc(0)} if 0 in wanted else {}
+    for sign in (1, -1):
+        steps_l, steps_m = [x**sign for x in lam], [x**sign for x in mu]
+        pl, pm = list(steps_l), list(steps_m)
+        for k in range(1, max([sign * n for n in wanted] + [0]) + 1):
+            if (n := sign * k) in wanted:
+                traces[n] = mpmath.fsum(pl) - mpmath.fsum(pm) - 1j * n * mpmath.fsum(x * y for x, y in zip(w, pm))
+            pl = [x * y for x, y in zip(pl, steps_l)]
+            pm = [x * y for x, y in zip(pm, steps_m)]
+    return traces
+
+
+def mp_mode_traces(u0, u, a, modes, dps: int = 40) -> dict:
+    """{n: Tr{ U^n - U0^n - d/ds U_s^n|_0 }} for each mode n in ``modes``, each summed with ``dps`` digits."""
+    import mpmath
+
     with mpmath.workdps(dps):
-        lam, _ = mpmath.eig(mpmath.matrix(np.asarray(u).tolist()))
-        mu, v0 = mpmath.eig(mpmath.matrix(np.asarray(u0).tolist()))
-        w_mat = mpmath.inverse(v0) * mpmath.matrix(np.asarray(a).tolist()) * v0
-        w = [w_mat[j, j] for j in range(len(mu))]
-        total = mpmath.mpc(0)
-        for sign in (1, -1):
-            steps_l, steps_m = [x**sign for x in lam], [x**sign for x in mu]
-            pl, pm = list(steps_l), list(steps_m)
-            for k in range(1, max([sign * n for n in p.coeffs] + [0]) + 1):
-                if (n := sign * k) in p.coeffs:
-                    tn = mpmath.fsum(pl) - mpmath.fsum(pm) - 1j * n * mpmath.fsum(x * y for x, y in zip(w, pm))
-                    total += mpmath.mpc(p.coeffs[n]) * tn
-                pl = [x * y for x, y in zip(pl, steps_l)]
-                pm = [x * y for x, y in zip(pm, steps_m)]
-        return complex(total)
+        return {n: complex(t) for n, t in _mp_mode_traces(u0, u, a, modes).items()}
+
+
+def mp_lhs_trace(u0, u, a, p: TrigPolynomial, dps: int = 40) -> complex:
+    """Tr{ p(U) - p(U0) - d/ds p(U_s)|_0 } for the given float64 matrices, summed with ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        traces = _mp_mode_traces(u0, u, a, p.coeffs)
+        return complex(mpmath.fsum(mpmath.mpc(c) * traces[n] for n, c in p.coeffs.items()))
 
 
 def require_hermitian_svd(m, what: str = "matrix") -> None:

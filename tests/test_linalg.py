@@ -676,6 +676,23 @@ class TestRowBlockedHermitianKernel:
         assert abs(gap - hs_norm(m - m.conj().T)) <= 1e-14 * gap
         assert abs(norm - hs_norm(m)) <= 1e-14 * norm
 
+    def test_norms_reuse_one_difference_buffer(self):
+        """At d = 1024 the pass holds the column buffer and one difference block: its peak stays under 1.4 MiB.
+
+        Each is 33 x 1024 complex entries (0.52 MiB); a fresh difference per block would keep the previous one
+        alive while the next is allocated, a third block.  The certificate is unchanged.
+        """
+        rng = np.random.default_rng(1024)
+        m = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+        tracemalloc.start()
+        try:
+            gap, norm = linalg._hermitian_norms(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * 2**20, peak
+        assert abs(gap - hs_norm(m - m.conj().T)) <= 1e-14 * gap and abs(norm - hs_norm(m)) <= 1e-14 * norm
+
     @pytest.mark.parametrize("dim", SIZES[2:])
     @pytest.mark.parametrize("factor", [0.99, 1.01])
     def test_require_hermitian_decides_as_the_svd_definition(self, dim, factor):

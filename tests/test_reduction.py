@@ -65,7 +65,7 @@ from unishift.reduction import (
     random_low_rank_hermitian,
     spread_diagonal,
 )
-from unishift.trace_formula import _exp_remainder_factor, _lhs
+from unishift.trace_formula import _exp_remainder_factor, _lhs_mode_traces
 
 seeds = st.integers(0, 2**31 - 1)
 M_LIST = [1, -1, 2, -2, 4, -4]
@@ -329,7 +329,7 @@ def assert_refused(call):
 
 
 class TestThinLeftSide:
-    """The study's traces, from thin streams in H0's eigen-coordinates, against the dense ``_lhs`` of the same pair."""
+    """The study's traces, from thin streams in H0's eigen-coordinates, against the dense left side of the same pair."""
 
     @staticmethod
     def case(dim: int, kind: str):
@@ -361,7 +361,7 @@ class TestThinLeftSide:
         polys = [TrigPolynomial.monomial(n) for n in THIN_MODES]
         c = _cayley_values(inst.eigenvalues, 0.3)
         thin = [_thin_lhs(c, inst.f, inst.tau, poly) for poly in polys]
-        for n, got, want in zip(THIN_MODES, thin, _lhs(u0, u, a, *polys)):
+        for n, got, want in zip(THIN_MODES, thin, _lhs_mode_traces(u0, u, a, THIN_MODES)):
             assert rel_gap(got, want) <= 1e-12, (n, got, want)
         study = convergence_study(h0, a, 0.3, mixed, ladder)
         assert rel_gap(study.full_trace, sum(mixed.coeffs[n] * x for n, x in zip(THIN_MODES, thin))) <= 1e-12
@@ -369,12 +369,13 @@ class TestThinLeftSide:
         for row in study.rows:
             model = compressed_model(_window_basis(inst, half_width, row.cells), h0, a, 0.3)
             assert model.rank == row.rank
-            want = _lhs(model.u0p, model.up, model.ap, mixed)[0]
+            traces = _lhs_mode_traces(model.u0p, model.up, model.ap, THIN_MODES)
+            want = np.dot([mixed.coeffs[n] for n in THIN_MODES], traces)
             assert rel_gap(row.compressed_trace, want) <= 1e-12, (row.cells, row.compressed_trace, want)
 
     def test_convergence_study_takes_no_dense_left_side(self, monkeypatch):
-        """The study never runs ``_lhs`` or ``_power_blocks``: the same study with both refused."""
-        from unishift import linalg, reduction, trace_formula
+        """The study never runs the dense left side ``_lhs_mode_traces``: the same study with it refused."""
+        from unishift import reduction, trace_formula
 
         inst = reduction_instance(21, 128, 2, 0.4)
         poly = TrigPolynomial({-3: 0.5, 2: 1.0, 4: 0.25j})
@@ -383,9 +384,8 @@ class TestThinLeftSide:
         def refused(*args, **kwargs):
             raise AssertionError("the study ran the dense left side")
 
-        for owner, name in [(trace_formula, "_lhs"), (trace_formula, "_power_blocks"), (linalg, "_power_blocks")]:
-            monkeypatch.setattr(owner, name, refused)
-        assert not any(hasattr(reduction, name) for name in ("_lhs", "_power_blocks"))
+        monkeypatch.setattr(trace_formula, "_lhs_mode_traces", refused)
+        assert not hasattr(reduction, "_lhs_mode_traces")
         assert convergence_study(inst.h0, inst.a, inst.phase, poly, [4, 8, 16]) == want
         with pytest.raises(AssertionError, match="dense left side"):  # the patch reaches the dense left side
             lhs_trace(inst.u0, inst.u, inst.a, poly)

@@ -12,6 +12,7 @@ from oracles import (
     cayley_unitary_eig,
     eigenvector_pass,
     exact_eta,
+    exact_l1_eta0,
     eta_fourier,
     eta_step_at_s,
     integrate_against,
@@ -371,8 +372,17 @@ class TestExactProfile:
         assert k == flow
         np.testing.assert_allclose(eta, ramp, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("case, flow", [("d4", 0), ("d16", -1), ("ramp", 0), ("wrapped-ramp", 1),
-                                            ("all-wrap-d8", 8)])
+    PAIRS = {
+        "d4": lambda: (random_pair(2, 4, 2.0).u0, random_pair(2, 4, 2.0).a),
+        "d16": lambda: (random_pair(2, 16, 2.0).u0, random_pair(2, 16, 2.0).a),
+        "d64": lambda: (random_pair(2, 64, 2.0).u0, random_pair(2, 64, 2.0).a),
+        "ramp": lambda: (np.array([[np.exp(2.3j)]]), np.array([[1.1 + 0j]])),
+        "wrapped-ramp": lambda: (np.array([[np.exp(5.8j)]]), np.array([[1.0 + 0j]])),
+        "all-wrap-d8": lambda: _all_wrapping_pair(5, 8),
+    }
+    FLOWS = [("d4", 0), ("d16", -1), ("d64", 0), ("ramp", 0), ("wrapped-ramp", 1), ("all-wrap-d8", 8)]
+
+    @pytest.mark.parametrize("case, flow", FLOWS)
     def test_profile_converges_at_first_order(self, case, flow):
         """n times the sup and L1 distances at 256 and 1024 nodes stay within 2 and 3 times their value at 64.
 
@@ -381,13 +391,7 @@ class TestExactProfile:
         the spectral gap, and its quadrature error depends on where s* falls
         between the nodes.
         """
-        u0, a = {
-            "d4": lambda: (random_pair(2, 4, 2.0).u0, random_pair(2, 4, 2.0).a),
-            "d16": lambda: (random_pair(2, 16, 2.0).u0, random_pair(2, 16, 2.0).a),
-            "ramp": lambda: (np.array([[np.exp(2.3j)]]), np.array([[1.1 + 0j]])),
-            "wrapped-ramp": lambda: (np.array([[np.exp(5.8j)]]), np.array([[1.0 + 0j]])),
-            "all-wrap-d8": lambda: _all_wrapping_pair(5, 8),
-        }[case]()
+        u0, a = self.PAIRS[case]()
         exact, k = exact_eta(u0, a, self.GRID)
         assert k == flow
         scaled = []
@@ -397,6 +401,37 @@ class TestExactProfile:
         (sup, l1), rest = scaled[0], scaled[1:]
         assert all(s <= 2.0 * sup and m <= 3.0 * l1 for s, m in rest), scaled
         assert sup <= 8.0  # every t-distance at 64 nodes is below 0.125
+
+    @pytest.mark.parametrize("case, flow", FLOWS)
+    def test_l1_eta0_is_within_twice_the_l1_distance(self, case, flow):
+        """Criterion 02's 64-node ``l1_eta0`` against the exact centred L1 size ``exact_l1_eta0``.
+
+        With means m_n and m of the profile eta_n and of eta,
+        | ||eta_n - m_n||_1 - ||eta - m||_1 | <= ||eta_n - eta||_1 + 2pi |m_n - m| <= 2 ||eta_n - eta||_1,
+        and the L1 distance is measured on the grid.
+        """
+        u0, a = self.PAIRS[case]()
+        exact, k = exact_eta(u0, a, self.GRID)
+        assert k == flow
+        profile = eta_profile(u0, a, self.GRID.size, gauss_legendre(64))
+        assert np.array_equal(profile.grid, self.GRID)
+        distance = TWO_PI * np.abs(profile.eta - exact).mean()
+        assert abs(profile.l1_eta0 - exact_l1_eta0(u0, a)) <= 2.0 * distance
+
+    @pytest.mark.parametrize("case", ["d4", "d16", "ramp", "wrapped-ramp", "all-wrap-d8"])
+    def test_exact_l1_matches_the_midpoint_rule(self, case):
+        """The closed form against a 200000-cell midpoint rule of |eta - mean|, within 2 h TV(eta).
+
+        A midpoint sum of f errs by at most h TV(f), for the integral of eta as for that of |eta - m|; the mean's
+        error adds at most h TV(eta) more.  TV(eta) <= sum |v_j*Av_j| + 2pi (d + |k|): the jumps, then the slopes.
+        """
+        u0, a = self.PAIRS[case]()
+        cells = 200_000
+        h = TWO_PI / cells
+        eta, k = exact_eta(u0, a, (np.arange(cells) + 0.5) * h)
+        midpoint = h * np.abs(eta - eta.mean()).sum()
+        masses = np.abs(np.linalg.eigvalsh(a)).sum()  # sum |v_j*Av_j| <= trace norm of A
+        assert abs(exact_l1_eta0(u0, a) - midpoint) <= 2.0 * h * (masses + TWO_PI * (len(a) + abs(k)))
 
 
 def _conjugated(rng, values):

@@ -13,6 +13,7 @@ from oracles import (
     gateaux_monomial,
     gateaux_series,
     mp_lhs_trace,
+    mp_mode_traces,
     polynomial_of,
     power,
     remainder_trace_norm_bound,
@@ -37,9 +38,10 @@ from unishift import (
 )
 from unishift import linalg, reduction_instance, trace_formula
 from unishift.reduction import _cayley_values, _instance, _thin_lhs
-from unishift.linalg import _BLOCK, UnitaryPath, _power_blocks, haar_unitary, random_hermitian, trace_norm
+from unishift.linalg import UnitaryPath, haar_unitary, random_hermitian, trace_norm
 from unishift.trace_formula import (
-    _MAX_ORDER, _geometric_sums, _lhs, _lhs_mode_traces, _resolvent_lhs, resolvent_coefficients, resolvent_truncation,
+    _MAX_ORDER, _coefficients, _geometric_sums, _lhs_mode_traces, _resolvent_lhs, resolvent_coefficients,
+    resolvent_truncation,
 )
 from unishift.trigpoly import random_trig_polynomial
 
@@ -106,23 +108,10 @@ class TestTrigPolynomial:
         assert p.coeffs == {0: 0.5, 1: 2.0, 2: 1j, 3: 3.0}
 
 
-def wanted_powers(u, wanted) -> dict:
-    """{m: U^m} for each wanted m, read off the runs of ``_power_blocks``."""
-    return {k: y for ks, ys in _power_blocks(u, wanted) for k, y in zip(ks.tolist(), ys) if k in wanted}
-
-
-class TestPowers:
-    def test_matches_matrix_power(self):
-        pair = random_pair(0, 5, 1.0)
-        wanted = [0, 1, 3, -2, -5, 4, -1]
-        got = wanted_powers(pair.u, wanted)
-        assert sorted(got) == [-5, -2, -1, 0, 1, 3, 4]
-        for n, p in got.items():
-            ref = np.linalg.matrix_power(pair.u if n > 0 else pair.u.conj().T, abs(n))
-            np.testing.assert_allclose(p, ref, atol=1e-11)
-        # the unit powers are copies, never views of the input
-        assert not np.shares_memory(got[1], pair.u) and not np.shares_memory(got[-1], pair.u)
-        assert list(_power_blocks(pair.u, [])) == []
+def dense_lhs(pair, polys) -> np.ndarray:
+    """The left side of each of ``polys`` for a validated pair, as ``batch_verify`` takes it: C @ the per-mode traces."""
+    modes, c = _coefficients(polys)
+    return c @ _lhs_mode_traces(pair.u0, pair.u, pair.a, modes)
 
 
 def lhs_oracle(pair, n: int) -> complex:
@@ -131,12 +120,8 @@ def lhs_oracle(pair, n: int) -> complex:
     return complex(np.trace(power(pair.u, n) - base - 1j * n * pair.a @ base))
 
 
-class TestPowerBlocks:
-    """The blocked stream: blocks of ``_BLOCK // d^2`` consecutive powers, one batched step each."""
-
-    @staticmethod
-    def block_size(dim: int) -> int:
-        return _BLOCK // dim**2
+class TestSteppedPair:
+    """The left side steps the stack (U, U0), one stacked product per mode, against the oracles."""
 
     @settings(max_examples=25, deadline=None)
     @given(seeds, st.integers(1, 7), st.sets(st.integers(-400, 400), min_size=1, max_size=8))
@@ -159,45 +144,33 @@ class TestPowerBlocks:
             assert got[modes.index(0)] == 0
 
     @pytest.mark.parametrize("dim", [1, 6, 8])
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("top", [127, 128, 129, 227, 228, 455])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_block_boundaries(self, dim, offset, blocks, sign):
+    def test_highest_mode_and_its_neighbours(self, dim, top, sign):
         pair = random_pair(11, dim, 1.0)
-        size = self.block_size(dim)
-        top = blocks * size + offset
-        wanted = [sign * k for k in sorted({top, top - 1, min(size, top), min(size + 1, top), 1})]
-        runs = list(_power_blocks(pair.u, wanted))
-        ks = np.concatenate([k for k, _ in runs])
-        # one run per block, consecutive powers from sign * 1 to sign * top
-        assert ks.tolist() == [sign * k for k in range(1, top + 1)]
-        assert [len(y) for _, y in runs] == [min(size, top - start) for start in range(0, top, size)]
-        powers = wanted_powers(pair.u, wanted)
-        for m in set(wanted):
-            np.testing.assert_allclose(powers[m], power(pair.u, m), atol=1e-12 * abs(m))
+        wanted = [sign * k for k in (1, top - 1, top)]
         got = _lhs_mode_traces(pair.u0, pair.u, pair.a, wanted)
         for n, value in zip(wanted, got):
             ref = lhs_oracle(pair, n)
             assert abs(value - ref) <= 1e-12 * (1 + abs(n)) * (1 + abs(ref)), n
 
-    @pytest.mark.parametrize("dim, cols", [(3, 2), (6, 6), (40, 3), (70, 4)])
-    @pytest.mark.parametrize("far", [True, False])
-    def test_blocks_never_alias_inputs_or_each_other(self, dim, cols, far):
-        # blocks of one power (far=False, or dim 70) are a special case of the doubling;
-        # cols is unused: the stream yields whole powers, never powers times columns
-        pair = random_pair(12, dim, 1.0)
-        wanted = [0, 1, -1, 2 * self.block_size(dim) + 3, -5] if far else [0, 1, -1]
-        kept = []
-        for ks, y in _power_blocks(pair.u, wanted):
-            assert not np.shares_memory(y, pair.u)
-            assert all(not np.shares_memory(y, earlier) for _, earlier, _ in kept)
-            kept.append((ks, y, y.copy()))
-        # no block is written after it is yielded
-        for _, y, snapshot in kept:
-            np.testing.assert_array_equal(y, snapshot)
-        for ks, y, _ in kept:
-            for k, yk in zip(ks, y):
-                np.testing.assert_allclose(yk, power(pair.u, k), atol=1e-11 * (1 + abs(k)))
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_modes_at_the_rmax_cap_match_the_40_digit_sum(self, dim):
+        """Modes up to +-1024, the CLI's --rmax cap, from ``batch_verify`` and ``lhs_trace``, within 1e-12 (1 + |ref|).
+
+        The pair is the draw of ``verify --dim {2, 6} --trials 1``.  The error of a mode n grows as n^2 eps ||A||
+        through the derivative term i n Tr(A U0^n), so other draws at d = 6 reach 1.6e-12 (1 + |ref|) at |n| = 1024.
+        """
+        pytest.importorskip("mpmath")
+        pair = random_pair(0, dim, 1.0)
+        modes = [-1024, -1023, -700, -2, -1, 1, 2, 511, 1000, 1023, 1024]
+        ref = mp_mode_traces(pair.u0, pair.u, pair.a, modes)
+        reports = batch_verify(pair.u0, pair.u, pair.a, [TrigPolynomial.monomial(n) for n in modes])
+        for n, rep in zip(modes, reports):
+            assert abs(rep.lhs - ref[n]) <= 1e-12 * (1 + abs(ref[n])), n
+        for n in (-1024, 1024):
+            got = lhs_trace(pair.u0, pair.u, pair.a, TrigPolynomial.monomial(n))
+            assert abs(got - ref[n]) <= 1e-12 * (1 + abs(ref[n])), n
 
     @pytest.mark.parametrize("z", [0.99, 1 / 0.99])
     def test_near_circle_series_matches_direct_inverses(self, z):
@@ -207,7 +180,7 @@ class TestPowerBlocks:
         tol = 1e-7
         order, _ = resolvent_truncation(z, hs_norm(pair.a), op_norm(pair.a), tol)
         assert order > 3000
-        series = _lhs(pair.u0, pair.u, pair.a, resolvent_coefficients(z, order))
+        series = lhs_trace(pair.u0, pair.u, pair.a, resolvent_coefficients(z, order))
         eye = np.eye(6)
         r_u, r_u0 = np.linalg.inv(pair.u - z * eye), np.linalg.inv(pair.u0 - z * eye)
         direct = np.trace(r_u - r_u0 + r_u0 @ (1j * pair.a @ pair.u0) @ r_u0)
@@ -424,10 +397,10 @@ class TestVerify:
             batch_verify(empty, empty, empty, [TrigPolynomial.monomial(1)])
 
     def test_coefficient_matrix_is_formed_once(self, monkeypatch):
-        # both sides take the one C; the left side is C @ the per-mode traces, bit for bit as _lhs gives it
+        # both sides take the one C; the left side is C @ the per-mode traces, bit for bit as dense_lhs gives it
         pair = random_pair(16, 4, 1.2)
         polys = [TrigPolynomial({3: 1.0, -2: 0.5j}), TrigPolynomial.monomial(-5), TrigPolynomial({0: 2.0, 3: -1.0})]
-        want = _lhs(pair.u0, pair.u, pair.a, *polys)
+        want = dense_lhs(pair, polys)
         calls = []
         coefficients = trace_formula._coefficients
         monkeypatch.setattr(trace_formula, "_coefficients", lambda ps: calls.append(len(ps)) or coefficients(ps))
@@ -479,15 +452,15 @@ def forbid(monkeypatch, owner, *names):
 
 
 class TestSidesShareNoSpectralCode:
-    """The left side runs with every eigensolver disabled, the right side with every power stream disabled."""
+    """The left side runs with every eigensolver disabled, the right side with the left side's power loop disabled."""
 
     pair = random_pair(13, 5, 1.4)
     polys = [TrigPolynomial.monomial(n) for n in (-4, -1, 2, 7)] + [TrigPolynomial({-2: 0.5, 3: 1j})]
 
     def test_left_side_takes_no_eigendecomposition(self, monkeypatch):
-        want = _lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys)
+        want = dense_lhs(self.pair, self.polys)
         forbid(monkeypatch, np.linalg, "eigh", "eigvalsh", "eig", "eigvals")
-        np.testing.assert_array_equal(_lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys), want)
+        np.testing.assert_array_equal(dense_lhs(self.pair, self.polys), want)
         with pytest.raises(Forbidden):  # the patch reaches the right side
             EtaIntegrator(self.pair.u0, self.pair.a)
 
@@ -506,13 +479,12 @@ class TestSidesShareNoSpectralCode:
     def test_right_side_takes_no_matrix_power(self, monkeypatch):
         modes = list(range(-8, 9))
         want = EtaIntegrator(self.pair.u0, self.pair.a).curvature_pairings(modes)
-        forbid(monkeypatch, linalg, "_power_blocks")
-        forbid(monkeypatch, trace_formula, "_power_blocks")
+        forbid(monkeypatch, trace_formula, "_lhs_mode_traces")
         forbid(monkeypatch, np.linalg, "matrix_power")
         got = EtaIntegrator(self.pair.u0, self.pair.a).curvature_pairings(modes)
         np.testing.assert_array_equal(got, want)
         with pytest.raises(Forbidden):  # the patch reaches the left side
-            _lhs(self.pair.u0, self.pair.u, self.pair.a, *self.polys)
+            lhs_trace(self.pair.u0, self.pair.u, self.pair.a, self.polys[-1])
 
     def test_resolvent_left_side_takes_no_eigendecomposition(self, monkeypatch):
         """The doubled resolvent series left side, inside and outside the circle, finds no eigenpairs."""
@@ -578,8 +550,7 @@ class TestGeometricSums:
 
     def test_resolvent_check_streams_no_powers(self, monkeypatch):
         pair = random_pair(19, 4, 1.0)
-        for owner, name in ((trace_formula, "_lhs_mode_traces"), (trace_formula, "_power_blocks"),
-                            (trace_formula, "resolvent_coefficients"), (linalg, "_power_blocks")):
+        for owner, name in ((trace_formula, "_lhs_mode_traces"), (trace_formula, "resolvent_coefficients")):
             monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"resolvent_check called {_name}"))
         for z in (0.0, 0.6 - 0.5j, 1 / 0.9):
             assert resolvent_check(pair.u0, pair.u, pair.a, z).passed

@@ -62,7 +62,7 @@ class ZeroDirection(UnishiftError):
 
 
 class MissingConstruction(UnishiftError):
-    """A projection is not a window basis, or a window basis lacks its record, H0, eigenpairs of H0 or cell layout."""
+    """A projection is not a window basis, or a window basis lacks its eps, its checked instance or its cells."""
 
 
 class SampleOutOfRange(UnishiftError):

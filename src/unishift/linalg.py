@@ -83,8 +83,9 @@ def as_matrix(m, what: str = "matrix", dim: int | None = None, copy: bool | None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or dim not in (None, a.shape[0]):
         wanted = "a square matrix" if dim is None else f"{dim} x {dim}"
         raise DimensionMismatch(f"{what} has shape {a.shape}, not {wanted}")
-    if a.size and not np.isfinite(a).all():
-        raise UnishiftError("matrix has NaN or Inf entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries can overflow the sum: check each then
+        if not (np.isfinite(a.sum()) or np.isfinite(a).all()):
+            raise UnishiftError("matrix has NaN or Inf entries")
     return a
 
 
@@ -120,13 +121,13 @@ def trace(m) -> complex:
 _ROWS = 32
 
 
-def _row_blocks(d: int, size: int = _ROWS) -> list[slice]:
-    """Consecutive slices of ``size`` rows covering range(d), the last one taking a lone last row.
+def _row_blocks(d: int) -> list[slice]:
+    """Consecutive slices of ``_ROWS`` rows covering range(d), the last one taking a lone last row.
 
     So no block of a matrix of several rows is a single row: numpy takes a
     one-row product to gemv, which rounds otherwise than the rows of one gemm.
     """
-    edges = [*range(0, max(d - 1, 1), size), d]
+    edges = [*range(0, max(d - 1, 1), _ROWS), d]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
@@ -135,15 +136,15 @@ def _blocks_hs_norm(blocks) -> float:
     return float(np.sqrt(sum(np.vdot(x, x).real for x in blocks)))
 
 
-def _hermitian_blocks(m: np.ndarray, size: int = _ROWS):
-    """Yield (rows, M[rows], (M*)[rows]) over the ``_row_blocks(d, size)`` of a square M.
+def _hermitian_blocks(m: np.ndarray):
+    """Yield (rows, M[rows], (M*)[rows]) over the ``_row_blocks(d)`` of a square M.
 
     (M*)[rows] is the transposed view of the conjugate of the block of
     columns M[:, rows], copied in its own layout into one buffer that the
     next block overwrites, so no d x d adjoint is formed.
     """
-    column = np.empty((m.shape[0], min(m.shape[0], size + 1)), dtype=np.complex128)
-    for rows in _row_blocks(m.shape[0], size):
+    column = np.empty((m.shape[0], min(m.shape[0], _ROWS + 1)), dtype=np.complex128)
+    for rows in _row_blocks(m.shape[0]):
         top = m[rows]
         yield rows, top, np.conjugate(m[:, rows], out=column[:, : top.shape[0]]).T
 

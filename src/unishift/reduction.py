@@ -15,26 +15,23 @@ evaluate every bounded quantity and compare against its bound, with a small
 numerical slack; ``convergence_study`` tabulates the compressed-versus-full
 trace error over a ladder of partition resolutions.
 
-One checked instance (``_instance``) holds spectral data and scalars only:
-the eigenvalues lambda of H0, A's kept pairs (F, tau), ||A|| and ||A||_HS.
+One checked instance (``_instance``) holds spectral data only: the
+eigenvalues lambda of H0 and A's kept pairs (F, tau), so ||A|| = max |tau|.
 The reduction works in H0's eigen-coordinates: H0 must be exactly diagonal
 with a non-decreasing real part, as ``reduction_instance`` builds it, and
-any other H0 is ``UnishiftError`` before A is read.  The instance checks H0
-and A in place (``require_hermitian``) and keeps no d x d array.  A
-``bounds`` run or a convergence ladder builds every partition from one
-instance.  A window basis (``ProjectionBasis``) is the cell layout of B with
-the instance that built it, whose F are its seeds, checked for presence and
-shape when it is made.  Each audit, and ``compressed_model``, holds its
-operands to the forms it computes with in one checked frame (``_frame``),
-so an operand that did not build the basis is refused.  Phases,
-half-widths, the horizon T >= 0 and samples in [-T, T] are finite real
-numbers (``_is_real``); powers, samples and cell counts are iterables.
-
-The dense d x d operands are read in place a block of rows at a time
-(``linalg._row_blocks``), with no d x d temporary: the Hermitian checks and
-the range finder's Hermitian part through ``linalg._hermitian_blocks``, each
-range-finder step's residual and column norms in one pass
-(``_deflated_norms``), and each Hilbert-Schmidt gap of a frame.
+any other H0 is ``UnishiftError`` before A is read; its Cayley image is the
+scalar map of lambda (``_cayley_values``).  The instance checks H0 and A in
+place (``require_hermitian``) and keeps no d x d array.  A ``bounds`` run or
+a convergence ladder builds every partition from one instance.  A window
+basis (``ProjectionBasis``) is its eps, the cell layout of B and the
+instance whose F are its seeds, checked when it is made.  Each audit, and
+``compressed_model``, holds its operands to the forms it computes with in
+one checked frame (``_frame``), so an operand that did not build the basis
+is refused.  Phases, half-widths, the horizon T >= 0 and samples in [-T, T]
+are finite real numbers (``_is_real``); powers, samples and cell counts are
+iterables.  The dense d x d operands are read in place a block of rows at a
+time (``linalg._row_blocks``, ``linalg._hermitian_blocks``, the range
+finder's ``_deflated_norms``), with no d x d temporary.
 
 The direction is low rank, so no d x d exponential and no d x d
 eigendecomposition of it is ever formed.  An orthonormal basis Q of the
@@ -90,13 +87,10 @@ reads.  The frame's check of U0 gives its diagonal c.  Then:
     one from (c, F) and each rung's from (omega, Fc'), so it forms no d x d
     or r x r matrix.
 
-The basis itself comes from one SVD per cell.  The pieces of the seeds in
-different cells lie on disjoint sets of eigenvectors of H0, so they are
-orthogonal; in each cell's eigen-coordinates the pieces of norm above
-``GS_DROP_TOL``, normalised, give their left singular vectors of singular
-value above that tolerance, the cell's block.  The SVDs are batched over
-the cells that share a row count and a kept-piece pattern, with the bits of
-a cell-by-cell loop.
+The basis comes from one SVD per cell of the seeds' pieces, normalised,
+which lie on disjoint eigenvectors of H0 and so are orthogonal from cell to
+cell; the SVDs are batched over the cells that share a row count and a
+kept-piece pattern, with the bits of a cell-by-cell loop.
 """
 
 from __future__ import annotations
@@ -133,72 +127,56 @@ from .linalg import (
     require_hermitian,
     trace_norm,
 )
-from .trace_formula import _coefficients, _exp_remainder_factor
+from .trace_formula import _coefficients, _exp_remainder_factor, _require_exponent
 from .trigpoly import TrigPolynomial, _require_polynomial
 
 GS_DROP_TOL = 1e-12
 AUDIT_SLACK = 1e-10
 
 
-def _cayley(h0: np.ndarray, phase: float) -> np.ndarray:
-    """Unitary e^{i phase} (i - H0)(i + H0)^{-1} of a checked H0, or of each of a stack, at a finite real phase."""
+def _cayley_values(lam: np.ndarray, phase: float) -> np.ndarray:
+    """e^{i phase} (i - lam) / (i + lam) for each real lam, at a finite real phase: U0 = diag(c) is H0 = diag(lam)'s."""
     if not _is_real(phase):
         raise UnishiftError(f"phase must be a finite real number, not {phase!r}")
-    eye = 1j * np.eye(h0.shape[-1])
-    return np.exp(1j * phase) * np.linalg.solve(eye + h0, eye - h0)
-
-
-def _cayley_values(lam: np.ndarray, phase: float) -> np.ndarray:
-    """e^{i phase} (i - lam) / (i + lam) for each real lam: U0 = diag(c) is the Cayley image of H0 = diag(lam)."""
-    return _cayley(lam[:, None, None], phase)[:, 0, 0]
-
-
-@dataclass(frozen=True)
-class WindowParams:
-    """Construction record: seed count L, half-width a, cell count n, eps = L a / sqrt(n)."""
-
-    count: int
-    half_width: float
-    cells: int
-    eps: float
+    return np.exp(1j * phase) * ((1j - lam) / (1j + lam))
 
 
 @dataclass(frozen=True)
 class CheckedInstance:
-    """H0 = diag(lambda), A's kept pairs (F, tau), ||A|| and ||A||_HS."""
+    """H0 = diag(lambda) and A's kept pairs (F, tau): ||A|| is max |tau| and ||A||_HS is ||tau||_2."""
 
     eigenvalues: np.ndarray
     f: np.ndarray
     tau: np.ndarray
-    a_norm: float
-    a_hs: float
 
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Orthonormal columns B spanning ran P, given by their cells, with the checked instance that built it.
+    """Orthonormal columns B spanning ran P, given by their cells, with eps and the checked instance that built it.
 
-    The seeds are the instance's F.  Row k of ``cell_rows`` holds the
-    eigen-rows of occupied cell k and row k of ``cell_columns`` the columns
-    of B it spans, each padded with -1, and ``cell_blocks[k]`` is the block
-    of B on those rows and columns, padded with zeros.  Making a basis,
-    ``dataclasses.replace`` included, checks that every field, its own and
-    its instance's, is there (``MissingConstruction``) and that the shapes
-    agree on the ambient size d, the seed count and the cell layout
-    (``DimensionMismatch``); the values are trusted as built.
+    The seeds are the instance's F and eps = L a / sqrt(n).  Row k of
+    ``cell_rows`` holds the eigen-rows of occupied cell k and row k of
+    ``cell_columns`` the columns of B it spans, each padded with -1, and
+    ``cell_blocks[k]`` is the block of B on those rows and columns, padded
+    with zeros.  Making a basis, ``dataclasses.replace`` included, checks that
+    every field, its own and its instance's, is there (``MissingConstruction``),
+    that eps is a finite real number >= 0 (``BadWindow``) and that the shapes
+    agree on d, the seed count and the cell layout (``DimensionMismatch``).
     """
 
-    params: WindowParams
+    eps: float
     instance: CheckedInstance
     cell_rows: np.ndarray
     cell_columns: np.ndarray
     cell_blocks: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.params, WindowParams) and isinstance(self.instance, CheckedInstance)) or any(
+        if not isinstance(self.instance, CheckedInstance) or any(
             x is None for x in (*vars(self).values(), *vars(self.instance).values())
         ):
-            raise MissingConstruction("a window basis needs its record, its checked instance and its cells")
+            raise MissingConstruction("a window basis needs its eps, its checked instance and its cells")
+        if not (_is_real(self.eps) and self.eps >= 0.0):
+            raise BadWindow(f"a window basis needs eps a finite real number >= 0, not {self.eps!r}")
         # axes: d ambient, L seeds, K cells, n rows and w columns per cell
         axes = dict(eigenvalues="d", f="dL", tau="L", cell_rows="Kn", cell_columns="Kw", cell_blocks="Knw")
         fields, sizes = {**vars(self.instance), **vars(self)}, {}
@@ -231,7 +209,7 @@ def _window_basis(inst: CheckedInstance, half_width: float, cells: int) -> Proje
         raise ZeroDirection("no seed vectors to project (a zero direction gives none)")
     if not (_is_whole(cells, 1) and cells < 2**63 and _is_real(half_width) and half_width > 0.0):
         raise BadWindow("need a finite positive window and a whole number of cells within int64, at least one")
-    eps = count * half_width / np.sqrt(cells)
+    eps = float(count * half_width / np.sqrt(cells))
     inside = (eigenvalues > -half_width) & (eigenvalues <= half_width)
     leak = np.linalg.norm(np.where(inside[:, None], 0.0, coords), axis=0)
     if np.any(leak >= eps):
@@ -261,8 +239,7 @@ def _window_basis(inst: CheckedInstance, half_width: float, cells: int) -> Proje
     occupied, first = np.flatnonzero(widths), np.cumsum(widths) - widths
     n, span = int(lengths[occupied].max(initial=0)), np.arange(widths.max(initial=0))
     cell_columns = np.where(span < widths[occupied, None], first[occupied, None] + span, -1)
-    params = WindowParams(count=count, half_width=half_width, cells=cells, eps=float(eps))
-    return ProjectionBasis(params, inst, cell_rows[occupied, :n], cell_columns, cell_blocks[occupied, :n, :span.size])
+    return ProjectionBasis(eps, inst, cell_rows[occupied, :n], cell_columns, cell_blocks[occupied, :n, :span.size])
 
 
 def _groups(keys: np.ndarray) -> list[np.ndarray]:
@@ -291,8 +268,8 @@ def _cells_of(values: np.ndarray, half_width: float, cells: int) -> np.ndarray:
     return lo
 
 
-def _kept_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs (F, tau) of a Hermitian H with |tau| > 1e-12 max(||H||, 1), and ||H|| = max |eigenvalue|.
+def _kept_pairs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (F, tau) of a Hermitian H with |tau| > 1e-12 max(||H||, 1); the largest |tau| is ||H||.
 
     Up to the dropped eigenvalues, e^{isH} = I + F diag(e^{is tau} - 1) F*.
     The pairs come from an orthonormal basis Q of the range of H and the
@@ -337,12 +314,12 @@ def _deflated_norms(rest: np.ndarray, new: np.ndarray | None = None) -> np.ndarr
     return np.sqrt(squares[0])
 
 
-def _kept_of(q: np.ndarray, small: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenpairs (Q W, tau) of Q S Q*, S = W diag(tau) W* hermitised, with |tau| > 1e-12 max(||S||, 1), and ||S||."""
+def _kept_of(q: np.ndarray, small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (Q W, tau) of Q S Q*, S = W diag(tau) W* hermitised, with |tau| > 1e-12 max(||S||, 1)."""
     tau, vectors = _eigh(0.5 * (small + small.conj().T))
     top = float(np.max(np.abs(tau), initial=0.0))
     keep = np.abs(tau) > 1e-12 * max(top, 1.0)
-    return q @ vectors[:, keep], tau[keep], top
+    return q @ vectors[:, keep], tau[keep]
 
 
 def _exp_step(f: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -356,7 +333,7 @@ def _low_rank_endpoint(f: np.ndarray, tau: np.ndarray, u0: np.ndarray) -> np.nda
 
 
 def _instance(h0, a) -> CheckedInstance:
-    """The one checked instance of (H0, A): both checked in place, H0's eigenvalues, A's kept pairs, ||A|| and ||A||_HS.
+    """The one checked instance of (H0, A): both checked in place, H0's eigenvalues and A's kept pairs.
 
     H0 must be exactly diagonal with a non-decreasing real part, its own eigenbasis; any other H0 is
     ``UnishiftError`` before A is read, so a refused H0 never builds the range finder's d x d residual.
@@ -369,8 +346,8 @@ def _instance(h0, a) -> CheckedInstance:
             " H0 = V diag(lambda) V*, pass diag(lambda) and the pair rotated by V (V* A V, V* U0 V, V* U V)"
         )
     a = require_hermitian(a, "a", h0.shape[0])
-    f, tau, a_norm = _kept_pairs(a)
-    return CheckedInstance(lam, f, tau, a_norm, hs_norm(a))
+    f, tau = _kept_pairs(a)
+    return CheckedInstance(lam, f, tau)
 
 
 def build_direction_projection(h0, a, half_width: float, cells: int) -> ProjectionBasis:
@@ -436,26 +413,28 @@ def _gap(x: np.ndarray, w: np.ndarray | None, mu: np.ndarray, hermitian: bool = 
 def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None, a=None, u0=None, u=None):
     """The one checked frame of an audit, or with no ``powers`` of ``compressed_model``.
 
-    The projection must be a ``ProjectionBasis`` (``MissingConstruction``), checked when it was made, and
-    T a finite real number >= 0 (``UnishiftError``).  Each d x d operand (``DimensionMismatch``) is held,
-    read in place by rows, to the form the audits compute with, within delta = AUDIT_SLACK / (2 max(1, max |m|))
-    over the call's powers m in the Hilbert-Schmidt norm: the Hermitian parts of H0 and A (the audits take
-    no skew part) to diag(lambda) and F diag(tau) F*, U0 to diag(c) with c = diag(U0) and
-    abs(|c_j| - 1), and U to e^{iA} U0 = U0 + F diag(e^{i tau} - 1) F* U0.  So no operand moves a power
-    U0^m or U^m by more than |m| delta (1 + 2 delta)^|m| < AUDIT_SLACK, nor the Cayley image of H0 by more
-    than 2 delta.  A delta below d times the machine epsilon, the roundoff of one such gap, is refused
-    (``UnishiftError``) first.  A gap not within delta (NaN too) sends its operand to ``as_matrix`` and,
-    for H0 and A, ``require_hermitian``; past them it is ``PathMismatch``, or ``NotUnitary`` for |c|, whose
-    message states the measured gap beside delta.
+    The projection must be a ``ProjectionBasis`` (``MissingConstruction``), checked when it was made, T a finite
+    real number >= 0 (``UnishiftError``) and, with A, ||A|| = max |tau| within ``_require_exponent``
+    (``NoConvergence``).  Each d x d operand (``DimensionMismatch``) is held, read in place by rows, to the form
+    the audits compute with, within delta = AUDIT_SLACK / (2 max(1, max |m|)) over the call's powers m in the
+    Hilbert-Schmidt norm: the Hermitian parts of H0 and A (the audits take no skew part) to diag(lambda) and
+    F diag(tau) F*, U0 to diag(c) with c = diag(U0) and abs(|c_j| - 1), and U to e^{iA} U0 =
+    U0 + F diag(e^{i tau} - 1) F* U0.  So no operand moves a power U0^m or U^m by more than
+    |m| delta (1 + 2 delta)^|m| < AUDIT_SLACK, nor the Cayley image of H0 by more than 2 delta.  A delta below d times the machine epsilon, the roundoff of
+    one such gap, is refused (``UnishiftError``) first.  A gap not within delta (NaN too) sends its operand to
+    ``as_matrix`` and, for H0 and A, ``require_hermitian``; past them it is ``PathMismatch``, or ``NotUnitary``
+    for |c|, whose message states the measured gap beside delta.
 
-    Returns c (None without U0) and, with A, tau, ||A||, F and P_perp F
-    with their zero row d, and F* B (else None).
+    Returns c (None without U0) and, with A, tau, ||A|| = max |tau|, F and
+    P_perp F with their zero row d, and F* B (else None).
     """
     if not isinstance(p, ProjectionBasis):
         raise MissingConstruction(f"the projection must be a window basis, not {type(p).__name__}")
     if not (_is_real(t_max) and t_max >= 0.0):
         raise UnishiftError(f"the audit horizon T must be a finite real number >= 0, not {t_max!r}")
-    inst, d = p.instance, p.ambient_dim
+    inst, d, a_op = p.instance, p.ambient_dim, float(np.max(np.abs(p.instance.tau), initial=0.0))
+    if a is not None:
+        _require_exponent(a_op, "||A||")
     delta = AUDIT_SLACK / (2.0 * max([1, *map(abs, powers)]))
     if delta < (floor := d * np.finfo(float).eps):
         raise UnishiftError(
@@ -492,7 +471,7 @@ def _frame(p: ProjectionBasis, powers: list[int], t_max: float = 0.0, *, h0=None
             u, step, fu0 = operand(u, "u"), _exp_step(inst.f, inst.tau), inst.f.conj().T @ u0
             gap = _blocks_hs_norm(u[rows] - (u0[rows] + step[rows] @ fu0) for rows in _row_blocks(d))
             require(u, "u", gap, PathMismatch, "U is not e^(iA) U0")
-    return c, None if a is None else (inst.tau, inst.a_norm, f, _perp(p, f), _seed_rows(p, f, p.cell_blocks))
+    return c, None if a is None else (inst.tau, a_op, f, _perp(p, f), _seed_rows(p, f, p.cell_blocks))
 
 
 def _powers_of(c: np.ndarray, ms) -> np.ndarray:
@@ -651,7 +630,7 @@ def audit_projection_estimates(p: ProjectionBasis, h0, u0, m_list) -> AuditRepor
     """
     m_list = _powers(m_list)
     c, _ = _frame(p, m_list, h0=h0, u0=u0)
-    eps, checks, seeds = p.params.eps, [], _perp(p, _padded(p.instance.f))
+    eps, checks, seeds = p.eps, [], _perp(p, _padded(p.instance.f))
     for l in range(seeds.shape[1]):
         checks.append(_check(f"seed_capture[{l}]", hs_norm(seeds[:, l]), eps))
     lam = p.instance.eigenvalues
@@ -670,11 +649,12 @@ def audit_perturbation_estimates(p: ProjectionBasis, u0, u, a, t_max: float, m_l
     Checks ||P_perp A||_2 < 2 eps, the propagator ||P_perp e^{itA} P||_2
     < 2 T e^{T ||A||} eps over the sample grid, the base powers, and the
     perturbed powers ||P_perp U^m P||_2 < 2|m| (e^{||A||} + 1) eps, those of
-    e^{iA} U0.  U0, U and A are checked as in ``_frame``.
+    e^{iA} U0.  U0, U and A are checked as in ``_frame``, T ||A|| as ||A||.
     """
     m_list = _powers(m_list)
     c, (tau, a_op, f, f_perp, fb) = _frame(p, m_list, t_max, u0=u0, u=u, a=a)
-    eps = p.params.eps
+    _require_exponent(t_max * a_op, "T ||A||")
+    eps = p.eps
     # F* is a co-isometry, so it drops out of ||P_perp A||_HS = ||P_perp F tau F*||_HS
     checks = [_check("direction_offblock", hs_norm(f_perp * tau), 2 * eps)]
     ts = _listed(t_samples, "propagator samples")
@@ -753,7 +733,7 @@ def _compressed(p: ProjectionBasis, fb: np.ndarray, tau: np.ndarray, phase: floa
         k = widths[at[0]]
         mu[at, :k], q[at, :k, :k] = _eigh(hc[at, :k, :k])
     qf, rf = np.linalg.qr(fb.conj().T)
-    fc, tau_c, _ = _kept_of(qf, (rf * tau) @ rf.conj().T)
+    fc, tau_c = _kept_of(qf, (rf * tau) @ rf.conj().T)
     return q, _cayley_values(mu.ravel(), phase).reshape(mu.shape), fc, tau_c, _adjoint(q) @ _padded(fc)[p.cell_columns]
 
 
@@ -772,7 +752,7 @@ def audit_compressed_model(
     """
     m_list, k_list = _powers(m_list), _powers(k_list)
     c, (tau, a_op, f, f_perp, fb) = _frame(p, [*m_list, *k_list], t_max, h0=h0, a=a, u0=u0, u=u)
-    eps, rows, cols = p.params.eps, p.cell_rows, p.cell_columns
+    eps, rows, cols = p.eps, p.cell_rows, p.cell_columns
     q, omega_cells, fc, tau_c, fc_cells = _compressed(p, fb, tau, phase)
     # Every exponential is I + F (e^{is tau} - 1) F*, so each quantity below
     # works on d x L factors; F* is a co-isometry and drops out of the norms.
@@ -787,7 +767,7 @@ def audit_compressed_model(
     worst = _factor_norms(np.concatenate([f, b_fc], axis=1), steps, np.concatenate([fb, fc.conj().T]))
     checks.append(_check("propagator_vs_compressed", float(np.max(worst)), 2 * t_max * eps))
     perp_remainder = _exp_step(f_perp, tau) - f_perp * (1j * tau)
-    tr_bound = 2.0 * p.instance.a_hs * _exp_remainder_factor(a_op) * eps
+    tr_bound = 2.0 * hs_norm(tau) * _exp_remainder_factor(a_op) * eps
     checks.append(_check("taylor_remainder_tracenorm", trace_norm(perp_remainder), tr_bound))
     # The powers work in each cell's eigenbasis Q_k of B_k* diag(lambda) B_k.  With B' = B diag(Q_k),
     # U0p = diag(omega), and U0^m B' - B' U0p^m = c^m B' - B' omega^m has one block per cell.

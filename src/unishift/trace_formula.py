@@ -41,7 +41,6 @@ By cyclicity every term has trace Tr(iA U_s^r), so for every integer r
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ from numbers import Number
 
 import numpy as np
 
-from .errors import OnUnitCircle, UnishiftError, _is_real, _is_whole
+from .errors import NoConvergence, OnUnitCircle, UnishiftError, _is_real, _is_whole
 from .linalg import UnitaryPath, _adjoint, hs_norm, op_norm, trace
 from .spectral_shift import EtaIntegrator
 from .trigpoly import TrigPolynomial, _require_polynomial
@@ -59,8 +58,15 @@ from .trigpoly import TrigPolynomial, _require_polynomial
 _MAX_ORDER = 100_000
 
 
+def _require_exponent(x: float, what: str) -> None:
+    """``NoConvergence`` unless e^x is at most sqrt(float max), so a bound of e^x times its other factors is finite."""
+    if not x <= 0.5 * math.log(np.finfo(float).max):
+        raise NoConvergence(f"{what} = {x:.6g} is too large: a bound through e^({what}) overflows")
+
+
 def _exp_remainder_factor(x: float) -> float:
-    """(e^x - x - 1) / x^2, continuous through x = 0."""
+    """(e^x - x - 1) / x^2 of x = ||A||, continuous through x = 0; ``_require_exponent`` checks x first."""
+    _require_exponent(x, "||A||")
     if x < 1e-6:
         return 0.5 + x / 6.0 + x * x / 24.0
     return (math.expm1(x) - x) / (x * x)
@@ -72,10 +78,22 @@ def _require_tol(tol: float) -> None:
 
 
 def _require_point(z) -> complex:
-    """A resolvent point z as a complex number, converted once; anything but a finite number is ``UnishiftError``."""
-    if not (isinstance(z, Number) and cmath.isfinite(z := complex(z))):
-        raise UnishiftError(f"z = {z!r} is not a finite complex number")
-    return z
+    """A resolvent point z as a complex number, converted once; anything but one of finite |z| is ``UnishiftError``."""
+    try:
+        if isinstance(z, Number) and math.isfinite(abs(point := complex(z))):
+            return point
+    except OverflowError:  # an int, or |z|, beyond the float range
+        pass
+    raise UnishiftError(f"z = {z!r} is not a complex number of finite modulus")
+
+
+def _divide(x, d, z: complex):
+    """x / d for a divisor of modulus at most about |z|.  Past |z| = 2^1000, where the complex division's
+    |Re d| + |Im d| |Im d / Re d| could overflow, both are first scaled by one power of two, exactly."""
+    if abs(z) < 2.0**1000:
+        return x / d
+    scale = 2.0 ** (1000 - math.frexp(abs(z))[1])
+    return (x * scale) / (d * scale)
 
 
 def require_path(u0, u, a) -> None:
@@ -267,8 +285,8 @@ def _resolvent_lhs(u0: np.ndarray, u: np.ndarray, a: np.ndarray, z: complex, ord
     if abs(z) < 1.0:
         (s, s0), (_, t0) = _geometric_sums(z * _adjoint(pair), order + 1)
         return np.vdot(u, s) - np.vdot(u0, s0) + 1j * np.vdot(a, _adjoint(u0) @ (t0 + s0))
-    (s, s0), (_, t0) = _geometric_sums(pair / z, order + 1)
-    return -(np.trace(s) - np.trace(s0) - 1j * np.vdot(a, t0)) / z
+    (s, s0), (_, t0) = _geometric_sums(_divide(pair, z, z), order + 1)
+    return _divide(-(np.trace(s) - np.trace(s0) - 1j * np.vdot(a, t0)), z, z)
 
 
 def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> ResolventReport:
@@ -290,16 +308,16 @@ def resolvent_check(u0, u, a, z: complex, tol: float = 1e-7, s_rule=None) -> Res
     lhs = complex(_resolvent_lhs(u0, u, a, z, order))
 
     def fprime(t):
-        """d/dt (e^{it} - z)^{-1} on the circle; dividing twice keeps a huge |z| from overflowing."""
+        """d/dt (e^{it} - z)^{-1} on the circle; dividing twice, by ``_divide``, keeps a huge |z| from overflowing."""
         w = np.exp(1j * t)
-        return -1j * w / (w - z) / (w - z)
+        return _divide(_divide(-1j * w, w - z, z), w - z, z)
 
     rhs = session.pairing(fprime)
     report = VerificationReport.from_sides(lhs, rhs, tol, session.rule.count)
 
-    eye = np.eye(u0.shape[0])
-    r_u = np.linalg.inv(u - z * eye)
-    r_u0 = np.linalg.inv(u0 - z * eye)
+    shift = np.diag(np.full(u0.shape[0], z))  # z I, with no product that overflows at a huge z
+    r_u = np.linalg.inv(u - shift)
+    r_u0 = np.linalg.inv(u0 - shift)
     # d/ds (U_s - z)^{-1}|_0 = -R0 (iA U0) R0
     direct = trace(r_u - r_u0 + r_u0 @ (1j * a @ u0) @ r_u0)
     gap = abs(lhs - direct)

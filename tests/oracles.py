@@ -12,8 +12,9 @@ path to the package routine it checks:
     ``unitary_eig`` takes Ritz pairs of (U + U*)/2 and solves only its
     coupled blocks that way.
   * ``cayley_forward`` is the Hermitian preimage H0 of a unitary, the inverse
-    of ``reduction._cayley``; ``log_unitary`` is the principal logarithm of a
-    unitary, spectrum in (-pi, pi], the boundary eigenvalue -1 mapped to +pi.
+    of ``reduction._cayley_values`` on its eigenvalues; ``log_unitary`` is the
+    principal logarithm of a unitary, spectrum in (-pi, pi], the boundary
+    eigenvalue -1 mapped to +pi.
   * ``StepFunction``, ``weighted_measure_step``, ``eta_step_at_s`` and
     ``integrate_against`` evaluate the integrand of eta one s-node at a time;
     they are the per-node reference the jump list of ``EtaIntegrator`` is
@@ -94,7 +95,7 @@ from unishift.linalg import (
     require_unitary,
     unitary_eig,
 )
-from unishift.reduction import GS_DROP_TOL, CheckedInstance, ProjectionBasis, WindowParams, _cells_of, _instance
+from unishift.reduction import GS_DROP_TOL, CheckedInstance, ProjectionBasis, _cells_of, _instance
 from unishift.trace_formula import _exp_remainder_factor
 from unishift.trigpoly import TrigPolynomial
 
@@ -654,14 +655,14 @@ def dense_compressed_audit(
     return checks
 
 
-def one_cell_basis(columns, instance: CheckedInstance, params: WindowParams) -> ProjectionBasis:
+def one_cell_basis(columns, instance: CheckedInstance, eps: float) -> ProjectionBasis:
     """A hand-built basis B with one cell: every column, and every eigen-row of the instance's H0 = diag(lambda).
 
     Its cell block is all of B, so it fits any orthonormal B, window or not.
     """
     dim, rank = columns.shape
     return ProjectionBasis(
-        params, instance, cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
+        eps, instance, cell_rows=np.arange(dim)[None], cell_columns=np.arange(rank)[None],
         cell_blocks=np.array(columns, dtype=np.complex128)[None],
     )
 
@@ -678,12 +679,9 @@ def ambient_columns(p: ProjectionBasis) -> np.ndarray:
 def full_space(dim: int, h0, a) -> ProjectionBasis:
     """The projection onto the whole ambient space, with the checked instance of H0 and A.
 
-    ran P is everything, so its construction record has eps = 0, with the
-    whole line as its window.
+    ran P is everything, so its eps is 0.
     """
-    instance = _instance(h0, a)
-    eye = np.eye(dim, dtype=np.complex128)
-    return one_cell_basis(eye, instance, WindowParams(count=instance.tau.size, half_width=np.inf, cells=1, eps=0.0))
+    return one_cell_basis(np.eye(dim, dtype=np.complex128), _instance(h0, a), 0.0)
 
 
 def seeded_instance(h0, f) -> CheckedInstance:

@@ -25,6 +25,7 @@ from unishift.linalg import (
     UnitaryPath,
     _from_spectrum,
     _reflected_phases,
+    as_matrix,
     haar_unitary,
     random_hermitian,
     require_hermitian,
@@ -675,6 +676,35 @@ class TestRowBlockedHermitianKernel:
         gap, norm = linalg._hermitian_norms(m)
         assert abs(gap - hs_norm(m - m.conj().T)) <= 1e-14 * gap
         assert abs(norm - hs_norm(m)) <= 1e-14 * norm
+
+    def test_require_hermitian_allocates_no_square_mask(self):
+        """At d = 2048 the finiteness check sums the entries and allocates no d x d bool (4 MiB): the peak is the
+        certificate's two 33 x 2048 blocks (1 MiB each)."""
+        rng = np.random.default_rng(2048)
+        x = rng.standard_normal((2048, 2048))
+        m = (x + x.T).astype(np.complex128)
+        del x
+        tracemalloc.start()
+        try:
+            require_hermitian(m, "m", 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+
+    @pytest.mark.parametrize("entry", [1e200, 1e308, -1e308j])
+    def test_huge_finite_entries_pass(self, entry):
+        """Entries of 1e308 overflow the sum; the check then reads each entry, with no warning."""
+        m = np.full((40, 40), entry, dtype=np.complex128)
+        assert as_matrix(m, copy=None) is m
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+    @pytest.mark.parametrize("rest", [1.0, 1e308])
+    def test_nan_and_inf_are_refused(self, bad, rest):
+        m = np.full((40, 40), rest, dtype=np.complex128)
+        m[17, 3] = bad
+        with pytest.raises(UnishiftError, match="NaN or Inf"):
+            as_matrix(m)
 
     def test_norms_reuse_one_difference_buffer(self):
         """At d = 1024 the pass holds the column buffer and one difference block: its peak stays under 1.4 MiB.

@@ -27,6 +27,7 @@ from unishift import (
     BadWindow,
     DimensionMismatch,
     MissingConstruction,
+    NoConvergence,
     NotHermitian,
     NotUnitary,
     PartitionTooFine,
@@ -53,7 +54,6 @@ from unishift.linalg import UnitaryPath, haar_unitary
 from unishift.reduction import (
     CompressedModel,
     ReductionInstance,
-    _cayley,
     _cayley_values,
     _deflated_norms,
     _frame,
@@ -88,7 +88,8 @@ class TestCayley:
         phi = choose_phase(u0)
         h0 = cayley_forward(u0, phi)
         assert op_norm(h0 - h0.conj().T) <= dim * 1e-10
-        assert op_norm(_cayley(h0, phi) - u0) <= dim * 1e-10
+        lam, v = np.linalg.eigh(h0)
+        assert op_norm((v * _cayley_values(lam, phi)) @ v.conj().T - u0) <= dim * 1e-10
 
     def test_phase_too_close(self):
         u0 = np.diag([np.exp(1j * (np.pi + 1e-9)), 1.0])
@@ -112,7 +113,7 @@ class TestBuildProjection:
         f /= np.linalg.norm(f)
         p = _window_basis(seeded_instance(h0, f[:, None]), 1.0, 1)
         assert p.rank <= 1
-        assert p.params.eps == pytest.approx(1.0)
+        assert p.eps == pytest.approx(1.0)
 
     def test_rank_capped_by_cells_times_seeds(self):
         inst = reduction_instance(0, 64, 3, 0.5)
@@ -127,7 +128,7 @@ class TestBuildProjection:
         fine = build_direction_projection(inst.h0, inst.a, inst.half_width, 64)
         huge = build_direction_projection(inst.h0, inst.a, inst.half_width, 10**12)
         np.testing.assert_array_equal(ambient_columns(huge), ambient_columns(fine))
-        assert huge.params.cells == 10**12
+        assert huge.eps == pytest.approx(2 / 10**6)
         seeded = _window_basis(fine.instance, 1.0, 10**12)
         assert ambient_columns(seeded).tobytes() == ambient_columns(huge).tobytes()
 
@@ -143,7 +144,7 @@ class TestProjectionAudit:
     def test_full_space_trivial(self):
         inst = reduction_instance(1, 32, 2, 0.5)
         with pytest.raises(ValueError):
-            audit_projection_estimates(replace(full_space(32, inst.h0, inst.a), params=None), inst.h0, inst.u0, [1])
+            audit_projection_estimates(replace(full_space(32, inst.h0, inst.a), eps=None), inst.h0, inst.u0, [1])
 
     def test_bounds_hold_on_instance(self):
         inst = reduction_instance(2, 128, 2, 0.5)
@@ -178,7 +179,7 @@ class TestProjectionAudit:
             b = ambient_columns(p)
             y = res @ b
             value = hs_norm(y - b @ (b.conj().T @ y))  # ||P_perp (i + H0)^{-1} P||_HS
-            assert value <= p.params.eps + 1e-10
+            assert value <= p.eps + 1e-10
             vals.append(value)
         slope = np.polyfit(np.log(cells), np.log(vals), 1)[0]
         assert -0.65 <= slope <= -0.35, slope
@@ -268,7 +269,7 @@ class TestCompressedModel:
         assert by_name["taylor_remainder_tracenorm"].value <= 1e-12
         # P = full space: power errors vanish
         eye = np.eye(64, dtype=np.complex128)
-        full = one_cell_basis(eye, p.instance, p.params)
+        full = one_cell_basis(eye, p.instance, p.eps)
         report = audit_compressed_model(
             full, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, 2], [1]
         )
@@ -338,7 +339,7 @@ class TestThinLeftSide:
         if kind == "diagonal":
             return inst.h0, inst.a, inst.u0, inst.u
         q = haar_unitary(np.random.default_rng(dim), dim)
-        f, tau, _ = _kept_pairs(inst.a)
+        f, tau = _kept_pairs(inst.a)
         qf = q @ f
         h0 = (q * np.diagonal(inst.h0).real) @ q.conj().T
         u0 = (q * np.diagonal(inst.u0)) @ q.conj().T
@@ -457,7 +458,7 @@ def off_identity_case(kind: str):
     p = build_direction_projection(h0, a, 1.0, cells)
     if kind == "isometry":
         b = haar_unitary(rng, dim)[:, : dim // 3]
-        p = one_cell_basis(b, p.instance, p.params)
+        p = one_cell_basis(b, p.instance, p.eps)
     return inst, p
 
 
@@ -470,8 +471,8 @@ def unequal_widths_case():
     levels = np.concatenate([[-0.75], np.linspace(-0.45, 0.95, 39)])
     h0 = np.diag(levels).astype(complex)
     a = random_low_rank_hermitian(np.random.default_rng(77), levels.size, 2, 0.6)
-    u0 = _cayley(h0, 0.3)
-    f, tau, _ = _kept_pairs(a)
+    u0 = np.diag(_cayley_values(levels, 0.3))
+    f, tau = _kept_pairs(a)
     inst = ReductionInstance(h0=h0, a=a, phase=0.3, u0=u0, u=u0 + (f * np.expm1(1j * tau)) @ (f.conj().T @ u0),
                              half_width=1.0)
     p = build_direction_projection(h0, a, 1.0, 4)
@@ -500,14 +501,14 @@ def thin_direction_case(kind: str):
         a = (f * [0.5, 0.5, -0.3]) @ f.conj().T
     else:
         a = random_low_rank_hermitian(rng, 32, 32 if kind == "full-rank" else 3, 0.6)
-    u0 = _cayley(h0, 0.3)
-    f, tau, _ = _kept_pairs(a)
+    u0 = np.diag(_cayley_values(h0.diagonal().real, 0.3))
+    f, tau = _kept_pairs(a)
     inst = ReductionInstance(h0=h0, a=a, phase=0.3, u0=u0, u=u0 + (f * np.expm1(1j * tau)) @ (f.conj().T @ u0),
                              half_width=1.0)
     p = build_direction_projection(h0, a, 1.0, 8)
     if kind in ("orthogonal", "one-column"):
         b = np.eye(32, dtype=complex)[:, 2:12] if kind == "orthogonal" else haar_unitary(rng, 32)[:, :1]
-        p = one_cell_basis(b, p.instance, p.params)
+        p = one_cell_basis(b, p.instance, p.eps)
     if kind == "zero":
         return replace(p, instance=_instance(h0, np.zeros_like(a))), inst, np.zeros_like(a), u0
     return p, inst, a, inst.u
@@ -520,7 +521,7 @@ class TestThinFactorsOracle:
     def audit_against_reference(self, p, inst, a, u, samples):
         pert = audit_perturbation_estimates(p, inst.u0, u, a, 2.0, self.M, samples)
         comp = audit_compressed_model(p, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K)
-        b, eps = ambient_columns(p), p.params.eps
+        b, eps = ambient_columns(p), p.eps
         assert_matches_reference(pert, dense_perturbation_audit(b, eps, inst.u0, u, a, 2.0, self.M, samples))
         assert_matches_reference(comp, dense_compressed_audit(
             b, eps, inst.h0, a, inst.u0, u, inst.phase, 2.0, self.M, self.K, T_GRID, _exp_remainder_factor
@@ -552,7 +553,7 @@ class TestThinFactorsOracle:
         cols = data.draw(st.integers(1, ambient))
         b = haar_unitary(np.random.default_rng(seed + 1), ambient)[:, :cols]
         window = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
-        p = one_cell_basis(b, window.instance, window.params)
+        p = one_cell_basis(b, window.instance, window.eps)
         self.audit_against_reference(p, inst, inst.a, inst.u, T_GRID)
 
     def test_projection_of_full_rank(self):
@@ -598,14 +599,14 @@ class TestKeptPairsOracle:
 
     @staticmethod
     def assert_matches_dense(h):
-        f, tau, top = _kept_pairs(h)
+        f, tau = _kept_pairs(h)
         f_ref, tau_ref, top_ref = dense_kept_pairs(h)
         scale = max(op_norm(h), 1.0)
         assert tau.shape == tau_ref.shape
         assert np.max(np.abs(tau - tau_ref), initial=0.0) <= 1e-12 * scale
         assert op_norm((f * tau) @ f.conj().T - h) <= 1e-12 * scale
         assert np.max(np.abs(f.conj().T @ f - np.eye(tau.size)), initial=0.0) <= 1e-12
-        assert abs(top - top_ref) <= 1e-14 * scale
+        assert abs(np.max(np.abs(tau), initial=0.0) - top_ref) <= 1e-14 * scale  # the largest |tau| is kept
         return tau
 
     @pytest.mark.parametrize("dim", [1, 8, 64])
@@ -727,7 +728,7 @@ class TestStreamedAuditsOracle:
 
     def audit_against_dense(self, p, inst):
         """The three audits, each value within 1e-12 and each bound within 1e-12 (1 + bound) of its definition."""
-        b, eps = ambient_columns(p), p.params.eps
+        b, eps = ambient_columns(p), p.eps
         reports = [
             audit_projection_estimates(p, inst.h0, inst.u0, self.M),
             audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, 2.0, self.M, self.SAMPLES),
@@ -927,7 +928,7 @@ class TestBoundedMemory:
         """At ambient 1024 (16 MiB a matrix) the peak is the range finder's residual, and nothing d x d is kept.
 
         H0 and A are checked in place and the diagonal H0 is its own eigenbasis: the instance holds only
-        eigenvalues, the thin F, tau and two norms.
+        eigenvalues, the thin F and tau.
         """
         inst = reduction_instance(5, 1024, 2, 0.5)
         tracemalloc.start()
@@ -936,7 +937,7 @@ class TestBoundedMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sorted(vars(checked)) == ["a_hs", "a_norm", "eigenvalues", "f", "tau"]
+        assert sorted(vars(checked)) == ["eigenvalues", "f", "tau"]
         assert peak <= 20 * 2**20, peak
         assert held < 2**20, held
 
@@ -1252,11 +1253,13 @@ class TestOneOperandCheck:
         assert shapes == [(96, 96)]
 
     def test_no_entry_point_solves_a_cayley_block(self, monkeypatch):
-        """The compressed base comes from each cell's eigenvalues: ``_cayley`` only ever sees a stack of 1 x 1."""
+        """U0 and the compressed base come from eigenvalues: ``_cayley_values`` only ever sees a vector, and nothing
+        calls a linear solve."""
         from unishift import reduction
 
-        shapes, original = [], reduction._cayley
-        monkeypatch.setattr(reduction, "_cayley", lambda h, phase: shapes.append(h.shape) or original(h, phase))
+        shapes, original, solves = [], reduction._cayley_values, []
+        monkeypatch.setattr(reduction, "_cayley_values", lambda x, phi: shapes.append(x.shape) or original(x, phi))
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
         inst = reduction_instance(4, 64, 2, 0.5, phase=0.3)
         p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
         audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])
@@ -1264,10 +1267,37 @@ class TestOneOperandCheck:
         audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1, -2], [1, 2])
         compressed_model(p, inst.h0, inst.a, inst.phase)
         convergence_study(inst.h0, inst.a, inst.phase, TrigPolynomial.monomial(2), [4, 8])
-        assert shapes and all(shape[1:] == (1, 1) for shape in shapes), shapes
+        assert shapes and all(len(shape) == 1 for shape in shapes) and not solves, shapes
+
+
+def overflow_case(scale: float):
+    """An instance with ||A|| = ``scale`` and its window basis, built by hand: ``reduction_instance`` caps the scale."""
+    h0 = spread_diagonal(32, 1.0)
+    a = random_low_rank_hermitian(np.random.default_rng(8), 32, 2, scale)
+    u0 = np.diag(_cayley_values(h0.diagonal().real, 0.3))
+    f, tau = _kept_pairs(a)
+    inst = ReductionInstance(h0=h0, a=a, phase=0.3, u0=u0, u=u0 + (f * np.expm1(1j * tau)) @ (f.conj().T @ u0),
+                             half_width=1.0)
+    return inst, build_direction_projection(h0, a, 1.0, 4)
 
 
 class TestTypedErrors:
+    @pytest.mark.parametrize("scale, t_max, audit, what", [
+        (800.0, 1.0, "compressed", "||A|| = 800"),
+        (800.0, 1.0, "perturbation", "||A|| = 800"),
+        (0.5, 1500.0, "perturbation", "T ||A|| = 750"),
+    ])
+    def test_a_bound_that_overflows_is_refused(self, scale, t_max, audit, what):
+        """e^||A||, or e^(T ||A||) for the propagators, past sqrt(float max) is ``NoConvergence``, with no warning."""
+        inst, p = overflow_case(scale)
+        with pytest.raises(NoConvergence, match=re.escape(what)):
+            if audit == "compressed":
+                audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, t_max, [1], [1])
+            else:
+                audit_perturbation_estimates(p, inst.u0, inst.u, inst.a, t_max, [1], [0.0])
+        if scale < 1.0:  # the compressed audit takes T only as a factor: a long horizon is no overflow there
+            audit_compressed_model(p, inst.h0, inst.a, inst.u0, inst.u, inst.phase, t_max, [1], [1])
+
     def test_each_guard_raises_its_type(self):
         inst = reduction_instance(16, 32, 2, 0.5)
         zero = np.zeros((32, 32), dtype=complex)
@@ -1303,11 +1333,11 @@ class TestTypedErrors:
             (ZeroDirection, lambda: convergence_study(inst.h0, zero, inst.phase, poly, [4])),
             (BadWindow, lambda: _window_basis(seeded, 0.0, 4)),
             (BadWindow, lambda: _window_basis(seeded, 1.0, 0)),
-            (MissingConstruction, lambda: audit_projection_estimates(replace(p, params=None), inst.h0, inst.u0, [1])),
+            (MissingConstruction, lambda: audit_projection_estimates(replace(p, eps=None), inst.h0, inst.u0, [1])),
             (MissingConstruction, lambda: audit_perturbation_estimates(
-                replace(p, params=None), inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
+                replace(p, eps=None), inst.u0, inst.u, inst.a, 2.0, [1], [0.0])),
             (MissingConstruction, lambda: audit_compressed_model(
-                replace(p, params=None), inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
+                replace(p, eps=None), inst.h0, inst.a, inst.u0, inst.u, inst.phase, 2.0, [1], [1])),
             (SampleOutOfRange, lambda: audit_perturbation_estimates(
                 p, inst.u0, inst.u, inst.a, 1.0, [1], [-1.5])),
             (NotHermitian, lambda: audit_projection_estimates(p, skew_h0, inst.u0, [1])),
@@ -1387,7 +1417,7 @@ class TestTypedErrors:
             (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, np.pi)),
             (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, np.nan)),
             (UnishiftError, lambda inst, p: reduction_instance(1, 32, 2, "0.5")),
-            (UnishiftError, lambda inst, p: _cayley(inst.h0, np.nan)),
+            (UnishiftError, lambda inst, p: _cayley_values(inst.h0.diagonal().real, np.nan)),
             (UnishiftError, lambda inst, p: convergence_study(inst.h0, inst.a, np.nan, TrigPolynomial.monomial(2), [4])),
             (UnishiftError, lambda inst, p: compressed_model(p, inst.h0, inst.a, -np.inf)),
             (UnishiftError, lambda inst, p: audit_compressed_model(
@@ -1601,7 +1631,7 @@ class TestTypedErrors:
         rng = np.random.default_rng(18)
         inst = reduction_instance(18, 64, 2, 0.5)
         q = haar_unitary(rng, 64)[:, :32]
-        f, _, _ = _kept_pairs(inst.a)
+        f, _ = _kept_pairs(inst.a)
         q = q - f @ (f.conj().T @ q)
         q = np.linalg.qr(q)[0][:, :30]
         a = inst.a + (q * 9e-13) @ q.conj().T
@@ -1677,7 +1707,7 @@ class TestTypedErrors:
             assert_refused(lambda: build_direction_projection(0.5 * (rotated + rotated.conj().T), inst.a, scale, 4))
 
     @pytest.mark.parametrize("field", [
-        "params", "instance", "cell_rows", "cell_columns", "cell_blocks", "eigenvalues", "f", "tau",
+        "eps", "instance", "cell_rows", "cell_columns", "cell_blocks", "eigenvalues", "f", "tau",
     ])
     def test_basis_is_checked_where_it_is_made(self, field):
         """Each field of the basis, and each array of its instance, is checked when the basis is made."""
@@ -1688,13 +1718,29 @@ class TestTypedErrors:
         def made(value):
             return replace(p, **{field: value}) if own else replace(p, instance=replace(p.instance, **{field: value}))
 
-        # an array where a record belongs is a missing record; any other wrong shape disagrees with the layout
-        wrong_shape = MissingConstruction if field in ("params", "instance") else DimensionMismatch
-        for value, error in [(None, MissingConstruction), (np.eye(3), wrong_shape), (np.float64(1.0), wrong_shape)]:
+        # an array where the instance belongs is a missing instance, and where eps belongs a bad window; any other
+        # wrong shape disagrees with the layout.  A scalar is a wrong shape, except for eps.
+        wrong_shape = {"eps": BadWindow, "instance": MissingConstruction}.get(field, DimensionMismatch)
+        cases = [(None, MissingConstruction), (np.eye(3), wrong_shape)]
+        for value, error in cases + ([] if field == "eps" else [(np.float64(1.0), wrong_shape)]):
             with pytest.raises(error):
                 made(value)
         kept = made(getattr(p if own else p.instance, field))
         assert (kept.ambient_dim, kept.rank) == (32, p.rank)
+
+    @pytest.mark.parametrize("eps, error", [
+        (np.nan, BadWindow), (-1.0, BadWindow), (np.inf, BadWindow), ("foo", BadWindow), (True, BadWindow),
+        (None, MissingConstruction),
+    ])
+    def test_eps_is_checked_where_the_basis_is_made(self, eps, error):
+        """eps is a finite real number >= 0 and never a bool, in a replaced basis and in a hand-built one."""
+        inst = reduction_instance(16, 32, 2, 0.5)
+        p = build_direction_projection(inst.h0, inst.a, inst.half_width, 4)
+        with pytest.raises(error):
+            replace(p, eps=eps)
+        with pytest.raises(error):
+            one_cell_basis(ambient_columns(p), p.instance, eps)
+        assert replace(p, eps=0).eps == 0
 
     def test_hand_built_basis_needs_the_eigenpairs_of_h0(self):
         inst = reduction_instance(16, 32, 2, 0.5)
@@ -1710,7 +1756,7 @@ class TestTypedErrors:
         with pytest.raises(MissingConstruction):  # eigenpairs without a cell layout
             audit_compressed_model(replace(p, cell_blocks=None), inst.h0, inst.a, inst.u0, inst.u, 0.0, 2.0, [1], [1])
         # the same basis with one cell holding every row gives the same values
-        one_cell = one_cell_basis(ambient_columns(p), p.instance, p.params)
+        one_cell = one_cell_basis(ambient_columns(p), p.instance, p.eps)
         for got, want in [
             (audit_projection_estimates(one_cell, inst.h0, inst.u0, [1, -2]),
              audit_projection_estimates(p, inst.h0, inst.u0, [1, -2])),

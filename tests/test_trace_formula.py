@@ -23,6 +23,7 @@ from unishift import (
     DimensionMismatch,
     EmptyMatrix,
     EtaIntegrator,
+    NoConvergence,
     OnUnitCircle,
     PathMismatch,
     TrigPolynomial,
@@ -825,6 +826,29 @@ class TestResolvent:
             warnings.simplefilter("error", RuntimeWarning)
             rep = resolvent_check(pair.u0, pair.u, pair.a, z)
         assert rep.passed
+
+    @pytest.mark.parametrize("z", [1e308 + 1e308j, -1e308 - 1e308j])
+    def test_z_near_the_float_maximum_gives_zero(self, z):
+        """At |z| = 1.4e308 each division by z, or by w - z, is scaled first, so nothing overflows: both sides are 0."""
+        pair = random_pair(18, 3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = resolvent_check(pair.u0, pair.u, pair.a, z)
+        assert rep.passed and rep.lhs == rep.rhs == rep.direct_lhs == 0
+
+    @pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -(10**400), complex("nan")], ids=["past-max", "huge-int", "nan"])
+    def test_z_of_no_finite_modulus_is_refused(self, z):
+        pair = random_pair(18, 3, 1.0)
+        with pytest.raises(UnishiftError, match="finite modulus"):
+            resolvent_check(pair.u0, pair.u, pair.a, z)
+
+    def test_direction_whose_bound_overflows_is_refused(self):
+        """At ||A|| = 800 the truncation bound's e^||A|| overflows: ``NoConvergence`` names ||A||."""
+        a = np.diag([800.0, 0.3, -0.2]).astype(complex)
+        u0 = haar_unitary(np.random.default_rng(9), 3)
+        with pytest.raises(NoConvergence, match=r"\|\|A\|\| = 800"):
+            resolvent_check(u0, UnitaryPath(u0, a).at(1.0), a, 0.5)
+        assert resolvent_truncation(0.5, 300.0, 300.0, 1e-7)[0] > 0
 
 
 class TestToleranceRejected:
